@@ -11,26 +11,32 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import isomorphisms as iso
 from .completions import CompletionObject, CompletionWitness, comp_le
 from .doctrines import (
-    Bounded,
     CheckError,
     DialecticaWitness,
     ExtForwardBackward,
     ExtStrong,
     ForwardBackward,
     MassFamily,
-    PerPoint,
-    Predicate,
     TrackedFamily,
-    Uniform,
     check_le,
 )
-from .instance import Instance, InstanceError, format_witness, parse_instance, print_instance
-from .pca import Pca
+from .instance import (
+    Instance,
+    InstanceError,
+    format_assembly,
+    format_extmorphism,
+    format_morphism,
+    format_result,
+    format_table,
+    format_terms,
+    format_witness,
+    parse_instance,
+)
+from .pca import Pca, PcaError
 from .search import SearchBudget, SearchOutcome, search_witness
 from .spaces import FinMap, FinSet, SpaceError, point_text
 from .terms import to_text
@@ -47,7 +53,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InstanceError, CheckError, SpaceError, OSError) as e:
+    except (InstanceError, CheckError, SpaceError, PcaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -55,11 +61,11 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="degreelab",
                                 description="witness-certified reducibility workbench")
-    p.add_argument("--fuel", type=int, default=10_000, help="reduction step budget")
+    p.add_argument("--fuel", type=int, default=None,
+                   help="reduction step budget (default: the instance's fuel)")
     p.add_argument("--witness-size", type=int, default=7, help="witness term size bound")
     p.add_argument("--time-cap", type=float, default=None, help="wall clock cap for searches (s)")
     p.add_argument("--format", choices=("human", "machine"), default="human")
-    p.add_argument("--workers", type=int, default=1)
     sub = p.add_subparsers(required=True)
 
     c = sub.add_parser("check", help="verify claims in an instance file")
@@ -116,7 +122,7 @@ def _load(args) -> Instance:
     with open(args.file) as fh:
         text = fh.read()
     inst = parse_instance(text)
-    if args.fuel and args.fuel != inst.fuel:
+    if args.fuel is not None and args.fuel != inst.fuel:
         inst.pca = Pca(oracles=inst.pca.oracles, default_fuel=args.fuel)
         inst.fuel = args.fuel
     return inst
@@ -144,12 +150,7 @@ def _emit_verdicts(args, named_verdicts, elapsed) -> int:
         elif v.unknown:
             worst = max(worst, EXIT_UNKNOWN)
         if args.format == "machine":
-            line = f"result {name} {v.status}"
-            if v.counterexample:
-                line += " counterexample (" + ", ".join(str(c) for c in v.counterexample) + ")"
-            if v.unknowns:
-                line += f" unknowns {len(v.unknowns)}"
-            lines.append(line)
+            lines.append(format_result(name, v.status, v.counterexample, len(v.unknowns)))
         else:
             line = f"claim {name}: {v.status.upper()}"
             if v.counterexample:
@@ -175,11 +176,7 @@ def cmd_check(args) -> int:
             raise InstanceError(f"unknown claims: {missing}")
         picked = [by_name[n] for n in args.claims]
     start = time.monotonic()
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            verdicts = list(pool.map(lambda c: _run_claim(inst, c, args.fuel), picked))
-    else:
-        verdicts = [_run_claim(inst, c, args.fuel) for c in picked]
+    verdicts = [_run_claim(inst, c, inst.fuel) for c in picked]
     elapsed = time.monotonic() - start
     return _emit_verdicts(args, list(zip((c.name for c in picked), verdicts)), elapsed)
 
@@ -194,7 +191,7 @@ def cmd_search(args) -> int:
         raise InstanceError("search over completion claims is not supported here")
     lhs = inst.element(claim.lhs)
     rhs = inst.element(claim.rhs)
-    budget = SearchBudget(args.witness_size, args.fuel, args.time_cap)
+    budget = SearchBudget(args.witness_size, inst.fuel, args.time_cap)
     start = time.monotonic()
     outcome = search_witness(inst.pca, claim.doc, lhs, rhs, budget)
     elapsed = time.monotonic() - start
@@ -216,9 +213,12 @@ def _render_search(args, inst, claim, outcome: SearchOutcome, elapsed) -> str:
                      f"{outcome.failures} candidates failed")
     else:
         lines.append(f"result {claim.name} unknown")
-        lines.append(f"// {outcome.timeouts} candidates timed out within the budget")
+        if outcome.clock_stopped:
+            lines.append(f"// stopped by the time cap of {args.time_cap}s after {outcome.checked} candidates checked")
+        else:
+            lines.append(f"// {outcome.timeouts} candidates timed out within the budget")
     if args.format == "human":
-        lines.append(f"// budget size {outcome.bound}, fuel {args.fuel}, {elapsed:.3f}s")
+        lines.append(f"// budget size {outcome.bound}, fuel {inst.fuel}, {elapsed:.3f}s")
     return "\n".join(lines)
 
 
@@ -233,27 +233,15 @@ def _declare_witness(inst: Instance, name: str, w) -> list[str]:
     scratch.extmorphisms.update(inst.extmorphisms)
     scratch.witnesses.update(inst.witnesses)
     if isinstance(w, (ForwardBackward, ExtForwardBackward)):
-        target_section = scratch.morphisms if isinstance(w, ForwardBackward) else scratch.extmorphisms
         kname = f"{name}_k"
-        src_name = _name_object(scratch, lines, w.forward.source, f"{name}_src")
-        tgt_name = _name_object(scratch, lines, w.forward.target, f"{name}_tgt")
+        _name_object(scratch, lines, w.forward.source, f"{name}_src")
+        _name_object(scratch, lines, w.forward.target, f"{name}_tgt")
         if isinstance(w, ForwardBackward):
-            graph = ", ".join(
-                f"{point_text(k)} -> {point_text(v)}"
-                for k, v in sorted(w.forward.mapping.items(), key=lambda kv: point_text(kv[0]))
-            )
-            realizer = f" realizer {to_text(w.forward.realizer)}" if w.forward.realizer is not None else ""
-            lines.append(f"morphism {kname} : {src_name} -> {tgt_name}{realizer} graph {{ {graph} }}")
+            lines.append(format_morphism(scratch, kname, w.forward))
+            head = "fwback"
         else:
-            body = ", ".join(
-                f"({to_text(n)}, {point_text(x)}) -> {point_text(v)}"
-                for (n, x), v in sorted(w.forward.pointmap.items(), key=lambda kv: (to_text(kv[0][0]), point_text(kv[0][1])))
-            )
-            lines.append(
-                f"extmorphism {kname} : {src_name} -> {tgt_name} realizer {to_text(w.forward.realizer)} pointmap {{ {body} }}"
-            )
-        target_section[kname] = w.forward
-        head = "fwback" if isinstance(w, ForwardBackward) else "extfwback"
+            lines.append(format_extmorphism(scratch, kname, w.forward))
+            head = "extfwback"
         lines.append(f"witness {name} = {head} k = {kname}, h = {to_text(w.backward)}")
         return lines
     scratch.witnesses[name] = w
@@ -262,24 +250,16 @@ def _declare_witness(inst: Instance, name: str, w) -> list[str]:
 
 
 def _name_object(scratch: Instance, lines: list[str], obj, fallback: str) -> str:
-    for section in (scratch.carriers, scratch.universes, scratch.assemblies):
-        for n, v in section.items():
-            if v == obj:
-                return n
+    """The declared name of obj, else fallback after declaring it."""
+    name = _find_name(scratch, obj)
+    if name is not None:
+        return name
     if isinstance(obj, FinSet):
-        from .instance import _fmt_terms
-
-        lines.append(f"carrier {fallback} = {_fmt_terms(obj.points)}")
+        lines.append(f"carrier {fallback} = {format_terms(obj.points)}")
         scratch.carriers[fallback] = obj
-        return fallback
-    parts = []
-    for pt in obj.points:
-        names = [n for n, x in obj.naming if x == pt]
-        from .instance import _fmt_terms
-
-        parts.append(f"point {point_text(pt)} names {_fmt_terms(names)}")
-    lines.append(f"assembly {fallback} {{ " + " ".join(parts) + " }")
-    scratch.assemblies[fallback] = obj
+    else:
+        lines.append(format_assembly(fallback, obj))
+        scratch.assemblies[fallback] = obj
     return fallback
 
 
@@ -310,7 +290,7 @@ def cmd_lattice(args) -> int:
                 raise InstanceError(f"unknown claim {args.claim!r}")
             claim = by_name[args.claim]
             verdict = check_le(inst.pca, claim.doc, inst.element(claim.lhs),
-                               inst.element(claim.rhs), w, args.fuel)
+                               inst.element(claim.rhs), w, inst.fuel)
             lines.append(f"result {args.claim} {verdict.status}")
         print("\n".join(lines))
         if verdict is None or verdict.holds:
@@ -320,24 +300,20 @@ def cmd_lattice(args) -> int:
     base = inst.carriers.get(args.base) if args.base else None
     fams = [inst.families[n] for n in args.operands]
     out = lattice_element(inst.pca, args.op, args.doc, *fams,
-                          universe=universe, bound=args.bound, base=base, fuel=args.fuel)
-    body = ", ".join(
-        f"{point_text(k)} -> [" + ", ".join(to_text(x) for x in sorted(v, key=lambda t: (t.size, to_text(t)))) + "]"
-        for k, v in sorted(out.values.items(), key=lambda kv: point_text(kv[0]))
-    )
-    base_name = args.base or _find_name(inst, out.base)
-    print(f"family {args.op}_result over {base_name} {{ {body} }}")
+                          universe=universe, bound=args.bound, base=base, fuel=inst.fuel)
+    base_name = args.base or _find_name(inst, out.base) or "anonymous"
+    print(f"family {args.op}_result over {base_name} {{ {format_table(out.values, format_terms)} }}")
     for note in out.notes:
         print(f"// {note}")
     return EXIT_OK
 
 
-def _find_name(inst: Instance, obj) -> str:
+def _find_name(inst: Instance, obj) -> str | None:
     for section in (inst.carriers, inst.universes, inst.assemblies):
         for n, v in section.items():
             if v == obj:
                 return n
-    return "anonymous"
+    return None
 
 
 def cmd_complete(args) -> int:
@@ -384,7 +360,7 @@ def cmd_complete(args) -> int:
             raise InstanceError("completion fiber too large; lower --index-bound or shrink the universe")
     from .search import search_completion_witness
 
-    budget = SearchBudget(args.witness_size, args.fuel, args.time_cap)
+    budget = SearchBudget(args.witness_size, inst.fuel, args.time_cap)
     n = len(objects)
     order = [[False] * n for _ in range(n)]
     for i in range(n):
@@ -396,16 +372,9 @@ def cmd_complete(args) -> int:
             order[i][j] = out.found
     lines = [f"// completion fiber over {args.object}: {n} objects"]
     for i, obj in enumerate(objects):
-        payload = obj.payload
-        if isinstance(payload, TrackedFamily):
-            desc = ", ".join(f"{point_text(k)} -> {to_text(v)}" for k, v in sorted(payload.values.items(), key=lambda kv: point_text(kv[0])))
-        else:
-            desc = ", ".join(
-                f"{point_text(k)} -> [" + ", ".join(map(to_text, sorted(v, key=lambda t: (t.size, to_text(t))))) + "]"
-                for k, v in sorted(payload.values.items(), key=lambda kv: point_text(kv[0]))
-            )
-        leg_desc = ", ".join(f"{point_text(k)} -> {point_text(v)}" for k, v in sorted(obj.leg.mapping.items(), key=lambda kv: point_text(kv[0])))
-        lines.append(f"// object {i}: leg {{ {leg_desc} }} payload {{ {desc} }}")
+        show = point_text if isinstance(obj.payload, TrackedFamily) else format_terms
+        lines.append(f"// object {i}: leg {{ {format_table(obj.leg.mapping)} }} "
+                     f"payload {{ {format_table(obj.payload.values, show)} }}")
     for i in range(n):
         for j in range(n):
             if i != j and order[i][j]:
@@ -448,23 +417,23 @@ def _iso_universal(args, inst, docs, from_map, to_map, fwd, bwd, concrete_doc) -
         if claim.doc != "comp":
             raise InstanceError("forward transport starts from a completion claim")
         w = inst.witnesses[claim.witness]
-        gate = comp_le(inst.pca, lhs, rhs, w, args.fuel)
+        gate = comp_le(inst.pca, lhs, rhs, w, inst.fuel)
         if not gate.holds:
             raise InstanceError(f"input witness does not hold ({gate.status})")
         phi1, phi2 = from_map(inst.pca, lhs), from_map(inst.pca, rhs)
-        new_w = fwd(inst.pca, lhs, rhs, w, args.fuel)
-        v = check_le(inst.pca, concrete_doc, phi1, phi2, new_w, args.fuel)
+        new_w = fwd(inst.pca, lhs, rhs, w, inst.fuel)
+        v = check_le(inst.pca, concrete_doc, phi1, phi2, new_w, inst.fuel)
         lines.extend(_declare_witness(inst, f"{claim.name}_transported", new_w))
         lines.append(f"result {claim.name} {v.status}")
     else:
         lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
         w = inst.witnesses[claim.witness]
-        gate = check_le(inst.pca, concrete_doc, lhs, rhs, w, args.fuel)
+        gate = check_le(inst.pca, concrete_doc, lhs, rhs, w, inst.fuel)
         if not gate.holds:
             raise InstanceError(f"input witness does not hold ({gate.status})")
         o1, o2 = to_map(inst.pca, lhs), to_map(inst.pca, rhs)
-        cw = bwd(inst.pca, o1, o2, w, args.fuel)
-        v = comp_le(inst.pca, o1, o2, cw, args.fuel)
+        cw = bwd(inst.pca, o1, o2, w, inst.fuel)
+        v = comp_le(inst.pca, o1, o2, cw, inst.fuel)
         lines.append(f"// canonical completion objects built from {claim.lhs} and {claim.rhs}")
         lines.append(f"result {claim.name} {v.status}")
     print("\n".join(lines))
@@ -497,24 +466,24 @@ def _iso_existential(args, inst, doc, edoc, from_map, to_map, fwd, bwd) -> int:
             raise InstanceError("forward transport starts from a completion claim")
         lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
         w = inst.witnesses[claim.witness]
-        gate = comp_le(inst.pca, lhs, rhs, w, args.fuel)
+        gate = comp_le(inst.pca, lhs, rhs, w, inst.fuel)
         if not gate.holds:
             raise InstanceError(f"input witness does not hold ({gate.status})")
         F, G = from_map(inst.pca, lhs), from_map(inst.pca, rhs)
-        new_w = fwd(inst.pca, w, args.fuel)
-        v = check_le(inst.pca, doc, F, G, new_w, args.fuel)
+        new_w = fwd(inst.pca, w, inst.fuel)
+        v = check_le(inst.pca, doc, F, G, new_w, inst.fuel)
         lines.extend(_declare_witness(inst, f"{claim.name}_transported", new_w))
     else:
         lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
         w = inst.witnesses[claim.witness]
-        gate = check_le(inst.pca, doc, lhs, rhs, w, args.fuel)
+        gate = check_le(inst.pca, doc, lhs, rhs, w, inst.fuel)
         if not gate.holds:
             raise InstanceError(f"input witness does not hold ({gate.status})")
         o1 = to_map(inst.pca, lhs, edoc)
         o2 = to_map(inst.pca, rhs, edoc)
-        cw = bwd(inst.pca, w, args.fuel) if args.mapname != "realizer" and args.mapname != "extended" \
-            else bwd(inst.pca, w, lhs.base, args.fuel)
-        v = comp_le(inst.pca, o1, o2, cw, args.fuel)
+        cw = bwd(inst.pca, w, inst.fuel) if args.mapname != "realizer" and args.mapname != "extended" \
+            else bwd(inst.pca, w, lhs.base, inst.fuel)
+        v = comp_le(inst.pca, o1, o2, cw, inst.fuel)
         lines.append(f"// canonical completion objects built from {claim.lhs} and {claim.rhs}")
     lines.append(f"result {claim.name} {v.status}")
     print("\n".join(lines))
@@ -561,15 +530,9 @@ def _cmd_iso_extpred(args, inst) -> int:
         raise InstanceError(f"unknown extended predicate {args.object!r}")
     f = inst.extpredicates[args.object]
     asm, fam = iso.ext_pred_to_assembly(inst.pca, f)
-    parts = []
-    for pt in asm.points:
-        names = [n for n, x in asm.naming if x == pt]
-        from .instance import _fmt_terms
-
-        parts.append(f"point {point_text(pt)} names {_fmt_terms(names)}")
-    print(f"assembly {args.object}_assembly {{ " + " ".join(parts) + " }")
+    print(format_assembly(f"{args.object}_assembly", asm))
     body = ", ".join(
-        f"({to_text(n)}, {point_text(x)}) -> [" + ", ".join(map(to_text, sorted(v, key=lambda t: (t.size, to_text(t))))) + "]"
+        f"({to_text(n)}, {point_text(x)}) -> {format_terms(v)}"
         for (n, x), v in sorted(fam.values.items(), key=lambda kv: (to_text(kv[0][0]), point_text(kv[0][1])))
     )
     print(f"family {args.object}_family over {args.object}_assembly {{ {body} }}")
@@ -585,12 +548,12 @@ def _cmd_iso_extsw_d(args, inst) -> int:
     w = inst.witnesses[claim.witness]
     if not isinstance(w, ExtStrong):
         raise InstanceError("extsW claims carry extstrong witnesses")
-    gate = check_le(inst.pca, "extsW", f, g, w, args.fuel)
+    gate = check_le(inst.pca, "extsW", f, g, w, inst.fuel)
     F = iso.extended_to_dialectica(f)
     G = iso.extended_to_dialectica(g)
-    Gk = iso.dialectica_shift(inst.pca, G, w.forward, F.base, args.fuel)
+    Gk = iso.dialectica_shift(inst.pca, G, w.forward, F.base, inst.fuel)
     dwit = DialecticaWitness(dict(w.choice), w.backward)
-    v = check_le(inst.pca, "D", F, Gk, dwit, args.fuel)
+    v = check_le(inst.pca, "D", F, Gk, dwit, inst.fuel)
     agree = gate.status == v.status
     print(f"result {claim.name}_extsw {gate.status}")
     print(f"result {claim.name}_pointwise {v.status}")
@@ -616,7 +579,7 @@ _ISO_COMMANDS = {
 def cmd_laws(args) -> int:
     from .laws import machine_format, run_suites
 
-    reports = run_suites(args.suites or None, fuel=None, workers=args.workers)
+    reports = run_suites(args.suites or None, fuel=args.fuel)
     if args.format == "machine":
         sys.stdout.write(machine_format(reports))
     else:

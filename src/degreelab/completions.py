@@ -25,14 +25,13 @@ from .doctrines import (
     check_le,
     reindex,
 )
-from .pca import FST, ID, PAIR, Pca, SND, abstract_all, apply
+from .pca import FST, ID, PAIR, Pca, SND, abstract_all
 from .spaces import (
     Assembly,
     ExtMorphism,
     FinMap,
     FinSet,
     PullbackSquare,
-    SpaceError,
     carrier_product,
     compose_maps,
     ext_compose,
@@ -44,7 +43,7 @@ from .spaces import (
     projection_path,
     pullback,
 )
-from .terms import App, Term, Var, ap, pair_term, split_pair
+from .terms import App, Var, ap, pair_term, split_pair
 from .verdicts import Verdict
 
 EXISTS = "exists"

@@ -32,7 +32,7 @@ order so the first counterexample is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import verdicts
@@ -46,7 +46,6 @@ from .pca import (
     apply,
     enumerate_computable,
     is_computable,
-    is_normal,
     normalize,
 )
 from .spaces import (
@@ -54,8 +53,8 @@ from .spaces import (
     ExtMorphism,
     FinMap,
     FinSet,
-    SpaceError,
     carrier_product,
+    compose_maps,
     ext_check,
     ext_product,
     point_key,
@@ -409,7 +408,7 @@ def _check_tracked(pca, lhs, rhs, w, fuel, uniform_only: bool):
             if a is None:
                 raise CheckError(f"per-point witness missing point {point_text(x)}")
         elif isinstance(w, Bounded) and not uniform_only:
-            a = _bounded_tracked(pca, rhs.values[x], lhs.values[x], w.bound, fuel)
+            a = find_inner_witness(pca, rhs.values[x], frozenset([lhs.values[x]]), w.bound, fuel)
             if a is None:
                 ses.timeouts.append((point_text(x), f"no witness up to size {w.bound}"))
                 continue
@@ -422,14 +421,6 @@ def _check_tracked(pca, lhs, rhs, w, fuel, uniform_only: bool):
         if got is False or got != lhs.values[x]:
             return ses.refute((point_text(x), to_text(rhs.values[x])))
     return ses.finish()
-
-
-def _bounded_tracked(pca, arg: Term, want: Term, bound: int, fuel) -> Term | None:
-    for cand in enumerate_computable(bound):
-        out = apply(pca, cand, arg, fuel)
-        if out.is_defined and out.term == want:
-            return cand
-    return None
 
 
 def _check_T(pca, lhs, rhs, w, fuel):
@@ -1218,7 +1209,7 @@ def compose_witnesses(pca: Pca, doc: str, w1: Witness, w2: Witness, fuel: int | 
     if doc in ("tW",):
         return _compose_fb(pca, doc, w1, w2, strong=False, fuel=fuel)
     if doc == "classicalW":
-        k = compose_maps_for(w1.forward, w2.forward)
+        k = compose_maps(w2.forward, w1.forward)
         h = abstract_all(
             ("u",),
             App(w1.backward, ap(PAIR, App(FST, u),
@@ -1226,7 +1217,7 @@ def compose_witnesses(pca: Pca, doc: str, w1: Witness, w2: Witness, fuel: int | 
         )
         return ForwardBackward(k, h)
     if doc == "classicalSW":
-        k = compose_maps_for(w1.forward, w2.forward)
+        k = compose_maps(w2.forward, w1.forward)
         return ForwardBackward(k, abstract_all(("q",), App(w1.backward, App(w2.backward, q))))
     if doc == "D":
         choice = {}
@@ -1245,8 +1236,7 @@ def compose_witnesses(pca: Pca, doc: str, w1: Witness, w2: Witness, fuel: int | 
     raise CheckError(f"unknown doctrine id {doc!r}")
 
 
-def compose_mw_with_tables(pca: Pca, w1: PerPoint, w2: PerPoint, mid_values, rhs_values,
-                           fuel: int | None = None) -> PerPoint:
+def compose_mw_with_tables(pca: Pca, w1: PerPoint, w2: PerPoint, fuel: int | None = None) -> PerPoint:
     """Per-solution composition when both inputs are per-point tables."""
     z = Var("z")
     table = {}
@@ -1265,7 +1255,7 @@ def _compose_mw(pca, w1, w2, fuel):
     if isinstance(w1, Uniform) and isinstance(w2, Uniform):
         return Uniform(abstract_all(("q",), App(w1.term, App(w2.term, Var("q")))))
     if isinstance(w1, PerPoint) and isinstance(w2, PerPoint):
-        return compose_mw_with_tables(pca, w1, w2, None, None, fuel)
+        return compose_mw_with_tables(pca, w1, w2, fuel)
     if isinstance(w1, Uniform) and isinstance(w2, PerPoint):
         z = Var("z")
         return PerPoint({key: abstract_all(("z",), App(w1.term, App(a2, z)))
@@ -1273,12 +1263,6 @@ def _compose_mw(pca, w1, w2, fuel):
     if isinstance(w1, PerPoint) and isinstance(w2, Uniform):
         raise CheckError("compose Mw: enumerate the middle solutions and supply per-point tables")
     raise CheckError("Mw composition needs uniform or per-point witnesses")
-
-
-def compose_maps_for(k1: FinMap, k2: FinMap) -> FinMap:
-    from .spaces import compose_maps
-
-    return compose_maps(k2, k1)
 
 
 def _compose_fb(pca, doc, w1, w2, strong, fuel):

@@ -58,7 +58,7 @@ from .doctrines import (
     TrackedFamily,
     Uniform,
 )
-from .pca import Pca, is_normal
+from .pca import Pca
 from .spaces import (
     Assembly,
     ExtMorphism,
@@ -69,8 +69,9 @@ from .spaces import (
     carrier,
     carrier_product,
     ext_product,
+    point_text,
 )
-from .terms import App, Oracle, Term, TermSyntaxError, K, S, to_text
+from .terms import App, Oracle, Term, K, S, term_key, to_text
 
 
 class InstanceError(ValueError):
@@ -95,8 +96,8 @@ class Claim:
 class ResultLine:
     claim: str
     status: str
-    counterexample: tuple = ()
-    detail: str = ""
+    counterexample: tuple = ()  # the items' source texts
+    unknowns: int = 0
 
 
 @dataclass
@@ -144,6 +145,8 @@ class Tok:
     kind: str  # ident | oracle | int | punct
     text: str
     line: int
+    start: int  # source span
+    end: int
 
 
 def _tokenize(text: str) -> list[Tok]:
@@ -165,7 +168,7 @@ def _tokenize(text: str) -> list[Tok]:
         matched = False
         for p in _PUNCT:
             if text.startswith(p, i):
-                toks.append(Tok("punct", p, line))
+                toks.append(Tok("punct", p, line, i, i + len(p)))
                 i += len(p)
                 matched = True
                 break
@@ -177,19 +180,19 @@ def _tokenize(text: str) -> list[Tok]:
                 j += 1
             if j == i + 1:
                 raise InstanceError("'#' must start an oracle name", line)
-            toks.append(Tok("oracle", text[i + 1 : j], line))
+            toks.append(Tok("oracle", text[i + 1 : j], line, i, j))
             i = j
         elif c.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(Tok("int", text[i:j], line))
+            toks.append(Tok("int", text[i:j], line, i, j))
             i = j
         elif c.isalpha() or c == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] in "_'"):
                 j += 1
-            toks.append(Tok("ident", text[i:j], line))
+            toks.append(Tok("ident", text[i:j], line, i, j))
             i = j
         else:
             raise InstanceError(f"unexpected character {c!r}", line)
@@ -197,8 +200,9 @@ def _tokenize(text: str) -> list[Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[Tok]):
+    def __init__(self, toks: list[Tok], source: str):
         self.toks = toks
+        self.source = source
         self.i = 0
 
     def done(self) -> bool:
@@ -336,7 +340,7 @@ def _parse_point_id_or_tuple(p: _Parser):
 def parse_instance(text: str) -> Instance:
     toks = _tokenize(text)
     # first pass: oracle tables and fuel, which fix the structure
-    pre = _Parser(toks)
+    pre = _Parser(toks, text)
     oracles: dict[str, dict] = {}
     fuel = 10_000
     while not pre.done():
@@ -365,7 +369,7 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError(str(e)) from e
 
     inst = Instance(pca=pca, fuel=fuel)
-    p = _Parser(toks)
+    p = _Parser(toks, text)
     while not p.done():
         tok = p.next()
         if tok.kind != "ident":
@@ -836,27 +840,39 @@ def _decl_claim(p: _Parser, inst: Instance) -> None:
 def _decl_result(p: _Parser, inst: Instance) -> None:
     claim = p.ident()
     status = p.ident()
-    counterexample = ()
-    detail = ""
-    if p.at("ident", "counterexample"):
-        p.next()
+    items = []
+    if p.eat("ident", "counterexample"):
         p.expect("punct", "(")
-        items = []
         if not p.at("punct", ")"):
-            while True:
-                parts = []
-                while not (p.at("punct", ",") or p.at("punct", ")")):
-                    parts.append(p.next().text)
-                items.append(" ".join(parts))
-                if not p.eat("punct", ","):
-                    break
+            items.append(_raw_item(p))
+            while p.eat("punct", ","):
+                items.append(_raw_item(p))
         p.expect("punct", ")")
-        counterexample = tuple(items)
-    if p.at("ident", "unknowns"):
-        p.next()
-        detail = f"unknowns {p.integer()}"
-    inst.results.append(ResultLine(claim, status, counterexample, detail))
+    unknowns = p.integer() if p.eat("ident", "unknowns") else 0
+    inst.results.append(ResultLine(claim, status, tuple(items), unknowns))
     inst.decls.append(("result", claim))
+
+
+def _raw_item(p: _Parser) -> str:
+    """The source text of one counterexample item: a term, a point tuple or
+    a phrase, up to the next ',' or ')' outside brackets."""
+    first = p.peek()
+    depth = 0
+    while True:
+        t = p.peek()
+        if t is None:
+            raise InstanceError("unterminated counterexample", p.line())
+        if t.kind == "punct":
+            if depth == 0 and t.text in (",", ")"):
+                break
+            if t.text in ("(", "[", "{"):
+                depth += 1
+            elif t.text in (")", "]", "}"):
+                depth -= 1
+        last = p.next()
+    if t is first:
+        raise InstanceError("empty counterexample item", t.line)
+    return p.source[first.start : last.end]
 
 
 _DECL_PARSERS = {
@@ -883,25 +899,52 @@ _DECL_PARSERS = {
 # Printing (canonical form; print . parse is the identity up to layout)
 
 
-def _fmt_point(pt) -> str:
-    if isinstance(pt, Term):
-        return to_text(pt)
-    if isinstance(pt, tuple):
-        return "(" + ", ".join(_fmt_point(q) for q in pt) + ")"
-    return str(pt)
-
-
-def _fmt_terms(ts) -> str:
-    from .terms import term_key
-
+def format_terms(ts) -> str:
+    """A term list in canonical order: ``[K, S, (K K)]``."""
     return "[" + ", ".join(to_text(t) for t in sorted(ts, key=term_key)) + "]"
 
 
-def _fmt_key(key) -> str:
-    if isinstance(key, Term):
-        return to_text(key)
-    name, pid = key
-    return f"({to_text(name)}, {_fmt_point(pid)})"
+def format_table(mapping, show=point_text) -> str:
+    """``key -> value`` entries in the order of their key texts."""
+    return ", ".join(
+        f"{point_text(k)} -> {show(v)}" for k, v in sorted(mapping.items(), key=lambda kv: point_text(kv[0]))
+    )
+
+
+def format_assembly(name: str, asm: Assembly) -> str:
+    parts = []
+    for pt in asm.points:
+        names = [n for n, x in asm.naming if x == pt]
+        parts.append(f"point {point_text(pt)} names {format_terms(names)}")
+    return f"assembly {name} {{ " + " ".join(parts) + " }"
+
+
+def format_morphism(inst: Instance, name: str, m: FinMap) -> str:
+    realizer = f" realizer {to_text(m.realizer)}" if m.realizer is not None else ""
+    src_name = _obj_name(inst, m.source)
+    tgt_name = _obj_name(inst, m.target)
+    return f"morphism {name} : {src_name} -> {tgt_name}{realizer} graph {{ {format_table(m.mapping)} }}"
+
+
+def format_extmorphism(inst: Instance, name: str, m: ExtMorphism) -> str:
+    body = ", ".join(
+        f"({to_text(n)}, {point_text(x)}) -> {point_text(v)}"
+        for (n, x), v in sorted(m.pointmap.items(), key=lambda kv: (to_text(kv[0][0]), point_text(kv[0][1])))
+    )
+    return (
+        f"extmorphism {name} : {_obj_name(inst, m.source)} -> {_obj_name(inst, m.target)} "
+        f"realizer {to_text(m.realizer)} pointmap {{ {body} }}"
+    )
+
+
+def format_result(claim: str, status: str, counterexample=(), unknowns: int = 0) -> str:
+    """A ``result`` line, the one declaration check reports are made of."""
+    line = f"result {claim} {status}"
+    if counterexample:
+        line += " counterexample (" + ", ".join(map(str, counterexample)) + ")"
+    if unknowns:
+        line += f" unknowns {unknowns}"
+    return line
 
 
 def print_instance(inst: Instance) -> str:
@@ -911,49 +954,31 @@ def print_instance(inst: Instance) -> str:
         body = ", ".join(f"{to_text(k)} -> {to_text(v)}" for k, v in sorted(entries.items(), key=lambda kv: to_text(kv[0])))
         out.append(f"oracle #{oname} {{ {body} }}")
     out.append(f"fuel {inst.fuel}")
-    printed_aux = set()
     for kind, name in inst.decls:
         if kind == "universe":
-            out.append(f"universe {name} = {_fmt_terms(inst.universes[name].points)}")
+            out.append(f"universe {name} = {format_terms(inst.universes[name].points)}")
         elif kind == "carrier":
-            out.append(f"carrier {name} = {_fmt_terms(inst.carriers[name].points)}")
+            out.append(f"carrier {name} = {format_terms(inst.carriers[name].points)}")
         elif kind == "assembly":
-            asm = inst.assemblies[name]
-            parts = []
-            for pt in asm.points:
-                names = [n for n, x in asm.naming if x == pt]
-                parts.append(f"point {_fmt_point(pt)} names {_fmt_terms(names)}")
-            out.append(f"assembly {name} {{ " + " ".join(parts) + " }")
+            out.append(format_assembly(name, inst.assemblies[name]))
         elif kind == "morphism":
-            m = inst.morphisms[name]
-            out.append(_fmt_morphism(inst, name, m))
+            out.append(format_morphism(inst, name, inst.morphisms[name]))
         elif kind == "extmorphism":
-            m = inst.extmorphisms[name]
-            body = ", ".join(
-                f"({to_text(n)}, {_fmt_point(x)}) -> {_fmt_point(v)}"
-                for (n, x), v in sorted(m.pointmap.items(), key=lambda kv: (to_text(kv[0][0]), str(kv[0][1])))
-            )
-            out.append(
-                f"extmorphism {name} : {_obj_name(inst, m.source)} -> {_obj_name(inst, m.target)} "
-                f"realizer {to_text(m.realizer)} pointmap {{ {body} }}"
-            )
+            out.append(format_extmorphism(inst, name, inst.extmorphisms[name]))
         elif kind == "tracked":
             fam = inst.tracked[name]
-            body = ", ".join(f"{_fmt_key(k)} -> {to_text(v)}" for k, v in sorted(fam.values.items(), key=lambda kv: _fmt_key(kv[0])))
-            out.append(f"tracked {name} over {_obj_name(inst, fam.base)} {{ {body} }}")
+            out.append(f"tracked {name} over {_obj_name(inst, fam.base)} {{ {format_table(fam.values)} }}")
         elif kind == "family":
             fam = inst.families[name]
             pol = " policy nonempty" if fam.policy == NONEMPTY else ""
-            body = ", ".join(
-                f"{_fmt_key(k)} -> {_fmt_terms(v)}" for k, v in sorted(fam.values.items(), key=lambda kv: _fmt_key(kv[0]))
-            )
+            body = format_table(fam.values, format_terms)
             out.append(f"family {name} over {_obj_name(inst, fam.base)}{pol} {{ {body} }}")
         elif kind == "predicate":
             pred = inst.predicates[name]
             pol = "" if pred.policy == NONEMPTY else " policy allowempty"
             body = ", ".join(
-                f"({_fmt_key(b)}; {_fmt_key(i)}) -> {_fmt_terms(v)}"
-                for (b, i), v in sorted(pred.table.items(), key=lambda kv: (_fmt_key(kv[0][0]), _fmt_key(kv[0][1])))
+                f"({point_text(b)}; {point_text(i)}) -> {format_terms(v)}"
+                for (b, i), v in sorted(pred.table.items(), key=lambda kv: (point_text(kv[0][0]), point_text(kv[0][1])))
             )
             out.append(
                 f"predicate {name} over {_obj_name(inst, pred.base)} index {_obj_name(inst, pred.index)}{pol} {{ {body} }}"
@@ -961,17 +986,13 @@ def print_instance(inst: Instance) -> str:
         elif kind == "extpredicate":
             ep = inst.extpredicates[name]
             body = ", ".join(
-                f"{to_text(k)} -> [" + ", ".join(_fmt_terms(a) for a in sorted(v, key=lambda s: sorted(map(to_text, s)))) + "]"
+                f"{to_text(k)} -> [" + ", ".join(format_terms(a) for a in sorted(v, key=lambda s: sorted(map(to_text, s)))) + "]"
                 for k, v in sorted(ep.table.items(), key=lambda kv: to_text(kv[0]))
             )
             out.append(f"extpredicate {name} over {_obj_name(inst, ep.dom)} {{ {body} }}")
         elif kind == "dialpredicate":
             dp = inst.dialpredicates[name]
-            body = ", ".join(
-                f"({_fmt_key(x)}; {_fmt_terms(a)}) -> {_fmt_terms(v)}"
-                for (x, a), v in sorted(dp.table.items(), key=lambda kv: (_fmt_key(kv[0][0]), sorted(map(to_text, kv[0][1]))))
-            )
-            out.append(f"dialpredicate {name} over {_obj_name(inst, dp.base)} {{ {body} }}")
+            out.append(f"dialpredicate {name} over {_obj_name(inst, dp.base)} {{ {_format_choice(dp.table)} }}")
         elif kind == "witness":
             out.append(format_witness(inst, name, inst.witnesses[name]))
         elif kind == "compobject":
@@ -984,22 +1005,16 @@ def print_instance(inst: Instance) -> str:
             out.append(f"claim {c.name} : {c.lhs} <=_{c.doc} {c.rhs} by {c.witness}")
         elif kind == "result":
             r = next(r for r in inst.results if r.claim == name)
-            line = f"result {r.claim} {r.status}"
-            if r.counterexample:
-                line += " counterexample (" + ", ".join(r.counterexample) + ")"
-            out.append(line)
+            out.append(format_result(r.claim, r.status, r.counterexample, r.unknowns))
     return "\n".join(out) + "\n"
 
 
-def _fmt_morphism(inst: Instance, name: str, m: FinMap) -> str:
-    body = ", ".join(
-        f"{_fmt_point(k)} -> {_fmt_point(v)}"
-        for k, v in sorted(m.mapping.items(), key=lambda kv: _fmt_point(kv[0]))
+def _format_choice(table) -> str:
+    """``(x; [a]) -> [b]`` entries of a relation or choice table."""
+    return ", ".join(
+        f"({point_text(x)}; {format_terms(a)}) -> {format_terms(v)}"
+        for (x, a), v in sorted(table.items(), key=lambda kv: (point_text(kv[0][0]), sorted(map(to_text, kv[0][1]))))
     )
-    realizer = f" realizer {to_text(m.realizer)}" if m.realizer is not None else ""
-    src_name = _obj_name(inst, m.source)
-    tgt_name = _obj_name(inst, m.target)
-    return f"morphism {name} : {src_name} -> {tgt_name}{realizer} graph {{ {body} }}"
 
 
 def _obj_name(inst: Instance, obj) -> str:
@@ -1031,39 +1046,19 @@ def format_witness(inst: Instance, name: str, w) -> str:
     if isinstance(w, Bounded):
         return f"witness {name} = bounded {w.bound}"
     if isinstance(w, PerPoint):
-        body = ", ".join(
-            f"{_fmt_perpoint_key(k)} -> {to_text(v)}"
-            for k, v in sorted(w.mapping.items(), key=lambda kv: _fmt_perpoint_key(kv[0]))
-        )
-        return f"witness {name} = perpoint {{ {body} }}"
+        return f"witness {name} = perpoint {{ {format_table(w.mapping)} }}"
     if isinstance(w, ForwardBackward):
         return f"witness {name} = fwback k = {_morphism_name(inst, w.forward)}, h = {to_text(w.backward)}"
     if isinstance(w, ExtForwardBackward):
         return f"witness {name} = extfwback k = {_morphism_name(inst, w.forward)}, h = {to_text(w.backward)}"
     if isinstance(w, DialecticaWitness):
-        body = ", ".join(
-            f"({_fmt_key(x)}; {_fmt_terms(a)}) -> {_fmt_terms(v)}"
-            for (x, a), v in sorted(w.choice.items(), key=lambda kv: (_fmt_key(kv[0][0]), sorted(map(to_text, kv[0][1]))))
-        )
-        return f"witness {name} = dial {{ {body} }} h = {to_text(w.backward)}"
+        return f"witness {name} = dial {{ {_format_choice(w.choice)} }} h = {to_text(w.backward)}"
     if isinstance(w, ExtStrong):
-        body = ", ".join(
-            f"({to_text(x)}; {_fmt_terms(a)}) -> {_fmt_terms(v)}"
-            for (x, a), v in sorted(w.choice.items(), key=lambda kv: (to_text(kv[0][0]), sorted(map(to_text, kv[0][1]))))
-        )
-        return f"witness {name} = extstrong k = {to_text(w.forward)}, choice {{ {body} }}, h = {to_text(w.backward)}"
+        return (f"witness {name} = extstrong k = {to_text(w.forward)}, "
+                f"choice {{ {_format_choice(w.choice)} }}, h = {to_text(w.backward)}")
     if isinstance(w, CompletionWitness):
         base_name = next((n for n, v in inst.witnesses.items() if v is w.base), None)
         if base_name is None:
             raise InstanceError("completion base witness has no declared name")
         return f"witness {name} = mediate h = {_morphism_name(inst, w.mediator)}, base = {base_name}"
     raise InstanceError(f"cannot format witness {type(w).__name__}")
-
-
-def _fmt_perpoint_key(k) -> str:
-    if isinstance(k, Term):
-        return to_text(k)
-    a, b = k
-    if isinstance(b, Term):
-        return f"({_fmt_key(a) if isinstance(a, Term) else _fmt_point(a)}, {to_text(b)})"
-    return f"({to_text(a)}, {_fmt_point(b)})"

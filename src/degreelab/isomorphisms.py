@@ -29,7 +29,6 @@ from .doctrines import (
     DialecticaPredicate,
     DialecticaWitness,
     ExtForwardBackward,
-    ExtStrong,
     ExtendedPredicate,
     ForwardBackward,
     MassFamily,
@@ -37,7 +36,6 @@ from .doctrines import (
     Predicate,
     TrackedFamily,
     Uniform,
-    check_le,
     sorted_terms,
 )
 from .pca import FST, PAIR, Pca, SND, abstract_all, apply, is_computable, normalize
@@ -53,7 +51,7 @@ from .spaces import (
     point_key,
     product_components,
 )
-from .terms import App, Term, Var, ap, pair_term, split_pair, term_key, to_text
+from .terms import App, Term, Var, ap, pair_term, split_pair, to_text
 from .verdicts import Verdict
 
 

@@ -1,15 +1,12 @@
 """Built-in property suites.
 
 Each suite checks one family of algebraic laws over deterministic desk-scale
-instances and reports grouped counts.  Suites are pure: rerunning one yields
-the same records, and running cases across worker threads cannot change the
-report because case order is fixed up front and results are collected in
-that order.
+instances and reports grouped counts.  Suites are pure: each runs its cases
+in a fixed order into one tally, so rerunning one yields the same records.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -19,12 +16,10 @@ from .completions import (
     EXISTS,
     FORALL,
     FULL,
-    PURE,
     CompletionObject,
     CompletionWitness,
     beck_chevalley_check,
     comp_le,
-    identity_base_witness,
     pure_pullback_of_projection,
 )
 from .doctrines import (
@@ -35,7 +30,6 @@ from .doctrines import (
     DialecticaWitness,
     ExtStrong,
     ExtendedPredicate,
-    ForwardBackward,
     MassFamily,
     PerPoint,
     Predicate,
@@ -43,8 +37,8 @@ from .doctrines import (
     UndecidedError,
     Uniform,
     check_le,
-    compose_witnesses,
     exists_along_medvedev,
+    find_inner_witness,
     forall_along,
     implication_adjunction_witness,
     lattice_element,
@@ -62,15 +56,19 @@ from .pca import (
     apply,
     apply_many,
     bracket_abstract,
-    element_equal,
     enumerate_computable,
     is_computable,
     is_normal,
     normalize,
 )
-from .search import SearchBudget, forward_map_candidates, search_witness
+from .search import (
+    SearchBudget,
+    all_graphs,
+    forward_map_candidates,
+    search_completion_witness,
+    search_witness,
+)
 from .spaces import (
-    Assembly,
     ExtMorphism,
     FinMap,
     FinSet,
@@ -90,7 +88,6 @@ from .terms import (
     K,
     Oracle,
     S,
-    Term,
     Var,
     ap,
     enumerate_over,
@@ -163,38 +160,11 @@ class _Tally:
         elif not ok:
             c[1] += 1
 
-    def merge(self, other: "_Tally") -> None:
-        for case in other.order:
-            if case not in self.counts:
-                self.counts[case] = [0, 0, 0]
-                self.order.append(case)
-            for i in range(3):
-                self.counts[case][i] += other.counts[case][i]
-
     def report(self) -> SuiteReport:
         recs = [
             LawRecord(self.suite, case, *self.counts[case]) for case in self.order
         ]
         return SuiteReport(self.suite, recs)
-
-
-def _run_parallel(suite: str, chunks: list, worker, workers: int) -> SuiteReport:
-    """Run one tally-producing worker per chunk, merging in chunk order."""
-    total = _Tally(suite)
-    if workers <= 1:
-        for chunk in chunks:
-            total.merge(worker(chunk))
-        return total.report()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for tally in pool.map(worker, chunks):
-            total.merge(tally)
-    return total.report()
-
-
-def _chunk(items: list, n: int) -> list[list]:
-    if n <= 0:
-        return [items]
-    return [items[i : i + n] for i in range(0, len(items), n)]
 
 
 def _subsets(universe, max_size: int):
@@ -220,98 +190,87 @@ def _combos(items, size, start=0):
 # Suite 1: the defining combinator laws
 
 
-def suite_pca_laws(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
+def suite_pca_laws(pca: Pca, fuel: int | None = None) -> SuiteReport:
     # The enumeration contains divergent combinations; a tight step budget
     # keeps them cheap while deciding every convergent case identically.
     fuel = 200 if fuel is None else fuel
     terms = enumerate_computable(3)
-    chunks = _chunk(terms, 16)
-
-    def worker(chunk):
-        t = _Tally("pca-laws")
-        small = terms[:22]  # the size <= 2 prefix
-        for a in chunk:
-            na = normalize(pca, a, fuel)
-            for b in terms:
-                # k a is defined; k a b reduces to a whenever a normalizes
-                out = apply_many(pca, K, a, b, fuel=fuel)
-                if na.is_defined:
-                    if out.status == "timeout" or na.status == "timeout":
-                        t.add("k-law", None)
-                    else:
-                        t.add("k-law", out.is_defined and out.term == na.term)
-            for b in small:
-                for c in small:
-                    rhs = normalize(pca, App(App(a, c), App(b, c)), fuel)
-                    if rhs.status == "timeout":
-                        # the chain only does one more step than the
-                        # contractum, so it cannot settle either
-                        t.add("s-law", None)
-                        continue
-                    lhs = apply_many(pca, S, a, b, c, fuel=fuel)
-                    if lhs.status == "timeout":
-                        t.add("s-law", None)
-                    else:
-                        t.add("s-law", lhs == rhs)
-        return t
-
-    return _run_parallel("pca-laws", chunks, worker, workers)
+    small = terms[:22]  # the size <= 2 prefix
+    t = _Tally("pca-laws")
+    for a in terms:
+        na = normalize(pca, a, fuel)
+        for b in terms:
+            # k a is defined; k a b reduces to a whenever a normalizes
+            out = apply_many(pca, K, a, b, fuel=fuel)
+            if na.is_defined:
+                if out.status == "timeout" or na.status == "timeout":
+                    t.add("k-law", None)
+                else:
+                    t.add("k-law", out.is_defined and out.term == na.term)
+        for b in small:
+            for c in small:
+                rhs = normalize(pca, App(App(a, c), App(b, c)), fuel)
+                if rhs.status == "timeout":
+                    # the chain only does one more step than the
+                    # contractum, so it cannot settle either
+                    t.add("s-law", None)
+                    continue
+                lhs = apply_many(pca, S, a, b, c, fuel=fuel)
+                if lhs.status == "timeout":
+                    t.add("s-law", None)
+                else:
+                    t.add("s-law", lhs == rhs)
+    return t.report()
 
 
 # ---------------------------------------------------------------------------
 # Suite 2: bracket abstraction soundness
 
 
-def suite_bracket_abstraction(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
+def suite_bracket_abstraction(pca: Pca, fuel: int | None = None) -> SuiteReport:
     fuel = 300 if fuel is None else fuel
     x = Var("x")
-    bodies = enumerate_over((x, K, S), 3)
     args = enumerate_computable(2)
-    chunks = _chunk(bodies, 32)
-
-    def worker(chunk):
-        t = _Tally("bracket-abstraction")
-        for body in chunk:
-            abstracted = bracket_abstract("x", body)
-            for b in args:
-                wanted = normalize(pca, subst(body, "x", b), fuel)
-                if wanted.status == "timeout":
-                    t.add("substitution", None)
-                    continue
-                applied = normalize(pca, App(abstracted, b), fuel)
-                if applied.status == "timeout":
-                    t.add("substitution", None)
-                else:
-                    t.add("substitution", applied == wanted)
-        return t
-
-    return _run_parallel("bracket-abstraction", chunks, worker, workers)
+    t = _Tally("bracket-abstraction")
+    for body in enumerate_over((x, K, S), 3):
+        abstracted = bracket_abstract("x", body)
+        for b in args:
+            wanted = normalize(pca, subst(body, "x", b), fuel)
+            if wanted.status == "timeout":
+                t.add("substitution", None)
+                continue
+            applied = normalize(pca, App(abstracted, b), fuel)
+            if applied.status == "timeout":
+                t.add("substitution", None)
+            else:
+                t.add("substitution", applied == wanted)
+    return t.report()
 
 
 # ---------------------------------------------------------------------------
 # Suite 3: pairing laws
 
 
-def suite_pairing(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
+def _settled(out, ok: bool) -> bool | None:
+    """ok, or None (unknown) when the evaluation ran out of fuel."""
+    return None if out.status == "timeout" else ok
+
+
+def suite_pairing(pca: Pca, fuel: int | None = None) -> SuiteReport:
     pool = [t for t in enumerate_over((K, S, O1), 2) if is_normal(pca, t)]
-    chunks = _chunk(pool, 16)
-
-    def worker(chunk):
-        t = _Tally("pairing")
-        for a in chunk:
-            for b in pool:
-                made = normalize(pca, ap(PAIR, a, b), fuel)
-                t.add("pair-defined", made.is_defined)
-                if not made.is_defined:
-                    continue
-                t.add("pair-shape", made.term == pair_term(a, b))
-                f = normalize(pca, App(FST, made.term), fuel)
-                s = normalize(pca, App(SND, made.term), fuel)
-                t.add("fst-inverse", f.is_defined and f.term == a)
-                t.add("snd-inverse", s.is_defined and s.term == b)
-        return t
-
-    return _run_parallel("pairing", chunks, worker, workers)
+    t = _Tally("pairing")
+    for a in pool:
+        for b in pool:
+            made = normalize(pca, ap(PAIR, a, b), fuel)
+            t.add("pair-defined", _settled(made, made.is_defined))
+            if not made.is_defined:
+                continue
+            t.add("pair-shape", made.term == pair_term(a, b))
+            f = normalize(pca, App(FST, made.term), fuel)
+            s = normalize(pca, App(SND, made.term), fuel)
+            t.add("fst-inverse", _settled(f, f.is_defined and f.term == a))
+            t.add("snd-inverse", _settled(s, s.is_defined and s.term == b))
+    return t.report()
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +286,14 @@ def _singleton_instances(pca: Pca):
     return base, universe, fams
 
 
-def suite_medvedev_coheyting(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
+def suite_medvedev_coheyting(pca: Pca, fuel: int | None = None) -> SuiteReport:
     base, universe, fams = _singleton_instances(pca)
     budget = SearchBudget(witness_size=3, fuel=fuel)
-    pairs = [(phi, psi) for phi in fams for psi in fams]
-    chunks = _chunk(pairs, 8)
     bottom = lattice_element(pca, "bottom", "M", universe=universe, base=base)
     top = lattice_element(pca, "top", "M", base=base)
-
-    def worker(chunk):
-        t = _Tally("medvedev-coheyting")
-        for phi, psi in chunk:
+    t = _Tally("medvedev-coheyting")
+    for phi in fams:
+        for psi in fams:
             w = lattice_law_witness(pca, "bottom_le")
             t.add("bottom-least", check_le(pca, "M", bottom, phi, w, fuel).holds)
             w = lattice_law_witness(pca, "le_top")
@@ -361,11 +317,12 @@ def suite_medvedev_coheyting(pca: Pca, fuel: int | None = None, workers: int = 1
                     t.add("join-least-upper", check_le(pca, "M", join, rho, wj, fuel).holds)
                 # subtraction adjunction, both transports
                 sub = lattice_element(pca, "subtract", "M", phi, psi, universe=universe, fuel=fuel)
+                psi_or_rho = lattice_element(pca, "join", "M", psi, rho)
                 found_sub = search_witness(pca, "M", sub, rho, budget)
                 if found_sub.found:
                     we = lattice_law_witness(pca, "subtract_elim", w=found_sub.witness)
-                    t.add("subtract-to-join", check_le(pca, "M", phi, join_of(pca, psi, rho), we, fuel).holds)
-                found_join = search_witness(pca, "M", phi, join_of(pca, psi, rho), budget)
+                    t.add("subtract-to-join", check_le(pca, "M", phi, psi_or_rho, we, fuel).holds)
+                found_join = search_witness(pca, "M", phi, psi_or_rho, budget)
                 if found_join.found:
                     wi = lattice_law_witness(pca, "subtract_intro", w=found_join.witness)
                     extra = set(universe.points)
@@ -377,51 +334,34 @@ def suite_medvedev_coheyting(pca: Pca, fuel: int | None = None, workers: int = 1
                     enlarged = FinSet(tuple(extra))
                     sub1 = lattice_element(pca, "subtract", "M", phi, psi, universe=enlarged, fuel=fuel)
                     t.add("join-to-subtract", check_le(pca, "M", sub1, rho, wi, fuel).holds)
-        return t
-
-    return _run_parallel("medvedev-coheyting", chunks, worker, workers)
-
-
-def join_of(pca, psi, rho):
-    return lattice_element(pca, "join", "M", psi, rho)
+    return t.report()
 
 
 # ---------------------------------------------------------------------------
 # Suite 5: the non-uniform implication adjunction, bounded
 
 
-def suite_muchnik_heyting(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
+def suite_muchnik_heyting(pca: Pca, fuel: int | None = None) -> SuiteReport:
     base, universe, fams = _singleton_instances(pca)
     bound = 5
-    triples = [(phi, psi, rho) for phi in fams for psi in fams for rho in fams]
-    chunks = _chunk(triples, 32)
-
-    def worker(chunk):
-        t = _Tally("muchnik-heyting")
-        for phi, psi, rho in chunk:
-            imp = lattice_element(pca, "implies", "Mw", phi, psi, bound=bound, fuel=fuel)
-            meet = lattice_element(pca, "meet", "Mw", phi, rho)
-            lhs = check_le(pca, "Mw", rho, imp, Bounded(bound), fuel)
-            rhs = check_le(pca, "Mw", meet, psi, Bounded(bound), fuel)
-            if lhs.unknown or rhs.unknown:
-                t.add("adjunction-agreement", None)
-            else:
-                t.add("adjunction-agreement", lhs.holds == rhs.holds)
-            if lhs.holds:
-                try:
-                    tw = implication_adjunction_witness(pca, "imp_to_meet", phi, psi, rho,
-                                                        Bounded(bound), bound, fuel)
-                    ok = check_le(pca, "Mw", meet, psi, _imp_table_fix(pca, tw, meet, psi), fuel).holds
-                    t.add("transport-to-meet", ok)
-                except (UndecidedError, CheckError):
-                    t.add("transport-to-meet", None)
-        return t
-
-    return _run_parallel("muchnik-heyting", chunks, worker, workers)
-
-
-def _imp_table_fix(pca, w, lhs, rhs):
-    return w
+    t = _Tally("muchnik-heyting")
+    for phi, psi, rho in iproduct(fams, repeat=3):
+        imp = lattice_element(pca, "implies", "Mw", phi, psi, bound=bound, fuel=fuel)
+        meet = lattice_element(pca, "meet", "Mw", phi, rho)
+        lhs = check_le(pca, "Mw", rho, imp, Bounded(bound), fuel)
+        rhs = check_le(pca, "Mw", meet, psi, Bounded(bound), fuel)
+        if lhs.unknown or rhs.unknown:
+            t.add("adjunction-agreement", None)
+        else:
+            t.add("adjunction-agreement", lhs.holds == rhs.holds)
+        if lhs.holds:
+            try:
+                tw = implication_adjunction_witness(pca, "imp_to_meet", phi, psi, rho,
+                                                    Bounded(bound), bound, fuel)
+                t.add("transport-to-meet", check_le(pca, "Mw", meet, psi, tw, fuel).holds)
+            except (UndecidedError, CheckError):
+                t.add("transport-to-meet", None)
+    return t.report()
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +377,7 @@ def _small_carriers(pca):
     ]
 
 
-def _family_palette(pca, base, pool=(None,)):
+def _family_palette(base):
     """Deterministic small selection of mass families over the base."""
     opts = [frozenset(), frozenset([K]), frozenset([S]), frozenset([K, S]), frozenset([O1])]
     fams = []
@@ -447,31 +387,14 @@ def _family_palette(pca, base, pool=(None,)):
     return fams
 
 
-def _all_graphs(src: FinSet, tgt: FinSet):
-    pts = list(src.points)
-    if not pts:
-        return [FinMap(src, tgt, {})]
-    out = []
-    for values in iproduct(sorted(tgt.points, key=term_key), repeat=len(pts)):
-        out.append(FinMap(src, tgt, dict(zip(pts, values))))
-    return out
-
-
-def suite_adjoints(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
+def suite_adjoints(pca: Pca, fuel: int | None = None) -> SuiteReport:
     carriers = _small_carriers(pca)
     budget = SearchBudget(witness_size=3, fuel=fuel)
-    jobs = []
-    for Y in carriers:
-        for X in carriers:
-            for f in _all_graphs(Y, X):
-                jobs.append((Y, X, f))
-    chunks = _chunk(jobs, 4)
-
-    def worker(chunk):
-        t = _Tally("adjoint-suites")
-        for Y, X, f in chunk:
-            phis = _family_palette(pca, Y)[:: max(1, len(Y) * 2 - 1)] or [MassFamily(Y, {p: frozenset() for p in Y})]
-            psis = _family_palette(pca, X)[:: max(1, len(X) * 2 - 1)] or [MassFamily(X, {p: frozenset() for p in X})]
+    t = _Tally("adjoint-suites")
+    for Y, X in iproduct(carriers, repeat=2):
+        for f in all_graphs(Y, X):
+            phis = _family_palette(Y)[:: max(1, len(Y) * 2 - 1)]
+            psis = _family_palette(X)[:: max(1, len(X) * 2 - 1)]
             for phi in phis:
                 fa = forall_along(pca, "M", f, phi, fuel)
                 for psi in psis:
@@ -492,23 +415,16 @@ def suite_adjoints(pca: Pca, fuel: int | None = None, workers: int = 1) -> Suite
                             t.add("exists-transpose", check_le(pca, "M", phi, reindex(pca, "M", f, psi), up.witness, fuel).holds)
                         if down.found:
                             t.add("exists-untranspose", check_le(pca, "M", ex, psi, down.witness, fuel).holds)
-        return t
-
-    report = _run_parallel("adjoint-suites", chunks, worker, workers)
-    report.records.extend(_pure_forall_records(pca, fuel, workers))
-    return report
+    _pure_forall_cases(pca, fuel, t)
+    return t.report()
 
 
 def _uniform_candidates(pca, g):
     """Projection-shaped and constant candidates plus the small enumeration."""
     cands = [Uniform(SND), Uniform(FST), Uniform(ID)]
     values = set()
-    if isinstance(g, MassFamily):
-        for v in g.values.values():
-            values |= v
-    else:
-        for v in g.values.values():
-            values |= v
+    for v in g.values.values():
+        values |= v
     for v in sorted(values, key=term_key):
         if is_computable(v):
             cands.append(Uniform(App(K, v)))
@@ -523,8 +439,7 @@ def _first_holding(pca, doc, lhs, rhs, cands, fuel):
     return None
 
 
-def _pure_forall_records(pca, fuel, workers):
-    t = _Tally("adjoint-suites")
+def _pure_forall_cases(pca, fuel, t):
     X = carrier(pca, [K, S])
     Z = carrier(pca, [K])
     prod = carrier_product(pca, X, Z)
@@ -571,41 +486,28 @@ def _pure_forall_records(pca, fuel, workers):
             t.add(f"pure-forall-{doc}-untranspose",
                   check_le(pca, doc, fa, fa, d, fuel).holds)
         t.add(f"pure-forall-{doc}-decided", up is not None)
-    return t.report().records
 
 
 # ---------------------------------------------------------------------------
 # Suite 7: Beck-Chevalley squares
 
 
-def suite_beck_chevalley(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
+def suite_beck_chevalley(pca: Pca, fuel: int | None = None) -> SuiteReport:
     carriers = [carrier(pca, [K]), carrier(pca, [K, S])]
-    jobs = []
-    for A in carriers:
-        for X in carriers:
-            for Ap in carriers:
-                for f in _all_graphs(X, A):
-                    for h in _all_graphs(Ap, A):
-                        jobs.append((f, h))
-    chunks = _chunk(jobs, 8)
-
-    def worker(chunk):
-        t = _Tally("beck-chevalley")
-        for f, h in chunk:
-            square = pullback(f, h)
-            for phi in _family_palette(pca, f.source)[:: max(1, len(f.source) * 3)]:
-                v = beck_chevalley_check(pca, "M", FORALL, square, phi, fuel)
-                t.add("mass-forall", v.holds if not v.unknown else None)
-        return t
-
-    report = _run_parallel("beck-chevalley", chunks, worker, workers)
-    # pure existential squares over realized maps
     t = _Tally("beck-chevalley")
+    for A, X, Ap in iproduct(carriers, repeat=3):
+        for f in all_graphs(X, A):
+            for h in all_graphs(Ap, A):
+                square = pullback(f, h)
+                for phi in _family_palette(f.source)[:: max(1, len(f.source) * 3)]:
+                    v = beck_chevalley_check(pca, "M", FORALL, square, phi, fuel)
+                    t.add("mass-forall", v.holds if not v.unknown else None)
+    # pure existential squares over realized maps
     budget = SearchBudget(witness_size=4, fuel=fuel)
     X = carrier(pca, [K, S])
     Y = carrier(pca, [K])
     prod = carrier_product(pca, X, Y)
-    fam_opts = _family_palette(pca, prod.object)[:: max(1, 5 ** len(prod.object) // 6)]
+    fam_opts = _family_palette(prod.object)[:: max(1, 5 ** len(prod.object) // 6)]
     for Ap in (carrier(pca, [K]), carrier(pca, [K, S])):
         for m in forward_map_candidates(pca, Ap, X, budget):
             square = pure_pullback_of_projection(pca, prod.fst, m)
@@ -613,8 +515,7 @@ def suite_beck_chevalley(pca: Pca, fuel: int | None = None, workers: int = 1) ->
                 fam2 = MassFamily(fam.base, fam.values, ALLOW_EMPTY)
                 v = beck_chevalley_check(pca, "dW", EXISTS, square, fam2, fuel)
                 t.add("pure-exists", v.holds if not v.unknown else None)
-    report.records.extend(t.report().records)
-    return report
+    return t.report()
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +529,7 @@ def _tracked_objects(pca, doc):
     values = [K, S, O1]
     objects = []
     for Y in sources:
-        for f in _all_graphs(Y, X):
+        for f in all_graphs(Y, X):
             pts = list(Y.points)
             for combo in iproduct(range(len(values)), repeat=len(pts)):
                 alpha = TrackedFamily(Y, {p: values[i] for p, i in zip(pts, combo)})
@@ -636,38 +537,16 @@ def _tracked_objects(pca, doc):
     return objects
 
 
-def _search_mediated(pca, lhs, rhs, budget, base_candidates):
-    """Exhaustive mediator search with the given base candidates."""
-    graphs = _all_graphs(rhs.leg.source, lhs.leg.source)
-    for h in graphs:
-        for base in base_candidates:
-            w = CompletionWitness(h, base)
-            try:
-                v = comp_le(pca, lhs, rhs, w, None)
-            except CheckError:
-                continue
-            if v.holds:
-                return w
-    return None
-
-
-def suite_isomorphisms(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
-    budget = SearchBudget(witness_size=2, fuel=fuel)
-    jobs = ["medvedev", "muchnik", "weihrauch", "strong", "realizer", "extended", "dialectica"]
-    chunks = [[j] for j in jobs]
-
-    def worker(chunk):
-        t = _Tally("isomorphism-suites")
-        for job in chunk:
-            _ISO_WORKERS[job](pca, fuel, t)
-        return t
-
-    return _run_parallel("isomorphism-suites", chunks, worker, workers)
+def suite_isomorphisms(pca: Pca, fuel: int | None = None) -> SuiteReport:
+    t = _Tally("isomorphism-suites")
+    for case in (_iso_medvedev, _iso_muchnik, _iso_weihrauch, _iso_strong,
+                 _iso_realizer, _iso_extended, _iso_dialectica):
+        case(pca, fuel, t)
+    return t.report()
 
 
 def _iso_medvedev(pca, fuel, t):
     objects = _tracked_objects(pca, "T")[::3]
-    uniform_cands = [Uniform(u) for u in enumerate_computable(2)]
     budget = SearchBudget(witness_size=2, fuel=fuel)
     for o in objects:
         phi = iso.medvedev_from_completion(pca, o)
@@ -677,11 +556,11 @@ def _iso_medvedev(pca, fuel, t):
         for o2 in objects:
             phi1 = iso.medvedev_from_completion(pca, o1)
             phi2 = iso.medvedev_from_completion(pca, o2)
-            cw = _search_mediated(pca, o1, o2, budget, uniform_cands)
+            cw = search_completion_witness(pca, o1, o2, budget)
             mw = search_witness(pca, "M", phi1, phi2, budget)
-            t.add("medvedev-search-agreement", (cw is not None) == mw.found)
-            if cw is not None:
-                fwd = iso.medvedev_transport_forward(pca, cw)
+            t.add("medvedev-search-agreement", cw.found == mw.found)
+            if cw.found:
+                fwd = iso.medvedev_transport_forward(pca, cw.witness)
                 t.add("medvedev-preserve", check_le(pca, "M", phi1, phi2, fwd, fuel).holds)
             if mw.found:
                 back_w = iso.medvedev_transport_backward(pca, o1, o2, mw.witness, fuel)
@@ -699,36 +578,21 @@ def _iso_muchnik(pca, fuel, t):
         for o2 in objects:
             phi1 = iso.muchnik_from_completion(pca, o1)
             phi2 = iso.muchnik_from_completion(pca, o2)
-            cw = _search_mediated(pca, o1, o2, budget, [Bounded(2)])
+            cw = search_completion_witness(pca, o1, o2, budget)
             mw = search_witness(pca, "Mw", phi1, phi2, budget)
-            t.add("muchnik-search-agreement", (cw is not None) == mw.found)
-            if cw is not None:
-                table = _per_point_from_bounded(pca, o1, o2, cw, fuel)
-                if table is not None:
-                    fwd = iso.muchnik_transport_forward(pca, o1, o2, CompletionWitness(cw.mediator, table), fuel)
+            t.add("muchnik-search-agreement", cw.found == mw.found)
+            if cw.found:
+                # the per-point table the bounded base witness stands for
+                h = cw.witness.mediator
+                table = {z: find_inner_witness(pca, o2.payload.values[z], frozenset([o1.payload.values[h.mapping[z]]]),
+                                               budget.witness_size, fuel)
+                         for z in h.source}
+                if None not in table.values():
+                    fwd = iso.muchnik_transport_forward(pca, o1, o2, CompletionWitness(h, PerPoint(table)), fuel)
                     t.add("muchnik-preserve", check_le(pca, "Mw", phi1, phi2, fwd, fuel).holds)
             if mw.found:
                 back_w = iso.muchnik_transport_backward(pca, o1, o2, mw.witness, fuel)
                 t.add("muchnik-reflect", comp_le(pca, o1, o2, back_w, fuel).holds)
-
-
-def _per_point_from_bounded(pca, o1, o2, cw, fuel):
-    """Rebuild the per-point table a bounded completion witness stands for."""
-    h = cw.mediator
-    alpha, beta = o1.payload, o2.payload
-    table = {}
-    for z in h.source:
-        want = alpha.values[h.mapping[z]]
-        found = None
-        for cand in enumerate_computable(2):
-            out = apply(pca, cand, beta.values[z], fuel)
-            if out.is_defined and out.term == want:
-                found = cand
-                break
-        if found is None:
-            return None
-        table[z] = found
-    return PerPoint(table)
 
 
 def _pred_palette(pca, base, index, nonempty=True):
@@ -826,7 +690,7 @@ def _mass_objects(pca):
     opts = [frozenset([K]), frozenset([S]), frozenset([K, S])]
     objects = []
     for Y in sources:
-        for f in _all_graphs(Y, X):
+        for f in all_graphs(Y, X):
             pts = list(Y.points)
             for combo in iproduct(range(len(opts)), repeat=len(pts)):
                 alpha = MassFamily(Y, {p: opts[i] for p, i in zip(pts, combo)})
@@ -836,7 +700,6 @@ def _mass_objects(pca):
 
 def _iso_dialectica(pca, fuel, t):
     objects = _mass_objects(pca)[::3]
-    uniform_cands = [Uniform(u) for u in enumerate_computable(2)]
     for o in objects:
         F = iso.dialectica_from_completion(pca, o)
         back = iso.dialectica_to_completion(pca, F)
@@ -846,11 +709,11 @@ def _iso_dialectica(pca, fuel, t):
         for o2 in objects:
             F1 = iso.dialectica_from_completion(pca, o1)
             F2 = iso.dialectica_from_completion(pca, o2)
-            cw = _search_exists_mediated(pca, o1, o2, uniform_cands)
+            cw = search_completion_witness(pca, o1, o2, budget)
             dw = search_witness(pca, "D", F1, F2, budget)
-            t.add("dialectica-search-agreement", (cw is not None) == dw.found)
-            if cw is not None:
-                fwd = iso.dialectica_transport_forward(pca, o1, o2, cw, fuel)
+            t.add("dialectica-search-agreement", cw.found == dw.found)
+            if cw.found:
+                fwd = iso.dialectica_transport_forward(pca, o1, o2, cw.witness, fuel)
                 t.add("dialectica-preserve", check_le(pca, "D", F1, F2, fwd, fuel).holds)
             if dw.found:
                 back_w = iso.dialectica_transport_backward(pca, o1, o2, dw.witness, fuel)
@@ -859,29 +722,16 @@ def _iso_dialectica(pca, fuel, t):
     _two_step_case(pca, fuel, t)
 
 
-def _search_exists_mediated(pca, lhs, rhs, base_candidates):
-    for h in _all_graphs(lhs.leg.source, rhs.leg.source):
-        for base in base_candidates:
-            w = CompletionWitness(h, base)
-            try:
-                v = comp_le(pca, lhs, rhs, w, None)
-            except CheckError:
-                continue
-            if v.holds:
-                return w
-    return None
-
-
 def _two_step_case(pca, fuel, t):
     from .completions import comp_reindex
 
     X = carrier(pca, [K])
     Y = carrier(pca, [K, S])
-    inner_leg = _all_graphs(Y, X)[0]
+    inner_leg = all_graphs(Y, X)[0]
     alpha = TrackedFamily(Y, {K: K, S: S})
-    obj = iso.TwoStepObject(_all_graphs(X, X)[0], CompletionObject(FORALL, FULL, "T", inner_leg, alpha))
+    obj = iso.TwoStepObject(all_graphs(X, X)[0], CompletionObject(FORALL, FULL, "T", inner_leg, alpha))
     D1 = iso.two_step_to_dialectica(pca, obj)
-    outer_h = _all_graphs(X, X)[0]
+    outer_h = all_graphs(X, X)[0]
     reindexed = comp_reindex(pca, outer_h, obj.payload, fuel)
     med = FinMap(reindexed.leg.source, Y, {pt: pt[1] for pt in reindexed.leg.source})
     w = iso.TwoStepWitness(outer_h, CompletionWitness(med, Uniform(ID)))
@@ -890,17 +740,6 @@ def _two_step_case(pca, fuel, t):
     if v.holds:
         dwit = iso.two_step_transport_forward(pca, obj, obj, w, fuel)
         t.add("two-step-transport", check_le(pca, "D", D1, D1, dwit, fuel).holds)
-
-
-_ISO_WORKERS = {
-    "medvedev": _iso_medvedev,
-    "muchnik": _iso_muchnik,
-    "weihrauch": _iso_weihrauch,
-    "strong": _iso_strong,
-    "realizer": _iso_realizer,
-    "extended": _iso_extended,
-    "dialectica": _iso_dialectica,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -923,52 +762,46 @@ def _extended_palette(pca, dom):
     return preds
 
 
-def suite_extsw_dialectica(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
+def suite_extsw_dialectica(pca: Pca, fuel: int | None = None) -> SuiteReport:
     dom = carrier(pca, [K, S])
     preds = _extended_palette(pca, dom)[:: 5]
     shifts = _distinct_actions(pca, dom, bound=5, fuel=fuel)
     hs = enumerate_computable(2)
-    pairs = [(f, g) for f in preds for g in preds]
-    chunks = _chunk(pairs, 12)
-
-    def worker(chunk):
-        t = _Tally("extsw-dialectica")
-        for f, g in chunk:
-            F = iso.extended_to_dialectica(f)
-            G = iso.extended_to_dialectica(g)
-            for k in shifts:
-                try:
-                    Gk = iso.dialectica_shift(pca, G, k, F.base, fuel)
-                except CheckError:
-                    continue
-                keys = [(p, a) for p in f.effective_dom for a in sorted(f.table[p], key=lambda s: sorted(map(to_text, s)))]
-                opts = []
-                usable = True
-                for p, a in keys:
-                    out = apply(pca, k, p, fuel)
-                    if not out.is_defined or out.term not in g.dom:
-                        usable = False
-                        break
-                    offered = sorted(g.table[out.term], key=lambda s: sorted(map(to_text, s)))
-                    if not offered:
-                        usable = False
-                        break
-                    opts.append(offered)
-                assignments = list(iproduct(*opts))[:4] if usable and keys else ([()] if usable else [])
-                for assignment in assignments:
-                    choice = dict(zip(keys, assignment))
-                    for h in hs[:8]:
-                        ws = ExtStrong(k, choice, h)
-                        wd = DialecticaWitness(choice, h)
-                        a_side = check_le(pca, "extsW", f, g, ws, fuel)
-                        b_side = check_le(pca, "D", F, Gk, wd, fuel)
-                        if a_side.unknown or b_side.unknown:
-                            t.add("per-witness-agreement", None)
-                        else:
-                            t.add("per-witness-agreement", a_side.holds == b_side.holds)
-        return t
-
-    return _run_parallel("extsw-dialectica", chunks, worker, workers)
+    t = _Tally("extsw-dialectica")
+    for f, g in iproduct(preds, repeat=2):
+        F = iso.extended_to_dialectica(f)
+        G = iso.extended_to_dialectica(g)
+        for k in shifts:
+            try:
+                Gk = iso.dialectica_shift(pca, G, k, F.base, fuel)
+            except CheckError:
+                continue
+            keys = [(p, a) for p in f.effective_dom for a in sorted(f.table[p], key=lambda s: sorted(map(to_text, s)))]
+            opts = []
+            usable = True
+            for p, a in keys:
+                out = apply(pca, k, p, fuel)
+                if not out.is_defined or out.term not in g.dom:
+                    usable = False
+                    break
+                offered = sorted(g.table[out.term], key=lambda s: sorted(map(to_text, s)))
+                if not offered:
+                    usable = False
+                    break
+                opts.append(offered)
+            assignments = list(iproduct(*opts))[:4] if usable else []
+            for assignment in assignments:
+                choice = dict(zip(keys, assignment))
+                for h in hs[:8]:
+                    ws = ExtStrong(k, choice, h)
+                    wd = DialecticaWitness(choice, h)
+                    a_side = check_le(pca, "extsW", f, g, ws, fuel)
+                    b_side = check_le(pca, "D", F, Gk, wd, fuel)
+                    if a_side.unknown or b_side.unknown:
+                        t.add("per-witness-agreement", None)
+                    else:
+                        t.add("per-witness-agreement", a_side.holds == b_side.holds)
+    return t.report()
 
 
 def _distinct_actions(pca, dom, bound, fuel):
@@ -1015,7 +848,7 @@ def _morphism_library(pca, assemblies, fuel):
     return lib
 
 
-def suite_extasm_category(pca: Pca, fuel: int | None = None, workers: int = 1) -> SuiteReport:
+def suite_extasm_category(pca: Pca, fuel: int | None = None) -> SuiteReport:
     assemblies = _test_assemblies(pca)
     lib = _morphism_library(pca, assemblies, fuel)
     t = _Tally("extasm-category")
@@ -1088,8 +921,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, pca: Pca | None = None, fuel: int | None = None,
-               workers: int = 1) -> list[SuiteReport]:
+def run_suites(names=None, pca: Pca | None = None, fuel: int | None = None) -> list[SuiteReport]:
     if pca is None:
         pca = Pca(oracles={"o1": {}})
     picked = list(SUITES) if not names else list(names)
@@ -1097,7 +929,7 @@ def run_suites(names=None, pca: Pca | None = None, fuel: int | None = None,
     for name in picked:
         if name not in SUITES:
             raise CheckError(f"unknown suite {name!r}")
-        out.append(SUITES[name](pca, fuel, workers))
+        out.append(SUITES[name](pca, fuel))
     return out
 
 

@@ -23,7 +23,6 @@ from typing import Mapping
 
 from .terms import (
     App,
-    Basic,
     ID,
     K,
     Oracle,
@@ -35,7 +34,6 @@ from .terms import (
     free_vars,
     has_oracle,
     is_closed,
-    subst,
     to_text,
 )
 
@@ -90,8 +88,8 @@ class Pca:
     """Oracle tables plus a default step budget.
 
     K and S reduction is fixed; only the tables vary.  Instances are immutable
-    after construction (the memo dict is an internal cache keyed by term, safe
-    for concurrent use because entries are pure functions of the tables).
+    after construction (the memo dicts are internal caches whose entries are
+    pure functions of the tables).
     """
 
     oracles: Mapping[str, Mapping[Term, Term]] = field(default_factory=dict)
@@ -139,28 +137,12 @@ def is_normal(pca: Pca, t: Term) -> bool:
     return True
 
 
-def _spine(t: Term) -> tuple[Term, list[Term]]:
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return t, args
-
-
 class _Budget:
     __slots__ = ("left", "spent")
 
     def __init__(self, fuel: int):
         self.left = fuel
         self.spent = 0
-
-    def step(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        self.spent += 1
-        return True
 
 
 def _push_spine(t: Term, stack: list) -> Term:

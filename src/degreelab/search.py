@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .completions import CompletionObject, CompletionWitness, comp_le
 from .doctrines import (
@@ -25,19 +25,14 @@ from .doctrines import (
     ExtStrong,
     ExtendedPredicate,
     ForwardBackward,
-    MassFamily,
     PerPoint,
-    Predicate,
-    TrackedFamily,
     Uniform,
     check_le,
     find_inner_witness,
     sorted_terms,
 )
 from .pca import Pca, apply, enumerate_computable
-from .spaces import Assembly, ExtMorphism, FinMap, FinSet, carrier_product, ext_product, point_key
-from .terms import Term, pair_term, split_pair, term_key, to_text
-from .verdicts import Verdict
+from .spaces import ExtMorphism, FinMap, FinSet, carrier_product, ext_product, point_key
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
@@ -62,10 +57,15 @@ class SearchOutcome:
     bound: int = 0
     failures: int = 0
     timeouts: int = 0
+    clock_stopped: bool = False  # the time cap ended the search
 
     @property
     def found(self) -> bool:
         return self.status == FOUND
+
+    @property
+    def checked(self) -> int:
+        return self.failures + self.timeouts
 
 
 class _Clock:
@@ -84,7 +84,7 @@ def search_witness(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> Search
     clock = _Clock(budget.time_cap)
     for cand in gen:
         if clock.expired():
-            return SearchOutcome(UNKNOWN, None, budget.witness_size, failures, timeouts)
+            return SearchOutcome(UNKNOWN, None, budget.witness_size, failures, timeouts, True)
         try:
             verdict = check_le(pca, doc, lhs, rhs, cand, budget.fuel)
         except CheckError:
@@ -98,11 +98,6 @@ def search_witness(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> Search
             failures += 1
     status = UNKNOWN if timeouts else EXHAUSTED
     return SearchOutcome(status, None, budget.witness_size, failures, timeouts)
-
-
-def refute_claim(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome:
-    """Alias oriented to reporting "no witness up to the bound"."""
-    return search_witness(pca, doc, lhs, rhs, budget)
 
 
 def _candidates(pca, doc, lhs, rhs, budget):
@@ -127,24 +122,16 @@ def _candidates(pca, doc, lhs, rhs, budget):
 def _per_point_candidates(pca, doc, lhs, rhs, budget):
     """Assemble the per-position least table; one candidate at most."""
     table = {}
-    if doc == "Tw":
-        for x in lhs.base:
-            found = None
-            for cand in enumerate_computable(budget.witness_size):
-                out = apply(pca, cand, rhs.values[x], budget.fuel)
-                if out.is_defined and out.term == lhs.values[x]:
-                    found = cand
-                    break
+    for x in lhs.base:
+        if doc == "Tw":
+            slots = [(x, rhs.values[x], frozenset([lhs.values[x]]))]
+        else:
+            slots = [((x, b), b, lhs.values[x]) for b in sorted_terms(rhs.values[x])]
+        for key, arg, allowed in slots:
+            found = find_inner_witness(pca, arg, allowed, budget.witness_size, budget.fuel)
             if found is None:
                 return []
-            table[x] = found
-    else:
-        for x in lhs.base:
-            for b in sorted_terms(rhs.values[x]):
-                found = find_inner_witness(pca, b, lhs.values[x], budget.witness_size, budget.fuel)
-                if found is None:
-                    return []
-                table[(x, b)] = found
+            table[key] = found
     return [PerPoint(table)]
 
 
@@ -259,10 +246,11 @@ def search_completion_witness(pca: Pca, lhs: CompletionObject, rhs: CompletionOb
     """Least mediated witness for lhs <= rhs in a completion fiber."""
     failures = timeouts = 0
     clock = _Clock(budget.time_cap)
+    bases = _base_candidates(pca, lhs.doc, budget)
     for med in _mediator_candidates(pca, lhs, rhs, budget):
-        for base in _base_candidates(pca, lhs.doc, budget):
+        for base in bases:
             if clock.expired():
-                return SearchOutcome(UNKNOWN, None, budget.witness_size, failures, timeouts)
+                return SearchOutcome(UNKNOWN, None, budget.witness_size, failures, timeouts, True)
             cand = CompletionWitness(med, base)
             try:
                 verdict = comp_le(pca, lhs, rhs, cand, budget.fuel)
@@ -286,18 +274,17 @@ def _mediator_candidates(pca, lhs, rhs, budget):
         src, tgt = rhs.leg.source, lhs.leg.source
     if isinstance(lhs.leg, FinMap):
         if lhs.klass == "full":
-            return _all_graphs(src, tgt)
+            return all_graphs(src, tgt)
         return forward_map_candidates(pca, src, tgt, budget)
     raise CheckError("mediator search over assemblies is not implemented")
 
 
-def _all_graphs(src: FinSet, tgt: FinSet):
+def all_graphs(src: FinSet, tgt: FinSet) -> list[FinMap]:
+    """Every map src -> tgt as a bare graph, values varying fastest on the
+    last source point, in point order."""
     points = list(src.points)
-    if not points:
-        yield FinMap(src, tgt, {})
-        return
-    for values in itertools.product(sorted(tgt.points, key=point_key), repeat=len(points)):
-        yield FinMap(src, tgt, dict(zip(points, values)))
+    return [FinMap(src, tgt, dict(zip(points, values)))
+            for values in itertools.product(tgt.points, repeat=len(points))]
 
 
 def _base_candidates(pca, doc, budget):

@@ -16,7 +16,7 @@ counterexamples are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import verdicts
@@ -88,10 +88,6 @@ class FinSet:
         return all(isinstance(p, Term) for p in self.points)
 
 
-def finset(points: Iterable[Point]) -> FinSet:
-    return FinSet(tuple(points))
-
-
 def carrier(pca: Pca, elements: Iterable[Term]) -> FinSet:
     """A carrier: a finite set of closed terms in normal form."""
     elems = tuple(elements)
@@ -153,10 +149,6 @@ class FinMap:
     def __hash__(self):
         return hash((self.source, self.target, tuple(sorted(self.mapping.items(), key=lambda kv: point_key(kv[0])))))
 
-    @property
-    def is_computable_map(self) -> bool:
-        return self.realizer is not None
-
     def check_realizer(self, pca: Pca, fuel: int | None = None) -> None:
         """Raise unless the realizer tracks the graph on every source element."""
         if self.realizer is None:
@@ -174,10 +166,6 @@ class FinMap:
     def fiber(self, q: Point) -> tuple:
         """Preimage of q, from the stored graph, in canonical order."""
         return tuple(p for p in self.source if self.mapping[p] == q)
-
-
-def finmap(source: FinSet, target: FinSet, mapping: Mapping[Point, Point], realizer: Term | None = None) -> FinMap:
-    return FinMap(source, target, mapping, realizer)
 
 
 def identity_map(obj: FinSet) -> FinMap:
@@ -331,10 +319,6 @@ def assembly(pca: Pca, points: Iterable[Point], naming: Iterable[tuple[Term, Poi
         if not is_normal(pca, name):
             raise SpaceError(f"assembly name not in normal form: {to_text(name)}")
     return Assembly(tuple(points), naming)
-
-
-def terminal_assembly(pca: Pca, name: Term | None = None) -> Assembly:
-    return assembly(pca, ("*",), ((ID if name is None else name, "*"),))
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,6 @@ class Verdict:
     def unknown(self) -> bool:
         return self.status == UNKNOWN
 
-    def with_notes(self, *notes: str) -> "Verdict":
-        return Verdict(self.status, self.witness, self.counterexample, self.unknowns, self.notes + notes)
-
 
 def holds(witness: object | None = None, notes: tuple[str, ...] = ()) -> Verdict:
     return Verdict(HOLDS, witness=witness, notes=notes)

@@ -6,12 +6,15 @@ law instance was definitively refuted; bounded checks may stay unknown and
 their rate is reported where the criterion asks for it.
 """
 
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from degreelab.laws import SUITES, machine_format, run_suites
+from degreelab.laws import SUITES
 from degreelab.pca import Pca
 
 BOUNDS = {
@@ -46,7 +49,7 @@ def _announce(number, name, report, elapsed, extra=""):
 
 def _run(number, name, structure, extra_fn=None):
     start = time.monotonic()
-    report = SUITES[name](structure, None, 1)
+    report = SUITES[name](structure, None)
     elapsed = time.monotonic() - start
     extra = extra_fn(report) if extra_fn else ""
     _announce(number, name, report, elapsed, extra)
@@ -123,15 +126,33 @@ def test_criterion_10_extasm_category(structure):
             "triangle-left", "triangle-right", "mediator-unique"} <= cases
 
 
-def test_criterion_11_determinism(structure):
+def _machine_laws_under_hash_seeds(seeds):
+    """`degreelab --format machine laws` output, one fresh interpreter per
+    PYTHONHASHSEED, all running at once."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    procs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs.append(subprocess.Popen([sys.executable, "-m", "degreelab.cli", "--format", "machine", "laws"],
+                                      env=env, stdout=subprocess.PIPE, text=True))
+    try:
+        outs = [proc.communicate(timeout=600)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert all(proc.returncode == 0 for proc in procs)
+    return outs
+
+
+def test_criterion_11_determinism():
     start = time.monotonic()
-    single = machine_format(run_suites(None, structure, None, workers=1))
-    multi = machine_format(run_suites(None, structure, None, workers=4))
+    first, second = _machine_laws_under_hash_seeds((0, 1))
     elapsed = time.monotonic() - start
-    ok = single == multi
+    ok = first == second and first.startswith("suite ")
     sys.__stdout__.write(
         f"ACCEPTANCE 11 [determinism]: {'PASS' if ok else 'FAIL'} "
-        f"(byte-identical machine reports across 1 and 4 workers, {elapsed:.2f}s)\n"
+        f"(byte-identical machine reports under PYTHONHASHSEED 0 and 1, {elapsed:.2f}s)\n"
     )
     sys.__stdout__.flush()
     assert ok

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,13 @@ import pytest
 from degreelab.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _env(**extra):
+    """The environment of a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run(args, capsys):
@@ -47,19 +55,69 @@ class TestCheck:
         inst = parse_instance(out)
         assert [r.status for r in inst.results] == ["holds"] * 3
 
-    def test_machine_format_is_deterministic_across_workers(self, capsys):
+    def test_machine_format_is_deterministic_across_hash_seeds(self):
         outs = []
-        for workers in ("1", "4"):
-            code, out = run(["--format", "machine", "--workers", workers,
-                             "check", FIXTURES / "holds.inst"], capsys)
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "degreelab.cli", "--format", "machine",
+                 "check", str(FIXTURES / "holds.inst")],
+                capture_output=True, text=True, env=_env(PYTHONHASHSEED=seed), timeout=120,
+            )
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] == "result refl holds\nresult vacuous_top holds\nresult elementary_self holds\n"
+
+    def test_composite_counterexample_reparses(self, capsys, tmp_path):
+        inst = tmp_path / "composite.inst"
+        inst.write_text("oracle #o1 { }\ncarrier X = [K]\nfamily phi over X { K -> [S] }\n"
+                        "family psi over X { K -> [(K S)] }\nwitness w = uniform K\n"
+                        "claim c : phi <=_M psi by w\n")
+        code, out = run(["--format", "machine", "check", inst], capsys)
+        assert code == 1
+        assert out == "result c refuted counterexample (K, (K S))\n"
+        from degreelab.instance import parse_instance, print_instance
+
+        reparsed = parse_instance(out)
+        assert reparsed.results[0].counterexample == ("K", "(K S)")
+        assert print_instance(reparsed).endswith(out)
 
     def test_claim_selection(self, capsys):
         code, out = run(["check", FIXTURES / "holds.inst", "refl"], capsys)
         assert code == 0
         assert "refl" in out and "vacuous_top" not in out
+
+
+class TestFuel:
+    LOW_FUEL = ("oracle #o1 { }\nfuel 1\ncarrier X = [K, S]\n"
+                "family phi over X policy nonempty { K -> [K], S -> [S] }\n"
+                "witness id = uniform ((S K) K)\nclaim refl : phi <=_M phi by id\n")
+
+    def test_instance_fuel_is_honoured(self, capsys, tmp_path):
+        path = tmp_path / "low_fuel.inst"
+        path.write_text(self.LOW_FUEL)
+        code, out = run(["--format", "machine", "check", path], capsys)
+        assert code == 2
+        assert out.startswith("result refl unknown")
+
+    def test_fuel_flag_overrides_instance(self, capsys, tmp_path):
+        path = tmp_path / "low_fuel.inst"
+        path.write_text(self.LOW_FUEL)
+        code, out = run(["--fuel", "10000", "--format", "machine", "check", path], capsys)
+        assert code == 0
+        assert out == "result refl holds\n"
+
+    def test_laws_honour_fuel(self, capsys):
+        code, default = run(["--format", "machine", "laws", "bracket-abstraction"], capsys)
+        assert "unknowns 54\n" in default
+        code, low = run(["--fuel", "5", "--format", "machine", "laws", "bracket-abstraction"], capsys)
+        unknowns = int(low.splitlines()[-1].split()[-1])
+        assert unknowns > 54
+
+    def test_pairing_counts_low_fuel_as_unknown(self, capsys):
+        code, out = run(["--fuel", "5", "--format", "machine", "laws", "pairing"], capsys)
+        assert code == 0
+        total = out.splitlines()[-1].split()
+        assert total[:4] == ["total", "pairing", "violations", "0"] and int(total[-1]) > 0
 
 
 class TestSearch:
@@ -77,6 +135,15 @@ class TestSearch:
                          FIXTURES / "refuted.inst", "impossible"], capsys)
         assert code == 1
         assert "exhausted" in out and "size 3" in out
+
+    def test_time_cap_is_named_as_the_stop_reason(self, capsys):
+        code, out = run(["--time-cap", "0.05", "--witness-size", "6", "--format", "machine",
+                         "search", FIXTURES / "refuted.inst", "impossible"], capsys)
+        assert code == 2
+        result, comment = out.splitlines()
+        assert result == "result impossible unknown"
+        assert comment.startswith("// stopped by the time cap of 0.05s after ")
+        assert comment.endswith(" candidates checked")
 
 
 class TestLattice:

@@ -1,10 +1,11 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degreelab.doctrines import MassFamily, NONEMPTY, Uniform
-from degreelab.instance import InstanceError, parse_instance, print_instance
-from degreelab.terms import K, S, to_text
+from degreelab.instance import InstanceError, format_result, parse_instance, print_instance
+from degreelab.terms import App, K, Oracle, S, to_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -115,3 +116,34 @@ class TestWitnessForms:
         w = inst.witnesses["w8"]
         assert isinstance(w.base, Uniform)
         assert w.mediator is inst.morphisms["f"]
+
+
+# Counterexample items as checkers print them: terms, points of products
+# (nested tuples), sets of terms, and phrases.
+_TERMS = st.recursive(st.sampled_from([K, S, Oracle("o1")]), lambda sub: st.builds(App, sub, sub),
+                      max_leaves=6).map(to_text)
+_IDS = st.sampled_from(["x", "y", "p1", "x'"])
+_POINTS = st.recursive(st.one_of(_IDS, _TERMS), lambda sub: st.tuples(sub, sub).map(lambda ab: f"({ab[0]}, {ab[1]})"),
+                       max_leaves=4)
+_SETS = st.lists(_TERMS, max_size=3).map(lambda ts: "[" + ", ".join(ts) + "]")
+_PHRASES = st.lists(st.sampled_from(["empty", "solution", "set", "on", "the", "left", "realizer", "undefined"]),
+                    min_size=1, max_size=5).map(" ".join)
+_ITEMS = st.one_of(_TERMS, _POINTS, _SETS, _PHRASES)
+
+
+class TestResultLines:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["holds", "refuted", "unknown"]), st.lists(_ITEMS, max_size=4),
+           st.integers(0, 40))
+    def test_print_parse_is_stable(self, status, items, unknowns):
+        line = format_result("c", status, tuple(items), unknowns)
+        inst = parse_instance(line + "\n")
+        assert inst.results[0].counterexample == tuple(items)
+        assert inst.results[0].unknowns == unknowns
+        printed = print_instance(inst)
+        assert printed.splitlines()[-1] == line
+        assert print_instance(parse_instance(printed)) == printed
+
+    def test_unterminated_counterexample_rejected(self):
+        with pytest.raises(InstanceError):
+            parse_instance("result c refuted counterexample (K, (K S)\n")

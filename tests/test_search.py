@@ -14,7 +14,6 @@ from degreelab.pca import ID, enumerate_computable
 from degreelab.search import (
     SearchBudget,
     forward_map_candidates,
-    refute_claim,
     search_completion_witness,
     search_witness,
 )
@@ -45,11 +44,12 @@ class TestUniformSearch:
         assert out.bound == 3
         assert out.failures > 0
 
-    def test_refute_alias(self, pca, o1):
+    def test_exhausted_bound_is_not_a_refutation(self, pca, o1):
         X = carrier(pca, [K])
         phi = MassFamily(X, {K: frozenset([o1])})
         psi = MassFamily(X, {K: frozenset([K])})
-        assert refute_claim(pca, "M", phi, psi, SearchBudget(3)).status == "exhausted"
+        out = search_witness(pca, "M", phi, psi, SearchBudget(3))
+        assert out.status == "exhausted" and out.witness is None
 
     def test_monotone_in_budget(self, pure):
         X = carrier(pure, [K])
