@@ -32,6 +32,7 @@ from .spaces import (
     FinMap,
     FinSet,
     PullbackSquare,
+    SpaceTimeout,
     carrier_product,
     compose_maps,
     ext_compose,
@@ -95,11 +96,19 @@ class CompletionWitness:
 
 def comp_le(pca: Pca, lhs: CompletionObject, rhs: CompletionObject, w: CompletionWitness,
             fuel: int | None = None) -> Verdict:
-    """Certify lhs <= rhs in the completion fiber over their common target."""
+    """Certify lhs <= rhs in the completion fiber over their common target;
+    unknown when a realizer the check needs runs out of fuel."""
     if lhs.kind != rhs.kind or lhs.klass != rhs.klass or lhs.doc != rhs.doc:
         raise CheckError("completion kind/class/doctrine mismatch")
     if _targets_differ(lhs, rhs):
         raise CheckError("completion objects live over different targets")
+    try:
+        return _comp_le(pca, lhs, rhs, w, fuel)
+    except SpaceTimeout as e:
+        return verdicts.unknown((str(e),))
+
+
+def _comp_le(pca, lhs, rhs, w, fuel):
     h = w.mediator
     if lhs.kind == EXISTS:
         _expect_endpoints(h, lhs.leg.source, rhs.leg.source)

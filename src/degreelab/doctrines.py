@@ -44,8 +44,8 @@ from .pca import (
     SND,
     abstract_all,
     apply,
-    enumerate_computable,
     is_computable,
+    iter_computable,
     normalize,
 )
 from .spaces import (
@@ -53,6 +53,7 @@ from .spaces import (
     ExtMorphism,
     FinMap,
     FinSet,
+    SpaceTimeout,
     carrier_product,
     compose_maps,
     ext_check,
@@ -388,10 +389,14 @@ def _family_notes(*elems) -> tuple[str, ...]:
 
 
 def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) -> Verdict:
-    """Verify the witnessed claim ``lhs <=_doc rhs`` exhaustively."""
+    """Verify the witnessed claim ``lhs <=_doc rhs`` exhaustively; unknown
+    when a realizer the check needs runs out of fuel."""
     _require_shape(doc, w)
     checker = _CHECKERS[doc]
-    return checker(pca, lhs, rhs, w, fuel)
+    try:
+        return checker(pca, lhs, rhs, w, fuel)
+    except SpaceTimeout as e:
+        return verdicts.unknown((str(e),))
 
 
 def _check_tracked(pca, lhs, rhs, w, fuel, uniform_only: bool):
@@ -456,7 +461,7 @@ def find_inner_witness(pca: Pca, b: Term, target: frozenset, bound: int, fuel: i
     if hit is not _MISS:
         return hit
     found = None
-    for cand in enumerate_computable(bound):
+    for cand in iter_computable(bound):
         out = apply(pca, cand, b, fuel)
         if out.is_defined and out.term in target:
             found = cand

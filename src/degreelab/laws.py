@@ -72,6 +72,7 @@ from .spaces import (
     ExtMorphism,
     FinMap,
     FinSet,
+    SpaceTimeout,
     assembly,
     carrier,
     carrier_product,
@@ -848,6 +849,35 @@ def _morphism_library(pca, assemblies, fuel):
     return lib
 
 
+def _ext_compose(pca, g, f, fuel):
+    """ext_compose, or None when a realizer runs out of fuel on a name (or g
+    or f is already None)."""
+    if g is None or f is None:
+        return None
+    try:
+        return ext_compose(pca, g, f, fuel)
+    except SpaceTimeout:
+        return None
+
+
+def _ext_equal(pca, m1, m2, fuel):
+    return None if m1 is None or m2 is None else ext_equal(pca, m1, m2, fuel)
+
+
+def _ext_check(pca, m, fuel):
+    if m is None:
+        return None
+    v = ext_check(pca, m, fuel)
+    return None if v.unknown else v.holds
+
+
+def _all_of(*outcomes):
+    """Three-valued conjunction: a violation beats an unknown."""
+    if any(o is False for o in outcomes):
+        return False
+    return None if None in outcomes else True
+
+
 def suite_extasm_category(pca: Pca, fuel: int | None = None) -> SuiteReport:
     assemblies = _test_assemblies(pca)
     lib = _morphism_library(pca, assemblies, fuel)
@@ -855,33 +885,35 @@ def suite_extasm_category(pca: Pca, fuel: int | None = None) -> SuiteReport:
     for src in assemblies:
         for mid in assemblies:
             for f in lib[(id(src), id(mid))]:
-                t.add("well-formed", ext_check(pca, f, fuel).holds)
-                left = ext_compose(pca, ext_identity(mid), f, fuel)
-                right = ext_compose(pca, f, ext_identity(src), fuel)
-                t.add("identity-laws", ext_equal(pca, left, f, fuel) and ext_equal(pca, right, f, fuel))
+                t.add("well-formed", _ext_check(pca, f, fuel))
+                left = _ext_compose(pca, ext_identity(mid), f, fuel)
+                right = _ext_compose(pca, f, ext_identity(src), fuel)
+                t.add("identity-laws", _all_of(_ext_equal(pca, left, f, fuel),
+                                               _ext_equal(pca, right, f, fuel)))
                 for tgt in assemblies:
                     for g in lib[(id(mid), id(tgt))]:
-                        gf = ext_compose(pca, g, f, fuel)
-                        t.add("composite-well-formed", ext_check(pca, gf, fuel).holds)
+                        gf = _ext_compose(pca, g, f, fuel)
+                        t.add("composite-well-formed", _ext_check(pca, gf, fuel))
                         for last in assemblies:
                             for h in lib[(id(tgt), id(last))]:
-                                one = ext_compose(pca, h, gf, fuel)
-                                two = ext_compose(pca, ext_compose(pca, h, g, fuel), f, fuel)
-                                t.add("associativity", ext_equal(pca, one, two, fuel))
+                                one = _ext_compose(pca, h, gf, fuel)
+                                two = _ext_compose(pca, _ext_compose(pca, h, g, fuel), f, fuel)
+                                t.add("associativity", _ext_equal(pca, one, two, fuel))
     # product universal property on a 2x2 instance
     X, Y = assemblies[1], assemblies[1]
     Z = assemblies[0]
     prod = ext_product(pca, X, Y)
-    t.add("projections-check", ext_check(pca, prod.fst, fuel).holds and ext_check(pca, prod.snd, fuel).holds)
+    t.add("projections-check", _all_of(_ext_check(pca, prod.fst, fuel), _ext_check(pca, prod.snd, fuel)))
     for f in lib[(id(Z), id(X))]:
         for g in lib[(id(Z), id(Y))]:
             med = ext_pairing_morphism(pca, f, g, prod)
-            t.add("mediator-checks", ext_check(pca, med, fuel).holds)
-            t.add("triangle-left", ext_equal(pca, ext_compose(pca, prod.fst, med, fuel), f, fuel))
-            t.add("triangle-right", ext_equal(pca, ext_compose(pca, prod.snd, med, fuel), g, fuel))
+            t.add("mediator-checks", _ext_check(pca, med, fuel))
+            t.add("triangle-left", _ext_equal(pca, _ext_compose(pca, prod.fst, med, fuel), f, fuel))
+            t.add("triangle-right", _ext_equal(pca, _ext_compose(pca, prod.snd, med, fuel), g, fuel))
             # uniqueness: any pointmap for the same realizer satisfying both
-            # triangles is the canonical one
-            others = 0
+            # triangles is the canonical one; an alternative that runs out of
+            # fuel leaves it unknown
+            others = unsure = 0
             for xpt in prod.object.points:
                 candidate = dict(med.pointmap)
                 for key in candidate:
@@ -893,13 +925,18 @@ def suite_extasm_category(pca: Pca, fuel: int | None = None) -> SuiteReport:
                         alt_m = ExtMorphism(Z, prod.object, med.realizer, alt)
                     except Exception:
                         continue
-                    if not ext_check(pca, alt_m, fuel).holds:
+                    well_formed = _ext_check(pca, alt_m, fuel)
+                    if well_formed is False:
                         continue
-                    if ext_equal(pca, ext_compose(pca, prod.fst, alt_m, fuel), f, fuel) and ext_equal(
-                        pca, ext_compose(pca, prod.snd, alt_m, fuel), g, fuel
-                    ):
+                    same = _all_of(
+                        well_formed,
+                        _ext_equal(pca, _ext_compose(pca, prod.fst, alt_m, fuel), f, fuel),
+                        _ext_equal(pca, _ext_compose(pca, prod.snd, alt_m, fuel), g, fuel))
+                    if same:
                         others += 1
-            t.add("mediator-unique", others == 0)
+                    elif same is None:
+                        unsure += 1
+            t.add("mediator-unique", False if others else None if unsure else True)
     return t.report()
 
 

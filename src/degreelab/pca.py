@@ -19,7 +19,7 @@ oracle atoms, so the fragment is closed under application.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .terms import (
     App,
@@ -34,6 +34,7 @@ from .terms import (
     free_vars,
     has_oracle,
     is_closed,
+    iter_over,
     to_text,
 )
 
@@ -363,6 +364,12 @@ def enumerate_computable(size_bound: int) -> list[Term]:
     """All closed S/K terms with at most size_bound applications, in the
     fixed size-lexicographic order."""
     return enumerate_sk(size_bound)
+
+
+def iter_computable(size_bound: int) -> Iterator[Term]:
+    """The terms of enumerate_computable(size_bound), in the same order,
+    generated level by level as the walk reaches them."""
+    return iter_over((K, S), size_bound)
 
 
 class AbstractionError(ValueError):

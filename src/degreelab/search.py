@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .completions import CompletionObject, CompletionWitness, comp_le
 from .doctrines import (
@@ -31,7 +32,7 @@ from .doctrines import (
     find_inner_witness,
     sorted_terms,
 )
-from .pca import Pca, apply, enumerate_computable
+from .pca import Pca, apply, enumerate_computable, iter_computable
 from .spaces import ExtMorphism, FinMap, FinSet, carrier_product, ext_product, point_key
 
 FOUND = "found"
@@ -103,7 +104,7 @@ def search_witness(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> Search
 def _candidates(pca, doc, lhs, rhs, budget):
     size = budget.witness_size
     if doc in ("T", "M", "dW", "dsW", "drW", "dextW"):
-        return (Uniform(t) for t in enumerate_computable(size))
+        return (Uniform(t) for t in iter_computable(size))
     if doc in ("Tw", "Mw"):
         return iter(_per_point_candidates(pca, doc, lhs, rhs, budget))
     if doc in ("classicalW", "classicalSW"):
@@ -135,43 +136,38 @@ def _per_point_candidates(pca, doc, lhs, rhs, budget):
     return [PerPoint(table)]
 
 
-def forward_map_candidates(pca, source: FinSet, target: FinSet, budget) -> list[FinMap]:
+def forward_map_candidates(pca, source: FinSet, target: FinSet, budget) -> Iterator[FinMap]:
     """Realized maps source -> target found by enumerating realizer terms.
 
-    One candidate per distinct graph, tagged by the least realizer producing
-    it, in realizer enumeration order.
+    Yields one candidate per distinct graph, tagged by the least realizer
+    producing it, in realizer enumeration order.
     """
-    seen = {}
-    order = []
-    for t in enumerate_computable(budget.witness_size):
+    seen = set()
+    points = set(target.points)
+    for t in iter_computable(budget.witness_size):
         graph = {}
-        ok = True
         for x in source:
             out = apply(pca, t, x, budget.fuel)
-            if not out.is_defined or out.term not in set(target.points):
-                ok = False
+            if not out.is_defined or out.term not in points:
                 break
             graph[x] = out.term
-        if not ok:
-            continue
-        key = tuple(sorted(((point_key(k), point_key(v)) for k, v in graph.items())))
-        if key in seen:
-            continue
-        seen[key] = t
-        order.append(FinMap(source, target, graph, t))
-    return order
+        else:
+            key = tuple(sorted(((point_key(k), point_key(v)) for k, v in graph.items())))
+            if key not in seen:
+                seen.add(key)
+                yield FinMap(source, target, graph, t)
 
 
 def _classical_candidates(pca, lhs, rhs, budget):
     for k in forward_map_candidates(pca, lhs.base, rhs.base, budget):
-        for h in enumerate_computable(budget.witness_size):
+        for h in iter_computable(budget.witness_size):
             yield ForwardBackward(k, h)
 
 
 def _generalized_candidates(pca, lhs, rhs, budget):
     prod = carrier_product(pca, lhs.base, lhs.index)
     for k in forward_map_candidates(pca, prod.object, rhs.index, budget):
-        for h in enumerate_computable(budget.witness_size):
+        for h in iter_computable(budget.witness_size):
             yield ForwardBackward(k, h)
 
 
@@ -182,7 +178,7 @@ def _ext_candidates(pca, lhs, rhs, budget):
     target_names = {}
     for n, z in target.naming:
         target_names.setdefault(n, []).append(z)
-    for t in enumerate_computable(budget.witness_size):
+    for t in iter_computable(budget.witness_size):
         images = {}
         ok = True
         for name, pt in names:
@@ -197,12 +193,12 @@ def _ext_candidates(pca, lhs, rhs, budget):
         choices = [sorted(target_names[images[key]], key=point_key) for key in slots]
         for assignment in itertools.product(*choices):
             km = ExtMorphism(prod.object, target, t, dict(zip(slots, assignment)))
-            for h in enumerate_computable(budget.witness_size):
+            for h in iter_computable(budget.witness_size):
                 yield ExtForwardBackward(km, h)
 
 
 def _ext_strong_candidates(pca, lhs: ExtendedPredicate, rhs: ExtendedPredicate, budget):
-    for k in enumerate_computable(budget.witness_size):
+    for k in iter_computable(budget.witness_size):
         keys = []
         options = []
         ok = True
@@ -219,7 +215,7 @@ def _ext_strong_candidates(pca, lhs: ExtendedPredicate, rhs: ExtendedPredicate, 
             continue
         for assignment in itertools.product(*options):
             choice = dict(zip(keys, assignment))
-            for h in enumerate_computable(budget.witness_size):
+            for h in iter_computable(budget.witness_size):
                 yield ExtStrong(k, choice, h)
 
 
@@ -233,7 +229,7 @@ def _dialectica_candidates(pca, lhs: DialecticaPredicate, rhs: DialecticaPredica
         options.append(offered)
     for assignment in itertools.product(*options):
         choice = dict(zip(keys, assignment))
-        for h in enumerate_computable(budget.witness_size):
+        for h in iter_computable(budget.witness_size):
             yield DialecticaWitness(choice, h)
 
 

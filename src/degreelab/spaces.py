@@ -29,6 +29,10 @@ class SpaceError(ValueError):
     """Structural error in a carrier, assembly, or morphism."""
 
 
+class SpaceTimeout(SpaceError):
+    """A realizer ran out of fuel on a name: undecided, not ill-formed."""
+
+
 Point = object  # Term | str | int | tuple of points | frozenset of terms
 
 
@@ -150,13 +154,15 @@ class FinMap:
         return hash((self.source, self.target, tuple(sorted(self.mapping.items(), key=lambda kv: point_key(kv[0])))))
 
     def check_realizer(self, pca: Pca, fuel: int | None = None) -> None:
-        """Raise unless the realizer tracks the graph on every source element."""
+        """Raise unless the realizer tracks the graph on every source element
+        (SpaceTimeout when it runs out of fuel on the first one it misses)."""
         if self.realizer is None:
             raise SpaceError("map has no realizer")
         for x in self.source:
             out = apply(pca, self.realizer, x, fuel)
             if not out.is_defined or out.term != self.mapping[x]:
-                raise SpaceError(
+                error = SpaceTimeout if out.status == "timeout" else SpaceError
+                raise error(
                     f"realizer {to_text(self.realizer)} does not track the graph at {point_text(x)}: got {out!r}"
                 )
 
@@ -348,7 +354,8 @@ class ExtMorphism:
         """The induced map on naming pairs: (p, x) -> (realizer.p, pointmap(p, x))."""
         out = apply(pca, self.realizer, name, fuel)
         if not out.is_defined:
-            raise SpaceError(f"realizer undefined on name {to_text(name)}: {out!r}")
+            error = SpaceTimeout if out.status == "timeout" else SpaceError
+            raise error(f"realizer undefined on name {to_text(name)}: {out!r}")
         return out.term, self.pointmap[(name, x)]
 
 
@@ -389,18 +396,22 @@ def ext_compose(pca: Pca, g: ExtMorphism, f: ExtMorphism, fuel: int | None = Non
     return ExtMorphism(f.source, g.target, realizer, pointmap)
 
 
-def ext_equal(pca: Pca, m1: ExtMorphism, m2: ExtMorphism, fuel: int | None = None) -> bool:
-    """Pointmaps compared extensionally, realizers by their action on names."""
+def ext_equal(pca: Pca, m1: ExtMorphism, m2: ExtMorphism, fuel: int | None = None) -> bool | None:
+    """Pointmaps compared extensionally, realizers by their action on names;
+    None when they agree except where a realizer ran out of fuel on a name."""
     if m1.source != m2.source or m1.target != m2.target:
         return False
     if dict(m1.pointmap) != dict(m2.pointmap):
         return False
+    agreed: bool | None = True
     for name, _ in m1.source.naming:
         o1 = apply(pca, m1.realizer, name, fuel)
         o2 = apply(pca, m2.realizer, name, fuel)
-        if o1 != o2:
+        if o1.status == "timeout" or o2.status == "timeout":
+            agreed = None
+        elif o1 != o2:
             return False
-    return True
+    return agreed
 
 
 @dataclass(frozen=True)

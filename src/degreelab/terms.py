@@ -7,6 +7,15 @@ the identity.
 
 Variables (``Var``) exist only transiently inside bracket abstraction; stored
 terms are always closed.
+
+Enumeration is size-lexicographic: ascending number of applications, ties
+broken by canonical text (``term_key``).  Each size level is built once per
+atom set and per process, from the smaller levels, and sorted by
+``term_key``; the atom set is keyed in ``term_key`` order, so the order the
+atoms are given in does not matter.  ``enumerate_over`` returns a fresh list
+read from these levels; ``iter_over`` yields the same terms in the same
+order and builds a level only when the walk reaches it, so a search that
+stops early never pays for the levels it does not reach.
 """
 
 from __future__ import annotations
@@ -268,19 +277,43 @@ def enumerate_sk(size_bound: int) -> list[Term]:
     return enumerate_over((K, S), size_bound)
 
 
-def enumerate_over(atoms: tuple[Term, ...], size_bound: int) -> list[Term]:
-    """Size-lexicographic enumeration of applicative terms over given atoms."""
-    by_size: list[list[Term]] = [sorted(atoms, key=term_key)]
-    for n in range(1, size_bound + 1):
+# Size levels of the enumeration, keyed by the atoms in term_key order: the
+# list at index n holds every term with n applications, sorted by term_key.
+# Levels are built on first use and kept for the life of the process.
+_LEVELS: dict[tuple[Term, ...], list[list[Term]]] = {}
+
+
+def _levels(atoms: tuple[Term, ...], size_bound: int) -> list[list[Term]]:
+    key = tuple(sorted(atoms, key=term_key))
+    levels = _LEVELS.setdefault(key, [list(key)])
+    for n in range(len(levels), size_bound + 1):
         level = [
             App(f, a)
             for i in range(n)
-            for f in by_size[i]
-            for a in by_size[n - 1 - i]
+            for f in levels[i]
+            for a in levels[n - 1 - i]
         ]
         level.sort(key=term_key)
-        by_size.append(level)
+        levels.append(level)
+    return levels
+
+
+def enumerate_over(atoms: tuple[Term, ...], size_bound: int) -> list[Term]:
+    """Size-lexicographic enumeration of applicative terms over given atoms,
+    as a fresh list read from the level cache."""
     out: list[Term] = []
-    for level in by_size:
+    for level in _levels(atoms, size_bound)[: size_bound + 1]:
         out.extend(level)
     return out
+
+
+def iter_over(atoms: tuple[Term, ...], size_bound: int) -> Iterator[Term]:
+    """The terms of ``enumerate_over(atoms, size_bound)``, in the same order,
+    reaching (and building) a size level only when the walk gets there."""
+    # Levels are read through enumerate_over, not from _LEVELS, so a wrapper
+    # installed on it (the benchmark's layer tracer) sees every enumeration.
+    done = 0
+    for n in range(size_bound + 1):
+        prefix = enumerate_over(atoms, n)
+        yield from prefix[done:]
+        done = len(prefix)

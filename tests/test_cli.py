@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from degreelab.cli import main
+from degreelab.laws import run_suites
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -119,6 +121,16 @@ class TestFuel:
         total = out.splitlines()[-1].split()
         assert total[:4] == ["total", "pairing", "violations", "0"] and int(total[-1]) > 0
 
+    def test_extasm_category_counts_low_fuel_as_unknown(self):
+        (report,) = run_suites(["extasm-category"], fuel=5)
+        assert report.violations == 0 and report.unknowns > 0
+
+    def test_laws_at_low_fuel_report_instead_of_failing(self, capsys):
+        # a realizer that runs out of fuel is an unknown, not an error (exit 3)
+        code, out = run(["--fuel", "5", "--format", "machine", "laws"], capsys)
+        assert code != 3
+        assert sum(line.startswith("total ") for line in out.splitlines()) == 10
+
 
 class TestSearch:
     def test_found_pipeline_re_checks(self, capsys, tmp_path):
@@ -144,6 +156,19 @@ class TestSearch:
         assert result == "result impossible unknown"
         assert comment.startswith("// stopped by the time cap of 0.05s after ")
         assert comment.endswith(" candidates checked")
+
+    def test_time_cap_binds_while_terms_are_generated(self, capsys):
+        # building every term up to size 8 takes seconds; the cap is checked
+        # between candidates as the enumeration reaches them
+        start = time.monotonic()
+        code, out = run(["--time-cap", "0.05", "--witness-size", "8", "--format", "machine",
+                         "search", FIXTURES / "refuted.inst", "impossible"], capsys)
+        elapsed = time.monotonic() - start
+        assert code == 2
+        result, comment = out.splitlines()
+        assert result == "result impossible unknown"
+        assert comment.startswith("// stopped by the time cap of 0.05s after ")
+        assert elapsed < 3
 
 
 class TestLattice:

@@ -179,6 +179,14 @@ class TestGeneralizedWeihrauch:
         assert check_le(pure, "classicalW", f, f, w).holds
         assert check_le(pure, "classicalSW", f, f, ForwardBackward(identity_map(X), ID)).holds
 
+    def test_forward_map_out_of_fuel_is_unknown(self, pure):
+        X = carrier(pure, [K])
+        f = MassFamily(X, {K: frozenset([K])}, NONEMPTY)
+        loop = ap(S, ID, ID)
+        diverging = FinMap(X, X, {K: K}, App(K, App(loop, loop)))
+        v = check_le(pure, "classicalW", f, f, ForwardBackward(diverging, SND), fuel=50)
+        assert v.unknown
+
 
 class TestRealizerBased:
     def test_reflexive(self, pure):

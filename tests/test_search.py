@@ -86,7 +86,7 @@ class TestPerPointSearch:
 class TestForwardMapCandidates:
     def test_distinct_graphs_once(self, pure):
         X = carrier(pure, [K, S])
-        cands = forward_map_candidates(pure, X, X, SearchBudget(2))
+        cands = list(forward_map_candidates(pure, X, X, SearchBudget(2)))
         graphs = [tuple(sorted(m.mapping.items(), key=lambda kv: term_key(kv[0]))) for m in cands]
         assert len(graphs) == len(set(graphs))
         # identity and the two constants are realizable within size 2

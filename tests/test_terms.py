@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degreelab import terms as terms_module
 from degreelab.terms import (
     App,
     K,
@@ -11,6 +14,7 @@ from degreelab.terms import (
     ap,
     enumerate_over,
     enumerate_sk,
+    iter_over,
     free_vars,
     is_closed,
     pair_term,
@@ -133,3 +137,43 @@ class TestEnumeration:
     def test_enumerate_over_other_atoms(self):
         xs = enumerate_over((Var("x"), K), 1)
         assert len(xs) == 2 + 4
+
+
+class TestLevelCache:
+    ATOM_SETS = {"KS": (K, S), "KS-oracle": (K, S, Oracle("o1")), "var-KS": (Var("x"), K, S)}
+
+    @staticmethod
+    def brute(atoms, bound):
+        """Every application tree up to the bound, in size-then-text order."""
+        levels = [set(atoms)]
+        for n in range(1, bound + 1):
+            levels.append({App(f, a) for i in range(n) for f in levels[i] for a in levels[n - 1 - i]})
+        return sorted(set().union(*levels), key=term_key)
+
+    @pytest.mark.parametrize("bound", range(5))
+    @pytest.mark.parametrize("name", ATOM_SETS)
+    def test_generator_and_list_agree_in_every_atom_order(self, name, bound):
+        atoms = self.ATOM_SETS[name]
+        expected = self.brute(atoms, bound)
+        for order in itertools.permutations(atoms):
+            assert enumerate_over(order, bound) == expected
+            assert list(iter_over(order, bound)) == expected
+
+    def test_returned_list_is_a_fresh_copy(self):
+        first = enumerate_over((K, S), 2)
+        first.reverse()
+        first.append(K)
+        second = enumerate_over((K, S), 2)
+        assert len(second) == 22 and second[0] == K and second[-1] != K
+        assert second is not enumerate_over((K, S), 2)
+
+    def test_generator_builds_levels_only_when_reached(self):
+        atoms = (Oracle("lazy_level_probe"), K)
+        key = tuple(sorted(atoms, key=term_key))
+        walk = iter_over(atoms, 6)
+        assert key not in terms_module._LEVELS
+        next(walk)
+        assert len(terms_module._LEVELS[key]) == 1
+        assert len(list(itertools.islice(walk, 5))) == 5
+        assert len(terms_module._LEVELS[key]) == 2
+
