@@ -23,6 +23,7 @@ from .doctrines import (
     Uniform,
     Witness,
     check_le,
+    forall_along,
     reindex,
 )
 from .pca import FST, ID, PAIR, Pca, SND, abstract_all
@@ -36,10 +37,13 @@ from .spaces import (
     carrier_product,
     compose_maps,
     ext_compose,
+    ext_identity,
     ext_product,
     ext_product_components,
     ext_projection_path,
+    identity_map,
     is_pullback,
+    point_text,
     product_components,
     projection_path,
     pullback,
@@ -100,7 +104,7 @@ def comp_le(pca: Pca, lhs: CompletionObject, rhs: CompletionObject, w: Completio
     unknown when a realizer the check needs runs out of fuel."""
     if lhs.kind != rhs.kind or lhs.klass != rhs.klass or lhs.doc != rhs.doc:
         raise CheckError("completion kind/class/doctrine mismatch")
-    if _targets_differ(lhs, rhs):
+    if lhs.target != rhs.target:
         raise CheckError("completion objects live over different targets")
     try:
         return _comp_le(pca, lhs, rhs, w, fuel)
@@ -133,10 +137,6 @@ def _comp_le(pca, lhs, rhs, w, fuel):
     return inner
 
 
-def _targets_differ(lhs: CompletionObject, rhs: CompletionObject) -> bool:
-    return lhs.target != rhs.target
-
-
 def _expect_endpoints(h, source, target) -> None:
     if h.source != source or h.target != target:
         raise CheckError("mediator endpoints do not match the claim")
@@ -152,8 +152,6 @@ def _triangle_failure(pca, outer, h, expected, fuel):
     if isinstance(h, FinMap):
         for b in h.source:
             if outer.mapping[h.mapping[b]] != expected.mapping[b]:
-                from .spaces import point_text
-
                 return (point_text(b),)
         return None
     # ext morphisms: compare the induced maps on naming pairs
@@ -162,8 +160,6 @@ def _triangle_failure(pca, outer, h, expected, fuel):
         got = outer.induced(pca, mid[0], mid[1], fuel)
         want = expected.induced(pca, name, pt, fuel)
         if got != want:
-            from .spaces import point_text
-
             return (point_text(name), point_text(pt))
     return None
 
@@ -176,19 +172,11 @@ def identity_base_witness(doc: str) -> Uniform:
 
 
 def identity_completion_witness(pca: Pca, obj: CompletionObject) -> CompletionWitness:
-    from .spaces import ext_identity, identity_map
-
-    if isinstance(obj.leg, FinMap):
-        med = identity_map(obj.leg.source)
-    else:
-        med = ext_identity(obj.leg.source)
-    return CompletionWitness(med, identity_base_witness(obj.doc))
+    return CompletionWitness(_identity_mediator(obj), identity_base_witness(obj.doc))
 
 
 def eta(pca: Pca, doc: str, kind: str, klass: str, elem) -> CompletionObject:
     """The canonical inclusion of a base element: payload over the identity leg."""
-    from .spaces import ext_identity, identity_map
-
     base = getattr(elem, "base", None)
     if isinstance(base, FinSet):
         leg = identity_map(base)
@@ -225,8 +213,6 @@ def comp_reindex(pca: Pca, m, obj: CompletionObject, fuel: int | None = None) ->
         if path == ():
             # identity leg: pullback is m itself with payload reindexed
             payload = reindex(pca, obj.doc, m, obj.payload, fuel)
-            from .spaces import identity_map
-
             return CompletionObject(obj.kind, obj.klass, obj.doc, identity_map(m.source), payload)
         index = right if path == ("fst",) else left
         prod = carrier_product(pca, m.source, index) if path == ("fst",) else None
@@ -340,8 +326,6 @@ def beck_chevalley_check(pca: Pca, doc: str, kind: str, square: PullbackSquare, 
     if not is_pullback(square):
         raise CheckError("square is not a pullback of finite graphs")
     if kind == FORALL:
-        from .doctrines import forall_along
-
         lhs = forall_along(pca, doc, square.f_prime, reindex(pca, doc, square.h_prime, payload, fuel), fuel)
         rhs = reindex(pca, doc, square.h, forall_along(pca, doc, square.f, payload, fuel), fuel)
         w = identity_base_witness(doc)
@@ -360,8 +344,6 @@ def beck_chevalley_check(pca: Pca, doc: str, kind: str, square: PullbackSquare, 
 
 
 def _identity_mediator(obj: CompletionObject):
-    from .spaces import ext_identity, identity_map
-
     if isinstance(obj.leg, FinMap):
         return identity_map(obj.leg.source)
     return ext_identity(obj.leg.source)

@@ -24,10 +24,14 @@ extsW           per p, A in f(p): a chosen B in g(k.p) with h.B inside A
 D               per (x, A): a chosen (x, B) with h.G(x,B) inside F(x, A)
 ==============  ============================================================
 
-Solution sets contain normal-form terms, so membership after evaluation is
+Each order compiles to structural gates (family shapes, bases,
+computability, forward maps, choices) plus an ordered stream of
+obligations, one per quantified position: a realizer ``fn`` must send
+``arg`` into a solution set.  One kernel discharges every stream.  Solution
+sets contain normal-form terms, so membership after evaluation is
 syntactic.  Verdicts are three-way: a definite counterexample refutes, a
-timeout is only ever Unknown, and iteration follows the canonical point
-order so the first counterexample is reproducible.
+timeout is only ever Unknown, and streams follow the canonical point order
+so the first counterexample is reproducible.
 """
 
 from __future__ import annotations
@@ -67,14 +71,6 @@ from .verdicts import Verdict
 
 ALLOW_EMPTY = "allow-empty"
 NONEMPTY = "nonempty"
-
-DOCTRINES = (
-    "T", "Tw", "M", "Mw",
-    "dW", "dsW", "drW", "dextW",
-    "W", "SW", "rW", "tW",
-    "classicalW", "classicalSW", "extsW", "D",
-)
-
 
 class CheckError(ValueError):
     """Witness/doctrine mismatch, non-computable witness, or base mismatch."""
@@ -306,75 +302,10 @@ class ExtStrong:
 
 Witness = object
 
-WITNESS_SHAPES = {
-    "T": (Uniform,),
-    "Tw": (PerPoint, Bounded, Uniform),
-    "M": (Uniform,),
-    "Mw": (PerPoint, Bounded, Uniform),
-    "dW": (Uniform,),
-    "dsW": (Uniform,),
-    "drW": (Uniform,),
-    "dextW": (Uniform,),
-    "W": (ForwardBackward,),
-    "SW": (ForwardBackward,),
-    "rW": (ExtForwardBackward,),
-    "tW": (ExtForwardBackward,),
-    "classicalW": (ForwardBackward,),
-    "classicalSW": (ForwardBackward,),
-    "extsW": (ExtStrong,),
-    "D": (DialecticaWitness,),
-}
-
 
 def _require_computable(t: Term, role: str) -> None:
     if not is_computable(t):
         raise CheckError(f"{role} {to_text(t)} is not computable")
-
-
-def _require_shape(doc: str, w: Witness) -> None:
-    if doc not in WITNESS_SHAPES:
-        raise CheckError(f"unknown doctrine id {doc!r}")
-    if not isinstance(w, WITNESS_SHAPES[doc]):
-        names = "/".join(c.__name__ for c in WITNESS_SHAPES[doc])
-        raise CheckError(f"doctrine {doc} needs a {names} witness, got {type(w).__name__}")
-
-
-class _Session:
-    """Collects timeout locations and builds the final verdict."""
-
-    def __init__(self, pca: Pca, fuel: int | None, witness: Witness, notes: tuple[str, ...] = ()):
-        self.pca = pca
-        self.fuel = fuel
-        self.witness = witness
-        self.timeouts: list[tuple] = []
-        self.notes = notes
-
-    def member(self, fn: Term, arg: Term, solset: frozenset, where: tuple) -> bool | None:
-        """Is fn.arg a member of solset?  None records a timeout."""
-        out = apply(self.pca, fn, arg, self.fuel)
-        if out.status == "timeout":
-            self.timeouts.append(where + ("timeout",))
-            return None
-        if not out.is_defined:
-            return False
-        return out.term in solset
-
-    def value(self, fn: Term, arg: Term, where: tuple) -> Term | None | bool:
-        out = apply(self.pca, fn, arg, self.fuel)
-        if out.status == "timeout":
-            self.timeouts.append(where + ("timeout",))
-            return None
-        if not out.is_defined:
-            return False
-        return out.term
-
-    def finish(self) -> Verdict:
-        if self.timeouts:
-            return verdicts.unknown(tuple(self.timeouts), notes=self.notes)
-        return verdicts.holds(self.witness, notes=self.notes)
-
-    def refute(self, where: tuple) -> Verdict:
-        return verdicts.refuted(where, notes=self.notes)
 
 
 def _family_notes(*elems) -> tuple[str, ...]:
@@ -385,124 +316,149 @@ def _family_notes(*elems) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# check_le
+# check_le: structural gates, then one ordered stream of obligations
+#
+# An obligation (fn, arg, allowed, where) asks that fn.arg be defined and in
+# allowed; `where` holds the raw points, terms and reason strings that locate
+# it.  A position settled without evaluation carries a sentinel fn.  A
+# refuting obligation ends its stream: `_discharge` never resumes it.
+
+_REFUTES = object()
+_UNDECIDED = object()
+
+
+def _refute(*where) -> tuple:
+    return _REFUTES, None, None, where
+
+
+def _undecided(*where) -> tuple:
+    return _UNDECIDED, None, None, where
 
 
 def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) -> Verdict:
     """Verify the witnessed claim ``lhs <=_doc rhs`` exhaustively; unknown
     when a realizer the check needs runs out of fuel."""
-    _require_shape(doc, w)
-    checker = _CHECKERS[doc]
+    if doc not in _ORDERS:
+        raise CheckError(f"unknown doctrine id {doc!r}")
+    shapes, obligations = _ORDERS[doc]
+    if not isinstance(w, shapes):
+        names = "/".join(c.__name__ for c in shapes)
+        raise CheckError(f"doctrine {doc} needs a {names} witness, got {type(w).__name__}")
     try:
-        return checker(pca, lhs, rhs, w, fuel)
+        return _discharge(pca, obligations(pca, doc, lhs, rhs, w, fuel), w, fuel, _family_notes(lhs, rhs))
     except SpaceTimeout as e:
         return verdicts.unknown((str(e),))
 
 
-def _check_tracked(pca, lhs, rhs, w, fuel, uniform_only: bool):
-    if not isinstance(lhs, TrackedFamily) or not isinstance(rhs, TrackedFamily):
-        raise CheckError("tracked doctrine needs tracked families")
+def _discharge(pca: Pca, obligations, w: Witness, fuel: int | None, notes: tuple[str, ...]) -> Verdict:
+    """The first definite miss refutes; a timeout leaves its position
+    unknown.  Locations are rendered only for the positions reported."""
+    timeouts = []
+    for fn, arg, allowed, where in obligations:
+        if fn is _UNDECIDED:
+            timeouts.append(where)
+            continue
+        if fn is not _REFUTES:
+            out = apply(pca, fn, arg, fuel)
+            if out.status == "timeout":
+                timeouts.append(where + ("timeout",))
+                continue
+            if out.is_defined and out.term in allowed:
+                continue
+        return verdicts.refuted(_render(where), notes=notes)
+    if timeouts:
+        return verdicts.unknown(tuple(map(_render, timeouts)), notes=notes)
+    return verdicts.holds(w, notes=notes)
+
+
+def _render(where: tuple) -> tuple[str, ...]:
+    return tuple(map(point_text, where))
+
+
+def positions(lhs, rhs):
+    """The quantified positions of a T, Tw, M or Mw claim in canonical
+    order, as ``(key, arg, allowed, where)``: a realizer must send ``arg``
+    into ``allowed``, and a per-point witness gives it at ``key``.  Tracked
+    families have one position per base point x (arg beta(x), allowed
+    {alpha(x)}); mass families one per x and b in psi(x) (arg b, allowed
+    phi(x))."""
+    if isinstance(lhs, TrackedFamily):
+        for x in lhs.base:
+            b = rhs.values[x]
+            yield x, b, frozenset((lhs.values[x],)), (x, b)
+        return
+    for x in lhs.base:
+        allowed = lhs.values[x]
+        for b in sorted_terms(rhs.values[x]):
+            key = (x, b)
+            yield key, b, allowed, key
+
+
+def _pointwise(pca, doc, lhs, rhs, w, fuel):
+    tracked = doc in ("T", "Tw")
+    family = TrackedFamily if tracked else MassFamily
+    if not isinstance(lhs, family) or not isinstance(rhs, family):
+        raise CheckError("tracked doctrine needs tracked families" if tracked
+                         else "mass doctrine needs mass families")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
-    ses = _Session(pca, fuel, w)
-    for x in lhs.base:
-        if isinstance(w, Uniform):
-            a = w.term
-        elif isinstance(w, PerPoint) and not uniform_only:
-            a = w.mapping.get(x)
+    checked = None  # the last witness term found computable
+    if doc == "M":
+        _require_computable(w.term, "witness term")
+        checked = w.term
+    for key, arg, allowed, where in positions(lhs, rhs):
+        if doc == "Mw" and not allowed:
+            yield _refute(*where, "empty solution set on the left")
+        if isinstance(w, Bounded):
+            a = find_inner_witness(pca, arg, allowed, w.bound, fuel)[0]
             if a is None:
-                raise CheckError(f"per-point witness missing point {point_text(x)}")
-        elif isinstance(w, Bounded) and not uniform_only:
-            a = find_inner_witness(pca, rhs.values[x], frozenset([lhs.values[x]]), w.bound, fuel)
-            if a is None:
-                ses.timeouts.append((point_text(x), f"no witness up to size {w.bound}"))
+                yield _undecided(*where, f"no witness up to size {w.bound}")
                 continue
         else:
-            raise CheckError("witness shape not allowed here")
-        _require_computable(a, "witness term")
-        got = ses.value(a, rhs.values[x], (point_text(x),))
-        if got is None:
-            continue
-        if got is False or got != lhs.values[x]:
-            return ses.refute((point_text(x), to_text(rhs.values[x])))
-    return ses.finish()
+            a = _realizer_at(w, key, "point " if tracked else "")
+            if a is not checked:
+                _require_computable(a, "witness term")
+                checked = a
+        yield a, arg, allowed, where
 
 
-def _check_T(pca, lhs, rhs, w, fuel):
-    return _check_tracked(pca, lhs, rhs, w, fuel, uniform_only=True)
+def _realizer_at(w: Witness, key, label: str = "") -> Term:
+    """The realizer a uniform or per-point witness gives at a position."""
+    if isinstance(w, Uniform):
+        return w.term
+    if not isinstance(w, PerPoint):
+        raise CheckError("need a uniform or per-point witness")
+    a = w.mapping.get(key)
+    if a is None:
+        raise CheckError(f"per-point witness missing {label}{point_text(key)}")
+    return a
 
 
-def _check_Tw(pca, lhs, rhs, w, fuel):
-    return _check_tracked(pca, lhs, rhs, w, fuel, uniform_only=False)
-
-
-def _check_M(pca, lhs, rhs, w, fuel):
-    if not isinstance(lhs, MassFamily) or not isinstance(rhs, MassFamily):
-        raise CheckError("mass doctrine needs mass families")
-    if lhs.base != rhs.base:
-        raise CheckError("base mismatch")
-    _require_computable(w.term, "witness term")
-    ses = _Session(pca, fuel, w, _family_notes(lhs, rhs))
-    for x in lhs.base:
-        for b in sorted_terms(rhs.values[x]):
-            got = ses.member(w.term, b, lhs.values[x], (point_text(x), to_text(b)))
-            if got is False:
-                return ses.refute((point_text(x), to_text(b)))
-    return ses.finish()
-
-
-def find_inner_witness(pca: Pca, b: Term, target: frozenset, bound: int, fuel: int | None = None) -> Term | None:
-    """Least computable term of size <= bound sending b into target.
+def find_inner_witness(pca: Pca, b: Term, target: frozenset, bound: int,
+                       fuel: int | None = None) -> tuple[Term | None, bool]:
+    """Least computable term of size <= bound sending b into target, and
+    whether a candidate ran out of fuel on b (so that a miss is undecided,
+    not exhausted).
 
     Scans repeat heavily across instances, so outcomes are cached on the
     structure (they are pure functions of it)."""
     key = (b, target, bound, fuel)
-    hit = pca._searches.get(key, _MISS)
-    if hit is not _MISS:
+    hit = pca._searches.get(key)
+    if hit is not None:
         return hit
-    found = None
-    for cand in iter_computable(bound):
-        out = apply(pca, cand, b, fuel)
-        if out.is_defined and out.term in target:
-            found = cand
-            break
-    pca._searches[key] = found
-    return found
+    found, timed_out = None, False
+    if target:  # nothing lands in an empty set
+        for cand in iter_computable(bound):
+            out = apply(pca, cand, b, fuel)
+            if out.is_defined and out.term in target:
+                found = cand
+                break
+            timed_out = timed_out or out.status == "timeout"
+    hit = pca._searches[key] = (found, timed_out)
+    return hit
 
 
-_MISS = object()
-
-
-def _check_Mw(pca, lhs, rhs, w, fuel):
-    if not isinstance(lhs, MassFamily) or not isinstance(rhs, MassFamily):
-        raise CheckError("mass doctrine needs mass families")
-    if lhs.base != rhs.base:
-        raise CheckError("base mismatch")
-    ses = _Session(pca, fuel, w, _family_notes(lhs, rhs))
-    for x in lhs.base:
-        target = lhs.values[x]
-        for b in sorted_terms(rhs.values[x]):
-            if not target:
-                return ses.refute((point_text(x), to_text(b), "empty solution set on the left"))
-            if isinstance(w, Uniform):
-                a = w.term
-            elif isinstance(w, PerPoint):
-                a = w.mapping.get((x, b))
-                if a is None:
-                    raise CheckError(f"per-point witness missing ({point_text(x)}, {to_text(b)})")
-            else:
-                a = find_inner_witness(pca, b, target, w.bound, fuel)
-                if a is None:
-                    ses.timeouts.append((point_text(x), to_text(b), f"no witness up to size {w.bound}"))
-                    continue
-            _require_computable(a, "witness term")
-            got = ses.member(a, b, target, (point_text(x), to_text(b)))
-            if got is False:
-                return ses.refute((point_text(x), to_text(b)))
-    return ses.finish()
-
-
-def _check_elementary_w(pca, lhs, rhs, w, fuel, strong: bool):
+def _elementary(pca, doc, lhs, rhs, w, fuel):
     if not isinstance(lhs, MassFamily) or not isinstance(rhs, MassFamily):
         raise CheckError("elementary reducibility needs mass families over a carrier")
     if lhs.base != rhs.base:
@@ -510,42 +466,20 @@ def _check_elementary_w(pca, lhs, rhs, w, fuel, strong: bool):
     if not lhs.base.is_carrier:
         raise CheckError("elementary reducibility needs a carrier base")
     _require_computable(w.term, "witness term")
-    ses = _Session(pca, fuel, w, _family_notes(lhs, rhs))
-    for p in lhs.base:
-        for q in sorted_terms(rhs.values[p]):
-            arg = q if strong else pair_term(p, q)
-            got = ses.member(w.term, arg, lhs.values[p], (to_text(p), to_text(q)))
-            if got is False:
-                return ses.refute((to_text(p), to_text(q)))
-    return ses.finish()
+    for (p, q), arg, allowed, where in positions(lhs, rhs):
+        yield w.term, arg if doc == "dsW" else pair_term(p, q), allowed, where
 
 
-def _check_dW(pca, lhs, rhs, w, fuel):
-    return _check_elementary_w(pca, lhs, rhs, w, fuel, strong=False)
-
-
-def _check_dsW(pca, lhs, rhs, w, fuel):
-    return _check_elementary_w(pca, lhs, rhs, w, fuel, strong=True)
-
-
-def _check_elementary_ext(pca, lhs, rhs, w, fuel):
+def _elementary_ext(pca, doc, lhs, rhs, w, fuel):
     if not isinstance(lhs, AssemblyFamily) or not isinstance(rhs, AssemblyFamily):
         raise CheckError("elementary assembly reducibility needs assembly families")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
     _require_computable(w.term, "witness term")
-    ses = _Session(pca, fuel, w, _family_notes(lhs, rhs))
     for key in lhs.base.naming:
         p, x = key
         for q in sorted_terms(rhs.values[key]):
-            got = ses.member(w.term, pair_term(p, q), lhs.values[key], (to_text(p), point_text(x), to_text(q)))
-            if got is False:
-                return ses.refute((to_text(p), point_text(x), to_text(q)))
-    return ses.finish()
-
-
-_check_drW = _check_elementary_ext
-_check_dextW = _check_elementary_ext
+            yield w.term, pair_term(p, q), lhs.values[key], (p, x, q)
 
 
 def _verify_forward_map(pca, k: FinMap, fuel) -> None:
@@ -554,7 +488,7 @@ def _verify_forward_map(pca, k: FinMap, fuel) -> None:
     k.check_realizer(pca, fuel)
 
 
-def _check_generalized_w(pca, lhs, rhs, w, fuel, strong: bool):
+def _generalized(pca, doc, lhs, rhs, w, fuel):
     if not isinstance(lhs, Predicate) or not isinstance(rhs, Predicate):
         raise CheckError("generalized reducibility needs predicates")
     if lhs.base != rhs.base:
@@ -569,28 +503,14 @@ def _check_generalized_w(pca, lhs, rhs, w, fuel, strong: bool):
     if set(k.target.points) != set(rhs.index.points):
         raise CheckError("forward map must land in the right-hand index")
     _verify_forward_map(pca, k, fuel)
-    ses = _Session(pca, fuel, w, _family_notes(lhs, rhs))
     for x in lhs.base:
         for y in lhs.index:
             t = pair_term(x, y)
-            z = k.mapping[t]
-            for q in sorted_terms(rhs.table[(x, z)]):
-                arg = q if strong else pair_term(t, q)
-                got = ses.member(h, arg, lhs.table[(x, y)], (to_text(x), to_text(y), to_text(q)))
-                if got is False:
-                    return ses.refute((to_text(x), to_text(y), to_text(q)))
-    return ses.finish()
+            for q in sorted_terms(rhs.table[(x, k.mapping[t])]):
+                yield h, q if doc == "SW" else pair_term(t, q), lhs.table[(x, y)], (x, y, q)
 
 
-def _check_W(pca, lhs, rhs, w, fuel):
-    return _check_generalized_w(pca, lhs, rhs, w, fuel, strong=False)
-
-
-def _check_SW(pca, lhs, rhs, w, fuel):
-    return _check_generalized_w(pca, lhs, rhs, w, fuel, strong=True)
-
-
-def _check_classical(pca, lhs, rhs, w, fuel, strong: bool):
+def _classical(pca, doc, lhs, rhs, w, fuel):
     if not isinstance(lhs, MassFamily) or not isinstance(rhs, MassFamily):
         raise CheckError("classical reducibility needs mass families")
     if not (lhs.base.is_carrier and rhs.base.is_carrier):
@@ -600,26 +520,12 @@ def _check_classical(pca, lhs, rhs, w, fuel, strong: bool):
     if k.source != lhs.base or set(k.target.points) != set(rhs.base.points):
         raise CheckError("forward map endpoints do not match the claim")
     _verify_forward_map(pca, k, fuel)
-    ses = _Session(pca, fuel, w, _family_notes(lhs, rhs))
     for p in lhs.base:
-        z = k.mapping[p]
-        for q in sorted_terms(rhs.values[z]):
-            arg = q if strong else pair_term(p, q)
-            got = ses.member(h, arg, lhs.values[p], (to_text(p), to_text(q)))
-            if got is False:
-                return ses.refute((to_text(p), to_text(q)))
-    return ses.finish()
+        for q in sorted_terms(rhs.values[k.mapping[p]]):
+            yield h, q if doc == "classicalSW" else pair_term(p, q), lhs.values[p], (p, q)
 
 
-def _check_classicalW(pca, lhs, rhs, w, fuel):
-    return _check_classical(pca, lhs, rhs, w, fuel, strong=False)
-
-
-def _check_classicalSW(pca, lhs, rhs, w, fuel):
-    return _check_classical(pca, lhs, rhs, w, fuel, strong=True)
-
-
-def _check_realizer_based(pca, lhs, rhs, w, fuel):
+def _realizer_based(pca, doc, lhs, rhs, w, fuel):
     if not isinstance(lhs, Predicate) or not isinstance(rhs, Predicate):
         raise CheckError("assembly reducibility needs predicates")
     if lhs.base != rhs.base:
@@ -635,91 +541,82 @@ def _check_realizer_based(pca, lhs, rhs, w, fuel):
     if gate.refuted:
         raise CheckError(f"forward morphism is not a morphism: {gate.counterexample}")
     if gate.unknown:
-        return gate
-    ses = _Session(pca, fuel, w, _family_notes(lhs, rhs))
+        yield from (_undecided(*where) for where in gate.unknowns)
+        return
     for name, pt in prod.object.naming:
         (x, y) = pt
-        parts = split_pair(name)
-        p, q = parts
-        target_name, target_point = km.induced(pca, name, pt, fuel)
-        for t in sorted_terms(rhs.table[((p, x), (target_name, target_point))]):
-            got = ses.member(h, pair_term(name, t), lhs.table[((p, x), (q, y))], (to_text(name), point_text(pt), to_text(t)))
-            if got is False:
-                return ses.refute((to_text(name), point_text(pt), to_text(t)))
-    return ses.finish()
+        p, q = split_pair(name)
+        image = km.induced(pca, name, pt, fuel)
+        for t in sorted_terms(rhs.table[((p, x), image)]):
+            yield h, pair_term(name, t), lhs.table[((p, x), (q, y))], (name, pt, t)
 
 
-_check_rW = _check_realizer_based
-_check_tW = _check_realizer_based
-
-
-def _check_extsW(pca, lhs, rhs, w, fuel):
+def _extended_strong(pca, doc, lhs, rhs, w, fuel):
     if not isinstance(lhs, ExtendedPredicate) or not isinstance(rhs, ExtendedPredicate):
         raise CheckError("extended strong reducibility needs extended predicates")
     k, h = w.forward, w.backward
     _require_computable(k, "forward witness")
     _require_computable(h, "backward witness")
-    ses = _Session(pca, fuel, w)
     for p in lhs.effective_dom:
-        kp = ses.value(k, p, (to_text(p),))
-        if kp is None:
+        out = apply(pca, k, p, fuel)
+        if out.status == "timeout":
+            yield _undecided(p, "timeout")
             continue
-        if kp is False:
-            return ses.refute((to_text(p), "forward witness undefined"))
+        if not out.is_defined:
+            yield _refute(p, "forward witness undefined")
+        kp = out.term
         if kp not in rhs.dom or not rhs.table[kp]:
-            return ses.refute((to_text(p), to_text(kp), "image has no candidate solution sets"))
-        for a in sorted(lhs.table[p], key=lambda s: point_key(s)):
+            yield _refute(p, kp, "image has no candidate solution sets")
+        for a in sorted(lhs.table[p], key=point_key):
             b = w.choice.get((p, a))
             if b is None:
                 raise CheckError(f"choice map missing ({to_text(p)}, {point_text(a)})")
             if b not in rhs.table[kp]:
-                return ses.refute((to_text(p), point_text(a), "chosen set not offered at the image"))
+                yield _refute(p, a, "chosen set not offered at the image")
             for q in sorted_terms(b):
-                got = ses.member(h, q, a, (to_text(p), point_text(a), to_text(q)))
-                if got is False:
-                    return ses.refute((to_text(p), point_text(a), to_text(q)))
-    return ses.finish()
+                yield h, q, a, (p, a, q)
 
 
-def _check_D(pca, lhs, rhs, w, fuel):
+def _dialectica(pca, doc, lhs, rhs, w, fuel):
     if not isinstance(lhs, DialecticaPredicate) or not isinstance(rhs, DialecticaPredicate):
         raise CheckError("pointwise choice reducibility needs relation predicates")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
     h = w.backward
     _require_computable(h, "backward witness")
-    ses = _Session(pca, fuel, w)
     for (x, a) in lhs.relation:
         b = w.choice.get((x, a))
         if b is None:
             raise CheckError(f"choice map missing ({point_text(x)}, {point_text(a)})")
         if not rhs.related(x, b):
-            return ses.refute((point_text(x), point_text(a), "choice leaves the relation"))
+            yield _refute(x, a, "choice leaves the relation")
         for q in sorted_terms(rhs.table[(x, b)]):
-            got = ses.member(h, q, lhs.table[(x, a)], (point_text(x), point_text(a), to_text(q)))
-            if got is False:
-                return ses.refute((point_text(x), point_text(a), to_text(q)))
-    return ses.finish()
+            yield h, q, lhs.table[(x, a)], (x, a, q)
 
 
-_CHECKERS = {
-    "T": _check_T,
-    "Tw": _check_Tw,
-    "M": _check_M,
-    "Mw": _check_Mw,
-    "dW": _check_dW,
-    "dsW": _check_dsW,
-    "drW": _check_drW,
-    "dextW": _check_dextW,
-    "W": _check_W,
-    "SW": _check_SW,
-    "rW": _check_rW,
-    "tW": _check_tW,
-    "classicalW": _check_classicalW,
-    "classicalSW": _check_classicalSW,
-    "extsW": _check_extsW,
-    "D": _check_D,
+# Per doctrine id: the witness shapes it takes, and the generator of its
+# obligations, which checks the structural gates (families, bases,
+# computability, forward maps, choices) before its first obligation.
+_ORDERS = {
+    "T": ((Uniform,), _pointwise),
+    "Tw": ((PerPoint, Bounded, Uniform), _pointwise),
+    "M": ((Uniform,), _pointwise),
+    "Mw": ((PerPoint, Bounded, Uniform), _pointwise),
+    "dW": ((Uniform,), _elementary),
+    "dsW": ((Uniform,), _elementary),
+    "drW": ((Uniform,), _elementary_ext),
+    "dextW": ((Uniform,), _elementary_ext),
+    "W": ((ForwardBackward,), _generalized),
+    "SW": ((ForwardBackward,), _generalized),
+    "rW": ((ExtForwardBackward,), _realizer_based),
+    "tW": ((ExtForwardBackward,), _realizer_based),
+    "classicalW": ((ForwardBackward,), _classical),
+    "classicalSW": ((ForwardBackward,), _classical),
+    "extsW": ((ExtStrong,), _extended_strong),
+    "D": ((DialecticaWitness,), _dialectica),
 }
+
+DOCTRINES = tuple(_ORDERS)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +960,7 @@ def lattice_element(pca: Pca, op: str, doc: str, *args, universe: FinSet | None 
         for x in phi.base:
             kept = []
             for b in sorted_terms(psi.values[x]):
-                if find_inner_witness(pca, b, phi.values[x], bound, fuel) is None:
+                if find_inner_witness(pca, b, phi.values[x], bound, fuel)[0] is None:
                     kept.append(b)
             values[x] = frozenset(kept)
         return MassFamily(phi.base, values, ALLOW_EMPTY,
@@ -1146,12 +1043,12 @@ def implication_adjunction_witness(pca: Pca, direction: str, phi: MassFamily, ps
         table = {}
         for x in psi.base:
             for b in sorted_terms(psi.values[x]):
-                found = find_inner_witness(pca, b, phi.values[x], bound, fuel)
+                found = find_inner_witness(pca, b, phi.values[x], bound, fuel)[0]
                 if found is not None:
                     table[(x, b)] = abstract_all(("z",), ap(PAIR, LATTICE_TAG_LEFT, App(found, z)))
                 else:
                     # within the bound, b lands in the implication fiber
-                    ab = _resolve_inner(w, x, b)
+                    ab = _realizer_at(w, (x, b))
                     table[(x, b)] = abstract_all(("z",), ap(PAIR, LATTICE_TAG_RIGHT, App(ab, z)))
         return PerPoint(table)
     if direction == "meet_to_imp":
@@ -1159,7 +1056,7 @@ def implication_adjunction_witness(pca: Pca, direction: str, phi: MassFamily, ps
         table = {}
         for x in imp.base:
             for b in sorted_terms(imp.values[x]):
-                cb = _resolve_inner(w, x, b)
+                cb = _realizer_at(w, (x, b))
                 out = apply(pca, cb, b, fuel)
                 if not out.is_defined:
                     raise UndecidedError(f"witness undefined at ({point_text(x)}, {to_text(b)})")
@@ -1175,17 +1072,6 @@ def implication_adjunction_witness(pca: Pca, direction: str, phi: MassFamily, ps
                 table[(x, b)] = abstract_all(("z",), App(SND, App(cb, z)))
         return PerPoint(table)
     raise CheckError(f"unknown direction {direction!r}")
-
-
-def _resolve_inner(w: Witness, x, b) -> Term:
-    if isinstance(w, Uniform):
-        return w.term
-    if isinstance(w, PerPoint):
-        t = w.mapping.get((x, b))
-        if t is None:
-            raise CheckError(f"per-point witness missing ({point_text(x)}, {to_text(b)})")
-        return t
-    raise CheckError("need a uniform or per-point witness")
 
 
 # ---------------------------------------------------------------------------

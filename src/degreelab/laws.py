@@ -97,6 +97,7 @@ from .terms import (
     term_key,
     to_text,
 )
+from .verdicts import Verdict
 
 O1 = Oracle("o1")
 
@@ -150,7 +151,10 @@ class _Tally:
         self.order: list[str] = []
         self.counts: dict[str, list[int]] = {}
 
-    def add(self, case: str, ok: bool | None) -> None:
+    def add(self, case: str, ok) -> None:
+        """Count one case: ok is a Verdict, or True, False or None (unknown)."""
+        if isinstance(ok, Verdict):
+            ok = _outcome(ok)
         if case not in self.counts:
             self.counts[case] = [0, 0, 0]
             self.order.append(case)
@@ -166,6 +170,11 @@ class _Tally:
             LawRecord(self.suite, case, *self.counts[case]) for case in self.order
         ]
         return SuiteReport(self.suite, recs)
+
+
+def _outcome(v: Verdict) -> bool | None:
+    """Whether a verdict holds; None when it is unknown."""
+    return None if v.unknown else v.holds
 
 
 def _subsets(universe, max_size: int):
@@ -296,33 +305,33 @@ def suite_medvedev_coheyting(pca: Pca, fuel: int | None = None) -> SuiteReport:
     for phi in fams:
         for psi in fams:
             w = lattice_law_witness(pca, "bottom_le")
-            t.add("bottom-least", check_le(pca, "M", bottom, phi, w, fuel).holds)
+            t.add("bottom-least", check_le(pca, "M", bottom, phi, w, fuel))
             w = lattice_law_witness(pca, "le_top")
-            t.add("top-greatest", check_le(pca, "M", phi, top, w, fuel).holds)
+            t.add("top-greatest", check_le(pca, "M", phi, top, w, fuel))
             meet = lattice_element(pca, "meet", "M", phi, psi)
-            t.add("meet-below-left", check_le(pca, "M", meet, phi, lattice_law_witness(pca, "meet_left"), fuel).holds)
-            t.add("meet-below-right", check_le(pca, "M", meet, psi, lattice_law_witness(pca, "meet_right"), fuel).holds)
+            t.add("meet-below-left", check_le(pca, "M", meet, phi, lattice_law_witness(pca, "meet_left"), fuel))
+            t.add("meet-below-right", check_le(pca, "M", meet, psi, lattice_law_witness(pca, "meet_right"), fuel))
             join = lattice_element(pca, "join", "M", phi, psi)
-            t.add("join-above-left", check_le(pca, "M", phi, join, lattice_law_witness(pca, "join_left"), fuel).holds)
-            t.add("join-above-right", check_le(pca, "M", psi, join, lattice_law_witness(pca, "join_right"), fuel).holds)
+            t.add("join-above-left", check_le(pca, "M", phi, join, lattice_law_witness(pca, "join_left"), fuel))
+            t.add("join-above-right", check_le(pca, "M", psi, join, lattice_law_witness(pca, "join_right"), fuel))
             for rho in fams:
                 lw = search_witness(pca, "M", rho, phi, budget)
                 rw = search_witness(pca, "M", rho, psi, budget)
                 if lw.found and rw.found:
                     wm = lattice_law_witness(pca, "meet_intro", w_left=lw.witness, w_right=rw.witness)
-                    t.add("meet-greatest-lower", check_le(pca, "M", rho, meet, wm, fuel).holds)
+                    t.add("meet-greatest-lower", check_le(pca, "M", rho, meet, wm, fuel))
                 lw2 = search_witness(pca, "M", phi, rho, budget)
                 rw2 = search_witness(pca, "M", psi, rho, budget)
                 if lw2.found and rw2.found:
                     wj = lattice_law_witness(pca, "join_intro", w_left=lw2.witness, w_right=rw2.witness)
-                    t.add("join-least-upper", check_le(pca, "M", join, rho, wj, fuel).holds)
+                    t.add("join-least-upper", check_le(pca, "M", join, rho, wj, fuel))
                 # subtraction adjunction, both transports
                 sub = lattice_element(pca, "subtract", "M", phi, psi, universe=universe, fuel=fuel)
                 psi_or_rho = lattice_element(pca, "join", "M", psi, rho)
                 found_sub = search_witness(pca, "M", sub, rho, budget)
                 if found_sub.found:
                     we = lattice_law_witness(pca, "subtract_elim", w=found_sub.witness)
-                    t.add("subtract-to-join", check_le(pca, "M", phi, psi_or_rho, we, fuel).holds)
+                    t.add("subtract-to-join", check_le(pca, "M", phi, psi_or_rho, we, fuel))
                 found_join = search_witness(pca, "M", phi, psi_or_rho, budget)
                 if found_join.found:
                     wi = lattice_law_witness(pca, "subtract_intro", w=found_join.witness)
@@ -334,7 +343,7 @@ def suite_medvedev_coheyting(pca: Pca, fuel: int | None = None) -> SuiteReport:
                                 extra.add(out.term)
                     enlarged = FinSet(tuple(extra))
                     sub1 = lattice_element(pca, "subtract", "M", phi, psi, universe=enlarged, fuel=fuel)
-                    t.add("join-to-subtract", check_le(pca, "M", sub1, rho, wi, fuel).holds)
+                    t.add("join-to-subtract", check_le(pca, "M", sub1, rho, wi, fuel))
     return t.report()
 
 
@@ -359,7 +368,7 @@ def suite_muchnik_heyting(pca: Pca, fuel: int | None = None) -> SuiteReport:
             try:
                 tw = implication_adjunction_witness(pca, "imp_to_meet", phi, psi, rho,
                                                     Bounded(bound), bound, fuel)
-                t.add("transport-to-meet", check_le(pca, "Mw", meet, psi, tw, fuel).holds)
+                t.add("transport-to-meet", check_le(pca, "Mw", meet, psi, tw, fuel))
             except (UndecidedError, CheckError):
                 t.add("transport-to-meet", None)
     return t.report()
@@ -403,9 +412,9 @@ def suite_adjoints(pca: Pca, fuel: int | None = None) -> SuiteReport:
                     down = search_witness(pca, "M", reindex(pca, "M", f, psi), phi, budget)
                     # the same witness term serves both sides of the adjunction
                     if up.found:
-                        t.add("forall-transpose", check_le(pca, "M", reindex(pca, "M", f, psi), phi, up.witness, fuel).holds)
+                        t.add("forall-transpose", check_le(pca, "M", reindex(pca, "M", f, psi), phi, up.witness, fuel))
                     if down.found:
-                        t.add("forall-untranspose", check_le(pca, "M", psi, fa, down.witness, fuel).holds)
+                        t.add("forall-untranspose", check_le(pca, "M", psi, fa, down.witness, fuel))
                     t.add("forall-both-or-neither", up.found == down.found)
                 if f.is_surjective():
                     ex = exists_along_medvedev(pca, f, phi)
@@ -413,9 +422,9 @@ def suite_adjoints(pca: Pca, fuel: int | None = None) -> SuiteReport:
                         up = search_witness(pca, "M", ex, psi, budget)
                         down = search_witness(pca, "M", phi, reindex(pca, "M", f, psi), budget)
                         if up.found:
-                            t.add("exists-transpose", check_le(pca, "M", phi, reindex(pca, "M", f, psi), up.witness, fuel).holds)
+                            t.add("exists-transpose", check_le(pca, "M", phi, reindex(pca, "M", f, psi), up.witness, fuel))
                         if down.found:
-                            t.add("exists-untranspose", check_le(pca, "M", ex, psi, down.witness, fuel).holds)
+                            t.add("exists-untranspose", check_le(pca, "M", ex, psi, down.witness, fuel))
     _pure_forall_cases(pca, fuel, t)
     return t.report()
 
@@ -434,10 +443,23 @@ def _uniform_candidates(pca, g):
 
 
 def _first_holding(pca, doc, lhs, rhs, cands, fuel):
+    """The first candidate that holds; else False, or None (undecided) when
+    a candidate's check ran out of fuel."""
+    outcome = False
     for w in cands:
-        if check_le(pca, doc, lhs, rhs, w, fuel).holds:
+        v = check_le(pca, doc, lhs, rhs, w, fuel)
+        if v.holds:
             return w
-    return None
+        if v.unknown:
+            outcome = None
+    return outcome
+
+
+def _any_of(*outcomes):
+    """Three-valued disjunction: a success beats an unknown."""
+    if any(outcomes):
+        return True
+    return None if None in outcomes else False
 
 
 def _pure_forall_cases(pca, fuel, t):
@@ -455,14 +477,14 @@ def _pure_forall_cases(pca, fuel, t):
         for g in g_opts:
             cands = _uniform_candidates(pca, g)
             up = _first_holding(pca, "dW", g, fa, cands, fuel)
-            if up is not None:
+            if up:
                 b = transpose_pure_forall(pca, up)
-                t.add("pure-forall-transpose", check_le(pca, "dW", reindex(pca, "dW", prod.snd, g), fam, b, fuel).holds)
+                t.add("pure-forall-transpose", check_le(pca, "dW", reindex(pca, "dW", prod.snd, g), fam, b, fuel))
             down = _first_holding(pca, "dW", reindex(pca, "dW", prod.snd, g), fam, cands, fuel)
-            if down is not None:
+            if down:
                 d = untranspose_pure_forall(pca, down)
-                t.add("pure-forall-untranspose", check_le(pca, "dW", g, fa, d, fuel).holds)
-            t.add("pure-forall-decided", (up is not None) or (down is not None))
+                t.add("pure-forall-untranspose", check_le(pca, "dW", g, fa, d, fuel))
+            t.add("pure-forall-decided", _any_of(up, down))
     # assembly variants share the transposition combinators
     A = assembly(pca, ["x", "y"], [(K, "x"), (S, "y"), (pair_term(K, K), "y")])
     B = assembly(pca, ["z"], [(K, "z")])
@@ -477,16 +499,16 @@ def _pure_forall_cases(pca, fuel, t):
         fa = forall_along(pca, doc, aprod.snd, fam, fuel)
         cands = [Uniform(SND), Uniform(FST), Uniform(ID)]
         up = _first_holding(pca, doc, fa, fa, cands, fuel)
-        if up is not None:
+        if up:
             b = transpose_pure_forall(pca, up)
             t.add(f"pure-forall-{doc}-transpose",
-                  check_le(pca, doc, reindex(pca, doc, aprod.snd, fa), fam, b, fuel).holds)
+                  check_le(pca, doc, reindex(pca, doc, aprod.snd, fa), fam, b, fuel))
         down = _first_holding(pca, doc, reindex(pca, doc, aprod.snd, fa), fam, cands, fuel)
-        if down is not None:
+        if down:
             d = untranspose_pure_forall(pca, down)
             t.add(f"pure-forall-{doc}-untranspose",
-                  check_le(pca, doc, fa, fa, d, fuel).holds)
-        t.add(f"pure-forall-{doc}-decided", up is not None)
+                  check_le(pca, doc, fa, fa, d, fuel))
+        t.add(f"pure-forall-{doc}-decided", _any_of(up))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +524,7 @@ def suite_beck_chevalley(pca: Pca, fuel: int | None = None) -> SuiteReport:
                 square = pullback(f, h)
                 for phi in _family_palette(f.source)[:: max(1, len(f.source) * 3)]:
                     v = beck_chevalley_check(pca, "M", FORALL, square, phi, fuel)
-                    t.add("mass-forall", v.holds if not v.unknown else None)
+                    t.add("mass-forall", v)
     # pure existential squares over realized maps
     budget = SearchBudget(witness_size=4, fuel=fuel)
     X = carrier(pca, [K, S])
@@ -515,7 +537,7 @@ def suite_beck_chevalley(pca: Pca, fuel: int | None = None) -> SuiteReport:
             for fam in fam_opts:
                 fam2 = MassFamily(fam.base, fam.values, ALLOW_EMPTY)
                 v = beck_chevalley_check(pca, "dW", EXISTS, square, fam2, fuel)
-                t.add("pure-exists", v.holds if not v.unknown else None)
+                t.add("pure-exists", v)
     return t.report()
 
 
@@ -562,10 +584,10 @@ def _iso_medvedev(pca, fuel, t):
             t.add("medvedev-search-agreement", cw.found == mw.found)
             if cw.found:
                 fwd = iso.medvedev_transport_forward(pca, cw.witness)
-                t.add("medvedev-preserve", check_le(pca, "M", phi1, phi2, fwd, fuel).holds)
+                t.add("medvedev-preserve", check_le(pca, "M", phi1, phi2, fwd, fuel))
             if mw.found:
                 back_w = iso.medvedev_transport_backward(pca, o1, o2, mw.witness, fuel)
-                t.add("medvedev-reflect", comp_le(pca, o1, o2, back_w, fuel).holds)
+                t.add("medvedev-reflect", comp_le(pca, o1, o2, back_w, fuel))
 
 
 def _iso_muchnik(pca, fuel, t):
@@ -586,14 +608,14 @@ def _iso_muchnik(pca, fuel, t):
                 # the per-point table the bounded base witness stands for
                 h = cw.witness.mediator
                 table = {z: find_inner_witness(pca, o2.payload.values[z], frozenset([o1.payload.values[h.mapping[z]]]),
-                                               budget.witness_size, fuel)
+                                               budget.witness_size, fuel)[0]
                          for z in h.source}
                 if None not in table.values():
                     fwd = iso.muchnik_transport_forward(pca, o1, o2, CompletionWitness(h, PerPoint(table)), fuel)
-                    t.add("muchnik-preserve", check_le(pca, "Mw", phi1, phi2, fwd, fuel).holds)
+                    t.add("muchnik-preserve", check_le(pca, "Mw", phi1, phi2, fwd, fuel))
             if mw.found:
                 back_w = iso.muchnik_transport_backward(pca, o1, o2, mw.witness, fuel)
-                t.add("muchnik-reflect", comp_le(pca, o1, o2, back_w, fuel).holds)
+                t.add("muchnik-reflect", comp_le(pca, o1, o2, back_w, fuel))
 
 
 def _pred_palette(pca, base, index, nonempty=True):
@@ -628,9 +650,9 @@ def _iso_weihrauch(pca, fuel, t, strong=False):
                 lo = iso.weihrauch_to_completion(pca, F, edoc)
                 ro = iso.weihrauch_to_completion(pca, G, edoc)
                 v = comp_le(pca, lo, ro, cw, fuel)
-                t.add(f"{doc}-reflect", v.holds)
+                t.add(f"{doc}-reflect", v)
                 back = iso.weihrauch_transport_forward(pca, cw, fuel)
-                t.add(f"{doc}-preserve", check_le(pca, doc, F, G, back, fuel).holds)
+                t.add(f"{doc}-preserve", check_le(pca, doc, F, G, back, fuel))
 
 
 def _iso_strong(pca, fuel, t):
@@ -664,13 +686,13 @@ def _iso_realizer(pca, fuel, t, extended=False):
         km = prod.snd
         w = dt.ExtForwardBackward(km, SND)
         v = check_le(pca, doc, F, F, w, fuel)
-        t.add(f"{doc}-reflexive", v.holds)
+        t.add(f"{doc}-reflexive", v)
         cw = iso.realizer_transport_backward(pca, w, X, fuel)
         lo = iso.realizer_to_completion(pca, F, edoc)
         v2 = comp_le(pca, lo, lo, cw, fuel)
-        t.add(f"{doc}-reflect", v2.holds)
+        t.add(f"{doc}-reflect", v2)
         back = iso.realizer_transport_forward(pca, cw, fuel)
-        t.add(f"{doc}-preserve", check_le(pca, doc, F, F, back, fuel).holds)
+        t.add(f"{doc}-preserve", check_le(pca, doc, F, F, back, fuel))
 
 
 def _iso_extended(pca, fuel, t):
@@ -715,10 +737,10 @@ def _iso_dialectica(pca, fuel, t):
             t.add("dialectica-search-agreement", cw.found == dw.found)
             if cw.found:
                 fwd = iso.dialectica_transport_forward(pca, o1, o2, cw.witness, fuel)
-                t.add("dialectica-preserve", check_le(pca, "D", F1, F2, fwd, fuel).holds)
+                t.add("dialectica-preserve", check_le(pca, "D", F1, F2, fwd, fuel))
             if dw.found:
                 back_w = iso.dialectica_transport_backward(pca, o1, o2, dw.witness, fuel)
-                t.add("dialectica-reflect", comp_le(pca, o1, o2, back_w, fuel).holds)
+                t.add("dialectica-reflect", comp_le(pca, o1, o2, back_w, fuel))
     # the two-step construction agrees through the composed maps
     _two_step_case(pca, fuel, t)
 
@@ -737,10 +759,10 @@ def _two_step_case(pca, fuel, t):
     med = FinMap(reindexed.leg.source, Y, {pt: pt[1] for pt in reindexed.leg.source})
     w = iso.TwoStepWitness(outer_h, CompletionWitness(med, Uniform(ID)))
     v = iso.two_step_le(pca, obj, obj, w, fuel)
-    t.add("two-step-reflexive", v.holds)
+    t.add("two-step-reflexive", v)
     if v.holds:
         dwit = iso.two_step_transport_forward(pca, obj, obj, w, fuel)
-        t.add("two-step-transport", check_le(pca, "D", D1, D1, dwit, fuel).holds)
+        t.add("two-step-transport", check_le(pca, "D", D1, D1, dwit, fuel))
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +889,7 @@ def _ext_equal(pca, m1, m2, fuel):
 def _ext_check(pca, m, fuel):
     if m is None:
         return None
-    v = ext_check(pca, m, fuel)
-    return None if v.unknown else v.holds
+    return _outcome(ext_check(pca, m, fuel))
 
 
 def _all_of(*outcomes):

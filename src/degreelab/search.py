@@ -30,7 +30,7 @@ from .doctrines import (
     Uniform,
     check_le,
     find_inner_witness,
-    sorted_terms,
+    positions,
 )
 from .pca import Pca, apply, enumerate_computable, iter_computable
 from .spaces import ExtMorphism, FinMap, FinSet, carrier_product, ext_product, point_key
@@ -106,7 +106,7 @@ def _candidates(pca, doc, lhs, rhs, budget):
     if doc in ("T", "M", "dW", "dsW", "drW", "dextW"):
         return (Uniform(t) for t in iter_computable(size))
     if doc in ("Tw", "Mw"):
-        return iter(_per_point_candidates(pca, doc, lhs, rhs, budget))
+        return _per_point_candidates(pca, lhs, rhs, budget)
     if doc in ("classicalW", "classicalSW"):
         return _classical_candidates(pca, lhs, rhs, budget)
     if doc in ("W", "SW"):
@@ -120,20 +120,19 @@ def _candidates(pca, doc, lhs, rhs, budget):
     raise CheckError(f"unknown doctrine id {doc!r}")
 
 
-def _per_point_candidates(pca, doc, lhs, rhs, budget):
-    """Assemble the per-position least table; one candidate at most."""
+def _per_point_candidates(pca, lhs, rhs, budget):
+    """The least per-position table, the one candidate.  A position with no
+    witness in the bound yields none, unless a candidate ran out of fuel
+    there: then the Bounded witness, which check_le reports unknown."""
     table = {}
-    for x in lhs.base:
-        if doc == "Tw":
-            slots = [(x, rhs.values[x], frozenset([lhs.values[x]]))]
-        else:
-            slots = [((x, b), b, lhs.values[x]) for b in sorted_terms(rhs.values[x])]
-        for key, arg, allowed in slots:
-            found = find_inner_witness(pca, arg, allowed, budget.witness_size, budget.fuel)
-            if found is None:
-                return []
-            table[key] = found
-    return [PerPoint(table)]
+    for key, arg, allowed, _ in positions(lhs, rhs):
+        found, timed_out = find_inner_witness(pca, arg, allowed, budget.witness_size, budget.fuel)
+        if found is None:
+            if timed_out:
+                yield Bounded(budget.witness_size)
+            return
+        table[key] = found
+    yield PerPoint(table)
 
 
 def forward_map_candidates(pca, source: FinSet, target: FinSet, budget) -> Iterator[FinMap]:

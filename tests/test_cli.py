@@ -127,9 +127,12 @@ class TestFuel:
 
     def test_laws_at_low_fuel_report_instead_of_failing(self, capsys):
         # a realizer that runs out of fuel is an unknown, not an error (exit 3)
+        # nor a violation
         code, out = run(["--fuel", "5", "--format", "machine", "laws"], capsys)
-        assert code != 3
-        assert sum(line.startswith("total ") for line in out.splitlines()) == 10
+        totals = [line.split() for line in out.splitlines() if line.startswith("total ")]
+        assert len(totals) == 10
+        assert [t[3] for t in totals] == ["0"] * 10
+        assert code == 0
 
 
 class TestSearch:
@@ -169,6 +172,24 @@ class TestSearch:
         assert result == "result impossible unknown"
         assert comment.startswith("// stopped by the time cap of 0.05s after ")
         assert elapsed < 3
+
+
+    # a per-point search whose inner candidates run out of fuel has not
+    # exhausted its bound
+    STARVED_INNER = ("oracle #o1 { }\ncarrier X = [K]\nfamily phi over X { K -> [#o1] }\n"
+                     "tracked alpha over X { K -> #o1 }\nwitness b = bounded 3\n"
+                     "claim mw : phi <=_Mw phi by b\nclaim tw : alpha <=_Tw alpha by b\n")
+
+    @pytest.mark.parametrize("claim", ["mw", "tw"])
+    def test_inner_timeouts_make_per_point_search_unknown(self, capsys, tmp_path, claim):
+        path = tmp_path / "starved_inner.inst"
+        path.write_text(self.STARVED_INNER)
+        code, out = run(["--fuel", "1", "--witness-size", "3", "--format", "machine", "search", path, claim],
+                        capsys)
+        assert (code, out.splitlines()[0]) == (2, f"result {claim} unknown")
+        code, out = run(["--fuel", "100", "--witness-size", "3", "--format", "machine", "search", path, claim],
+                        capsys)
+        assert (code, out.splitlines()[-1]) == (0, f"result {claim} found")
 
 
 class TestLattice:

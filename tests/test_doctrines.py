@@ -1,7 +1,9 @@
 import pytest
 
+from degreelab import doctrines
 from degreelab.doctrines import (
     ALLOW_EMPTY,
+    DOCTRINES,
     NONEMPTY,
     AssemblyFamily,
     Bounded,
@@ -31,7 +33,7 @@ from degreelab.doctrines import (
 from degreelab.pca import FST, ID, PAIR, SND, apply, normalize
 from degreelab.search import SearchBudget, search_witness
 from degreelab.spaces import FinMap, assembly, carrier, carrier_product, constant_map, ext_product, identity_map
-from degreelab.terms import App, K, Oracle, S, ap, pair_term
+from degreelab.terms import App, K, Oracle, S, ap, pair_term, to_text
 
 O1 = Oracle("o1")
 
@@ -502,3 +504,122 @@ class TestDeterminism:
         v2 = check_le(pure, "M", bad, phi, Uniform(ID))
         assert v1 == v2
         assert v1.counterexample == ("K", "K")
+
+
+# ---------------------------------------------------------------------------
+# One row per doctrine id: a holding claim, a refuted claim with its exact
+# first counterexample, and a claim whose realizer never stops, checked with
+# little fuel, with its exact unknown locations.
+
+OMEGA = ap(S, ID, ID)
+DIVERGES = App(K, App(OMEGA, OMEGA))  # on any argument: K (w w) a -> w w -> ...
+STARVED_FUEL = 50
+ONE_K, ONE_S = frozenset([K]), frozenset([S])
+
+
+def _tracked_row(pca):
+    X = carrier(pca, [K, S])
+    alpha = TrackedFamily(X, {K: K, S: S})
+    return X, alpha
+
+
+def _mass_row(pca, policy=ALLOW_EMPTY):
+    X = carrier(pca, [K, S])
+    return MassFamily(X, {K: ONE_K, S: ONE_S}, policy)
+
+
+def _assembly_row(pca, policy):
+    A = assembly(pca, ["x"], [(K, "x"), (S, "x")])
+    second = ONE_S if policy == NONEMPTY else frozenset()
+    return AssemblyFamily(A, {(K, "x"): ONE_K, (S, "x"): second}, policy)
+
+
+def _predicate_row(pca):
+    X, Y = carrier(pca, [K]), carrier(pca, [K, S])
+    F = Predicate(X, Y, {(K, K): ONE_K, (K, S): ONE_S})
+    return F, carrier_product(pca, X, Y)
+
+
+def _assembly_predicate_row(pca, policy):
+    X = assembly(pca, ["u"], [(K, "u")])
+    Y = assembly(pca, ["a", "b"], [(K, "a"), (S, "b")])
+    second = ONE_S if policy == NONEMPTY else frozenset()
+    F = Predicate(X, Y, {((K, "u"), (K, "a")): ONE_K, ((K, "u"), (S, "b")): second}, policy)
+    return F, ext_product(pca, X, Y)
+
+
+def _doctrine_row(pca, doc):
+    """(lhs, rhs, holding, refuted, counterexample, starved, unknowns)."""
+    if doc in ("T", "Tw"):
+        _, alpha = _tracked_row(pca)
+        if doc == "T":
+            return (alpha, alpha, Uniform(ID), Uniform(App(K, K)), ("S", "S"),
+                    Uniform(DIVERGES), (("K", "K", "timeout"), ("S", "S", "timeout")))
+        return (alpha, alpha, Bounded(2), PerPoint({K: ID, S: App(K, K)}), ("S", "S"),
+                PerPoint({K: DIVERGES, S: ID}), (("K", "K", "timeout"),))
+    if doc in ("M", "Mw"):
+        phi = _mass_row(pca)
+        holding = Uniform(ID) if doc == "M" else PerPoint({(K, K): ID, (S, S): App(K, S)})
+        return (phi, phi, holding, Uniform(App(K, K)), ("S", "S"),
+                Uniform(DIVERGES), (("K", "K", "timeout"), ("S", "S", "timeout")))
+    if doc in ("dW", "dsW"):
+        f = _mass_row(pca, NONEMPTY)
+        return (f, f, Uniform(SND if doc == "dW" else ID), Uniform(App(K, K)), ("S", "S"),
+                Uniform(DIVERGES), (("K", "K", "timeout"), ("S", "S", "timeout")))
+    if doc in ("drW", "dextW"):
+        f = _assembly_row(pca, NONEMPTY if doc == "drW" else ALLOW_EMPTY)
+        if doc == "drW":
+            return (f, f, Uniform(SND), Uniform(App(K, K)), ("S", "x", "S"),
+                    Uniform(DIVERGES), (("K", "x", "K", "timeout"), ("S", "x", "S", "timeout")))
+        return (f, f, Uniform(SND), Uniform(App(K, S)), ("K", "x", "K"),
+                Uniform(DIVERGES), (("K", "x", "K", "timeout"),))
+    if doc in ("W", "SW"):
+        F, prod = _predicate_row(pca)
+        h = SND if doc == "W" else ID
+        return (F, F, ForwardBackward(prod.snd, h), ForwardBackward(prod.snd, App(K, K)),
+                ("K", "S", "S"), ForwardBackward(prod.snd, DIVERGES),
+                (("K", "K", "K", "timeout"), ("K", "S", "S", "timeout")))
+    if doc in ("rW", "tW"):
+        F, prod = _assembly_predicate_row(pca, NONEMPTY if doc == "rW" else ALLOW_EMPTY)
+        ks, kk = pair_term(K, S), pair_term(K, K)
+        if doc == "rW":
+            return (F, F, ExtForwardBackward(prod.snd, SND), ExtForwardBackward(prod.snd, App(K, K)),
+                    (to_text(ks), "(u, b)", "S"), ExtForwardBackward(prod.snd, DIVERGES),
+                    ((to_text(kk), "(u, a)", "K", "timeout"), (to_text(ks), "(u, b)", "S", "timeout")))
+        return (F, F, ExtForwardBackward(prod.snd, SND), ExtForwardBackward(prod.snd, App(K, S)),
+                (to_text(kk), "(u, a)", "K"), ExtForwardBackward(prod.snd, DIVERGES),
+                ((to_text(kk), "(u, a)", "K", "timeout"),))
+    if doc in ("classicalW", "classicalSW"):
+        f = _mass_row(pca, NONEMPTY)
+        k = identity_map(f.base)
+        h = SND if doc == "classicalW" else ID
+        return (f, f, ForwardBackward(k, h), ForwardBackward(k, App(K, K)), ("S", "S"),
+                ForwardBackward(k, DIVERGES), (("K", "K", "timeout"), ("S", "S", "timeout")))
+    if doc == "extsW":
+        dom = carrier(pca, [K])
+        f = ExtendedPredicate(dom, {K: frozenset([ONE_K])})
+        choice = {(K, ONE_K): ONE_K}
+        return (f, f, ExtStrong(ID, choice, ID), ExtStrong(ID, choice, App(K, S)), ("K", "[K]", "K"),
+                ExtStrong(ID, choice, DIVERGES), (("K", "[K]", "K", "timeout"),))
+    assert doc == "D"
+    F = DialecticaPredicate(carrier(pca, [K]), {(K, ONE_K): ONE_K})
+    choice = {(K, ONE_K): ONE_K}
+    return (F, F, DialecticaWitness(choice, ID), DialecticaWitness(choice, App(K, S)), ("K", "[K]", "K"),
+            DialecticaWitness(choice, DIVERGES), (("K", "[K]", "K", "timeout"),))
+
+
+def _unexpected_rendering(*args):
+    raise AssertionError("a holding check renders no location")
+
+
+@pytest.mark.parametrize("doc", DOCTRINES)
+def test_doctrine_table(pure, doc, monkeypatch):
+    lhs, rhs, holding, refuted, counterexample, starved, unknowns = _doctrine_row(pure, doc)
+    with monkeypatch.context() as patched:
+        patched.setattr(doctrines, "point_text", _unexpected_rendering)
+        patched.setattr(doctrines, "to_text", _unexpected_rendering)
+        assert check_le(pure, doc, lhs, rhs, holding).holds
+    v = check_le(pure, doc, lhs, rhs, refuted)
+    assert v.refuted and v.counterexample == counterexample
+    v = check_le(pure, doc, lhs, rhs, starved, fuel=STARVED_FUEL)
+    assert v.unknown and v.unknowns == unknowns

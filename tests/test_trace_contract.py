@@ -4,15 +4,18 @@ count every layer it wraps.
 The traced benchmark run fails when a wrapped function is missing or a
 required layer reports no calls; this test makes such a change fail here
 too.  Enumeration in particular must keep going through ``enumerate_over``
-by name, even where terms are generated lazily.
+by name, even where terms are generated lazily, and every verdict through
+``check_le`` with the doctrine id as its second argument.
 """
 
 import importlib.util
 from pathlib import Path
 
 from degreelab import cli
+from degreelab.instance import parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = sorted((ROOT / "fixtures").glob("*.inst"))
 
 
 def _load_spans():
@@ -22,16 +25,29 @@ def _load_spans():
     return module
 
 
-def test_traced_search_reaches_the_enumeration(capsys):
+def _traced(*argvs):
+    """Exit codes and per-layer metrics of CLI runs under the tracer."""
     tracer = _load_spans().Tracer()
     tracer.install()  # raises CoverageError when a wrapped function is gone
     try:
-        code = cli.main(["--format", "machine", "search", str(ROOT / "fixtures" / "holds.inst"), "refl"])
+        codes = [cli.main(argv) for argv in argvs]
     finally:
         tracer.uninstall()
+    return codes, tracer.metrics()
+
+
+def test_traced_search_reaches_the_enumeration(capsys):
+    (code,), metrics = _traced(["--format", "machine", "search", str(ROOT / "fixtures" / "holds.inst"), "refl"])
     assert code == 0
     assert capsys.readouterr().out.startswith("witness refl_found = uniform ((S K) K)\n")
-    metrics = tracer.metrics()
     assert metrics["terms.enumerate_calls"] > 0
     assert metrics["terms.enumerated_terms"] > 0
     assert "search.forward_map_calls" in metrics
+
+
+def test_traced_check_times_every_doctrine_the_fixtures_use(capsys):
+    _, metrics = _traced(*(["--format", "machine", "check", str(f)] for f in FIXTURES))
+    docs = {c.doc for f in FIXTURES for c in parse_instance(f.read_text()).claims} - {"comp"}
+    assert len(docs) >= 5
+    assert metrics["doctrines.check_le_calls"] > 0
+    assert [d for d in sorted(docs) if not metrics[f"doctrines.check_le_us.{d}"] > 0] == []
