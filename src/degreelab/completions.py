@@ -355,7 +355,7 @@ def _merge(one: Verdict, two: Verdict, w) -> Verdict:
     for v in (one, two):
         if v.refuted:
             return v
-    return verdicts.unknown(one.unknowns + two.unknowns)
+    return verdicts.unknown(one.timeouts + two.timeouts)
 
 
 def pure_pullback_of_projection(pca: Pca, leg: FinMap, m: FinMap) -> PullbackSquare:

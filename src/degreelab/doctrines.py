@@ -32,12 +32,22 @@ sets contain normal-form terms, so membership after evaluation is
 syntactic.  Verdicts are three-way: a definite counterexample refutes, a
 timeout is only ever Unknown, and streams follow the canonical point order
 so the first counterexample is reproducible.
+
+For T, Tw, M, Mw and the elementary orders the positions do not depend on
+the witness.  The first check of such a claim runs its family and base
+gates and compiles its notes; its positions are built (each solution set
+sorted once) as checks first read them.  The compiled claim is kept in a
+one-entry cache on the structure, keyed by the doctrine id and the
+identity of both families, which is correct only because families are
+immutable.  Compiling evaluates nothing, so a ``Bounded`` witness still
+runs its inner searches lazily.  Verdicts keep their locations raw and
+render them only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Iterator, Mapping
 
 from . import verdicts
 from .pca import (
@@ -81,6 +91,8 @@ class UndecidedError(Exception):
 
 
 def sorted_terms(terms) -> tuple[Term, ...]:
+    if len(terms) < 2:  # nothing to order: skip rendering the sort key
+        return tuple(terms)
     return tuple(sorted(terms, key=term_key))
 
 
@@ -322,6 +334,11 @@ def _family_notes(*elems) -> tuple[str, ...]:
 # allowed; `where` holds the raw points, terms and reason strings that locate
 # it.  A position settled without evaluation carries a sentinel fn.  A
 # refuting obligation ends its stream: `_discharge` never resumes it.
+#
+# `Pca._claim` holds the last `_Claim` compiled (see the module docstring),
+# so the consecutive candidates of a search pay only for their shape, their
+# computability and their evaluations.  A gate that fails compiles nothing,
+# so it raises on every call.
 
 _REFUTES = object()
 _UNDECIDED = object()
@@ -335,24 +352,56 @@ def _undecided(*where) -> tuple:
     return _UNDECIDED, None, None, where
 
 
+@dataclass(frozen=True)
+class _Claim:
+    doc: str
+    lhs: object
+    rhs: object
+    notes: tuple[str, ...]
+    pending: Iterator  # the positions no check has read yet
+    known: list = field(default_factory=list)  # the positions read so far
+
+    def positions(self):
+        """The positions ``(key, arg, allowed, where)`` in canonical order,
+        each built (its solution set sorted) once, when a check first reads
+        that far: a check refuted early leaves the rest unbuilt."""
+        known = self.known
+        yield from known
+        # `for`, not `yield from`: closing this reader must not close pending
+        for position in self.pending:
+            known.append(position)
+            yield position
+
+
 def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) -> Verdict:
     """Verify the witnessed claim ``lhs <=_doc rhs`` exhaustively; unknown
     when a realizer the check needs runs out of fuel."""
     if doc not in _ORDERS:
         raise CheckError(f"unknown doctrine id {doc!r}")
-    shapes, obligations = _ORDERS[doc]
+    shapes, compile_positions, obligations = _ORDERS[doc]
     if not isinstance(w, shapes):
         names = "/".join(c.__name__ for c in shapes)
         raise CheckError(f"doctrine {doc} needs a {names} witness, got {type(w).__name__}")
+    if compile_positions is None:
+        stream, notes = obligations(pca, doc, lhs, rhs, w, fuel), _family_notes(lhs, rhs)
+    else:
+        claim = pca._claim
+        if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.doc != doc:
+            claim = _Claim(doc, lhs, rhs, _family_notes(lhs, rhs), compile_positions(doc, lhs, rhs))
+            pca._claim = claim
+        stream, notes = obligations(pca, doc, claim.positions(), w, fuel), claim.notes
     try:
-        return _discharge(pca, obligations(pca, doc, lhs, rhs, w, fuel), w, fuel, _family_notes(lhs, rhs))
+        return _discharge(pca, stream, w, fuel, notes)
     except SpaceTimeout as e:
         return verdicts.unknown((str(e),))
+    except BaseException:
+        pca._claim = None  # else a position that failed to build is skipped next time
+        raise
 
 
 def _discharge(pca: Pca, obligations, w: Witness, fuel: int | None, notes: tuple[str, ...]) -> Verdict:
     """The first definite miss refutes; a timeout leaves its position
-    unknown.  Locations are rendered only for the positions reported."""
+    unknown.  Locations stay raw: the verdict renders them when read."""
     timeouts = []
     for fn, arg, allowed, where in obligations:
         if fn is _UNDECIDED:
@@ -365,14 +414,10 @@ def _discharge(pca: Pca, obligations, w: Witness, fuel: int | None, notes: tuple
                 continue
             if out.is_defined and out.term in allowed:
                 continue
-        return verdicts.refuted(_render(where), notes=notes)
+        return verdicts.refuted(where, notes=notes)
     if timeouts:
-        return verdicts.unknown(tuple(map(_render, timeouts)), notes=notes)
+        return verdicts.unknown(tuple(timeouts), notes=notes)
     return verdicts.holds(w, notes=notes)
-
-
-def _render(where: tuple) -> tuple[str, ...]:
-    return tuple(map(point_text, where))
 
 
 def positions(lhs, rhs):
@@ -394,7 +439,7 @@ def positions(lhs, rhs):
             yield key, b, allowed, key
 
 
-def _pointwise(pca, doc, lhs, rhs, w, fuel):
+def _pointwise_positions(doc, lhs, rhs) -> Iterator:
     tracked = doc in ("T", "Tw")
     family = TrackedFamily if tracked else MassFamily
     if not isinstance(lhs, family) or not isinstance(rhs, family):
@@ -402,11 +447,41 @@ def _pointwise(pca, doc, lhs, rhs, w, fuel):
                          else "mass doctrine needs mass families")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
+    return positions(lhs, rhs)
+
+
+def _elementary_positions(doc, lhs, rhs) -> Iterator:
+    if not isinstance(lhs, MassFamily) or not isinstance(rhs, MassFamily):
+        raise CheckError("elementary reducibility needs mass families over a carrier")
+    if lhs.base != rhs.base:
+        raise CheckError("base mismatch")
+    if not lhs.base.is_carrier:
+        raise CheckError("elementary reducibility needs a carrier base")
+    return ((key, arg if doc == "dsW" else pair_term(*key), allowed, where)
+            for key, arg, allowed, where in positions(lhs, rhs))
+
+
+def _elementary_ext_positions(doc, lhs, rhs) -> Iterator:
+    if not isinstance(lhs, AssemblyFamily) or not isinstance(rhs, AssemblyFamily):
+        raise CheckError("elementary assembly reducibility needs assembly families")
+    if lhs.base != rhs.base:
+        raise CheckError("base mismatch")
+    return (((p, x, q), pair_term(p, q), lhs.values[(p, x)], (p, x, q))
+            for p, x in lhs.base.naming for q in sorted_terms(rhs.values[(p, x)]))
+
+
+# Orders whose uniform witness term is checked for computability before the
+# first position; the others check each realizer where it is first used.
+_CHECKED_UP_FRONT = {"M", "dW", "dsW", "drW", "dextW"}
+
+
+def _positional(pca, doc, positions, w, fuel):
     checked = None  # the last witness term found computable
-    if doc == "M":
+    if doc in _CHECKED_UP_FRONT:
         _require_computable(w.term, "witness term")
         checked = w.term
-    for key, arg, allowed, where in positions(lhs, rhs):
+    label = "point " if doc in ("T", "Tw") else ""
+    for key, arg, allowed, where in positions:
         if doc == "Mw" and not allowed:
             yield _refute(*where, "empty solution set on the left")
         if isinstance(w, Bounded):
@@ -415,7 +490,7 @@ def _pointwise(pca, doc, lhs, rhs, w, fuel):
                 yield _undecided(*where, f"no witness up to size {w.bound}")
                 continue
         else:
-            a = _realizer_at(w, key, "point " if tracked else "")
+            a = _realizer_at(w, key, label)
             if a is not checked:
                 _require_computable(a, "witness term")
                 checked = a
@@ -456,30 +531,6 @@ def find_inner_witness(pca: Pca, b: Term, target: frozenset, bound: int,
             timed_out = timed_out or out.status == "timeout"
     hit = pca._searches[key] = (found, timed_out)
     return hit
-
-
-def _elementary(pca, doc, lhs, rhs, w, fuel):
-    if not isinstance(lhs, MassFamily) or not isinstance(rhs, MassFamily):
-        raise CheckError("elementary reducibility needs mass families over a carrier")
-    if lhs.base != rhs.base:
-        raise CheckError("base mismatch")
-    if not lhs.base.is_carrier:
-        raise CheckError("elementary reducibility needs a carrier base")
-    _require_computable(w.term, "witness term")
-    for (p, q), arg, allowed, where in positions(lhs, rhs):
-        yield w.term, arg if doc == "dsW" else pair_term(p, q), allowed, where
-
-
-def _elementary_ext(pca, doc, lhs, rhs, w, fuel):
-    if not isinstance(lhs, AssemblyFamily) or not isinstance(rhs, AssemblyFamily):
-        raise CheckError("elementary assembly reducibility needs assembly families")
-    if lhs.base != rhs.base:
-        raise CheckError("base mismatch")
-    _require_computable(w.term, "witness term")
-    for key in lhs.base.naming:
-        p, x = key
-        for q in sorted_terms(rhs.values[key]):
-            yield w.term, pair_term(p, q), lhs.values[key], (p, x, q)
 
 
 def _verify_forward_map(pca, k: FinMap, fuel) -> None:
@@ -594,26 +645,28 @@ def _dialectica(pca, doc, lhs, rhs, w, fuel):
             yield h, q, lhs.table[(x, a)], (x, a, q)
 
 
-# Per doctrine id: the witness shapes it takes, and the generator of its
-# obligations, which checks the structural gates (families, bases,
-# computability, forward maps, choices) before its first obligation.
+# Per doctrine id: the witness shapes it takes, the compiler of its
+# witness-independent gates and positions (None where the positions depend
+# on the witness), and the generator of its obligations, which checks the
+# remaining gates (computability, forward maps, choices) before its first
+# obligation.
 _ORDERS = {
-    "T": ((Uniform,), _pointwise),
-    "Tw": ((PerPoint, Bounded, Uniform), _pointwise),
-    "M": ((Uniform,), _pointwise),
-    "Mw": ((PerPoint, Bounded, Uniform), _pointwise),
-    "dW": ((Uniform,), _elementary),
-    "dsW": ((Uniform,), _elementary),
-    "drW": ((Uniform,), _elementary_ext),
-    "dextW": ((Uniform,), _elementary_ext),
-    "W": ((ForwardBackward,), _generalized),
-    "SW": ((ForwardBackward,), _generalized),
-    "rW": ((ExtForwardBackward,), _realizer_based),
-    "tW": ((ExtForwardBackward,), _realizer_based),
-    "classicalW": ((ForwardBackward,), _classical),
-    "classicalSW": ((ForwardBackward,), _classical),
-    "extsW": ((ExtStrong,), _extended_strong),
-    "D": ((DialecticaWitness,), _dialectica),
+    "T": ((Uniform,), _pointwise_positions, _positional),
+    "Tw": ((PerPoint, Bounded, Uniform), _pointwise_positions, _positional),
+    "M": ((Uniform,), _pointwise_positions, _positional),
+    "Mw": ((PerPoint, Bounded, Uniform), _pointwise_positions, _positional),
+    "dW": ((Uniform,), _elementary_positions, _positional),
+    "dsW": ((Uniform,), _elementary_positions, _positional),
+    "drW": ((Uniform,), _elementary_ext_positions, _positional),
+    "dextW": ((Uniform,), _elementary_ext_positions, _positional),
+    "W": ((ForwardBackward,), None, _generalized),
+    "SW": ((ForwardBackward,), None, _generalized),
+    "rW": ((ExtForwardBackward,), None, _realizer_based),
+    "tW": ((ExtForwardBackward,), None, _realizer_based),
+    "classicalW": ((ForwardBackward,), None, _classical),
+    "classicalSW": ((ForwardBackward,), None, _classical),
+    "extsW": ((ExtStrong,), None, _extended_strong),
+    "D": ((DialecticaWitness,), None, _dialectica),
 }
 
 DOCTRINES = tuple(_ORDERS)

@@ -90,13 +90,15 @@ class Pca:
 
     K and S reduction is fixed; only the tables vary.  Instances are immutable
     after construction (the memo dicts are internal caches whose entries are
-    pure functions of the tables).
+    pure functions of the tables; ``_claim`` holds the last claim
+    ``doctrines.check_le`` compiled, a pure function of its families).
     """
 
     oracles: Mapping[str, Mapping[Term, Term]] = field(default_factory=dict)
     default_fuel: int = 10_000
     _memo: dict = field(default_factory=dict, repr=False)
     _searches: dict = field(default_factory=dict, repr=False)
+    _claim: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.default_fuel <= 0:

@@ -85,9 +85,12 @@ class App(Term):
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if not isinstance(other, App):
+        if not isinstance(other, App) or self._hash != other._hash:
             return False
-        return self._hash == other._hash and self.fn == other.fn and self.arg == other.arg
+        # Shared children are common (the evaluator memo, enumerated
+        # levels), so compare by identity before recursing.
+        fn, arg = other.fn, other.arg
+        return (self.fn is fn or self.fn == fn) and (self.arg is arg or self.arg == arg)
 
     def __repr__(self) -> str:
         return f"<App {to_text(self)}>"
@@ -177,7 +180,15 @@ def is_closed(t: Term) -> bool:
 
 
 def has_oracle(t: Term) -> bool:
-    return any(isinstance(s, Oracle) for s in subterms(t))
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while t.__class__ is App:  # walk the spine, leaving the arguments
+            stack.append(t.arg)
+            t = t.fn
+        if t.__class__ is Oracle:
+            return True
+    return False
 
 
 def subst(t: Term, name: str, value: Term) -> Term:

@@ -21,9 +21,9 @@ BOUNDS = {
     "pca-laws": 10.0,
     "bracket-abstraction": 30.0,
     "pairing": 5.0,
-    "medvedev-coheyting": 30.0,
+    "medvedev-coheyting": 10.0,
     "muchnik-heyting": 60.0,
-    "adjoint-suites": 60.0,
+    "adjoint-suites": 20.0,
     "beck-chevalley": 30.0,
     "isomorphism-suites": 90.0,
     "extsw-dialectica": 30.0,

@@ -1,6 +1,6 @@
 import pytest
 
-from degreelab import doctrines
+from degreelab import doctrines, spaces
 from degreelab.doctrines import (
     ALLOW_EMPTY,
     DOCTRINES,
@@ -30,7 +30,7 @@ from degreelab.doctrines import (
     transpose_pure_forall,
     untranspose_pure_forall,
 )
-from degreelab.pca import FST, ID, PAIR, SND, apply, normalize
+from degreelab.pca import FST, ID, PAIR, SND, Pca, apply, normalize
 from degreelab.search import SearchBudget, search_witness
 from degreelab.spaces import FinMap, assembly, carrier, carrier_product, constant_map, ext_product, identity_map
 from degreelab.terms import App, K, Oracle, S, ap, pair_term, to_text
@@ -609,7 +609,7 @@ def _doctrine_row(pca, doc):
 
 
 def _unexpected_rendering(*args):
-    raise AssertionError("a holding check renders no location")
+    raise AssertionError("a check renders no location; its verdict does, when read")
 
 
 @pytest.mark.parametrize("doc", DOCTRINES)
@@ -618,8 +618,111 @@ def test_doctrine_table(pure, doc, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(doctrines, "point_text", _unexpected_rendering)
         patched.setattr(doctrines, "to_text", _unexpected_rendering)
+        patched.setattr(spaces, "point_text", _unexpected_rendering)
         assert check_le(pure, doc, lhs, rhs, holding).holds
-    v = check_le(pure, doc, lhs, rhs, refuted)
-    assert v.refuted and v.counterexample == counterexample
-    v = check_le(pure, doc, lhs, rhs, starved, fuel=STARVED_FUEL)
-    assert v.unknown and v.unknowns == unknowns
+        refutation = check_le(pure, doc, lhs, rhs, refuted)
+        starvation = check_le(pure, doc, lhs, rhs, starved, fuel=STARVED_FUEL)
+    assert refutation.refuted and refutation.counterexample == counterexample
+    assert starvation.unknown and starvation.unknowns == unknowns
+
+
+# ---------------------------------------------------------------------------
+# The compiled-claim cache: check_le keeps the last claim it compiled on the
+# structure; a check must give the verdict a fresh structure gives.
+
+
+def _outcome(v):
+    return v.status, v.counterexample, v.unknowns
+
+
+def _fresh_outcome(doc, lhs, rhs, w, fuel=None):
+    return _outcome(check_le(Pca(), doc, lhs, rhs, w, fuel))
+
+
+def _row_checks(pca, doc):
+    """The holding, refuted and starved checks of a table row."""
+    lhs, rhs, holding, refuted, _, starved, _ = _doctrine_row(pca, doc)
+    return [(doc, lhs, rhs, holding, None), (doc, lhs, rhs, refuted, None),
+            (doc, lhs, rhs, starved, STARVED_FUEL)]
+
+
+class TestClaimCache:
+    def test_interleaved_claims_match_a_fresh_structure(self):
+        shared = Pca()
+        checks = [c for doc in DOCTRINES for c in _row_checks(shared, doc)]
+        for doc, lhs, rhs, w, fuel in checks + checks[::-1] + checks[::2]:
+            assert _outcome(check_le(shared, doc, lhs, rhs, w, fuel)) == _fresh_outcome(doc, lhs, rhs, w, fuel)
+
+    @pytest.mark.parametrize("doc", ["M", "Mw", "dW", "dsW"])
+    def test_claims_a_b_a_on_one_structure(self, doc):
+        shared = Pca()
+        X = carrier(shared, [K, S])
+        policy = NONEMPTY if doc in ("dW", "dsW") else ALLOW_EMPTY
+        a = MassFamily(X, {K: ONE_K, S: ONE_S}, policy)
+        b = MassFamily(X, {K: ONE_S, S: ONE_K}, policy)
+        w = Uniform(SND if doc == "dW" else ID)
+        first = _outcome(check_le(shared, doc, a, a, w))
+        middle = _outcome(check_le(shared, doc, a, b, w))
+        last = _outcome(check_le(shared, doc, a, a, w))
+        assert first == last == _fresh_outcome(doc, a, a, w)
+        assert middle == _fresh_outcome(doc, a, b, w)
+        assert first[0] == "holds" and middle[0] == "refuted"
+
+    @pytest.mark.parametrize("doc", DOCTRINES)
+    def test_equal_but_distinct_families(self, doc):
+        shared = Pca()
+        lhs, rhs, holding, refuted, counterexample, starved, unknowns = _doctrine_row(shared, doc)
+        lhs2, rhs2, *_ = _doctrine_row(shared, doc)
+        assert lhs2 == lhs and lhs2 is not lhs
+        for left, right in ((lhs, rhs), (lhs2, rhs), (lhs, rhs2), (lhs2, rhs2)):
+            assert check_le(shared, doc, left, right, holding).holds
+            assert _outcome(check_le(shared, doc, left, right, refuted)) == ("refuted", counterexample, ())
+            v = check_le(shared, doc, left, right, starved, fuel=STARVED_FUEL)
+            assert _outcome(v) == ("unknown", None, unknowns)
+
+    def test_failing_gate_raises_on_every_call(self):
+        shared = Pca()
+        X = carrier(shared, [K, S])
+        phi = MassFamily(X, {K: ONE_K, S: ONE_S})
+        alpha = TrackedFamily(X, {K: K, S: S})
+        other = MassFamily(carrier(shared, [K]), {K: ONE_K})
+        for _ in range(3):
+            with pytest.raises(CheckError, match="mass doctrine needs mass families"):
+                check_le(shared, "M", alpha, alpha, Uniform(ID))
+            with pytest.raises(CheckError, match="base mismatch"):
+                check_le(shared, "M", phi, other, Uniform(ID))
+            assert check_le(shared, "M", phi, phi, Uniform(ID)).holds
+
+    @pytest.mark.parametrize("doc", ["M", "dsW"])
+    def test_positions_left_unread_are_built_later(self, doc):
+        # the first check stops at the first position; the next must still
+        # reach the last one
+        shared = Pca()
+        X = carrier(shared, [K, S, ID])
+        phi = MassFamily(X, {K: ONE_K, S: ONE_S, ID: ONE_K}, NONEMPTY)
+        psi = MassFamily(X, {K: ONE_K, S: ONE_S, ID: ONE_S}, NONEMPTY)
+        for w, where in ((Uniform(App(K, S)), ("K", "K")), (Uniform(ID), (to_text(ID), "S")),
+                         (Uniform(App(K, K)), ("S", "S"))):
+            outcome = _outcome(check_le(shared, doc, phi, psi, w))
+            assert outcome == ("refuted", where, ()) == _fresh_outcome(doc, phi, psi, w)
+
+    def test_position_that_fails_to_build_raises_on_every_call(self):
+        # positions are built as checks read them; one that raised must not
+        # leave a cached claim without it
+        shared = Pca()
+        X = carrier(shared, [K, S])
+        phi = MassFamily(X, {K: ONE_K, S: ONE_S})
+        malformed = MassFamily(X, {K: ONE_K, S: frozenset([S, "not a term"])})
+        for _ in range(3):
+            with pytest.raises(AttributeError):
+                check_le(shared, "M", phi, malformed, Uniform(ID))
+
+    @pytest.mark.parametrize("doc", ["T", "Tw", "M", "Mw", "dW", "dsW", "drW", "dextW"])
+    def test_oracle_witness_on_a_cached_claim_is_rejected(self, pca, doc):
+        lhs, rhs, holding, refuted, *_ = _doctrine_row(pca, doc)
+        check_le(pca, doc, lhs, rhs, holding)
+        check_le(pca, doc, lhs, rhs, refuted)
+        for term in (O1, App(K, O1)):
+            with pytest.raises(CheckError, match=r"witness term .* is not computable"):
+                check_le(pca, doc, lhs, rhs, Uniform(term))
+        assert check_le(pca, doc, lhs, rhs, holding).holds

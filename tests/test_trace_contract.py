@@ -51,3 +51,16 @@ def test_traced_check_times_every_doctrine_the_fixtures_use(capsys):
     assert len(docs) >= 5
     assert metrics["doctrines.check_le_calls"] > 0
     assert [d for d in sorted(docs) if not metrics[f"doctrines.check_le_us.{d}"] > 0] == []
+
+
+def test_traced_search_checks_every_candidate_once(capsys):
+    """The benchmark's traced search-exhaust run needs every candidate to be
+    one ``check_le`` call: a search that decided candidates some other way
+    would leave ``doctrines.check_le_calls`` at 0 and fail that run."""
+    argv = ["--witness-size", "3", "--format", "machine", "search",
+            str(ROOT / "fixtures" / "refuted.inst"), "impossible"]
+    (code,), metrics = _traced(argv)
+    assert code == 1
+    assert capsys.readouterr().out.startswith("result impossible exhausted\n")
+    assert metrics["search.candidates"] == metrics["search.candidates.refuted"] == 102
+    assert metrics["doctrines.check_le_calls"] == 102
