@@ -4,11 +4,15 @@ Subcommands: check, search, lattice, complete, iso, laws.  Exit status for
 claim-running commands: 0 when every claim Holds, 1 when any is Refuted, 2
 when any is Unknown, 3 on input errors.  The machine format is a subset of
 the instance grammar, so reports and found witnesses re-parse.
+
+The argument parser is built once per process, on the first ``main`` call
+(not at import), and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -49,8 +53,7 @@ EXIT_INPUT = 3
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InstanceError, CheckError, SpaceError, PcaError, OSError) as e:
@@ -58,7 +61,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: parsing reads it and writes only the fresh namespace it returns."""
     p = argparse.ArgumentParser(prog="degreelab",
                                 description="witness-certified reducibility workbench")
     p.add_argument("--fuel", type=int, default=None,

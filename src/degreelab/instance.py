@@ -33,10 +33,25 @@ Line comments start with ``//``.
 
 Machine-format reports are a subset of the same grammar (``result`` lines),
 so reports re-parse and search output can be fed back to ``check``.
+
+Tokens (one compiled pattern, ``_TOKEN``; whitespace separates them, and
+only a line feed starts a new line for error messages):
+
+    identifier   a letter (``str.isalpha``) or ``_``, then any characters
+                 that are ``str.isalnum``, ``_`` or ``'``: ``phi``, ``x'``
+    oracle name  ``#`` then at least one such character: ``#o1``
+    integer      characters that are ``str.isdigit``: ``10000``
+    punctuation  ``->  <=_  (  )  [  ]  {  }  ,  ;  :  =``
+    comment      ``//`` to the end of the line
+
+Any other character is an error.  No declaration word is reserved:
+``oracle`` heads a declaration only before an oracle name and ``fuel`` only
+before an integer, so both can also name a carrier, family or witness.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .completions import CompletionObject, CompletionWitness
@@ -137,10 +152,24 @@ class Instance:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = ("->", "<=_", "(", ")", "[", "]", "{", "}", ",", ";", ":", "=")
+# One pattern, matched at each position in turn; the first alternative that
+# matches wins, so "<=_" is punctuation before "_" could start an identifier,
+# and ``other`` takes any single character the rest do not.  In Python's
+# Unicode patterns \s is exactly ``str.isspace`` and \w exactly
+# ``str.isalnum`` or "_".
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<comment>//[^\n]*)
+  | (?P<punct>->|<=_|[()\[\]{},;:=])
+  | (?P<oracle>\#[\w']*)
+  | (?P<int>[0-9]+)
+  | (?P<ident>[A-Za-z_][\w']*)
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+_WORD_REST = re.compile(r"[\w']*")
 
 
-@dataclass
+@dataclass(slots=True)
 class Tok:
     kind: str  # ident | oracle | int | punct
     text: str
@@ -151,51 +180,41 @@ class Tok:
 
 def _tokenize(text: str) -> list[Tok]:
     toks: list[Tok] = []
-    i, n, line = 0, len(text), 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
+    n, line = len(text), 1
+    # End of the last token.  A token extended past its match ("é1", "1²")
+    # covers the matches that follow inside it; they are skipped.
+    resume = 0
+    for m in _TOKEN.finditer(text):
+        i, j = m.span()
+        if i < resume:
             continue
-        if c.isspace():
-            i += 1
+        kind = m.lastgroup
+        if kind == "space":
+            line += text.count("\n", i, j)
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
+        if kind == "comment":
             continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Tok("punct", p, line, i, i + len(p)))
-                i += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
+        if kind == "other":
+            # A non-ASCII letter or digit, or a stray character.  The str
+            # predicates decide, since they differ from \d and \w on
+            # characters such as "²" (a digit) and "½" (neither).
+            c = text[i]
+            if c.isdigit():
+                kind = "int"
+            elif c.isalpha():
+                kind, j = "ident", _WORD_REST.match(text, j).end()
+            else:
+                raise InstanceError(f"unexpected character {c!r}", line)
+        if kind == "int":
+            while j < n and text[j].isdigit():  # digits beyond ASCII, as in "1²"
                 j += 1
+        elif kind == "oracle":
             if j == i + 1:
                 raise InstanceError("'#' must start an oracle name", line)
-            toks.append(Tok("oracle", text[i + 1 : j], line, i, j))
-            i = j
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Tok("int", text[i:j], line, i, j))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(Tok("ident", text[i:j], line, i, j))
-            i = j
-        else:
-            raise InstanceError(f"unexpected character {c!r}", line)
+            toks.append(Tok(kind, text[i + 1 : j], line, i, j))
+            continue
+        toks.append(Tok(kind, text[i:j], line, i, j))
+        resume = j
     return toks
 
 
@@ -216,9 +235,10 @@ class _Parser:
         return t.line if t else (self.toks[-1].line if self.toks else 0)
 
     def next(self) -> Tok:
-        if self.done():
-            raise InstanceError("unexpected end of file", self.toks[-1].line if self.toks else 0)
-        t = self.toks[self.i]
+        try:
+            t = self.toks[self.i]
+        except IndexError:
+            raise InstanceError("unexpected end of file", self.toks[-1].line if self.toks else 0) from None
         self.i += 1
         return t
 
@@ -243,18 +263,20 @@ class _Parser:
 
     def term(self) -> Term:
         t = self.next()
-        if t.kind == "ident" and t.text == "K":
-            return K
-        if t.kind == "ident" and t.text == "S":
-            return S
-        if t.kind == "oracle":
-            return Oracle(t.text)
-        if t.kind == "punct" and t.text == "(":
+        kind, text = t.kind, t.text
+        if kind == "ident":
+            if text == "K":
+                return K
+            if text == "S":
+                return S
+        elif kind == "oracle":
+            return Oracle(text)
+        elif kind == "punct" and text == "(":
             fn = self.term()
             arg = self.term()
             self.expect("punct", ")")
             return App(fn, arg)
-        raise InstanceError(f"expected a term, found {t.text!r}", t.line)
+        raise InstanceError(f"expected a term, found {text!r}", t.line)
 
     def term_list(self) -> tuple[Term, ...]:
         self.expect("punct", "[")
@@ -339,14 +361,19 @@ def _parse_point_id_or_tuple(p: _Parser):
 
 def parse_instance(text: str) -> Instance:
     toks = _tokenize(text)
-    # first pass: oracle tables and fuel, which fix the structure
+    # first pass: oracle tables and fuel, which fix the structure.  Only a
+    # declaration head counts: ``oracle`` before an oracle name, ``fuel``
+    # before an integer.  Either word elsewhere is a name, and a malformed
+    # head is reported by its declaration parser below.
     pre = _Parser(toks, text)
     oracles: dict[str, dict] = {}
     fuel = 10_000
-    while not pre.done():
-        t = pre.next()
-        if t.kind == "ident" and t.text == "oracle":
-            name_tok = pre.expect("oracle")
+    for k, head in enumerate(toks[:-1]):
+        if head.kind != "ident" or head.text not in ("oracle", "fuel"):
+            continue
+        arg = toks[k + 1]
+        if head.text == "oracle" and arg.kind == "oracle":
+            pre.i = k + 2
             table: dict[Term, Term] = {}
             pre.expect("punct", "{")
             if not pre.at("punct", "}"):
@@ -358,11 +385,11 @@ def parse_instance(text: str) -> Instance:
                     if not pre.eat("punct", ","):
                         break
             pre.expect("punct", "}")
-            if name_tok.text in oracles:
-                raise InstanceError(f"duplicate oracle #{name_tok.text}", name_tok.line)
-            oracles[name_tok.text] = table
-        elif t.kind == "ident" and t.text == "fuel":
-            fuel = pre.integer()
+            if arg.text in oracles:
+                raise InstanceError(f"duplicate oracle #{arg.text}", arg.line)
+            oracles[arg.text] = table
+        elif head.text == "fuel" and arg.kind == "int":
+            fuel = int(arg.text)
     try:
         pca = Pca(oracles=oracles, default_fuel=fuel)
     except ValueError as e:

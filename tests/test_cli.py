@@ -257,6 +257,39 @@ class TestComplete:
         assert "hasse" in out
 
 
+class TestSharedParser:
+    """Calls made one after another in one process print what each prints
+    when it is the first call of a fresh interpreter."""
+
+    HOLDS = str(FIXTURES / "holds.inst")
+    DEMO = str(FIXTURES / "coheyting_demo.inst")
+
+    @staticmethod
+    def _fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "degreelab.cli", *argv], capture_output=True, text=True,
+                              env=_env(COLUMNS="80"), timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.parametrize("calls", [
+        [["--fuel", "5", "--format", "machine", "check", HOLDS], ["--format", "machine", "check", HOLDS]],
+        [["lattice", DEMO, "--op", "join", "--args", "psi", "rho"], ["lattice", DEMO, "--op", "top", "--base", "X"]],
+        [["--format", "xml", "check", HOLDS], ["lattice", DEMO, "--args", "psi"],
+         ["--format", "machine", "check", HOLDS]],
+    ], ids=["fuel-then-instance-fuel", "args-then-none", "usage-errors-then-success"])
+    def test_each_call_prints_what_a_fresh_process_prints(self, calls, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+        outputs = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        assert outputs == [self._fresh(argv) for argv in calls]
+        assert len(set(outputs)) == len(calls)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degreelab.doctrines import MassFamily, NONEMPTY, Uniform
-from degreelab.instance import InstanceError, format_result, parse_instance, print_instance
+from degreelab.instance import InstanceError, _tokenize, format_result, parse_instance, print_instance
 from degreelab.terms import App, K, Oracle, S, to_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -97,6 +97,39 @@ class TestParsing:
         with pytest.raises(InstanceError, match="already declared"):
             parse_instance("carrier X = [K]\nfamily X over X { K -> [] }\n")
 
+    KEYWORD_NAMES = ("oracle #o1 { K -> S }\nfuel 500\n"
+                     "carrier fuel = [K, S]\ncarrier oracle = [K]\n"
+                     "family fuel' over fuel { K -> [K], S -> [S] }\n"
+                     "witness w = uniform ((S K) K)\n"
+                     "claim c : fuel' <=_M fuel' by w\n")
+
+    @pytest.mark.parametrize("source", [
+        KEYWORD_NAMES,
+        "carrier X = [K]\nfamily fuel over X { K -> [K] }\nwitness oracle = uniform K\n"
+        "claim c : fuel <=_M fuel by oracle\n",
+    ], ids=["carriers", "family-and-witness"])
+    def test_declaration_keywords_are_names(self, source):
+        inst = parse_instance(source)
+        assert print_instance(parse_instance(print_instance(inst))) == print_instance(inst)
+        assert inst.claims and {"fuel", "oracle"} & inst.names()
+
+    def test_keyword_names_keep_the_declared_fuel_and_oracles(self):
+        inst = parse_instance(self.KEYWORD_NAMES)
+        assert (inst.fuel, inst.pca.oracles) == (500, {"o1": {K: S}})
+        assert set(inst.carriers) == {"fuel", "oracle"}
+
+    @pytest.mark.parametrize("source, message", [
+        ("carrier X = [K]\nfuel x\n", "line 2: expected 'int', found 'x'"),
+        ("carrier X = [K]\noracle foo {\n", "line 2: expected 'oracle', found 'foo'"),
+        ("carrier X = [K]\nfuel", "line 2: unexpected end of file"),
+        ("carrier X = [K]\noracle #o1 { K -> }\n", "line 2: expected a term, found '}'"),
+        ("oracle #o1 { }\noracle #o1 { }\n", "line 2: duplicate oracle #o1"),
+    ], ids=["fuel-not-int", "oracle-not-named", "fuel-at-eof", "oracle-bad-table", "oracle-twice"])
+    def test_malformed_fuel_and_oracle_declarations(self, source, message):
+        with pytest.raises(InstanceError) as err:
+            parse_instance(source)
+        assert str(err.value) == message
+
     def test_juxtaposition_in_terms_rejected(self):
         with pytest.raises(InstanceError):
             parse_instance("carrier X = [(K S K)]\n")
@@ -147,3 +180,142 @@ class TestResultLines:
     def test_unterminated_counterexample_rejected(self):
         with pytest.raises(InstanceError):
             parse_instance("result c refuted counterexample (K, (K S)\n")
+
+
+# Declarations of every kind print_instance emits, with drawn contents.
+# Carrier points and assembly names are normal forms; a product is taken of
+# a carrier of atoms, whose pairings are normal.
+_NF = ["K", "S", "(K K)", "(K S)", "(S K)", "(S S)", "((S K) K)", "(K (K S))"]
+_ANY = _NF + ["#o1", "(#o1 K)"]
+
+
+def _some(pool, min_size=1, max_size=3):
+    return st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size, unique=True)
+
+
+def _terms(ts) -> str:
+    return "[" + ", ".join(ts) + "]"
+
+
+@st.composite
+def _instances(draw):
+    term = lambda: draw(st.sampled_from(_ANY))  # noqa: E731
+    X = draw(st.sampled_from(["X", "fuel", "oracle", "x'"]))
+    xs = draw(_some(_NF))
+    ys = draw(_some(_NF, max_size=2))
+    atoms = draw(_some(["K", "S"]))
+    oracle = draw(st.dictionaries(st.sampled_from(_NF), st.sampled_from(_NF), max_size=3))
+    names = {pid: draw(_some(_NF, max_size=2)) for pid in ("x", "y")}
+    naming = [(n, pid) for pid, ns in names.items() for n in ns]
+    policy = lambda: draw(st.sampled_from(["", " policy nonempty", " policy allowempty"]))  # noqa: E731
+    fam_policy = policy()
+    sets = lambda: _terms(draw(_some(_ANY, 1 if "nonempty" in fam_policy else 0)))  # noqa: E731
+    pred_policy = policy()
+    pred_sets = lambda: _terms(draw(_some(_ANY, 0 if "allowempty" in pred_policy else 1)))  # noqa: E731
+    relation = draw(st.lists(st.tuples(st.sampled_from(xs), _some(_NF, 0, 2)), max_size=3))
+    choice = ", ".join(f"({x}; {_terms(a)}) -> {_terms(draw(_some(_ANY, 0)))}" for x, a in relation)
+    # per-point keys: a term, a (term, term) pair, or a (term, point id) position
+    keys = draw(st.lists(st.one_of(st.sampled_from(_ANY), st.tuples(st.sampled_from(_ANY), st.sampled_from(
+        _ANY + ["x", "y"])).map(lambda ab: f"({ab[0]}, {ab[1]})")), unique=True, max_size=3))
+    lines = [
+        f"oracle #o1 {{ {', '.join(f'{k} -> {v}' for k, v in oracle.items())} }}",
+        f"fuel {draw(st.integers(100, 20_000))}",
+        f"universe U = {_terms(draw(_some(_NF + ['#o1'])))}",
+        f"carrier {X} = {_terms(xs)}",
+        f"carrier Y = {_terms(ys)}",
+        f"carrier B = {_terms(atoms)}",
+        "carrier P = product B B",
+        "assembly A { " + " ".join(f"point {pid} names {_terms(ns)}" for pid, ns in names.items()) + " }",
+        f"morphism f : {X} -> {X} realizer ((S K) K) graph {{ {', '.join(f'{x} -> {x}' for x in xs)} }}",
+        f"morphism g : {X} -> Y graph {{ {', '.join(f'{x} -> {draw(st.sampled_from(ys))}' for x in xs)} }}",
+        f"extmorphism m : A -> A realizer ((S K) K) pointmap {{ "
+        + ", ".join(f"({n}, {pid}) -> {pid}" for n, pid in naming) + " }",
+        f"tracked t over {X} {{ {', '.join(f'{x} -> {term()}' for x in xs)} }}",
+        f"family phi over {X}{fam_policy} {{ {', '.join(f'{x} -> {sets()}' for x in xs)} }}",
+        f"family apsi over A {{ {', '.join(f'({n}, {pid}) -> {_terms(draw(_some(_ANY)))}' for n, pid in naming)} }}",
+        f"predicate F over {X} index Y{pred_policy} {{ "
+        + ", ".join(f"({x}; {y}) -> {pred_sets()}" for x in xs for y in ys) + " }",
+        f"extpredicate e over {X} {{ "
+        + ", ".join(f"{x} -> [{', '.join(_terms(a) for a in draw(st.lists(_some(_ANY, 0), max_size=2)))}]"
+                    for x in xs) + " }",
+        f"dialpredicate d over {X} {{ {choice} }}",
+        f"witness w1 = uniform {term()}",
+        f"witness w2 = perpoint {{ {', '.join(f'{k} -> {term()}' for k in keys)} }}",
+        f"witness w3 = fwback k = f, h = {term()}",
+        f"witness w4 = extfwback k = m, h = {term()}",
+        f"witness w5 = bounded {draw(st.integers(0, 9))}",
+        f"witness w6 = dial {{ {choice} }} h = {term()}",
+        f"witness w7 = extstrong k = {term()}, choice {{ {choice} }}, h = {term()}",
+        "witness w8 = mediate h = f, base = w1",
+        f"compobject c1 = {draw(st.sampled_from(['forall', 'exists']))} full "
+        f"{draw(st.sampled_from(['T', 'M', 'dW']))} leg f payload t",
+        f"claim c : phi <=_{draw(st.sampled_from(['M', 'Mw', 'T', 'dW', 'D']))} phi by w1",
+        "claim cc : c1 <=_comp c1 by w8",
+        format_result("c", draw(st.sampled_from(["holds", "refuted", "unknown"])),
+                      tuple(draw(st.lists(_ITEMS, max_size=3))), draw(st.integers(0, 9))),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestDeclarations:
+    @settings(max_examples=150, deadline=None)
+    @given(_instances())
+    def test_print_parse_print_is_stable(self, source):
+        inst = parse_instance(source)
+        assert {kind for kind, _ in inst.decls} == {
+            "universe", "carrier", "assembly", "morphism", "extmorphism", "tracked", "family", "predicate",
+            "extpredicate", "dialpredicate", "witness", "compobject", "claim", "result"}
+        printed = print_instance(inst)
+        assert print_instance(parse_instance(printed)) == printed
+
+
+# The lexical contract: each input gives exactly these (kind, text, line,
+# start, end) tokens, or exactly this (error, line).  Identifiers start with
+# a letter (``str.isalpha``) or ``_``, integers with a digit
+# (``str.isdigit``), so the non-ASCII rows pin what a regular expression's
+# ``\w``/``\d`` would change.
+_LEXICAL = [
+    ("carrier X = [K]\r\n\tfamily\tphi // note\r\n// end",
+     [("ident", "carrier", 1, 0, 7), ("ident", "X", 1, 8, 9), ("punct", "=", 1, 10, 11),
+      ("punct", "[", 1, 12, 13), ("ident", "K", 1, 13, 14), ("punct", "]", 1, 14, 15),
+      ("ident", "family", 2, 18, 24), ("ident", "phi", 2, 25, 28)]),
+    ("#", ("line 1: '#' must start an oracle name", 1)),
+    ("#'", [("oracle", "'", 1, 0, 2)]),
+    ("a#", ("line 1: '#' must start an oracle name", 1)),
+    ("$", ("line 1: unexpected character '$'", 1)),
+    ("1a", [("int", "1", 1, 0, 1), ("ident", "a", 1, 1, 2)]),
+    ("<=_M", [("punct", "<=_", 1, 0, 3), ("ident", "M", 1, 3, 4)]),
+    ("->", [("punct", "->", 1, 0, 2)]),
+    ("é1", [("ident", "é1", 1, 0, 2)]),
+    ("½", ("line 1: unexpected character '½'", 1)),
+    ("²", [("int", "²", 1, 0, 1)]),
+    ("1²", [("int", "1²", 1, 0, 2)]),
+    ("a½ #é", [("ident", "a½", 1, 0, 2), ("oracle", "é", 1, 3, 5)]),
+    ("é½ x", [("ident", "é½", 1, 0, 2), ("ident", "x", 1, 3, 4)]),
+    ("1²5a ٣", [("int", "1²5", 1, 0, 3), ("ident", "a", 1, 3, 4), ("int", "٣", 1, 5, 6)]),
+    ("fuel\r\n  #", ("line 2: '#' must start an oracle name", 2)),
+    ("\xa0K\u2028S\x1c", [("ident", "K", 1, 1, 2), ("ident", "S", 1, 3, 4)]),
+    ("K\n\n  <=", ("line 3: unexpected character '<'", 3)),
+    ("x_1' (K, #o_2)\n{ };:", [
+        ("ident", "x_1'", 1, 0, 4), ("punct", "(", 1, 5, 6), ("ident", "K", 1, 6, 7),
+        ("punct", ",", 1, 7, 8), ("oracle", "o_2", 1, 9, 13), ("punct", ")", 1, 13, 14),
+        ("punct", "{", 2, 15, 16), ("punct", "}", 2, 17, 18), ("punct", ";", 2, 18, 19),
+        ("punct", ":", 2, 19, 20)]),
+    ("", []),
+]
+
+
+class TestLexicalContract:
+    @pytest.mark.parametrize("text, expected", _LEXICAL)
+    def test_tokens_or_error(self, text, expected):
+        if isinstance(expected, tuple):  # (message, line)
+            with pytest.raises(InstanceError) as err:
+                _tokenize(text)
+            assert (str(err.value), err.value.line) == expected
+        else:
+            assert [(t.kind, t.text, t.line, t.start, t.end) for t in _tokenize(text)] == expected
+
+    def test_end_of_file_mid_declaration(self):
+        with pytest.raises(InstanceError) as err:
+            parse_instance("carrier X = [K]\ncarrier Y = [K,")
+        assert (str(err.value), err.value.line) == ("line 2: unexpected end of file", 2)
