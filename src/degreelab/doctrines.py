@@ -509,28 +509,69 @@ def _realizer_at(w: Witness, key, label: str = "") -> Term:
     return a
 
 
+class _ActionIndex:
+    """What the terms of ``iter_computable(bound)`` do to one argument at
+    one fuel, as far as the walk over them has got: for each normal form
+    the least enumeration index reaching it and that term, and the index
+    of the first candidate that timed out.  ``walk`` is None once every
+    term of the bound has been evaluated."""
+
+    __slots__ = ("first", "timeout_at", "walk", "walked")
+
+    def __init__(self, bound: int):
+        self.first: dict = {}  # normal form -> (least index, that term)
+        self.timeout_at: int | None = None
+        self.walk: Iterator[Term] | None = iter_computable(bound)
+        self.walked = 0  # the terms evaluated so far, while walk is not None
+
+    def extend(self, pca: Pca, b: Term, target: frozenset, fuel: int | None):
+        """Evaluate further terms on b, recording each new normal form and
+        the first timeout, up to the first term landing in target; its
+        ``(index, term)``, or None when the bound ends first."""
+        first = self.first
+        for i, cand in enumerate(self.walk, self.walked):
+            out = apply(pca, cand, b, fuel)
+            if out.is_defined:
+                if out.term not in first:
+                    hit = first[out.term] = (i, cand)
+                    if out.term in target:
+                        self.walked = i + 1
+                        return hit
+            elif self.timeout_at is None and out.status == "timeout":
+                self.timeout_at = i
+        self.walk = None
+        return None
+
+
 def find_inner_witness(pca: Pca, b: Term, target: frozenset, bound: int,
                        fuel: int | None = None) -> tuple[Term | None, bool]:
     """Least computable term of size <= bound sending b into target, and
-    whether a candidate ran out of fuel on b (so that a miss is undecided,
-    not exhausted).
+    whether a candidate before it (or any candidate, when there is none)
+    ran out of fuel on b, so that a miss is undecided, not exhausted.
 
-    Scans repeat heavily across instances, so outcomes are cached on the
-    structure (they are pure functions of it)."""
-    key = (b, target, bound, fuel)
-    hit = pca._searches.get(key)
-    if hit is not None:
-        return hit
-    found, timed_out = None, False
-    if target:  # nothing lands in an empty set
-        for cand in iter_computable(bound):
-            out = apply(pca, cand, b, fuel)
-            if out.is_defined and out.term in target:
-                found = cand
-                break
-            timed_out = timed_out or out.status == "timeout"
-    hit = pca._searches[key] = (found, timed_out)
-    return hit
+    Scans repeat heavily across instances with the same argument and
+    different targets, so the structure keeps one `_ActionIndex` per
+    ``(b, bound, fuel)`` (outcomes are pure functions of it): a query
+    takes the least index stored over the normal forms in target, and
+    extends the walk only when there is none."""
+    if not target:  # nothing lands in an empty set
+        return None, False
+    key = (b, bound, fuel)
+    index = pca._actions.get(key)
+    if index is None:
+        index = pca._actions[key] = _ActionIndex(bound)
+    first = index.first
+    hit = min((first[t] for t in target if t in first), default=None)
+    if hit is None and index.walk is not None:
+        try:
+            hit = index.extend(pca, b, target, fuel)
+        except BaseException:
+            del pca._actions[key]  # the walk passed a term it did not record
+            raise
+    at = index.timeout_at
+    if hit is None:
+        return None, at is not None
+    return hit[1], at is not None and at < hit[0]
 
 
 def _verify_forward_map(pca, k: FinMap, fuel) -> None:

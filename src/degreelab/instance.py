@@ -134,6 +134,7 @@ class Instance:
     claims: list = field(default_factory=list)
     results: list = field(default_factory=list)
     decls: list = field(default_factory=list)  # (kind, name) in file order
+    declared: set = field(default_factory=set)  # the names in decls
 
     def element(self, name: str):
         for section in (self.tracked, self.families, self.predicates,
@@ -141,12 +142,6 @@ class Instance:
             if name in section:
                 return section[name]
         raise InstanceError(f"no family/predicate/object named {name!r}")
-
-    def names(self) -> set:
-        out = set()
-        for _, name in self.decls:
-            out.add(name)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,11 @@ class _Parser:
         return self.expect("ident").text
 
     def integer(self) -> int:
-        return int(self.expect("int").text)
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError as e:  # a digit int() rejects, such as '²'
+            raise InstanceError(str(e), tok.line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,8 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceError(f"duplicate oracle #{arg.text}", arg.line)
             oracles[arg.text] = table
         elif head.text == "fuel" and arg.kind == "int":
-            fuel = int(arg.text)
+            pre.i = k + 1
+            fuel = pre.integer()
     try:
         pca = Pca(oracles=oracles, default_fuel=fuel)
     except ValueError as e:
@@ -414,8 +414,13 @@ def parse_instance(text: str) -> Instance:
 
 
 def _fresh(inst: Instance, name: str, line: int) -> None:
-    if name in inst.names():
+    if name in inst.declared:
         raise InstanceError(f"name {name!r} already declared", line)
+
+
+def _record(inst: Instance, kind: str, name: str) -> None:
+    inst.decls.append((kind, name))
+    inst.declared.add(name)
 
 
 def _decl_oracle(p: _Parser, inst: Instance) -> None:
@@ -435,7 +440,7 @@ def _decl_universe(p: _Parser, inst: Instance) -> None:
     _fresh(inst, name, line)
     p.expect("punct", "=")
     inst.universes[name] = carrier(inst.pca, p.term_list())
-    inst.decls.append(("universe", name))
+    _record(inst, "universe", name)
 
 
 def _decl_carrier(p: _Parser, inst: Instance) -> None:
@@ -445,18 +450,20 @@ def _decl_carrier(p: _Parser, inst: Instance) -> None:
     p.expect("punct", "=")
     if p.at("ident", "product"):
         p.next()
+        _fresh(inst, name + "_fst", line)
+        _fresh(inst, name + "_snd", line)
         left = _lookup(inst.carriers, p.ident(), "carrier", p.line())
         right = _lookup(inst.carriers, p.ident(), "carrier", p.line())
         prod = carrier_product(inst.pca, left, right)
         inst.carriers[name] = prod.object
         inst.morphisms[name + "_fst"] = prod.fst
         inst.morphisms[name + "_snd"] = prod.snd
-        inst.decls.append(("carrier", name))
-        inst.decls.append(("morphism", name + "_fst"))
-        inst.decls.append(("morphism", name + "_snd"))
+        _record(inst, "carrier", name)
+        _record(inst, "morphism", name + "_fst")
+        _record(inst, "morphism", name + "_snd")
         return
     inst.carriers[name] = carrier(inst.pca, p.term_list())
-    inst.decls.append(("carrier", name))
+    _record(inst, "carrier", name)
 
 
 def _decl_assembly(p: _Parser, inst: Instance) -> None:
@@ -465,15 +472,17 @@ def _decl_assembly(p: _Parser, inst: Instance) -> None:
     _fresh(inst, name, line)
     if p.eat("punct", "="):
         p.expect("ident", "product")
+        _fresh(inst, name + "_fst", line)
+        _fresh(inst, name + "_snd", line)
         left = _lookup(inst.assemblies, p.ident(), "assembly", p.line())
         right = _lookup(inst.assemblies, p.ident(), "assembly", p.line())
         prod = ext_product(inst.pca, left, right)
         inst.assemblies[name] = prod.object
         inst.extmorphisms[name + "_fst"] = prod.fst
         inst.extmorphisms[name + "_snd"] = prod.snd
-        inst.decls.append(("assembly", name))
-        inst.decls.append(("extmorphism", name + "_fst"))
-        inst.decls.append(("extmorphism", name + "_snd"))
+        _record(inst, "assembly", name)
+        _record(inst, "extmorphism", name + "_fst")
+        _record(inst, "extmorphism", name + "_snd")
         return
     p.expect("punct", "{")
     points = []
@@ -487,7 +496,7 @@ def _decl_assembly(p: _Parser, inst: Instance) -> None:
         points.append(pid)
     p.expect("punct", "}")
     inst.assemblies[name] = assembly(inst.pca, points, naming)
-    inst.decls.append(("assembly", name))
+    _record(inst, "assembly", name)
 
 
 def _lookup(section: dict, name: str, what: str, line: int):
@@ -534,7 +543,7 @@ def _decl_morphism(p: _Parser, inst: Instance) -> None:
     if realizer is not None:
         m.check_realizer(inst.pca)
     inst.morphisms[name] = m
-    inst.decls.append(("morphism", name))
+    _record(inst, "morphism", name)
 
 
 def _decl_extmorphism(p: _Parser, inst: Instance) -> None:
@@ -564,7 +573,7 @@ def _decl_extmorphism(p: _Parser, inst: Instance) -> None:
                 break
     p.expect("punct", "}")
     inst.extmorphisms[name] = ExtMorphism(src, tgt, realizer, pointmap)
-    inst.decls.append(("extmorphism", name))
+    _record(inst, "extmorphism", name)
 
 
 def _decl_tracked(p: _Parser, inst: Instance) -> None:
@@ -586,7 +595,7 @@ def _decl_tracked(p: _Parser, inst: Instance) -> None:
                 break
     p.expect("punct", "}")
     inst.tracked[name] = TrackedFamily(base, values)
-    inst.decls.append(("tracked", name))
+    _record(inst, "tracked", name)
 
 
 def _parse_policy(p: _Parser) -> str | None:
@@ -622,7 +631,7 @@ def _decl_family(p: _Parser, inst: Instance) -> None:
         inst.families[name] = MassFamily(base, values, policy or ALLOW_EMPTY)
     else:
         inst.families[name] = AssemblyFamily(base, values, policy or ALLOW_EMPTY)
-    inst.decls.append(("family", name))
+    _record(inst, "family", name)
 
 
 def _decl_predicate(p: _Parser, inst: Instance) -> None:
@@ -649,7 +658,7 @@ def _decl_predicate(p: _Parser, inst: Instance) -> None:
                 break
     p.expect("punct", "}")
     inst.predicates[name] = Predicate(base, index, table, policy or NONEMPTY)
-    inst.decls.append(("predicate", name))
+    _record(inst, "predicate", name)
 
 
 def _decl_extpredicate(p: _Parser, inst: Instance) -> None:
@@ -671,7 +680,7 @@ def _decl_extpredicate(p: _Parser, inst: Instance) -> None:
                 break
     p.expect("punct", "}")
     inst.extpredicates[name] = ExtendedPredicate(dom, table)
-    inst.decls.append(("extpredicate", name))
+    _record(inst, "extpredicate", name)
 
 
 def _decl_dialpredicate(p: _Parser, inst: Instance) -> None:
@@ -697,7 +706,7 @@ def _decl_dialpredicate(p: _Parser, inst: Instance) -> None:
                 break
     p.expect("punct", "}")
     inst.dialpredicates[name] = DialecticaPredicate(base, table)
-    inst.decls.append(("dialpredicate", name))
+    _record(inst, "dialpredicate", name)
 
 
 def _decl_witness(p: _Parser, inst: Instance) -> None:
@@ -797,7 +806,7 @@ def _decl_witness(p: _Parser, inst: Instance) -> None:
     else:
         raise InstanceError(f"unknown witness form {head!r}", line)
     inst.witnesses[name] = w
-    inst.decls.append(("witness", name))
+    _record(inst, "witness", name)
 
 
 def _parse_perpoint_key(p: _Parser):
@@ -841,7 +850,7 @@ def _decl_compobject(p: _Parser, inst: Instance) -> None:
     pname = p.ident()
     payload = inst.element(pname)
     inst.compobjects[name] = CompletionObject(kind, klass, doc, leg, payload)
-    inst.decls.append(("compobject", name))
+    _record(inst, "compobject", name)
 
 
 def _decl_claim(p: _Parser, inst: Instance) -> None:
@@ -861,7 +870,7 @@ def _decl_claim(p: _Parser, inst: Instance) -> None:
     inst.element(rhs)
     _lookup(inst.witnesses, wname, "witness", line)
     inst.claims.append(Claim(name, lhs, doc, rhs, wname))
-    inst.decls.append(("claim", name))
+    _record(inst, "claim", name)
 
 
 def _decl_result(p: _Parser, inst: Instance) -> None:
@@ -877,7 +886,7 @@ def _decl_result(p: _Parser, inst: Instance) -> None:
         p.expect("punct", ")")
     unknowns = p.integer() if p.eat("ident", "unknowns") else 0
     inst.results.append(ResultLine(claim, status, tuple(items), unknowns))
-    inst.decls.append(("result", claim))
+    _record(inst, "result", claim)
 
 
 def _raw_item(p: _Parser) -> str:

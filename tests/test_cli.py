@@ -49,6 +49,12 @@ class TestCheck:
         bad.write_text("carrier X = [K K]\n")
         assert main(["check", str(bad)]) == 3
 
+    def test_fuel_digit_int_rejects_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad.inst"
+        bad.write_text("fuel \u00b2\n", encoding="utf-8")
+        assert main(["check", str(bad)]) == 3
+        assert capsys.readouterr().err == "error: line 1: invalid literal for int() with base 10: '\u00b2'\n"
+
     def test_machine_format_reparses(self, capsys, tmp_path):
         code, out = run(["--format", "machine", "check", FIXTURES / "holds.inst"], capsys)
         assert code == 0

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degreelab import doctrines, spaces
 from degreelab.doctrines import (
@@ -22,6 +23,7 @@ from degreelab.doctrines import (
     check_le,
     compose_witnesses,
     exists_along_medvedev,
+    find_inner_witness,
     forall_along,
     lattice_element,
     lattice_law_witness,
@@ -30,7 +32,7 @@ from degreelab.doctrines import (
     transpose_pure_forall,
     untranspose_pure_forall,
 )
-from degreelab.pca import FST, ID, PAIR, SND, Pca, apply, normalize
+from degreelab.pca import FST, ID, PAIR, SND, Pca, PcaError, apply, enumerate_computable, normalize
 from degreelab.search import SearchBudget, search_witness
 from degreelab.spaces import FinMap, assembly, carrier, carrier_product, constant_map, ext_product, identity_map
 from degreelab.terms import App, K, Oracle, S, ap, pair_term, to_text
@@ -726,3 +728,100 @@ class TestClaimCache:
             with pytest.raises(CheckError, match=r"witness term .* is not computable"):
                 check_le(pca, doc, lhs, rhs, Uniform(term))
         assert check_le(pca, doc, lhs, rhs, holding).holds
+
+
+SELF_APPLY = ap(S, ID, ID)  # at fuel 20, 7 of the 550 terms of size <= 4 time out on it, the first at 197
+LOW_FUEL = 20
+
+
+def _brute_inner_witness(oracles, b, target, bound, fuel):
+    """find_inner_witness by a plain scan on a fresh structure."""
+    fresh, timed_out = Pca(oracles=oracles), False
+    if target:
+        for cand in enumerate_computable(bound):
+            out = apply(fresh, cand, b, fuel)
+            if out.is_defined and out.term in target:
+                return cand, timed_out
+            timed_out = timed_out or out.status == "timeout"
+    return None, timed_out
+
+
+def _first_outcomes(oracles, b, bound, fuel):
+    """{normal form: least index reaching it} over enumerate_computable(bound)."""
+    fresh, first = Pca(oracles=oracles), {}
+    for i, cand in enumerate(enumerate_computable(bound)):
+        out = apply(fresh, cand, b, fuel)
+        if out.is_defined:
+            first.setdefault(out.term, i)
+    return first
+
+
+def _index_queries():
+    """(oracles, b, target, bound, fuel) queries whose answers come early,
+    late or never, before and after the first timeout, at bounds 2-4."""
+    out = []
+    for oracles, b, fuel in (({}, SELF_APPLY, LOW_FUEL), ({}, SELF_APPLY, None),
+                             ({"o1": {}}, O1, LOW_FUEL), ({}, K, None)):
+        for bound in (2, 3, 4):
+            by_index = sorted(_first_outcomes(oracles, b, bound, fuel).items(), key=lambda kv: kv[1])
+            early, middle, late = by_index[0][0], by_index[len(by_index) // 2][0], by_index[-1][0]
+            for target in ([early], [middle], [late], [late, middle], [O1], []):
+                out.append((oracles, b, frozenset(target), bound, fuel))
+    return out
+
+
+INDEX_QUERIES = _index_queries()
+BRUTE_ANSWERS = [_brute_inner_witness(*q) for q in INDEX_QUERIES]
+
+
+def _shared_answers(order):
+    """Answers to INDEX_QUERIES in the given order, one structure per oracle set."""
+    shared = {}
+    answers = {}
+    for i in order:
+        oracles, b, target, bound, fuel = INDEX_QUERIES[i]
+        pca = shared.setdefault(tuple(oracles), Pca(oracles=oracles))
+        answers[i] = find_inner_witness(pca, b, target, bound, fuel)
+    return answers
+
+
+class TestActionIndex:
+    def test_queries_cover_timeouts_before_and_after_the_answer(self):
+        assert {timed_out for found, timed_out in BRUTE_ANSWERS if found is not None} == {False, True}
+        assert {timed_out for found, timed_out in BRUTE_ANSWERS if found is None} == {False, True}
+        assert _brute_inner_witness({}, SELF_APPLY, frozenset([O1]), 4, LOW_FUEL) == (None, True)
+
+    @pytest.mark.parametrize("order", ["forward", "backward", "interleaved"])
+    def test_query_orders_match_a_plain_scan(self, order):
+        n = len(INDEX_QUERIES)
+        picked = {"forward": list(range(n)), "backward": list(range(n))[::-1],
+                  "interleaved": list(range(0, n, 2)) + list(range(1, n, 2)) + list(range(n))}[order]
+        for i, answer in _shared_answers(picked).items():
+            assert answer == BRUTE_ANSWERS[i], INDEX_QUERIES[i]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=len(INDEX_QUERIES) - 1), min_size=1, max_size=30))
+    def test_random_query_orders_match_a_plain_scan(self, picked):
+        for i, answer in _shared_answers(picked).items():
+            assert answer == BRUTE_ANSWERS[i], INDEX_QUERIES[i]
+
+    @pytest.mark.parametrize("error", [PcaError, KeyboardInterrupt])
+    def test_a_scan_interrupted_mid_walk_leaves_no_trace(self, monkeypatch, error):
+        shared = Pca()
+        queries = [(i, q) for i, q in enumerate(INDEX_QUERIES) if q[0] == {} and q[1] is SELF_APPLY
+                   and q[3] == 4 and q[4] == LOW_FUEL]
+        (i_early, early), (i_late, late) = queries[0], queries[2]
+        assert find_inner_witness(shared, *early[1:]) == BRUTE_ANSWERS[i_early]
+        calls = []
+
+        def failing_apply(pca, a, b, fuel=None):
+            calls.append(a)
+            if len(calls) == 300:
+                raise error("interrupted")
+            return apply(pca, a, b, fuel)
+
+        monkeypatch.setattr(doctrines, "apply", failing_apply)
+        with pytest.raises(error):
+            find_inner_witness(shared, *late[1:])
+        for i, q in queries + queries[::-1]:
+            assert find_inner_witness(shared, *q[1:]) == BRUTE_ANSWERS[i], q

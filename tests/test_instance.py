@@ -111,7 +111,7 @@ class TestParsing:
     def test_declaration_keywords_are_names(self, source):
         inst = parse_instance(source)
         assert print_instance(parse_instance(print_instance(inst))) == print_instance(inst)
-        assert inst.claims and {"fuel", "oracle"} & inst.names()
+        assert inst.claims and {"fuel", "oracle"} & inst.declared
 
     def test_keyword_names_keep_the_declared_fuel_and_oracles(self):
         inst = parse_instance(self.KEYWORD_NAMES)
@@ -124,11 +124,30 @@ class TestParsing:
         ("carrier X = [K]\nfuel", "line 2: unexpected end of file"),
         ("carrier X = [K]\noracle #o1 { K -> }\n", "line 2: expected a term, found '}'"),
         ("oracle #o1 { }\noracle #o1 { }\n", "line 2: duplicate oracle #o1"),
-    ], ids=["fuel-not-int", "oracle-not-named", "fuel-at-eof", "oracle-bad-table", "oracle-twice"])
+        ("carrier X = [K]\nfuel \u00b2\n", "line 2: invalid literal for int() with base 10: '\u00b2'"),
+    ], ids=["fuel-not-int", "oracle-not-named", "fuel-at-eof", "oracle-bad-table", "oracle-twice",
+            "fuel-digit-int-rejects"])
     def test_malformed_fuel_and_oracle_declarations(self, source, message):
         with pytest.raises(InstanceError) as err:
             parse_instance(source)
         assert str(err.value) == message
+
+    PRODUCTS = {
+        "carrier": ("carrier A = [K]\n", "morphism P_fst : A -> A graph { K -> K }\n",
+                    "carrier P = product A A\n", "P_fst"),
+        "assembly": ("assembly A { point a names [K] }\n",
+                     "extmorphism P_snd : A -> A realizer ((S K) K) pointmap { (K, a) -> a }\n",
+                     "assembly P = product A A\n", "P_snd"),
+    }
+
+    @pytest.mark.parametrize("product_first", [False, True], ids=["user-first", "product-first"])
+    @pytest.mark.parametrize("kind", sorted(PRODUCTS))
+    def test_product_projections_are_declared_names(self, kind, product_first):
+        base, user, product, clash = self.PRODUCTS[kind]
+        source = base + (product + user if product_first else user + product)
+        with pytest.raises(InstanceError) as err:
+            parse_instance(source)
+        assert str(err.value) == f"line 3: name {clash!r} already declared"
 
     def test_juxtaposition_in_terms_rejected(self):
         with pytest.raises(InstanceError):

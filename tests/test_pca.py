@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degreelab import pca as pca_module
+from degreelab.laws import machine_format, run_suites
 from degreelab.pca import (
     FST,
     ID,
@@ -105,6 +107,33 @@ class TestNormalize:
         primed = Pca()
         normalize(primed, OMEGA, 17)
         assert normalize(fresh, OMEGA, fuel) == normalize(primed, OMEGA, fuel)
+
+
+class TestMemoBound:
+    def test_each_evaluation_starts_within_the_bound(self, monkeypatch):
+        arg = ap(S, ID, ID)
+        expected = [apply(Pca(), t, arg, 50) for t in enumerate_computable(4)]
+        eval_ = pca_module._eval
+        sizes = []
+
+        def watched(p, t, budget):
+            sizes.append(len(p._memo))
+            return eval_(p, t, budget)
+
+        monkeypatch.setattr(pca_module, "MEMO_LIMIT", 100)
+        monkeypatch.setattr(pca_module, "_eval", watched)
+        shared = Pca()
+        assert [apply(shared, t, arg, 50) for t in enumerate_computable(4)] == expected
+        assert max(sizes) <= 100 and len(sizes) == len(expected)
+        assert shared._old_memo  # the bound was reached and a generation dropped
+
+    def test_eviction_changes_no_law_outcome(self, monkeypatch):
+        # memo entries carry exact step counts: evicting after every
+        # evaluation must give the same reports as the default bound
+        names = ["pca-laws", "muchnik-heyting", "adjoint-suites"]
+        default = machine_format(run_suites(names))
+        monkeypatch.setattr(pca_module, "MEMO_LIMIT", 1)
+        assert machine_format(run_suites(names)) == default
 
 
 class TestElementEqual:
