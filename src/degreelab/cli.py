@@ -42,7 +42,7 @@ from .instance import (
 )
 from .pca import Pca, PcaError
 from .search import SearchBudget, SearchOutcome, search_witness
-from .spaces import FinMap, FinSet, SpaceError, point_text
+from .spaces import FinMap, FinSet, SpaceError, carrier_product, point_text
 from .terms import to_text
 from .verdicts import Verdict
 
@@ -342,8 +342,6 @@ def cmd_complete(args) -> int:
                 for values in iproduct(sorted(A.points, key=point_text), repeat=len(pts)):
                     legs.append((name, FinMap(Y, A, dict(zip(pts, values)))))
     else:
-        from .spaces import carrier_product
-
         for name, Y in inst.carriers.items():
             if 0 < len(Y) <= args.index_bound:
                 prod = carrier_product(inst.pca, A, Y)

@@ -33,10 +33,14 @@ syntactic.  Verdicts are three-way: a definite counterexample refutes, a
 timeout is only ever Unknown, and streams follow the canonical point order
 so the first counterexample is reproducible.
 
-For T, Tw, M, Mw and the elementary orders the positions do not depend on
-the witness.  The first check of such a claim runs its family and base
-gates and compiles its notes; its positions are built (each solution set
-sorted once) as checks first read them.  The compiled claim is kept in a
+Most orders compile a claim once.  The first check of a claim runs its
+family and base gates and compiles its notes.  For T, Tw, M, Mw and the
+elementary orders the positions do not depend on the witness, and they are
+built (each solution set sorted once) as checks first read them.  For the
+forward-backward orders W, SW, rW and tW the compiled claim holds the
+product of base and index; the positions depend on the forward map, so
+they are built the same way for the last forward map read and reused for
+every backward realizer paired with it.  The compiled claim is kept in a
 one-entry cache on the structure, keyed by the doctrine id and the
 identity of both families, which is correct only because families are
 immutable.  Compiling evaluates nothing, so a ``Bounded`` witness still
@@ -46,7 +50,7 @@ render them only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from . import verdicts
@@ -337,8 +341,9 @@ def _family_notes(*elems) -> tuple[str, ...]:
 #
 # `Pca._claim` holds the last `_Claim` compiled (see the module docstring),
 # so the consecutive candidates of a search pay only for their shape, their
-# computability and their evaluations.  A gate that fails compiles nothing,
-# so it raises on every call.
+# computability, their forward map and their evaluations.  A gate that
+# fails compiles nothing, so it raises on every call; a check interrupted
+# by an exception (a forward map out of fuel included) drops the claim.
 
 _REFUTES = object()
 _UNDECIDED = object()
@@ -352,19 +357,17 @@ def _undecided(*where) -> tuple:
     return _UNDECIDED, None, None, where
 
 
-@dataclass(frozen=True)
-class _Claim:
-    doc: str
-    lhs: object
-    rhs: object
-    notes: tuple[str, ...]
-    pending: Iterator  # the positions no check has read yet
-    known: list = field(default_factory=list)  # the positions read so far
+class _Stream:
+    """Positions in canonical order, each built once, when a check first
+    reads that far: a check refuted early leaves the rest unbuilt."""
 
-    def positions(self):
-        """The positions ``(key, arg, allowed, where)`` in canonical order,
-        each built (its solution set sorted) once, when a check first reads
-        that far: a check refuted early leaves the rest unbuilt."""
+    __slots__ = ("pending", "known")
+
+    def __init__(self, pending: Iterator):
+        self.pending = pending  # the positions no check has read yet
+        self.known: list = []  # the positions read so far
+
+    def __iter__(self):
         known = self.known
         yield from known
         # `for`, not `yield from`: closing this reader must not close pending
@@ -373,29 +376,61 @@ class _Claim:
             yield position
 
 
+class _Forward:
+    """A compiled forward-backward claim: the object a forward map must
+    start at and the one it must land in; and the last forward map read,
+    with its positions, kept for every backward realizer paired with it,
+    and the fuel it was last verified at."""
+
+    __slots__ = ("source", "target", "build", "forward", "stream", "verified")
+
+    def __init__(self, source, target, build):
+        self.source = source
+        self.target = target
+        self.build = build  # (forward map, fuel) -> its positions (arg, allowed, where)
+        self.forward = self.stream = self.verified = None
+
+    def positions(self, k, fuel) -> _Stream:
+        """The positions of forward map k, which the caller has verified
+        at fuel."""
+        if k is not self.forward:
+            self.forward, self.stream = k, _Stream(self.build(k, fuel))
+        self.verified = fuel
+        return self.stream
+
+
+@dataclass(frozen=True)
+class _Claim:
+    doc: str
+    lhs: object
+    rhs: object
+    notes: tuple[str, ...]
+    compiled: _Stream | _Forward  # what the order's compile step built
+
+
 def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) -> Verdict:
     """Verify the witnessed claim ``lhs <=_doc rhs`` exhaustively; unknown
     when a realizer the check needs runs out of fuel."""
     if doc not in _ORDERS:
         raise CheckError(f"unknown doctrine id {doc!r}")
-    shapes, compile_positions, obligations = _ORDERS[doc]
+    shapes, compile_claim, obligations = _ORDERS[doc]
     if not isinstance(w, shapes):
         names = "/".join(c.__name__ for c in shapes)
         raise CheckError(f"doctrine {doc} needs a {names} witness, got {type(w).__name__}")
-    if compile_positions is None:
+    if compile_claim is None:
         stream, notes = obligations(pca, doc, lhs, rhs, w, fuel), _family_notes(lhs, rhs)
     else:
         claim = pca._claim
         if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.doc != doc:
-            claim = _Claim(doc, lhs, rhs, _family_notes(lhs, rhs), compile_positions(doc, lhs, rhs))
+            claim = _Claim(doc, lhs, rhs, _family_notes(lhs, rhs), compile_claim(pca, doc, lhs, rhs))
             pca._claim = claim
-        stream, notes = obligations(pca, doc, claim.positions(), w, fuel), claim.notes
+        stream, notes = obligations(pca, doc, claim.compiled, w, fuel), claim.notes
     try:
         return _discharge(pca, stream, w, fuel, notes)
-    except SpaceTimeout as e:
-        return verdicts.unknown((str(e),))
-    except BaseException:
+    except BaseException as e:
         pca._claim = None  # else a position that failed to build is skipped next time
+        if isinstance(e, SpaceTimeout):
+            return verdicts.unknown((str(e),))
         raise
 
 
@@ -439,7 +474,7 @@ def positions(lhs, rhs):
             yield key, b, allowed, key
 
 
-def _pointwise_positions(doc, lhs, rhs) -> Iterator:
+def _pointwise_positions(pca, doc, lhs, rhs) -> _Stream:
     tracked = doc in ("T", "Tw")
     family = TrackedFamily if tracked else MassFamily
     if not isinstance(lhs, family) or not isinstance(rhs, family):
@@ -447,27 +482,27 @@ def _pointwise_positions(doc, lhs, rhs) -> Iterator:
                          else "mass doctrine needs mass families")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
-    return positions(lhs, rhs)
+    return _Stream(positions(lhs, rhs))
 
 
-def _elementary_positions(doc, lhs, rhs) -> Iterator:
+def _elementary_positions(pca, doc, lhs, rhs) -> _Stream:
     if not isinstance(lhs, MassFamily) or not isinstance(rhs, MassFamily):
         raise CheckError("elementary reducibility needs mass families over a carrier")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
     if not lhs.base.is_carrier:
         raise CheckError("elementary reducibility needs a carrier base")
-    return ((key, arg if doc == "dsW" else pair_term(*key), allowed, where)
-            for key, arg, allowed, where in positions(lhs, rhs))
+    return _Stream((key, arg if doc == "dsW" else pair_term(*key), allowed, where)
+                   for key, arg, allowed, where in positions(lhs, rhs))
 
 
-def _elementary_ext_positions(doc, lhs, rhs) -> Iterator:
+def _elementary_ext_positions(pca, doc, lhs, rhs) -> _Stream:
     if not isinstance(lhs, AssemblyFamily) or not isinstance(rhs, AssemblyFamily):
         raise CheckError("elementary assembly reducibility needs assembly families")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
-    return (((p, x, q), pair_term(p, q), lhs.values[(p, x)], (p, x, q))
-            for p, x in lhs.base.naming for q in sorted_terms(rhs.values[(p, x)]))
+    return _Stream(((p, x, q), pair_term(p, q), lhs.values[(p, x)], (p, x, q))
+                   for p, x in lhs.base.naming for q in sorted_terms(rhs.values[(p, x)]))
 
 
 # Orders whose uniform witness term is checked for computability before the
@@ -580,7 +615,7 @@ def _verify_forward_map(pca, k: FinMap, fuel) -> None:
     k.check_realizer(pca, fuel)
 
 
-def _generalized(pca, doc, lhs, rhs, w, fuel):
+def _generalized_claim(pca, doc, lhs, rhs) -> _Forward:
     if not isinstance(lhs, Predicate) or not isinstance(rhs, Predicate):
         raise CheckError("generalized reducibility needs predicates")
     if lhs.base != rhs.base:
@@ -588,18 +623,27 @@ def _generalized(pca, doc, lhs, rhs, w, fuel):
     if not isinstance(lhs.base, FinSet) or not lhs.base.is_carrier:
         raise CheckError("generalized reducibility lives over a carrier base")
     prod = carrier_product(pca, lhs.base, lhs.index)
+    cells = [(x, y, pair_term(x, y), lhs.table[(x, y)]) for x in lhs.base for y in lhs.index]
+
+    def positions(k, fuel):
+        for x, y, t, allowed in cells:
+            for q in sorted_terms(rhs.table[(x, k.mapping[t])]):
+                yield q if doc == "SW" else pair_term(t, q), allowed, (x, y, q)
+
+    return _Forward(prod.object, set(rhs.index.points), positions)
+
+
+def _generalized(pca, doc, claim: _Forward, w, fuel):
     k, h = w.forward, w.backward
     _require_computable(h, "backward witness")
-    if k.source != prod.object:
+    if k.source != claim.source:
         raise CheckError("forward map must start at the product of base and index")
-    if set(k.target.points) != set(rhs.index.points):
+    if set(k.target.points) != claim.target:
         raise CheckError("forward map must land in the right-hand index")
-    _verify_forward_map(pca, k, fuel)
-    for x in lhs.base:
-        for y in lhs.index:
-            t = pair_term(x, y)
-            for q in sorted_terms(rhs.table[(x, k.mapping[t])]):
-                yield h, q if doc == "SW" else pair_term(t, q), lhs.table[(x, y)], (x, y, q)
+    if claim.forward is not k or claim.verified != fuel:
+        _verify_forward_map(pca, k, fuel)
+    for arg, allowed, where in claim.positions(k, fuel):
+        yield h, arg, allowed, where
 
 
 def _classical(pca, doc, lhs, rhs, w, fuel):
@@ -617,7 +661,7 @@ def _classical(pca, doc, lhs, rhs, w, fuel):
             yield h, q if doc == "classicalSW" else pair_term(p, q), lhs.values[p], (p, q)
 
 
-def _realizer_based(pca, doc, lhs, rhs, w, fuel):
+def _realizer_based_claim(pca, doc, lhs, rhs) -> _Forward:
     if not isinstance(lhs, Predicate) or not isinstance(rhs, Predicate):
         raise CheckError("assembly reducibility needs predicates")
     if lhs.base != rhs.base:
@@ -625,9 +669,24 @@ def _realizer_based(pca, doc, lhs, rhs, w, fuel):
     if not isinstance(lhs.base, Assembly):
         raise CheckError("assembly reducibility lives over an assembly base")
     prod = ext_product(pca, lhs.base, lhs.index)
+
+    def positions(km, fuel):
+        # read only after ext_check held at some fuel, so every induced
+        # image is defined, and the same at any fuel where it is
+        for name, pt in prod.object.naming:
+            (x, y) = pt
+            p, q = split_pair(name)
+            image = km.induced(pca, name, pt, fuel)
+            for t in sorted_terms(rhs.table[((p, x), image)]):
+                yield pair_term(name, t), lhs.table[((p, x), (q, y))], (name, pt, t)
+
+    return _Forward(prod.object, rhs.index, positions)
+
+
+def _realizer_based(pca, doc, claim: _Forward, w, fuel):
     km, h = w.forward, w.backward
     _require_computable(h, "backward witness")
-    if km.source != prod.object or km.target != rhs.index:
+    if km.source != claim.source or km.target != claim.target:
         raise CheckError("forward morphism endpoints do not match the claim")
     gate = ext_check(pca, km, fuel)
     if gate.refuted:
@@ -635,12 +694,8 @@ def _realizer_based(pca, doc, lhs, rhs, w, fuel):
     if gate.unknown:
         yield from (_undecided(*where) for where in gate.unknowns)
         return
-    for name, pt in prod.object.naming:
-        (x, y) = pt
-        p, q = split_pair(name)
-        image = km.induced(pca, name, pt, fuel)
-        for t in sorted_terms(rhs.table[((p, x), image)]):
-            yield h, pair_term(name, t), lhs.table[((p, x), (q, y))], (name, pt, t)
+    for arg, allowed, where in claim.positions(km, fuel):
+        yield h, arg, allowed, where
 
 
 def _extended_strong(pca, doc, lhs, rhs, w, fuel):
@@ -687,10 +742,10 @@ def _dialectica(pca, doc, lhs, rhs, w, fuel):
 
 
 # Per doctrine id: the witness shapes it takes, the compiler of its
-# witness-independent gates and positions (None where the positions depend
-# on the witness), and the generator of its obligations, which checks the
-# remaining gates (computability, forward maps, choices) before its first
-# obligation.
+# witness-independent gates and of its positions or its product (None for
+# the orders checked from scratch on every call), and the generator of its
+# obligations, which checks the remaining gates (computability, forward
+# maps, choices) before its first obligation.
 _ORDERS = {
     "T": ((Uniform,), _pointwise_positions, _positional),
     "Tw": ((PerPoint, Bounded, Uniform), _pointwise_positions, _positional),
@@ -700,10 +755,10 @@ _ORDERS = {
     "dsW": ((Uniform,), _elementary_positions, _positional),
     "drW": ((Uniform,), _elementary_ext_positions, _positional),
     "dextW": ((Uniform,), _elementary_ext_positions, _positional),
-    "W": ((ForwardBackward,), None, _generalized),
-    "SW": ((ForwardBackward,), None, _generalized),
-    "rW": ((ExtForwardBackward,), None, _realizer_based),
-    "tW": ((ExtForwardBackward,), None, _realizer_based),
+    "W": ((ForwardBackward,), _generalized_claim, _generalized),
+    "SW": ((ForwardBackward,), _generalized_claim, _generalized),
+    "rW": ((ExtForwardBackward,), _realizer_based_claim, _realizer_based),
+    "tW": ((ExtForwardBackward,), _realizer_based_claim, _realizer_based),
     "classicalW": ((ForwardBackward,), None, _classical),
     "classicalSW": ((ForwardBackward,), None, _classical),
     "extsW": ((ExtStrong,), None, _extended_strong),

@@ -366,7 +366,7 @@ def parse_instance(text: str) -> Instance:
     # head is reported by its declaration parser below.
     pre = _Parser(toks, text)
     oracles: dict[str, dict] = {}
-    fuel = 10_000
+    fuel, fuel_line = 10_000, None
     for k, head in enumerate(toks[:-1]):
         if head.kind != "ident" or head.text not in ("oracle", "fuel"):
             continue
@@ -389,7 +389,9 @@ def parse_instance(text: str) -> Instance:
             oracles[arg.text] = table
         elif head.text == "fuel" and arg.kind == "int":
             pre.i = k + 1
-            fuel = pre.integer()
+            fuel, fuel_line = pre.integer(), head.line
+    if fuel <= 0:
+        raise InstanceError("fuel must be positive", fuel_line)
     try:
         pca = Pca(oracles=oracles, default_fuel=fuel)
     except ValueError as e:

@@ -109,7 +109,9 @@ class Pca:
       ``doctrines.find_inner_witness``: the least term reaching each normal
       form, the first timeout, and how far the walk over the terms got;
     - ``_claim``, the last claim ``doctrines.check_le`` compiled, a pure
-      function of its families.
+      function of its families; for a forward-backward order it also holds
+      the positions of the last forward map read and the fuel that map was
+      verified at.
     """
 
     oracles: Mapping[str, Mapping[Term, Term]] = field(default_factory=dict)

@@ -205,9 +205,6 @@ class CarrierProduct:
     fst: FinMap
     snd: FinMap
 
-    def pair(self, x: Term, y: Term) -> Term:
-        return pair_term(x, y)
-
 
 def carrier_product(pca: Pca, X: FinSet, Y: FinSet) -> CarrierProduct:
     """The product carrier of pair terms, with projections tracked by the

@@ -55,6 +55,12 @@ class TestCheck:
         assert main(["check", str(bad)]) == 3
         assert capsys.readouterr().err == "error: line 1: invalid literal for int() with base 10: '\u00b2'\n"
 
+    def test_fuel_zero_exits_three_on_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.inst"
+        bad.write_text("carrier X = [K]\nfuel 0\n")
+        assert main(["check", str(bad)]) == 3
+        assert capsys.readouterr().err == "error: line 2: fuel must be positive\n"
+
     def test_machine_format_reparses(self, capsys, tmp_path):
         code, out = run(["--format", "machine", "check", FIXTURES / "holds.inst"], capsys)
         assert code == 0
@@ -196,6 +202,41 @@ class TestSearch:
         code, out = run(["--fuel", "100", "--witness-size", "3", "--format", "machine", "search", path, claim],
                         capsys)
         assert (code, out.splitlines()[-1]) == (0, f"result {claim} found")
+
+
+class TestForwardBackwardSearch:
+    """Full machine reports of generalized Weihrauch searches, pinned
+    byte for byte: the least witness, or the exhausted bound and count."""
+
+    PXY = ("PXY", "((S ((S ((S K) K)) (K K))) (K K))", "((S ((S ((S K) K)) (K K))) (K S))")
+
+    def _found(self, claim, realizer, images, h, doc):
+        pxy, a, b = self.PXY
+        return (f"morphism {claim}_found_k : {pxy} -> Y realizer {realizer} graph "
+                f"{{ {a} -> {images[0]}, {b} -> {images[1]} }}\n"
+                f"witness {claim}_found = fwback k = {claim}_found_k, h = {h}\n"
+                f"claim {claim}_check : FP <=_{doc} FP by {claim}_found\n"
+                f"result {claim} found\n")
+
+    def _search(self, capsys, tmp_path, size, extra, claim):
+        path = tmp_path / "fb.inst"
+        path.write_text((FIXTURES / "weihrauch_transposition.inst").read_text() + extra)
+        return run(["--witness-size", size, "--format", "machine", "search", path, claim], capsys)
+
+    def test_w_claim_found(self, capsys, tmp_path):
+        assert self._search(capsys, tmp_path, 6, "", "wclaim") == (
+            0, self._found("wclaim", "(K K)", ("K", "K"), "((S ((S S) S)) (K K))", "W"))
+
+    def test_sw_claim_found(self, capsys, tmp_path):
+        extra = "claim swclaim : FP <=_SW FP by wfb\n"
+        assert self._search(capsys, tmp_path, 6, extra, "swclaim") == (
+            0, self._found("swclaim", "(((S (S S)) (S S)) S)", ("K", "S"), "((S K) K)", "SW"))
+
+    def test_w_claim_exhausted(self, capsys, tmp_path):
+        extra = ("predicate FO over X index Y policy nonempty { (K; K) -> [#o1], (K; S) -> [#o1] }\n"
+                 "claim c : FO <=_W FP by wfb\n")
+        assert self._search(capsys, tmp_path, 4, extra, "c") == (
+            1, "result c exhausted\n// no witness up to size 4; 1100 candidates failed\n")
 
 
 class TestLattice:

@@ -34,7 +34,18 @@ from degreelab.doctrines import (
 )
 from degreelab.pca import FST, ID, PAIR, SND, Pca, PcaError, apply, enumerate_computable, normalize
 from degreelab.search import SearchBudget, search_witness
-from degreelab.spaces import FinMap, assembly, carrier, carrier_product, constant_map, ext_product, identity_map
+from degreelab.spaces import (
+    ExtMorphism,
+    FinMap,
+    FinSet,
+    assembly,
+    carrier,
+    carrier_product,
+    constant_map,
+    ext_identity,
+    ext_product,
+    identity_map,
+)
 from degreelab.terms import App, K, Oracle, S, ap, pair_term, to_text
 
 O1 = Oracle("o1")
@@ -641,6 +652,9 @@ def _fresh_outcome(doc, lhs, rhs, w, fuel=None):
     return _outcome(check_le(Pca(), doc, lhs, rhs, w, fuel))
 
 
+FORWARD_BACKWARD = ["W", "SW", "rW", "tW"]
+
+
 def _row_checks(pca, doc):
     """The holding, refuted and starved checks of a table row."""
     lhs, rhs, holding, refuted, _, starved, _ = _doctrine_row(pca, doc)
@@ -728,6 +742,98 @@ class TestClaimCache:
             with pytest.raises(CheckError, match=r"witness term .* is not computable"):
                 check_le(pca, doc, lhs, rhs, Uniform(term))
         assert check_le(pca, doc, lhs, rhs, holding).holds
+
+    # Forward-backward claims compile their product once, and the positions
+    # of the last forward map read once for every backward realizer.
+
+    @staticmethod
+    def _forward(holding, realizer, images):
+        """A forward map on the holding map's source and target with the
+        given realizer; ``images`` picks each value from the old one."""
+        a = holding.forward
+        if isinstance(holding, ForwardBackward):
+            return FinMap(a.source, a.target, {t: images(v) for t, v in a.mapping.items()}, realizer)
+        return ExtMorphism(a.source, a.target, realizer, {key: images(v) for key, v in a.pointmap.items()})
+
+    @pytest.mark.parametrize("doc", FORWARD_BACKWARD)
+    def test_forward_maps_a_b_a_on_one_claim(self, doc):
+        shared = Pca()
+        lhs, rhs, holding, refuted, *_ = _doctrine_row(shared, doc)
+        a = holding.forward
+        # the constant map onto K (onto point a over assemblies): it sends
+        # no solution home
+        b = self._forward(holding, App(K, K), lambda v: K if doc in ("W", "SW") else "a")
+        outcomes = []
+        for k in (a, b, a):
+            for h in (refuted.backward, holding.backward, refuted.backward):
+                w = type(holding)(k, h)
+                outcome = _outcome(check_le(shared, doc, lhs, rhs, w))
+                assert outcome == _fresh_outcome(doc, lhs, rhs, w)
+                outcomes.append(outcome[0])
+        assert outcomes == ["refuted", "holds", "refuted"] + ["refuted"] * 3 + ["refuted", "holds", "refuted"]
+
+    @pytest.mark.parametrize("doc", FORWARD_BACKWARD)
+    def test_forward_map_off_the_product_raises_on_every_call(self, doc):
+        shared = Pca()
+        lhs, rhs, holding, *_ = _doctrine_row(shared, doc)
+        if doc in ("W", "SW"):
+            off, message = identity_map(lhs.index), "forward map must start at the product"
+        else:
+            off, message = ext_identity(lhs.index), "forward morphism endpoints do not match"
+        for _ in range(3):
+            with pytest.raises(CheckError, match=message):
+                check_le(shared, doc, lhs, rhs, type(holding)(off, holding.backward))
+            assert check_le(shared, doc, lhs, rhs, holding).holds
+
+    @pytest.mark.parametrize("doc", FORWARD_BACKWARD)
+    def test_forward_map_out_of_fuel_is_unknown_on_every_call(self, doc):
+        shared = Pca()
+        lhs, rhs, holding, *_ = _doctrine_row(shared, doc)
+        starved = type(holding)(self._forward(holding, DIVERGES, lambda v: v), holding.backward)
+        assert check_le(shared, doc, lhs, rhs, holding).holds
+        for _ in range(3):
+            v = check_le(shared, doc, lhs, rhs, starved, fuel=STARVED_FUEL)
+            assert v.unknown and _outcome(v) == _fresh_outcome(doc, lhs, rhs, starved, STARVED_FUEL)
+            assert check_le(shared, doc, lhs, rhs, holding).holds
+        # a map verified at one fuel is verified again at another
+        at_one = _outcome(check_le(shared, doc, lhs, rhs, holding, fuel=1))
+        assert at_one[0] == "unknown" and at_one == _fresh_outcome(doc, lhs, rhs, holding, 1)
+        assert check_le(shared, doc, lhs, rhs, holding).holds
+
+    @pytest.mark.parametrize("doc", FORWARD_BACKWARD)
+    def test_failing_compile_gate_raises_on_every_call(self, doc):
+        shared = Pca()
+        lhs, rhs, holding, *_ = _doctrine_row(shared, doc)
+        if doc in ("W", "SW"):
+            Y = lhs.index
+            other = Predicate(carrier(shared, [S]), Y, {(S, K): ONE_K, (S, S): ONE_S})
+            named = FinSet(("p",))
+            off_carrier = Predicate(named, Y, {("p", K): ONE_K, ("p", S): ONE_S})
+            gates = ((lhs, other, "base mismatch"),
+                     (off_carrier, off_carrier, "lives over a carrier base"))
+        else:
+            other = Predicate(assembly(shared, ["v"], [(S, "v")]), lhs.index,
+                              {((S, "v"), iy): v for (_, iy), v in lhs.table.items()}, lhs.policy)
+            carrier_row, _ = _predicate_row(shared)
+            gates = ((lhs, other, "base mismatch"),
+                     (carrier_row, carrier_row, "lives over an assembly base"))
+        for _ in range(3):
+            for left, right, message in gates:
+                with pytest.raises(CheckError, match=message):
+                    check_le(shared, doc, left, right, holding)
+                assert check_le(shared, doc, lhs, rhs, holding).holds
+
+    @pytest.mark.parametrize("doc", FORWARD_BACKWARD)
+    def test_search_builds_the_product_once(self, doc, monkeypatch):
+        shared = Pca()
+        lhs, rhs, *_ = _doctrine_row(shared, doc)
+        calls = []
+        for name in ("carrier_product", "ext_product"):
+            real = getattr(doctrines, name)
+            monkeypatch.setattr(doctrines, name, lambda *a, real=real: calls.append(a) or real(*a))
+        outcome = search_witness(shared, doc, lhs, rhs, SearchBudget(5))
+        assert outcome.found and outcome.checked > 1000
+        assert len(calls) == 1
 
 
 SELF_APPLY = ap(S, ID, ID)  # at fuel 20, 7 of the 550 terms of size <= 4 time out on it, the first at 197

@@ -125,8 +125,9 @@ class TestParsing:
         ("carrier X = [K]\noracle #o1 { K -> }\n", "line 2: expected a term, found '}'"),
         ("oracle #o1 { }\noracle #o1 { }\n", "line 2: duplicate oracle #o1"),
         ("carrier X = [K]\nfuel \u00b2\n", "line 2: invalid literal for int() with base 10: '\u00b2'"),
+        ("carrier X = [K]\nfuel 0\n", "line 2: fuel must be positive"),
     ], ids=["fuel-not-int", "oracle-not-named", "fuel-at-eof", "oracle-bad-table", "oracle-twice",
-            "fuel-digit-int-rejects"])
+            "fuel-digit-int-rejects", "fuel-zero"])
     def test_malformed_fuel_and_oracle_declarations(self, source, message):
         with pytest.raises(InstanceError) as err:
             parse_instance(source)
