@@ -19,7 +19,7 @@ oracle atoms, so the fragment is closed under application.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .terms import (
     App,
@@ -49,42 +49,43 @@ MAX_WORK_SIZE = 200_000
 # The evaluator memo has two generations.  Before an evaluation, a current
 # generation holding more than this many entries becomes the old one and the
 # older is dropped; a hit in the old one is copied back into the current one.
-# Entries carry exact step counts, so eviction changes no outcome, only the
-# time to recompute it.  Two generations, not a clear-all: `search
-# --witness-size 6 fixtures/refuted.inst impossible` evaluates 23,028
-# subterms with no bound, 23,045 with this swap, and 23,765 with a clear-all
-# above 20,000 entries.
+# An entry is the finished `EvalOutcome` with its exact step count, so
+# eviction changes no outcome, only the time to recompute it, and `normalize`
+# answers a hit without starting the machine.  Two generations, not a
+# clear-all: `search --witness-size 6 fixtures/refuted.inst impossible`
+# evaluates 23,028 subterms with no bound, 23,045 with this swap, and 23,765
+# with a clear-all above 20,000 entries.
 MEMO_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
-    """Result of a fuel-bounded evaluation."""
+class EvalOutcome(NamedTuple):
+    """Result of a fuel-bounded evaluation, with the exact number of steps it
+    took.  The steps are left out of equality, so a memo entry can be the
+    outcome itself; a tuple, so the entry every caller shares is immutable
+    and cheap to build."""
 
     status: str
     term: Term | None = None
     detail: str = ""
+    steps: int = 0
 
     @property
     def is_defined(self) -> bool:
         return self.status == DEFINED
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EvalOutcome) and self[:3] == other[:3]
+
+    def __ne__(self, other: object) -> bool:  # tuple's own would compare the steps
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
     def __repr__(self) -> str:
         if self.status == DEFINED:
             return f"Defined({to_text(self.term)})"
         return self.status.capitalize() + (f"({self.detail})" if self.detail else "")
-
-
-def Defined(term: Term) -> EvalOutcome:
-    return EvalOutcome(DEFINED, term)
-
-
-def Undefined(detail: str = "") -> EvalOutcome:
-    return EvalOutcome(UNDEFINED, None, detail)
-
-
-def Timeout(detail: str = "") -> EvalOutcome:
-    return EvalOutcome(TIMEOUT, None, detail)
 
 
 _TIMEOUT = EvalOutcome(TIMEOUT)
@@ -102,9 +103,10 @@ class Pca:
     after construction; the other fields are internal caches whose entries
     are pure functions of the tables:
 
-    - ``_memo`` and ``_old_memo``, the evaluator memo: the outcome and exact
-      step count of each evaluated subterm, in two generations (current and
-      old) of at most about ``MEMO_LIMIT`` entries each;
+    - ``_memo`` and ``_old_memo``, the evaluator memo: the `EvalOutcome` of
+      each evaluated subterm, detail and exact step count included, in two
+      generations (current and old) of at most about ``MEMO_LIMIT`` entries
+      each;
     - ``_actions``, one action index per ``(argument, bound, fuel)`` of
       ``doctrines.find_inner_witness``: the least term reaching each normal
       form, the first timeout, and how far the walk over the terms got;
@@ -161,14 +163,6 @@ def is_normal(pca: Pca, t: Term) -> bool:
     return True
 
 
-class _Budget:
-    __slots__ = ("left", "spent")
-
-    def __init__(self, fuel: int):
-        self.left = fuel
-        self.spent = 0
-
-
 def _push_spine(t: Term, stack: list) -> Term:
     """Push the arguments of t onto the stack (first argument on top) and
     return the head."""
@@ -178,67 +172,77 @@ def _push_spine(t: Term, stack: list) -> Term:
     return t
 
 
-def _rebuild(head: Term, done: list) -> EvalOutcome:
+_TIMED_OUT = (TIMEOUT, None, "")  # how a task the machine runs ends, before it is stored
+
+
+def _rebuild(head: Term, done: list) -> tuple:
+    """head applied to the normal forms in done, as (status, term, detail)."""
     out = head
     for a in done:
         out = App(out, a)
         if out.size > MAX_WORK_SIZE:
-            return _TIMEOUT
-    return Defined(out)
+            return _TIMED_OUT
+    return DEFINED, out, ""
 
 
-def _eval(pca: Pca, t: Term, budget: _Budget) -> EvalOutcome:
+def _recall(pca: Pca, t: Term, fuel: int) -> EvalOutcome | None:
+    """The outcome of t within fuel when the memo settles it, else None.
+
+    A hit in the old generation is copied back.  An entry that took more
+    steps than fuel is a timeout; a timeout entry is recomputed when fuel is
+    larger than the steps it ran out at."""
+    hit = pca._memo.get(t)
+    if hit is None:
+        hit = pca._old_memo.get(t)
+        if hit is None:
+            return None
+        pca._memo[t] = hit  # promote: it is still in use
+    if hit.status == TIMEOUT:
+        return None if fuel > hit.steps else _TIMEOUT
+    return hit if hit.steps <= fuel else _TIMEOUT
+
+
+def _eval(pca: Pca, t: Term, fuel: int) -> EvalOutcome:
     """Leftmost-outermost weak reduction, iterative, with memoization.
 
     The machine works on a head plus an explicit argument stack (top of the
     stack is the next argument), so a contraction costs amortized constant
     work even when terms grow, and reduction depth never touches the
     interpreter stack.  Sub-evaluations (arguments of inert heads, oracle
-    arguments) are frames; each is memoized with its exact step count, so
-    replaying a cached result is indistinguishable from recomputing it and
-    outcomes stay a pure function of (structure, term, fuel).
+    arguments) are frames.  Every task the machine runs ends as one
+    `EvalOutcome` with its exact step count, which is its memo entry; a task
+    the memo settles (`_recall`) reuses the stored object and runs nothing.
+    So replaying a cached result is indistinguishable from recomputing it,
+    and outcomes stay a pure function of (structure, term, fuel).
     """
-    frames: list = []
-    result: EvalOutcome | None = None
-    head: Term | None = None
+    frames: list = []  # the running tasks that wait for a subtask
+    result = None  # (status, term, detail) of a task run, or a recalled outcome
     stack: list = []
-    left, spent = budget.left, budget.spent
+    head = _push_spine(t, stack)  # the caller found t not settled by the memo
+    left, spent = fuel, 0
     key, started, fresh = t, spent, True
-    pending: Term | None = t  # subterm whose evaluation starts the task
-    memo, old_memo = pca._memo, pca._old_memo
+    pending: Term | None = None  # subterm whose evaluation starts the next task
+    memo = pca._memo
     k_atom, s_atom = K, S
 
     while True:
         if result is None and pending is not None:
-            cached = memo.get(pending)
-            if cached is None:
-                cached = old_memo.get(pending)
-                if cached is not None:
-                    memo[pending] = cached  # promote: it is still in use
-            if cached is not None:
-                status, res, steps = cached
-                if status == TIMEOUT and left > steps:
-                    cached = None  # a bigger budget may settle it: recompute
-                elif status == TIMEOUT or steps > left:
-                    spent += left
-                    left = 0
-                    result = _TIMEOUT
-                    fresh = False  # keep the cached entry
-                else:
-                    left -= steps
-                    spent += steps
-                    result = EvalOutcome(status, res)
-                    fresh = False
+            result = _recall(pca, pending, left)
             if result is None:
                 stack = []
                 head = _push_spine(pending, stack)
+            else:
+                used = left if result is _TIMEOUT else result.steps
+                left -= used
+                spent += used
+                fresh = False  # the memo already holds it
             pending = None
         if result is None:
             # head-reduce (head, stack) until an outcome or a descent
             while True:
                 if head is k_atom and len(stack) >= 2:
                     if left <= 0:
-                        result = _TIMEOUT
+                        result = _TIMED_OUT
                         break
                     left -= 1
                     spent += 1
@@ -250,14 +254,14 @@ def _eval(pca: Pca, t: Term, budget: _Budget) -> EvalOutcome:
                     continue
                 if head is s_atom and len(stack) >= 3:
                     if left <= 0:
-                        result = _TIMEOUT
+                        result = _TIMED_OUT
                         break
                     left -= 1
                     spent += 1
                     a, b, c = stack[-1], stack[-2], stack[-3]
                     del stack[-3:]
                     if a.size + b.size + 2 * c.size + 3 > MAX_WORK_SIZE:
-                        result = _TIMEOUT
+                        result = _TIMED_OUT
                         break
                     stack.append(App(b, c))
                     stack.append(c)
@@ -268,7 +272,7 @@ def _eval(pca: Pca, t: Term, budget: _Budget) -> EvalOutcome:
                     continue
                 if isinstance(head, Oracle) and stack:
                     arg = stack.pop()
-                    frames.append(("oracle", head, stack, key, started, fresh))
+                    frames.append(("oracle", head, stack, key, started))
                     key, started, fresh = arg, spent, True
                     pending = arg
                     break
@@ -287,48 +291,46 @@ def _eval(pca: Pca, t: Term, budget: _Budget) -> EvalOutcome:
                                 )
                             done.append(arg)
                             continue
-                        frames.append(("args", head, stack, done, key, started, fresh))
+                        frames.append(("args", head, stack, done, key, started))
                         key, started, fresh = arg, spent, True
                         pending = arg
                         break
                     if pending is None:
                         result = _rebuild(head, done)
                     break
-                result = Defined(head)
+                result = DEFINED, head, ""
                 break
             if pending is not None:
                 continue
         # The task keyed by `key` finished with `result`.
         if fresh:
-            used = spent - started
-            if result.status == TIMEOUT:
-                memo[key] = (TIMEOUT, None, used)
-            else:
-                memo[key] = (result.status, result.term, used)
+            result = memo[key] = EvalOutcome(*result, spent - started)
         if not frames:
-            budget.left, budget.spent = left, spent
             return result
         frame = frames.pop()
+        fresh = True  # a task that waits in a frame is one the machine runs
         if frame[0] == "oracle":
-            _, o_head, stack, key, started, fresh = frame
-            if not result.is_defined:
-                continue  # propagate to the enclosing task
+            _, o_head, stack, key, started = frame
+            if result.status != DEFINED:
+                result = result.status, None, result.detail  # propagate
+                continue
             table = pca.table(o_head.name)
             hit = None if table is None else table.get(result.term)
             if hit is None:
-                result = Undefined(f"#{o_head.name} applied to {to_text(result.term)}")
+                result = UNDEFINED, None, f"#{o_head.name} applied to {to_text(result.term)}"
                 continue
             if left <= 0:
-                result = _TIMEOUT
+                result = _TIMED_OUT
                 continue
             left -= 1
             spent += 1
             head = _push_spine(hit, stack)
             result = None
             continue
-        _, head, stack, done, key, started, fresh = frame
-        if not result.is_defined:
-            continue  # propagate
+        _, head, stack, done, key, started = frame
+        if result.status != DEFINED:
+            result = result.status, None, result.detail  # propagate
+            continue
         done.append(result.term)
         while stack:
             arg = stack.pop()
@@ -337,7 +339,7 @@ def _eval(pca: Pca, t: Term, budget: _Budget) -> EvalOutcome:
                     raise PcaError(f"cannot evaluate open term: free variable {arg.name}")
                 done.append(arg)
                 continue
-            frames.append(("args", head, stack, done, key, started, fresh))
+            frames.append(("args", head, stack, done, key, started))
             key, started, fresh = arg, spent, True
             pending = arg
             result = None
@@ -355,7 +357,7 @@ def normalize(pca: Pca, t: Term, fuel: int | None = None) -> EvalOutcome:
         raise PcaError("fuel must be positive")
     if len(pca._memo) > MEMO_LIMIT:
         pca._old_memo, pca._memo = pca._memo, {}
-    return _eval(pca, t, _Budget(fuel))
+    return _recall(pca, t, fuel) or _eval(pca, t, fuel)
 
 
 def apply(pca: Pca, a: Term, b: Term, fuel: int | None = None) -> EvalOutcome:

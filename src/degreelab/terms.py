@@ -8,14 +8,21 @@ the identity.
 Variables (``Var``) exist only transiently inside bracket abstraction; stored
 terms are always closed.
 
+Every term caches its hash, and an ``App`` hashes its children's cached
+ints.  The low bit of that hash is set exactly when the term contains an
+oracle atom, so ``has_oracle`` (membership in the computable fragment) is
+one read.  The bit is in the hash, not in a fifth ``App`` slot: that slot
+measured +3 % to +6 % peak RSS on the laws benchmark, whose bound is 5 %.
+
 Enumeration is size-lexicographic: ascending number of applications, ties
 broken by canonical text (``term_key``).  Each size level is built once per
-atom set and per process, from the smaller levels, and sorted by
-``term_key``; the atom set is keyed in ``term_key`` order, so the order the
-atoms are given in does not matter.  ``enumerate_over`` returns a fresh list
-read from these levels; ``iter_over`` yields the same terms in the same
-order and builds a level only when the walk reaches it, so a search that
-stops early never pays for the levels it does not reach.
+atom set and per process, from the smaller levels, and sorted by text; each
+text is composed from the children's texts while the level is built and
+dropped after.  The atom set is keyed in ``term_key`` order, so the order
+the atoms are given in does not matter.  ``enumerate_over`` returns a fresh
+list read from these levels; ``iter_over`` yields the same terms in the
+same order and builds a level only when the walk reaches it, so a search
+that stops early never pays for the levels it does not reach.
 """
 
 from __future__ import annotations
@@ -36,36 +43,32 @@ class Term:
 
 
 @dataclass(frozen=True, eq=True, repr=False)
-class Basic(Term):
+class _Atom(Term):
+    """An atom: its name, no applications, and its hash cached with the
+    low bit set exactly for oracle atoms."""
+
+    name: str
+    size: int = field(default=0, init=False, compare=False)
+    _hash: int = field(default=0, init=False, compare=False)
+
+    def __post_init__(self):
+        h = hash((type(self).__name__, self.name))
+        object.__setattr__(self, "_hash", h | 1 if type(self) is Oracle else h & -2)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class Basic(_Atom):
     """One of the two primitive combinators, named "K" or "S"."""
 
-    name: str
-    size: int = field(default=0, init=False, compare=False)
 
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-
-@dataclass(frozen=True, eq=True, repr=False)
-class Oracle(Term):
+class Oracle(_Atom):
     """An oracle atom; behaviour is given by a finite table in the structure."""
 
-    name: str
-    size: int = field(default=0, init=False, compare=False)
 
-    def __hash__(self) -> int:
-        return hash(("#", self.name))
-
-
-@dataclass(frozen=True, eq=True, repr=False)
-class Var(Term):
+class Var(_Atom):
     """A free variable.  Only legal inside bracket abstraction."""
-
-    name: str
-    size: int = field(default=0, init=False, compare=False)
-
-    def __hash__(self) -> int:
-        return hash(("$", self.name))
 
 
 class App(Term):
@@ -77,7 +80,9 @@ class App(Term):
         self.fn = fn
         self.arg = arg
         self.size = fn.size + arg.size + 1
-        self._hash = hash((fn, arg))
+        f, g = fn._hash, arg._hash
+        h = hash((f, g))
+        self._hash = h | 1 if f & 1 or g & 1 else h & -2  # low bit: has_oracle
 
     def __hash__(self) -> int:
         return self._hash
@@ -180,15 +185,7 @@ def is_closed(t: Term) -> bool:
 
 
 def has_oracle(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        while t.__class__ is App:  # walk the spine, leaving the arguments
-            stack.append(t.arg)
-            t = t.fn
-        if t.__class__ is Oracle:
-            return True
-    return False
+    return bool(t._hash & 1)
 
 
 def subst(t: Term, name: str, value: Term) -> Term:
@@ -297,14 +294,18 @@ _LEVELS: dict[tuple[Term, ...], list[list[Term]]] = {}
 def _levels(atoms: tuple[Term, ...], size_bound: int) -> list[list[Term]]:
     key = tuple(sorted(atoms, key=term_key))
     levels = _LEVELS.setdefault(key, [list(key)])
+    text: dict[int, str] = {}  # id(term) -> to_text(term), for this build only
+
+    def composed(t: Term) -> str:  # the text of t, from its children's
+        return f"({text[id(t.fn)]} {text[id(t.arg)]})" if t.size else to_text(t)
+
+    done = 0  # the levels whose texts are in `text`
     for n in range(len(levels), size_bound + 1):
-        level = [
-            App(f, a)
-            for i in range(n)
-            for f in levels[i]
-            for a in levels[n - 1 - i]
-        ]
-        level.sort(key=term_key)
+        for level in levels[done:]:
+            text.update((id(t), composed(t)) for t in level)
+        done = n
+        level = [App(f, a) for i in range(n) for f in levels[i] for a in levels[n - 1 - i]]
+        level.sort(key=composed)  # one size per level: by text is by term_key
         levels.append(level)
     return levels
 

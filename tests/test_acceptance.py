@@ -19,15 +19,15 @@ from degreelab.pca import Pca
 
 BOUNDS = {
     "pca-laws": 10.0,
-    "bracket-abstraction": 30.0,
+    "bracket-abstraction": 5.0,
     "pairing": 5.0,
     "medvedev-coheyting": 10.0,
-    "muchnik-heyting": 60.0,
+    "muchnik-heyting": 5.0,
     "adjoint-suites": 20.0,
-    "beck-chevalley": 30.0,
-    "isomorphism-suites": 90.0,
-    "extsw-dialectica": 30.0,
-    "extasm-category": 20.0,
+    "beck-chevalley": 5.0,
+    "isomorphism-suites": 5.0,
+    "extsw-dialectica": 15.0,
+    "extasm-category": 5.0,
 }
 
 

@@ -836,6 +836,25 @@ class TestClaimCache:
         assert len(calls) == 1
 
 
+    @pytest.mark.parametrize("doc", FORWARD_BACKWARD)
+    def test_search_gates_each_forward_map_once(self, doc, monkeypatch):
+        # a forward map's endpoints, and the morphism check of an rW/tW one,
+        # run once per map and fuel, not once per backward realizer
+        shared = Pca()
+        lhs, rhs, *_ = _doctrine_row(shared, doc)
+        source_checks, gated = [], []
+        real_eq = type(lhs.base).__eq__
+        def eq(a, b):
+            source_checks.append((a, b))
+            return real_eq(a, b)
+        monkeypatch.setattr(type(lhs.base), "__eq__", eq)
+        monkeypatch.setattr(doctrines, "ext_check",
+                            lambda pca, km, fuel=None, real=doctrines.ext_check: gated.append(km) or real(pca, km, fuel))
+        outcome = search_witness(shared, doc, lhs, rhs, SearchBudget(5))
+        assert outcome.found and outcome.checked > 1000
+        assert len(source_checks) < 100
+        assert len(gated) == len({id(km) for km in gated})
+
 SELF_APPLY = ap(S, ID, ID)  # at fuel 20, 7 of the 550 terms of size <= 4 time out on it, the first at 197
 LOW_FUEL = 20
 

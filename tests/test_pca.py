@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from degreelab.pca import (
     is_normal,
     normalize,
 )
+from degreelab.spaces import FinMap, SpaceError, carrier
 from degreelab.terms import App, K, Oracle, S, Var, ap, enumerate_over, pair_term, parse_term, subst, to_text
 
 OMEGA = App(ap(S, ID, ID), ap(S, ID, ID))
@@ -134,6 +137,61 @@ class TestMemoBound:
         default = machine_format(run_suites(names))
         monkeypatch.setattr(pca_module, "MEMO_LIMIT", 1)
         assert machine_format(run_suites(names)) == default
+
+
+ORACLE_HITS_K = {"o1": {K: S}}  # #o1 is defined on K only
+POOL = enumerate_over((K, S, Oracle("o1")), 3)
+FUELS = (1, 5, 200, None)
+
+
+def _facts(out):
+    return out.status, out.term, out.detail, repr(out)
+
+
+class TestMemoOutcomes:
+    """A memo entry is the finished outcome: replaying it must give what a
+    fresh structure computes, detail and repr included."""
+
+    def test_undefined_keeps_its_detail_on_a_memo_hit(self):
+        machine = Pca(oracles=ORACLE_HITS_K)
+        stuck = App(Oracle("o1"), S)
+        outcomes = [normalize(machine, stuck), normalize(machine, stuck), normalize(machine, App(K, stuck))]
+        assert [repr(out) for out in outcomes] == ["Undefined(#o1 applied to S)"] * 3
+
+    def test_realizer_error_does_not_depend_on_memo_state(self):
+        machine = Pca(oracles=ORACLE_HITS_K)
+        o1 = Oracle("o1")
+        apply_to_s = abstract_all(("x",), App(Var("x"), S))  # x -> (x S)
+        m = FinMap(carrier(machine, [o1]), carrier(machine, [K]), {o1: K}, apply_to_s)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SpaceError) as caught:
+                m.check_realizer(machine)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] and messages[0].endswith("got Undefined(#o1 applied to S)")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, len(POOL) - 1), st.integers(0, len(POOL) - 1),
+                                 st.permutations(FUELS)), min_size=1, max_size=12),
+        limit=st.sampled_from([1, 100]),
+    )
+    def test_shared_structure_matches_a_fresh_one(self, pairs, limit):
+        # each application at every fuel, in a random order, on one
+        # structure whose memo is bounded at 1 or at 100 entries
+        with mock.patch.object(pca_module, "MEMO_LIMIT", limit):
+            shared = Pca(oracles=ORACLE_HITS_K)
+            for i, j, fuels in pairs + pairs[::-1]:
+                t = App(POOL[i], POOL[j])
+                for fuel in fuels:
+                    fresh = normalize(Pca(oracles=ORACLE_HITS_K), t, fuel)
+                    assert _facts(normalize(shared, t, fuel)) == _facts(fresh)
+
+    def test_steps_are_exact_and_left_out_of_equality(self, pure):
+        out = normalize(Pca(), App(ID, S))  # S K K S -> K S (K S) -> S
+        assert out.steps == 2 and normalize(pure, App(ID, S), 2).steps == 2
+        assert normalize(pure, App(ID, S), 1) == pca_module.EvalOutcome("timeout")
+        assert out == pca_module.EvalOutcome("defined", S) and not out != pca_module.EvalOutcome("defined", S)
 
 
 class TestElementEqual:

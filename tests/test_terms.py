@@ -16,11 +16,13 @@ from degreelab.terms import (
     enumerate_sk,
     iter_over,
     free_vars,
+    has_oracle,
     is_closed,
     pair_term,
     parse_term,
     split_pair,
     subst,
+    subterms,
     term_key,
     to_text,
 )
@@ -82,6 +84,12 @@ class TestStructure:
     def test_subst_untouched_shares(self):
         t = App(K, S)
         assert subst(t, "x", K) is t
+
+    def test_has_oracle_agrees_with_a_walk(self):
+        # the answer is the low bit of the cached hash, not a fifth App slot
+        assert len(App.__slots__) == 4
+        for t in enumerate_over((Var("x"), K, S, Oracle("o1")), 3):
+            assert has_oracle(t) == any(isinstance(s, Oracle) for s in subterms(t))
 
     def test_term_key_orders_by_size_then_text(self):
         ts = [ap(S, K), K, App(K, K), S]
