@@ -116,6 +116,9 @@ class TrackedFamily:
         if set(self.values) != set(self.base.points):
             raise CheckError("tracked family must be total on its base")
 
+    def __hash__(self):
+        return hash((self.base, frozenset(self.values.items())))
+
 
 @dataclass(frozen=True)
 class MassFamily:
@@ -139,7 +142,7 @@ class MassFamily:
         return self.base == other.base and self.values == other.values and self.policy == other.policy
 
     def __hash__(self):
-        return hash((self.base, tuple(sorted(((point_key(k), tuple(sorted(map(term_key, v)))) for k, v in self.values.items())))))
+        return hash((self.base, frozenset(self.values.items())))
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ class AssemblyFamily:
         return self.base == other.base and self.values == other.values and self.policy == other.policy
 
     def __hash__(self):
-        return hash((self.base, len(self.values)))
+        return hash((self.base, frozenset(self.values.items())))
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ class Predicate:
         )
 
     def __hash__(self):
-        return hash((self.base, self.index, len(self.table)))
+        return hash((self.base, self.index, frozenset(self.table.items())))
 
 
 def _fiber_keys(obj) -> tuple:
@@ -225,6 +228,9 @@ class ExtendedPredicate:
         if set(self.table) != set(self.dom.points):
             raise CheckError("extended predicate must be total on its domain")
 
+    def __hash__(self):
+        return hash((self.dom, frozenset(self.table.items())))
+
     @property
     def effective_dom(self) -> tuple[Term, ...]:
         return tuple(p for p in self.dom if self.table[p])
@@ -249,6 +255,9 @@ class DialecticaPredicate:
                 raise CheckError(f"relation point {point_text(x)} outside base")
             fixed[(x, frozenset(a))] = frozenset(v)
         object.__setattr__(self, "table", fixed)
+
+    def __hash__(self):
+        return hash((self.base, frozenset(self.table.items())))
 
     @property
     def relation(self) -> tuple:

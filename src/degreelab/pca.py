@@ -110,6 +110,9 @@ class Pca:
     - ``_actions``, one action index per ``(argument, bound, fuel)`` of
       ``doctrines.find_inner_witness``: the least term reaching each normal
       form, the first timeout, and how far the walk over the terms got;
+    - ``_searches``, the search memo of ``search.search_witness``: the
+      `SearchOutcome` of each claim searched to the end, keyed by
+      ``(doc, lhs, rhs, witness size, fuel)``;
     - ``_claim``, the last claim ``doctrines.check_le`` compiled, a pure
       function of its families; for a forward-backward order it also holds
       the positions of the last forward map read and the fuel that map was
@@ -121,6 +124,7 @@ class Pca:
     _memo: dict = field(default_factory=dict, repr=False)
     _old_memo: dict = field(default_factory=dict, repr=False)
     _actions: dict = field(default_factory=dict, repr=False)
+    _searches: dict = field(default_factory=dict, repr=False)
     _claim: object = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -409,12 +413,22 @@ class AbstractionError(ValueError):
 
 def _abstract(name: str, body: Term) -> Term:
     """The standard abstraction rules; other free variables may remain."""
-    if isinstance(body, Var) and body.name == name:
-        return ID
-    if name not in free_vars(body):
-        return App(K, body)
-    assert isinstance(body, App)
-    return ap(S, _abstract(name, body.fn), _abstract(name, body.arg))
+    t = _abstract_free(name, body)
+    return App(K, body) if t is None else t
+
+
+def _abstract_free(name: str, body: Term) -> Term | None:
+    """The abstraction of body when `name` is free in it, else None, in one
+    pass: the children's results decide the rule at each application, and a
+    subterm without `name` is not rebuilt."""
+    if isinstance(body, Var):
+        return ID if body.name == name else None
+    if not isinstance(body, App):
+        return None
+    fn, arg = _abstract_free(name, body.fn), _abstract_free(name, body.arg)
+    if fn is None and arg is None:
+        return None
+    return ap(S, App(K, body.fn) if fn is None else fn, App(K, body.arg) if arg is None else arg)
 
 
 def bracket_abstract(name: str, body: Term) -> Term:
@@ -431,11 +445,12 @@ def bracket_abstract(name: str, body: Term) -> Term:
 def abstract_all(names: tuple[str, ...], body: Term) -> Term:
     """Iterated abstraction, innermost variable last: abstract_all(('a','b'), t)
     behaves as a curried function of a then b."""
+    extra = free_vars(body) - set(names)
+    if extra:
+        raise AbstractionError(f"result not closed: free {sorted(extra)}")
     t = body
     for n in reversed(names):
         t = _abstract(n, t)
-    if not is_closed(t):
-        raise AbstractionError(f"result not closed: free {sorted(free_vars(t))}")
     return t
 
 

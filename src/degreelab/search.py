@@ -7,6 +7,11 @@ backward candidates.  The first Holding witness in that order is returned and
 re-verified before it is reported, so Found outcomes are sound by
 construction.  A search never claims absolute non-reducibility: exhausting
 the bound only reports the bound.
+
+A repeated claim is answered from the structure's search memo: the same
+order, families equal in value, the same witness size and fuel give the
+outcome the first search of that claim reached, without checking a
+candidate again (see `search_witness`).
 """
 
 from __future__ import annotations
@@ -79,7 +84,25 @@ class _Clock:
 
 
 def search_witness(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome:
-    """The least Holding witness within the budget, else the exhausted bound."""
+    """The least Holding witness within the budget, else the exhausted bound.
+
+    The outcome is a pure function of the structure and ``(doc, lhs, rhs,
+    witness size, fuel)``: candidate order, positions and verdict statuses
+    depend on the families' values only, and an outcome carries no notes.
+    So ``pca._searches`` keeps the outcome of every search that ran to its
+    end and answers a repeated claim from it, with no ``check_le`` call.  A
+    search the time cap stopped, or one that raised, stores nothing."""
+    key = (doc, lhs, rhs, budget.witness_size, budget.fuel)
+    outcome = pca._searches.get(key)
+    if outcome is None:
+        outcome = _search(pca, doc, lhs, rhs, budget)
+        if not outcome.clock_stopped:
+            pca._searches[key] = outcome
+    return outcome
+
+
+def _search(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome:
+    """search_witness without the memo: one check_le call per candidate."""
     gen = _candidates(pca, doc, lhs, rhs, budget)
     failures = timeouts = 0
     clock = _Clock(budget.time_cap)

@@ -74,12 +74,14 @@ class FinSet:
 
     def __post_init__(self):
         ordered = tuple(sorted(self.points, key=point_key))
-        if len(set(ordered)) != len(ordered):
+        members = frozenset(ordered)  # not a field: equality, hash and repr read points
+        if len(members) != len(ordered):
             raise SpaceError("duplicate points")
         object.__setattr__(self, "points", ordered)
+        object.__setattr__(self, "_members", members)
 
     def __contains__(self, p: Point) -> bool:
-        return p in set(self.points)
+        return p in self._members
 
     def __len__(self) -> int:
         return len(self.points)
@@ -346,6 +348,9 @@ class ExtMorphism:
         for key, y in self.pointmap.items():
             if y not in set(self.target.points):
                 raise SpaceError(f"pointmap value {point_text(y)} outside target points")
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.realizer, frozenset(self.pointmap.items())))
 
     def induced(self, pca: Pca, name: Term, x: Point, fuel: int | None = None) -> tuple[Term, Point]:
         """The induced map on naming pairs: (p, x) -> (realizer.p, pointmap(p, x))."""

@@ -21,9 +21,9 @@ BOUNDS = {
     "pca-laws": 10.0,
     "bracket-abstraction": 5.0,
     "pairing": 5.0,
-    "medvedev-coheyting": 10.0,
+    "medvedev-coheyting": 5.0,
     "muchnik-heyting": 5.0,
-    "adjoint-suites": 20.0,
+    "adjoint-suites": 5.0,
     "beck-chevalley": 5.0,
     "isomorphism-suites": 5.0,
     "extsw-dialectica": 15.0,

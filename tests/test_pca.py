@@ -25,7 +25,21 @@ from degreelab.pca import (
     normalize,
 )
 from degreelab.spaces import FinMap, SpaceError, carrier
-from degreelab.terms import App, K, Oracle, S, Var, ap, enumerate_over, pair_term, parse_term, subst, to_text
+from degreelab.terms import (
+    App,
+    K,
+    Oracle,
+    S,
+    Var,
+    ap,
+    enumerate_over,
+    free_vars,
+    is_closed,
+    pair_term,
+    parse_term,
+    subst,
+    to_text,
+)
 
 OMEGA = App(ap(S, ID, ID), ap(S, ID, ID))
 
@@ -259,6 +273,48 @@ class TestBracketAbstraction:
                 wanted = normalize(pure, subst(body, "x", b), 2000)
                 if wanted.status != "timeout" and applied.status != "timeout":
                     assert applied == wanted
+
+    @staticmethod
+    def _reference(names, body):
+        """Iterated abstraction as first defined: a free-variable walk at
+        every node, then a closedness walk over the result."""
+
+        def abstract(name, body):
+            if isinstance(body, Var) and body.name == name:
+                return ID
+            if name not in free_vars(body):
+                return App(K, body)
+            return ap(S, abstract(name, body.fn), abstract(name, body.arg))
+
+        t = body
+        for n in reversed(names):
+            t = abstract(n, t)
+        if not is_closed(t):
+            raise AbstractionError(f"result not closed: free {sorted(free_vars(t))}")
+        return t
+
+    def test_matches_the_reference_on_the_suite_bodies(self):
+        x, y = Var("x"), Var("y")
+        bodies = enumerate_over((x, K, S), 3)  # the bracket-abstraction suite's
+        assert len(bodies) == 471
+        for body in bodies:
+            want = self._reference(("x",), body)
+            assert bracket_abstract("x", body) == want
+            assert abstract_all(("x",), body) == want
+        for body in enumerate_over((x, y, K, S), 2):
+            assert abstract_all(("x", "y"), body) == self._reference(("x", "y"), body)
+            assert abstract_all(("y", "x"), body) == self._reference(("y", "x"), body)
+        u = Var("u")  # the shape of the composite realizers synthesized elsewhere
+        body = ap(PAIR, App(ID, App(FST, u)), App(SND, u))
+        assert abstract_all(("u",), body) == self._reference(("u",), body)
+
+    def test_open_body_error_matches_the_reference(self):
+        body = ap(Var("x"), Var("z"), App(Var("y"), Var("z")))
+        with pytest.raises(AbstractionError) as want:
+            self._reference(("x",), body)
+        with pytest.raises(AbstractionError) as got:
+            abstract_all(("x",), body)
+        assert str(got.value) == str(want.value) == "result not closed: free ['y', 'z']"
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6))

@@ -1,6 +1,11 @@
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
+from degreelab import search as search_module
 from degreelab.doctrines import (
+    AssemblyFamily,
     DialecticaPredicate,
     ExtendedPredicate,
     MassFamily,
@@ -10,7 +15,8 @@ from degreelab.doctrines import (
     Uniform,
     check_le,
 )
-from degreelab.pca import ID, enumerate_computable
+from degreelab.instance import parse_instance
+from degreelab.pca import ID, Pca, enumerate_computable
 from degreelab.search import (
     SearchBudget,
     forward_map_candidates,
@@ -19,10 +25,11 @@ from degreelab.search import (
 )
 from degreelab.completions import CompletionObject, FORALL, FULL
 from degreelab.doctrines import TrackedFamily
-from degreelab.spaces import FinMap, carrier, identity_map
+from degreelab.spaces import ExtMorphism, FinMap, assembly, carrier, identity_map
 from degreelab.terms import App, K, Oracle, S, term_key, to_text
 
 O1 = Oracle("o1")
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.inst"))
 
 
 class TestUniformSearch:
@@ -132,3 +139,118 @@ class TestSoundness:
                 out = search_witness(pure, "M", lhs, rhs, SearchBudget(3))
                 if out.found:
                     assert check_le(pure, "M", lhs, rhs, out.witness).holds
+
+
+def _counted(pca, doc, lhs, rhs, budget):
+    """A search's outcome and the check_le calls it made."""
+    with mock.patch.object(search_module, "check_le", wraps=check_le) as spy:
+        out = search_witness(pca, doc, lhs, rhs, budget)
+    return out, spy.call_count
+
+
+def _mass_claim(pca):
+    """An M claim whose least witness, ((S K) K), comes after refuted candidates."""
+    X = carrier(pca, [K, S])
+    return (MassFamily(X, {K: frozenset([K]), S: frozenset([S])}),
+            MassFamily(X, {K: frozenset([K]), S: frozenset([S])}))
+
+
+def _hand_claims(pca):
+    """(doc, lhs, rhs) for the families no fixture searches, built anew on
+    every call, so two calls give equal but distinct objects."""
+    X = carrier(pca, [K, S])
+    A = assembly(pca, ["x", "y"], [(K, "x"), (S, "y")])
+    tracked = TrackedFamily(X, {K: K, S: S})
+    over_a = AssemblyFamily(A, {(K, "x"): frozenset([K]), (S, "y"): frozenset([S])})
+    pred = Predicate(A, A, {(a, b): frozenset([K]) for a in A.naming for b in A.naming})
+    dial = DialecticaPredicate(X, {(K, frozenset([K])): frozenset([K])})
+    # a completion object over an extended morphism: every candidate is a
+    # shape error for M, and the claim is still a memo key
+    comp = CompletionObject(FORALL, FULL, "dextW", ExtMorphism(A, A, ID, {(K, "x"): "x", (S, "y"): "y"}), over_a)
+    return [("T", tracked, tracked), ("Tw", tracked, tracked), ("dextW", over_a, over_a),
+            ("rW", pred, pred), ("D", dial, dial), ("M", comp, comp)]
+
+
+class TestSearchMemo:
+    def test_repeated_claim_checks_no_candidate(self):
+        pca = Pca()
+        first, calls = _counted(pca, "M", *_mass_claim(pca), SearchBudget(3))
+        assert first.found and calls == first.checked + 1 > 1
+        again, calls = _counted(pca, "M", *_mass_claim(pca), SearchBudget(3))  # equal, not identical
+        assert again == first and calls == 0
+        assert len(pca._searches) == 1
+
+    def test_witness_size_and_fuel_are_part_of_the_claim(self):
+        pca = Pca()
+        lhs, rhs = _mass_claim(pca)
+        for budget in (SearchBudget(3), SearchBudget(2), SearchBudget(3, fuel=50)):
+            assert _counted(pca, "M", lhs, rhs, budget)[1] > 0
+        assert len(pca._searches) == 3
+
+    def test_clock_stopped_search_is_not_stored(self):
+        pca = Pca()
+        lhs, rhs = _mass_claim(pca)
+        with mock.patch.object(search_module._Clock, "expired", return_value=True):
+            capped = search_witness(pca, "M", lhs, rhs, SearchBudget(3, time_cap=0.0))
+        assert capped.clock_stopped and capped.status == "unknown"
+        assert pca._searches == {}
+        out, calls = _counted(pca, "M", lhs, rhs, SearchBudget(3))
+        assert out.found and calls > 0
+
+    def test_a_search_that_raises_stores_nothing(self):
+        pca = Pca()
+        lhs, rhs = _mass_claim(pca)
+        with mock.patch.object(search_module, "check_le", side_effect=RuntimeError("boom")):
+            with pytest.raises(RuntimeError):
+                search_witness(pca, "M", lhs, rhs, SearchBudget(3))
+        assert pca._searches == {}
+        assert search_witness(pca, "M", lhs, rhs, SearchBudget(3)).found
+
+    def test_structures_share_nothing(self):
+        """The same claim over other oracle tables is searched afresh, and
+        each structure's outcome is the one a fresh structure gives."""
+        X = carrier(Pca(), [K, S])
+        psi = MassFamily(X, {K: frozenset([Oracle("a")]), S: frozenset([Oracle("b")])})
+        phi = MassFamily(X, {K: frozenset([K]), S: frozenset([S])})
+        tables = [{"a": {K: K}, "b": {K: S}}, {"a": {K: S}, "b": {K: K}}]  # b -> b K, then none
+        budget = SearchBudget(5)
+        first, second = Pca(oracles=tables[0]), Pca(oracles=tables[1])
+        out1, _ = _counted(first, "M", phi, psi, budget)
+        out2, calls = _counted(second, "M", phi, psi, budget)
+        assert calls > 0 and out1 != out2
+        assert out1 == search_witness(Pca(oracles=tables[0]), "M", phi, psi, budget)
+        assert out2 == search_witness(Pca(oracles=tables[1]), "M", phi, psi, budget)
+
+    @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda f: f.stem)
+    def test_fixture_claims_search_twice_alike(self, fixture):
+        """Every doctrine id the fixtures use: the second search of a claim,
+        over families parsed again, is answered from the memo."""
+        first = parse_instance(fixture.read_text())
+        second = parse_instance(fixture.read_text())
+        for claim in first.claims:
+            if claim.doc == "comp":
+                continue
+            budget = SearchBudget(2, first.fuel)
+            a, _ = _counted(first.pca, claim.doc, first.element(claim.lhs), first.element(claim.rhs), budget)
+            lhs, rhs = second.element(claim.lhs), second.element(claim.rhs)
+            assert lhs is not first.element(claim.lhs)
+            b, calls = _counted(first.pca, claim.doc, lhs, rhs, budget)
+            assert (b, calls) == (a, 0), claim.name
+
+    def test_other_families_search_twice_alike(self):
+        pca = Pca()
+        for (doc, lhs, rhs), (_, lhs2, rhs2) in zip(_hand_claims(pca), _hand_claims(pca)):
+            assert hash(lhs) == hash(lhs2) and lhs == lhs2, doc
+            a, _ = _counted(pca, doc, lhs, rhs, SearchBudget(2))
+            b, calls = _counted(pca, doc, lhs2, rhs2, SearchBudget(2))
+            assert (b, calls) == (a, 0), doc
+
+    def test_mass_family_hash_ignores_order_and_notes(self):
+        pca = Pca()
+        X = carrier(pca, [K, S])
+        one = MassFamily(X, {K: frozenset([K, S]), S: frozenset([S])}, notes=("first",))
+        two = MassFamily(X, {S: [S], K: [S, K]}, notes=("second", "more"))
+        assert one == two and hash(one) == hash(two)
+        a, _ = _counted(pca, "M", one, one, SearchBudget(2))
+        b, calls = _counted(pca, "M", two, two, SearchBudget(2))
+        assert (b, calls) == (a, 0) and len(pca._searches) == 1

@@ -11,7 +11,7 @@ by name, even where terms are generated lazily, and every verdict through
 import importlib.util
 from pathlib import Path
 
-from degreelab import cli
+from degreelab import cli, search
 from degreelab.instance import parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +64,23 @@ def test_traced_search_checks_every_candidate_once(capsys):
     assert capsys.readouterr().out.startswith("result impossible exhausted\n")
     assert metrics["search.candidates"] == metrics["search.candidates.refuted"] == 102
     assert metrics["doctrines.check_le_calls"] == 102
+
+
+def test_traced_repeated_search_counts_the_candidates_checked(capsys):
+    """``search.candidates`` counts candidates checked, not searches asked
+    for: a claim searched twice on one structure is checked once, and the
+    second search is answered from the structure's search memo."""
+    inst = parse_instance((ROOT / "fixtures" / "refuted.inst").read_text())
+    claim = next(c for c in inst.claims if c.name == "impossible")
+    lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        outcomes = [search.search_witness(inst.pca, claim.doc, lhs, rhs, search.SearchBudget(3, inst.fuel))
+                    for _ in range(2)]
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert outcomes[0] == outcomes[1] and outcomes[0].status == "exhausted"
+    assert metrics["search.searches"] == 2
+    assert metrics["search.candidates"] == metrics["doctrines.check_le_calls"] == 102
