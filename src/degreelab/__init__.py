@@ -28,7 +28,8 @@ from .pca import (
     is_normal,
     normalize,
 )
-from .terms import App, K, Oracle, S, Term, Var, ap, pair_term, parse_term, split_pair, to_text
+from .instance import parse_term
+from .terms import App, K, Oracle, S, Term, Var, ap, pair_term, split_pair, to_text
 
 __all__ = [
     "EMPTY_PCA", "FST", "ID", "PAIR", "SND", "EvalOutcome", "Pca",

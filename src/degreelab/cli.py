@@ -38,6 +38,7 @@ from .instance import (
     format_table,
     format_terms,
     format_witness,
+    object_name,
     parse_instance,
 )
 from .pca import Pca, PcaError
@@ -257,9 +258,10 @@ def _declare_witness(inst: Instance, name: str, w) -> list[str]:
 
 def _name_object(scratch: Instance, lines: list[str], obj, fallback: str) -> str:
     """The declared name of obj, else fallback after declaring it."""
-    name = _find_name(scratch, obj)
-    if name is not None:
-        return name
+    try:
+        return object_name(scratch, obj)
+    except InstanceError:
+        pass
     if isinstance(obj, FinSet):
         lines.append(f"carrier {fallback} = {format_terms(obj.points)}")
         scratch.carriers[fallback] = obj
@@ -307,19 +309,14 @@ def cmd_lattice(args) -> int:
     fams = [inst.families[n] for n in args.operands]
     out = lattice_element(inst.pca, args.op, args.doc, *fams,
                           universe=universe, bound=args.bound, base=base, fuel=inst.fuel)
-    base_name = args.base or _find_name(inst, out.base) or "anonymous"
+    try:
+        base_name = args.base or object_name(inst, out.base)
+    except InstanceError:
+        base_name = "anonymous"
     print(f"family {args.op}_result over {base_name} {{ {format_table(out.values, format_terms)} }}")
     for note in out.notes:
         print(f"// {note}")
     return EXIT_OK
-
-
-def _find_name(inst: Instance, obj) -> str | None:
-    for section in (inst.carriers, inst.universes, inst.assemblies):
-        for n, v in section.items():
-            if v == obj:
-                return n
-    return None
 
 
 def cmd_complete(args) -> int:
@@ -413,7 +410,7 @@ def _claim_of(args, inst) -> object:
     return by_name[args.claim]
 
 
-def _iso_universal(args, inst, docs, from_map, to_map, fwd, bwd, concrete_doc) -> int:
+def _iso_universal(args, inst, from_map, to_map, fwd, bwd, concrete_doc) -> int:
     claim = _claim_of(args, inst)
     lines = []
     if args.direction == "forward":
@@ -446,7 +443,7 @@ def _iso_universal(args, inst, docs, from_map, to_map, fwd, bwd, concrete_doc) -
 
 def _cmd_iso_medvedev(args, inst) -> int:
     return _iso_universal(
-        args, inst, ("T",), iso.medvedev_from_completion,
+        args, inst, iso.medvedev_from_completion,
         lambda pca, fam: iso.medvedev_to_completion(pca, fam),
         lambda pca, l, r, w, fuel: iso.medvedev_transport_forward(pca, w),
         iso.medvedev_transport_backward, "M",
@@ -455,7 +452,7 @@ def _cmd_iso_medvedev(args, inst) -> int:
 
 def _cmd_iso_muchnik(args, inst) -> int:
     return _iso_universal(
-        args, inst, ("Tw",), iso.muchnik_from_completion,
+        args, inst, iso.muchnik_from_completion,
         lambda pca, fam: iso.muchnik_to_completion(pca, fam),
         iso.muchnik_transport_forward,
         iso.muchnik_transport_backward, "Mw",
@@ -520,7 +517,7 @@ def _cmd_iso_extended(args, inst) -> int:
 
 def _cmd_iso_dialectica(args, inst) -> int:
     return _iso_universal(
-        args, inst, ("M",), iso.dialectica_from_completion,
+        args, inst, iso.dialectica_from_completion,
         lambda pca, F: iso.dialectica_to_completion(pca, F),
         iso.dialectica_transport_forward,
         iso.dialectica_transport_backward, "D",

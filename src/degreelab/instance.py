@@ -34,8 +34,10 @@ Line comments start with ``//``.
 Machine-format reports are a subset of the same grammar (``result`` lines),
 so reports re-parse and search output can be fed back to ``check``.
 
-Tokens (one compiled pattern, ``_TOKEN``; whitespace separates them, and
-only a line feed starts a new line for error messages):
+Terms, instance files and ``parse_term`` (one term on its own) share one
+token grammar and one reader.  Tokens (one compiled pattern, ``_TOKEN``;
+whitespace separates them, and only a line feed starts a new line for error
+messages):
 
     identifier   a letter (``str.isalpha``) or ``_``, then any characters
                  that are ``str.isalnum``, ``_`` or ``'``: ``phi``, ``x'``
@@ -136,12 +138,10 @@ class Instance:
     decls: list = field(default_factory=list)  # (kind, name) in file order
     declared: set = field(default_factory=set)  # the names in decls
 
-    def element(self, name: str):
-        for section in (self.tracked, self.families, self.predicates,
-                        self.extpredicates, self.dialpredicates, self.compobjects):
-            if name in section:
-                return section[name]
-        raise InstanceError(f"no family/predicate/object named {name!r}")
+    def element(self, name: str, line: int | None = None):
+        """The family, predicate or completion object declared as ``name``."""
+        return _resolve(name, line, "no family/predicate/object named", self.tracked, self.families,
+                        self.predicates, self.extpredicates, self.dialpredicates, self.compobjects)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ class _Parser:
             return True
         return False
 
-    # -- terms ---------------------------------------------------------
+    # -- terms and combinators -------------------------------------------
 
     def term(self) -> Term:
         t = self.next()
@@ -273,25 +273,39 @@ class _Parser:
             return App(fn, arg)
         raise InstanceError(f"expected a term, found {text!r}", t.line)
 
-    def term_list(self) -> tuple[Term, ...]:
-        self.expect("punct", "[")
+    def items(self, open: str, close: str, item) -> list:
+        """``open item, item, ... close``, possibly empty."""
+        self.expect("punct", open)
         out = []
-        if not self.at("punct", "]"):
-            out.append(self.term())
+        if not self.at("punct", close):
+            out.append(item())
             while self.eat("punct", ","):
-                out.append(self.term())
-        self.expect("punct", "]")
-        return tuple(out)
+                out.append(item())
+        self.expect("punct", close)
+        return out
 
-    def set_list(self) -> tuple[tuple[Term, ...], ...]:
-        self.expect("punct", "[")
-        out = []
-        if not self.at("punct", "]"):
-            out.append(self.term_list())
-            while self.eat("punct", ","):
-                out.append(self.term_list())
-        self.expect("punct", "]")
-        return tuple(out)
+    def table(self, key, value) -> dict:
+        """``{ key -> value, ... }``; a repeated key keeps its last value."""
+        def entry():
+            k = key()
+            self.expect("punct", "->")
+            return k, value()
+        return dict(self.items("{", "}", entry))
+
+    def pair(self, first, sep: str, second) -> tuple:
+        """``(first sep second)``."""
+        self.expect("punct", "(")
+        a = first()
+        self.expect("punct", sep)
+        b = second()
+        self.expect("punct", ")")
+        return a, b
+
+    def term_list(self) -> tuple[Term, ...]:
+        return tuple(self.items("[", "]", self.term))
+
+    def term_set(self) -> frozenset:
+        return frozenset(self.items("[", "]", self.term))
 
     def ident(self) -> str:
         return self.expect("ident").text
@@ -303,6 +317,44 @@ class _Parser:
         except ValueError as e:  # a digit int() rejects, such as '²'
             raise InstanceError(str(e), tok.line) from None
 
+    def assign(self, word: str) -> None:
+        """``word =``, as in ``k = f``."""
+        self.expect("ident", word)
+        self.expect("punct", "=")
+
+
+def parse_term(text: str) -> Term:
+    """One term in the canonical syntax, read with the instance tokens."""
+    p = _Parser(_tokenize(text), text)
+    term = p.term()
+    if not p.done():
+        raise InstanceError("trailing input after term", p.line())
+    return term
+
+
+def _resolve(name: str, line: int | None, unknown: str, *sections):
+    """The value ``name`` was declared with, from the first of ``sections``
+    that has it; else "``unknown`` 'name'" reported on ``line``."""
+    for section in sections:
+        if name in section:
+            return section[name]
+    raise InstanceError(f"{unknown} {name!r}", line)
+
+
+def _name(p: _Parser, unknown: str, *sections):
+    """The earlier declaration the next identifier names; an unknown name is
+    reported on its own line."""
+    tok = p.expect("ident")
+    return _resolve(tok.text, tok.line, unknown, *sections)
+
+
+def _object(p: _Parser, inst: Instance):
+    return _name(p, "unknown carrier/assembly", inst.carriers, inst.universes, inst.assemblies)
+
+
+def _morphism(p: _Parser, inst: Instance):
+    return _name(p, "unknown morphism", inst.morphisms, inst.extmorphisms)
+
 
 # ---------------------------------------------------------------------------
 # Keys (context-dependent: carrier points are terms, assembly keys are
@@ -312,14 +364,7 @@ class _Parser:
 def _parse_key(p: _Parser, base) -> object:
     if isinstance(base, FinSet):
         return p.term()
-    if isinstance(base, Assembly):
-        p.expect("punct", "(")
-        name = p.term()
-        p.expect("punct", ",")
-        pid = _point_id(p)
-        p.expect("punct", ")")
-        return (name, pid)
-    raise InstanceError("cannot key into this object", p.line())
+    return p.pair(p.term, ",", lambda: _point_id(p))
 
 
 def _point_id(p: _Parser):
@@ -330,28 +375,18 @@ def _point_id(p: _Parser):
 
 
 def _parse_point(p: _Parser, obj):
-    """A point of a carrier (term) or of an assembly (id or (x, y) tuple)."""
+    """A point of a carrier (a term) or of an assembly (an id, or a pair
+    ``(x, y)`` of such points)."""
     if isinstance(obj, FinSet):
         return p.term()
     if p.at("punct", "("):
-        p.expect("punct", "(")
-        a = _parse_point_id_or_tuple(p)
-        p.expect("punct", ",")
-        b = _parse_point_id_or_tuple(p)
-        p.expect("punct", ")")
-        return (a, b)
+        return p.pair(lambda: _parse_point(p, obj), ",", lambda: _parse_point(p, obj))
     return _point_id(p)
 
 
-def _parse_point_id_or_tuple(p: _Parser):
-    if p.at("punct", "("):
-        p.expect("punct", "(")
-        a = _parse_point_id_or_tuple(p)
-        p.expect("punct", ",")
-        b = _parse_point_id_or_tuple(p)
-        p.expect("punct", ")")
-        return (a, b)
-    return _point_id(p)
+def _choice_table(p: _Parser) -> dict:
+    """``{ (x; [a]) -> [b], ... }``: a relation predicate's or a choice's table."""
+    return p.table(lambda: p.pair(p.term, ";", p.term_set), p.term_set)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +408,7 @@ def parse_instance(text: str) -> Instance:
         arg = toks[k + 1]
         if head.text == "oracle" and arg.kind == "oracle":
             pre.i = k + 2
-            table: dict[Term, Term] = {}
-            pre.expect("punct", "{")
-            if not pre.at("punct", "}"):
-                while True:
-                    key = pre.term()
-                    pre.expect("punct", "->")
-                    val = pre.term()
-                    table[key] = val
-                    if not pre.eat("punct", ","):
-                        break
-            pre.expect("punct", "}")
+            table = pre.table(pre.term, pre.term)
             if arg.text in oracles:
                 raise InstanceError(f"duplicate oracle #{arg.text}", arg.line)
             oracles[arg.text] = table
@@ -420,6 +445,13 @@ def _fresh(inst: Instance, name: str, line: int) -> None:
         raise InstanceError(f"name {name!r} already declared", line)
 
 
+def _new_name(p: _Parser, inst: Instance) -> tuple[str, int]:
+    """A declaration's own name, which no earlier declaration has, and its line."""
+    tok = p.expect("ident")
+    _fresh(inst, tok.text, tok.line)
+    return tok.text, tok.line
+
+
 def _record(inst: Instance, kind: str, name: str) -> None:
     inst.decls.append((kind, name))
     inst.declared.add(name)
@@ -437,25 +469,21 @@ def _decl_fuel(p: _Parser, inst: Instance) -> None:
 
 
 def _decl_universe(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, _ = _new_name(p, inst)
     p.expect("punct", "=")
     inst.universes[name] = carrier(inst.pca, p.term_list())
     _record(inst, "universe", name)
 
 
 def _decl_carrier(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, line = _new_name(p, inst)
     p.expect("punct", "=")
     if p.at("ident", "product"):
         p.next()
         _fresh(inst, name + "_fst", line)
         _fresh(inst, name + "_snd", line)
-        left = _lookup(inst.carriers, p.ident(), "carrier", p.line())
-        right = _lookup(inst.carriers, p.ident(), "carrier", p.line())
+        left = _name(p, "unknown carrier", inst.carriers)
+        right = _name(p, "unknown carrier", inst.carriers)
         prod = carrier_product(inst.pca, left, right)
         inst.carriers[name] = prod.object
         inst.morphisms[name + "_fst"] = prod.fst
@@ -469,15 +497,13 @@ def _decl_carrier(p: _Parser, inst: Instance) -> None:
 
 
 def _decl_assembly(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, line = _new_name(p, inst)
     if p.eat("punct", "="):
         p.expect("ident", "product")
         _fresh(inst, name + "_fst", line)
         _fresh(inst, name + "_snd", line)
-        left = _lookup(inst.assemblies, p.ident(), "assembly", p.line())
-        right = _lookup(inst.assemblies, p.ident(), "assembly", p.line())
+        left = _name(p, "unknown assembly", inst.assemblies)
+        right = _name(p, "unknown assembly", inst.assemblies)
         prod = ext_product(inst.pca, left, right)
         inst.assemblies[name] = prod.object
         inst.extmorphisms[name + "_fst"] = prod.fst
@@ -501,46 +527,18 @@ def _decl_assembly(p: _Parser, inst: Instance) -> None:
     _record(inst, "assembly", name)
 
 
-def _lookup(section: dict, name: str, what: str, line: int):
-    if name not in section:
-        raise InstanceError(f"unknown {what} {name!r}", line)
-    return section[name]
-
-
-def _object_lookup(inst: Instance, name: str, line: int):
-    if name in inst.carriers:
-        return inst.carriers[name]
-    if name in inst.universes:
-        return inst.universes[name]
-    if name in inst.assemblies:
-        return inst.assemblies[name]
-    raise InstanceError(f"unknown carrier/assembly {name!r}", line)
-
-
 def _decl_morphism(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, _ = _new_name(p, inst)
     p.expect("punct", ":")
-    src = _object_lookup(inst, p.ident(), p.line())
+    src = _object(p, inst)
     p.expect("punct", "->")
-    tgt = _object_lookup(inst, p.ident(), p.line())
+    tgt = _object(p, inst)
     realizer = None
     if p.at("ident", "realizer"):
         p.next()
         realizer = p.term()
     p.expect("ident", "graph")
-    p.expect("punct", "{")
-    mapping = {}
-    if not p.at("punct", "}"):
-        while True:
-            key = _parse_point(p, src)
-            p.expect("punct", "->")
-            val = _parse_point(p, tgt)
-            mapping[key] = val
-            if not p.eat("punct", ","):
-                break
-    p.expect("punct", "}")
+    mapping = p.table(lambda: _parse_point(p, src), lambda: _parse_point(p, tgt))
     m = FinMap(src, tgt, mapping, realizer)
     if realizer is not None:
         m.check_realizer(inst.pca)
@@ -549,86 +547,47 @@ def _decl_morphism(p: _Parser, inst: Instance) -> None:
 
 
 def _decl_extmorphism(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, _ = _new_name(p, inst)
     p.expect("punct", ":")
-    src = _lookup(inst.assemblies, p.ident(), "assembly", p.line())
+    src = _name(p, "unknown assembly", inst.assemblies)
     p.expect("punct", "->")
-    tgt = _lookup(inst.assemblies, p.ident(), "assembly", p.line())
+    tgt = _name(p, "unknown assembly", inst.assemblies)
     p.expect("ident", "realizer")
     realizer = p.term()
     p.expect("ident", "pointmap")
-    p.expect("punct", "{")
-    pointmap = {}
-    if not p.at("punct", "}"):
-        while True:
-            p.expect("punct", "(")
-            nm = p.term()
-            p.expect("punct", ",")
-            pid = _parse_point_id_or_tuple(p)
-            p.expect("punct", ")")
-            p.expect("punct", "->")
-            val = _parse_point_id_or_tuple(p)
-            pointmap[(nm, pid)] = val
-            if not p.eat("punct", ","):
-                break
-    p.expect("punct", "}")
+    pointmap = p.table(lambda: p.pair(p.term, ",", lambda: _parse_point(p, src)), lambda: _parse_point(p, tgt))
     inst.extmorphisms[name] = ExtMorphism(src, tgt, realizer, pointmap)
     _record(inst, "extmorphism", name)
 
 
 def _decl_tracked(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, line = _new_name(p, inst)
     p.expect("ident", "over")
-    base = _object_lookup(inst, p.ident(), p.line())
+    base = _object(p, inst)
     if not isinstance(base, FinSet):
         raise InstanceError("tracked families live over carriers", line)
-    p.expect("punct", "{")
-    values = {}
-    if not p.at("punct", "}"):
-        while True:
-            key = p.term()
-            p.expect("punct", "->")
-            values[key] = p.term()
-            if not p.eat("punct", ","):
-                break
-    p.expect("punct", "}")
-    inst.tracked[name] = TrackedFamily(base, values)
+    inst.tracked[name] = TrackedFamily(base, p.table(p.term, p.term))
     _record(inst, "tracked", name)
 
 
 def _parse_policy(p: _Parser) -> str | None:
     if p.at("ident", "policy"):
         p.next()
-        word = p.ident()
-        if word == "nonempty":
+        word = p.expect("ident")
+        if word.text == "nonempty":
             return NONEMPTY
-        if word == "allowempty":
+        if word.text == "allowempty":
             return ALLOW_EMPTY
-        raise InstanceError(f"unknown policy {word!r}", p.line())
+        raise InstanceError(f"unknown policy {word.text!r}", word.line)
     return None
 
 
 def _decl_family(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, _ = _new_name(p, inst)
     p.expect("ident", "over")
-    base = _object_lookup(inst, p.ident(), p.line())
+    base = _object(p, inst)
     policy = _parse_policy(p)
-    p.expect("punct", "{")
-    values = {}
-    if not p.at("punct", "}"):
-        while True:
-            key = _parse_key(p, base)
-            p.expect("punct", "->")
-            values[key] = frozenset(p.term_list())
-            if not p.eat("punct", ","):
-                break
-    p.expect("punct", "}")
+    values = p.table(lambda: _parse_key(p, base), p.term_set)
     if isinstance(base, FinSet):
         inst.families[name] = MassFamily(base, values, policy or ALLOW_EMPTY)
     else:
@@ -637,84 +596,40 @@ def _decl_family(p: _Parser, inst: Instance) -> None:
 
 
 def _decl_predicate(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, _ = _new_name(p, inst)
     p.expect("ident", "over")
-    base = _object_lookup(inst, p.ident(), p.line())
+    base = _object(p, inst)
     p.expect("ident", "index")
-    index = _object_lookup(inst, p.ident(), p.line())
+    index = _object(p, inst)
     policy = _parse_policy(p)
-    p.expect("punct", "{")
-    table = {}
-    if not p.at("punct", "}"):
-        while True:
-            p.expect("punct", "(")
-            bkey = _parse_key(p, base)
-            p.expect("punct", ";")
-            ikey = _parse_key(p, index)
-            p.expect("punct", ")")
-            p.expect("punct", "->")
-            table[(bkey, ikey)] = frozenset(p.term_list())
-            if not p.eat("punct", ","):
-                break
-    p.expect("punct", "}")
+    table = p.table(lambda: p.pair(lambda: _parse_key(p, base), ";", lambda: _parse_key(p, index)), p.term_set)
     inst.predicates[name] = Predicate(base, index, table, policy or NONEMPTY)
     _record(inst, "predicate", name)
 
 
 def _decl_extpredicate(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, line = _new_name(p, inst)
     p.expect("ident", "over")
-    dom = _object_lookup(inst, p.ident(), p.line())
+    dom = _object(p, inst)
     if not isinstance(dom, FinSet):
         raise InstanceError("extended predicates live over carriers", line)
-    p.expect("punct", "{")
-    table = {}
-    if not p.at("punct", "}"):
-        while True:
-            key = p.term()
-            p.expect("punct", "->")
-            table[key] = frozenset(frozenset(ts) for ts in p.set_list())
-            if not p.eat("punct", ","):
-                break
-    p.expect("punct", "}")
+    table = p.table(p.term, lambda: frozenset(p.items("[", "]", p.term_set)))
     inst.extpredicates[name] = ExtendedPredicate(dom, table)
     _record(inst, "extpredicate", name)
 
 
 def _decl_dialpredicate(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, line = _new_name(p, inst)
     p.expect("ident", "over")
-    base = _object_lookup(inst, p.ident(), p.line())
+    base = _object(p, inst)
     if not isinstance(base, FinSet):
         raise InstanceError("relation predicates live over carriers", line)
-    p.expect("punct", "{")
-    table = {}
-    if not p.at("punct", "}"):
-        while True:
-            p.expect("punct", "(")
-            x = p.term()
-            p.expect("punct", ";")
-            a = frozenset(p.term_list())
-            p.expect("punct", ")")
-            p.expect("punct", "->")
-            table[(x, a)] = frozenset(p.term_list())
-            if not p.eat("punct", ","):
-                break
-    p.expect("punct", "}")
-    inst.dialpredicates[name] = DialecticaPredicate(base, table)
+    inst.dialpredicates[name] = DialecticaPredicate(base, _choice_table(p))
     _record(inst, "dialpredicate", name)
 
 
 def _decl_witness(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, line = _new_name(p, inst)
     p.expect("punct", "=")
     head = p.ident()
     if head == "uniform":
@@ -722,89 +637,35 @@ def _decl_witness(p: _Parser, inst: Instance) -> None:
     elif head == "bounded":
         w = Bounded(p.integer())
     elif head == "perpoint":
-        p.expect("punct", "{")
-        mapping = {}
-        if not p.at("punct", "}"):
-            while True:
-                key = _parse_perpoint_key(p)
-                p.expect("punct", "->")
-                mapping[key] = p.term()
-                if not p.eat("punct", ","):
-                    break
-        p.expect("punct", "}")
-        w = PerPoint(mapping)
-    elif head == "fwback":
-        p.expect("ident", "k")
-        p.expect("punct", "=")
-        k = _lookup(inst.morphisms, p.ident(), "morphism", p.line())
+        w = PerPoint(p.table(lambda: _parse_perpoint_key(p), p.term))
+    elif head in ("fwback", "extfwback"):
+        p.assign("k")
+        if head == "fwback":
+            form, k = ForwardBackward, _name(p, "unknown morphism", inst.morphisms)
+        else:
+            form, k = ExtForwardBackward, _name(p, "unknown ext morphism", inst.extmorphisms)
         p.expect("punct", ",")
-        p.expect("ident", "h")
-        p.expect("punct", "=")
-        w = ForwardBackward(k, p.term())
-    elif head == "extfwback":
-        p.expect("ident", "k")
-        p.expect("punct", "=")
-        k = _lookup(inst.extmorphisms, p.ident(), "ext morphism", p.line())
-        p.expect("punct", ",")
-        p.expect("ident", "h")
-        p.expect("punct", "=")
-        w = ExtForwardBackward(k, p.term())
+        p.assign("h")
+        w = form(k, p.term())
     elif head == "dial":
-        p.expect("punct", "{")
-        choice = {}
-        if not p.at("punct", "}"):
-            while True:
-                p.expect("punct", "(")
-                x = p.term()
-                p.expect("punct", ";")
-                a = frozenset(p.term_list())
-                p.expect("punct", ")")
-                p.expect("punct", "->")
-                choice[(x, a)] = frozenset(p.term_list())
-                if not p.eat("punct", ","):
-                    break
-        p.expect("punct", "}")
-        p.expect("ident", "h")
-        p.expect("punct", "=")
+        choice = _choice_table(p)
+        p.assign("h")
         w = DialecticaWitness(choice, p.term())
     elif head == "extstrong":
-        p.expect("ident", "k")
-        p.expect("punct", "=")
+        p.assign("k")
         k = p.term()
         p.expect("punct", ",")
         p.expect("ident", "choice")
-        p.expect("punct", "{")
-        choice = {}
-        if not p.at("punct", "}"):
-            while True:
-                p.expect("punct", "(")
-                x = p.term()
-                p.expect("punct", ";")
-                a = frozenset(p.term_list())
-                p.expect("punct", ")")
-                p.expect("punct", "->")
-                choice[(x, a)] = frozenset(p.term_list())
-                if not p.eat("punct", ","):
-                    break
-        p.expect("punct", "}")
+        choice = _choice_table(p)
         p.expect("punct", ",")
-        p.expect("ident", "h")
-        p.expect("punct", "=")
+        p.assign("h")
         w = ExtStrong(k, choice, p.term())
     elif head == "mediate":
-        p.expect("ident", "h")
-        p.expect("punct", "=")
-        mname = p.ident()
-        if mname in inst.morphisms:
-            med = inst.morphisms[mname]
-        elif mname in inst.extmorphisms:
-            med = inst.extmorphisms[mname]
-        else:
-            raise InstanceError(f"unknown morphism {mname!r}", p.line())
+        p.assign("h")
+        med = _morphism(p, inst)
         p.expect("punct", ",")
-        p.expect("ident", "base")
-        p.expect("punct", "=")
-        w = CompletionWitness(med, _lookup(inst.witnesses, p.ident(), "witness", p.line()))
+        p.assign("base")
+        w = CompletionWitness(med, _name(p, "unknown witness", inst.witnesses))
     else:
         raise InstanceError(f"unknown witness form {head!r}", line)
     inst.witnesses[name] = w
@@ -833,59 +694,41 @@ def _parse_perpoint_key(p: _Parser):
 
 
 def _decl_compobject(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, _ = _new_name(p, inst)
     p.expect("punct", "=")
     kind = p.ident()
     klass = p.ident()
     doc = p.ident()
     p.expect("ident", "leg")
-    lname = p.ident()
-    if lname in inst.morphisms:
-        leg = inst.morphisms[lname]
-    elif lname in inst.extmorphisms:
-        leg = inst.extmorphisms[lname]
-    else:
-        raise InstanceError(f"unknown morphism {lname!r}", p.line())
+    leg = _morphism(p, inst)
     p.expect("ident", "payload")
-    pname = p.ident()
-    payload = inst.element(pname)
-    inst.compobjects[name] = CompletionObject(kind, klass, doc, leg, payload)
+    payload = p.expect("ident")
+    inst.compobjects[name] = CompletionObject(kind, klass, doc, leg, inst.element(payload.text, payload.line))
     _record(inst, "compobject", name)
 
 
 def _decl_claim(p: _Parser, inst: Instance) -> None:
-    line = p.line()
-    name = p.ident()
-    _fresh(inst, name, line)
+    name, line = _new_name(p, inst)
     p.expect("punct", ":")
-    lhs = p.ident()
+    lhs = p.expect("ident")
     p.expect("punct", "<=_")
     doc = p.ident()
     if doc not in DOCTRINES and doc != "comp":
         raise InstanceError(f"unknown doctrine id {doc!r}", line)
-    rhs = p.ident()
+    rhs = p.expect("ident")
     p.expect("ident", "by")
-    wname = p.ident()
-    inst.element(lhs)
-    inst.element(rhs)
-    _lookup(inst.witnesses, wname, "witness", line)
-    inst.claims.append(Claim(name, lhs, doc, rhs, wname))
+    witness = p.expect("ident")
+    inst.element(lhs.text, lhs.line)
+    inst.element(rhs.text, rhs.line)
+    _resolve(witness.text, witness.line, "unknown witness", inst.witnesses)
+    inst.claims.append(Claim(name, lhs.text, doc, rhs.text, witness.text))
     _record(inst, "claim", name)
 
 
 def _decl_result(p: _Parser, inst: Instance) -> None:
     claim = p.ident()
     status = p.ident()
-    items = []
-    if p.eat("ident", "counterexample"):
-        p.expect("punct", "(")
-        if not p.at("punct", ")"):
-            items.append(_raw_item(p))
-            while p.eat("punct", ","):
-                items.append(_raw_item(p))
-        p.expect("punct", ")")
+    items = p.items("(", ")", lambda: _raw_item(p)) if p.eat("ident", "counterexample") else ()
     unknowns = p.integer() if p.eat("ident", "unknowns") else 0
     inst.results.append(ResultLine(claim, status, tuple(items), unknowns))
     _record(inst, "result", claim)
@@ -959,8 +802,8 @@ def format_assembly(name: str, asm: Assembly) -> str:
 
 def format_morphism(inst: Instance, name: str, m: FinMap) -> str:
     realizer = f" realizer {to_text(m.realizer)}" if m.realizer is not None else ""
-    src_name = _obj_name(inst, m.source)
-    tgt_name = _obj_name(inst, m.target)
+    src_name = object_name(inst, m.source)
+    tgt_name = object_name(inst, m.target)
     return f"morphism {name} : {src_name} -> {tgt_name}{realizer} graph {{ {format_table(m.mapping)} }}"
 
 
@@ -970,7 +813,7 @@ def format_extmorphism(inst: Instance, name: str, m: ExtMorphism) -> str:
         for (n, x), v in sorted(m.pointmap.items(), key=lambda kv: (to_text(kv[0][0]), point_text(kv[0][1])))
     )
     return (
-        f"extmorphism {name} : {_obj_name(inst, m.source)} -> {_obj_name(inst, m.target)} "
+        f"extmorphism {name} : {object_name(inst, m.source)} -> {object_name(inst, m.target)} "
         f"realizer {to_text(m.realizer)} pointmap {{ {body} }}"
     )
 
@@ -1005,12 +848,12 @@ def print_instance(inst: Instance) -> str:
             out.append(format_extmorphism(inst, name, inst.extmorphisms[name]))
         elif kind == "tracked":
             fam = inst.tracked[name]
-            out.append(f"tracked {name} over {_obj_name(inst, fam.base)} {{ {format_table(fam.values)} }}")
+            out.append(f"tracked {name} over {object_name(inst, fam.base)} {{ {format_table(fam.values)} }}")
         elif kind == "family":
             fam = inst.families[name]
             pol = " policy nonempty" if fam.policy == NONEMPTY else ""
             body = format_table(fam.values, format_terms)
-            out.append(f"family {name} over {_obj_name(inst, fam.base)}{pol} {{ {body} }}")
+            out.append(f"family {name} over {object_name(inst, fam.base)}{pol} {{ {body} }}")
         elif kind == "predicate":
             pred = inst.predicates[name]
             pol = "" if pred.policy == NONEMPTY else " policy allowempty"
@@ -1019,7 +862,7 @@ def print_instance(inst: Instance) -> str:
                 for (b, i), v in sorted(pred.table.items(), key=lambda kv: (point_text(kv[0][0]), point_text(kv[0][1])))
             )
             out.append(
-                f"predicate {name} over {_obj_name(inst, pred.base)} index {_obj_name(inst, pred.index)}{pol} {{ {body} }}"
+                f"predicate {name} over {object_name(inst, pred.base)} index {object_name(inst, pred.index)}{pol} {{ {body} }}"
             )
         elif kind == "extpredicate":
             ep = inst.extpredicates[name]
@@ -1027,10 +870,10 @@ def print_instance(inst: Instance) -> str:
                 f"{to_text(k)} -> [" + ", ".join(format_terms(a) for a in sorted(v, key=lambda s: sorted(map(to_text, s)))) + "]"
                 for k, v in sorted(ep.table.items(), key=lambda kv: to_text(kv[0]))
             )
-            out.append(f"extpredicate {name} over {_obj_name(inst, ep.dom)} {{ {body} }}")
+            out.append(f"extpredicate {name} over {object_name(inst, ep.dom)} {{ {body} }}")
         elif kind == "dialpredicate":
             dp = inst.dialpredicates[name]
-            out.append(f"dialpredicate {name} over {_obj_name(inst, dp.base)} {{ {_format_choice(dp.table)} }}")
+            out.append(f"dialpredicate {name} over {object_name(inst, dp.base)} {{ {_format_choice(dp.table)} }}")
         elif kind == "witness":
             out.append(format_witness(inst, name, inst.witnesses[name]))
         elif kind == "compobject":
@@ -1055,7 +898,8 @@ def _format_choice(table) -> str:
     )
 
 
-def _obj_name(inst: Instance, obj) -> str:
+def object_name(inst: Instance, obj) -> str:
+    """The name a carrier, universe or assembly equal to ``obj`` is declared as."""
     for section in (inst.carriers, inst.universes, inst.assemblies):
         for name, val in section.items():
             if val == obj:

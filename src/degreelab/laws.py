@@ -791,13 +791,20 @@ def suite_extsw_dialectica(pca: Pca, fuel: int | None = None) -> SuiteReport:
     shifts = _distinct_actions(pca, dom, bound=5, fuel=fuel)
     hs = enumerate_computable(2)
     t = _Tally("extsw-dialectica")
-    for f, g in iproduct(preds, repeat=2):
-        F = iso.extended_to_dialectica(f)
-        G = iso.extended_to_dialectica(g)
-        for k in shifts:
-            try:
-                Gk = iso.dialectica_shift(pca, G, k, F.base, fuel)
-            except CheckError:
+    dial = [iso.extended_to_dialectica(f) for f in preds]
+    # (g's index, k's index) -> G shifted by k onto dom, the one base of
+    # every F, built once; None when the shift is rejected (the pair is skipped).
+    shifted = {}
+    for (i, f), (j, g) in iproduct(enumerate(preds), repeat=2):
+        F = dial[i]
+        for n, k in enumerate(shifts):
+            if (j, n) not in shifted:
+                try:
+                    shifted[j, n] = iso.dialectica_shift(pca, dial[j], k, dom, fuel)
+                except CheckError:
+                    shifted[j, n] = None
+            Gk = shifted[j, n]
+            if Gk is None:
                 continue
             keys = [(p, a) for p in f.effective_dom for a in sorted(f.table[p], key=lambda s: sorted(map(to_text, s)))]
             opts = []

@@ -2,8 +2,9 @@
 
 Canonical syntax, bit-exact: ``K``, ``S``, ``#name`` for oracle atoms and
 ``(t u)`` for application.  Juxtaposition without parentheses is rejected;
-whitespace between tokens is insignificant.  Parsing then printing a term is
-the identity.
+whitespace between tokens is insignificant.  The reader is
+``instance.parse_term``, on the tokens of the instance grammar; parsing then
+printing a term is the identity.
 
 Variables (``Var``) exist only transiently inside bracket abstraction; stored
 terms are always closed.
@@ -199,81 +200,6 @@ def subst(t: Term, name: str, value: Term) -> Term:
             return t
         return App(fn, arg)
     return t
-
-
-class TermSyntaxError(ValueError):
-    """Raised when a string is not a term in the canonical syntax."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at offset {pos})")
-        self.pos = pos
-
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789'")
-
-
-def _tokenize_term(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            tokens.append((c, c, i))
-            i += 1
-        elif c == "#":
-            j = i + 1
-            if j >= n or text[j] not in _IDENT_START:
-                raise TermSyntaxError("'#' must be followed by an identifier", i)
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(("oracle", text[i + 1 : j], i))
-            i = j
-        elif c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        else:
-            raise TermSyntaxError(f"unexpected character {c!r}", i)
-    return tokens
-
-
-def parse_term(text: str, *, allow_vars: bool = False) -> Term:
-    """Parse the canonical syntax.  Rejects juxtaposition without parentheses."""
-    tokens = _tokenize_term(text)
-    term, rest = _parse_one(tokens, 0, allow_vars)
-    if rest != len(tokens):
-        raise TermSyntaxError("trailing input after term", tokens[rest][2])
-    return term
-
-
-def _parse_one(tokens: list[tuple[str, str, int]], i: int, allow_vars: bool) -> tuple[Term, int]:
-    if i >= len(tokens):
-        raise TermSyntaxError("unexpected end of input", -1)
-    kind, value, pos = tokens[i]
-    if kind == "name":
-        if value == "K":
-            return K, i + 1
-        if value == "S":
-            return S, i + 1
-        if allow_vars:
-            return Var(value), i + 1
-        raise TermSyntaxError(f"unknown atom {value!r}", pos)
-    if kind == "oracle":
-        return Oracle(value), i + 1
-    if kind == "(":
-        fn, j = _parse_one(tokens, i + 1, allow_vars)
-        arg, j = _parse_one(tokens, j, allow_vars)
-        if j >= len(tokens) or tokens[j][0] != ")":
-            where = tokens[j][2] if j < len(tokens) else -1
-            raise TermSyntaxError("application takes exactly two terms", where)
-        return App(fn, arg), j + 1
-    raise TermSyntaxError(f"unexpected token {value!r}", pos)
 
 
 def enumerate_sk(size_bound: int) -> list[Term]:

@@ -11,9 +11,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from degreelab import isomorphisms as iso
 from degreelab.laws import SUITES
 from degreelab.pca import Pca
 
@@ -26,7 +28,7 @@ BOUNDS = {
     "adjoint-suites": 5.0,
     "beck-chevalley": 5.0,
     "isomorphism-suites": 5.0,
-    "extsw-dialectica": 15.0,
+    "extsw-dialectica": 5.0,
     "extasm-category": 5.0,
 }
 
@@ -115,8 +117,11 @@ def test_criterion_08_isomorphism_suites(structure):
 
 
 def test_criterion_09_extsw_dialectica(structure):
-    report = _run(9, "extsw-dialectica", structure)
+    with mock.patch.object(iso, "dialectica_shift", wraps=iso.dialectica_shift) as shift:
+        report = _run(9, "extsw-dialectica", structure)
     assert report.unknowns == 0  # every compared witness decided on both sides
+    shifted = [c.args[1:3] for c in shift.call_args_list]  # (G, k)
+    assert shifted and len(set(shifted)) == len(shifted)  # each shift built once
 
 
 def test_criterion_10_extasm_category(structure):

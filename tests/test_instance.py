@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -339,3 +340,52 @@ class TestLexicalContract:
         with pytest.raises(InstanceError) as err:
             parse_instance("carrier X = [K]\ncarrier Y = [K,")
         assert (str(err.value), err.value.line) == ("line 2: unexpected end of file", 2)
+
+
+# The parser's error contract: SAMPLE with each of its tokens deleted in turn
+# gives exactly the recorded (line, message), or "ok" when it still parses.
+# Each entry is [offset of the deleted token, its text, outcome].
+SAMPLE_DELETIONS = Path(__file__).resolve().parent / "sample_deletions.json"
+
+
+class TestErrorContract:
+    def test_every_single_token_deletion_of_the_sample(self):
+        got = []
+        for tok in _tokenize(SAMPLE):
+            try:
+                parse_instance(SAMPLE[: tok.start] + SAMPLE[tok.end :])
+                outcome = "ok"
+            except InstanceError as e:
+                outcome = [e.line, str(e)]
+            got.append([tok.start, tok.text, outcome])
+        assert got == json.loads(SAMPLE_DELETIONS.read_text(encoding="utf-8"))
+
+    # A name that refers to no earlier declaration is reported on the line of
+    # the name itself, not on the line of the token after it.
+    HEAD = "carrier X = [K]\nassembly A { point a names [K] }\nmorphism f : X -> X graph { K -> K }\n" \
+           "family phi over X { K -> [K] }\nwitness w = uniform K\n"
+
+    @pytest.mark.parametrize("decl, message", [
+        ("carrier P = product X Y", "unknown carrier 'Y'"),
+        ("assembly P = product A B", "unknown assembly 'B'"),
+        ("morphism g : X -> Y", "unknown carrier/assembly 'Y'"),
+        ("extmorphism m : A -> B", "unknown assembly 'B'"),
+        ("family psi over Y", "unknown carrier/assembly 'Y'"),
+        ("predicate F over X index Y", "unknown carrier/assembly 'Y'"),
+        ("family psi over X policy sometimes", "unknown policy 'sometimes'"),
+        ("witness v = fwback k = g", "unknown morphism 'g'"),
+        ("witness v = extfwback k = g", "unknown ext morphism 'g'"),
+        ("witness v = mediate h = g", "unknown morphism 'g'"),
+        ("witness v = mediate h = f, base = v0", "unknown witness 'v0'"),
+        ("compobject c = forall full T leg g", "unknown morphism 'g'"),
+        ("compobject c = forall full T leg f payload nope", "no family/predicate/object named 'nope'"),
+        ("claim c : nope <=_M phi by w", "no family/predicate/object named 'nope'"),
+        ("claim c : phi <=_M nope by w", "no family/predicate/object named 'nope'"),
+        ("claim c : phi <=_M phi by\nv0", "unknown witness 'v0'"),
+    ])
+    def test_unknown_names_are_reported_on_their_own_line(self, decl, message):
+        source = self.HEAD + decl + "\n\n\nwitness later = uniform K\n"
+        line = self.HEAD.count("\n") + decl.count("\n") + 1
+        with pytest.raises(InstanceError) as err:
+            parse_instance(source)
+        assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)

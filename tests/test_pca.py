@@ -36,7 +36,6 @@ from degreelab.terms import (
     free_vars,
     is_closed,
     pair_term,
-    parse_term,
     subst,
     to_text,
 )

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degreelab import terms as terms_module
+from degreelab.instance import InstanceError, parse_term
 from degreelab.terms import (
     App,
     K,
     Oracle,
     S,
-    TermSyntaxError,
     Var,
     ap,
     enumerate_over,
@@ -19,7 +19,6 @@ from degreelab.terms import (
     has_oracle,
     is_closed,
     pair_term,
-    parse_term,
     split_pair,
     subst,
     subterms,
@@ -43,7 +42,7 @@ class TestSyntax:
         assert to_text(ap(S, K, K)) == "((S K) K)"
 
     def test_parse_print_examples(self):
-        for text in ("K", "S", "#o1", "(K S)", "((S K) (K #o1))"):
+        for text in ("K", "S", "#o1", "#1", "#\u00e9", "#'", "(K S)", "((S K) (K #o1))"):
             assert to_text(parse_term(text)) == text
 
     @settings(max_examples=200, deadline=None)
@@ -52,20 +51,20 @@ class TestSyntax:
         assert parse_term(to_text(t)) == t
 
     def test_juxtaposition_rejected(self):
-        with pytest.raises(TermSyntaxError):
+        with pytest.raises(InstanceError):
             parse_term("K S")
-        with pytest.raises(TermSyntaxError):
+        with pytest.raises(InstanceError):
             parse_term("(K S K)")
 
     def test_unknown_atom_rejected(self):
-        with pytest.raises(TermSyntaxError):
+        with pytest.raises(InstanceError):
             parse_term("x")
 
     def test_whitespace_insignificant(self):
         assert parse_term("( K   S )") == App(K, S)
 
     def test_oracle_name_required(self):
-        with pytest.raises(TermSyntaxError):
+        with pytest.raises(InstanceError):
             parse_term("#")
 
 
