@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import verdicts
 from .doctrines import (
+    DOCTRINES,
     CheckError,
     Uniform,
     Witness,
@@ -70,6 +71,8 @@ class CompletionObject:
             raise CheckError(f"bad completion kind {self.kind!r}")
         if self.klass not in (FULL, PURE):
             raise CheckError(f"bad completion class {self.klass!r}")
+        if self.doc not in DOCTRINES:
+            raise CheckError(f"unknown doctrine id {self.doc!r}")
         src = self.leg.source
         base = getattr(self.payload, "base", None)
         if base is None:

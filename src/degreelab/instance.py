@@ -35,9 +35,9 @@ Machine-format reports are a subset of the same grammar (``result`` lines),
 so reports re-parse and search output can be fed back to ``check``.
 
 Terms, instance files and ``parse_term`` (one term on its own) share one
-token grammar and one reader.  Tokens (one compiled pattern, ``_TOKEN``;
-whitespace separates them, and only a line feed starts a new line for error
-messages):
+token grammar and one reader over words: the tokens from one ``findall``.
+Lines and spans come from the scanner ``_tokenize`` when an error or a raw
+item needs them.  Tokens (whitespace separates them; a line feed starts a line):
 
     identifier   a letter (``str.isalpha``) or ``_``, then any characters
                  that are ``str.isalnum``, ``_`` or ``'``: ``phi``, ``x'``
@@ -53,6 +53,7 @@ before an integer, so both can also name a carrier, family or witness.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -138,10 +139,10 @@ class Instance:
     decls: list = field(default_factory=list)  # (kind, name) in file order
     declared: set = field(default_factory=set)  # the names in decls
 
-    def element(self, name: str, line: int | None = None):
+    def element(self, name: str, error=InstanceError):
         """The family, predicate or completion object declared as ``name``."""
-        return _resolve(name, line, "no family/predicate/object named", self.tracked, self.families,
-                        self.predicates, self.extpredicates, self.dialpredicates, self.compobjects)
+        return _resolve(name, "no family/predicate/object named", (self.tracked, self.families, self.predicates,
+                        self.extpredicates, self.dialpredicates, self.compobjects), error)
 
 
 # ---------------------------------------------------------------------------
@@ -213,43 +214,65 @@ def _tokenize(text: str) -> list[Tok]:
     return toks
 
 
+# Each match skips the whitespace and comments in front of a word; the word
+# group always matches next (``.`` or the end), so the skip is never backtracked
+# into.  On ASCII text a word that is no token is a lone "#" or a character no
+# token starts with; such text, and non-ASCII text, goes to ``_tokenize``.
+_WORD = re.compile(r"(?:\s|//[^\n]*)*(->|<=_|[()\[\]{},;:=]|#[\w']*|[0-9]+|[A-Za-z_][\w']*|.|\Z)", re.DOTALL)
+_NOT_A_WORD = frozenset(c for c in map(chr, range(128)) if not (c.isalnum() or c in "_()[]{},;:="))
+# A word's kind, from its first character (punctuation is compared whole).
+_KIND = {"ident": lambda c: c.isalpha() or c == "_", "int": str.isdigit, "oracle": "#".__eq__}
+
+
 class _Parser:
-    def __init__(self, toks: list[Tok], source: str):
-        self.toks = toks
+    """A reader over ``words``, the token texts (an oracle name keeps its "#")
+    and then "": word ``k`` is token ``k``, whose line and span it reads."""
+
+    def __init__(self, source: str):
         self.source = source
         self.i = 0
+        words = _WORD.findall(source) if source.isascii() else None
+        if words is not None and _NOT_A_WORD.isdisjoint(words):
+            del words[words.index("") + 1 :]
+        else:  # raises the scanner's error, if any
+            self.toks = _tokenize(source)
+            words = ["#" + t.text if t.kind == "oracle" else t.text for t in self.toks] + [""]
+        self.words = words
 
-    def done(self) -> bool:
-        return self.i >= len(self.toks)
+    @functools.cached_property
+    def toks(self) -> list[Tok]:
+        return _tokenize(self.source)
 
-    def peek(self) -> Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def error(self, message: str, at: int | None = None) -> InstanceError:
+        """``message`` on the line of word ``at`` (default: the next; past the end, the last)."""
+        at, toks = self.i if at is None else at, self.toks
+        return InstanceError(message, toks[min(at, len(toks) - 1)].line if toks else 0)
 
-    def line(self) -> int:
-        t = self.peek()
-        return t.line if t else (self.toks[-1].line if self.toks else 0)
+    def unexpected(self, want: str, at: int) -> InstanceError:
+        return self.error(f"expected {want}, found {self.toks[at].text!r}", at)
 
-    def next(self) -> Tok:
-        try:
-            t = self.toks[self.i]
-        except IndexError:
-            raise InstanceError("unexpected end of file", self.toks[-1].line if self.toks else 0) from None
+    def peek(self) -> str:
+        return self.words[self.i]
+
+    def next(self) -> str:
+        word = self.words[self.i]
+        if not word:
+            raise self.error("unexpected end of file")
         self.i += 1
-        return t
+        return word
 
-    def expect(self, kind: str, text: str | None = None) -> Tok:
-        t = self.next()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise InstanceError(f"expected {want!r}, found {t.text!r}", t.line)
-        return t
+    def expect(self, word: str) -> None:
+        if self.next() != word:
+            raise self.unexpected(repr(word), self.i - 1)
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == kind and (text is None or t.text == text)
+    def expect_kind(self, kind: str) -> str:
+        word = self.next()
+        if not _KIND[kind](word[0]):
+            raise self.unexpected(repr(kind), self.i - 1)
+        return word
 
-    def eat(self, kind: str, text: str | None = None) -> bool:
-        if self.at(kind, text):
+    def eat(self, word: str) -> bool:
+        if self.words[self.i] == word:
             self.i += 1
             return True
         return False
@@ -257,48 +280,46 @@ class _Parser:
     # -- terms and combinators -------------------------------------------
 
     def term(self) -> Term:
-        t = self.next()
-        kind, text = t.kind, t.text
-        if kind == "ident":
-            if text == "K":
-                return K
-            if text == "S":
-                return S
-        elif kind == "oracle":
-            return Oracle(text)
-        elif kind == "punct" and text == "(":
+        word = self.next()
+        if word == "K":
+            return K
+        if word == "S":
+            return S
+        if word == "(":
             fn = self.term()
             arg = self.term()
-            self.expect("punct", ")")
+            self.expect(")")
             return App(fn, arg)
-        raise InstanceError(f"expected a term, found {text!r}", t.line)
+        if word[0] == "#":
+            return Oracle(word[1:])
+        raise self.unexpected("a term", self.i - 1)
 
     def items(self, open: str, close: str, item) -> list:
         """``open item, item, ... close``, possibly empty."""
-        self.expect("punct", open)
+        self.expect(open)
         out = []
-        if not self.at("punct", close):
+        if self.peek() != close:
             out.append(item())
-            while self.eat("punct", ","):
+            while self.eat(","):
                 out.append(item())
-        self.expect("punct", close)
+        self.expect(close)
         return out
 
     def table(self, key, value) -> dict:
         """``{ key -> value, ... }``; a repeated key keeps its last value."""
         def entry():
             k = key()
-            self.expect("punct", "->")
+            self.expect("->")
             return k, value()
         return dict(self.items("{", "}", entry))
 
     def pair(self, first, sep: str, second) -> tuple:
         """``(first sep second)``."""
-        self.expect("punct", "(")
+        self.expect("(")
         a = first()
-        self.expect("punct", sep)
+        self.expect(sep)
         b = second()
-        self.expect("punct", ")")
+        self.expect(")")
         return a, b
 
     def term_list(self) -> tuple[Term, ...]:
@@ -308,44 +329,44 @@ class _Parser:
         return frozenset(self.items("[", "]", self.term))
 
     def ident(self) -> str:
-        return self.expect("ident").text
+        return self.expect_kind("ident")
 
     def integer(self) -> int:
-        tok = self.expect("int")
+        word = self.expect_kind("int")
         try:
-            return int(tok.text)
+            return int(word)
         except ValueError as e:  # a digit int() rejects, such as '²'
-            raise InstanceError(str(e), tok.line) from None
+            raise self.error(str(e), self.i - 1) from None
 
     def assign(self, word: str) -> None:
         """``word =``, as in ``k = f``."""
-        self.expect("ident", word)
-        self.expect("punct", "=")
+        self.expect(word)
+        self.expect("=")
 
 
 def parse_term(text: str) -> Term:
     """One term in the canonical syntax, read with the instance tokens."""
-    p = _Parser(_tokenize(text), text)
+    p = _Parser(text)
     term = p.term()
-    if not p.done():
-        raise InstanceError("trailing input after term", p.line())
+    if p.peek():
+        raise p.error("trailing input after term")
     return term
 
 
-def _resolve(name: str, line: int | None, unknown: str, *sections):
+def _resolve(name: str, unknown: str, sections, error=InstanceError):
     """The value ``name`` was declared with, from the first of ``sections``
-    that has it; else "``unknown`` 'name'" reported on ``line``."""
+    that has it; else ``error("unknown 'name'")`` is raised."""
     for section in sections:
         if name in section:
             return section[name]
-    raise InstanceError(f"{unknown} {name!r}", line)
+    raise error(f"{unknown} {name!r}")
 
 
 def _name(p: _Parser, unknown: str, *sections):
     """The earlier declaration the next identifier names; an unknown name is
     reported on its own line."""
-    tok = p.expect("ident")
-    return _resolve(tok.text, tok.line, unknown, *sections)
+    error = functools.partial(p.error, at=p.i)
+    return _resolve(p.ident(), unknown, sections, error)
 
 
 def _object(p: _Parser, inst: Instance):
@@ -368,10 +389,10 @@ def _parse_key(p: _Parser, base) -> object:
 
 
 def _point_id(p: _Parser):
-    t = p.next()
-    if t.kind != "ident" or t.text in ("K", "S"):
-        raise InstanceError("point ids are identifiers other than K and S", t.line)
-    return t.text
+    word = p.next()
+    if not _KIND["ident"](word[0]) or word in ("K", "S"):
+        raise p.error("point ids are identifiers other than K and S", p.i - 1)
+    return word
 
 
 def _parse_point(p: _Parser, obj):
@@ -379,7 +400,7 @@ def _parse_point(p: _Parser, obj):
     ``(x, y)`` of such points)."""
     if isinstance(obj, FinSet):
         return p.term()
-    if p.at("punct", "("):
+    if p.peek() == "(":
         return p.pair(lambda: _parse_point(p, obj), ",", lambda: _parse_point(p, obj))
     return _point_id(p)
 
@@ -394,62 +415,63 @@ def _choice_table(p: _Parser) -> dict:
 
 
 def parse_instance(text: str) -> Instance:
-    toks = _tokenize(text)
+    p = _Parser(text)
+    words = p.words
     # first pass: oracle tables and fuel, which fix the structure.  Only a
     # declaration head counts: ``oracle`` before an oracle name, ``fuel``
     # before an integer.  Either word elsewhere is a name, and a malformed
     # head is reported by its declaration parser below.
-    pre = _Parser(toks, text)
     oracles: dict[str, dict] = {}
-    fuel, fuel_line = 10_000, None
-    for k, head in enumerate(toks[:-1]):
-        if head.kind != "ident" or head.text not in ("oracle", "fuel"):
+    fuel, fuel_at = 10_000, None
+    for k, head in enumerate(words):
+        if head != "oracle" and head != "fuel":
             continue
-        arg = toks[k + 1]
-        if head.text == "oracle" and arg.kind == "oracle":
-            pre.i = k + 2
-            table = pre.table(pre.term, pre.term)
-            if arg.text in oracles:
-                raise InstanceError(f"duplicate oracle #{arg.text}", arg.line)
-            oracles[arg.text] = table
-        elif head.text == "fuel" and arg.kind == "int":
-            pre.i = k + 1
-            fuel, fuel_line = pre.integer(), head.line
+        arg = words[k + 1]
+        if head == "oracle" and arg[:1] == "#":
+            p.i = k + 2
+            table = p.table(p.term, p.term)
+            if arg[1:] in oracles:
+                raise p.error(f"duplicate oracle {arg}", k + 1)
+            oracles[arg[1:]] = table
+        elif head == "fuel" and arg[:1].isdigit():
+            p.i = k + 1
+            fuel, fuel_at = p.integer(), k
     if fuel <= 0:
-        raise InstanceError("fuel must be positive", fuel_line)
+        raise p.error("fuel must be positive", fuel_at)
     try:
         pca = Pca(oracles=oracles, default_fuel=fuel)
     except ValueError as e:
         raise InstanceError(str(e)) from e
 
     inst = Instance(pca=pca, fuel=fuel)
-    p = _Parser(toks, text)
-    while not p.done():
-        tok = p.next()
-        if tok.kind != "ident":
-            raise InstanceError(f"expected a declaration, found {tok.text!r}", tok.line)
-        kind = tok.text
+    p.i = 0
+    while p.peek():
+        at = p.i
+        kind = p.next()
+        if not _KIND["ident"](kind[0]):
+            raise p.unexpected("a declaration", at)
         try:
             _DECL_PARSERS[kind](p, inst)
         except KeyError:
-            raise InstanceError(f"unknown declaration {kind!r}", tok.line) from None
+            raise p.error(f"unknown declaration {kind!r}", at) from None
         except (SpaceError, ValueError) as e:
             if isinstance(e, InstanceError):
                 raise
-            raise InstanceError(str(e), tok.line) from e
+            raise p.error(str(e), at) from e
     return inst
 
 
-def _fresh(inst: Instance, name: str, line: int) -> None:
+def _fresh(p: _Parser, inst: Instance, name: str, at: int) -> None:
     if name in inst.declared:
-        raise InstanceError(f"name {name!r} already declared", line)
+        raise p.error(f"name {name!r} already declared", at)
 
 
 def _new_name(p: _Parser, inst: Instance) -> tuple[str, int]:
-    """A declaration's own name, which no earlier declaration has, and its line."""
-    tok = p.expect("ident")
-    _fresh(inst, tok.text, tok.line)
-    return tok.text, tok.line
+    """A declaration's own name, which no earlier declaration has, and its position."""
+    at = p.i
+    name = p.ident()
+    _fresh(p, inst, name, at)
+    return name, at
 
 
 def _record(inst: Instance, kind: str, name: str) -> None:
@@ -458,9 +480,9 @@ def _record(inst: Instance, kind: str, name: str) -> None:
 
 
 def _decl_oracle(p: _Parser, inst: Instance) -> None:
-    p.expect("oracle")
-    p.expect("punct", "{")
-    while not p.eat("punct", "}"):
+    p.expect_kind("oracle")
+    p.expect("{")
+    while not p.eat("}"):
         p.next()
 
 
@@ -470,18 +492,17 @@ def _decl_fuel(p: _Parser, inst: Instance) -> None:
 
 def _decl_universe(p: _Parser, inst: Instance) -> None:
     name, _ = _new_name(p, inst)
-    p.expect("punct", "=")
+    p.expect("=")
     inst.universes[name] = carrier(inst.pca, p.term_list())
     _record(inst, "universe", name)
 
 
 def _decl_carrier(p: _Parser, inst: Instance) -> None:
-    name, line = _new_name(p, inst)
-    p.expect("punct", "=")
-    if p.at("ident", "product"):
-        p.next()
-        _fresh(inst, name + "_fst", line)
-        _fresh(inst, name + "_snd", line)
+    name, at = _new_name(p, inst)
+    p.expect("=")
+    if p.eat("product"):
+        _fresh(p, inst, name + "_fst", at)
+        _fresh(p, inst, name + "_snd", at)
         left = _name(p, "unknown carrier", inst.carriers)
         right = _name(p, "unknown carrier", inst.carriers)
         prod = carrier_product(inst.pca, left, right)
@@ -497,11 +518,11 @@ def _decl_carrier(p: _Parser, inst: Instance) -> None:
 
 
 def _decl_assembly(p: _Parser, inst: Instance) -> None:
-    name, line = _new_name(p, inst)
-    if p.eat("punct", "="):
-        p.expect("ident", "product")
-        _fresh(inst, name + "_fst", line)
-        _fresh(inst, name + "_snd", line)
+    name, at = _new_name(p, inst)
+    if p.eat("="):
+        p.expect("product")
+        _fresh(p, inst, name + "_fst", at)
+        _fresh(p, inst, name + "_snd", at)
         left = _name(p, "unknown assembly", inst.assemblies)
         right = _name(p, "unknown assembly", inst.assemblies)
         prod = ext_product(inst.pca, left, right)
@@ -512,32 +533,30 @@ def _decl_assembly(p: _Parser, inst: Instance) -> None:
         _record(inst, "extmorphism", name + "_fst")
         _record(inst, "extmorphism", name + "_snd")
         return
-    p.expect("punct", "{")
+    p.expect("{")
     points = []
     naming = []
-    while p.at("ident", "point"):
-        p.next()
+    while p.eat("point"):
         pid = _point_id(p)
-        p.expect("ident", "names")
+        p.expect("names")
         for t in p.term_list():
             naming.append((t, pid))
         points.append(pid)
-    p.expect("punct", "}")
+    p.expect("}")
     inst.assemblies[name] = assembly(inst.pca, points, naming)
     _record(inst, "assembly", name)
 
 
 def _decl_morphism(p: _Parser, inst: Instance) -> None:
-    name, _ = _new_name(p, inst)
-    p.expect("punct", ":")
+    name, at = _new_name(p, inst)
+    p.expect(":")
     src = _object(p, inst)
-    p.expect("punct", "->")
+    p.expect("->")
     tgt = _object(p, inst)
-    realizer = None
-    if p.at("ident", "realizer"):
-        p.next()
-        realizer = p.term()
-    p.expect("ident", "graph")
+    if not (isinstance(src, FinSet) and isinstance(tgt, FinSet)):
+        raise p.error("morphisms live between carriers", at)
+    realizer = p.term() if p.eat("realizer") else None
+    p.expect("graph")
     mapping = p.table(lambda: _parse_point(p, src), lambda: _parse_point(p, tgt))
     m = FinMap(src, tgt, mapping, realizer)
     if realizer is not None:
@@ -548,43 +567,42 @@ def _decl_morphism(p: _Parser, inst: Instance) -> None:
 
 def _decl_extmorphism(p: _Parser, inst: Instance) -> None:
     name, _ = _new_name(p, inst)
-    p.expect("punct", ":")
+    p.expect(":")
     src = _name(p, "unknown assembly", inst.assemblies)
-    p.expect("punct", "->")
+    p.expect("->")
     tgt = _name(p, "unknown assembly", inst.assemblies)
-    p.expect("ident", "realizer")
+    p.expect("realizer")
     realizer = p.term()
-    p.expect("ident", "pointmap")
+    p.expect("pointmap")
     pointmap = p.table(lambda: p.pair(p.term, ",", lambda: _parse_point(p, src)), lambda: _parse_point(p, tgt))
     inst.extmorphisms[name] = ExtMorphism(src, tgt, realizer, pointmap)
     _record(inst, "extmorphism", name)
 
 
 def _decl_tracked(p: _Parser, inst: Instance) -> None:
-    name, line = _new_name(p, inst)
-    p.expect("ident", "over")
+    name, at = _new_name(p, inst)
+    p.expect("over")
     base = _object(p, inst)
     if not isinstance(base, FinSet):
-        raise InstanceError("tracked families live over carriers", line)
+        raise p.error("tracked families live over carriers", at)
     inst.tracked[name] = TrackedFamily(base, p.table(p.term, p.term))
     _record(inst, "tracked", name)
 
 
 def _parse_policy(p: _Parser) -> str | None:
-    if p.at("ident", "policy"):
-        p.next()
-        word = p.expect("ident")
-        if word.text == "nonempty":
+    if p.eat("policy"):
+        word = p.ident()
+        if word == "nonempty":
             return NONEMPTY
-        if word.text == "allowempty":
+        if word == "allowempty":
             return ALLOW_EMPTY
-        raise InstanceError(f"unknown policy {word.text!r}", word.line)
+        raise p.error(f"unknown policy {word!r}", p.i - 1)
     return None
 
 
 def _decl_family(p: _Parser, inst: Instance) -> None:
     name, _ = _new_name(p, inst)
-    p.expect("ident", "over")
+    p.expect("over")
     base = _object(p, inst)
     policy = _parse_policy(p)
     values = p.table(lambda: _parse_key(p, base), p.term_set)
@@ -597,9 +615,9 @@ def _decl_family(p: _Parser, inst: Instance) -> None:
 
 def _decl_predicate(p: _Parser, inst: Instance) -> None:
     name, _ = _new_name(p, inst)
-    p.expect("ident", "over")
+    p.expect("over")
     base = _object(p, inst)
-    p.expect("ident", "index")
+    p.expect("index")
     index = _object(p, inst)
     policy = _parse_policy(p)
     table = p.table(lambda: p.pair(lambda: _parse_key(p, base), ";", lambda: _parse_key(p, index)), p.term_set)
@@ -608,29 +626,29 @@ def _decl_predicate(p: _Parser, inst: Instance) -> None:
 
 
 def _decl_extpredicate(p: _Parser, inst: Instance) -> None:
-    name, line = _new_name(p, inst)
-    p.expect("ident", "over")
+    name, at = _new_name(p, inst)
+    p.expect("over")
     dom = _object(p, inst)
     if not isinstance(dom, FinSet):
-        raise InstanceError("extended predicates live over carriers", line)
+        raise p.error("extended predicates live over carriers", at)
     table = p.table(p.term, lambda: frozenset(p.items("[", "]", p.term_set)))
     inst.extpredicates[name] = ExtendedPredicate(dom, table)
     _record(inst, "extpredicate", name)
 
 
 def _decl_dialpredicate(p: _Parser, inst: Instance) -> None:
-    name, line = _new_name(p, inst)
-    p.expect("ident", "over")
+    name, at = _new_name(p, inst)
+    p.expect("over")
     base = _object(p, inst)
     if not isinstance(base, FinSet):
-        raise InstanceError("relation predicates live over carriers", line)
+        raise p.error("relation predicates live over carriers", at)
     inst.dialpredicates[name] = DialecticaPredicate(base, _choice_table(p))
     _record(inst, "dialpredicate", name)
 
 
 def _decl_witness(p: _Parser, inst: Instance) -> None:
-    name, line = _new_name(p, inst)
-    p.expect("punct", "=")
+    name, at = _new_name(p, inst)
+    p.expect("=")
     head = p.ident()
     if head == "uniform":
         w = Uniform(p.term())
@@ -644,7 +662,7 @@ def _decl_witness(p: _Parser, inst: Instance) -> None:
             form, k = ForwardBackward, _name(p, "unknown morphism", inst.morphisms)
         else:
             form, k = ExtForwardBackward, _name(p, "unknown ext morphism", inst.extmorphisms)
-        p.expect("punct", ",")
+        p.expect(",")
         p.assign("h")
         w = form(k, p.term())
     elif head == "dial":
@@ -654,20 +672,20 @@ def _decl_witness(p: _Parser, inst: Instance) -> None:
     elif head == "extstrong":
         p.assign("k")
         k = p.term()
-        p.expect("punct", ",")
-        p.expect("ident", "choice")
+        p.expect(",")
+        p.expect("choice")
         choice = _choice_table(p)
-        p.expect("punct", ",")
+        p.expect(",")
         p.assign("h")
         w = ExtStrong(k, choice, p.term())
     elif head == "mediate":
         p.assign("h")
         med = _morphism(p, inst)
-        p.expect("punct", ",")
+        p.expect(",")
         p.assign("base")
         w = CompletionWitness(med, _name(p, "unknown witness", inst.witnesses))
     else:
-        raise InstanceError(f"unknown witness form {head!r}", line)
+        raise p.error(f"unknown witness form {head!r}", at)
     inst.witnesses[name] = w
     _record(inst, "witness", name)
 
@@ -675,18 +693,18 @@ def _decl_witness(p: _Parser, inst: Instance) -> None:
 def _parse_perpoint_key(p: _Parser):
     """Either a term, or (term, term) for per-solution keys, or
     (term, pointid) for assembly positions."""
-    if not p.at("punct", "("):
+    if p.peek() != "(":
         return p.term()
     save = p.i
-    p.expect("punct", "(")
+    p.expect("(")
     first = p.term()
-    if p.eat("punct", ","):
-        if p.at("ident") and p.peek().text not in ("K", "S"):
+    if p.eat(","):
+        if _KIND["ident"](p.peek()[:1]) and p.peek() not in ("K", "S"):
             pid = _point_id(p)
-            p.expect("punct", ")")
+            p.expect(")")
             return (first, pid)
         second = p.term()
-        p.expect("punct", ")")
+        p.expect(")")
         return (first, second)
     # it was a parenthesized application after all
     p.i = save
@@ -695,41 +713,42 @@ def _parse_perpoint_key(p: _Parser):
 
 def _decl_compobject(p: _Parser, inst: Instance) -> None:
     name, _ = _new_name(p, inst)
-    p.expect("punct", "=")
+    p.expect("=")
     kind = p.ident()
     klass = p.ident()
     doc = p.ident()
-    p.expect("ident", "leg")
+    p.expect("leg")
     leg = _morphism(p, inst)
-    p.expect("ident", "payload")
-    payload = p.expect("ident")
-    inst.compobjects[name] = CompletionObject(kind, klass, doc, leg, inst.element(payload.text, payload.line))
+    p.expect("payload")
+    payload = inst.element(p.ident(), functools.partial(p.error, at=p.i - 1))
+    inst.compobjects[name] = CompletionObject(kind, klass, doc, leg, payload)
     _record(inst, "compobject", name)
 
 
 def _decl_claim(p: _Parser, inst: Instance) -> None:
-    name, line = _new_name(p, inst)
-    p.expect("punct", ":")
-    lhs = p.expect("ident")
-    p.expect("punct", "<=_")
+    name, at = _new_name(p, inst)
+    p.expect(":")
+    lhs = p.ident()
+    p.expect("<=_")
     doc = p.ident()
     if doc not in DOCTRINES and doc != "comp":
-        raise InstanceError(f"unknown doctrine id {doc!r}", line)
-    rhs = p.expect("ident")
-    p.expect("ident", "by")
-    witness = p.expect("ident")
-    inst.element(lhs.text, lhs.line)
-    inst.element(rhs.text, rhs.line)
-    _resolve(witness.text, witness.line, "unknown witness", inst.witnesses)
-    inst.claims.append(Claim(name, lhs.text, doc, rhs.text, witness.text))
+        raise p.error(f"unknown doctrine id {doc!r}", at)
+    rhs = p.ident()
+    p.expect("by")
+    witness = p.ident()
+    # the names are the words at + 2, at + 5 and at + 7 (one word per token)
+    inst.element(lhs, functools.partial(p.error, at=at + 2))
+    inst.element(rhs, functools.partial(p.error, at=at + 5))
+    _resolve(witness, "unknown witness", (inst.witnesses,), functools.partial(p.error, at=at + 7))
+    inst.claims.append(Claim(name, lhs, doc, rhs, witness))
     _record(inst, "claim", name)
 
 
 def _decl_result(p: _Parser, inst: Instance) -> None:
     claim = p.ident()
     status = p.ident()
-    items = p.items("(", ")", lambda: _raw_item(p)) if p.eat("ident", "counterexample") else ()
-    unknowns = p.integer() if p.eat("ident", "unknowns") else 0
+    items = p.items("(", ")", lambda: _raw_item(p)) if p.eat("counterexample") else ()
+    unknowns = p.integer() if p.eat("unknowns") else 0
     inst.results.append(ResultLine(claim, status, tuple(items), unknowns))
     _record(inst, "result", claim)
 
@@ -737,23 +756,22 @@ def _decl_result(p: _Parser, inst: Instance) -> None:
 def _raw_item(p: _Parser) -> str:
     """The source text of one counterexample item: a term, a point tuple or
     a phrase, up to the next ',' or ')' outside brackets."""
-    first = p.peek()
+    first = p.i
     depth = 0
     while True:
-        t = p.peek()
-        if t is None:
-            raise InstanceError("unterminated counterexample", p.line())
-        if t.kind == "punct":
-            if depth == 0 and t.text in (",", ")"):
-                break
-            if t.text in ("(", "[", "{"):
-                depth += 1
-            elif t.text in (")", "]", "}"):
-                depth -= 1
-        last = p.next()
-    if t is first:
-        raise InstanceError("empty counterexample item", t.line)
-    return p.source[first.start : last.end]
+        word = p.peek()
+        if not word:
+            raise p.error("unterminated counterexample")
+        if depth == 0 and word in (",", ")"):
+            break
+        if word in ("(", "[", "{"):
+            depth += 1
+        elif word in (")", "]", "}"):
+            depth -= 1
+        p.i += 1
+    if p.i == first:
+        raise p.error("empty counterexample item")
+    return p.source[p.toks[first].start : p.toks[p.i - 1].end]
 
 
 _DECL_PARSERS = {

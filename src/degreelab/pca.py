@@ -411,21 +411,22 @@ class AbstractionError(ValueError):
     """Raised when bracket abstraction is asked to close over the wrong variables."""
 
 
-def _abstract(name: str, body: Term) -> Term:
-    """The standard abstraction rules; other free variables may remain."""
-    t = _abstract_free(name, body)
+def _abstract(name: str, body: Term, free: set[str]) -> Term:
+    """The standard abstraction rules; other free variables may remain, and every variable goes into ``free``."""
+    t = _abstract_free(name, body, free)
     return App(K, body) if t is None else t
 
 
-def _abstract_free(name: str, body: Term) -> Term | None:
+def _abstract_free(name: str, body: Term, free: set[str]) -> Term | None:
     """The abstraction of body when `name` is free in it, else None, in one
     pass: the children's results decide the rule at each application, and a
     subterm without `name` is not rebuilt."""
     if isinstance(body, Var):
+        free.add(body.name)
         return ID if body.name == name else None
     if not isinstance(body, App):
         return None
-    fn, arg = _abstract_free(name, body.fn), _abstract_free(name, body.arg)
+    fn, arg = _abstract_free(name, body.fn, free), _abstract_free(name, body.arg, free)
     if fn is None and arg is None:
         return None
     return ap(S, App(K, body.fn) if fn is None else fn, App(K, body.arg) if arg is None else arg)
@@ -436,21 +437,24 @@ def bracket_abstract(name: str, body: Term) -> Term:
 
     The body may contain the variable `name` and closed subterms only.
     """
-    extra = free_vars(body) - {name}
+    free: set[str] = set()
+    t = _abstract(name, body, free)
+    extra = free - {name}
     if extra:
         raise AbstractionError(f"body has free variables besides {name}: {sorted(extra)}")
-    return _abstract(name, body)
+    return t
 
 
 def abstract_all(names: tuple[str, ...], body: Term) -> Term:
     """Iterated abstraction, innermost variable last: abstract_all(('a','b'), t)
     behaves as a curried function of a then b."""
-    extra = free_vars(body) - set(names)
-    if extra:
-        raise AbstractionError(f"result not closed: free {sorted(extra)}")
+    free: set[str] = set()  # the first pass meets every variable of body
     t = body
     for n in reversed(names):
-        t = _abstract(n, t)
+        t = _abstract(n, t, free)
+    extra = free - set(names) if names else free_vars(body)
+    if extra:
+        raise AbstractionError(f"result not closed: free {sorted(extra)}")
     return t
 
 

@@ -55,6 +55,18 @@ class TestCheck:
         assert main(["check", str(bad)]) == 3
         assert capsys.readouterr().err == "error: line 1: invalid literal for int() with base 10: '\u00b2'\n"
 
+    @pytest.mark.parametrize("decl, message", [
+        ("morphism m : A -> A graph { a -> a }", "morphisms live between carriers"),
+        ("compobject c = forall full Q leg f payload t", "unknown doctrine id 'Q'"),
+    ], ids=["assembly-morphism", "compobject-doctrine"])
+    def test_structure_errors_exit_three_on_their_line(self, tmp_path, capsys, decl, message):
+        bad = tmp_path / "bad.inst"
+        bad.write_text("carrier X = [K]\nassembly A { point a names [K] }\nmorphism f : X -> X graph { K -> K }\n"
+                       "tracked t over X { K -> K }\nwitness w = uniform K\n" + decl + "\n"
+                       "claim c : t <=_T t by w\n")
+        assert main(["check", str(bad)]) == 3
+        assert capsys.readouterr().err == f"error: line 6: {message}\n"
+
     def test_fuel_zero_exits_three_on_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.inst"
         bad.write_text("carrier X = [K]\nfuel 0\n")

@@ -1,11 +1,15 @@
+import contextlib
 import json
+import string
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degreelab import instance
 from degreelab.doctrines import MassFamily, NONEMPTY, Uniform
-from degreelab.instance import InstanceError, _tokenize, format_result, parse_instance, print_instance
+from degreelab.instance import InstanceError, _Parser, _tokenize, format_result, parse_instance, print_instance
 from degreelab.terms import App, K, Oracle, S, to_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -154,6 +158,22 @@ class TestParsing:
     def test_juxtaposition_in_terms_rejected(self):
         with pytest.raises(InstanceError):
             parse_instance("carrier X = [(K S K)]\n")
+
+    # Declarations the grammar reads but the structures reject, each on its
+    # own line: a morphism is a map between carriers (an assembly takes an
+    # extmorphism), and a completion object's payload doctrine is a doctrine.
+    @pytest.mark.parametrize("decl, message", [
+        ("morphism m : A -> A graph { a -> a }", "morphisms live between carriers"),
+        ("morphism m : X -> A graph { K -> a }", "morphisms live between carriers"),
+        ("morphism m : A -> X graph { a -> K }", "morphisms live between carriers"),
+        ("compobject c = forall full Q leg f payload t", "unknown doctrine id 'Q'"),
+    ], ids=["assembly-to-assembly", "carrier-to-assembly", "assembly-to-carrier", "compobject-doctrine"])
+    def test_structure_errors_are_reported_on_their_line(self, decl, message):
+        source = ("carrier X = [K]\nassembly A { point a names [K] }\nmorphism f : X -> X graph { K -> K }\n"
+                  "tracked t over X { K -> K }\n\n" + decl + "\nwitness later = uniform K\n")
+        with pytest.raises(InstanceError) as err:
+            parse_instance(source)
+        assert (str(err.value), err.value.line) == (f"line 6: {message}", 6)
 
 
 class TestWitnessForms:
@@ -340,6 +360,38 @@ class TestLexicalContract:
         with pytest.raises(InstanceError) as err:
             parse_instance("carrier X = [K]\ncarrier Y = [K,")
         assert (str(err.value), err.value.line) == ("line 2: unexpected end of file", 2)
+
+    # The reader's words against the scanner: on any text, the words are the
+    # token texts (an oracle name with its "#") and then "", or both raise the
+    # same error; valid ASCII text is read without running the scanner.
+    _PIECES = list(string.punctuation + string.digits + string.ascii_letters) + [
+        "\r", "\n", "\x1c", "\xa0", " ", "\u00e9", "\u00bd", "\u00b2", "\u0663", "//", "->", "<=_", "#o1"]
+    # Pieces of which most texts are valid, so the fast path is exercised.
+    _MOSTLY_VALID = [p for p in _PIECES if p not in instance._NOT_A_WORD] + ["'", "#", "/"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=24),
+                     st.lists(st.sampled_from(_MOSTLY_VALID), max_size=24)).map("".join))
+    def test_words_are_the_token_texts(self, text):
+        def outcome(read):
+            try:
+                return read()
+            except InstanceError as e:
+                return str(e), e.line
+
+        want = outcome(lambda: ["#" * (t.kind == "oracle") + t.text for t in _tokenize(text)] + [""])
+        no_scanner = mock.patch.object(instance, "_tokenize", side_effect=AssertionError("scanner ran"))
+        with no_scanner if text.isascii() and isinstance(want, list) else contextlib.nullcontext():
+            assert outcome(lambda: _Parser(text).words) == want
+
+    def test_valid_ascii_files_build_no_positioned_tokens(self, monkeypatch):
+        def scanner(text):
+            raise AssertionError("the positioned scanner ran on a valid ASCII file")
+
+        monkeypatch.setattr(instance, "_tokenize", scanner)
+        for source in [SAMPLE] + [path.read_text() for path in sorted(FIXTURES.glob("*.inst"))]:
+            inst = parse_instance(source)
+            assert print_instance(parse_instance(print_instance(inst))) == print_instance(inst)
 
 
 # The parser's error contract: SAMPLE with each of its tokens deleted in turn

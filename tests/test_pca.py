@@ -261,6 +261,18 @@ class TestBracketAbstraction:
         with pytest.raises(AbstractionError):
             bracket_abstract("x", Var("y"))
 
+    # The one abstraction pass collects the variables it meets; the error
+    # names the foreign ones, sorted, as the up-front walk did.
+    @pytest.mark.parametrize("abstract, message", [
+        (lambda body: bracket_abstract("x", body), "body has free variables besides x: ['w', 'y']"),
+        (lambda body: abstract_all(("x", "y"), body), "result not closed: free ['w']"),
+        (lambda body: abstract_all((), body), "result not closed: free ['w', 'x', 'y']"),
+    ])
+    def test_foreign_variables_are_named(self, abstract, message):
+        with pytest.raises(AbstractionError) as err:
+            abstract(ap(Var("y"), Var("x"), App(Var("w"), Var("x"))))
+        assert str(err.value) == message
+
     def test_soundness_sample(self, pure):
         # (abstract x body) . b  ==  body[x := b], with substitution as oracle
         bodies = enumerate_over((Var("x"), K, S), 2)
