@@ -19,6 +19,8 @@ import time
 from . import isomorphisms as iso
 from .completions import CompletionObject, CompletionWitness, comp_le
 from .doctrines import (
+    ALLOW_EMPTY,
+    NONEMPTY,
     CheckError,
     DialecticaWitness,
     ExtForwardBackward,
@@ -42,7 +44,7 @@ from .instance import (
     parse_instance,
 )
 from .pca import Pca, PcaError
-from .search import SearchBudget, SearchOutcome, search_witness
+from .search import SearchBudget, SearchOutcome, assignments, search_completion_witness, search_witness
 from .spaces import FinMap, FinSet, SpaceError, carrier_product, point_text
 from .terms import to_text
 from .verdicts import Verdict
@@ -320,8 +322,6 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    from itertools import product as iproduct
-
     inst = _load(args)
     if args.object not in inst.carriers:
         raise InstanceError(f"unknown carrier {args.object!r}")
@@ -331,36 +331,28 @@ def cmd_complete(args) -> int:
         raise InstanceError(f"unknown universe {args.universe!r}")
     if args.doc not in ("T", "M", "dW"):
         raise InstanceError("complete supports payload doctrines T, M and dW")
-    legs = []
+    # legs and tracked payloads list their values in text order, mass payloads in point order
     if args.klass == "full":
-        for name, Y in inst.carriers.items():
-            if len(Y) <= args.index_bound:
-                pts = list(Y.points)
-                for values in iproduct(sorted(A.points, key=point_text), repeat=len(pts)):
-                    legs.append((name, FinMap(Y, A, dict(zip(pts, values)))))
+        targets = sorted(A.points, key=point_text)
+        legs = [FinMap(Y, A, graph) for Y in inst.carriers.values() if len(Y) <= args.index_bound
+                for graph in assignments(Y.points, [targets] * len(Y))]
     else:
-        for name, Y in inst.carriers.items():
-            if 0 < len(Y) <= args.index_bound:
-                prod = carrier_product(inst.pca, A, Y)
-                legs.append((name, prod.fst))
+        legs = [carrier_product(inst.pca, A, Y).fst for Y in inst.carriers.values()
+                if 0 < len(Y) <= args.index_bound]
+    if args.doc == "T":
+        opts = sorted(uni.points, key=point_text)
+    else:  # a dW payload is nonempty everywhere
+        opts = [frozenset([u]) for u in uni.points]
+        if args.doc == "M":
+            opts.insert(0, frozenset())
     objects = []
-    for name, leg in legs:
-        src = leg.source
-        pts = list(src.points)
-        if args.doc == "T":
-            for values in iproduct(sorted(uni.points, key=point_text), repeat=len(pts)):
-                payload = TrackedFamily(src, dict(zip(pts, values)))
-                objects.append(CompletionObject(args.kind, args.klass, args.doc, leg, payload))
-        else:
-            opts = [frozenset(), *[frozenset([u]) for u in uni.points]]
-            for values in iproduct(range(len(opts)), repeat=len(pts)):
-                payload = MassFamily(src, {p: opts[i] for p, i in zip(pts, values)},
-                                     "nonempty" if args.doc == "dW" else "allow-empty")
-                objects.append(CompletionObject(args.kind, args.klass, args.doc, leg, payload))
+    for leg in legs:
+        for values in assignments(leg.source.points, [opts] * len(leg.source)):
+            payload = (TrackedFamily(leg.source, values) if args.doc == "T"
+                       else MassFamily(leg.source, values, NONEMPTY if args.doc == "dW" else ALLOW_EMPTY))
+            objects.append(CompletionObject(args.kind, args.klass, args.doc, leg, payload))
         if len(objects) > 400:
             raise InstanceError("completion fiber too large; lower --index-bound or shrink the universe")
-    from .search import search_completion_witness
-
     budget = SearchBudget(args.witness_size, inst.fuel, args.time_cap)
     n = len(objects)
     order = [[False] * n for _ in range(n)]

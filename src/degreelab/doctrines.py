@@ -987,7 +987,7 @@ def forall_along(pca: Pca, doc: str, m, elem, fuel: int | None = None):
     if doc in ("drW", "dextW"):
         if not isinstance(m, ExtMorphism):
             raise CheckError("pure quantifier over assemblies needs an ext projection")
-        side = _ext_projection_side(m)
+        side = projection_side(m)
         if side is None:
             raise CheckError("pure quantifier needs a product projection")
         if m.source != elem.base:
@@ -1006,25 +1006,6 @@ def forall_along(pca: Pca, doc: str, m, elem, fuel: int | None = None):
         return AssemblyFamily(m.target, {k: frozenset(v) for k, v in values.items()},
                               elem.policy if all(values.values()) else ALLOW_EMPTY)
     raise CheckError(f"no universal quantifier implemented for doctrine {doc!r}")
-
-
-def _ext_projection_side(m: ExtMorphism) -> str | None:
-    consistent = {"fst", "snd"}
-    for name, pt in m.source.naming:
-        if not isinstance(pt, tuple) or len(pt) != 2:
-            return None
-        if split_pair(name) is None:
-            return None
-        here = set()
-        img = m.pointmap[(name, pt)]
-        if img == pt[0]:
-            here.add("fst")
-        if img == pt[1]:
-            here.add("snd")
-        consistent &= here
-        if not consistent:
-            return None
-    return "fst" if "fst" in consistent else "snd"
 
 
 def exists_along_medvedev(pca: Pca, m: FinMap, elem: MassFamily) -> MassFamily:

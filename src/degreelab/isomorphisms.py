@@ -39,6 +39,7 @@ from .doctrines import (
     sorted_terms,
 )
 from .pca import FST, PAIR, Pca, SND, abstract_all, apply, is_computable, normalize
+from .search import images_of
 from .spaces import (
     Assembly,
     ExtMorphism,
@@ -337,13 +338,10 @@ def ext_fb_to_fb(pca: Pca, w: ExtForwardBackward, fuel: int | None = None) -> Fo
     Xc, Yc = assembly_to_carrier(X), assembly_to_carrier(Y)
     Zc = assembly_to_carrier(km.target)
     prod = carrier_product(pca, Xc, Yc)
-    mapping = {}
-    for t in prod.object:
-        out = apply(pca, km.realizer, t, fuel)
-        if not out.is_defined or out.term not in set(Zc.points):
-            raise CheckError("forward realizer does not act on the name carrier")
-        mapping[t] = out.term
-    k = FinMap(prod.object, Zc, mapping, km.realizer)
+    images = images_of(pca, km.realizer, prod.object.points, Zc, fuel)
+    if images is None:
+        raise CheckError("forward realizer does not act on the name carrier")
+    k = FinMap(prod.object, Zc, dict(zip(prod.object.points, images)), km.realizer)
     return ForwardBackward(k, w.backward)
 
 

@@ -8,6 +8,7 @@ in a fixed order into one tally, so rerunning one yields the same records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from itertools import product as iproduct
 
 from . import doctrines as dt
@@ -64,11 +65,15 @@ from .pca import (
 from .search import (
     SearchBudget,
     all_graphs,
+    assignments,
+    first_holding,
     forward_map_candidates,
+    images_of,
     search_completion_witness,
     search_witness,
 )
 from .spaces import (
+    Assembly,
     ExtMorphism,
     FinMap,
     FinSet,
@@ -390,11 +395,7 @@ def _small_carriers(pca):
 def _family_palette(base):
     """Deterministic small selection of mass families over the base."""
     opts = [frozenset(), frozenset([K]), frozenset([S]), frozenset([K, S]), frozenset([O1])]
-    fams = []
-    pts = list(base.points)
-    for combo in iproduct(range(len(opts)), repeat=len(pts)):
-        fams.append(MassFamily(base, {p: opts[i] for p, i in zip(pts, combo)}))
-    return fams
+    return [MassFamily(base, values) for values in assignments(base.points, [opts] * len(base))]
 
 
 def suite_adjoints(pca: Pca, fuel: int | None = None) -> SuiteReport:
@@ -445,14 +446,8 @@ def _uniform_candidates(pca, g):
 def _first_holding(pca, doc, lhs, rhs, cands, fuel):
     """The first candidate that holds; else False, or None (undecided) when
     a candidate's check ran out of fuel."""
-    outcome = False
-    for w in cands:
-        v = check_le(pca, doc, lhs, rhs, w, fuel)
-        if v.holds:
-            return w
-        if v.unknown:
-            outcome = None
-    return outcome
+    out = first_holding(cands, lambda w: check_le(pca, doc, lhs, rhs, w, fuel), SearchBudget(0, fuel))
+    return out.witness if out.found else (None if out.timeouts else False)
 
 
 def _any_of(*outcomes):
@@ -467,9 +462,8 @@ def _pure_forall_cases(pca, fuel, t):
     Z = carrier(pca, [K])
     prod = carrier_product(pca, X, Z)
     weights = [frozenset([K]), frozenset([S]), frozenset([K, S])]
-    f_opts = []
-    for combo in iproduct(range(len(weights)), repeat=len(prod.object)):
-        f_opts.append(MassFamily(prod.object, {p: weights[i] for p, i in zip(prod.object, combo)}, NONEMPTY))
+    f_opts = [MassFamily(prod.object, values, NONEMPTY)
+              for values in assignments(prod.object.points, [weights] * len(prod.object))]
     f_opts = f_opts[:: max(1, len(f_opts) // 12)]
     for fam in f_opts:
         fa = forall_along(pca, "dW", prod.snd, fam, fuel)
@@ -553,10 +547,8 @@ def _tracked_objects(pca, doc):
     objects = []
     for Y in sources:
         for f in all_graphs(Y, X):
-            pts = list(Y.points)
-            for combo in iproduct(range(len(values)), repeat=len(pts)):
-                alpha = TrackedFamily(Y, {p: values[i] for p, i in zip(pts, combo)})
-                objects.append(CompletionObject(FORALL, FULL, doc, f, alpha))
+            for alpha in assignments(Y.points, [values] * len(Y)):
+                objects.append(CompletionObject(FORALL, FULL, doc, f, TrackedFamily(Y, alpha)))
     return objects
 
 
@@ -618,16 +610,15 @@ def _iso_muchnik(pca, fuel, t):
                 t.add("muchnik-reflect", comp_le(pca, o1, o2, back_w, fuel))
 
 
-def _pred_palette(pca, base, index, nonempty=True):
-    opts = [frozenset([K]), frozenset([S]), frozenset([K, S])]
-    if not nonempty:
-        opts = [frozenset()] + opts
-    keys = [(x, y) for x in base for y in index]
-    preds = []
-    for combo in iproduct(range(len(opts)), repeat=len(keys)):
-        table = {k: opts[i] for k, i in zip(keys, combo)}
-        preds.append(Predicate(base, index, table, NONEMPTY if nonempty else ALLOW_EMPTY))
-    return preds
+def _pred_palette(base, index, opts, policy):
+    """Every predicate on base x index with values from opts, and the empty
+    value too under ALLOW_EMPTY.  Over carriers it is keyed by pairs of
+    points, over assemblies by pairs of naming pairs."""
+    if policy == ALLOW_EMPTY:
+        opts = [frozenset(), *opts]
+    side = lambda obj: obj.naming if isinstance(obj, Assembly) else obj.points
+    keys = [(x, y) for x in side(base) for y in side(index)]
+    return [Predicate(base, index, table, policy) for table in assignments(keys, [opts] * len(keys))]
 
 
 def _iso_weihrauch(pca, fuel, t, strong=False):
@@ -638,7 +629,8 @@ def _iso_weihrauch(pca, fuel, t, strong=False):
     budget = SearchBudget(witness_size=3, fuel=fuel)
     preds = []
     for Y in indexes:
-        preds.extend(_pred_palette(pca, X, Y)[:: max(1, 3 ** len(Y) - 2)])
+        preds.extend(_pred_palette(X, Y, [frozenset([K]), frozenset([S]), frozenset([K, S])], NONEMPTY)
+                     [:: max(1, 3 ** len(Y) - 2)])
     for F in preds:
         obj = iso.weihrauch_to_completion(pca, F, edoc)
         t.add(f"{doc}-roundtrip", iso.weihrauch_from_completion(pca, obj) == F)
@@ -659,24 +651,12 @@ def _iso_strong(pca, fuel, t):
     _iso_weihrauch(pca, fuel, t, strong=True)
 
 
-def _assembly_pred_palette(pca, base, index, allow_empty):
-    opts = [frozenset([K]), frozenset([S])]
-    if allow_empty:
-        opts = [frozenset()] + opts
-    keys = [(kx, ky) for kx in base.naming for ky in index.naming]
-    preds = []
-    for combo in iproduct(range(len(opts)), repeat=len(keys)):
-        table = {k: opts[i] for k, i in zip(keys, combo)}
-        preds.append(Predicate(base, index, table, ALLOW_EMPTY if allow_empty else NONEMPTY))
-    return preds
-
-
 def _iso_realizer(pca, fuel, t, extended=False):
     doc = "tW" if extended else "rW"
     edoc = "dextW" if extended else "drW"
     X = assembly(pca, ["u"], [(K, "u")])
     Y = assembly(pca, ["a", "b"], [(K, "a"), (S, "b")])
-    preds = _assembly_pred_palette(pca, X, Y, allow_empty=extended)[:: 3]
+    preds = _pred_palette(X, Y, [frozenset([K]), frozenset([S])], ALLOW_EMPTY if extended else NONEMPTY)[:: 3]
     for F in preds:
         obj = iso.realizer_to_completion(pca, F, edoc)
         t.add(f"{doc}-roundtrip", iso.realizer_from_completion(pca, obj) == F)
@@ -714,10 +694,8 @@ def _mass_objects(pca):
     objects = []
     for Y in sources:
         for f in all_graphs(Y, X):
-            pts = list(Y.points)
-            for combo in iproduct(range(len(opts)), repeat=len(pts)):
-                alpha = MassFamily(Y, {p: opts[i] for p, i in zip(pts, combo)})
-                objects.append(CompletionObject(EXISTS, FULL, "M", f, alpha))
+            for alpha in assignments(Y.points, [opts] * len(Y)):
+                objects.append(CompletionObject(EXISTS, FULL, "M", f, MassFamily(Y, alpha)))
     return objects
 
 
@@ -778,11 +756,7 @@ def _extended_palette(pca, dom):
         frozenset([frozenset([K]), frozenset([S])]),
         frozenset([frozenset(), frozenset([K])]),
     ]
-    pts = list(dom.points)
-    preds = []
-    for combo in iproduct(range(len(opts)), repeat=len(pts)):
-        preds.append(ExtendedPredicate(dom, {p: opts[i] for p, i in zip(pts, combo)}))
-    return preds
+    return [ExtendedPredicate(dom, table) for table in assignments(dom.points, [opts] * len(dom))]
 
 
 def suite_extsw_dialectica(pca: Pca, fuel: int | None = None) -> SuiteReport:
@@ -792,6 +766,9 @@ def suite_extsw_dialectica(pca: Pca, fuel: int | None = None) -> SuiteReport:
     hs = enumerate_computable(2)
     t = _Tally("extsw-dialectica")
     dial = [iso.extended_to_dialectica(f) for f in preds]
+    by_text = lambda s: sorted(map(to_text, s))
+    keys = [[(p, a) for p in f.effective_dom for a in sorted(f.table[p], key=by_text)] for f in preds]
+    offers = [{y: sorted(g.table[y], key=by_text) for y in g.dom if g.table[y]} for g in preds]
     # (g's index, k's index) -> G shifted by k onto dom, the one base of
     # every F, built once; None when the shift is rejected (the pair is skipped).
     shifted = {}
@@ -806,22 +783,12 @@ def suite_extsw_dialectica(pca: Pca, fuel: int | None = None) -> SuiteReport:
             Gk = shifted[j, n]
             if Gk is None:
                 continue
-            keys = [(p, a) for p in f.effective_dom for a in sorted(f.table[p], key=lambda s: sorted(map(to_text, s)))]
-            opts = []
-            usable = True
-            for p, a in keys:
-                out = apply(pca, k, p, fuel)
-                if not out.is_defined or out.term not in g.dom:
-                    usable = False
-                    break
-                offered = sorted(g.table[out.term], key=lambda s: sorted(map(to_text, s)))
-                if not offered:
-                    usable = False
-                    break
-                opts.append(offered)
-            assignments = list(iproduct(*opts))[:4] if usable else []
-            for assignment in assignments:
-                choice = dict(zip(keys, assignment))
+            images = images_of(pca, k, f.effective_dom, offers[j], fuel)
+            if images is None:
+                continue
+            image = dict(zip(f.effective_dom, images))
+            options = [offers[j][image[p]] for p, _ in keys[i]]
+            for choice in islice(assignments(keys[i], options), 4):
                 for h in hs[:8]:
                     ws = ExtStrong(k, choice, h)
                     wd = DialecticaWitness(choice, h)

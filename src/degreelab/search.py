@@ -1,5 +1,17 @@
 """Bounded witness enumeration and refutation for the reducibility orders.
 
+Every search here, for a reducibility claim or for a completion-order claim,
+is made of three pieces, each implemented once:
+
+* `first_holding` is the one candidate loop.  It checks candidates in order,
+  counts failures and timeouts, reads the time cap before each candidate and
+  returns the first one that holds.
+* `assignments` is the one enumerator of every assignment of options to
+  keys: graphs, choice functions, point maps and palettes of families.  The
+  options of the last key vary fastest.
+* `images_of` is the one image walk: a realizer applied to each argument in
+  turn, stopping at the first image that is undefined or not allowed.
+
 Candidates are drawn from the oracle-free term enumeration in its fixed
 size-lexicographic order; composite witnesses iterate forward candidates in
 that order, then any auxiliary assignments lexicographically by point, then
@@ -103,14 +115,23 @@ def search_witness(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> Search
 
 def _search(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome:
     """search_witness without the memo: one check_le call per candidate."""
-    gen = _candidates(pca, doc, lhs, rhs, budget)
+    return first_holding(_candidates(pca, doc, lhs, rhs, budget),
+                         lambda cand: check_le(pca, doc, lhs, rhs, cand, budget.fuel), budget)
+
+
+def first_holding(candidates, check, budget: SearchBudget) -> SearchOutcome:
+    """The first candidate whose verdict ``check(candidate)`` holds.
+
+    A candidate whose check raises CheckError counts as a failure, one whose
+    verdict is unknown as a timeout.  The clock starts here and is read after
+    each candidate is drawn, so the time cap covers building candidates."""
     failures = timeouts = 0
     clock = _Clock(budget.time_cap)
-    for cand in gen:
+    for cand in candidates:
         if clock.expired():
             return SearchOutcome(UNKNOWN, None, budget.witness_size, failures, timeouts, True)
         try:
-            verdict = check_le(pca, doc, lhs, rhs, cand, budget.fuel)
+            verdict = check(cand)
         except CheckError:
             failures += 1
             continue
@@ -124,16 +145,32 @@ def _search(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome
     return SearchOutcome(status, None, budget.witness_size, failures, timeouts)
 
 
+def assignments(keys, options) -> Iterator[dict]:
+    """Every dict giving ``keys[i]`` one of ``options[i]``, the options of
+    the last key varying fastest."""
+    return (dict(zip(keys, values)) for values in itertools.product(*options))
+
+
+def images_of(pca: Pca, t, args, allowed, fuel: int | None) -> tuple | None:
+    """The images of ``t`` applied to each argument in turn, or None at the
+    first image that is undefined or not in ``allowed``."""
+    images = []
+    for a in args:
+        out = apply(pca, t, a, fuel)
+        if not out.is_defined or out.term not in allowed:
+            return None
+        images.append(out.term)
+    return tuple(images)
+
+
 def _candidates(pca, doc, lhs, rhs, budget):
     size = budget.witness_size
     if doc in ("T", "M", "dW", "dsW", "drW", "dextW"):
         return (Uniform(t) for t in iter_computable(size))
     if doc in ("Tw", "Mw"):
         return _per_point_candidates(pca, lhs, rhs, budget)
-    if doc in ("classicalW", "classicalSW"):
-        return _classical_candidates(pca, lhs, rhs, budget)
-    if doc in ("W", "SW"):
-        return _generalized_candidates(pca, lhs, rhs, budget)
+    if doc in ("classicalW", "classicalSW", "W", "SW"):
+        return _forward_backward_candidates(pca, doc, lhs, rhs, budget)
     if doc in ("rW", "tW"):
         return _ext_candidates(pca, lhs, rhs, budget)
     if doc == "extsW":
@@ -165,92 +202,62 @@ def forward_map_candidates(pca, source: FinSet, target: FinSet, budget) -> Itera
     producing it, in realizer enumeration order.
     """
     seen = set()
-    points = set(target.points)
     for t in iter_computable(budget.witness_size):
-        graph = {}
-        for x in source:
-            out = apply(pca, t, x, budget.fuel)
-            if not out.is_defined or out.term not in points:
-                break
-            graph[x] = out.term
-        else:
-            key = tuple(sorted(((point_key(k), point_key(v)) for k, v in graph.items())))
-            if key not in seen:
-                seen.add(key)
-                yield FinMap(source, target, graph, t)
+        images = images_of(pca, t, source.points, target, budget.fuel)
+        if images is not None and images not in seen:
+            seen.add(images)
+            yield FinMap(source, target, dict(zip(source.points, images)), t)
 
 
-def _classical_candidates(pca, lhs, rhs, budget):
-    for k in forward_map_candidates(pca, lhs.base, rhs.base, budget):
-        for h in iter_computable(budget.witness_size):
-            yield ForwardBackward(k, h)
-
-
-def _generalized_candidates(pca, lhs, rhs, budget):
-    prod = carrier_product(pca, lhs.base, lhs.index)
-    for k in forward_map_candidates(pca, prod.object, rhs.index, budget):
+def _forward_backward_candidates(pca, doc, lhs, rhs, budget):
+    """Every forward map, each followed by every backward term.  The classical
+    orders map base to base; W and SW map the product of lhs's base and index
+    to rhs's index."""
+    if doc in ("W", "SW"):
+        source, target = carrier_product(pca, lhs.base, lhs.index).object, rhs.index
+    else:
+        source, target = lhs.base, rhs.base
+    for k in forward_map_candidates(pca, source, target, budget):
         for h in iter_computable(budget.witness_size):
             yield ForwardBackward(k, h)
 
 
 def _ext_candidates(pca, lhs, rhs, budget):
     prod = ext_product(pca, lhs.base, lhs.index)
-    names = prod.object.naming
+    slots = prod.object.naming
+    names = [name for name, _ in slots]
     target = rhs.index
-    target_names = {}
+    offered = {}  # the naming is sorted, so each name's points come in point order
     for n, z in target.naming:
-        target_names.setdefault(n, []).append(z)
+        offered.setdefault(n, []).append(z)
     for t in iter_computable(budget.witness_size):
-        images = {}
-        ok = True
-        for name, pt in names:
-            out = apply(pca, t, name, budget.fuel)
-            if not out.is_defined or out.term not in target_names:
-                ok = False
-                break
-            images[(name, pt)] = out.term
-        if not ok:
+        images = images_of(pca, t, names, offered, budget.fuel)
+        if images is None:
             continue
-        slots = list(names)
-        choices = [sorted(target_names[images[key]], key=point_key) for key in slots]
-        for assignment in itertools.product(*choices):
-            km = ExtMorphism(prod.object, target, t, dict(zip(slots, assignment)))
+        for pointmap in assignments(slots, [offered[n] for n in images]):
+            km = ExtMorphism(prod.object, target, t, pointmap)
             for h in iter_computable(budget.witness_size):
                 yield ExtForwardBackward(km, h)
 
 
 def _ext_strong_candidates(pca, lhs: ExtendedPredicate, rhs: ExtendedPredicate, budget):
+    dom = lhs.effective_dom
+    keys = [(p, a) for p in dom for a in sorted(lhs.table[p], key=point_key)]
+    offered = {y: sorted(rhs.table[y], key=point_key) for y in rhs.dom if rhs.table[y]}
     for k in iter_computable(budget.witness_size):
-        keys = []
-        options = []
-        ok = True
-        for p in lhs.effective_dom:
-            out = apply(pca, k, p, budget.fuel)
-            if not out.is_defined or out.term not in rhs.dom or not rhs.table[out.term]:
-                ok = False
-                break
-            offered = sorted(rhs.table[out.term], key=point_key)
-            for a in sorted(lhs.table[p], key=point_key):
-                keys.append((p, a))
-                options.append(offered)
-        if not ok:
+        images = images_of(pca, k, dom, offered, budget.fuel)
+        if images is None:
             continue
-        for assignment in itertools.product(*options):
-            choice = dict(zip(keys, assignment))
+        image = dict(zip(dom, images))
+        for choice in assignments(keys, [offered[image[p]] for p, _ in keys]):
             for h in iter_computable(budget.witness_size):
                 yield ExtStrong(k, choice, h)
 
 
 def _dialectica_candidates(pca, lhs: DialecticaPredicate, rhs: DialecticaPredicate, budget):
     keys = list(lhs.relation)
-    options = []
-    for (x, a) in keys:
-        offered = sorted((b for (x2, b) in rhs.relation if x2 == x), key=point_key)
-        if not offered:
-            return
-        options.append(offered)
-    for assignment in itertools.product(*options):
-        choice = dict(zip(keys, assignment))
+    options = [sorted((b for (x2, b) in rhs.relation if x2 == x), key=point_key) for x, _ in keys]
+    for choice in assignments(keys, options):
         for h in iter_computable(budget.witness_size):
             yield DialecticaWitness(choice, h)
 
@@ -262,27 +269,17 @@ def _dialectica_candidates(pca, lhs: DialecticaPredicate, rhs: DialecticaPredica
 def search_completion_witness(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
                               budget: SearchBudget) -> SearchOutcome:
     """Least mediated witness for lhs <= rhs in a completion fiber."""
-    failures = timeouts = 0
-    clock = _Clock(budget.time_cap)
+    return first_holding(_completion_candidates(pca, lhs, rhs, budget),
+                         lambda cand: comp_le(pca, lhs, rhs, cand, budget.fuel), budget)
+
+
+def _completion_candidates(pca, lhs, rhs, budget):
+    """Each mediator with each base witness.  Both lists are built when the
+    first candidate is drawn, after the search's clock has started."""
     bases = _base_candidates(pca, lhs.doc, budget)
     for med in _mediator_candidates(pca, lhs, rhs, budget):
         for base in bases:
-            if clock.expired():
-                return SearchOutcome(UNKNOWN, None, budget.witness_size, failures, timeouts, True)
-            cand = CompletionWitness(med, base)
-            try:
-                verdict = comp_le(pca, lhs, rhs, cand, budget.fuel)
-            except CheckError:
-                failures += 1
-                continue
-            if verdict.holds:
-                return SearchOutcome(FOUND, cand, budget.witness_size, failures, timeouts)
-            if verdict.unknown:
-                timeouts += 1
-            else:
-                failures += 1
-    status = UNKNOWN if timeouts else EXHAUSTED
-    return SearchOutcome(status, None, budget.witness_size, failures, timeouts)
+            yield CompletionWitness(med, base)
 
 
 def _mediator_candidates(pca, lhs, rhs, budget):
@@ -300,9 +297,7 @@ def _mediator_candidates(pca, lhs, rhs, budget):
 def all_graphs(src: FinSet, tgt: FinSet) -> list[FinMap]:
     """Every map src -> tgt as a bare graph, values varying fastest on the
     last source point, in point order."""
-    points = list(src.points)
-    return [FinMap(src, tgt, dict(zip(points, values)))
-            for values in itertools.product(tgt.points, repeat=len(points))]
+    return [FinMap(src, tgt, graph) for graph in assignments(src.points, [tgt.points] * len(src))]
 
 
 def _base_candidates(pca, doc, budget):

@@ -238,28 +238,28 @@ def pairing_map(pca: Pca, f: FinMap, g: FinMap, product: CarrierProduct) -> FinM
     return FinMap(f.source, product.object, mapping, realizer)
 
 
-def projection_side(m: FinMap) -> str | None:
-    """"fst"/"snd" when the graph projects pair terms onto a component.
+def projection_side(m) -> str | None:
+    """"fst"/"snd" when m projects pairs onto a component: the pair terms of
+    a carrier map's source, or the point pairs of an assembly morphism's
+    naming relation, whose names must be pair terms too.
 
     Elements whose two components coincide are consistent with either side,
     so sides are intersected across the source.
     """
-    if not m.source.is_carrier:
+    if isinstance(m, ExtMorphism):
+        cases = [(img, pt if isinstance(pt, tuple) and len(pt) == 2 and split_pair(name) else None)
+                 for (name, pt), img in m.pointmap.items()]
+    elif m.source.is_carrier:
+        cases = [(m.mapping[t], split_pair(t)) for t in m.source]
+    else:
         return None
     consistent = {"fst", "snd"}
-    for t in m.source:
-        parts = split_pair(t)
-        if parts is None:
+    for img, pair in cases:
+        if pair is None:
             return None
-        a, b = parts
-        here = set()
-        if m.mapping[t] == a:
-            here.add("fst")
-        if m.mapping[t] == b:
-            here.add("snd")
-        consistent &= here
-        if not consistent:
-            return None
+        consistent &= {side for side, part in zip(("fst", "snd"), pair) if img == part}
+    if not consistent:
+        return None
     return "fst" if "fst" in consistent else "snd"
 
 

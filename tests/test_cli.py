@@ -315,6 +315,51 @@ class TestComplete:
         assert "16 objects" in out
         assert "hasse" in out
 
+    @pytest.mark.parametrize("kind", ["exists", "forall"])
+    @pytest.mark.parametrize("klass", ["full", "pure"])
+    def test_dw_payloads_are_nonempty(self, kind, klass, capsys):
+        """A dW payload takes the nonempty policy, so the empty value is no
+        option: singleton values only, 4 legs x 4 payloads (full) or one leg
+        over a 4-point source x 16 payloads (pure)."""
+        code, out = run(["--witness-size", "2", "complete", FIXTURES / "holds.inst", "--object", "X",
+                         "--doc", "dW", "--kind", kind, "--klass", klass, "--index-bound", "2"], capsys)
+        assert code == 0
+        assert out.startswith("// completion fiber over X: 16 objects\n")
+        assert "[]" not in out
+
+    LEG_VALUES = ["(K K)", "K", "S"]  # text order, where point order puts (K K) last
+
+    def _fiber(self, doc, kind, tmp_path, capsys):
+        inst = tmp_path / "fiber.inst"
+        inst.write_text("carrier A = [K, (K K), S]\ncarrier Y = [S]\n")
+        code, out = run(["--witness-size", "2", "complete", inst, "--object", "A", "--doc", doc,
+                         "--kind", kind, "--klass", "full", "--index-bound", "1"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        return lines[0], [ln for ln in lines if ln.startswith("// object")], [ln for ln in lines if ln.startswith("hasse")]
+
+    @staticmethod
+    def _blocks(size, sources):
+        """The Hasse edges i <= j within each leg's block of payloads, from
+        the payload offsets in sources to every other offset."""
+        return [f"hasse {b + i} <= {b + j}" for b in range(0, 3 * size, size)
+                for i in sources for j in range(size) if i != j]
+
+    def test_tracked_fiber_numbers_legs_and_payloads_in_text_order(self, tmp_path, capsys):
+        head, objects, hasse = self._fiber("T", "forall", tmp_path, capsys)
+        assert head == "// completion fiber over A: 9 objects"
+        assert objects == [f"// object {3 * i + j}: leg {{ S -> {leg} }} payload {{ S -> {value} }}"
+                           for i, leg in enumerate(self.LEG_VALUES) for j, value in enumerate(self.LEG_VALUES)]
+        assert hasse == self._blocks(3, range(3))
+
+    def test_mass_fiber_numbers_payloads_in_point_order(self, tmp_path, capsys):
+        head, objects, hasse = self._fiber("M", "exists", tmp_path, capsys)
+        assert head == "// completion fiber over A: 12 objects"
+        payloads = ["[]", "[K]", "[S]", "[(K K)]"]
+        assert objects == [f"// object {4 * i + j}: leg {{ S -> {leg} }} payload {{ S -> {value} }}"
+                           for i, leg in enumerate(self.LEG_VALUES) for j, value in enumerate(payloads)]
+        assert hasse == self._blocks(4, range(1, 4))
+
 
 class TestSharedParser:
     """Calls made one after another in one process print what each prints

@@ -125,6 +125,25 @@ class TestCompletionSearch:
         out = search_completion_witness(pure, obj, obj, SearchBudget(2))
         assert out.found
 
+    def test_time_cap_covers_building_the_candidates(self, pure, monkeypatch):
+        """The clock starts before the base witnesses are enumerated: an
+        enumeration that takes 10 s of a 1 s cap stops the search before
+        its first candidate is checked."""
+        now = [0.0]
+        monkeypatch.setattr(search_module.time, "monotonic", lambda: now[0])
+        enumerate_base = search_module.enumerate_computable
+
+        def slow_enumeration(size):
+            now[0] += 10.0
+            return enumerate_base(size)
+
+        monkeypatch.setattr(search_module, "enumerate_computable", slow_enumeration)
+        X = carrier(pure, [K])
+        obj = CompletionObject(FORALL, FULL, "T", identity_map(X), TrackedFamily(X, {K: K}))
+        out = search_completion_witness(pure, obj, obj, SearchBudget(2, None, 1.0))
+        assert out.status == "unknown" and out.clock_stopped
+        assert out.checked == 0
+
 
 class TestSoundness:
     def test_found_witnesses_reverify(self, pure):

@@ -216,6 +216,15 @@ class TestExtProducts:
         prod = ext_product(pure, a, b)
         assert ext_product_components(prod.object) == (a, b)
 
+    def test_projection_side(self, pure):
+        a = assembly(pure, ["x", "y"], [(K, "x"), (S, "y")])
+        b = assembly(pure, ["z"], [(K, "z")])
+        for prod in (ext_product(pure, a, b), ext_product(pure, a, a)):
+            assert projection_side(prod.fst) == "fst"
+            assert projection_side(prod.snd) == "snd"
+            assert projection_side(ext_identity(prod.object)) is None
+        assert projection_side(ext_identity(a)) is None
+
 
 class TestPullbacks:
     def test_fiber_product_counts(self, pure):

@@ -84,3 +84,16 @@ def test_traced_repeated_search_counts_the_candidates_checked(capsys):
     assert outcomes[0] == outcomes[1] and outcomes[0].status == "exhausted"
     assert metrics["search.searches"] == 2
     assert metrics["search.candidates"] == metrics["doctrines.check_le_calls"] == 102
+
+
+def test_traced_complete_counts_one_candidate_per_comp_le_call(capsys):
+    """A ``complete`` run searches every ordered pair of its 16 objects
+    (240 searches), and each candidate a completion search checks is one
+    ``comp_le`` call made directly by that search."""
+    argv = ["--witness-size", "2", "complete", str(ROOT / "fixtures" / "holds.inst"), "--object", "X",
+            "--doc", "T", "--kind", "forall", "--klass", "full", "--index-bound", "2"]
+    (code,), metrics = _traced(argv)
+    assert code == 0
+    assert capsys.readouterr().out.startswith("// completion fiber over X: 16 objects\n")
+    assert metrics["search.searches"] == 240
+    assert metrics["search.candidates"] == metrics["completions.comp_le_calls"] == 14266
