@@ -80,7 +80,7 @@ from .spaces import (
     point_text,
     projection_side,
 )
-from .terms import App, K, S, Term, Var, ap, pair_term, split_pair, term_key, to_text
+from .terms import App, K, S, Term, Var, ap, has_oracle, pair_term, split_pair, term_key, to_text
 from .verdicts import Verdict
 
 ALLOW_EMPTY = "allow-empty"
@@ -574,10 +574,12 @@ class _ActionIndex:
         self.walk: Iterator[Term] | None = iter_computable(bound)
         self.walked = 0  # the terms evaluated so far, while walk is not None
 
-    def extend(self, pca: Pca, b: Term, target: frozenset, fuel: int | None):
+    def extend(self, pca: Pca, b: Term, target: frozenset, fuel: int | None,
+               until_timeout: bool = False):
         """Evaluate further terms on b, recording each new normal form and
         the first timeout, up to the first term landing in target; its
-        ``(index, term)``, or None when the bound ends first."""
+        ``(index, term)``, or None when the bound ends first or, with
+        ``until_timeout``, at the first timeout."""
         first = self.first
         for i, cand in enumerate(self.walk, self.walked):
             out = apply(pca, cand, b, fuel)
@@ -589,6 +591,9 @@ class _ActionIndex:
                         return hit
             elif self.timeout_at is None and out.status == "timeout":
                 self.timeout_at = i
+                if until_timeout:
+                    self.walked = i + 1
+                    return None
         self.walk = None
         return None
 
@@ -603,7 +608,11 @@ def find_inner_witness(pca: Pca, b: Term, target: frozenset, bound: int,
     different targets, so the structure keeps one `_ActionIndex` per
     ``(b, bound, fuel)`` (outcomes are pure functions of it): a query
     takes the least index stored over the normal forms in target, and
-    extends the walk only when there is none."""
+    extends the walk only when there is none.
+
+    S/K reduction adds no oracle atom, so when b holds none and every term
+    of target holds one, no candidate lands in target: the answer is
+    ``(None, True)`` from the first timeout on, and the walk stops there."""
     if not target:  # nothing lands in an empty set
         return None, False
     key = (b, bound, fuel)
@@ -613,11 +622,13 @@ def find_inner_witness(pca: Pca, b: Term, target: frozenset, bound: int,
     first = index.first
     hit = min((first[t] for t in target if t in first), default=None)
     if hit is None and index.walk is not None:
-        try:
-            hit = index.extend(pca, b, target, fuel)
-        except BaseException:
-            del pca._actions[key]  # the walk passed a term it did not record
-            raise
+        unreachable = not has_oracle(b) and all(map(has_oracle, target))
+        if not unreachable or index.timeout_at is None:
+            try:
+                hit = index.extend(pca, b, target, fuel, unreachable)
+            except BaseException:
+                del pca._actions[key]  # the walk passed a term it did not record
+                raise
     at = index.timeout_at
     if hit is None:
         return None, at is not None

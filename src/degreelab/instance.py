@@ -238,6 +238,9 @@ class _Parser:
             self.toks = _tokenize(source)
             words = ["#" + t.text if t.kind == "oracle" else t.text for t in self.toks] + [""]
         self.words = words
+        self.atoms: dict[str, Term] = {"K": K, "S": S}  # word -> atom
+        # (id(fn), id(arg)) -> the application built; its parts keep the ids live
+        self.built: dict[tuple[int, int], App] = {}
 
     @functools.cached_property
     def toks(self) -> list[Tok]:
@@ -280,19 +283,42 @@ class _Parser:
     # -- terms and combinators -------------------------------------------
 
     def term(self) -> Term:
-        word = self.next()
-        if word == "K":
-            return K
-        if word == "S":
-            return S
-        if word == "(":
-            fn = self.term()
-            arg = self.term()
-            self.expect(")")
-            return App(fn, arg)
-        if word[0] == "#":
-            return Oracle(word[1:])
-        raise self.unexpected("a term", self.i - 1)
+        """One term, read in one loop over an explicit stack of open
+        applications.  A term equal to one this parse built is that object."""
+        words, built, atoms = self.words, self.built, self.atoms
+        open_apps: list = []  # per open "(": its function, or None before it is read
+        i = self.i
+        while True:
+            word = words[i]
+            i += 1
+            if word == "(":
+                open_apps.append(None)
+                continue
+            t = atoms.get(word)
+            if t is None:
+                if word[:1] != "#":
+                    self.i = i - 1
+                    self.next()  # raises at the end of the file
+                    raise self.unexpected("a term", i - 1)
+                t = atoms[word] = Oracle(word[1:])
+            while open_apps:
+                fn = open_apps[-1]
+                if fn is None:
+                    open_apps[-1] = t
+                    break
+                open_apps.pop()
+                if words[i] != ")":
+                    self.i = i
+                    self.expect(")")  # raises
+                i += 1
+                key = (id(fn), id(t))
+                app = built.get(key)
+                if app is None:
+                    app = built[key] = App(fn, t)
+                t = app
+            else:
+                self.i = i
+                return t
 
     def items(self, open: str, close: str, item) -> list:
         """``open item, item, ... close``, possibly empty."""

@@ -55,7 +55,6 @@ from .pca import (
     Pca,
     SND,
     apply,
-    apply_many,
     bracket_abstract,
     enumerate_computable,
     is_computable,
@@ -212,25 +211,31 @@ def suite_pca_laws(pca: Pca, fuel: int | None = None) -> SuiteReport:
     terms = enumerate_computable(3)
     small = terms[:22]  # the size <= 2 prefix
     t = _Tally("pca-laws")
+    # each shared subterm is built once: (b c) per suite, (a c), (K a) and
+    # (S a) per a, (S a b) per (a, b)
+    applied = {b: [App(b, c) for c in small] for b in small}
     for a in terms:
         na = normalize(pca, a, fuel)
+        ka, sa = App(K, a), App(S, a)
         for b in terms:
             # k a is defined; k a b reduces to a whenever a normalizes
-            out = apply_many(pca, K, a, b, fuel=fuel)
+            out = normalize(pca, App(ka, b), fuel)
             if na.is_defined:
                 if out.status == "timeout" or na.status == "timeout":
                     t.add("k-law", None)
                 else:
                     t.add("k-law", out.is_defined and out.term == na.term)
+        a_on = [App(a, c) for c in small]
         for b in small:
-            for c in small:
-                rhs = normalize(pca, App(App(a, c), App(b, c)), fuel)
+            sab = App(sa, b)
+            for c, ac, bc in zip(small, a_on, applied[b]):
+                rhs = normalize(pca, App(ac, bc), fuel)
                 if rhs.status == "timeout":
                     # the chain only does one more step than the
                     # contractum, so it cannot settle either
                     t.add("s-law", None)
                     continue
-                lhs = apply_many(pca, S, a, b, c, fuel=fuel)
+                lhs = normalize(pca, App(sab, c), fuel)
                 if lhs.status == "timeout":
                     t.add("s-law", None)
                 else:

@@ -51,11 +51,15 @@ MAX_WORK_SIZE = 200_000
 # older is dropped; a hit in the old one is copied back into the current one.
 # An entry is the finished `EvalOutcome` with its exact step count, so
 # eviction changes no outcome, only the time to recompute it, and `normalize`
-# answers a hit without starting the machine.  Two generations, not a
-# clear-all: `search --witness-size 6 fixtures/refuted.inst impossible`
-# evaluates 23,028 subterms with no bound, 23,045 with this swap, and 23,765
-# with a clear-all above 20,000 entries.
-MEMO_LIMIT = 10_000
+# answers a hit without starting the machine.  The bound is sized by what the
+# entries save: the ten laws suites, each on a fresh structure, run 164,552
+# evaluator tasks at a bound of 10,000 entries, 176,227 (+7.1 %) at this
+# bound, 186,763 at 2,000 and 287,031 at 300, while the entries between 3,000
+# and 10,000 held about 7 MB of the laws run's 30 MB peak.  No `check` and no
+# found search reaches this bound.  Entries are counted, not term nodes: no S/K
+# term of size 7 or less applied to K, S or the pair of K and K has a normal
+# form of more than 168 applications.
+MEMO_LIMIT = 3_000
 
 
 class EvalOutcome(NamedTuple):
@@ -106,7 +110,7 @@ class Pca:
     - ``_memo`` and ``_old_memo``, the evaluator memo: the `EvalOutcome` of
       each evaluated subterm, detail and exact step count included, in two
       generations (current and old) of at most about ``MEMO_LIMIT`` entries
-      each;
+      each, a bound sized to what the laws suites re-ask;
     - ``_actions``, one action index per ``(argument, bound, fuel)`` of
       ``doctrines.find_inner_witness``: the least term reaching each normal
       form, the first timeout, and how far the walk over the terms got;

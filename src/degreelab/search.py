@@ -35,6 +35,7 @@ from typing import Iterator
 
 from .completions import CompletionObject, CompletionWitness, comp_le
 from .doctrines import (
+    COMPUTABLE_BASED,
     Bounded,
     CheckError,
     DialecticaPredicate,
@@ -288,7 +289,8 @@ def _mediator_candidates(pca, lhs, rhs, budget):
     else:
         src, tgt = rhs.leg.source, lhs.leg.source
     if isinstance(lhs.leg, FinMap):
-        if lhs.klass == "full":
+        # reindexing a payload over a computable base needs a realized map
+        if lhs.klass == "full" and lhs.doc not in COMPUTABLE_BASED:
             return all_graphs(src, tgt)
         return forward_map_candidates(pca, src, tgt, budget)
     raise CheckError("mediator search over assemblies is not implemented")

@@ -315,17 +315,22 @@ class TestComplete:
         assert "16 objects" in out
         assert "hasse" in out
 
+    DW_EDGES = {("exists", "full"): 40, ("forall", "full"): 68, ("exists", "pure"): 30, ("forall", "pure"): 30}
+
     @pytest.mark.parametrize("kind", ["exists", "forall"])
     @pytest.mark.parametrize("klass", ["full", "pure"])
     def test_dw_payloads_are_nonempty(self, kind, klass, capsys):
         """A dW payload takes the nonempty policy, so the empty value is no
         option: singleton values only, 4 legs x 4 payloads (full) or one leg
-        over a 4-point source x 16 payloads (pure)."""
+        over a 4-point source x 16 payloads (pure).  Reindexing over the
+        computable base needs a realized map, so the full class draws its
+        mediators from realized maps too and its fiber has edges."""
         code, out = run(["--witness-size", "2", "complete", FIXTURES / "holds.inst", "--object", "X",
                          "--doc", "dW", "--kind", kind, "--klass", klass, "--index-bound", "2"], capsys)
         assert code == 0
         assert out.startswith("// completion fiber over X: 16 objects\n")
         assert "[]" not in out
+        assert out.count("\nhasse ") == self.DW_EDGES[kind, klass]
 
     LEG_VALUES = ["(K K)", "K", "S"]  # text order, where point order puts (K K) last
 

@@ -930,6 +930,24 @@ class TestActionIndex:
         for i, answer in _shared_answers(picked).items():
             assert answer == BRUTE_ANSWERS[i], INDEX_QUERIES[i]
 
+    def test_an_unreachable_target_stops_the_walk_at_its_first_timeout(self, monkeypatch):
+        # S/K reduction adds no oracle, so no term sends S to #o1; the first
+        # timeout, ((((S (S S)) S) S) S) at index 773 (the size valve),
+        # decides the query, and a second one walks nothing
+        oracles, walked = {"o1": {}}, []
+        shared = Pca(oracles=oracles)
+        monkeypatch.setattr(doctrines, "apply",
+                            lambda pca, a, b, fuel=None: walked.append(a) or apply(pca, a, b, fuel))
+        unreachable = (S, frozenset([O1]), 5, None)
+        assert find_inner_witness(shared, *unreachable) == _brute_inner_witness(oracles, *unreachable) == (None, True)
+        assert len(walked) == 774 and to_text(walked[-1]) == "((((S (S S)) S) S) S)"
+        assert find_inner_witness(shared, *unreachable) == (None, True) and len(walked) == 774
+        # a reachable target continues the kept walk past the timeout
+        last = max(_first_outcomes(oracles, S, 5, None).items(), key=lambda kv: kv[1])[0]
+        reachable = (S, frozenset([last]), 5, None)
+        assert find_inner_witness(shared, *reachable) == _brute_inner_witness(oracles, *reachable)
+        assert len(walked) > 774
+
     @pytest.mark.parametrize("error", [PcaError, KeyboardInterrupt])
     def test_a_scan_interrupted_mid_walk_leaves_no_trace(self, monkeypatch, error):
         shared = Pca()

@@ -71,6 +71,12 @@ class TestParsing:
         assert inst2.morphisms["f"] == inst.morphisms["f"]
         assert inst2.claims == inst.claims
 
+    def test_equal_applications_of_one_file_are_one_object(self):
+        inst = parse_instance("carrier X = [(K K), (S (K K))]\ncarrier Y = [((S (K K)) K)]\n")
+        kk, skk = sorted(inst.carriers["X"].points, key=lambda t: t.size)
+        (skkk,) = inst.carriers["Y"].points
+        assert skk.arg is kk and skkk.fn is skk
+
     def test_fixture_files_parse(self):
         for path in sorted(FIXTURES.glob("*.inst")):
             inst = parse_instance(path.read_text())

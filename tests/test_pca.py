@@ -146,7 +146,7 @@ class TestMemoBound:
     def test_eviction_changes_no_law_outcome(self, monkeypatch):
         # memo entries carry exact step counts: evicting after every
         # evaluation must give the same reports as the default bound
-        names = ["pca-laws", "muchnik-heyting", "adjoint-suites"]
+        names = ["pca-laws", "bracket-abstraction", "muchnik-heyting", "adjoint-suites"]
         default = machine_format(run_suites(names))
         monkeypatch.setattr(pca_module, "MEMO_LIMIT", 1)
         assert machine_format(run_suites(names)) == default
