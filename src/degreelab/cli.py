@@ -4,6 +4,8 @@ Subcommands: check, search, lattice, complete, iso, laws.  Exit status for
 claim-running commands: 0 when every claim Holds, 1 when any is Refuted, 2
 when any is Unknown, 3 on input errors.  The machine format is a subset of
 the instance grammar, so reports and found witnesses re-parse.
+``--time-cap`` caps each search on its own: ``complete`` runs one search per
+ordered pair of objects, so the command as a whole has no cap.
 
 The argument parser is built once per process, on the first ``main`` call
 (not at import), and reused by every later call.
@@ -24,7 +26,6 @@ from .doctrines import (
     CheckError,
     DialecticaWitness,
     ExtForwardBackward,
-    ExtStrong,
     ForwardBackward,
     MassFamily,
     TrackedFamily,
@@ -73,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--fuel", type=int, default=None,
                    help="reduction step budget (default: the instance's fuel)")
     p.add_argument("--witness-size", type=int, default=7, help="witness term size bound")
-    p.add_argument("--time-cap", type=float, default=None, help="wall clock cap for searches (s)")
+    p.add_argument("--time-cap", type=float, default=None, help="wall clock cap per search (s)")
     p.add_argument("--format", choices=("human", "machine"), default="human")
     sub = p.add_subparsers(required=True)
 
@@ -114,8 +115,7 @@ def _parser() -> argparse.ArgumentParser:
     i = sub.add_parser("iso", help="apply an isomorphism map and transport a witness")
     i.add_argument("file")
     i.add_argument("--map", required=True, dest="mapname",
-                   choices=("medvedev", "muchnik", "weihrauch", "strong", "realizer",
-                            "extended", "dialectica", "extpred", "extsw_d"))
+                   choices=(*iso.EQUIVALENCES, "extpred", "extsw_d"))
     i.add_argument("--direction", choices=("forward", "backward"), default="forward")
     i.add_argument("--claim", help="claim to transport")
     i.add_argument("--object", help="object name for object-map-only commands")
@@ -148,6 +148,17 @@ def _run_claim(inst: Instance, claim, fuel: int) -> Verdict:
             raise CheckError(f"claim {claim.name}: completion claims need a mediated witness")
         return comp_le(inst.pca, lhs, rhs, w, fuel)
     return check_le(inst.pca, claim.doc, lhs, rhs, w, fuel)
+
+
+def _claim(inst: Instance, name: str):
+    claim = next((c for c in inst.claims if c.name == name), None)
+    if claim is None:
+        raise InstanceError(f"unknown claim {name!r}")
+    return claim
+
+
+def _exit_code(v: Verdict) -> int:
+    return EXIT_OK if v.holds else (EXIT_REFUTED if v.refuted else EXIT_UNKNOWN)
 
 
 def _emit_verdicts(args, named_verdicts, elapsed) -> int:
@@ -192,10 +203,7 @@ def cmd_check(args) -> int:
 
 def cmd_search(args) -> int:
     inst = _load(args)
-    by_name = {c.name: c for c in inst.claims}
-    if args.claim not in by_name:
-        raise InstanceError(f"unknown claim {args.claim!r}")
-    claim = by_name[args.claim]
+    claim = _claim(inst, args.claim)
     if claim.doc == "comp":
         raise InstanceError("search over completion claims is not supported here")
     lhs = inst.element(claim.lhs)
@@ -295,17 +303,12 @@ def cmd_lattice(args) -> int:
         lines = _declare_witness(inst, f"{args.law}_witness", w)
         verdict = None
         if args.claim:
-            by_name = {c.name: c for c in inst.claims}
-            if args.claim not in by_name:
-                raise InstanceError(f"unknown claim {args.claim!r}")
-            claim = by_name[args.claim]
+            claim = _claim(inst, args.claim)
             verdict = check_le(inst.pca, claim.doc, inst.element(claim.lhs),
                                inst.element(claim.rhs), w, inst.fuel)
             lines.append(f"result {args.claim} {verdict.status}")
         print("\n".join(lines))
-        if verdict is None or verdict.holds:
-            return EXIT_OK
-        return EXIT_REFUTED if verdict.refuted else EXIT_UNKNOWN
+        return EXIT_OK if verdict is None else _exit_code(verdict)
     universe = inst.universes.get(args.universe) if args.universe else None
     base = inst.carriers.get(args.base) if args.base else None
     fams = [inst.families[n] for n in args.operands]
@@ -386,137 +389,47 @@ def cmd_complete(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    """Run one row of `iso.EQUIVALENCES`: check that the claim lies in the
+    row's order, gate its witness, transport it and re-check the transported
+    one.  extpred and extsw_d are the two maps outside the table."""
     inst = _load(args)
-    handler = _ISO_COMMANDS.get(args.mapname)
-    if handler is None:
-        raise InstanceError(f"unknown map {args.mapname!r}")
-    return handler(args, inst)
-
-
-def _claim_of(args, inst) -> object:
+    if args.mapname == "extpred":
+        return _iso_extpred(args, inst)
     if not args.claim:
         raise InstanceError("this direction needs --claim")
-    by_name = {c.name: c for c in inst.claims}
-    if args.claim not in by_name:
-        raise InstanceError(f"unknown claim {args.claim!r}")
-    return by_name[args.claim]
-
-
-def _iso_universal(args, inst, from_map, to_map, fwd, bwd, concrete_doc) -> int:
-    claim = _claim_of(args, inst)
-    lines = []
-    if args.direction == "forward":
-        lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
-        if claim.doc != "comp":
-            raise InstanceError("forward transport starts from a completion claim")
-        w = inst.witnesses[claim.witness]
-        gate = comp_le(inst.pca, lhs, rhs, w, inst.fuel)
-        if not gate.holds:
-            raise InstanceError(f"input witness does not hold ({gate.status})")
-        phi1, phi2 = from_map(inst.pca, lhs), from_map(inst.pca, rhs)
-        new_w = fwd(inst.pca, lhs, rhs, w, inst.fuel)
-        v = check_le(inst.pca, concrete_doc, phi1, phi2, new_w, inst.fuel)
-        lines.extend(_declare_witness(inst, f"{claim.name}_transported", new_w))
-        lines.append(f"result {claim.name} {v.status}")
+    claim = _claim(inst, args.claim)
+    if args.mapname == "extsw_d":
+        return _iso_extsw_d(inst, claim)
+    row = iso.EQUIVALENCES[args.mapname]
+    pca, fuel = inst.pca, inst.fuel
+    lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
+    forward = args.direction == "forward"
+    if forward:
+        ok = claim.doc == "comp" and getattr(lhs, "doc", None) == getattr(rhs, "doc", None) == row.completion
+        wanted = f"<=_comp claims over {row.completion}"
     else:
-        lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
-        w = inst.witnesses[claim.witness]
-        gate = check_le(inst.pca, concrete_doc, lhs, rhs, w, inst.fuel)
-        if not gate.holds:
-            raise InstanceError(f"input witness does not hold ({gate.status})")
-        o1, o2 = to_map(inst.pca, lhs), to_map(inst.pca, rhs)
-        cw = bwd(inst.pca, o1, o2, w, inst.fuel)
-        v = comp_le(inst.pca, o1, o2, cw, inst.fuel)
-        lines.append(f"// canonical completion objects built from {claim.lhs} and {claim.rhs}")
-        lines.append(f"result {claim.name} {v.status}")
-    print("\n".join(lines))
-    return EXIT_OK if v.holds else (EXIT_REFUTED if v.refuted else EXIT_UNKNOWN)
-
-
-def _cmd_iso_medvedev(args, inst) -> int:
-    return _iso_universal(
-        args, inst, iso.medvedev_from_completion,
-        lambda pca, fam: iso.medvedev_to_completion(pca, fam),
-        lambda pca, l, r, w, fuel: iso.medvedev_transport_forward(pca, w),
-        iso.medvedev_transport_backward, "M",
-    )
-
-
-def _cmd_iso_muchnik(args, inst) -> int:
-    return _iso_universal(
-        args, inst, iso.muchnik_from_completion,
-        lambda pca, fam: iso.muchnik_to_completion(pca, fam),
-        iso.muchnik_transport_forward,
-        iso.muchnik_transport_backward, "Mw",
-    )
-
-
-def _iso_existential(args, inst, doc, edoc, from_map, to_map, fwd, bwd) -> int:
-    claim = _claim_of(args, inst)
-    lines = []
-    if args.direction == "forward":
-        if claim.doc != "comp":
-            raise InstanceError("forward transport starts from a completion claim")
-        lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
-        w = inst.witnesses[claim.witness]
-        gate = comp_le(inst.pca, lhs, rhs, w, inst.fuel)
-        if not gate.holds:
-            raise InstanceError(f"input witness does not hold ({gate.status})")
-        F, G = from_map(inst.pca, lhs), from_map(inst.pca, rhs)
-        new_w = fwd(inst.pca, w, inst.fuel)
-        v = check_le(inst.pca, doc, F, G, new_w, inst.fuel)
-        lines.extend(_declare_witness(inst, f"{claim.name}_transported", new_w))
+        ok, wanted = claim.doc == row.concrete, f"<=_{row.concrete} claims"
+    if not ok:
+        raise InstanceError(f"--map {args.mapname} --direction {args.direction} takes {wanted}")
+    gate = _run_claim(inst, claim, fuel)
+    if not gate.holds:
+        raise InstanceError(f"input witness does not hold ({gate.status})")
+    w = inst.witnesses[claim.witness]
+    if forward:
+        c1, c2 = row.from_completion(pca, lhs), row.from_completion(pca, rhs)
+        new_w = row.forward(pca, lhs, rhs, w, fuel)
+        v = check_le(pca, row.concrete, c1, c2, new_w, fuel)
+        lines = _declare_witness(inst, f"{claim.name}_transported", new_w)
     else:
-        lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
-        w = inst.witnesses[claim.witness]
-        gate = check_le(inst.pca, doc, lhs, rhs, w, inst.fuel)
-        if not gate.holds:
-            raise InstanceError(f"input witness does not hold ({gate.status})")
-        o1 = to_map(inst.pca, lhs, edoc)
-        o2 = to_map(inst.pca, rhs, edoc)
-        cw = bwd(inst.pca, w, inst.fuel) if args.mapname != "realizer" and args.mapname != "extended" \
-            else bwd(inst.pca, w, lhs.base, inst.fuel)
-        v = comp_le(inst.pca, o1, o2, cw, inst.fuel)
-        lines.append(f"// canonical completion objects built from {claim.lhs} and {claim.rhs}")
+        o1, o2 = row.to_completion(pca, lhs, row.completion), row.to_completion(pca, rhs, row.completion)
+        v = comp_le(pca, o1, o2, row.backward(pca, o1, o2, w, fuel), fuel)
+        lines = [f"// canonical completion objects built from {claim.lhs} and {claim.rhs}"]
     lines.append(f"result {claim.name} {v.status}")
     print("\n".join(lines))
-    return EXIT_OK if v.holds else (EXIT_REFUTED if v.refuted else EXIT_UNKNOWN)
+    return _exit_code(v)
 
 
-def _cmd_iso_weihrauch(args, inst) -> int:
-    return _iso_existential(args, inst, "W", "dW", iso.weihrauch_from_completion,
-                            iso.weihrauch_to_completion, iso.weihrauch_transport_forward,
-                            iso.weihrauch_transport_backward)
-
-
-def _cmd_iso_strong(args, inst) -> int:
-    return _iso_existential(args, inst, "SW", "dsW", iso.weihrauch_from_completion,
-                            iso.weihrauch_to_completion, iso.weihrauch_transport_forward,
-                            iso.weihrauch_transport_backward)
-
-
-def _cmd_iso_realizer(args, inst) -> int:
-    return _iso_existential(args, inst, "rW", "drW", iso.realizer_from_completion,
-                            iso.realizer_to_completion, iso.realizer_transport_forward,
-                            iso.realizer_transport_backward)
-
-
-def _cmd_iso_extended(args, inst) -> int:
-    return _iso_existential(args, inst, "tW", "dextW", iso.realizer_from_completion,
-                            iso.realizer_to_completion, iso.realizer_transport_forward,
-                            iso.realizer_transport_backward)
-
-
-def _cmd_iso_dialectica(args, inst) -> int:
-    return _iso_universal(
-        args, inst, iso.dialectica_from_completion,
-        lambda pca, F: iso.dialectica_to_completion(pca, F),
-        iso.dialectica_transport_forward,
-        iso.dialectica_transport_backward, "D",
-    )
-
-
-def _cmd_iso_extpred(args, inst) -> int:
+def _iso_extpred(args, inst) -> int:
     if not args.object:
         raise InstanceError("--map extpred needs --object (an extended predicate)")
     if args.object not in inst.extpredicates:
@@ -532,41 +445,23 @@ def _cmd_iso_extpred(args, inst) -> int:
     return EXIT_OK
 
 
-def _cmd_iso_extsw_d(args, inst) -> int:
-    claim = _claim_of(args, inst)
+def _iso_extsw_d(inst, claim) -> int:
+    """An extsW claim against the pointwise choice order on the shifted
+    relation predicate, with the same choice and backward term."""
     if claim.doc != "extsW":
         raise InstanceError("extsw_d transports extsW claims")
-    f = inst.extpredicates[claim.lhs]
-    g = inst.extpredicates[claim.rhs]
+    gate = _run_claim(inst, claim, inst.fuel)
+    f, g = inst.element(claim.lhs), inst.element(claim.rhs)
     w = inst.witnesses[claim.witness]
-    if not isinstance(w, ExtStrong):
-        raise InstanceError("extsW claims carry extstrong witnesses")
-    gate = check_le(inst.pca, "extsW", f, g, w, inst.fuel)
     F = iso.extended_to_dialectica(f)
     G = iso.extended_to_dialectica(g)
     Gk = iso.dialectica_shift(inst.pca, G, w.forward, F.base, inst.fuel)
-    dwit = DialecticaWitness(dict(w.choice), w.backward)
-    v = check_le(inst.pca, "D", F, Gk, dwit, inst.fuel)
+    v = check_le(inst.pca, "D", F, Gk, DialecticaWitness(dict(w.choice), w.backward), inst.fuel)
     agree = gate.status == v.status
     print(f"result {claim.name}_extsw {gate.status}")
     print(f"result {claim.name}_pointwise {v.status}")
     print(f"result {claim.name}_agreement {'holds' if agree else 'refuted'}")
-    if not agree:
-        return EXIT_REFUTED
-    return EXIT_OK if gate.holds else (EXIT_REFUTED if gate.refuted else EXIT_UNKNOWN)
-
-
-_ISO_COMMANDS = {
-    "medvedev": _cmd_iso_medvedev,
-    "muchnik": _cmd_iso_muchnik,
-    "weihrauch": _cmd_iso_weihrauch,
-    "strong": _cmd_iso_strong,
-    "realizer": _cmd_iso_realizer,
-    "extended": _cmd_iso_extended,
-    "dialectica": _cmd_iso_dialectica,
-    "extpred": _cmd_iso_extpred,
-    "extsw_d": _cmd_iso_extsw_d,
-}
+    return _exit_code(gate) if agree else EXIT_REFUTED
 
 
 def cmd_laws(args) -> int:

@@ -411,7 +411,7 @@ def _morphism(p: _Parser, inst: Instance):
 def _parse_key(p: _Parser, base) -> object:
     if isinstance(base, FinSet):
         return p.term()
-    return p.pair(p.term, ",", lambda: _point_id(p))
+    return p.pair(p.term, ",", lambda: _parse_point(p, base))
 
 
 def _point_id(p: _Parser):

@@ -6,11 +6,16 @@ Holding witness on one side is rebuilt into a Holding witness on the other.
 All choice functions pick the least candidate in the canonical term/point
 order, so transports are reproducible.  Fibers of stored graphs are always
 computed from the graphs, never by inverting realizers.
+
+`EQUIVALENCES` names the seven concrete-vs-completion equivalences, one row
+each; every transport in it takes ``(pca, lhs, rhs, w, fuel)`` with lhs and
+rhs completion objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .completions import (
     EXISTS,
@@ -25,6 +30,7 @@ from .completions import (
 from .doctrines import (
     ALLOW_EMPTY,
     NONEMPTY,
+    Bounded,
     CheckError,
     DialecticaPredicate,
     DialecticaWitness,
@@ -36,6 +42,7 @@ from .doctrines import (
     Predicate,
     TrackedFamily,
     Uniform,
+    find_inner_witness,
     sorted_terms,
 )
 from .pca import FST, PAIR, Pca, SND, abstract_all, apply, is_computable, normalize
@@ -89,7 +96,8 @@ def _expect(obj: CompletionObject, kind: str, klass: str, docs) -> None:
         )
 
 
-def medvedev_transport_forward(pca: Pca, w: CompletionWitness) -> Uniform:
+def medvedev_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
+                               w: CompletionWitness, fuel: int | None = None) -> Uniform:
     """A mediated witness for the completion order is already a mass witness."""
     if not isinstance(w.base, Uniform):
         raise CheckError("uniform transport needs a uniform base witness")
@@ -116,29 +124,26 @@ def medvedev_transport_backward(pca: Pca, lhs: CompletionObject, rhs: Completion
     return CompletionWitness(FinMap(g.source, f.source, mapping), w)
 
 
-def muchnik_from_completion(pca: Pca, obj: CompletionObject) -> MassFamily:
-    _expect(obj, FORALL, FULL, ("Tw",))
-    return medvedev_from_completion(pca, obj)
-
-
-def muchnik_to_completion(pca: Pca, phi: MassFamily) -> CompletionObject:
-    return medvedev_to_completion(pca, phi, doc="Tw")
-
-
 def muchnik_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
                               w: CompletionWitness, fuel: int | None = None) -> PerPoint:
-    """Per-point completion witness into a per-solution mass witness."""
+    """Per-point completion witness into a per-solution mass witness.  A
+    bounded base stands for the least inner witness at each point."""
     _expect(lhs, FORALL, FULL, ("Tw",))
-    if not isinstance(w.base, PerPoint):
-        raise CheckError("per-point transport needs a per-point base witness")
     g, beta = rhs.leg, rhs.payload
+    if isinstance(w.base, Bounded):
+        h = w.mediator
+        inner = {z: find_inner_witness(pca, beta.values[z], frozenset([lhs.payload.values[h.mapping[z]]]),
+                                       w.base.bound, fuel)[0] for z in g.source}
+        if None in inner.values():
+            raise CheckError("bounded base witness: no inner witness within its bound")
+    elif isinstance(w.base, PerPoint):
+        inner = w.base.mapping
+    else:
+        raise CheckError("per-point transport needs a per-point or bounded base witness")
     table = {}
     for x in g.target:
         for z in g.fiber(x):
-            b = beta.values[z]
-            key = (x, b)
-            if key not in table:  # least z in canonical order wins
-                table[key] = w.base.mapping[z]
+            table.setdefault((x, beta.values[z]), inner[z])  # least z in canonical order wins
     return PerPoint(table)
 
 
@@ -190,7 +195,8 @@ def weihrauch_to_completion(pca: Pca, pred: Predicate, doc: str = "dW") -> Compl
     return CompletionObject(EXISTS, PURE, doc, prod.fst, fam)
 
 
-def weihrauch_transport_forward(pca: Pca, w: CompletionWitness, fuel: int | None = None) -> ForwardBackward:
+def weihrauch_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
+                                w: CompletionWitness, fuel: int | None = None) -> ForwardBackward:
     """Mediator <pi_X, k> into the forward map k, keeping the backward term."""
     h = w.mediator
     if not isinstance(h, FinMap) or h.realizer is None:
@@ -205,7 +211,8 @@ def weihrauch_transport_forward(pca: Pca, w: CompletionWitness, fuel: int | None
     return ForwardBackward(k, w.base.term)
 
 
-def weihrauch_transport_backward(pca: Pca, w: ForwardBackward, fuel: int | None = None) -> CompletionWitness:
+def weihrauch_transport_backward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
+                                 w: ForwardBackward, fuel: int | None = None) -> CompletionWitness:
     """Forward map k into the mediator <pi_X, k> over the product."""
     k = w.forward
     if k.realizer is None:
@@ -243,7 +250,8 @@ def realizer_to_completion(pca: Pca, pred: Predicate, doc: str = "drW") -> Compl
     return CompletionObject(EXISTS, PURE, doc, prod.fst, fam)
 
 
-def realizer_transport_forward(pca: Pca, w: CompletionWitness, fuel: int | None = None) -> ExtForwardBackward:
+def realizer_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
+                               w: CompletionWitness, fuel: int | None = None) -> ExtForwardBackward:
     hm = w.mediator
     if not isinstance(hm, ExtMorphism):
         raise CheckError("assembly transport needs an ext mediator")
@@ -257,10 +265,10 @@ def realizer_transport_forward(pca: Pca, w: CompletionWitness, fuel: int | None 
     return ExtForwardBackward(km, w.base.term)
 
 
-def realizer_transport_backward(pca: Pca, w: ExtForwardBackward, X: Assembly,
-                                fuel: int | None = None) -> CompletionWitness:
+def realizer_transport_backward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
+                                w: ExtForwardBackward, fuel: int | None = None) -> CompletionWitness:
     km = w.forward
-    target_prod = ext_product(pca, X, km.target)
+    target_prod = ext_product(pca, lhs.leg.target, km.target)
     u = Var("u")
     realizer = abstract_all(("u",), ap(PAIR, App(FST, u), App(km.realizer, u)))
     pointmap = {(name, pt): (pt[0], km.pointmap[(name, pt)]) for name, pt in km.source.naming}
@@ -417,12 +425,12 @@ def dialectica_from_completion(pca: Pca, obj: CompletionObject) -> DialecticaPre
     return DialecticaPredicate(leg.target, table)
 
 
-def dialectica_to_completion(pca: Pca, F: DialecticaPredicate) -> CompletionObject:
+def dialectica_to_completion(pca: Pca, F: DialecticaPredicate, doc: str = "M") -> CompletionObject:
     """The section (pi_X: R -> X, F)."""
     R = FinSet(tuple(F.relation))
     leg = FinMap(R, F.base, {(x, a): x for (x, a) in F.relation})
     payload = MassFamily(R, {key: F.table[key] for key in F.relation}, ALLOW_EMPTY)
-    return CompletionObject(EXISTS, FULL, "M", leg, payload)
+    return CompletionObject(EXISTS, FULL, doc, leg, payload)
 
 
 def dialectica_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
@@ -459,6 +467,41 @@ def dialectica_transport_backward(pca: Pca, lhs: CompletionObject, rhs: Completi
             raise CheckError("input witness does not hold: chosen set not represented")
         mapping[y] = candidates[0]
     return CompletionWitness(FinMap(f.source, g.source, mapping), Uniform(w.backward))
+
+
+# ---------------------------------------------------------------------------
+# The seven equivalences
+
+
+class Equivalence(NamedTuple):
+    """A concrete order against its completion: the object maps both ways
+    (``to_completion`` takes the completion doctrine too) and the witness
+    transports, forward from the completion order and backward into it."""
+
+    concrete: str  # the concrete order's doctrine
+    completion: str  # the completion objects' doctrine
+    from_completion: Callable
+    to_completion: Callable
+    forward: Callable
+    backward: Callable
+
+
+_TRANSPOSE = (weihrauch_from_completion, weihrauch_to_completion,
+              weihrauch_transport_forward, weihrauch_transport_backward)
+_EXT_TRANSPOSE = (realizer_from_completion, realizer_to_completion,
+                  realizer_transport_forward, realizer_transport_backward)
+EQUIVALENCES = {
+    "medvedev": Equivalence("M", "T", medvedev_from_completion, medvedev_to_completion,
+                            medvedev_transport_forward, medvedev_transport_backward),
+    "muchnik": Equivalence("Mw", "Tw", medvedev_from_completion, medvedev_to_completion,
+                           muchnik_transport_forward, muchnik_transport_backward),
+    "weihrauch": Equivalence("W", "dW", *_TRANSPOSE),
+    "strong": Equivalence("SW", "dsW", *_TRANSPOSE),
+    "realizer": Equivalence("rW", "drW", *_EXT_TRANSPOSE),
+    "extended": Equivalence("tW", "dextW", *_EXT_TRANSPOSE),
+    "dialectica": Equivalence("D", "M", dialectica_from_completion, dialectica_to_completion,
+                              dialectica_transport_forward, dialectica_transport_backward),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +559,7 @@ def two_step_transport_forward(pca: Pca, lhs: TwoStepObject, rhs: TwoStepObject,
     """Transport through both collapses: universal first, existential second."""
     phi_l = medvedev_from_completion(pca, lhs.payload)
     phi_r = medvedev_from_completion(pca, rhs.payload)
-    base_uniform = medvedev_transport_forward(pca, w.inner)
+    base_uniform = medvedev_transport_forward(pca, lhs.payload, rhs.payload, w.inner, fuel)
     outer_l = CompletionObject(EXISTS, FULL, "M", lhs.leg, phi_l)
     outer_r = CompletionObject(EXISTS, FULL, "M", rhs.leg, phi_r)
     return dialectica_transport_forward(

@@ -32,14 +32,12 @@ from .doctrines import (
     ExtStrong,
     ExtendedPredicate,
     MassFamily,
-    PerPoint,
     Predicate,
     TrackedFamily,
     UndecidedError,
     Uniform,
     check_le,
     exists_along_medvedev,
-    find_inner_witness,
     forall_along,
     implication_adjunction_witness,
     lattice_element,
@@ -559,60 +557,39 @@ def _tracked_objects(pca, doc):
 
 def suite_isomorphisms(pca: Pca, fuel: int | None = None) -> SuiteReport:
     t = _Tally("isomorphism-suites")
-    for case in (_iso_medvedev, _iso_muchnik, _iso_weihrauch, _iso_strong,
-                 _iso_realizer, _iso_extended, _iso_dialectica):
-        case(pca, fuel, t)
+    _iso_universal(pca, fuel, t, "medvedev", _tracked_objects(pca, "T")[::3])
+    _iso_universal(pca, fuel, t, "muchnik", _tracked_objects(pca, "Tw")[::4])
+    _iso_weihrauch(pca, fuel, t, "weihrauch")
+    _iso_weihrauch(pca, fuel, t, "strong")
+    _iso_realizer(pca, fuel, t, "realizer")
+    _iso_realizer(pca, fuel, t, "extended")
+    _extpred_cases(pca, t)
+    _iso_universal(pca, fuel, t, "dialectica", _mass_objects(pca)[::3])
+    _two_step_case(pca, fuel, t)
     return t.report()
 
 
-def _iso_medvedev(pca, fuel, t):
-    objects = _tracked_objects(pca, "T")[::3]
+def _iso_universal(pca, fuel, t, name, objects):
+    """Round trips through the concrete order, the two searches' agreement,
+    and each found witness transported across and re-checked."""
+    row = iso.EQUIVALENCES[name]
     budget = SearchBudget(witness_size=2, fuel=fuel)
     for o in objects:
-        phi = iso.medvedev_from_completion(pca, o)
-        back = iso.medvedev_to_completion(pca, phi)
-        t.add("medvedev-roundtrip", iso.medvedev_from_completion(pca, back) == phi)
+        c = row.from_completion(pca, o)
+        back = row.to_completion(pca, c, row.completion)
+        t.add(f"{name}-roundtrip", row.from_completion(pca, back) == c)
     for o1 in objects:
         for o2 in objects:
-            phi1 = iso.medvedev_from_completion(pca, o1)
-            phi2 = iso.medvedev_from_completion(pca, o2)
+            c1, c2 = row.from_completion(pca, o1), row.from_completion(pca, o2)
             cw = search_completion_witness(pca, o1, o2, budget)
-            mw = search_witness(pca, "M", phi1, phi2, budget)
-            t.add("medvedev-search-agreement", cw.found == mw.found)
+            mw = search_witness(pca, row.concrete, c1, c2, budget)
+            t.add(f"{name}-search-agreement", cw.found == mw.found)
             if cw.found:
-                fwd = iso.medvedev_transport_forward(pca, cw.witness)
-                t.add("medvedev-preserve", check_le(pca, "M", phi1, phi2, fwd, fuel))
+                fwd = row.forward(pca, o1, o2, cw.witness, fuel)
+                t.add(f"{name}-preserve", check_le(pca, row.concrete, c1, c2, fwd, fuel))
             if mw.found:
-                back_w = iso.medvedev_transport_backward(pca, o1, o2, mw.witness, fuel)
-                t.add("medvedev-reflect", comp_le(pca, o1, o2, back_w, fuel))
-
-
-def _iso_muchnik(pca, fuel, t):
-    objects = _tracked_objects(pca, "Tw")[::4]
-    budget = SearchBudget(witness_size=2, fuel=fuel)
-    for o in objects:
-        phi = iso.muchnik_from_completion(pca, o)
-        back = iso.muchnik_to_completion(pca, phi)
-        t.add("muchnik-roundtrip", iso.muchnik_from_completion(pca, back) == phi)
-    for o1 in objects:
-        for o2 in objects:
-            phi1 = iso.muchnik_from_completion(pca, o1)
-            phi2 = iso.muchnik_from_completion(pca, o2)
-            cw = search_completion_witness(pca, o1, o2, budget)
-            mw = search_witness(pca, "Mw", phi1, phi2, budget)
-            t.add("muchnik-search-agreement", cw.found == mw.found)
-            if cw.found:
-                # the per-point table the bounded base witness stands for
-                h = cw.witness.mediator
-                table = {z: find_inner_witness(pca, o2.payload.values[z], frozenset([o1.payload.values[h.mapping[z]]]),
-                                               budget.witness_size, fuel)[0]
-                         for z in h.source}
-                if None not in table.values():
-                    fwd = iso.muchnik_transport_forward(pca, o1, o2, CompletionWitness(h, PerPoint(table)), fuel)
-                    t.add("muchnik-preserve", check_le(pca, "Mw", phi1, phi2, fwd, fuel))
-            if mw.found:
-                back_w = iso.muchnik_transport_backward(pca, o1, o2, mw.witness, fuel)
-                t.add("muchnik-reflect", comp_le(pca, o1, o2, back_w, fuel))
+                back_w = row.backward(pca, o1, o2, mw.witness, fuel)
+                t.add(f"{name}-reflect", comp_le(pca, o1, o2, back_w, fuel))
 
 
 def _pred_palette(base, index, opts, policy):
@@ -626,9 +603,9 @@ def _pred_palette(base, index, opts, policy):
     return [Predicate(base, index, table, policy) for table in assignments(keys, [opts] * len(keys))]
 
 
-def _iso_weihrauch(pca, fuel, t, strong=False):
-    doc = "SW" if strong else "W"
-    edoc = "dsW" if strong else "dW"
+def _iso_weihrauch(pca, fuel, t, name):
+    row = iso.EQUIVALENCES[name]
+    doc = row.concrete
     X = carrier(pca, [K])
     indexes = [carrier(pca, [K]), carrier(pca, [K, S])]
     budget = SearchBudget(witness_size=3, fuel=fuel)
@@ -637,52 +614,41 @@ def _iso_weihrauch(pca, fuel, t, strong=False):
         preds.extend(_pred_palette(X, Y, [frozenset([K]), frozenset([S]), frozenset([K, S])], NONEMPTY)
                      [:: max(1, 3 ** len(Y) - 2)])
     for F in preds:
-        obj = iso.weihrauch_to_completion(pca, F, edoc)
-        t.add(f"{doc}-roundtrip", iso.weihrauch_from_completion(pca, obj) == F)
+        obj = row.to_completion(pca, F, row.completion)
+        t.add(f"{doc}-roundtrip", row.from_completion(pca, obj) == F)
     for F in preds:
         for G in preds:
             found = search_witness(pca, doc, F, G, budget)
             if found.found:
-                cw = iso.weihrauch_transport_backward(pca, found.witness, fuel)
-                lo = iso.weihrauch_to_completion(pca, F, edoc)
-                ro = iso.weihrauch_to_completion(pca, G, edoc)
-                v = comp_le(pca, lo, ro, cw, fuel)
-                t.add(f"{doc}-reflect", v)
-                back = iso.weihrauch_transport_forward(pca, cw, fuel)
+                lo, ro = row.to_completion(pca, F, row.completion), row.to_completion(pca, G, row.completion)
+                cw = row.backward(pca, lo, ro, found.witness, fuel)
+                t.add(f"{doc}-reflect", comp_le(pca, lo, ro, cw, fuel))
+                back = row.forward(pca, lo, ro, cw, fuel)
                 t.add(f"{doc}-preserve", check_le(pca, doc, F, G, back, fuel))
 
 
-def _iso_strong(pca, fuel, t):
-    _iso_weihrauch(pca, fuel, t, strong=True)
-
-
-def _iso_realizer(pca, fuel, t, extended=False):
-    doc = "tW" if extended else "rW"
-    edoc = "dextW" if extended else "drW"
+def _iso_realizer(pca, fuel, t, name):
+    row = iso.EQUIVALENCES[name]
+    doc = row.concrete
     X = assembly(pca, ["u"], [(K, "u")])
     Y = assembly(pca, ["a", "b"], [(K, "a"), (S, "b")])
-    preds = _pred_palette(X, Y, [frozenset([K]), frozenset([S])], ALLOW_EMPTY if extended else NONEMPTY)[:: 3]
+    preds = _pred_palette(X, Y, [frozenset([K]), frozenset([S])], ALLOW_EMPTY if doc == "tW" else NONEMPTY)[:: 3]
     for F in preds:
-        obj = iso.realizer_to_completion(pca, F, edoc)
-        t.add(f"{doc}-roundtrip", iso.realizer_from_completion(pca, obj) == F)
+        obj = row.to_completion(pca, F, row.completion)
+        t.add(f"{doc}-roundtrip", row.from_completion(pca, obj) == F)
     # a reflexive reduction and its transport both ways
-    prod = ext_product(pca, X, Y)
+    w = dt.ExtForwardBackward(ext_product(pca, X, Y).snd, SND)
     for F in preds:
-        km = prod.snd
-        w = dt.ExtForwardBackward(km, SND)
-        v = check_le(pca, doc, F, F, w, fuel)
-        t.add(f"{doc}-reflexive", v)
-        cw = iso.realizer_transport_backward(pca, w, X, fuel)
-        lo = iso.realizer_to_completion(pca, F, edoc)
-        v2 = comp_le(pca, lo, lo, cw, fuel)
-        t.add(f"{doc}-reflect", v2)
-        back = iso.realizer_transport_forward(pca, cw, fuel)
+        t.add(f"{doc}-reflexive", check_le(pca, doc, F, F, w, fuel))
+        lo = row.to_completion(pca, F, row.completion)
+        cw = row.backward(pca, lo, lo, w, fuel)
+        t.add(f"{doc}-reflect", comp_le(pca, lo, lo, cw, fuel))
+        back = row.forward(pca, lo, lo, cw, fuel)
         t.add(f"{doc}-preserve", check_le(pca, doc, F, F, back, fuel))
 
 
-def _iso_extended(pca, fuel, t):
-    _iso_realizer(pca, fuel, t, extended=True)
-    # the not-not-dense flag survives the assembly construction
+def _extpred_cases(pca, t):
+    """The not-not-dense flag survives the assembly construction."""
     dom = carrier(pca, [K])
     f = ExtendedPredicate(dom, {K: frozenset([frozenset([K]), frozenset([S])])})
     asm, fam = iso.ext_pred_to_assembly(pca, f)
@@ -704,31 +670,8 @@ def _mass_objects(pca):
     return objects
 
 
-def _iso_dialectica(pca, fuel, t):
-    objects = _mass_objects(pca)[::3]
-    for o in objects:
-        F = iso.dialectica_from_completion(pca, o)
-        back = iso.dialectica_to_completion(pca, F)
-        t.add("dialectica-roundtrip", iso.dialectica_from_completion(pca, back) == F)
-    budget = SearchBudget(witness_size=2, fuel=fuel)
-    for o1 in objects:
-        for o2 in objects:
-            F1 = iso.dialectica_from_completion(pca, o1)
-            F2 = iso.dialectica_from_completion(pca, o2)
-            cw = search_completion_witness(pca, o1, o2, budget)
-            dw = search_witness(pca, "D", F1, F2, budget)
-            t.add("dialectica-search-agreement", cw.found == dw.found)
-            if cw.found:
-                fwd = iso.dialectica_transport_forward(pca, o1, o2, cw.witness, fuel)
-                t.add("dialectica-preserve", check_le(pca, "D", F1, F2, fwd, fuel))
-            if dw.found:
-                back_w = iso.dialectica_transport_backward(pca, o1, o2, dw.witness, fuel)
-                t.add("dialectica-reflect", comp_le(pca, o1, o2, back_w, fuel))
-    # the two-step construction agrees through the composed maps
-    _two_step_case(pca, fuel, t)
-
-
 def _two_step_case(pca, fuel, t):
+    """The two-step construction agrees through the composed maps."""
     from .completions import comp_reindex
 
     X = carrier(pca, [K])
@@ -811,11 +754,7 @@ def _distinct_actions(pca, dom, bound, fuel):
     seen = set()
     out = []
     for t in enumerate_computable(bound):
-        action = []
-        for p in dom:
-            o = apply(pca, t, p, fuel)
-            action.append((o.status, to_text(o.term) if o.is_defined else ""))
-        key = tuple(action)
+        key = tuple((o.status, o.term) for o in (apply(pca, t, p, fuel) for p in dom))
         if key not in seen:
             seen.add(key)
             out.append(t)

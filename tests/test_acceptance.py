@@ -116,6 +116,15 @@ def test_criterion_08_isomorphism_suites(structure):
     assert report.unknowns == 0
 
 
+@pytest.mark.xfail(strict=True, reason="search agreement compares found flags only, so an unknown "
+                                       "completion search counts as decided (ROADMAP defect 4)")
+def test_muchnik_search_agreement_counts_unknown_searches(structure):
+    # 2 of the 16 completion searches run out of fuel, 4 candidates each
+    report = SUITES["isomorphism-suites"](structure, None)
+    agree = next(r for r in report.records if r.case == "muchnik-search-agreement")
+    assert (agree.checked, agree.unknowns) == (16, 2)
+
+
 def test_criterion_09_extsw_dialectica(structure):
     with mock.patch.object(iso, "dialectica_shift", wraps=iso.dialectica_shift) as shift:
         report = _run(9, "extsw-dialectica", structure)

@@ -306,6 +306,204 @@ class TestIso:
         assert "agreement holds" in out
 
 
+# One instance per equivalence of `iso`, each with a completion claim
+# `cclaim` (for the forward direction) and a claim `dclaim` in the concrete
+# order (for backward).  <I>, <SND>, <KK> and <KS> stand for the identity,
+# the second projection and the pairs <K, K> and <K, S>.
+ISO_TERMS = {
+    "<I>": "((S K) K)",
+    "<SND>": "((S ((S K) K)) (K (K ((S K) K))))",
+    "<KK>": "((S ((S ((S K) K)) (K K))) (K K))",
+    "<KS>": "((S ((S ((S K) K)) (K K))) (K S))",
+}
+
+
+def _expand(text: str) -> str:
+    for short, term in ISO_TERMS.items():
+        text = text.replace(short, term)
+    return text
+
+
+_UNIVERSAL = """
+carrier X = [K]
+carrier Y = [K, S]
+morphism f : Y -> X graph { K -> K, S -> K }
+morphism med : Y -> Y graph { K -> K, S -> S }
+witness bid = uniform <I>
+"""
+_CARRIER_PRODUCT = """
+carrier X = [K]
+carrier Y = [K, S]
+carrier PXY = product X Y
+morphism med : PXY -> PXY realizer <I> graph { <KK> -> <KK>, <KS> -> <KS> }
+"""
+_ASSEMBLY_PRODUCT = """
+assembly X { point u names [K] }
+assembly Y { point a names [K] point b names [S] }
+assembly PXY = product X Y
+extmorphism med : PXY -> PXY realizer <I> pointmap { (<KK>, (u, a)) -> (u, a), (<KS>, (u, b)) -> (u, b) }
+witness bw = uniform <SND>
+witness cmed = mediate h = med, base = bw
+witness wfb = extfwback k = PXY_snd, h = <SND>
+"""
+ISO_INSTANCES = {
+    "medvedev": _UNIVERSAL + """
+tracked alpha over Y { K -> K, S -> S }
+compobject obj = forall full T leg f payload alpha
+witness w = mediate h = med, base = bid
+claim cclaim : obj <=_comp obj by w
+family phi over X { K -> [K, S] }
+family psi over X { K -> [K, S] }
+claim dclaim : phi <=_M psi by bid
+""",
+    "muchnik": _UNIVERSAL + """
+tracked alpha over Y { K -> K, S -> S }
+compobject obj = forall full Tw leg f payload alpha
+witness pp = perpoint { K -> <I>, S -> <I> }
+witness w = mediate h = med, base = pp
+claim cclaim : obj <=_comp obj by w
+witness bd = bounded 2
+witness wb = mediate h = med, base = bd
+claim bclaim : obj <=_comp obj by wb
+family phi over X { K -> [K, S] }
+witness mw = perpoint { (K, K) -> <I>, (K, S) -> <I> }
+claim dclaim : phi <=_Mw phi by mw
+""",
+    "weihrauch": _CARRIER_PRODUCT + """
+family fam over PXY policy nonempty { <KK> -> [K], <KS> -> [S] }
+compobject obj = exists pure dW leg PXY_fst payload fam
+witness bw = uniform <SND>
+witness cmed = mediate h = med, base = bw
+claim cclaim : obj <=_comp obj by cmed
+predicate FP over X index Y policy nonempty { (K; K) -> [K], (K; S) -> [S] }
+witness wfb = fwback k = PXY_snd, h = <SND>
+claim dclaim : FP <=_W FP by wfb
+""",
+    "strong": _CARRIER_PRODUCT + """
+family fam over PXY policy nonempty { <KK> -> [K], <KS> -> [S] }
+compobject obj = exists pure dsW leg PXY_fst payload fam
+witness bid = uniform <I>
+witness cmed = mediate h = med, base = bid
+claim cclaim : obj <=_comp obj by cmed
+predicate FP over X index Y policy nonempty { (K; K) -> [K], (K; S) -> [S] }
+witness sfb = fwback k = PXY_snd, h = <I>
+claim dclaim : FP <=_SW FP by sfb
+""",
+    "realizer": _ASSEMBLY_PRODUCT + """
+family fam over PXY policy nonempty { (<KK>, (u, a)) -> [K], (<KS>, (u, b)) -> [S] }
+compobject obj = exists pure drW leg PXY_fst payload fam
+claim cclaim : obj <=_comp obj by cmed
+predicate FP over X index Y { ((K, u); (K, a)) -> [K], ((K, u); (S, b)) -> [S] }
+claim dclaim : FP <=_rW FP by wfb
+""",
+    "extended": _ASSEMBLY_PRODUCT + """
+family fam over PXY policy allowempty { (<KK>, (u, a)) -> [K], (<KS>, (u, b)) -> [] }
+compobject obj = exists pure dextW leg PXY_fst payload fam
+claim cclaim : obj <=_comp obj by cmed
+predicate FP over X index Y policy allowempty { ((K, u); (K, a)) -> [K], ((K, u); (S, b)) -> [] }
+claim dclaim : FP <=_tW FP by wfb
+""",
+    "dialectica": _UNIVERSAL + """
+family alpha over Y { K -> [K], S -> [S] }
+compobject obj = exists full M leg f payload alpha
+witness w = mediate h = med, base = bid
+claim cclaim : obj <=_comp obj by w
+dialpredicate d over X { (K; [K]) -> [K], (K; [S]) -> [S] }
+witness dw = dial { (K; [K]) -> [K], (K; [S]) -> [S] } h = <I>
+claim dclaim : d <=_D d by dw
+""",
+    "extsw": """
+carrier DOM = [K, S]
+extpredicate f over DOM { K -> [[K]], S -> [] }
+extpredicate g over DOM { K -> [[K, S]], S -> [] }
+witness wes = extstrong k = <I>, choice { (K; [K]) -> [K, S] }, h = (K K)
+claim ext_claim : f <=_extsW g by wes
+family phi over DOM { K -> [K], S -> [] }
+claim fam_claim : phi <=_extsW phi by wes
+""",
+}
+_BACKWARD = "// canonical completion objects built from {0} and {1}\nresult dclaim holds\n"
+_FORWARD_FB = ("{0} cclaim_transported_k : PXY -> Y realizer ((S (K <SND>)) ((S (K <I>)) <I>)) {1}\n"
+               "witness cclaim_transported = {2} k = cclaim_transported_k, h = {3}\nresult cclaim holds\n")
+_EXT_POINTMAP = "pointmap { (<KK>, (u, a)) -> a, (<KS>, (u, b)) -> b }"
+# stdout of `iso` on each instance above, one row per map and direction
+ISO_PINS = [
+    ("medvedev", "forward", "cclaim",
+     "witness cclaim_transported = uniform <I>\nresult cclaim holds\n"),
+    ("medvedev", "backward", "dclaim", _BACKWARD.format("phi", "psi")),
+    ("muchnik", "forward", "cclaim",
+     "witness cclaim_transported = perpoint { (K, K) -> <I>, (K, S) -> <I> }\nresult cclaim holds\n"),
+    ("muchnik", "backward", "dclaim", _BACKWARD.format("phi", "phi")),
+    ("weihrauch", "forward", "cclaim",
+     _FORWARD_FB.format("morphism", "graph { <KK> -> K, <KS> -> S }", "fwback", "<SND>")),
+    ("weihrauch", "backward", "dclaim", _BACKWARD.format("FP", "FP")),
+    ("strong", "forward", "cclaim",
+     _FORWARD_FB.format("morphism", "graph { <KK> -> K, <KS> -> S }", "fwback", "<I>")),
+    ("strong", "backward", "dclaim", _BACKWARD.format("FP", "FP")),
+    ("realizer", "forward", "cclaim",
+     _FORWARD_FB.format("extmorphism", _EXT_POINTMAP, "extfwback", "<SND>")),
+    ("realizer", "backward", "dclaim", _BACKWARD.format("FP", "FP")),
+    ("extended", "forward", "cclaim",
+     _FORWARD_FB.format("extmorphism", _EXT_POINTMAP, "extfwback", "<SND>")),
+    ("extended", "backward", "dclaim", _BACKWARD.format("FP", "FP")),
+    ("dialectica", "forward", "cclaim",
+     "witness cclaim_transported = dial { (K; [K]) -> [K], (K; [S]) -> [S] } h = <I>\nresult cclaim holds\n"),
+    ("dialectica", "backward", "dclaim", _BACKWARD.format("d", "d")),
+]
+
+
+def _iso(tmp_path, capsys, name, *args):
+    """Run `iso` on ISO_INSTANCES[name]: (exit code, stdout, stderr)."""
+    path = tmp_path / f"{name}.inst"
+    path.write_text(_expand(ISO_INSTANCES[name]))
+    code = main(["iso", str(path), *args])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestIsoEquivalences:
+    @pytest.mark.parametrize("name, direction, claim, out", ISO_PINS,
+                             ids=[f"{n}-{d}" for n, d, _, _ in ISO_PINS])
+    def test_output_pinned(self, tmp_path, capsys, name, direction, claim, out):
+        got = _iso(tmp_path, capsys, name, "--map", name, "--direction", direction, "--claim", claim)
+        assert got == (0, _expand(out), "")
+
+    def test_extpred_pinned(self, tmp_path, capsys):
+        assert _iso(tmp_path, capsys, "extsw", "--map", "extpred", "--object", "f") == (
+            0, "assembly f_assembly { point [K] names [K] }\n"
+               "family f_family over f_assembly { (K, [K]) -> [K] }\n", "")
+
+    def test_extsw_d_pinned(self, tmp_path, capsys):
+        assert _iso(tmp_path, capsys, "extsw", "--map", "extsw_d", "--claim", "ext_claim") == (
+            0, "result ext_claim_extsw holds\nresult ext_claim_pointwise holds\n"
+               "result ext_claim_agreement holds\n", "")
+
+    WRONG_ORDER = [
+        ("medvedev", "muchnik", "backward", "dclaim", "takes <=_Mw claims"),
+        ("weihrauch", "strong", "backward", "dclaim", "takes <=_SW claims"),
+        ("extsw", "dialectica", "backward", "ext_claim", "takes <=_D claims"),
+        ("medvedev", "muchnik", "forward", "cclaim", "takes <=_comp claims over Tw"),
+        ("realizer", "weihrauch", "forward", "cclaim", "takes <=_comp claims over dW"),
+        ("dialectica", "medvedev", "forward", "dclaim", "takes <=_comp claims over T"),
+    ]
+
+    @pytest.mark.parametrize("name, mapname, direction, claim, message", WRONG_ORDER,
+                             ids=[f"{m}-{d}-on-{n}" for n, m, d, _, _ in WRONG_ORDER])
+    def test_claim_of_another_order_is_an_input_error(self, tmp_path, capsys, name, mapname,
+                                                      direction, claim, message):
+        got = _iso(tmp_path, capsys, name, "--map", mapname, "--direction", direction, "--claim", claim)
+        assert got == (3, "", f"error: --map {mapname} --direction {direction} {message}\n")
+
+    def test_extsw_d_on_families_is_an_input_error(self, tmp_path, capsys):
+        assert _iso(tmp_path, capsys, "extsw", "--map", "extsw_d", "--claim", "fam_claim") == (
+            3, "", "error: extended strong reducibility needs extended predicates\n")
+
+    def test_muchnik_forward_reads_a_bounded_base_as_least_inner_witnesses(self, tmp_path, capsys):
+        assert _iso(tmp_path, capsys, "muchnik", "--map", "muchnik", "--claim", "bclaim") == (
+            0, "witness bclaim_transported = perpoint { (K, K) -> (K K), (K, S) -> (K S) }\n"
+               "result bclaim holds\n", "")
+
+
 class TestComplete:
     def test_small_fiber_with_hasse(self, capsys):
         code, out = run(["--witness-size", "2", "complete", FIXTURES / "holds.inst",

@@ -46,8 +46,6 @@ from degreelab.isomorphisms import (
     medvedev_transport_backward,
     medvedev_transport_forward,
     modest_predicate_to_carrier,
-    muchnik_from_completion,
-    muchnik_to_completion,
     muchnik_transport_backward,
     muchnik_transport_forward,
     realizer_from_completion,
@@ -128,7 +126,7 @@ class TestMedvedevMaps:
         assert comp_le(pure, lhs, rhs, w).holds
         phi = medvedev_from_completion(pure, lhs)
         psi = medvedev_from_completion(pure, rhs)
-        fwd = medvedev_transport_forward(pure, w)
+        fwd = medvedev_transport_forward(pure, lhs, rhs, w)
         assert check_le(pure, "M", phi, psi, fwd).holds
         back = medvedev_transport_backward(pure, lhs, rhs, fwd)
         assert comp_le(pure, lhs, rhs, back).holds
@@ -146,8 +144,8 @@ class TestMuchnikMaps:
     def test_roundtrip(self, pure):
         X = carrier(pure, [K])
         phi = MassFamily(X, {K: frozenset([K, S])})
-        obj = muchnik_to_completion(pure, phi)
-        assert muchnik_from_completion(pure, obj) == phi
+        obj = medvedev_to_completion(pure, phi, "Tw")
+        assert medvedev_from_completion(pure, obj) == phi
 
     def test_transports(self, pure):
         X = carrier(pure, [K])
@@ -157,7 +155,7 @@ class TestMuchnikMaps:
         lhs = CompletionObject(FORALL, FULL, "Tw", f, alpha)
         w = CompletionWitness(identity_map(Y), PerPoint({K: ID, S: ID}))
         assert comp_le(pure, lhs, lhs, w).holds
-        phi = muchnik_from_completion(pure, lhs)
+        phi = medvedev_from_completion(pure, lhs)
         fwd = muchnik_transport_forward(pure, lhs, lhs, w)
         assert check_le(pure, "Mw", phi, phi, fwd).holds
         back = muchnik_transport_backward(pure, lhs, lhs, fwd)
@@ -187,10 +185,10 @@ class TestWeihrauchMaps:
         prod = carrier_product(pure, F.base, F.index)
         w = ForwardBackward(prod.snd, SND)
         assert check_le(pure, "W", F, F, w).holds
-        cw = weihrauch_transport_backward(pure, w)
         obj = weihrauch_to_completion(pure, F)
+        cw = weihrauch_transport_backward(pure, obj, obj, w)
         assert comp_le(pure, obj, obj, cw).holds
-        back = weihrauch_transport_forward(pure, cw)
+        back = weihrauch_transport_forward(pure, obj, obj, cw)
         assert check_le(pure, "W", F, F, back).holds
 
     def test_classical_agreement_at_terminal(self, pure):
@@ -223,10 +221,10 @@ class TestRealizerMaps:
         prod = ext_product(pure, F.base, F.index)
         w = ExtForwardBackward(prod.snd, SND)
         assert check_le(pure, "rW", F, F, w).holds
-        cw = realizer_transport_backward(pure, w, F.base)
         obj = realizer_to_completion(pure, F)
+        cw = realizer_transport_backward(pure, obj, obj, w)
         assert comp_le(pure, obj, obj, cw).holds
-        fwd = realizer_transport_forward(pure, cw)
+        fwd = realizer_transport_forward(pure, obj, obj, cw)
         assert check_le(pure, "rW", F, F, fwd).holds
 
     def test_extended_policy_with_empty_sets(self, pure):
