@@ -5,7 +5,10 @@ claim-running commands: 0 when every claim Holds, 1 when any is Refuted, 2
 when any is Unknown, 3 on input errors.  The machine format is a subset of
 the instance grammar, so reports and found witnesses re-parse.
 ``--time-cap`` caps each search on its own: ``complete`` runs one search per
-ordered pair of objects, so the command as a whole has no cap.
+ordered pair of objects, so the command as a whole has no cap.  ``complete``
+prints each pair whose search ended unknown as a ``// unknown i <= j`` line,
+draws Hasse edges from the decided pairs only, and exits 2 when any pair is
+unknown.
 
 The argument parser is built once per process, on the first ``main`` call
 (not at import), and reused by every later call.
@@ -45,8 +48,8 @@ from .instance import (
     parse_instance,
 )
 from .pca import Pca, PcaError
-from .search import SearchBudget, SearchOutcome, assignments, search_completion_witness, search_witness
-from .spaces import FinMap, FinSet, SpaceError, carrier_product, point_text
+from .search import UNKNOWN, SearchBudget, SearchOutcome, assignments, search_completion_witness, search_witness
+from .spaces import Assembly, FinMap, FinSet, SpaceError, carrier_product, point_text
 from .terms import to_text
 from .verdicts import Verdict
 
@@ -358,34 +361,30 @@ def cmd_complete(args) -> int:
             raise InstanceError("completion fiber too large; lower --index-bound or shrink the universe")
     budget = SearchBudget(args.witness_size, inst.fuel, args.time_cap)
     n = len(objects)
-    order = [[False] * n for _ in range(n)]
+    # order[i][j]: True when a witness was found, False when exhausted, None when unknown
+    order = [[True] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            if i == j:
-                order[i][j] = True
-                continue
-            out = search_completion_witness(inst.pca, objects[i], objects[j], budget)
-            order[i][j] = out.found
+            if i != j:
+                out = search_completion_witness(inst.pca, objects[i], objects[j], budget)
+                order[i][j] = None if out.status == UNKNOWN else out.found
     lines = [f"// completion fiber over {args.object}: {n} objects"]
     for i, obj in enumerate(objects):
         show = point_text if isinstance(obj.payload, TrackedFamily) else format_terms
         lines.append(f"// object {i}: leg {{ {format_table(obj.leg.mapping)} }} "
                      f"payload {{ {format_table(obj.payload.values, show)} }}")
+    unknown = [f"// unknown {i} <= {j}" for i in range(n) for j in range(n) if order[i][j] is None]
+    lines.extend(unknown)
     for i in range(n):
         for j in range(n):
-            if i != j and order[i][j]:
-                # Hasse: drop edges implied by transitivity through a third object
-                direct = True
-                for k in range(n):
-                    if k in (i, j):
-                        continue
-                    if order[i][k] and order[k][j] and not (order[k][i] or order[j][k]):
-                        direct = False
-                        break
-                if direct:
-                    lines.append(f"hasse {i} <= {j}")
+            # Hasse: drop edges implied by transitivity through a third object,
+            # reading decided pairs only
+            if i != j and order[i][j] and not any(
+                    order[i][k] and order[k][j] and order[k][i] is order[j][k] is False
+                    for k in range(n) if k not in (i, j)):
+                lines.append(f"hasse {i} <= {j}")
     print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_UNKNOWN if unknown else EXIT_OK
 
 
 def cmd_iso(args) -> int:
@@ -436,12 +435,16 @@ def _iso_extpred(args, inst) -> int:
         raise InstanceError(f"unknown extended predicate {args.object!r}")
     f = inst.extpredicates[args.object]
     asm, fam = iso.ext_pred_to_assembly(inst.pca, f)
-    print(format_assembly(f"{args.object}_assembly", asm))
+    # the points are solution sets; they are printed as ids p0, p1, ..., in point order
+    ids = {x: f"p{i}" for i, x in enumerate(asm.points)}
+    print(format_assembly(f"{args.object}_assembly",
+                          Assembly(tuple(ids.values()), tuple((n, ids[x]) for n, x in asm.naming))))
     body = ", ".join(
-        f"({to_text(n)}, {point_text(x)}) -> {format_terms(v)}"
+        f"({to_text(n)}, {ids[x]}) -> {format_terms(v)}"
         for (n, x), v in sorted(fam.values.items(), key=lambda kv: (to_text(kv[0][0]), point_text(kv[0][1])))
     )
-    print(f"family {args.object}_family over {args.object}_assembly {{ {body} }}")
+    policy = " policy nonempty" if fam.policy == NONEMPTY else ""
+    print(f"family {args.object}_family over {args.object}_assembly{policy} {{ {body} }}")
     return EXIT_OK
 
 

@@ -717,20 +717,16 @@ def suite_extsw_dialectica(pca: Pca, fuel: int | None = None) -> SuiteReport:
     by_text = lambda s: sorted(map(to_text, s))
     keys = [[(p, a) for p in f.effective_dom for a in sorted(f.table[p], key=by_text)] for f in preds]
     offers = [{y: sorted(g.table[y], key=by_text) for y in g.dom if g.table[y]} for g in preds]
-    # (g's index, k's index) -> G shifted by k onto dom, the one base of
-    # every F, built once; None when the shift is rejected (the pair is skipped).
-    shifted = {}
-    for (i, f), (j, g) in iproduct(enumerate(preds), repeat=2):
-        F = dial[i]
-        for n, k in enumerate(shifts):
-            if (j, n) not in shifted:
-                try:
-                    shifted[j, n] = iso.dialectica_shift(pca, dial[j], k, dom, fuel)
-                except CheckError:
-                    shifted[j, n] = None
-            Gk = shifted[j, n]
-            if Gk is None:
-                continue
+    # Each shift of G by k onto dom, the one base of every F, is built once,
+    # just before its pairs run, and dropped after them; a rejected shift
+    # skips its pairs.  The tallies do not depend on the order of the pairs.
+    for (j, g), k in iproduct(enumerate(preds), shifts):
+        try:
+            Gk = iso.dialectica_shift(pca, dial[j], k, dom, fuel)
+        except CheckError:
+            continue
+        for i, f in enumerate(preds):
+            F = dial[i]
             images = images_of(pca, k, f.effective_dom, offers[j], fuel)
             if images is None:
                 continue

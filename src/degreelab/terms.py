@@ -16,20 +16,29 @@ one read.  The bit is in the hash, not in a fifth ``App`` slot: that slot
 measured +3 % to +6 % peak RSS on the laws benchmark, whose bound is 5 %.
 
 Enumeration is size-lexicographic: ascending number of applications, ties
-broken by canonical text (``term_key``).  Each size level is built once per
-atom set and per process, from the smaller levels, and sorted by text; each
-text is composed from the children's texts while the level is built and
-dropped after.  The atom set is keyed in ``term_key`` order, so the order
-the atoms are given in does not matter.  ``enumerate_over`` returns a fresh
-list read from these levels; ``iter_over`` yields the same terms in the
-same order and builds a level only when the walk reaches it, so a search
-that stops early never pays for the levels it does not reach.
+broken by canonical text (``term_key``).  No level is sorted.  A complete
+term's text is never a proper prefix of another's and the space after an
+application's function sorts before every token character, so applications
+in text order are ordered by the function's text, then the argument's; an
+application's ``(`` sorts after an oracle's ``#`` and before ``K``, ``S``
+and identifiers.  So ``upto(m)``, every term of size at most m in text
+order, is the atoms before ``(``, then ``App(f, a)`` for f in ``upto(m-1)``
+and a in ``upto(m-1-|f|)``, then the other atoms; level n is ``App(f, a)``
+for f in ``upto(n-1)`` and a in level ``n-1-|f|``.  The rule fails only for
+an atom name that is a proper prefix of another followed by a character
+before ``)`` (``#o`` and ``#o'``); such an atom set raises ``ValueError``.
+
+Levels of at most ``CACHED_SIZE`` applications (3,238 terms over {K, S})
+are built once per atom set (keyed in ``term_key`` order) and kept for the
+process; a larger level is made as a walk reaches it and never kept.
+``enumerate_over`` returns a fresh list; ``iter_over`` yields the same terms
+in the same order and reaches a level only when the walk gets there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class Term:
@@ -211,47 +220,79 @@ def enumerate_sk(size_bound: int) -> list[Term]:
     return enumerate_over((K, S), size_bound)
 
 
-# Size levels of the enumeration, keyed by the atoms in term_key order: the
-# list at index n holds every term with n applications, sorted by term_key.
-# Levels are built on first use and kept for the life of the process.
+# For n <= CACHED_SIZE, _LEVELS[key][n] holds every term with n applications
+# and _PREFIXES[key][n] every term with at most n, in text order, keyed by the
+# atoms in term_key order.
+CACHED_SIZE = 5
 _LEVELS: dict[tuple[Term, ...], list[list[Term]]] = {}
+_PREFIXES: dict[tuple[Term, ...], list[list[Term]]] = {}
 
 
-def _levels(atoms: tuple[Term, ...], size_bound: int) -> list[list[Term]]:
+def _kept(atoms: tuple[Term, ...], size_bound: int) -> tuple[tuple[Term, ...], list[list[Term]]]:
+    """The atom set's key and its levels, kept up to ``min(size_bound, CACHED_SIZE)``."""
     key = tuple(sorted(atoms, key=term_key))
-    levels = _LEVELS.setdefault(key, [list(key)])
-    text: dict[int, str] = {}  # id(term) -> to_text(term), for this build only
+    if key not in _LEVELS:
+        texts = [to_text(a) for a in key]
+        if any(q.startswith(p) and q[len(p)] < ")" for p in texts for q in texts if len(q) > len(p)):
+            raise ValueError("an atom name that is a proper prefix of another, followed by a "
+                             "character before ')', breaks the structural text order")
+        _LEVELS[key], _PREFIXES[key] = [list(key)], [list(key)]
+    levels, prefixes = _LEVELS[key], _PREFIXES[key]
+    for n in range(len(levels), min(size_bound, CACHED_SIZE) + 1):
+        prefixes.append(list(_upto(key, n)))
+        levels.append([t for t in prefixes[n] if t.size == n])
+    return key, levels
 
-    def composed(t: Term) -> str:  # the text of t, from its children's
-        return f"({text[id(t.fn)]} {text[id(t.arg)]})" if t.size else to_text(t)
 
-    done = 0  # the levels whose texts are in `text`
-    for n in range(len(levels), size_bound + 1):
-        for level in levels[done:]:
-            text.update((id(t), composed(t)) for t in level)
-        done = n
-        level = [App(f, a) for i in range(n) for f in levels[i] for a in levels[n - 1 - i]]
-        level.sort(key=composed)  # one size per level: by text is by term_key
-        levels.append(level)
-    return levels
+def _level(key: tuple[Term, ...], n: int) -> Iterable[Term]:
+    """Every term with n applications, in text order; a level past the kept
+    ones is made as the walk reaches it."""
+    levels = _LEVELS[key]
+    if n < len(levels):
+        return levels[n]
+    return (App(f, a) for f in _upto(key, n - 1) for a in _level(key, n - 1 - f.size))
+
+
+def _upto(key: tuple[Term, ...], m: int) -> Iterator[Term]:
+    """Every term with at most m applications, in text order.  Past the kept
+    prefixes, the applications no larger than the longest kept prefix come
+    in the order it holds them, so they are its objects; the rest are made."""
+    prefixes = _PREFIXES[key]
+    if m < len(prefixes):
+        yield from prefixes[m]
+        return
+    first = sum(to_text(a) < "(" for a in key)  # the atoms before every application
+    old = iter(prefixes[-1][first: len(prefixes[-1]) - len(key) + first])
+    yield from key[:first]
+    for f in _upto(key, m - 1):
+        for a in _upto(key, m - 1 - f.size):
+            yield next(old) if f.size + a.size < len(prefixes) - 1 else App(f, a)
+    yield from key[first:]
 
 
 def enumerate_over(atoms: tuple[Term, ...], size_bound: int) -> list[Term]:
     """Size-lexicographic enumeration of applicative terms over given atoms,
-    as a fresh list read from the level cache."""
+    as a fresh list: the kept levels, then any larger level made for it."""
+    key, levels = _kept(atoms, size_bound)
     out: list[Term] = []
-    for level in _levels(atoms, size_bound)[: size_bound + 1]:
+    for level in levels[: size_bound + 1]:
         out.extend(level)
+    for n in range(len(levels), size_bound + 1):
+        out.extend(_level(key, n))
     return out
 
 
 def iter_over(atoms: tuple[Term, ...], size_bound: int) -> Iterator[Term]:
     """The terms of ``enumerate_over(atoms, size_bound)``, in the same order,
-    reaching (and building) a size level only when the walk gets there."""
-    # Levels are read through enumerate_over, not from _LEVELS, so a wrapper
-    # installed on it (the benchmark's layer tracer) sees every enumeration.
+    reaching (and building) a kept level only when the walk gets there and
+    making each larger level as it goes."""
+    # Kept levels are read through enumerate_over, not from _LEVELS, so a
+    # wrapper installed on it (the benchmark's layer tracer) sees them.
     done = 0
-    for n in range(size_bound + 1):
+    for n in range(min(size_bound, CACHED_SIZE) + 1):
         prefix = enumerate_over(atoms, n)
         yield from prefix[done:]
         done = len(prefix)
+    key, levels = _kept(atoms, size_bound)
+    for n in range(len(levels), size_bound + 1):
+        yield from _level(key, n)

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from degreelab.cli import main
+from degreelab.doctrines import ALLOW_EMPTY, NONEMPTY
+from degreelab.instance import parse_instance
 from degreelab.laws import run_suites
+from degreelab.terms import K, S
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -470,8 +473,23 @@ class TestIsoEquivalences:
 
     def test_extpred_pinned(self, tmp_path, capsys):
         assert _iso(tmp_path, capsys, "extsw", "--map", "extpred", "--object", "f") == (
-            0, "assembly f_assembly { point [K] names [K] }\n"
-               "family f_family over f_assembly { (K, [K]) -> [K] }\n", "")
+            0, "assembly f_assembly { point p0 names [K] }\n"
+               "family f_family over f_assembly policy nonempty { (K, p0) -> [K] }\n", "")
+
+    def test_extpred_output_reparses_after_its_input(self, tmp_path, capsys):
+        source = "carrier DOM = [K, S]\nextpredicate f over DOM { K -> [[K], [S], [K, S]], S -> [[]] }\n"
+        path = tmp_path / "extpred.inst"
+        path.write_text(source)
+        assert main(["iso", str(path), "--map", "extpred", "--object", "f"]) == 0
+        inst = parse_instance(source + capsys.readouterr().out)
+        asm, fam = inst.assemblies["f_assembly"], inst.families["f_family"]
+        assert asm.points == ("p0", "p1", "p2", "p3")
+        assert set(asm.naming) == {(S, "p0"), (K, "p1"), (K, "p2"), (K, "p3")}
+        assert fam.values == {(S, "p0"): frozenset(), (K, "p1"): frozenset([K]),
+                              (K, "p2"): frozenset([K, S]), (K, "p3"): frozenset([S])}
+        assert fam.policy == ALLOW_EMPTY  # the empty set is offered, so the predicate is not dense
+        _, out, _ = _iso(tmp_path, capsys, "extsw", "--map", "extpred", "--object", "f")
+        assert parse_instance(_expand(ISO_INSTANCES["extsw"]) + out).families["f_family"].policy == NONEMPTY
 
     def test_extsw_d_pinned(self, tmp_path, capsys):
         assert _iso(tmp_path, capsys, "extsw", "--map", "extsw_d", "--claim", "ext_claim") == (
@@ -529,6 +547,33 @@ class TestComplete:
         assert out.startswith("// completion fiber over X: 16 objects\n")
         assert "[]" not in out
         assert out.count("\nhasse ") == self.DW_EDGES[kind, klass]
+
+    def _mass_fiber(self, capsys, *flags):
+        return run(["--witness-size", "2", *flags, "complete", FIXTURES / "holds.inst", "--object", "X",
+                    "--index-bound", "2", "--doc", "M"], capsys)
+
+    def test_time_cap_leaves_every_pair_unknown_not_below(self, capsys):
+        code, out = self._mass_fiber(capsys, "--time-cap", "0")
+        lines = out.splitlines()
+        assert code == 2
+        assert lines[0] == "// completion fiber over X: 36 objects"
+        assert sum(ln.startswith("// unknown ") for ln in lines) == 36 * 35
+        assert not any(ln.startswith("hasse") for ln in lines)
+
+    # edges of the fully fueled fiber whose searches run out of fuel at --fuel 1
+    STARVED_EDGES = ["14 <= 25", "25 <= 14", "16 <= 23", "23 <= 16"]
+
+    def test_fuel_starved_pairs_are_reported_unknown(self, capsys):
+        code, out = self._mass_fiber(capsys)
+        assert code == 0 and "// unknown" not in out
+        assert out.count("\nhasse ") == 302
+        assert all(f"hasse {edge}" in out.splitlines() for edge in self.STARVED_EDGES)
+        code, out = self._mass_fiber(capsys, "--fuel", "1")
+        lines = out.splitlines()
+        assert code == 2
+        assert sum(ln.startswith("// unknown ") for ln in lines) == 268
+        for edge in self.STARVED_EDGES:
+            assert f"// unknown {edge}" in lines and f"hasse {edge}" not in lines
 
     LEG_VALUES = ["(K K)", "K", "S"]  # text order, where point order puts (K K) last
 

@@ -1,3 +1,6 @@
+import importlib.util
+import itertools
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -6,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from degreelab import pca as pca_module
 from degreelab.laws import machine_format, run_suites
 from degreelab.pca import (
+    DEFINED,
     FST,
     ID,
     PAIR,
     SND,
+    TIMEOUT,
     AbstractionError,
     Pca,
     PcaError,
@@ -24,6 +29,7 @@ from degreelab.pca import (
     is_normal,
     normalize,
 )
+from degreelab.instance import parse_term
 from degreelab.spaces import FinMap, SpaceError, carrier
 from degreelab.terms import (
     App,
@@ -41,6 +47,7 @@ from degreelab.terms import (
 )
 
 OMEGA = App(ap(S, ID, ID), ap(S, ID, ID))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestApply:
@@ -371,3 +378,48 @@ class TestPairing:
 
     def test_projection_terms_are_computable(self):
         assert is_computable(abstract_all(("p",), App(Var("p"), K)))
+
+
+class TestAgainstReference:
+    """The fuel contract pinned by a second implementation: the benchmark's
+    reference reducer (``bench/reference.py``, naive leftmost-outermost
+    reduction on tuples) shares no code with ``pca``.  Every S/K term of size
+    at most 4 applied to two of ``K``, ``S``, ``(K K)`` and ``(S K)`` at fuel
+    300 reaches the same normal form in exactly the same number of steps on
+    both sides, or runs out of fuel on both."""
+
+    FUEL = 300
+    MAX_SIZE = 5_000  # the reference's own cap on the size of a term it reduces
+    ARGS = ("K", "S", "(K K)", "(S K)")
+    # The reference stops at MAX_SIZE while pca runs on until its MAX_WORK_SIZE
+    # valve makes the evaluation a timeout, before the fuel runs out.
+    SIZE_CAPPED = {"(((((S (S S)) S) S) S) S)": 83, "(((((S S) S) (S S)) S) S)": 82}
+
+    @staticmethod
+    def _reference():
+        spec = importlib.util.spec_from_file_location("bench_reference", ROOT / "bench" / "reference.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_normal_forms_and_exact_steps_agree(self):
+        ref, pca = self._reference(), Pca()
+        args = [parse_term(a) for a in self.ARGS]
+        agreed, out_of_fuel, capped = 0, 0, {}
+        for t in enumerate_computable(4):
+            for a, b in itertools.product(args, repeat=2):
+                term = ap(t, a, b)
+                text = to_text(term)
+                nf, steps = ref.normalize(ref.parse(text), self.FUEL, max_size=self.MAX_SIZE)
+                out = normalize(pca, term, self.FUEL)
+                if nf is not None:
+                    assert (out.status, to_text(out.term), out.steps) == (DEFINED, ref.show(nf), steps), text
+                    agreed += 1
+                elif steps == self.FUEL:
+                    assert (out.status, out.steps) == (TIMEOUT, self.FUEL), text
+                    out_of_fuel += 1
+                else:
+                    assert out.status == TIMEOUT and steps < out.steps < self.FUEL, text
+                    capped[text] = steps
+        assert (agreed, out_of_fuel) == (8_796, 2)
+        assert capped == self.SIZE_CAPPED

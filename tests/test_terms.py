@@ -1,9 +1,14 @@
 import itertools
+from collections import Counter
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degreelab import search as search_module
 from degreelab import terms as terms_module
+from degreelab.cli import main
 from degreelab.instance import InstanceError, parse_term
 from degreelab.terms import (
     App,
@@ -184,3 +189,73 @@ class TestLevelCache:
         assert len(list(itertools.islice(walk, 5))) == 5
         assert len(terms_module._LEVELS[key]) == 2
 
+
+def catalan_count(n):
+    """Terms with n applications over two atoms: Catalan(n) * 2^(n+1)."""
+    return comb(2 * n, n) // (n + 1) * 2 ** (n + 1)
+
+
+class TestStructuralOrder:
+    """Levels come out in term_key order without a sort, and only levels of
+    at most CACHED_SIZE applications are kept."""
+
+    def kept_sizes(self, atoms):
+        key = tuple(sorted(atoms, key=term_key))
+        return len(terms_module._LEVELS[key]) - 1, len(terms_module._PREFIXES[key]) - 1
+
+    def test_agrees_with_term_key_to_size_6(self):
+        expected = TestLevelCache.brute((K, S), 6)
+        assert len(expected) == sum(catalan_count(n) for n in range(7)) == 20_134
+        assert enumerate_over((K, S), 6) == expected
+        assert list(iter_over((S, K), 6)) == expected
+        assert terms_module.CACHED_SIZE == 5
+        assert self.kept_sizes((K, S)) == (5, 5)
+
+    def test_prefix_names_followed_by_a_later_character_agree(self):
+        atoms = (Oracle("o1"), K, Oracle("o"))
+        expected = TestLevelCache.brute(atoms, 3)
+        assert enumerate_over(atoms, 3) == list(iter_over(atoms, 3)) == expected
+
+    def test_prefix_names_followed_by_a_quote_are_rejected(self):
+        # "(K #o')" sorts before "(K #o)", as ' sorts before ), though #o sorts before #o'
+        atoms = (Oracle("o"), Oracle("o1"), Oracle("o'"))
+        assert sorted([App(K, Oracle("o")), App(K, Oracle("o'"))], key=term_key)[0] == App(K, Oracle("o'"))
+        with pytest.raises(ValueError):
+            enumerate_over(atoms, 1)
+        with pytest.raises(ValueError):
+            next(iter_over(atoms, 1))
+
+    def test_a_walk_to_size_8_keeps_no_level_above_5(self):
+        shown = sum(catalan_count(n) for n in range(8))  # 129,958 terms up to size 7
+        sizes = Counter(t.size for t in itertools.islice(iter_over((K, S), 8), shown + 1_000))
+        assert sizes == {**{n: catalan_count(n) for n in range(8)}, 8: 1_000}
+        assert self.kept_sizes((K, S)) == (5, 5)
+        assert [len(level) for level in terms_module._LEVELS[(K, S)]] == [catalan_count(n) for n in range(6)]
+
+    def test_larger_levels_share_the_kept_terms(self):
+        level6 = enumerate_over((K, S), 6)[-catalan_count(6):]
+        kept = {id(t) for level in terms_module._LEVELS[(K, S)] for t in level}
+        assert all(id(t.fn) in kept and id(t.arg) in kept for t in level6)
+
+    def test_a_capped_size_7_search_builds_no_level_above_5(self, monkeypatch, capsys):
+        """The time cap is read between candidates; with no level build inside
+        the walk, a search stopped in level 6 has kept levels 0-5 only."""
+        class Ticks:  # each reading of the clock is one second later
+            now = 0
+
+            @classmethod
+            def monotonic(cls):
+                cls.now += 1
+                return cls.now
+
+        monkeypatch.setattr(search_module, "time", Ticks)
+        monkeypatch.setattr(terms_module, "_LEVELS", {})
+        monkeypatch.setattr(terms_module, "_PREFIXES", {})
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "refuted.inst"
+        cap = sum(catalan_count(n) for n in range(6)) + 500  # stops 500 candidates into level 6
+        code = main(["--witness-size", "7", "--time-cap", str(cap), "--format", "machine",
+                     "search", str(fixture), "impossible"])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"// stopped by the time cap of {float(cap)}s after {cap} candidates checked")
+        assert self.kept_sizes((K, S)) == (5, 5)
