@@ -3,8 +3,10 @@
 An object of a completion fiber over A is a pair (leg, payload): a morphism
 f: B -> A drawn from the completion's class of legs together with a base
 element over B.  The full class admits every finite map; the pure class only
-product projections (composites of projections and identities count, since
-the class must be closed under composition and pullbacks).
+product projections, of carriers or of assemblies alike (composites of
+projections and identities count, since the class must be closed under
+composition and pullbacks; membership accepts composites up to depth 3).
+Reindexing a pure object handles identity legs and single projections.
 
 Order between objects is mediated: for existential completions a mediator
 h with rhs_leg . h = lhs_leg and payload(lhs) <= reindex_h(payload(rhs));
@@ -40,8 +42,6 @@ from .spaces import (
     ext_compose,
     ext_identity,
     ext_product,
-    ext_product_components,
-    ext_projection_path,
     identity_map,
     is_pullback,
     point_text,
@@ -79,20 +79,12 @@ class CompletionObject:
             base = getattr(self.payload, "dom", None)
         if base != src:
             raise CheckError("payload base must be the source of the leg")
-        if self.klass == PURE and not _is_projection_leg(self.leg):
+        if self.klass == PURE and projection_path(self.leg) is None:
             raise CheckError("pure completions only admit product projections as legs")
 
     @property
     def target(self):
         return self.leg.target
-
-
-def _is_projection_leg(leg) -> bool:
-    if isinstance(leg, FinMap):
-        return projection_path(leg) is not None
-    if isinstance(leg, ExtMorphism):
-        return ext_projection_path(leg) is not None
-    return False
 
 
 @dataclass(frozen=True)
@@ -175,19 +167,22 @@ def identity_base_witness(doc: str) -> Uniform:
 
 
 def identity_completion_witness(pca: Pca, obj: CompletionObject) -> CompletionWitness:
-    return CompletionWitness(_identity_mediator(obj), identity_base_witness(obj.doc))
+    return CompletionWitness(_identity_on(obj.leg.source), identity_base_witness(obj.doc))
 
 
 def eta(pca: Pca, doc: str, kind: str, klass: str, elem) -> CompletionObject:
     """The canonical inclusion of a base element: payload over the identity leg."""
-    base = getattr(elem, "base", None)
-    if isinstance(base, FinSet):
-        leg = identity_map(base)
-    elif isinstance(base, Assembly):
-        leg = ext_identity(base)
-    else:
-        raise CheckError("cannot include an element without a finite base")
-    return CompletionObject(kind, klass, doc, leg, elem)
+    return CompletionObject(kind, klass, doc, _identity_on(getattr(elem, "base", None)), elem)
+
+
+def _identity_on(space):
+    """The identity leg on a carrier (a finite map) or an assembly (an ext
+    morphism)."""
+    if isinstance(space, FinSet):
+        return identity_map(space)
+    if isinstance(space, Assembly):
+        return ext_identity(space)
+    raise CheckError("cannot include an element without a finite base")
 
 
 # ---------------------------------------------------------------------------
@@ -202,86 +197,42 @@ def comp_reindex(pca: Pca, m, obj: CompletionObject, fuel: int | None = None) ->
         if m.target != obj.leg.target:
             raise CheckError("reindexing map must land in the object's target")
         square = pullback(obj.leg, m)
-        payload = reindex(pca, obj.doc, square.h_prime, obj.payload, fuel)
-        return CompletionObject(obj.kind, obj.klass, obj.doc, square.f_prime, payload)
-    # Pure class: the pullback of a projection is again a projection with the
-    # same index object.
-    if isinstance(obj.leg, FinMap):
-        if not isinstance(m, FinMap):
-            raise CheckError("pure-class reindexing needs a finite map")
+    else:
+        # Pure class: the pullback of an identity is the identity on m's
+        # source, and of a projection again a projection with the same index.
+        if type(m) is not type(obj.leg):
+            raise CheckError("pure-class reindexing needs a map of the leg's kind")
         if m.target != obj.leg.target:
             raise CheckError("reindexing map must land in the object's target")
-        left, right = product_components(obj.leg.source) if len(obj.leg.source) else (obj.leg.target, FinSet(()))
-        path = projection_path(obj.leg)
-        if path == ():
-            # identity leg: pullback is m itself with payload reindexed
+        if projection_path(obj.leg) == ():
             payload = reindex(pca, obj.doc, m, obj.payload, fuel)
-            return CompletionObject(obj.kind, obj.klass, obj.doc, identity_map(m.source), payload)
-        index = right if path == ("fst",) else left
-        prod = carrier_product(pca, m.source, index) if path == ("fst",) else None
-        if path == ("fst",):
-            new_leg = prod.fst
-            m_times_id = _map_times_identity(pca, m, index, prod, left_side=True)
-        elif path == ("snd",):
-            prod = carrier_product(pca, index, m.source)
-            new_leg = prod.snd
-            m_times_id = _map_times_identity(pca, m, index, prod, left_side=False)
-        else:
-            raise CheckError("pure-class reindexing handles single projections only")
-        payload = reindex(pca, obj.doc, m_times_id, obj.payload, fuel)
-        return CompletionObject(obj.kind, obj.klass, obj.doc, new_leg, payload)
-    # ext case
-    if not isinstance(m, ExtMorphism):
-        raise CheckError("pure-class reindexing over assemblies needs an ext morphism")
-    path = ext_projection_path(obj.leg)
-    left, right = ext_product_components(obj.leg.source)
-    if path == ("fst",):
-        prod = ext_product(pca, m.source, right)
-        new_leg = prod.fst
-        m_times_id = _ext_times_identity(pca, m, right, prod, left_side=True, fuel=fuel)
-    elif path == ("snd",):
-        prod = ext_product(pca, left, m.source)
-        new_leg = prod.snd
-        m_times_id = _ext_times_identity(pca, m, left, prod, left_side=False, fuel=fuel)
-    else:
-        raise CheckError("pure-class reindexing handles single projections only")
-    payload = reindex(pca, obj.doc, m_times_id, obj.payload, fuel)
-    return CompletionObject(obj.kind, obj.klass, obj.doc, new_leg, payload)
+            return CompletionObject(obj.kind, obj.klass, obj.doc, _identity_on(m.source), payload)
+        square = pure_pullback_of_projection(pca, obj.leg, m)
+    payload = reindex(pca, obj.doc, square.h_prime, obj.payload, fuel)
+    return CompletionObject(obj.kind, obj.klass, obj.doc, square.f_prime, payload)
 
 
-def _map_times_identity(pca, m: FinMap, index: FinSet, prod, left_side: bool) -> FinMap:
-    if m.realizer is None:
+def _times_identity(m, prod, target, left_side: bool):
+    """m x id (left_side) or id x m out of the product prod, into target;
+    a finite map or an ext morphism as m is."""
+    if isinstance(m, FinMap) and m.realizer is None:
         raise CheckError("pure-class reindexing needs a computable map")
     u = Var("u")
     if left_side:
-        target_prod = carrier_product(pca, m.target, index)
-        mapping = {t: pair_term(m.mapping[split_pair(t)[0]], split_pair(t)[1]) for t in prod.object}
         realizer = abstract_all(("u",), ap(PAIR, App(m.realizer, App(FST, u)), App(SND, u)))
     else:
-        target_prod = carrier_product(pca, index, m.target)
-        mapping = {t: pair_term(split_pair(t)[0], m.mapping[split_pair(t)[1]]) for t in prod.object}
         realizer = abstract_all(("u",), ap(PAIR, App(FST, u), App(m.realizer, App(SND, u))))
-    return FinMap(prod.object, target_prod.object, mapping, realizer)
-
-
-def _ext_times_identity(pca, m: ExtMorphism, index: Assembly, prod, left_side: bool, fuel) -> ExtMorphism:
-    u = Var("u")
-    if left_side:
-        target_prod = ext_product(pca, m.target, index)
-        realizer = abstract_all(("u",), ap(PAIR, App(m.realizer, App(FST, u)), App(SND, u)))
-    else:
-        target_prod = ext_product(pca, index, m.target)
-        realizer = abstract_all(("u",), ap(PAIR, App(FST, u), App(m.realizer, App(SND, u))))
+    if isinstance(m, FinMap):
+        mapping = {}
+        for t in prod.object:
+            a, b = split_pair(t)
+            mapping[t] = pair_term(m.mapping[a], b) if left_side else pair_term(a, m.mapping[b])
+        return FinMap(prod.object, target, mapping, realizer)
     pointmap = {}
-    for name, pt in prod.object.naming:
+    for name, (x, y) in prod.object.naming:
         p, q = split_pair(name)
-        if left_side:
-            img = m.pointmap[(p, pt[0])]
-            pointmap[(name, pt)] = (img, pt[1])
-        else:
-            img = m.pointmap[(q, pt[1])]
-            pointmap[(name, pt)] = (pt[0], img)
-    return ExtMorphism(prod.object, target_prod.object, realizer, pointmap)
+        pointmap[(name, (x, y))] = (m.pointmap[(p, x)], y) if left_side else (x, m.pointmap[(q, y)])
+    return ExtMorphism(prod.object, target, realizer, pointmap)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +259,7 @@ def _compose_leg(pca, g, obj):
         new_leg = compose_maps(g, obj.leg)
     else:
         new_leg = ext_compose(pca, g, obj.leg)
-    if obj.klass == PURE and not _is_projection_leg(new_leg):
+    if obj.klass == PURE and projection_path(new_leg) is None:
         raise CheckError("composed leg leaves the projection class")
     return CompletionObject(obj.kind, obj.klass, obj.doc, new_leg, obj.payload)
 
@@ -340,16 +291,10 @@ def beck_chevalley_check(pca: Pca, doc: str, kind: str, square: PullbackSquare, 
     side_one = comp_reindex(pca, square.h, obj, fuel)
     side_two = CompletionObject(EXISTS, PURE, doc, square.f_prime,
                                 reindex(pca, doc, square.h_prime, payload, fuel))
-    w1 = CompletionWitness(_identity_mediator(side_one), identity_base_witness(doc))
+    w1 = identity_completion_witness(pca, side_one)
     one = comp_le(pca, side_one, side_two, w1, fuel)
     two = comp_le(pca, side_two, side_one, w1, fuel)
     return _merge(one, two, w1)
-
-
-def _identity_mediator(obj: CompletionObject):
-    if isinstance(obj.leg, FinMap):
-        return identity_map(obj.leg.source)
-    return ext_identity(obj.leg.source)
 
 
 def _merge(one: Verdict, two: Verdict, w) -> Verdict:
@@ -361,23 +306,20 @@ def _merge(one: Verdict, two: Verdict, w) -> Verdict:
     return verdicts.unknown(one.timeouts + two.timeouts)
 
 
-def pure_pullback_of_projection(pca: Pca, leg: FinMap, m: FinMap) -> PullbackSquare:
+def pure_pullback_of_projection(pca: Pca, leg, m) -> PullbackSquare:
     """The pullback of a product projection along m, normalized so the apex is
-    again a product carrier and the pulled-back leg a projection."""
+    again a product and the pulled-back leg a projection.  leg and m are both
+    carrier maps or both ext morphisms; h' lands exactly in leg.source."""
     path = projection_path(leg)
     if path not in (("fst",), ("snd",)):
         raise CheckError("need a single product projection")
     left, right = product_components(leg.source)
+    product = carrier_product if isinstance(leg, FinMap) else ext_product
     if path == ("fst",):
-        index = right
-        prod = carrier_product(pca, m.source, index)
+        prod = product(pca, m.source, right)
         f_prime = prod.fst
-        h_prime = _map_times_identity(pca, m, index, prod, left_side=True)
     else:
-        index = left
-        prod = carrier_product(pca, index, m.source)
+        prod = product(pca, left, m.source)
         f_prime = prod.snd
-        h_prime = _map_times_identity(pca, m, index, prod, left_side=False)
-    # restate h_prime as landing exactly in leg.source
-    h_prime = FinMap(prod.object, leg.source, dict(h_prime.mapping), h_prime.realizer)
+    h_prime = _times_identity(m, prod, leg.source, left_side=path == ("fst",))
     return PullbackSquare(leg, m, prod.object, f_prime, h_prime)

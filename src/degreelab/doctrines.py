@@ -78,7 +78,8 @@ from .spaces import (
     ext_product,
     point_key,
     point_text,
-    projection_side,
+    product_components,
+    projection_path,
 )
 from .terms import App, K, S, Term, Var, ap, has_oracle, pair_term, split_pair, term_key, to_text
 from .verdicts import Verdict
@@ -904,50 +905,42 @@ def _reindex_fb(pca, m: FinMap, w: ForwardBackward, strong: bool, fuel):
     if m.realizer is None:
         raise CheckError("witness transport along a non-computable map")
     k = w.forward
-    index_elems = sorted({split_pair(t)[1] for t in k.source}, key=term_key)
-    index = FinSet(tuple(index_elems))
+    _, index = product_components(k.source)
     prod = carrier_product(pca, m.source, index)
-    u = Var("u")
     mapping = {t: k.mapping[pair_term(m.mapping[split_pair(t)[0]], split_pair(t)[1])] for t in prod.object}
-    realizer = abstract_all(
-        ("u",), App(k.realizer, ap(PAIR, App(m.realizer, App(FST, u)), App(SND, u)))
-    )
-    new_k = FinMap(prod.object, k.target, mapping, realizer)
-    if strong:
-        return ForwardBackward(new_k, w.backward)
-    h = abstract_all(
-        ("u",),
-        App(
-            w.backward,
-            ap(
-                PAIR,
-                ap(PAIR, App(m.realizer, App(FST, App(FST, u))), App(SND, App(FST, u))),
-                App(SND, u),
-            ),
-        ),
-    )
-    return ForwardBackward(new_k, h)
+    new_k = FinMap(prod.object, k.target, mapping, _forward_along(m, k))
+    return ForwardBackward(new_k, w.backward if strong else _backward_along(m, w.backward))
 
 
 def _reindex_ext_fb(pca, m: ExtMorphism, w: ExtForwardBackward, fuel):
     km = w.forward
-    # Recover the index assembly from the product source of km.
-    index = _ext_product_right(km.source)
+    _, index = product_components(km.source)
     prod = ext_product(pca, m.source, index)
-    u = Var("u")
-    realizer = abstract_all(
-        ("u",), App(km.realizer, ap(PAIR, App(m.realizer, App(FST, u)), App(SND, u)))
-    )
     pointmap = {}
     for name, (x, y) in prod.object.naming:
         p, q = split_pair(name)
         img_name, img_point = m.induced(pca, p, x, fuel)
         pointmap[(name, (x, y))] = km.pointmap[(pair_term(img_name, q), (img_point, y))]
-    new_k = ExtMorphism(prod.object, km.target, realizer, pointmap)
-    h = abstract_all(
+    new_k = ExtMorphism(prod.object, km.target, _forward_along(m, km), pointmap)
+    return ExtForwardBackward(new_k, _backward_along(m, w.backward))
+
+
+def _forward_along(m, k) -> Term:
+    """The forward realizer k . (m x id) of a witness reindexed along m."""
+    u = Var("u")
+    return abstract_all(
+        ("u",), App(k.realizer, ap(PAIR, App(m.realizer, App(FST, u)), App(SND, u)))
+    )
+
+
+def _backward_along(m, backward: Term) -> Term:
+    """The backward term of a witness reindexed along m: it answers the
+    instance <<m.x, y>, b> of the original claim."""
+    u = Var("u")
+    return abstract_all(
         ("u",),
         App(
-            w.backward,
+            backward,
             ap(
                 PAIR,
                 ap(PAIR, App(m.realizer, App(FST, App(FST, u))), App(SND, App(FST, u))),
@@ -955,16 +948,6 @@ def _reindex_ext_fb(pca, m: ExtMorphism, w: ExtForwardBackward, fuel):
             ),
         ),
     )
-    return ExtForwardBackward(new_k, h)
-
-
-def _ext_product_right(product_assembly: Assembly) -> Assembly:
-    points = sorted({pt[1] for pt in product_assembly.points}, key=point_key)
-    naming = set()
-    for name, (x, y) in product_assembly.naming:
-        p, q = split_pair(name)
-        naming.add((q, y))
-    return Assembly(tuple(points), tuple(naming))
 
 
 # ---------------------------------------------------------------------------
@@ -983,40 +966,40 @@ def forall_along(pca: Pca, doc: str, m, elem, fuel: int | None = None):
         }
         return MassFamily(m.target, values, elem.policy if all(values.values()) else ALLOW_EMPTY, elem.notes)
     if doc == "dW":
-        side = projection_side(m)
-        if side is None:
-            raise CheckError("pure quantifier needs a product projection")
+        side = _projection_index(m)
         _expect_base(m.source, elem.base)
         values = {z: set() for z in m.target}
         for t in m.source:
-            a, b = split_pair(t)
-            kept = m.mapping[t]
-            other = b if side == "fst" else a
+            parts = split_pair(t)
             for y in elem.values[t]:
-                values[kept].add(pair_term(other, y))
+                values[parts[side]].add(pair_term(parts[1 - side], y))
         return MassFamily(m.target, {z: frozenset(v) for z, v in values.items()}, elem.policy)
     if doc in ("drW", "dextW"):
         if not isinstance(m, ExtMorphism):
             raise CheckError("pure quantifier over assemblies needs an ext projection")
-        side = projection_side(m)
-        if side is None:
-            raise CheckError("pure quantifier needs a product projection")
+        side = _projection_index(m)
         if m.source != elem.base:
             raise CheckError("base mismatch")
         values = {key: set() for key in m.target.naming}
-        for name, (x, z) in m.source.naming:
-            p, s = split_pair(name)
-            if side == "snd":
-                kept_key = (s, z)
-                other_name = p
-            else:
-                kept_key = (p, x)
-                other_name = s
-            for q in elem.values[(name, (x, z))]:
-                values[kept_key].add(pair_term(other_name, q))
+        for name, pt in m.source.naming:
+            parts = split_pair(name)
+            for q in elem.values[(name, pt)]:
+                values[(parts[side], pt[side])].add(pair_term(parts[1 - side], q))
         return AssemblyFamily(m.target, {k: frozenset(v) for k, v in values.items()},
                               elem.policy if all(values.values()) else ALLOW_EMPTY)
     raise CheckError(f"no universal quantifier implemented for doctrine {doc!r}")
+
+
+def _projection_index(m) -> int:
+    """0 or 1: the component a single product projection keeps.  Out of an
+    empty product every path fits vacuously, so projection_path reports the
+    empty one, and either index gives the same (empty) result."""
+    path = projection_path(m)
+    if path == ("snd",):
+        return 1
+    if path == ("fst",) or not _fiber_keys(m.source):
+        return 0
+    raise CheckError("pure quantifier needs a product projection")
 
 
 def exists_along_medvedev(pca: Pca, m: FinMap, elem: MassFamily) -> MassFamily:

@@ -55,7 +55,6 @@ from .spaces import (
     assembly_to_carrier,
     carrier_product,
     ext_product,
-    ext_product_components,
     point_key,
     product_components,
 )
@@ -229,7 +228,7 @@ def weihrauch_transport_backward(pca: Pca, lhs: CompletionObject, rhs: Completio
 def realizer_from_completion(pca: Pca, obj: CompletionObject) -> Predicate:
     """Assembly analogue of the transposition."""
     _expect(obj, EXISTS, PURE, ("drW", "dextW"))
-    X, Y = ext_product_components(obj.leg.source)
+    X, Y = product_components(obj.leg.source)
     fam = obj.payload
     table = {}
     for kx in X.naming:
@@ -255,7 +254,7 @@ def realizer_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionO
     hm = w.mediator
     if not isinstance(hm, ExtMorphism):
         raise CheckError("assembly transport needs an ext mediator")
-    _, Z = ext_product_components(hm.target)
+    _, Z = product_components(hm.target)
     u = Var("u")
     realizer = abstract_all(("u",), App(SND, App(hm.realizer, u)))
     pointmap = {key: hm.pointmap[key][1] for key in hm.pointmap}
@@ -342,7 +341,7 @@ def modest_predicate_to_carrier(pca: Pca, pred: Predicate) -> Predicate:
 def ext_fb_to_fb(pca: Pca, w: ExtForwardBackward, fuel: int | None = None) -> ForwardBackward:
     """On partitioned modest assemblies the realizer determines the map."""
     km = w.forward
-    X, Y = ext_product_components(km.source)
+    X, Y = product_components(km.source)
     Xc, Yc = assembly_to_carrier(X), assembly_to_carrier(Y)
     Zc = assembly_to_carrier(km.target)
     prod = carrier_product(pca, Xc, Yc)

@@ -60,6 +60,7 @@ from .pca import (
     normalize,
 )
 from .search import (
+    UNKNOWN,
     SearchBudget,
     all_graphs,
     assignments,
@@ -583,7 +584,8 @@ def _iso_universal(pca, fuel, t, name, objects):
             c1, c2 = row.from_completion(pca, o1), row.from_completion(pca, o2)
             cw = search_completion_witness(pca, o1, o2, budget)
             mw = search_witness(pca, row.concrete, c1, c2, budget)
-            t.add(f"{name}-search-agreement", cw.found == mw.found)
+            unknown = UNKNOWN in (cw.status, mw.status)
+            t.add(f"{name}-search-agreement", None if unknown else cw.found == mw.found)
             if cw.found:
                 fwd = row.forward(pca, o1, o2, cw.witness, fuel)
                 t.add(f"{name}-preserve", check_le(pca, row.concrete, c1, c2, fwd, fuel))

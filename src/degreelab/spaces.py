@@ -16,6 +16,7 @@ counterexamples are reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -238,31 +239,6 @@ def pairing_map(pca: Pca, f: FinMap, g: FinMap, product: CarrierProduct) -> FinM
     return FinMap(f.source, product.object, mapping, realizer)
 
 
-def projection_side(m) -> str | None:
-    """"fst"/"snd" when m projects pairs onto a component: the pair terms of
-    a carrier map's source, or the point pairs of an assembly morphism's
-    naming relation, whose names must be pair terms too.
-
-    Elements whose two components coincide are consistent with either side,
-    so sides are intersected across the source.
-    """
-    if isinstance(m, ExtMorphism):
-        cases = [(img, pt if isinstance(pt, tuple) and len(pt) == 2 and split_pair(name) else None)
-                 for (name, pt), img in m.pointmap.items()]
-    elif m.source.is_carrier:
-        cases = [(m.mapping[t], split_pair(t)) for t in m.source]
-    else:
-        return None
-    consistent = {"fst", "snd"}
-    for img, pair in cases:
-        if pair is None:
-            return None
-        consistent &= {side for side, part in zip(("fst", "snd"), pair) if img == part}
-    if not consistent:
-        return None
-    return "fst" if "fst" in consistent else "snd"
-
-
 # ---------------------------------------------------------------------------
 # Assemblies
 
@@ -469,20 +445,18 @@ def carrier_to_assembly(pca: Pca, X: FinSet) -> Assembly:
     return assembly(pca, tuple(X.points), tuple((t, t) for t in X.points))
 
 
-def product_components(obj: FinSet) -> tuple[FinSet, FinSet]:
-    """Recover the two factors of a product carrier from its pair terms."""
-    lefts, rights = set(), set()
-    for t in obj:
-        parts = split_pair(t)
-        if parts is None:
-            raise SpaceError(f"{to_text(t)} is not a pair term")
-        lefts.add(parts[0])
-        rights.add(parts[1])
-    return FinSet(tuple(lefts)), FinSet(tuple(rights))
-
-
-def ext_product_components(obj: Assembly) -> tuple[Assembly, Assembly]:
-    """Recover the two factors of a product assembly."""
+def product_components(obj):
+    """Recover the two factors of a product carrier from its pair terms, or of
+    a product assembly from its pair names and pair points."""
+    if isinstance(obj, FinSet):
+        lefts, rights = set(), set()
+        for t in obj:
+            parts = split_pair(t)
+            if parts is None:
+                raise SpaceError(f"{to_text(t)} is not a pair term")
+            lefts.add(parts[0])
+            rights.add(parts[1])
+        return FinSet(tuple(lefts)), FinSet(tuple(rights))
     lpoints, rpoints = set(), set()
     lnaming, rnaming = set(), set()
     for name, pt in obj.naming:
@@ -498,59 +472,44 @@ def ext_product_components(obj: Assembly) -> tuple[Assembly, Assembly]:
     return Assembly(tuple(lpoints), tuple(lnaming)), Assembly(tuple(rpoints), tuple(rnaming))
 
 
-def projection_path(m: FinMap, max_depth: int = 3) -> tuple[str, ...] | None:
-    """A fst/snd extraction path realizing the graph, if one exists.
+# fst/snd extraction paths up to depth 3, shortest first and fst before snd
+_PROJECTION_PATHS = tuple(
+    path for depth in range(4) for path in itertools.product(("fst", "snd"), repeat=depth)
+)
 
-    The empty path is the identity.  Composites of projections are matched up
-    to max_depth, which keeps the membership test for the projection class
-    decidable at desk scale.
+
+def projection_path(m) -> tuple[str, ...] | None:
+    """The shortest fst/snd extraction path that m follows, if one exists.
+
+    m is a carrier map or an assembly morphism, read as (name, point, image)
+    cases: the pair terms of a carrier name themselves, while an assembly
+    morphism follows its pair names and pair points together.  The empty
+    path is the identity.  Composites of projections are matched up to depth
+    3, which keeps the membership test for the projection class decidable at
+    desk scale.
     """
-    if not m.source.is_carrier:
+    if isinstance(m, ExtMorphism):
+        cases = [(name, pt, img) for (name, pt), img in m.pointmap.items()]
+    elif m.source.is_carrier:
+        cases = [(t, None, m.mapping[t]) for t in m.source]
+    else:
         return None
-
-    def extract(t: Term, path: tuple[str, ...]) -> Term | None:
-        for side in path:
-            parts = split_pair(t)
-            if parts is None:
-                return None
-            t = parts[0] if side == "fst" else parts[1]
-        return t
-
-    paths: list[tuple[str, ...]] = [()]
-    for depth in range(max_depth):
-        paths = paths + [p + (s,) for p in paths if len(p) == depth for s in ("fst", "snd")]
-    for path in sorted(set(paths), key=lambda q: (len(q), q)):
-        if all(extract(t, path) == m.mapping[t] for t in m.source):
+    for path in _PROJECTION_PATHS:
+        if all(_extract(name, pt, path) == img for name, pt, img in cases):
             return path
     return None
 
 
-def ext_projection_path(m: ExtMorphism, max_depth: int = 3) -> tuple[str, ...] | None:
-    """Like projection_path, on the pointmap of an assembly morphism."""
-
-    def extract(name: Term, pt, path):
-        for side in path:
-            parts = split_pair(name)
-            if parts is None or not isinstance(pt, tuple):
-                return None
-            if side == "fst":
-                name, pt = parts[0], pt[0]
-            else:
-                name, pt = parts[1], pt[1]
-        return pt
-
-    paths: list[tuple[str, ...]] = [()]
-    for depth in range(max_depth):
-        paths = paths + [p + (s,) for p in paths if len(p) == depth for s in ("fst", "snd")]
-    for path in sorted(set(paths), key=lambda q: (len(q), q)):
-        ok = True
-        for name, pt in m.source.naming:
-            if extract(name, pt, path) != m.pointmap[(name, pt)]:
-                ok = False
-                break
-        if ok:
-            return path
-    return None
+def _extract(name: Term, pt, path: tuple[str, ...]):
+    """Follow path through a pair name and its pair point, where a None
+    point stands for the name itself; None when a step finds no pair."""
+    for side in path:
+        parts = split_pair(name)
+        if parts is None or not (pt is None or isinstance(pt, tuple)):
+            return None
+        i = 0 if side == "fst" else 1
+        name, pt = parts[i], (None if pt is None else pt[i])
+    return name if pt is None else pt
 
 
 # ---------------------------------------------------------------------------

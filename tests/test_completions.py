@@ -18,6 +18,7 @@ from degreelab.completions import (
     pure_pullback_of_projection,
 )
 from degreelab.doctrines import (
+    AssemblyFamily,
     CheckError,
     MassFamily,
     NONEMPTY,
@@ -28,7 +29,18 @@ from degreelab.doctrines import (
     reindex,
 )
 from degreelab.pca import ID, SND
-from degreelab.spaces import FinMap, carrier, carrier_product, identity_map, pullback
+from degreelab.spaces import (
+    ExtMorphism,
+    FinMap,
+    assembly,
+    carrier,
+    carrier_product,
+    ext_check,
+    ext_identity,
+    ext_product,
+    identity_map,
+    pullback,
+)
 from degreelab.terms import App, K, S, pair_term
 
 
@@ -149,6 +161,50 @@ class TestCompReindex:
         assert out.leg.target == Xp
         # payload is f . (m x id)
         assert out.payload.values[pair_term(K, K)] == frozenset([K])
+
+    @pytest.mark.parametrize("into", ["identity", "constant"])
+    def test_pure_identity_leg_reindexes_to_m(self, pure, into):
+        X = carrier(pure, [K, S])
+        phi = MassFamily(X, {K: frozenset([K]), S: frozenset([S])})
+        obj = eta(pure, "dW", EXISTS, PURE, phi)
+        m = identity_map(X) if into == "identity" else FinMap(carrier(pure, [K]), X, {K: S}, App(K, S))
+        out = comp_reindex(pure, m, obj)
+        assert out.leg == identity_map(m.source)
+        assert out.payload == reindex(pure, "dW", m, phi)
+
+    @pytest.mark.parametrize("into", ["identity", "constant"])
+    def test_pure_assembly_identity_leg_reindexes_to_m(self, pure, into):
+        A = assembly(pure, ["x", "y"], [(K, "x"), (S, "y")])
+        fam = AssemblyFamily(A, {(K, "x"): frozenset([K]), (S, "y"): frozenset([S])})
+        obj = eta(pure, "drW", EXISTS, PURE, fam)
+        C = assembly(pure, ["c"], [(S, "c")])
+        m = ext_identity(A) if into == "identity" else ExtMorphism(C, A, App(K, K), {(S, "c"): "x"})
+        out = comp_reindex(pure, m, obj)
+        assert out.leg == ext_identity(m.source)
+        assert out.payload == reindex(pure, "drW", m, fam)
+
+    @pytest.mark.parametrize("side", ["fst", "snd"])
+    def test_pure_assembly_reindex_is_projection_again(self, pure, side):
+        A = assembly(pure, ["x", "y"], [(K, "x"), (S, "y")])
+        B = assembly(pure, ["z"], [(K, "z")])
+        C = assembly(pure, ["c"], [(S, "c")])
+        m = ExtMorphism(C, A, App(K, K), {(S, "c"): "x"})
+        assert ext_check(pure, m).holds
+        prod = ext_product(pure, A, B) if side == "fst" else ext_product(pure, B, A)
+        leg = prod.fst if side == "fst" else prod.snd
+        values = {key: frozenset([K if key[1] in (("x", "z"), ("z", "x")) else S])
+                  for key in prod.object.naming}
+        obj = CompletionObject(EXISTS, PURE, "drW", leg, AssemblyFamily(prod.object, values))
+        out = comp_reindex(pure, m, obj)
+        if side == "fst":
+            expected = ext_product(pure, C, B).fst
+            key = (pair_term(S, K), ("c", "z"))
+        else:
+            expected = ext_product(pure, B, C).snd
+            key = (pair_term(K, S), ("z", "c"))
+        assert out.leg == expected
+        # the one naming pair over C is sent to the one over x, where K is the solution
+        assert out.payload.values == {key: frozenset([K])}
 
 
 class TestLegComposition:

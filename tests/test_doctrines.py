@@ -310,6 +310,22 @@ class TestReindex:
         w2 = reindex_witness(pure, "W", inc, w)
         assert check_le(pure, "W", F2, F2, w2).holds
 
+    @pytest.mark.parametrize("doc", ["rW", "tW"])
+    def test_assembly_witness_reindexing(self, pure, doc):
+        X = assembly(pure, ["u", "v"], [(K, "u"), (S, "v")])
+        Y = assembly(pure, ["a", "b"], [(K, "a"), (S, "b")])
+        W = assembly(pure, ["w"], [(S, "w")])
+        solutions = {("u", "a"): K, ("u", "b"): S, ("v", "a"): S, ("v", "b"): K}
+        F = Predicate(X, Y, {(kx, ky): frozenset([solutions[(kx[1], ky[1])]])
+                             for kx in X.naming for ky in Y.naming})
+        w = ExtForwardBackward(ext_product(pure, X, Y).snd, SND)
+        assert check_le(pure, doc, F, F, w).holds
+        inc = ExtMorphism(W, X, App(K, K), {(S, "w"): "u"})
+        F2 = reindex(pure, doc, inc, F)
+        w2 = reindex_witness(pure, doc, inc, w)
+        assert w2.forward.source == ext_product(pure, W, Y).object
+        assert check_le(pure, doc, F2, F2, w2).holds
+
 
 class TestQuantifiers:
     def test_forall_identity(self, pure):
@@ -353,6 +369,17 @@ class TestQuantifiers:
         f = MassFamily(prod.object, {prod.object.points[0]: frozenset([S])}, NONEMPTY)
         out = forall_along(pure, "dW", prod.snd, f)
         assert out.values[S] == frozenset([pair_term(K, S)])
+
+    def test_pure_forall_out_of_empty_product(self, pure):
+        # every fiber of a projection out of X x {} is empty, and so is its union
+        X = carrier(pure, [K, S])
+        prod = carrier_product(pure, X, carrier(pure, []))
+        out = forall_along(pure, "dW", prod.fst, MassFamily(prod.object, {}))
+        assert out.values == {K: frozenset(), S: frozenset()}
+        A = assembly(pure, ["x"], [(K, "x")])
+        aprod = ext_product(pure, assembly(pure, [], []), A)
+        out = forall_along(pure, "drW", aprod.snd, AssemblyFamily(aprod.object, {}))
+        assert out.values == {(K, "x"): frozenset()}
 
     def test_medvedev_adjunction_same_witness(self, pure):
         Y = carrier(pure, [K, S])

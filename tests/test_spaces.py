@@ -20,15 +20,12 @@ from degreelab.spaces import (
     ext_identity,
     ext_pairing_morphism,
     ext_product,
-    ext_product_components,
-    ext_projection_path,
     identity_map,
     is_pullback,
     pairing_map,
     point_key,
     product_components,
     projection_path,
-    projection_side,
     pullback,
     terminal_carrier,
 )
@@ -77,8 +74,8 @@ class TestCarrierProduct:
     def test_projection_detection(self, pure):
         X, Y = carrier(pure, [K, S]), carrier(pure, [K])
         prod = carrier_product(pure, X, Y)
-        assert projection_side(prod.fst) == "fst"
-        assert projection_side(prod.snd) == "snd"
+        assert projection_path(prod.fst) == ("fst",)
+        assert projection_path(prod.snd) == ("snd",)
         assert projection_path(prod.fst) == ("fst",)
         assert projection_path(identity_map(X)) == ()
         assert product_components(prod.object) == (X, Y)
@@ -197,7 +194,7 @@ class TestExtProducts:
         prod = ext_product(pure, a, a)
         assert ext_check(pure, prod.fst).holds
         assert ext_check(pure, prod.snd).holds
-        assert ext_projection_path(prod.fst) == ("fst",)
+        assert projection_path(prod.fst) == ("fst",)
 
     def test_mediating_morphism_on_two_by_two(self, pure):
         a = assembly(pure, ["x", "y"], [(K, "x"), (S, "y")])
@@ -214,16 +211,16 @@ class TestExtProducts:
         a = assembly(pure, ["x", "y"], [(K, "x"), (S, "y")])
         b = assembly(pure, ["z"], [(K, "z")])
         prod = ext_product(pure, a, b)
-        assert ext_product_components(prod.object) == (a, b)
+        assert product_components(prod.object) == (a, b)
 
     def test_projection_side(self, pure):
         a = assembly(pure, ["x", "y"], [(K, "x"), (S, "y")])
         b = assembly(pure, ["z"], [(K, "z")])
         for prod in (ext_product(pure, a, b), ext_product(pure, a, a)):
-            assert projection_side(prod.fst) == "fst"
-            assert projection_side(prod.snd) == "snd"
-            assert projection_side(ext_identity(prod.object)) is None
-        assert projection_side(ext_identity(a)) is None
+            assert projection_path(prod.fst) == ("fst",)
+            assert projection_path(prod.snd) == ("snd",)
+            assert projection_path(ext_identity(prod.object)) == ()
+        assert projection_path(ext_identity(a)) == ()
 
 
 class TestPullbacks:
