@@ -51,7 +51,7 @@ render them only when read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import verdicts
 from .pca import (
@@ -62,6 +62,9 @@ from .pca import (
     SND,
     abstract_all,
     apply,
+    compose,
+    compose_first,
+    fanout,
     is_computable,
     iter_computable,
     normalize,
@@ -863,74 +866,53 @@ def reindex_witness(pca: Pca, doc: str, m, w: Witness, fuel: int | None = None) 
     if doc in ("Tw",):
         return PerPoint({p: w.mapping[m.mapping[p]] for p in m.source}) if isinstance(w, PerPoint) else w
     if doc in ("Mw",):
-        if isinstance(w, PerPoint):
-            table = {}
-            for (x, b), t in w.mapping.items():
-                for p in m.source:
-                    if m.mapping[p] == x:
-                        table[(p, b)] = t
-            return PerPoint(table)
-        return w
+        return PerPoint(_pull_back(m, w.mapping)) if isinstance(w, PerPoint) else w
     if doc == "D":
-        choice = {}
-        for (x, a), b in w.choice.items():
-            for p in m.source:
-                if m.mapping[p] == x:
-                    choice[(p, a)] = b
-        return DialecticaWitness(choice, w.backward)
-    if doc in ("W", "SW"):
-        return _reindex_fb(pca, m, w, strong=(doc == "SW"), fuel=fuel)
+        return DialecticaWitness(_pull_back(m, w.choice), w.backward)
+    if doc in ("W", "SW", "rW", "tW"):
+        return _reindex_fb(pca, doc, m, w, fuel)
     if doc in ("classicalW", "classicalSW"):
-        k = w.forward
-        new_k = FinMap(m.source, k.target, {p: k.mapping[m.mapping[p]] for p in m.source},
-                       _compose_realizers(k.realizer, m.realizer))
+        new_k = compose_maps(w.forward, m)
         if doc == "classicalSW":
             return ForwardBackward(new_k, w.backward)
-        u = Var("u")
-        h = abstract_all(("u",), App(w.backward, ap(PAIR, App(m.realizer, App(FST, u)), App(SND, u))))
-        return ForwardBackward(new_k, h)
-    if doc in ("rW", "tW"):
-        return _reindex_ext_fb(pca, m, w, fuel)
+        return ForwardBackward(new_k, compose_first(w.backward, m.realizer))
     raise CheckError(f"unknown doctrine id {doc!r}")
 
 
-def _compose_realizers(outer: Term | None, inner: Term | None) -> Term | None:
-    if outer is None or inner is None:
-        return None
-    x = Var("x")
-    return abstract_all(("x",), App(outer, App(inner, x)))
+def _pull_back(m: FinMap, table: Mapping) -> dict:
+    """A table keyed by (base point, solution) moved along m: the entry at
+    (x, b) goes to (p, b) for every p that m sends to x."""
+    return {(p, b): t for (x, b), t in table.items() for p in m.source if m.mapping[p] == x}
 
 
-def _reindex_fb(pca, m: FinMap, w: ForwardBackward, strong: bool, fuel):
+def _reindex_fb(pca, doc, m, w, fuel):
+    """A W, SW, rW or tW witness reindexed along m.  Carrier maps and
+    assembly morphisms share the forward realizer k . (m x id) and the
+    backward term; only the forward graph is built per kind of map."""
     if m.realizer is None:
         raise CheckError("witness transport along a non-computable map")
     k = w.forward
     _, index = product_components(k.source)
-    prod = carrier_product(pca, m.source, index)
-    mapping = {t: k.mapping[pair_term(m.mapping[split_pair(t)[0]], split_pair(t)[1])] for t in prod.object}
-    new_k = FinMap(prod.object, k.target, mapping, _forward_along(m, k))
-    return ForwardBackward(new_k, w.backward if strong else _backward_along(m, w.backward))
+    realizer = compose_first(k.realizer, m.realizer)
+    if doc in ("W", "SW"):
+        prod = carrier_product(pca, m.source, index)
+        mapping = {t: k.mapping[pair_term(m.mapping[split_pair(t)[0]], split_pair(t)[1])] for t in prod.object}
+        new_k = FinMap(prod.object, k.target, mapping, realizer)
+    else:
+        prod = ext_product(pca, m.source, index)
+        pointmap = {}
+        for name, (x, y) in prod.object.naming:
+            p, q = split_pair(name)
+            img_name, img_point = m.induced(pca, p, x, fuel)
+            pointmap[(name, (x, y))] = k.pointmap[(pair_term(img_name, q), (img_point, y))]
+        new_k = ExtMorphism(prod.object, k.target, realizer, pointmap)
+    return type(w)(new_k, w.backward if doc == "SW" else _backward_along(m, w.backward))
 
 
-def _reindex_ext_fb(pca, m: ExtMorphism, w: ExtForwardBackward, fuel):
-    km = w.forward
-    _, index = product_components(km.source)
-    prod = ext_product(pca, m.source, index)
-    pointmap = {}
-    for name, (x, y) in prod.object.naming:
-        p, q = split_pair(name)
-        img_name, img_point = m.induced(pca, p, x, fuel)
-        pointmap[(name, (x, y))] = km.pointmap[(pair_term(img_name, q), (img_point, y))]
-    new_k = ExtMorphism(prod.object, km.target, _forward_along(m, km), pointmap)
-    return ExtForwardBackward(new_k, _backward_along(m, w.backward))
-
-
-def _forward_along(m, k) -> Term:
-    """The forward realizer k . (m x id) of a witness reindexed along m."""
+def _after_fanout_fst(f: Term, g: Term) -> Term:
+    """λu. f <fst u, g u>: f after <fst, g>."""
     u = Var("u")
-    return abstract_all(
-        ("u",), App(k.realizer, ap(PAIR, App(m.realizer, App(FST, u)), App(SND, u)))
-    )
+    return abstract_all(("u",), App(f, ap(PAIR, App(FST, u), App(g, u))))
 
 
 def _backward_along(m, backward: Term) -> Term:
@@ -992,8 +974,9 @@ def forall_along(pca: Pca, doc: str, m, elem, fuel: int | None = None):
 
 def _projection_index(m) -> int:
     """0 or 1: the component a single product projection keeps.  Out of an
-    empty product every path fits vacuously, so projection_path reports the
-    empty one, and either index gives the same (empty) result."""
+    empty product every path fits vacuously, so projection_path reports
+    ("fst",), or the empty one when the target is empty too, and either
+    index gives the same (empty) result."""
     path = projection_path(m)
     if path == ("snd",):
         return 1
@@ -1132,7 +1115,7 @@ def lattice_law_witness(pca: Pca, law: str, *, w_left: Witness | None = None,
     Laws consuming prerequisite reductions take their witnesses via w_left /
     w_right / w; all synthesis is by bracket abstraction.
     """
-    a, b, d, x, u = Var("a"), Var("b"), Var("d"), Var("x"), Var("u")
+    a, b, d, u = Var("a"), Var("b"), Var("d"), Var("u")
     if law == "bottom_le":
         return Uniform(ID)
     if law == "le_top":
@@ -1151,7 +1134,7 @@ def lattice_law_witness(pca: Pca, law: str, *, w_left: Witness | None = None,
         return Uniform(SND)
     if law == "join_intro":
         af, ag = _uniform_term(w_left, "join_intro"), _uniform_term(w_right, "join_intro")
-        return Uniform(abstract_all(("x",), ap(PAIR, App(af, x), App(ag, x))))
+        return Uniform(fanout(af, ag))
     if law == "subtract_elim":
         # from a witness of (phi \ psi) <= rho, one for phi <= psi v rho
         ab = _uniform_term(w, "subtract_elim")
@@ -1178,18 +1161,17 @@ def implication_adjunction_witness(pca: Pca, direction: str, phi: MassFamily, ps
     The inner existential quantifier is discharged by enumeration up to the
     bound; positions where the bound is exhausted raise UndecidedError.
     """
-    z = Var("z")
     if direction == "imp_to_meet":
         table = {}
         for x in psi.base:
             for b in sorted_terms(psi.values[x]):
                 found = find_inner_witness(pca, b, phi.values[x], bound, fuel)[0]
                 if found is not None:
-                    table[(x, b)] = abstract_all(("z",), ap(PAIR, LATTICE_TAG_LEFT, App(found, z)))
+                    table[(x, b)] = compose(App(PAIR, LATTICE_TAG_LEFT), found)
                 else:
                     # within the bound, b lands in the implication fiber
                     ab = _realizer_at(w, (x, b))
-                    table[(x, b)] = abstract_all(("z",), ap(PAIR, LATTICE_TAG_RIGHT, App(ab, z)))
+                    table[(x, b)] = compose(App(PAIR, LATTICE_TAG_RIGHT), ab)
         return PerPoint(table)
     if direction == "meet_to_imp":
         imp = lattice_element(pca, "implies", "Mw", phi, psi, bound=bound, fuel=fuel)
@@ -1209,7 +1191,7 @@ def implication_adjunction_witness(pca: Pca, direction: str, phi: MassFamily, ps
                         "bounded implication misclassified a solution: "
                         f"({point_text(x)}, {to_text(b)}) reaches the left fiber above the bound"
                     )
-                table[(x, b)] = abstract_all(("z",), App(SND, App(cb, z)))
+                table[(x, b)] = compose(SND, cb)
         return PerPoint(table)
     raise CheckError(f"unknown direction {direction!r}")
 
@@ -1220,56 +1202,43 @@ def implication_adjunction_witness(pca: Pca, direction: str, phi: MassFamily, ps
 
 def compose_witnesses(pca: Pca, doc: str, w1: Witness, w2: Witness, fuel: int | None = None) -> Witness:
     """From witnesses of lhs <= mid and mid <= rhs, build one for lhs <= rhs."""
-    q, t, u, z, p_, w_ = Var("q"), Var("t"), Var("u"), Var("z"), Var("p"), Var("w")
     if doc in ("T", "M", "dsW"):
-        return Uniform(abstract_all(("q",), App(w1.term, App(w2.term, q))))
+        return Uniform(compose(w1.term, w2.term))
     if doc in ("dW", "drW", "dextW"):
-        return Uniform(
-            abstract_all(("w",), App(w1.term, ap(PAIR, App(FST, w_), App(w2.term, w_))))
-        )
+        return Uniform(_after_fanout_fst(w1.term, w2.term))
     if doc in ("Tw",):
         if isinstance(w1, Uniform) and isinstance(w2, Uniform):
-            return Uniform(abstract_all(("q",), App(w1.term, App(w2.term, q))))
+            return Uniform(compose(w1.term, w2.term))
         raise CheckError("non-uniform tracked composition needs the claim tables; compose per point")
     if doc == "Mw":
         return _compose_mw(pca, w1, w2, fuel)
-    if doc in ("W", "rW"):
-        return _compose_fb(pca, doc, w1, w2, strong=False, fuel=fuel)
-    if doc in ("SW",):
-        return _compose_fb(pca, doc, w1, w2, strong=True, fuel=fuel)
-    if doc in ("tW",):
-        return _compose_fb(pca, doc, w1, w2, strong=False, fuel=fuel)
+    if doc in ("W", "SW", "rW", "tW"):
+        return _compose_fb(pca, doc, w1, w2, fuel)
     if doc == "classicalW":
-        k = compose_maps(w2.forward, w1.forward)
-        h = abstract_all(
-            ("u",),
-            App(w1.backward, ap(PAIR, App(FST, u),
-                                App(w2.backward, ap(PAIR, App(w1.forward.realizer, App(FST, u)), App(SND, u))))),
-        )
-        return ForwardBackward(k, h)
+        k, k1 = compose_maps(w2.forward, w1.forward), w1.forward.realizer
+        return ForwardBackward(k, _backward_composite(w1.backward, w2.backward, lambda p: App(k1, p)))
     if doc == "classicalSW":
         k = compose_maps(w2.forward, w1.forward)
-        return ForwardBackward(k, abstract_all(("q",), App(w1.backward, App(w2.backward, q))))
+        return ForwardBackward(k, compose(w1.backward, w2.backward))
     if doc == "D":
         choice = {}
         for (x, a), m in w1.choice.items():
             choice[(x, a)] = w2.choice[(x, m)]
-        return DialecticaWitness(choice, abstract_all(("q",), App(w1.backward, App(w2.backward, q))))
+        return DialecticaWitness(choice, compose(w1.backward, w2.backward))
     if doc == "extsW":
-        k = abstract_all(("p",), App(w2.forward, App(w1.forward, p_)))
+        k = compose(w2.forward, w1.forward)
         choice = {}
         for (p, a), m in w1.choice.items():
             out = normalize(pca, App(w1.forward, p), fuel)
             if not out.is_defined:
                 raise CheckError("forward witness undefined during composition")
             choice[(p, a)] = w2.choice[(out.term, m)]
-        return ExtStrong(k, choice, abstract_all(("q",), App(w1.backward, App(w2.backward, q))))
+        return ExtStrong(k, choice, compose(w1.backward, w2.backward))
     raise CheckError(f"unknown doctrine id {doc!r}")
 
 
 def compose_mw_with_tables(pca: Pca, w1: PerPoint, w2: PerPoint, fuel: int | None = None) -> PerPoint:
     """Per-solution composition when both inputs are per-point tables."""
-    z = Var("z")
     table = {}
     for (x, b), a2 in w2.mapping.items():
         out = apply(pca, a2, b, fuel)
@@ -1278,81 +1247,56 @@ def compose_mw_with_tables(pca: Pca, w1: PerPoint, w2: PerPoint, fuel: int | Non
         a1 = w1.mapping.get((x, out.term))
         if a1 is None:
             raise CheckError("left witness missing the composed middle solution")
-        table[(x, b)] = abstract_all(("z",), App(a1, App(a2, z)))
+        table[(x, b)] = compose(a1, a2)
     return PerPoint(table)
 
 
 def _compose_mw(pca, w1, w2, fuel):
     if isinstance(w1, Uniform) and isinstance(w2, Uniform):
-        return Uniform(abstract_all(("q",), App(w1.term, App(w2.term, Var("q")))))
+        return Uniform(compose(w1.term, w2.term))
     if isinstance(w1, PerPoint) and isinstance(w2, PerPoint):
         return compose_mw_with_tables(pca, w1, w2, fuel)
     if isinstance(w1, Uniform) and isinstance(w2, PerPoint):
-        z = Var("z")
-        return PerPoint({key: abstract_all(("z",), App(w1.term, App(a2, z)))
-                         for key, a2 in w2.mapping.items()})
+        return PerPoint({key: compose(w1.term, a2) for key, a2 in w2.mapping.items()})
     if isinstance(w1, PerPoint) and isinstance(w2, Uniform):
         raise CheckError("compose Mw: enumerate the middle solutions and supply per-point tables")
     raise CheckError("Mw composition needs uniform or per-point witnesses")
 
 
-def _compose_fb(pca, doc, w1, w2, strong, fuel):
-    u = Var("u")
+def _compose_fb(pca, doc, w1, w2, fuel):
+    """The composite of two W, SW, rW or tW witnesses.  Carrier maps and
+    assembly morphisms share the forward realizer k2 . <fst, k1> and the
+    backward term; only the forward graph is built per kind of map."""
+    k1, k2 = w1.forward, w2.forward
+    realizer = _after_fanout_fst(k2.realizer, k1.realizer)
     if doc in ("W", "SW"):
-        k1, k2 = w1.forward, w2.forward
         mapping = {}
         for t in k1.source:
             x, _ = split_pair(t)
             mapping[t] = k2.mapping[pair_term(x, k1.mapping[t])]
-        realizer = abstract_all(
-            ("u",), App(k2.realizer, ap(PAIR, App(FST, u), App(k1.realizer, u)))
-        )
         k3 = FinMap(k1.source, k2.target, mapping, realizer)
-        if strong:
-            h3 = abstract_all(("u",), App(w1.backward, App(w2.backward, u)))
-        else:
-            h3 = abstract_all(
-                ("u",),
-                App(
-                    w1.backward,
-                    ap(
-                        PAIR,
-                        App(FST, u),
-                        App(
-                            w2.backward,
-                            ap(PAIR, ap(PAIR, App(FST, App(FST, u)), App(k1.realizer, App(FST, u))), App(SND, u)),
-                        ),
-                    ),
-                ),
-            )
-        return ForwardBackward(k3, h3)
-    # rW / tW
-    k1, k2 = w1.forward, w2.forward
-    realizer = abstract_all(
-        ("u",), App(k2.realizer, ap(PAIR, App(FST, u), App(k1.realizer, u)))
-    )
-    pointmap = {}
-    for name, pt in k1.source.naming:
-        p, _q = split_pair(name)
-        x, _y = pt
-        mid_name, mid_point = k1.induced(pca, name, pt, fuel)
-        pointmap[(name, pt)] = k2.pointmap[(pair_term(p, mid_name), (x, mid_point))]
-    k3 = ExtMorphism(k1.source, k2.target, realizer, pointmap)
-    h3 = abstract_all(
-        ("u",),
-        App(
-            w1.backward,
-            ap(
-                PAIR,
-                App(FST, u),
-                App(
-                    w2.backward,
-                    ap(PAIR, ap(PAIR, App(FST, App(FST, u)), App(k1.realizer, App(FST, u))), App(SND, u)),
-                ),
-            ),
-        ),
-    )
-    return ExtForwardBackward(k3, h3)
+    else:
+        pointmap = {}
+        for name, pt in k1.source.naming:
+            p, _q = split_pair(name)
+            x, _y = pt
+            mid_name, mid_point = k1.induced(pca, name, pt, fuel)
+            pointmap[(name, pt)] = k2.pointmap[(pair_term(p, mid_name), (x, mid_point))]
+        k3 = ExtMorphism(k1.source, k2.target, realizer, pointmap)
+    if doc == "SW":
+        return ForwardBackward(k3, compose(w1.backward, w2.backward))
+    h3 = _backward_composite(w1.backward, w2.backward, lambda p: ap(PAIR, App(FST, p), App(k1.realizer, p)))
+    return type(w1)(k3, h3)
+
+
+def _backward_composite(h1: Term, h2: Term, image: Callable[[Term], Term]) -> Term:
+    """λu. h1 <fst u, h2 <image(fst u), snd u>>: the backward term of a
+    composite.  fst u is an instance of the left claim and image(fst u) the
+    middle claim's instance it is sent to; h2 answers that one, and h1 turns
+    the answer into one for fst u."""
+    u = Var("u")
+    p = App(FST, u)
+    return abstract_all(("u",), App(h1, ap(PAIR, p, App(h2, ap(PAIR, image(p), App(SND, u))))))
 
 
 # ---------------------------------------------------------------------------

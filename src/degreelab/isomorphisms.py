@@ -45,7 +45,7 @@ from .doctrines import (
     find_inner_witness,
     sorted_terms,
 )
-from .pca import FST, PAIR, Pca, SND, abstract_all, apply, is_computable, normalize
+from .pca import FST, PAIR, Pca, SND, apply, compose, compose_first, fanout, is_computable, normalize
 from .search import images_of
 from .spaces import (
     Assembly,
@@ -58,7 +58,7 @@ from .spaces import (
     point_key,
     product_components,
 )
-from .terms import App, Term, Var, ap, pair_term, split_pair, to_text
+from .terms import App, Term, pair_term, split_pair, to_text
 from .verdicts import Verdict
 
 
@@ -202,9 +202,7 @@ def weihrauch_transport_forward(pca: Pca, lhs: CompletionObject, rhs: Completion
         raise CheckError("pure mediators are computable maps")
     _, Z = product_components(h.target)
     mapping = {t: split_pair(h.mapping[t])[1] for t in h.source}
-    u = Var("u")
-    realizer = abstract_all(("u",), App(SND, App(h.realizer, u)))
-    k = FinMap(h.source, Z, mapping, realizer)
+    k = FinMap(h.source, Z, mapping, compose(SND, h.realizer))
     if not isinstance(w.base, Uniform):
         raise CheckError("transport needs a uniform base witness")
     return ForwardBackward(k, w.base.term)
@@ -219,9 +217,7 @@ def weihrauch_transport_backward(pca: Pca, lhs: CompletionObject, rhs: Completio
     X, _Y = product_components(k.source)
     target_prod = carrier_product(pca, X, k.target)
     mapping = {t: pair_term(split_pair(t)[0], k.mapping[t]) for t in k.source}
-    u = Var("u")
-    realizer = abstract_all(("u",), ap(PAIR, App(FST, u), App(k.realizer, u)))
-    h = FinMap(k.source, target_prod.object, mapping, realizer)
+    h = FinMap(k.source, target_prod.object, mapping, fanout(FST, k.realizer))
     return CompletionWitness(h, Uniform(w.backward))
 
 
@@ -255,10 +251,8 @@ def realizer_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionO
     if not isinstance(hm, ExtMorphism):
         raise CheckError("assembly transport needs an ext mediator")
     _, Z = product_components(hm.target)
-    u = Var("u")
-    realizer = abstract_all(("u",), App(SND, App(hm.realizer, u)))
     pointmap = {key: hm.pointmap[key][1] for key in hm.pointmap}
-    km = ExtMorphism(hm.source, Z, realizer, pointmap)
+    km = ExtMorphism(hm.source, Z, compose(SND, hm.realizer), pointmap)
     if not isinstance(w.base, Uniform):
         raise CheckError("transport needs a uniform base witness")
     return ExtForwardBackward(km, w.base.term)
@@ -268,10 +262,8 @@ def realizer_transport_backward(pca: Pca, lhs: CompletionObject, rhs: Completion
                                 w: ExtForwardBackward, fuel: int | None = None) -> CompletionWitness:
     km = w.forward
     target_prod = ext_product(pca, lhs.leg.target, km.target)
-    u = Var("u")
-    realizer = abstract_all(("u",), ap(PAIR, App(FST, u), App(km.realizer, u)))
     pointmap = {(name, pt): (pt[0], km.pointmap[(name, pt)]) for name, pt in km.source.naming}
-    hm = ExtMorphism(km.source, target_prod.object, realizer, pointmap)
+    hm = ExtMorphism(km.source, target_prod.object, fanout(FST, km.realizer), pointmap)
     return CompletionWitness(hm, Uniform(w.backward))
 
 
@@ -288,19 +280,11 @@ def classical_to_generalized(pca: Pca, fam: MassFamily, one: FinSet) -> Predicat
 
 def classical_witness_to_generalized(pca: Pca, w: ForwardBackward, one: FinSet,
                                      strong: bool = False) -> ForwardBackward:
-    t1 = one.points[0]
     k = w.forward
     prod = carrier_product(pca, one, k.source)
     mapping = {t: k.mapping[split_pair(t)[1]] for t in prod.object}
-    u = Var("u")
-    realizer = abstract_all(("u",), App(k.realizer, App(SND, u)))
-    k2 = FinMap(prod.object, k.target, mapping, realizer)
-    if strong:
-        return ForwardBackward(k2, w.backward)
-    h2 = abstract_all(
-        ("u",), App(w.backward, ap(PAIR, App(SND, App(FST, u)), App(SND, u)))
-    )
-    return ForwardBackward(k2, h2)
+    k2 = FinMap(prod.object, k.target, mapping, compose(k.realizer, SND))
+    return ForwardBackward(k2, w.backward if strong else compose_first(w.backward, SND))
 
 
 def generalized_witness_to_classical(pca: Pca, w: ForwardBackward, one: FinSet,
@@ -311,15 +295,9 @@ def generalized_witness_to_classical(pca: Pca, w: ForwardBackward, one: FinSet,
     k = w.forward
     _, Y = product_components(k.source)
     mapping = {y: k.mapping[pair_term(t1, y)] for y in Y}
-    u = Var("u")
-    realizer = abstract_all(("u",), App(k.realizer, ap(PAIR, t1, u)))
-    k2 = FinMap(Y, k.target, mapping, realizer)
-    if strong:
-        return ForwardBackward(k2, w.backward)
-    h2 = abstract_all(
-        ("u",), App(w.backward, ap(PAIR, ap(PAIR, t1, App(FST, u)), App(SND, u)))
-    )
-    return ForwardBackward(k2, h2)
+    pair_t1 = App(PAIR, t1)  # y -> <t1, y>
+    k2 = FinMap(Y, k.target, mapping, compose(k.realizer, pair_t1))
+    return ForwardBackward(k2, w.backward if strong else compose_first(w.backward, pair_t1))
 
 
 # ---------------------------------------------------------------------------

@@ -420,7 +420,8 @@ def suite_adjoints(pca: Pca, fuel: int | None = None) -> SuiteReport:
                         t.add("forall-transpose", check_le(pca, "M", reindex(pca, "M", f, psi), phi, up.witness, fuel))
                     if down.found:
                         t.add("forall-untranspose", check_le(pca, "M", psi, fa, down.witness, fuel))
-                    t.add("forall-both-or-neither", up.found == down.found)
+                    unknown = UNKNOWN in (up.status, down.status)
+                    t.add("forall-both-or-neither", None if unknown else up.found == down.found)
                 if f.is_surjective():
                     ex = exists_along_medvedev(pca, f, phi)
                     for psi in psis:

@@ -14,6 +14,11 @@ this module raises to signal partiality.
 
 Closed S/K terms form the computable fragment: S/K reduction never introduces
 oracle atoms, so the fragment is closed under application.
+
+Realizers are built by bracket abstraction (`abstract_all`).  The shapes
+the orders and their comparison maps share are one kit here, each the
+abstraction of exactly its body: `compose` (``λx. f (g x)``), `fanout`
+(``λx. <f x, g x>``) and `compose_first` (``λu. f <m (fst u), snd u>``).
 """
 
 from __future__ import annotations
@@ -472,3 +477,20 @@ def derive_pairing() -> tuple[Term, Term, Term]:
 
 
 PAIR, FST, SND = derive_pairing()
+
+
+def compose(f: Term, g: Term) -> Term:
+    """λx. f (g x): the realizer of f after g."""
+    return abstract_all(("x",), App(f, App(g, Var("x"))))
+
+
+def fanout(f: Term, g: Term) -> Term:
+    """λx. <f x, g x>: the realizer pairing f and g on one argument."""
+    x = Var("x")
+    return abstract_all(("x",), ap(PAIR, App(f, x), App(g, x)))
+
+
+def compose_first(f: Term, m: Term) -> Term:
+    """λu. f <m (fst u), snd u>: f after m on the first component of a pair."""
+    u = Var("u")
+    return abstract_all(("u",), App(f, ap(PAIR, App(m, App(FST, u)), App(SND, u))))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import verdicts
-from .pca import FST, ID, PAIR, Pca, SND, abstract_all, apply, is_computable, is_normal
-from .terms import App, K, Term, Var, ap, is_closed, pair_term, split_pair, to_text
+from .pca import FST, ID, Pca, SND, apply, compose, fanout, is_computable, is_normal
+from .terms import App, K, Term, is_closed, pair_term, split_pair, to_text
 from .verdicts import Verdict
 
 
@@ -182,12 +182,11 @@ def identity_map(obj: FinSet) -> FinMap:
     return FinMap(obj, obj, {p: p for p in obj}, realizer)
 
 
-def compose_maps(g: FinMap, f: FinMap, realizer: Term | None = None) -> FinMap:
+def compose_maps(g: FinMap, f: FinMap) -> FinMap:
     """g after f.  A realizer is synthesized when both factors have one."""
     if f.target != g.source:
         raise SpaceError("composition mismatch: target of first is not source of second")
-    if realizer is None and f.realizer is not None and g.realizer is not None:
-        realizer = abstract_all(("x",), App(g.realizer, App(f.realizer, Var("x"))))
+    realizer = None if f.realizer is None or g.realizer is None else compose(g.realizer, f.realizer)
     return FinMap(f.source, g.target, {p: g.mapping[f.mapping[p]] for p in f.source}, realizer)
 
 
@@ -234,8 +233,7 @@ def pairing_map(pca: Pca, f: FinMap, g: FinMap, product: CarrierProduct) -> FinM
     mapping = {z: pair_term(f.mapping[z], g.mapping[z]) for z in f.source}
     realizer = None
     if f.realizer is not None and g.realizer is not None:
-        x = Var("x")
-        realizer = abstract_all(("x",), ap(PAIR, App(f.realizer, x), App(g.realizer, x)))
+        realizer = fanout(f.realizer, g.realizer)
     return FinMap(f.source, product.object, mapping, realizer)
 
 
@@ -365,8 +363,7 @@ def ext_compose(pca: Pca, g: ExtMorphism, f: ExtMorphism, fuel: int | None = Non
     compose through the induced map on naming pairs."""
     if f.target != g.source:
         raise SpaceError("ext composition mismatch")
-    x = Var("x")
-    realizer = abstract_all(("x",), App(g.realizer, App(f.realizer, x)))
+    realizer = compose(g.realizer, f.realizer)
     pointmap = {}
     for name, p in f.source.naming:
         mid_name, mid_point = f.induced(pca, name, p, fuel)
@@ -422,13 +419,11 @@ def ext_pairing_morphism(pca: Pca, f: ExtMorphism, g: ExtMorphism, product: Asse
     """The mediating morphism <f, g> into a product assembly."""
     if f.source != g.source:
         raise SpaceError("ext pairing needs a common source")
-    x = Var("x")
-    realizer = abstract_all(("x",), ap(PAIR, App(f.realizer, x), App(g.realizer, x)))
     pointmap = {
         (n, z): (f.pointmap[(n, z)], g.pointmap[(n, z)])
         for n, z in f.source.naming
     }
-    return ExtMorphism(f.source, product.object, realizer, pointmap)
+    return ExtMorphism(f.source, product.object, fanout(f.realizer, g.realizer), pointmap)
 
 
 def assembly_to_carrier(asm: Assembly) -> FinSet:
@@ -484,9 +479,10 @@ def projection_path(m) -> tuple[str, ...] | None:
     m is a carrier map or an assembly morphism, read as (name, point, image)
     cases: the pair terms of a carrier name themselves, while an assembly
     morphism follows its pair names and pair points together.  The empty
-    path is the identity.  Composites of projections are matched up to depth
-    3, which keeps the membership test for the projection class decidable at
-    desk scale.
+    path is the identity, so it needs the source to be the target (an
+    inclusion follows it on every case).  Composites of projections are
+    matched up to depth 3, which keeps the membership test for the
+    projection class decidable at desk scale.
     """
     if isinstance(m, ExtMorphism):
         cases = [(name, pt, img) for (name, pt), img in m.pointmap.items()]
@@ -495,7 +491,7 @@ def projection_path(m) -> tuple[str, ...] | None:
     else:
         return None
     for path in _PROJECTION_PATHS:
-        if all(_extract(name, pt, path) == img for name, pt, img in cases):
+        if (path or m.source == m.target) and all(_extract(name, pt, path) == img for name, pt, img in cases):
             return path
     return None
 

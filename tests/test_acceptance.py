@@ -135,6 +135,13 @@ def test_muchnik_search_agreement_counts_unknown_searches(structure):
     assert (agree.checked, agree.unknowns) == (16, 2)
 
 
+def test_adjoint_agreement_counts_unknown_searches():
+    # at fuel 2, 768 of the 1,936 pairs of searches end unknown on both sides
+    report = SUITES["adjoint-suites"](Pca(oracles={"o1": {}}), 2)
+    agree = next(r for r in report.records if r.case == "forall-both-or-neither")
+    assert (agree.checked, agree.violations, agree.unknowns) == (1936, 0, 768)
+
+
 def test_criterion_09_extsw_dialectica(structure):
     with mock.patch.object(iso, "dialectica_shift", wraps=iso.dialectica_shift) as shift:
         report = _run(9, "extsw-dialectica", structure)

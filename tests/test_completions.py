@@ -162,6 +162,13 @@ class TestCompReindex:
         # payload is f . (m x id)
         assert out.payload.values[pair_term(K, K)] == frozenset([K])
 
+    def test_pure_inclusion_leg_is_rejected(self, pure):
+        # an inclusion is neither the identity nor a projection
+        W = carrier(pure, [K])
+        inc = FinMap(W, carrier(pure, [K, S]), {K: K}, ID)
+        with pytest.raises(CheckError, match="only admit product projections"):
+            CompletionObject(EXISTS, PURE, "dW", inc, MassFamily(W, {K: frozenset([K])}, NONEMPTY))
+
     @pytest.mark.parametrize("into", ["identity", "constant"])
     def test_pure_identity_leg_reindexes_to_m(self, pure, into):
         X = carrier(pure, [K, S])

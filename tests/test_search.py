@@ -6,6 +6,7 @@ import pytest
 from degreelab import search as search_module
 from degreelab.doctrines import (
     AssemblyFamily,
+    CheckError,
     DialecticaPredicate,
     ExtendedPredicate,
     MassFamily,
@@ -158,6 +159,15 @@ class TestSoundness:
                 out = search_witness(pure, "M", lhs, rhs, SearchBudget(3))
                 if out.found:
                     assert check_le(pure, "M", lhs, rhs, out.witness).holds
+
+    @pytest.mark.xfail(strict=True, reason="a search whose every candidate is malformed reports exhausted")
+    def test_malformed_candidates_exhaust_nothing(self):
+        # no candidate was well formed, so no bound was searched
+        def malformed(cand):
+            raise CheckError(f"{to_text(cand.term)} is malformed")
+
+        out = search_module.first_holding([Uniform(K), Uniform(S)], malformed, SearchBudget(1))
+        assert out.status != "exhausted"
 
 
 def _counted(pca, doc, lhs, rhs, budget):

@@ -80,6 +80,12 @@ class TestCarrierProduct:
         assert projection_path(identity_map(X)) == ()
         assert product_components(prod.object) == (X, Y)
 
+    def test_empty_path_needs_source_equal_to_target(self, pure):
+        X, empty = carrier(pure, [K, S]), carrier(pure, [])
+        assert projection_path(FinMap(carrier(pure, [K]), X, {K: K}, ID)) is None
+        assert projection_path(FinMap(empty, X, {})) == ("fst",)
+        assert projection_path(identity_map(empty)) == ()
+
     def test_pairing_map_satisfies_triangles(self, pure):
         X, Y, Z = carrier(pure, [K, S]), carrier(pure, [K]), carrier(pure, [K, S])
         prod = carrier_product(pure, X, Y)
