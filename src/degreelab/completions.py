@@ -37,14 +37,15 @@ from .spaces import (
     FinSet,
     PullbackSquare,
     SpaceTimeout,
-    carrier_product,
     compose_maps,
     ext_compose,
     ext_identity,
-    ext_product,
     identity_map,
     is_pullback,
+    key_image,
+    keys,
     point_text,
+    product,
     product_components,
     projection_path,
     pullback,
@@ -143,19 +144,11 @@ def _require_base_morphism(h) -> None:
 
 
 def _triangle_failure(pca, outer, h, expected, fuel):
-    """Check outer . h = expected on graphs (or induced naming maps)."""
-    if isinstance(h, FinMap):
-        for b in h.source:
-            if outer.mapping[h.mapping[b]] != expected.mapping[b]:
-                return (point_text(b),)
-        return None
-    # ext morphisms: compare the induced maps on naming pairs
-    for name, pt in h.source.naming:
-        mid = h.induced(pca, name, pt, fuel)
-        got = outer.induced(pca, mid[0], mid[1], fuel)
-        want = expected.induced(pca, name, pt, fuel)
-        if got != want:
-            return (point_text(name), point_text(pt))
+    """Check outer . h = expected on keys: on graphs, or on the induced maps
+    on naming pairs."""
+    for key in keys(h.source):
+        if key_image(pca, outer, key_image(pca, h, key, fuel), fuel) != key_image(pca, expected, key, fuel):
+            return tuple(map(point_text, key)) if isinstance(h, ExtMorphism) else (point_text(key),)
     return None
 
 
@@ -314,7 +307,6 @@ def pure_pullback_of_projection(pca: Pca, leg, m) -> PullbackSquare:
     if path not in (("fst",), ("snd",)):
         raise CheckError("need a single product projection")
     left, right = product_components(leg.source)
-    product = carrier_product if isinstance(leg, FinMap) else ext_product
     if path == ("fst",):
         prod = product(pca, m.source, right)
         f_prime = prod.fst

@@ -79,10 +79,16 @@ from .spaces import (
     compose_maps,
     ext_check,
     ext_product,
+    key_image,
+    keys,
+    map_like,
+    pair_key,
     point_key,
     point_text,
+    product,
     product_components,
     projection_path,
+    split_key,
 )
 from .terms import App, K, S, Term, Var, ap, has_oracle, pair_term, split_pair, term_key, to_text
 from .verdicts import Verdict
@@ -188,7 +194,7 @@ class Predicate:
 
     def __post_init__(self):
         object.__setattr__(self, "table", {k: frozenset(v) for k, v in self.table.items()})
-        need = {(b, i) for b in _fiber_keys(self.base) for i in _fiber_keys(self.index)}
+        need = {(b, i) for b in keys(self.base) for i in keys(self.index)}
         if set(self.table) != need:
             raise CheckError("predicate table must be total on base x index")
         if self.policy == NONEMPTY and any(not v for v in self.table.values()):
@@ -206,16 +212,6 @@ class Predicate:
 
     def __hash__(self):
         return hash((self.base, self.index, frozenset(self.table.items())))
-
-
-def _fiber_keys(obj) -> tuple:
-    """The positions a fiber is indexed by: points of a carrier, naming
-    pairs of an assembly."""
-    if isinstance(obj, FinSet):
-        return obj.points
-    if isinstance(obj, Assembly):
-        return obj.naming
-    raise CheckError(f"not a base object: {obj!r}")
 
 
 @dataclass(frozen=True)
@@ -829,29 +825,22 @@ def reindex(pca: Pca, doc: str, m, elem, fuel: int | None = None):
     if doc in COMPUTABLE_BASED:
         if not isinstance(m, FinMap) or m.realizer is None:
             raise CheckError("computable-base reindexing needs a realized map")
-        if doc in ("dW", "dsW", "classicalW", "classicalSW"):
-            _expect_base(m.target, elem.base)
-            return MassFamily(m.source, {w: elem.values[m.mapping[w]] for w in m.source}, elem.policy, elem.notes)
         _expect_base(m.target, elem.base)
-        table = {(w, y): elem.table[(m.mapping[w], y)] for w in m.source for y in elem.index}
-        return Predicate(m.source, elem.index, table, elem.policy)
-    if doc in ASSEMBLY_BASED:
+    elif doc in ASSEMBLY_BASED:
         if not isinstance(m, ExtMorphism):
             raise CheckError("assembly-base reindexing needs an ext morphism")
         if m.target != elem.base:
             raise CheckError("base mismatch")
-        if doc in ("drW", "dextW"):
-            values = {}
-            for (p, x) in m.source.naming:
-                values[(p, x)] = elem.values[m.induced(pca, p, x, fuel)]
-            return AssemblyFamily(m.source, values, elem.policy)
-        table = {}
-        for (p, x) in m.source.naming:
-            img = m.induced(pca, p, x, fuel)
-            for iy in elem.index.naming:
-                table[((p, x), iy)] = elem.table[(img, iy)]
-        return Predicate(m.source, elem.index, table, elem.policy)
-    raise CheckError(f"unknown doctrine id {doc!r}")
+    else:
+        raise CheckError(f"unknown doctrine id {doc!r}")
+    # the value (or the row, for W, SW, rW and tW) at each key is the one at its image
+    images = {a: key_image(pca, m, a, fuel) for a in keys(m.source)}
+    if doc in ("dW", "dsW", "classicalW", "classicalSW"):
+        return MassFamily(m.source, {a: elem.values[images[a]] for a in images}, elem.policy, elem.notes)
+    if doc in ("drW", "dextW"):
+        return AssemblyFamily(m.source, {a: elem.values[images[a]] for a in images}, elem.policy)
+    table = {(a, b): elem.table[(images[a], b)] for a in images for b in keys(elem.index)}
+    return Predicate(m.source, elem.index, table, elem.policy)
 
 
 def _expect_base(target, base) -> None:
@@ -886,26 +875,19 @@ def _pull_back(m: FinMap, table: Mapping) -> dict:
 
 
 def _reindex_fb(pca, doc, m, w, fuel):
-    """A W, SW, rW or tW witness reindexed along m.  Carrier maps and
-    assembly morphisms share the forward realizer k . (m x id) and the
-    backward term; only the forward graph is built per kind of map."""
+    """A W, SW, rW or tW witness reindexed along m, one body for carrier maps
+    and assembly morphisms: the forward map k . (m x id) and the backward
+    term."""
     if m.realizer is None:
         raise CheckError("witness transport along a non-computable map")
     k = w.forward
     _, index = product_components(k.source)
-    realizer = compose_first(k.realizer, m.realizer)
-    if doc in ("W", "SW"):
-        prod = carrier_product(pca, m.source, index)
-        mapping = {t: k.mapping[pair_term(m.mapping[split_pair(t)[0]], split_pair(t)[1])] for t in prod.object}
-        new_k = FinMap(prod.object, k.target, mapping, realizer)
-    else:
-        prod = ext_product(pca, m.source, index)
-        pointmap = {}
-        for name, (x, y) in prod.object.naming:
-            p, q = split_pair(name)
-            img_name, img_point = m.induced(pca, p, x, fuel)
-            pointmap[(name, (x, y))] = k.pointmap[(pair_term(img_name, q), (img_point, y))]
-        new_k = ExtMorphism(prod.object, k.target, realizer, pointmap)
+    prod = product(pca, m.source, index)
+    graph = {}
+    for key in keys(prod.object):
+        a, b = split_key(key)
+        graph[key] = k(pair_key(key_image(pca, m, a, fuel), b))
+    new_k = map_like(k, prod.object, k.target, graph, compose_first(k.realizer, m.realizer))
     return type(w)(new_k, w.backward if doc == "SW" else _backward_along(m, w.backward))
 
 
@@ -980,7 +962,7 @@ def _projection_index(m) -> int:
     path = projection_path(m)
     if path == ("snd",):
         return 1
-    if path == ("fst",) or not _fiber_keys(m.source):
+    if path == ("fst",) or not keys(m.source):
         return 0
     raise CheckError("pure quantifier needs a product projection")
 
@@ -1264,25 +1246,12 @@ def _compose_mw(pca, w1, w2, fuel):
 
 
 def _compose_fb(pca, doc, w1, w2, fuel):
-    """The composite of two W, SW, rW or tW witnesses.  Carrier maps and
-    assembly morphisms share the forward realizer k2 . <fst, k1> and the
-    backward term; only the forward graph is built per kind of map."""
+    """The composite of two W, SW, rW or tW witnesses, one body for carrier
+    maps and assembly morphisms: the forward map k2 . <fst, k1> and the
+    backward term."""
     k1, k2 = w1.forward, w2.forward
-    realizer = _after_fanout_fst(k2.realizer, k1.realizer)
-    if doc in ("W", "SW"):
-        mapping = {}
-        for t in k1.source:
-            x, _ = split_pair(t)
-            mapping[t] = k2.mapping[pair_term(x, k1.mapping[t])]
-        k3 = FinMap(k1.source, k2.target, mapping, realizer)
-    else:
-        pointmap = {}
-        for name, pt in k1.source.naming:
-            p, _q = split_pair(name)
-            x, _y = pt
-            mid_name, mid_point = k1.induced(pca, name, pt, fuel)
-            pointmap[(name, pt)] = k2.pointmap[(pair_term(p, mid_name), (x, mid_point))]
-        k3 = ExtMorphism(k1.source, k2.target, realizer, pointmap)
+    graph = {key: k2(pair_key(split_key(key)[0], key_image(pca, k1, key, fuel))) for key in keys(k1.source)}
+    k3 = map_like(k1, k1.source, k2.target, graph, _after_fanout_fst(k2.realizer, k1.realizer))
     if doc == "SW":
         return ForwardBackward(k3, compose(w1.backward, w2.backward))
     h3 = _backward_composite(w1.backward, w2.backward, lambda p: ap(PAIR, App(FST, p), App(k1.realizer, p)))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from . import verdicts
 from .completions import (
     EXISTS,
     FORALL,
@@ -30,6 +31,7 @@ from .completions import (
 from .doctrines import (
     ALLOW_EMPTY,
     NONEMPTY,
+    AssemblyFamily,
     Bounded,
     CheckError,
     DialecticaPredicate,
@@ -45,7 +47,7 @@ from .doctrines import (
     find_inner_witness,
     sorted_terms,
 )
-from .pca import FST, PAIR, Pca, SND, apply, compose, compose_first, fanout, is_computable, normalize
+from .pca import FST, PAIR, Pca, SND, apply, compose, compose_first, is_computable, normalize
 from .search import images_of
 from .spaces import (
     Assembly,
@@ -55,8 +57,14 @@ from .spaces import (
     assembly_to_carrier,
     carrier_product,
     ext_product,
+    keys,
+    map_like,
+    pair_key,
+    pairing_map,
     point_key,
+    product,
     product_components,
+    split_key,
 )
 from .terms import App, Term, pair_term, split_pair, to_text
 from .verdicts import Verdict
@@ -171,100 +179,55 @@ def muchnik_transport_backward(pca: Pca, lhs: CompletionObject, rhs: CompletionO
 
 
 # ---------------------------------------------------------------------------
-# Generalized predicates vs pure existential completions
+# Generalized predicates vs pure existential completions: one transposition
+# for W, SW, rW and tW, reading carriers and assemblies by their keys
 
 
 def weihrauch_from_completion(pca: Pca, obj: CompletionObject) -> Predicate:
-    """(pi_X, f) -> F with F(x, y) = f(<x, y>): table transposition."""
-    _expect(obj, EXISTS, PURE, ("dW", "dsW"))
+    """(pi_X, f) -> F with F(a, b) = f(<a, b>): table transposition.  X is
+    the leg's target, so it survives an empty index."""
+    _expect(obj, EXISTS, PURE, ("dW", "dsW", "drW", "dextW"))
     X = obj.leg.target
     _, Y = product_components(obj.leg.source)
     fam = obj.payload
-    table = {(x, y): fam.values[pair_term(x, y)] for x in X for y in Y}
+    table = {(a, b): fam.values[pair_key(a, b)] for a in keys(X) for b in keys(Y)}
     return Predicate(X, Y, table, fam.policy)
 
 
-def weihrauch_to_completion(pca: Pca, pred: Predicate, doc: str = "dW") -> CompletionObject:
-    prod = carrier_product(pca, pred.base, pred.index)
-    values = {}
-    for t in prod.object:
-        x, y = split_pair(t)
-        values[t] = pred.table[(x, y)]
-    fam = MassFamily(prod.object, values, pred.policy)
-    return CompletionObject(EXISTS, PURE, doc, prod.fst, fam)
+def weihrauch_to_completion(pca: Pca, pred: Predicate, doc: str) -> CompletionObject:
+    """The family f(<a, b>) = F(a, b) over the product, with its first
+    projection as the leg, in the completion over doc."""
+    prod = product(pca, pred.base, pred.index)
+    values = {key: pred.table[split_key(key)] for key in keys(prod.object)}
+    family = AssemblyFamily if isinstance(prod.object, Assembly) else MassFamily
+    return CompletionObject(EXISTS, PURE, doc, prod.fst, family(prod.object, values, pred.policy))
 
 
 def weihrauch_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
                                 w: CompletionWitness, fuel: int | None = None) -> ForwardBackward:
-    """Mediator <pi_X, k> into the forward map k, keeping the backward term."""
+    """Mediator <pi_X, k> into the forward map k, keeping the backward term.
+    k sends each key to the second factor of its image point under the
+    mediator's graph (a pair term, or a pair of points), so no realizer runs."""
     h = w.mediator
-    if not isinstance(h, FinMap) or h.realizer is None:
+    if not isinstance(h, (FinMap, ExtMorphism)) or h.realizer is None:
         raise CheckError("pure mediators are computable maps")
     _, Z = product_components(h.target)
-    mapping = {t: split_pair(h.mapping[t])[1] for t in h.source}
-    k = FinMap(h.source, Z, mapping, compose(SND, h.realizer))
+    graph = {key: split_pair(h(key))[1] if isinstance(h, FinMap) else h(key)[1] for key in keys(h.source)}
+    k = map_like(h, h.source, Z, graph, compose(SND, h.realizer))
     if not isinstance(w.base, Uniform):
         raise CheckError("transport needs a uniform base witness")
-    return ForwardBackward(k, w.base.term)
+    return (ForwardBackward if isinstance(k, FinMap) else ExtForwardBackward)(k, w.base.term)
 
 
 def weihrauch_transport_backward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
                                  w: ForwardBackward, fuel: int | None = None) -> CompletionWitness:
-    """Forward map k into the mediator <pi_X, k> over the product."""
+    """Forward map k into the mediator <pi_X, k> over the product, with pi_X
+    the leg of lhs, so X survives an empty index."""
     k = w.forward
     if k.realizer is None:
         raise CheckError("forward maps of generalized reductions are computable")
-    X, _Y = product_components(k.source)
-    target_prod = carrier_product(pca, X, k.target)
-    mapping = {t: pair_term(split_pair(t)[0], k.mapping[t]) for t in k.source}
-    h = FinMap(k.source, target_prod.object, mapping, fanout(FST, k.realizer))
+    h = pairing_map(pca, lhs.leg, k, product(pca, lhs.leg.target, k.target))
     return CompletionWitness(h, Uniform(w.backward))
-
-
-def realizer_from_completion(pca: Pca, obj: CompletionObject) -> Predicate:
-    """Assembly analogue of the transposition."""
-    _expect(obj, EXISTS, PURE, ("drW", "dextW"))
-    X, Y = product_components(obj.leg.source)
-    fam = obj.payload
-    table = {}
-    for kx in X.naming:
-        for ky in Y.naming:
-            table[(kx, ky)] = fam.values[(pair_term(kx[0], ky[0]), (kx[1], ky[1]))]
-    return Predicate(X, Y, table, fam.policy)
-
-
-def realizer_to_completion(pca: Pca, pred: Predicate, doc: str = "drW") -> CompletionObject:
-    prod = ext_product(pca, pred.base, pred.index)
-    values = {}
-    for name, pt in prod.object.naming:
-        p, q = split_pair(name)
-        values[(name, pt)] = pred.table[((p, pt[0]), (q, pt[1]))]
-    from .doctrines import AssemblyFamily
-
-    fam = AssemblyFamily(prod.object, values, pred.policy)
-    return CompletionObject(EXISTS, PURE, doc, prod.fst, fam)
-
-
-def realizer_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
-                               w: CompletionWitness, fuel: int | None = None) -> ExtForwardBackward:
-    hm = w.mediator
-    if not isinstance(hm, ExtMorphism):
-        raise CheckError("assembly transport needs an ext mediator")
-    _, Z = product_components(hm.target)
-    pointmap = {key: hm.pointmap[key][1] for key in hm.pointmap}
-    km = ExtMorphism(hm.source, Z, compose(SND, hm.realizer), pointmap)
-    if not isinstance(w.base, Uniform):
-        raise CheckError("transport needs a uniform base witness")
-    return ExtForwardBackward(km, w.base.term)
-
-
-def realizer_transport_backward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
-                                w: ExtForwardBackward, fuel: int | None = None) -> CompletionWitness:
-    km = w.forward
-    target_prod = ext_product(pca, lhs.leg.target, km.target)
-    pointmap = {(name, pt): (pt[0], km.pointmap[(name, pt)]) for name, pt in km.source.naming}
-    hm = ExtMorphism(km.source, target_prod.object, fanout(FST, km.realizer), pointmap)
-    return CompletionWitness(hm, Uniform(w.backward))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +309,9 @@ def fb_to_ext_fb(pca: Pca, w: ForwardBackward, X: Assembly, Y: Assembly, Z: Asse
 # Extended predicates: assemblies and relation predicates
 
 
-def ext_pred_to_assembly(pca: Pca, f: ExtendedPredicate) -> tuple[Assembly, "AssemblyFamily"]:
+def ext_pred_to_assembly(pca: Pca, f: ExtendedPredicate) -> tuple[Assembly, AssemblyFamily]:
     """Candidate solution sets become points named by the inputs offering
     them; the family returns each point itself."""
-    from .doctrines import AssemblyFamily
-
     points = sorted({a for p in f.dom for a in f.table[p]}, key=point_key)
     naming = tuple((p, a) for p in f.dom for a in f.table[p])
     if not points:
@@ -465,8 +426,6 @@ class Equivalence(NamedTuple):
 
 _TRANSPOSE = (weihrauch_from_completion, weihrauch_to_completion,
               weihrauch_transport_forward, weihrauch_transport_backward)
-_EXT_TRANSPOSE = (realizer_from_completion, realizer_to_completion,
-                  realizer_transport_forward, realizer_transport_backward)
 EQUIVALENCES = {
     "medvedev": Equivalence("M", "T", medvedev_from_completion, medvedev_to_completion,
                             medvedev_transport_forward, medvedev_transport_backward),
@@ -474,8 +433,8 @@ EQUIVALENCES = {
                            muchnik_transport_forward, muchnik_transport_backward),
     "weihrauch": Equivalence("W", "dW", *_TRANSPOSE),
     "strong": Equivalence("SW", "dsW", *_TRANSPOSE),
-    "realizer": Equivalence("rW", "drW", *_EXT_TRANSPOSE),
-    "extended": Equivalence("tW", "dextW", *_EXT_TRANSPOSE),
+    "realizer": Equivalence("rW", "drW", *_TRANSPOSE),
+    "extended": Equivalence("tW", "dextW", *_TRANSPOSE),
     "dialectica": Equivalence("D", "M", dialectica_from_completion, dialectica_to_completion,
                               dialectica_transport_forward, dialectica_transport_backward),
 }
@@ -510,8 +469,6 @@ def two_step_le(pca: Pca, lhs: TwoStepObject, rhs: TwoStepObject, w: TwoStepWitn
                 fuel: int | None = None) -> Verdict:
     """The existential order between two-step objects: an outer mediator plus
     an inner universal-completion witness."""
-    from . import verdicts
-
     h = w.mediator
     if h.source != lhs.leg.source or h.target != rhs.leg.source:
         raise CheckError("outer mediator endpoints do not match")

@@ -21,6 +21,7 @@ from .completions import (
     CompletionWitness,
     beck_chevalley_check,
     comp_le,
+    comp_reindex,
     pure_pullback_of_projection,
 )
 from .doctrines import (
@@ -71,7 +72,6 @@ from .search import (
     search_witness,
 )
 from .spaces import (
-    Assembly,
     ExtMorphism,
     FinMap,
     FinSet,
@@ -83,8 +83,9 @@ from .spaces import (
     ext_compose,
     ext_equal,
     ext_identity,
-    ext_pairing_morphism,
     ext_product,
+    keys,
+    pairing_map,
     pullback,
 )
 from .terms import (
@@ -597,13 +598,11 @@ def _iso_universal(pca, fuel, t, name, objects):
 
 def _pred_palette(base, index, opts, policy):
     """Every predicate on base x index with values from opts, and the empty
-    value too under ALLOW_EMPTY.  Over carriers it is keyed by pairs of
-    points, over assemblies by pairs of naming pairs."""
+    value too under ALLOW_EMPTY, keyed by pairs of base and index keys."""
     if policy == ALLOW_EMPTY:
         opts = [frozenset(), *opts]
-    side = lambda obj: obj.naming if isinstance(obj, Assembly) else obj.points
-    keys = [(x, y) for x in side(base) for y in side(index)]
-    return [Predicate(base, index, table, policy) for table in assignments(keys, [opts] * len(keys))]
+    cells = [(a, b) for a in keys(base) for b in keys(index)]
+    return [Predicate(base, index, table, policy) for table in assignments(cells, [opts] * len(cells))]
 
 
 def _iso_weihrauch(pca, fuel, t, name):
@@ -623,11 +622,16 @@ def _iso_weihrauch(pca, fuel, t, name):
         for G in preds:
             found = search_witness(pca, doc, F, G, budget)
             if found.found:
-                lo, ro = row.to_completion(pca, F, row.completion), row.to_completion(pca, G, row.completion)
-                cw = row.backward(pca, lo, ro, found.witness, fuel)
-                t.add(f"{doc}-reflect", comp_le(pca, lo, ro, cw, fuel))
-                back = row.forward(pca, lo, ro, cw, fuel)
-                t.add(f"{doc}-preserve", check_le(pca, doc, F, G, back, fuel))
+                _reflect_preserve(pca, fuel, t, row, F, G, found.witness)
+
+
+def _reflect_preserve(pca, fuel, t, row, F, G, w):
+    """A witness of F <= G carried into the completion order and back, each
+    image re-checked."""
+    lo, ro = row.to_completion(pca, F, row.completion), row.to_completion(pca, G, row.completion)
+    cw = row.backward(pca, lo, ro, w, fuel)
+    t.add(f"{row.concrete}-reflect", comp_le(pca, lo, ro, cw, fuel))
+    t.add(f"{row.concrete}-preserve", check_le(pca, row.concrete, F, G, row.forward(pca, lo, ro, cw, fuel), fuel))
 
 
 def _iso_realizer(pca, fuel, t, name):
@@ -643,11 +647,7 @@ def _iso_realizer(pca, fuel, t, name):
     w = dt.ExtForwardBackward(ext_product(pca, X, Y).snd, SND)
     for F in preds:
         t.add(f"{doc}-reflexive", check_le(pca, doc, F, F, w, fuel))
-        lo = row.to_completion(pca, F, row.completion)
-        cw = row.backward(pca, lo, lo, w, fuel)
-        t.add(f"{doc}-reflect", comp_le(pca, lo, lo, cw, fuel))
-        back = row.forward(pca, lo, lo, cw, fuel)
-        t.add(f"{doc}-preserve", check_le(pca, doc, F, F, back, fuel))
+        _reflect_preserve(pca, fuel, t, row, F, F, w)
 
 
 def _extpred_cases(pca, t):
@@ -675,8 +675,6 @@ def _mass_objects(pca):
 
 def _two_step_case(pca, fuel, t):
     """The two-step construction agrees through the composed maps."""
-    from .completions import comp_reindex
-
     X = carrier(pca, [K])
     Y = carrier(pca, [K, S])
     inner_leg = all_graphs(Y, X)[0]
@@ -844,7 +842,7 @@ def suite_extasm_category(pca: Pca, fuel: int | None = None) -> SuiteReport:
     t.add("projections-check", _all_of(_ext_check(pca, prod.fst, fuel), _ext_check(pca, prod.snd, fuel)))
     for f in lib[(id(Z), id(X))]:
         for g in lib[(id(Z), id(Y))]:
-            med = ext_pairing_morphism(pca, f, g, prod)
+            med = pairing_map(pca, f, g, prod)
             t.add("mediator-checks", _ext_check(pca, med, fuel))
             t.add("triangle-left", _ext_equal(pca, _ext_compose(pca, prod.fst, med, fuel), f, fuel))
             t.add("triangle-right", _ext_equal(pca, _ext_compose(pca, prod.snd, med, fuel), g, fuel))

@@ -50,7 +50,7 @@ from .doctrines import (
     find_inner_witness,
     positions,
 )
-from .pca import Pca, apply, enumerate_computable, iter_computable
+from .pca import Pca, apply, iter_computable
 from .spaces import ExtMorphism, FinMap, FinSet, carrier_product, ext_product, point_key
 
 FOUND = "found"
@@ -275,11 +275,12 @@ def search_completion_witness(pca: Pca, lhs: CompletionObject, rhs: CompletionOb
 
 
 def _completion_candidates(pca, lhs, rhs, budget):
-    """Each mediator with each base witness.  Both lists are built when the
-    first candidate is drawn, after the search's clock has started."""
-    bases = _base_candidates(pca, lhs.doc, budget)
+    """Each mediator with each base witness, mediator-major.  The base
+    witnesses are walked afresh for each mediator, so no list of them is
+    built and the clock is read before each candidate."""
+    bases = _base_candidates(lhs.doc, budget)
     for med in _mediator_candidates(pca, lhs, rhs, budget):
-        for base in bases:
+        for base in bases():
             yield CompletionWitness(med, base)
 
 
@@ -302,9 +303,10 @@ def all_graphs(src: FinSet, tgt: FinSet) -> list[FinMap]:
     return [FinMap(src, tgt, graph) for graph in assignments(src.points, [tgt.points] * len(src))]
 
 
-def _base_candidates(pca, doc, budget):
+def _base_candidates(doc, budget):
+    """A function giving a fresh walk of the base witnesses for doc."""
     if doc in ("T", "M", "dW", "dsW", "drW", "dextW"):
-        return [Uniform(t) for t in enumerate_computable(budget.witness_size)]
+        return lambda: map(Uniform, iter_computable(budget.witness_size))
     if doc in ("Tw", "Mw"):
-        return [Bounded(budget.witness_size)]
+        return lambda: [Bounded(budget.witness_size)]
     raise CheckError(f"no base witness enumeration for doctrine {doc!r}")

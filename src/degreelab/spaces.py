@@ -12,6 +12,13 @@ on names and the pointmap may be non-computable.
 Point ids are opaque: strings, terms, or tuples of points.  Everything is
 kept in a single canonical order so that downstream choice functions and
 counterexamples are reproducible.
+
+The key view reads both categories alike.  A key is a point of a carrier or
+a naming pair (name, point) of an assembly; a graph (a map's mapping, a
+morphism's pointmap) sends the keys of its source to points of its target,
+and `key_image` sends keys to keys.  With `keys`, `pair_key`, `split_key`,
+`product` and `map_like`, one body builds a table or a map out of a product
+of carriers or of assemblies.
 """
 
 from __future__ import annotations
@@ -226,15 +233,15 @@ def carrier_product(pca: Pca, X: FinSet, Y: FinSet) -> CarrierProduct:
     return CarrierProduct(X, Y, obj, fst, snd)
 
 
-def pairing_map(pca: Pca, f: FinMap, g: FinMap, product: CarrierProduct) -> FinMap:
-    """The mediating map <f, g> into a carrier product."""
+def pairing_map(pca: Pca, f, g, prod):
+    """The mediating map <f, g> into a product of carriers or of assemblies:
+    each key goes to the pair term, or the pair, of its two images."""
     if f.source != g.source:
         raise SpaceError("pairing needs a common source")
-    mapping = {z: pair_term(f.mapping[z], g.mapping[z]) for z in f.source}
-    realizer = None
-    if f.realizer is not None and g.realizer is not None:
-        realizer = fanout(f.realizer, g.realizer)
-    return FinMap(f.source, product.object, mapping, realizer)
+    ext = isinstance(f, ExtMorphism)
+    graph = {key: (f(key), g(key)) if ext else pair_term(f(key), g(key)) for key in keys(f.source)}
+    realizer = None if f.realizer is None or g.realizer is None else fanout(f.realizer, g.realizer)
+    return map_like(f, f.source, prod.object, graph, realizer)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +329,9 @@ class ExtMorphism:
         for key, y in self.pointmap.items():
             if y not in set(self.target.points):
                 raise SpaceError(f"pointmap value {point_text(y)} outside target points")
+
+    def __call__(self, key: tuple[Term, Point]) -> Point:
+        return self.pointmap[key]
 
     def __hash__(self):
         return hash((self.source, self.target, self.realizer, frozenset(self.pointmap.items())))
@@ -415,17 +425,6 @@ def ext_product(pca: Pca, X: Assembly, Y: Assembly) -> AssemblyProduct:
     return AssemblyProduct(X, Y, obj, fst, snd)
 
 
-def ext_pairing_morphism(pca: Pca, f: ExtMorphism, g: ExtMorphism, product: AssemblyProduct) -> ExtMorphism:
-    """The mediating morphism <f, g> into a product assembly."""
-    if f.source != g.source:
-        raise SpaceError("ext pairing needs a common source")
-    pointmap = {
-        (n, z): (f.pointmap[(n, z)], g.pointmap[(n, z)])
-        for n, z in f.source.naming
-    }
-    return ExtMorphism(f.source, product.object, fanout(f.realizer, g.realizer), pointmap)
-
-
 def assembly_to_carrier(asm: Assembly) -> FinSet:
     """The carrier underlying a partitioned modest assembly: its names."""
     if not (asm.is_modest and asm.is_partitioned):
@@ -438,6 +437,56 @@ def carrier_to_assembly(pca: Pca, X: FinSet) -> Assembly:
     if not X.is_carrier:
         raise SpaceError("need a carrier of terms")
     return assembly(pca, tuple(X.points), tuple((t, t) for t in X.points))
+
+
+# ---------------------------------------------------------------------------
+# The key view: carriers and assemblies read alike
+
+
+def keys(obj) -> tuple:
+    """The keys of a carrier or an assembly, in canonical order."""
+    if isinstance(obj, FinSet):
+        return obj.points
+    if isinstance(obj, Assembly):
+        return obj.naming
+    raise SpaceError(f"not a base object: {obj!r}")
+
+
+def key_image(pca: Pca, m, key, fuel: int | None = None):
+    """The key m sends key to: the graph value of a carrier map, the induced
+    naming pair of an assembly morphism (which runs its realizer)."""
+    if isinstance(m, ExtMorphism):
+        return m.induced(pca, *key, fuel)
+    return m.mapping[key]
+
+
+def pair_key(a, b):
+    """The product key over two factor keys: the pair term <x, y> of two
+    carrier points, or (<p, q>, (x, y)) of two naming pairs (p, x), (q, y)."""
+    if isinstance(a, Term):
+        return pair_term(a, b)
+    return pair_term(a[0], b[0]), (a[1], b[1])
+
+
+def split_key(key):
+    """The two factor keys of a product key, inverse to pair_key."""
+    if isinstance(key, Term):
+        return split_pair(key)
+    (p, q), (x, y) = split_pair(key[0]), key[1]
+    return (p, x), (q, y)
+
+
+def product(pca: Pca, X, Y):
+    """The product of two carriers or of two assemblies, with its projections."""
+    return (ext_product if isinstance(X, Assembly) else carrier_product)(pca, X, Y)
+
+
+def map_like(m, source, target, graph: Mapping, realizer: Term | None):
+    """A map of m's kind from source to target, rebuilt from a graph on the
+    keys of source: a carrier map or an assembly morphism."""
+    if isinstance(m, ExtMorphism):
+        return ExtMorphism(source, target, realizer, graph)
+    return FinMap(source, target, graph, realizer)
 
 
 def product_components(obj):

@@ -27,6 +27,7 @@ from degreelab.doctrines import (
     check_le,
 )
 from degreelab.isomorphisms import (
+    EQUIVALENCES,
     TwoStepObject,
     TwoStepWitness,
     classical_to_generalized,
@@ -48,10 +49,6 @@ from degreelab.isomorphisms import (
     modest_predicate_to_carrier,
     muchnik_transport_backward,
     muchnik_transport_forward,
-    realizer_from_completion,
-    realizer_to_completion,
-    realizer_transport_backward,
-    realizer_transport_forward,
     two_step_le,
     two_step_to_dialectica,
     two_step_transport_forward,
@@ -62,13 +59,15 @@ from degreelab.isomorphisms import (
 )
 from degreelab.pca import ID, SND, FST
 from degreelab.spaces import (
+    ExtMorphism,
     FinMap,
     assembly,
     carrier,
-    carrier_product,
     carrier_to_assembly,
     ext_product,
     identity_map,
+    keys,
+    product,
     terminal_carrier,
 )
 from degreelab.terms import App, K, Oracle, S, pair_term
@@ -162,34 +161,82 @@ class TestMuchnikMaps:
         assert comp_le(pure, lhs, lhs, back).holds
 
 
-class TestWeihrauchMaps:
-    def _predicate(self, pure):
-        X = carrier(pure, [K])
-        Y = carrier(pure, [K, S])
-        return Predicate(X, Y, {(K, K): frozenset([K]), (K, S): frozenset([S])})
+class TestTransposition:
+    """The one transposition row behind W and SW over carriers (dW, dsW) and
+    rW and tW over assemblies (drW, dextW)."""
 
-    def test_transposition_roundtrip(self, pure):
-        F = self._predicate(pure)
-        obj = weihrauch_to_completion(pure, F)
+    DOCS = ["dW", "dsW", "drW", "dextW"]
+
+    @staticmethod
+    def _predicate(pure, doc, index_size=2):
+        """A predicate with alternating values over a one-point base and an
+        index of index_size points, of the doctrine's kind of object."""
+        if doc in ("dW", "dsW"):
+            X, Y = carrier(pure, [K]), carrier(pure, [K, S][:index_size])
+        else:
+            X = assembly(pure, ["u"], [(K, "u")])
+            Y = assembly(pure, ["a", "b"][:index_size], [(K, "a"), (S, "b")][:index_size])
+        cells = [(a, b) for a in keys(X) for b in keys(Y)]
+        table = {cell: frozenset([(K, S)[i % 2]]) for i, cell in enumerate(cells)}
+        return Predicate(X, Y, table, ALLOW_EMPTY if doc == "dextW" else NONEMPTY)
+
+    @staticmethod
+    def _witness(doc, k):
+        """k with the backward term that answers each instance by its own
+        solution."""
+        fb = ForwardBackward if doc in ("dW", "dsW") else ExtForwardBackward
+        return fb(k, ID if doc == "dsW" else SND)
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_roundtrip(self, pure, doc):
+        F = self._predicate(pure, doc)
+        obj = weihrauch_to_completion(pure, F, doc)
         assert weihrauch_from_completion(pure, obj) == F
 
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_witness_transports(self, pure, doc):
+        row = next(row for row in EQUIVALENCES.values() if row.completion == doc)
+        F = self._predicate(pure, doc)
+        w = self._witness(doc, product(pure, F.base, F.index).snd)
+        assert check_le(pure, row.concrete, F, F, w).holds
+        obj = weihrauch_to_completion(pure, F, doc)
+        cw = weihrauch_transport_backward(pure, obj, obj, w)
+        assert comp_le(pure, obj, obj, cw).holds
+        back = weihrauch_transport_forward(pure, obj, obj, cw)
+        assert check_le(pure, row.concrete, F, F, back).holds
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_empty_index_keeps_the_base(self, pure, doc):
+        """Over an empty index the product is empty; the base comes from the
+        leg's target, not from the product's factors."""
+        F = self._predicate(pure, doc, index_size=0)
+        obj = weihrauch_to_completion(pure, F, doc)
+        assert weihrauch_from_completion(pure, obj) == F
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_empty_index_witness_transports(self, pure, doc):
+        """A reduction out of a predicate over an empty index holds
+        vacuously; its mediator lands in the product of the base and the
+        right-hand index, so the completion order accepts it."""
+        row = next(row for row in EQUIVALENCES.values() if row.completion == doc)
+        F, G = self._predicate(pure, doc, index_size=0), self._predicate(pure, doc)
+        empty = product(pure, F.base, F.index).object
+        k = FinMap(empty, G.index, {}, SND) if doc in ("dW", "dsW") else ExtMorphism(empty, G.index, SND, {})
+        w = self._witness(doc, k)
+        assert check_le(pure, row.concrete, F, G, w).holds
+        lo, ro = weihrauch_to_completion(pure, F, doc), weihrauch_to_completion(pure, G, doc)
+        cw = weihrauch_transport_backward(pure, lo, ro, w)
+        assert comp_le(pure, lo, ro, cw).holds
+        assert check_le(pure, row.concrete, F, G, weihrauch_transport_forward(pure, lo, ro, cw)).holds
+
+
+class TestWeihrauchMaps:
     def test_trivial_one_by_one(self, pure):
         X = carrier(pure, [K])
         Y = carrier(pure, [K])
         F = Predicate(X, Y, {(K, K): frozenset([S])})
-        obj = weihrauch_to_completion(pure, F)
+        obj = weihrauch_to_completion(pure, F, "dW")
         assert obj.payload.values[pair_term(K, K)] == frozenset([S])
-
-    def test_witness_transports(self, pure):
-        F = self._predicate(pure)
-        prod = carrier_product(pure, F.base, F.index)
-        w = ForwardBackward(prod.snd, SND)
-        assert check_le(pure, "W", F, F, w).holds
-        obj = weihrauch_to_completion(pure, F)
-        cw = weihrauch_transport_backward(pure, obj, obj, w)
-        assert comp_le(pure, obj, obj, cw).holds
-        back = weihrauch_transport_forward(pure, obj, obj, cw)
-        assert check_le(pure, "W", F, F, back).holds
 
     def test_classical_agreement_at_terminal(self, pure):
         one = terminal_carrier(pure)
@@ -205,34 +252,12 @@ class TestWeihrauchMaps:
 
 
 class TestRealizerMaps:
-    def _predicate(self, pure):
-        X = assembly(pure, ["u"], [(K, "u")])
-        Y = assembly(pure, ["a", "b"], [(K, "a"), (S, "b")])
-        keys = [((p, x), (q, y)) for p, x in X.naming for q, y in Y.naming]
-        return Predicate(X, Y, {k: frozenset([K]) for k in keys})
-
-    def test_roundtrip(self, pure):
-        F = self._predicate(pure)
-        obj = realizer_to_completion(pure, F)
-        assert realizer_from_completion(pure, obj) == F
-
-    def test_transports(self, pure):
-        F = self._predicate(pure)
-        prod = ext_product(pure, F.base, F.index)
-        w = ExtForwardBackward(prod.snd, SND)
-        assert check_le(pure, "rW", F, F, w).holds
-        obj = realizer_to_completion(pure, F)
-        cw = realizer_transport_backward(pure, obj, obj, w)
-        assert comp_le(pure, obj, obj, cw).holds
-        fwd = realizer_transport_forward(pure, obj, obj, cw)
-        assert check_le(pure, "rW", F, F, fwd).holds
-
     def test_extended_policy_with_empty_sets(self, pure):
         X = assembly(pure, ["u"], [(K, "u")])
         Y = assembly(pure, ["a"], [(K, "a")])
         F = Predicate(X, Y, {((K, "u"), (K, "a")): frozenset()}, ALLOW_EMPTY)
-        obj = realizer_to_completion(pure, F, "dextW")
-        assert realizer_from_completion(pure, obj) == F
+        obj = weihrauch_to_completion(pure, F, "dextW")
+        assert weihrauch_from_completion(pure, obj) == F
 
     def test_modest_restriction_agrees(self, pure):
         X = carrier_to_assembly(pure, carrier(pure, [K]))

@@ -35,9 +35,6 @@ from degreelab.doctrines import (
 from degreelab.isomorphisms import (
     classical_witness_to_generalized,
     generalized_witness_to_classical,
-    realizer_to_completion,
-    realizer_transport_backward,
-    realizer_transport_forward,
     weihrauch_to_completion,
     weihrauch_transport_backward,
     weihrauch_transport_forward,
@@ -52,7 +49,6 @@ from degreelab.spaces import (
     compose_maps,
     constant_map,
     ext_compose,
-    ext_pairing_morphism,
     ext_product,
     identity_map,
     pairing_map,
@@ -84,7 +80,7 @@ def _spaces(pure) -> dict:
         "pairing_map": med.realizer,
         "compose_maps": compose_maps(prod.fst, med).realizer,
         "ext_compose": ext_compose(pure, to_y, to_x).realizer,
-        "ext_pairing_morphism": ext_pairing_morphism(pure, f, g, ext_product(pure, a, a)).realizer,
+        "ext_pairing_morphism": pairing_map(pure, f, g, ext_product(pure, a, a)).realizer,
     }
 
 
@@ -151,7 +147,7 @@ def _transports(pure) -> dict:
     out = {}
     X, Y = carrier(pure, [K]), carrier(pure, [K, S])
     F = Predicate(X, Y, {(K, K): frozenset([K]), (K, S): frozenset([S])})
-    obj = weihrauch_to_completion(pure, F)
+    obj = weihrauch_to_completion(pure, F, "dW")
     cw = weihrauch_transport_backward(pure, obj, obj, ForwardBackward(carrier_product(pure, X, Y).snd, SND))
     out["weihrauch backward"] = cw.mediator.realizer
     out["weihrauch forward"] = weihrauch_transport_forward(pure, obj, obj, cw).forward.realizer
@@ -159,10 +155,10 @@ def _transports(pure) -> dict:
     B = assembly(pure, ["a", "b"], [(K, "a"), (S, "b")])
     keys = [((p, x), (q, y)) for p, x in A.naming for q, y in B.naming]
     G = Predicate(A, B, {k: frozenset([K]) for k in keys})
-    obj = realizer_to_completion(pure, G)
-    cw = realizer_transport_backward(pure, obj, obj, ExtForwardBackward(ext_product(pure, A, B).snd, SND))
+    obj = weihrauch_to_completion(pure, G, "drW")
+    cw = weihrauch_transport_backward(pure, obj, obj, ExtForwardBackward(ext_product(pure, A, B).snd, SND))
     out["realizer backward"] = cw.mediator.realizer
-    out["realizer forward"] = realizer_transport_forward(pure, obj, obj, cw).forward.realizer
+    out["realizer forward"] = weihrauch_transport_forward(pure, obj, obj, cw).forward.realizer
     one = terminal_carrier(pure)
     gw = classical_witness_to_generalized(pure, ForwardBackward(identity_map(Y), SND), one)
     out.update(_fb("classical to generalized", gw))

@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 
 from degreelab import search as search_module
+from degreelab import terms as terms_module
 from degreelab.doctrines import (
     AssemblyFamily,
     CheckError,
@@ -17,7 +18,7 @@ from degreelab.doctrines import (
     check_le,
 )
 from degreelab.instance import parse_instance
-from degreelab.pca import ID, Pca, enumerate_computable
+from degreelab.pca import ID, Pca
 from degreelab.search import (
     SearchBudget,
     forward_map_candidates,
@@ -132,18 +133,36 @@ class TestCompletionSearch:
         its first candidate is checked."""
         now = [0.0]
         monkeypatch.setattr(search_module.time, "monotonic", lambda: now[0])
-        enumerate_base = search_module.enumerate_computable
+        enumerate_base = search_module.iter_computable
 
         def slow_enumeration(size):
             now[0] += 10.0
             return enumerate_base(size)
 
-        monkeypatch.setattr(search_module, "enumerate_computable", slow_enumeration)
+        monkeypatch.setattr(search_module, "iter_computable", slow_enumeration)
         X = carrier(pure, [K])
         obj = CompletionObject(FORALL, FULL, "T", identity_map(X), TrackedFamily(X, {K: K}))
         out = search_completion_witness(pure, obj, obj, SearchBudget(2, None, 1.0))
         assert out.status == "unknown" and out.clock_stopped
         assert out.checked == 0
+
+    def test_base_witnesses_are_walked_not_listed(self, pure, monkeypatch):
+        """A size-8 search whose witness comes early finds it without first
+        listing every term up to size 8 (862,118 of them): the base
+        witnesses are walked afresh for each mediator, and only the kept
+        levels are ever asked for as a list."""
+        enumerate_base = terms_module.enumerate_over
+
+        def kept_levels_only(atoms, size_bound):
+            assert size_bound <= terms_module.CACHED_SIZE, f"listed every term up to size {size_bound}"
+            return enumerate_base(atoms, size_bound)
+
+        monkeypatch.setattr(terms_module, "enumerate_over", kept_levels_only)
+        X, Y = carrier(pure, [K]), carrier(pure, [K, S])
+        lhs = CompletionObject(FORALL, FULL, "T", FinMap(Y, X, {K: K, S: K}), TrackedFamily(Y, {K: K, S: S}))
+        rhs = CompletionObject(FORALL, FULL, "T", identity_map(X), TrackedFamily(X, {K: K}))
+        out = search_completion_witness(pure, lhs, rhs, SearchBudget(8, None, 10.0))
+        assert out.found and out.checked == 2
 
 
 class TestSoundness:

@@ -18,15 +18,20 @@ from degreelab.spaces import (
     ext_compose,
     ext_equal,
     ext_identity,
-    ext_pairing_morphism,
     ext_product,
     identity_map,
     is_pullback,
+    key_image,
+    keys,
+    map_like,
+    pair_key,
     pairing_map,
     point_key,
+    product,
     product_components,
     projection_path,
     pullback,
+    split_key,
     terminal_carrier,
 )
 from degreelab.terms import App, K, Oracle, S, ap, pair_term, to_text
@@ -208,7 +213,7 @@ class TestExtProducts:
         prod = ext_product(pure, a, a)
         f = ExtMorphism(z, a, App(K, K), {(K, "z"): "x"})
         g = ExtMorphism(z, a, App(K, S), {(K, "z"): "y"})
-        med = ext_pairing_morphism(pure, f, g, prod)
+        med = pairing_map(pure, f, g, prod)
         assert ext_check(pure, med).holds
         assert ext_equal(pure, ext_compose(pure, prod.fst, med), f)
         assert ext_equal(pure, ext_compose(pure, prod.snd, med), g)
@@ -227,6 +232,54 @@ class TestExtProducts:
             assert projection_path(prod.snd) == ("snd",)
             assert projection_path(ext_identity(prod.object)) == ()
         assert projection_path(ext_identity(a)) == ()
+
+
+KINDS = ["carrier", "assembly"]
+
+
+class TestKeyView:
+    """Keys read a carrier by its points and an assembly by its naming
+    pairs, so products and maps out of them are built alike."""
+
+    @staticmethod
+    def _factors(pure, kind):
+        if kind == "carrier":
+            return carrier(pure, [K, S]), carrier(pure, [K])
+        return (assembly(pure, ["x", "y"], [(K, "x"), (S, "y"), (pair_term(K, K), "y")]),
+                assembly(pure, ["z"], [(K, "z"), (S, "z")]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_split_gives_back_the_factors(self, pure, kind):
+        X, Y = self._factors(pure, kind)
+        for a in keys(X):
+            for b in keys(Y):
+                assert split_key(pair_key(a, b)) == (a, b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_product_keys_are_the_paired_keys(self, pure, kind):
+        X, Y = self._factors(pure, kind)
+        paired = [pair_key(a, b) for a in keys(X) for b in keys(Y)]
+        prod_keys = keys(product(pure, X, Y).object)
+        assert len(prod_keys) == len(paired) and set(prod_keys) == set(paired)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_map_like_keeps_the_kind(self, pure, kind):
+        X, _ = self._factors(pure, kind)
+        m = identity_map(X) if kind == "carrier" else ext_identity(X)
+        graph = {key: m(key) for key in keys(X)}
+        assert map_like(m, X, X, graph, ID) == m
+
+    def test_key_image_of_a_carrier_map_is_its_graph(self, pure):
+        X = carrier(pure, [K, S])
+        m = FinMap(X, X, {K: S, S: S}, App(K, S))
+        assert [key_image(pure, m, x) for x in keys(X)] == [m.mapping[x] for x in X] == [S, S]
+
+    def test_key_image_of_an_assembly_morphism_is_induced(self, pure):
+        A, B = self._factors(pure, "assembly")
+        m = ExtMorphism(A, B, App(K, S), {key: "z" for key in A.naming})
+        assert ext_check(pure, m).holds
+        for key in keys(A):
+            assert key_image(pure, m, key) == m.induced(pure, *key) == (S, m(key))
 
 
 class TestPullbacks:
