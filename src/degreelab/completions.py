@@ -44,13 +44,16 @@ from .spaces import (
     is_pullback,
     key_image,
     keys,
+    map_like,
+    pair_point,
     point_text,
     product,
     product_components,
     projection_path,
     pullback,
+    split_key,
 )
-from .terms import App, Var, ap, pair_term, split_pair
+from .terms import App, Var, ap
 from .verdicts import Verdict
 
 EXISTS = "exists"
@@ -215,17 +218,12 @@ def _times_identity(m, prod, target, left_side: bool):
         realizer = abstract_all(("u",), ap(PAIR, App(m.realizer, App(FST, u)), App(SND, u)))
     else:
         realizer = abstract_all(("u",), ap(PAIR, App(FST, u), App(m.realizer, App(SND, u))))
-    if isinstance(m, FinMap):
-        mapping = {}
-        for t in prod.object:
-            a, b = split_pair(t)
-            mapping[t] = pair_term(m.mapping[a], b) if left_side else pair_term(a, m.mapping[b])
-        return FinMap(prod.object, target, mapping, realizer)
-    pointmap = {}
-    for name, (x, y) in prod.object.naming:
-        p, q = split_pair(name)
-        pointmap[(name, (x, y))] = (m.pointmap[(p, x)], y) if left_side else (x, m.pointmap[(q, y)])
-    return ExtMorphism(prod.object, target, realizer, pointmap)
+    graph = {}
+    for key in keys(prod.object):
+        a, b = split_key(key)
+        graph[key] = (pair_point(target, m(a), prod.snd(key)) if left_side
+                      else pair_point(target, prod.fst(key), m(b)))
+    return map_like(m, prod.object, target, graph, realizer)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,9 @@ from .spaces import (
     point_key,
     product,
     product_components,
+    projection_path,
     split_key,
+    split_point,
 )
 from .terms import App, Term, pair_term, split_pair, to_text
 from .verdicts import Verdict
@@ -187,6 +189,8 @@ def weihrauch_from_completion(pca: Pca, obj: CompletionObject) -> Predicate:
     """(pi_X, f) -> F with F(a, b) = f(<a, b>): table transposition.  X is
     the leg's target, so it survives an empty index."""
     _expect(obj, EXISTS, PURE, ("dW", "dsW", "drW", "dextW"))
+    if keys(obj.leg.source) and projection_path(obj.leg) != ("fst",):
+        raise CheckError("the transposition reads a first projection as the leg")
     X = obj.leg.target
     _, Y = product_components(obj.leg.source)
     fam = obj.payload
@@ -212,7 +216,7 @@ def weihrauch_transport_forward(pca: Pca, lhs: CompletionObject, rhs: Completion
     if not isinstance(h, (FinMap, ExtMorphism)) or h.realizer is None:
         raise CheckError("pure mediators are computable maps")
     _, Z = product_components(h.target)
-    graph = {key: split_pair(h(key))[1] if isinstance(h, FinMap) else h(key)[1] for key in keys(h.source)}
+    graph = {key: split_point(h.target, h(key))[1] for key in keys(h.source)}
     k = map_like(h, h.source, Z, graph, compose(SND, h.realizer))
     if not isinstance(w.base, Uniform):
         raise CheckError("transport needs a uniform base witness")

@@ -17,8 +17,8 @@ The key view reads both categories alike.  A key is a point of a carrier or
 a naming pair (name, point) of an assembly; a graph (a map's mapping, a
 morphism's pointmap) sends the keys of its source to points of its target,
 and `key_image` sends keys to keys.  With `keys`, `pair_key`, `split_key`,
-`product` and `map_like`, one body builds a table or a map out of a product
-of carriers or of assemblies.
+`pair_point`, `split_point`, `product` and `map_like`, one body builds a
+table or a map out of a product of carriers or of assemblies.
 """
 
 from __future__ import annotations
@@ -238,8 +238,7 @@ def pairing_map(pca: Pca, f, g, prod):
     each key goes to the pair term, or the pair, of its two images."""
     if f.source != g.source:
         raise SpaceError("pairing needs a common source")
-    ext = isinstance(f, ExtMorphism)
-    graph = {key: (f(key), g(key)) if ext else pair_term(f(key), g(key)) for key in keys(f.source)}
+    graph = {key: pair_point(prod.object, f(key), g(key)) for key in keys(f.source)}
     realizer = None if f.realizer is None or g.realizer is None else fanout(f.realizer, g.realizer)
     return map_like(f, f.source, prod.object, graph, realizer)
 
@@ -474,6 +473,16 @@ def split_key(key):
         return split_pair(key)
     (p, q), (x, y) = split_pair(key[0]), key[1]
     return (p, x), (q, y)
+
+
+def pair_point(obj, a, b):
+    """The point over a and b of the product obj: <a, b> in a carrier, (a, b) in an assembly."""
+    return pair_term(a, b) if isinstance(obj, FinSet) else (a, b)
+
+
+def split_point(obj, p):
+    """The two factor points of a point of the product obj, inverse to pair_point."""
+    return split_pair(p) if isinstance(obj, FinSet) else p
 
 
 def product(pca: Pca, X, Y):

@@ -11,6 +11,7 @@ from degreelab.completions import (
 )
 from degreelab.doctrines import (
     ALLOW_EMPTY,
+    AssemblyFamily,
     CheckError,
     DialecticaPredicate,
     DialecticaWitness,
@@ -228,6 +229,18 @@ class TestTransposition:
         cw = weihrauch_transport_backward(pure, lo, ro, w)
         assert comp_le(pure, lo, ro, cw).holds
         assert check_le(pure, row.concrete, F, G, weihrauch_transport_forward(pure, lo, ro, cw)).holds
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_second_projection_leg_is_refused(self, pure, doc):
+        """The transposition reads the leg as the first projection; a pure
+        object over the second projection is refused, not misread."""
+        F = self._predicate(pure, doc)
+        prod = product(pure, F.base, F.index)
+        family = MassFamily if doc in ("dW", "dsW") else AssemblyFamily
+        values = {key: frozenset([K]) for key in keys(prod.object)}
+        obj = CompletionObject(EXISTS, PURE, doc, prod.snd, family(prod.object, values))
+        with pytest.raises(CheckError, match="first projection"):
+            weihrauch_from_completion(pure, obj)
 
 
 class TestWeihrauchMaps:

@@ -25,6 +25,7 @@ from degreelab.spaces import (
     keys,
     map_like,
     pair_key,
+    pair_point,
     pairing_map,
     point_key,
     product,
@@ -32,6 +33,7 @@ from degreelab.spaces import (
     projection_path,
     pullback,
     split_key,
+    split_point,
     terminal_carrier,
 )
 from degreelab.terms import App, K, Oracle, S, ap, pair_term, to_text
@@ -261,6 +263,18 @@ class TestKeyView:
         paired = [pair_key(a, b) for a in keys(X) for b in keys(Y)]
         prod_keys = keys(product(pure, X, Y).object)
         assert len(prod_keys) == len(paired) and set(prod_keys) == set(paired)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_product_points_are_the_paired_points(self, pure, kind):
+        """The projections read each product point as pair_point of its
+        factor points, and split_point gives them back."""
+        X, Y = self._factors(pure, kind)
+        prod = product(pure, X, Y)
+        for key in keys(prod.object):
+            a, b = prod.fst(key), prod.snd(key)
+            point = key if kind == "carrier" else key[1]
+            assert pair_point(prod.object, a, b) == point
+            assert split_point(prod.object, point) == (a, b)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_map_like_keeps_the_kind(self, pure, kind):
