@@ -28,7 +28,6 @@ from .doctrines import (
     NONEMPTY,
     CheckError,
     DialecticaWitness,
-    ExtForwardBackward,
     ForwardBackward,
     MassFamily,
     TrackedFamily,
@@ -252,17 +251,13 @@ def _declare_witness(inst: Instance, name: str, w) -> list[str]:
     scratch.morphisms.update(inst.morphisms)
     scratch.extmorphisms.update(inst.extmorphisms)
     scratch.witnesses.update(inst.witnesses)
-    if isinstance(w, (ForwardBackward, ExtForwardBackward)):
-        kname = f"{name}_k"
-        _name_object(scratch, lines, w.forward.source, f"{name}_src")
-        _name_object(scratch, lines, w.forward.target, f"{name}_tgt")
-        if isinstance(w, ForwardBackward):
-            lines.append(format_morphism(scratch, kname, w.forward))
-            head = "fwback"
-        else:
-            lines.append(format_extmorphism(scratch, kname, w.forward))
-            head = "extfwback"
-        lines.append(f"witness {name} = {head} k = {kname}, h = {to_text(w.backward)}")
+    if isinstance(w, ForwardBackward):
+        k, kname = w.forward, f"{name}_k"
+        _name_object(scratch, lines, k.source, f"{name}_src")
+        _name_object(scratch, lines, k.target, f"{name}_tgt")
+        ext = not isinstance(k, FinMap)
+        lines.append((format_extmorphism if ext else format_morphism)(scratch, kname, k))
+        lines.append(f"witness {name} = {'extfwback' if ext else 'fwback'} k = {kname}, h = {to_text(w.backward)}")
         return lines
     scratch.witnesses[name] = w
     lines.append(format_witness(scratch, name, w))

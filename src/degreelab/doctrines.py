@@ -33,25 +33,29 @@ syntactic.  Verdicts are three-way: a definite counterexample refutes, a
 timeout is only ever Unknown, and streams follow the canonical point order
 so the first counterexample is reproducible.
 
-Most orders compile a claim once.  The first check of a claim runs its
-family and base gates and compiles its notes.  For T, Tw, M, Mw and the
+Every order compiles a claim once (`compile_claim`): the first check of a
+claim, or a search before its first candidate, runs its family and base
+gates and compiles its notes.  A mass family holds a solution set for each
+key of its base (a carrier point, or a naming pair of an assembly), so dW
+to dextW are read over keys by one body.  For T, Tw, M, Mw and the
 elementary orders the positions do not depend on the witness, and they are
 built (each solution set sorted once) as checks first read them.  For the
 forward-backward orders W, SW, rW and tW the compiled claim holds the
-product of base and index; the positions depend on the forward map, so
-they are built the same way for the last forward map read and reused for
-every backward realizer paired with it.  The compiled claim is kept in a
-one-entry cache on the structure, keyed by the doctrine id and the
-identity of both families, which is correct only because families are
-immutable.  Compiling evaluates nothing, so a ``Bounded`` witness still
-runs its inner searches lazily.  Verdicts keep their locations raw and
-render them only when read.
+product of base and index; the positions depend on the forward map (a
+carrier map or an assembly morphism), so they are built the same way for
+the last forward map read and reused for every backward realizer paired
+with it.  For classicalW, classicalSW, extsW and D it holds the gated
+families.  The compiled claim is kept in a one-entry cache on the
+structure, keyed by the doctrine id and the identity of both families,
+which is correct only because families are immutable.  Compiling
+evaluates nothing, so a ``Bounded`` witness still runs its inner searches
+lazily.  Verdicts keep their locations raw and render them only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import verdicts
 from .pca import (
@@ -132,46 +136,23 @@ class TrackedFamily:
 
 @dataclass(frozen=True)
 class MassFamily:
-    """A finite solution set for every base point."""
+    """A finite solution set for every key of its base: every point of a
+    carrier, or every naming pair of an assembly."""
 
-    base: FinSet
+    base: object  # FinSet | Assembly
     values: Mapping[object, frozenset]
     policy: str = ALLOW_EMPTY
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "values", {k: frozenset(v) for k, v in self.values.items()})
-        if set(self.values) != set(self.base.points):
+        if set(self.values) != set(keys(self.base)):
             raise CheckError("mass family must be total on its base")
         if self.policy == NONEMPTY and any(not v for v in self.values.values()):
             raise CheckError("nonempty policy violated")
 
     def __eq__(self, other):
         if not isinstance(other, MassFamily):
-            return NotImplemented
-        return self.base == other.base and self.values == other.values and self.policy == other.policy
-
-    def __hash__(self):
-        return hash((self.base, frozenset(self.values.items())))
-
-
-@dataclass(frozen=True)
-class AssemblyFamily:
-    """A finite solution set for every naming pair of an assembly."""
-
-    base: Assembly
-    values: Mapping[tuple, frozenset]
-    policy: str = NONEMPTY
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", {k: frozenset(v) for k, v in self.values.items()})
-        if set(self.values) != set(self.base.naming):
-            raise CheckError("assembly family must be total on the naming relation")
-        if self.policy == NONEMPTY and any(not v for v in self.values.values()):
-            raise CheckError("nonempty policy violated")
-
-    def __eq__(self, other):
-        if not isinstance(other, AssemblyFamily):
             return NotImplemented
         return self.base == other.base and self.values == other.values and self.policy == other.policy
 
@@ -296,13 +277,7 @@ class Bounded:
 
 @dataclass(frozen=True)
 class ForwardBackward:
-    forward: FinMap  # computable map translating instances
-    backward: Term
-
-
-@dataclass(frozen=True)
-class ExtForwardBackward:
-    forward: ExtMorphism
+    forward: object  # FinMap | ExtMorphism translating instances, computable
     backward: Term
 
 
@@ -414,13 +389,12 @@ class _Forward:
         return self.stream
 
 
-@dataclass(frozen=True)
-class _Claim:
+class _Claim(NamedTuple):  # cheap to build: suites that alternate two claims build one per check
     doc: str
     lhs: object
     rhs: object
     notes: tuple[str, ...]
-    compiled: _Stream | _Forward  # what the order's compile step built
+    compiled: object  # what the order's compile step built
 
 
 def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) -> Verdict:
@@ -428,25 +402,31 @@ def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) 
     when a realizer the check needs runs out of fuel."""
     if doc not in _ORDERS:
         raise CheckError(f"unknown doctrine id {doc!r}")
-    shapes, compile_claim, obligations = _ORDERS[doc]
+    shapes, _, obligations = _ORDERS[doc]
     if not isinstance(w, shapes):
         names = "/".join(c.__name__ for c in shapes)
         raise CheckError(f"doctrine {doc} needs a {names} witness, got {type(w).__name__}")
-    if compile_claim is None:
-        stream, notes = obligations(pca, doc, lhs, rhs, w, fuel), _family_notes(lhs, rhs)
-    else:
-        claim = pca._claim
-        if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.doc != doc:
-            claim = _Claim(doc, lhs, rhs, _family_notes(lhs, rhs), compile_claim(pca, doc, lhs, rhs))
-            pca._claim = claim
-        stream, notes = obligations(pca, doc, claim.compiled, w, fuel), claim.notes
+    claim = compile_claim(pca, doc, lhs, rhs)
     try:
-        return _discharge(pca, stream, w, fuel, notes)
+        return _discharge(pca, obligations(pca, doc, claim.compiled, w, fuel), w, fuel, claim.notes)
     except BaseException as e:
         pca._claim = None  # else a position that failed to build is skipped next time
         if isinstance(e, SpaceTimeout):
             return verdicts.unknown((str(e),))
         raise
+
+
+def compile_claim(pca: Pca, doc: str, lhs, rhs) -> _Claim:
+    """The claim ``lhs <=_doc rhs`` compiled: the structure's cached one when
+    it is this claim, else compiled now.  Compiling runs the order's family
+    and base gates, which raise CheckError on an ill-formed claim."""
+    claim = pca._claim
+    if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.doc != doc:
+        if doc not in _ORDERS:
+            raise CheckError(f"unknown doctrine id {doc!r}")
+        claim = _Claim(doc, lhs, rhs, _family_notes(lhs, rhs), _ORDERS[doc][1](pca, doc, lhs, rhs))
+        pca._claim = claim
+    return claim
 
 
 def _discharge(pca: Pca, obligations, w: Witness, fuel: int | None, notes: tuple[str, ...]) -> Verdict:
@@ -471,28 +451,34 @@ def _discharge(pca: Pca, obligations, w: Witness, fuel: int | None, notes: tuple
 
 
 def positions(lhs, rhs):
-    """The quantified positions of a T, Tw, M or Mw claim in canonical
-    order, as ``(key, arg, allowed, where)``: a realizer must send ``arg``
-    into ``allowed``, and a per-point witness gives it at ``key``.  Tracked
-    families have one position per base point x (arg beta(x), allowed
-    {alpha(x)}); mass families one per x and b in psi(x) (arg b, allowed
-    phi(x))."""
+    """The quantified positions of a T, Tw, M, Mw or elementary claim in
+    canonical order, as ``(key, arg, allowed, where)``: a realizer must send
+    ``arg`` into ``allowed``, and a per-point witness gives it at ``key``.
+    Tracked families have one position per base point x (arg beta(x),
+    allowed {alpha(x)}); mass families one per key x of the base and b in
+    psi(x) (arg b, allowed phi(x)), located at x and b, where a naming pair
+    x of an assembly counts as its name and its point."""
     if isinstance(lhs, TrackedFamily):
         for x in lhs.base:
             b = rhs.values[x]
             yield x, b, frozenset((lhs.values[x],)), (x, b)
         return
-    for x in lhs.base:
+    named = isinstance(lhs.base, Assembly)
+    for x in keys(lhs.base):
         allowed = lhs.values[x]
         for b in sorted_terms(rhs.values[x]):
             key = (x, b)
-            yield key, b, allowed, key
+            yield key, b, allowed, (*x, b) if named else key
+
+
+def _over(family: type, base: type, lhs, rhs) -> bool:
+    """Whether lhs and rhs are both of class family, over bases of class base."""
+    return all(isinstance(e, family) and isinstance(e.base, base) for e in (lhs, rhs))
 
 
 def _pointwise_positions(pca, doc, lhs, rhs) -> _Stream:
     tracked = doc in ("T", "Tw")
-    family = TrackedFamily if tracked else MassFamily
-    if not isinstance(lhs, family) or not isinstance(rhs, family):
+    if not _over(TrackedFamily if tracked else MassFamily, FinSet, lhs, rhs):
         raise CheckError("tracked doctrine needs tracked families" if tracked
                          else "mass doctrine needs mass families")
     if lhs.base != rhs.base:
@@ -501,23 +487,17 @@ def _pointwise_positions(pca, doc, lhs, rhs) -> _Stream:
 
 
 def _elementary_positions(pca, doc, lhs, rhs) -> _Stream:
-    if not isinstance(lhs, MassFamily) or not isinstance(rhs, MassFamily):
-        raise CheckError("elementary reducibility needs mass families over a carrier")
+    over_assembly = doc in ASSEMBLY_BASED
+    if not _over(MassFamily, Assembly if over_assembly else FinSet, lhs, rhs):
+        raise CheckError("elementary assembly reducibility needs assembly families" if over_assembly
+                         else "elementary reducibility needs mass families over a carrier")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
-    if not lhs.base.is_carrier:
+    if not (over_assembly or lhs.base.is_carrier):
         raise CheckError("elementary reducibility needs a carrier base")
-    return _Stream((key, arg if doc == "dsW" else pair_term(*key), allowed, where)
+    # where[0] is the base point, or the name of the naming pair
+    return _Stream((key, arg if doc == "dsW" else pair_term(where[0], arg), allowed, where)
                    for key, arg, allowed, where in positions(lhs, rhs))
-
-
-def _elementary_ext_positions(pca, doc, lhs, rhs) -> _Stream:
-    if not isinstance(lhs, AssemblyFamily) or not isinstance(rhs, AssemblyFamily):
-        raise CheckError("elementary assembly reducibility needs assembly families")
-    if lhs.base != rhs.base:
-        raise CheckError("base mismatch")
-    return _Stream(((p, x, q), pair_term(p, q), lhs.values[(p, x)], (p, x, q))
-                   for p, x in lhs.base.naming for q in sorted_terms(rhs.values[(p, x)]))
 
 
 # Orders whose uniform witness term is checked for computability before the
@@ -672,11 +652,16 @@ def _generalized(pca, doc, claim: _Forward, w, fuel):
         yield h, arg, allowed, where
 
 
-def _classical(pca, doc, lhs, rhs, w, fuel):
-    if not isinstance(lhs, MassFamily) or not isinstance(rhs, MassFamily):
+def _classical_claim(pca, doc, lhs, rhs) -> tuple:
+    if not _over(MassFamily, FinSet, lhs, rhs):
         raise CheckError("classical reducibility needs mass families")
     if not (lhs.base.is_carrier and rhs.base.is_carrier):
         raise CheckError("classical reducibility lives over carriers")
+    return lhs, rhs
+
+
+def _classical(pca, doc, claim: tuple, w, fuel):
+    lhs, rhs = claim
     k, h = w.forward, w.backward
     _require_computable(h, "backward witness")
     if k.source != lhs.base or set(k.target.points) != set(rhs.base.points):
@@ -725,9 +710,14 @@ def _realizer_based(pca, doc, claim: _Forward, w, fuel):
         yield h, arg, allowed, where
 
 
-def _extended_strong(pca, doc, lhs, rhs, w, fuel):
+def _extended_strong_claim(pca, doc, lhs, rhs) -> tuple:
     if not isinstance(lhs, ExtendedPredicate) or not isinstance(rhs, ExtendedPredicate):
         raise CheckError("extended strong reducibility needs extended predicates")
+    return lhs, rhs
+
+
+def _extended_strong(pca, doc, claim: tuple, w, fuel):
+    lhs, rhs = claim
     k, h = w.forward, w.backward
     _require_computable(k, "forward witness")
     _require_computable(h, "backward witness")
@@ -751,11 +741,16 @@ def _extended_strong(pca, doc, lhs, rhs, w, fuel):
                 yield h, q, a, (p, a, q)
 
 
-def _dialectica(pca, doc, lhs, rhs, w, fuel):
+def _dialectica_claim(pca, doc, lhs, rhs) -> tuple:
     if not isinstance(lhs, DialecticaPredicate) or not isinstance(rhs, DialecticaPredicate):
         raise CheckError("pointwise choice reducibility needs relation predicates")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
+    return lhs, rhs
+
+
+def _dialectica(pca, doc, claim: tuple, w, fuel):
+    lhs, rhs = claim
     h = w.backward
     _require_computable(h, "backward witness")
     for (x, a) in lhs.relation:
@@ -769,10 +764,10 @@ def _dialectica(pca, doc, lhs, rhs, w, fuel):
 
 
 # Per doctrine id: the witness shapes it takes, the compiler of its
-# witness-independent gates and of its positions or its product (None for
-# the orders checked from scratch on every call), and the generator of its
-# obligations, which checks the remaining gates (computability, forward
-# maps, choices) before its first obligation.
+# witness-independent gates and of its positions, its product or its gated
+# families, and the generator of its obligations, which checks the
+# remaining gates (computability, forward maps, choices) before its first
+# obligation.
 _ORDERS = {
     "T": ((Uniform,), _pointwise_positions, _positional),
     "Tw": ((PerPoint, Bounded, Uniform), _pointwise_positions, _positional),
@@ -780,16 +775,16 @@ _ORDERS = {
     "Mw": ((PerPoint, Bounded, Uniform), _pointwise_positions, _positional),
     "dW": ((Uniform,), _elementary_positions, _positional),
     "dsW": ((Uniform,), _elementary_positions, _positional),
-    "drW": ((Uniform,), _elementary_ext_positions, _positional),
-    "dextW": ((Uniform,), _elementary_ext_positions, _positional),
+    "drW": ((Uniform,), _elementary_positions, _positional),
+    "dextW": ((Uniform,), _elementary_positions, _positional),
     "W": ((ForwardBackward,), _generalized_claim, _generalized),
     "SW": ((ForwardBackward,), _generalized_claim, _generalized),
-    "rW": ((ExtForwardBackward,), _realizer_based_claim, _realizer_based),
-    "tW": ((ExtForwardBackward,), _realizer_based_claim, _realizer_based),
-    "classicalW": ((ForwardBackward,), None, _classical),
-    "classicalSW": ((ForwardBackward,), None, _classical),
-    "extsW": ((ExtStrong,), None, _extended_strong),
-    "D": ((DialecticaWitness,), None, _dialectica),
+    "rW": ((ForwardBackward,), _realizer_based_claim, _realizer_based),
+    "tW": ((ForwardBackward,), _realizer_based_claim, _realizer_based),
+    "classicalW": ((ForwardBackward,), _classical_claim, _classical),
+    "classicalSW": ((ForwardBackward,), _classical_claim, _classical),
+    "extsW": ((ExtStrong,), _extended_strong_claim, _extended_strong),
+    "D": ((DialecticaWitness,), _dialectica_claim, _dialectica),
 }
 
 DOCTRINES = tuple(_ORDERS)
@@ -808,21 +803,17 @@ def reindex(pca: Pca, doc: str, m, elem, fuel: int | None = None):
     if doc in SET_BASED:
         if not isinstance(m, FinMap):
             raise CheckError("set-based reindexing needs a finite map")
-        if doc in ("T", "Tw"):
-            _expect_base(m.target, elem.base)
-            return TrackedFamily(m.source, {w: elem.values[m.mapping[w]] for w in m.source})
-        if doc in ("M", "Mw"):
-            _expect_base(m.target, elem.base)
-            return MassFamily(m.source, {w: elem.values[m.mapping[w]] for w in m.source}, elem.policy, elem.notes)
-        # D
         _expect_base(m.target, elem.base)
-        table = {}
-        for w in m.source:
-            for (x, a), v in elem.table.items():
-                if x == m.mapping[w]:
-                    table[(w, a)] = v
-        return DialecticaPredicate(m.source, table)
-    if doc in COMPUTABLE_BASED:
+        if doc in ("T", "Tw"):
+            return TrackedFamily(m.source, {w: elem.values[m.mapping[w]] for w in m.source})
+        if doc == "D":
+            table = {}
+            for w in m.source:
+                for (x, a), v in elem.table.items():
+                    if x == m.mapping[w]:
+                        table[(w, a)] = v
+            return DialecticaPredicate(m.source, table)
+    elif doc in COMPUTABLE_BASED:
         if not isinstance(m, FinMap) or m.realizer is None:
             raise CheckError("computable-base reindexing needs a realized map")
         _expect_base(m.target, elem.base)
@@ -835,12 +826,10 @@ def reindex(pca: Pca, doc: str, m, elem, fuel: int | None = None):
         raise CheckError(f"unknown doctrine id {doc!r}")
     # the value (or the row, for W, SW, rW and tW) at each key is the one at its image
     images = {a: key_image(pca, m, a, fuel) for a in keys(m.source)}
-    if doc in ("dW", "dsW", "classicalW", "classicalSW"):
-        return MassFamily(m.source, {a: elem.values[images[a]] for a in images}, elem.policy, elem.notes)
-    if doc in ("drW", "dextW"):
-        return AssemblyFamily(m.source, {a: elem.values[images[a]] for a in images}, elem.policy)
-    table = {(a, b): elem.table[(images[a], b)] for a in images for b in keys(elem.index)}
-    return Predicate(m.source, elem.index, table, elem.policy)
+    if doc in ("W", "SW", "rW", "tW"):
+        table = {(a, b): elem.table[(images[a], b)] for a in images for b in keys(elem.index)}
+        return Predicate(m.source, elem.index, table, elem.policy)
+    return MassFamily(m.source, {a: elem.values[images[a]] for a in images}, elem.policy, elem.notes)
 
 
 def _expect_base(target, base) -> None:
@@ -929,28 +918,24 @@ def forall_along(pca: Pca, doc: str, m, elem, fuel: int | None = None):
             for y in m.target
         }
         return MassFamily(m.target, values, elem.policy if all(values.values()) else ALLOW_EMPTY, elem.notes)
-    if doc == "dW":
-        side = _projection_index(m)
-        _expect_base(m.source, elem.base)
-        values = {z: set() for z in m.target}
-        for t in m.source:
-            parts = split_pair(t)
-            for y in elem.values[t]:
-                values[parts[side]].add(pair_term(parts[1 - side], y))
-        return MassFamily(m.target, {z: frozenset(v) for z, v in values.items()}, elem.policy)
-    if doc in ("drW", "dextW"):
-        if not isinstance(m, ExtMorphism):
-            raise CheckError("pure quantifier over assemblies needs an ext projection")
+    if doc in ("dW", "drW", "dextW"):
+        over_assembly = doc != "dW"
+        if isinstance(m, ExtMorphism) != over_assembly:
+            raise CheckError("pure quantifier over assemblies needs an ext projection" if over_assembly
+                             else "pure quantifier over carriers needs a carrier projection")
         side = _projection_index(m)
         if m.source != elem.base:
-            raise CheckError("base mismatch")
-        values = {key: set() for key in m.target.naming}
-        for name, pt in m.source.naming:
-            parts = split_pair(name)
-            for q in elem.values[(name, pt)]:
-                values[(parts[side], pt[side])].add(pair_term(parts[1 - side], q))
-        return AssemblyFamily(m.target, {k: frozenset(v) for k, v in values.items()},
-                              elem.policy if all(values.values()) else ALLOW_EMPTY)
+            raise CheckError("base mismatch" if over_assembly
+                             else "base mismatch: morphism target differs from element base")
+        # the key kept by the projection collects <name of the other key, q>
+        values = {key: set() for key in keys(m.target)}
+        for key in keys(m.source):
+            parts = split_key(key)
+            other = parts[1 - side][0] if over_assembly else parts[1 - side]
+            for q in elem.values[key]:
+                values[parts[side]].add(pair_term(other, q))
+        return MassFamily(m.target, {k: frozenset(v) for k, v in values.items()},
+                          elem.policy if all(values.values()) else ALLOW_EMPTY)
     raise CheckError(f"no universal quantifier implemented for doctrine {doc!r}")
 
 
@@ -1074,6 +1059,8 @@ def lattice_element(pca: Pca, op: str, doc: str, *args, universe: FinSet | None 
 
 
 def _common_base(phi: MassFamily, psi: MassFamily) -> None:
+    if not _over(MassFamily, FinSet, phi, psi):
+        raise CheckError("lattice operations need mass families over a carrier")
     if phi.base != psi.base:
         raise CheckError("lattice operands must share a base")
 

@@ -62,11 +62,9 @@ from .doctrines import (
     ALLOW_EMPTY,
     DOCTRINES,
     NONEMPTY,
-    AssemblyFamily,
     Bounded,
     DialecticaPredicate,
     DialecticaWitness,
-    ExtForwardBackward,
     ExtStrong,
     ExtendedPredicate,
     ForwardBackward,
@@ -632,10 +630,7 @@ def _decl_family(p: _Parser, inst: Instance) -> None:
     base = _object(p, inst)
     policy = _parse_policy(p)
     values = p.table(lambda: _parse_key(p, base), p.term_set)
-    if isinstance(base, FinSet):
-        inst.families[name] = MassFamily(base, values, policy or ALLOW_EMPTY)
-    else:
-        inst.families[name] = AssemblyFamily(base, values, policy or ALLOW_EMPTY)
+    inst.families[name] = MassFamily(base, values, policy or ALLOW_EMPTY)
     _record(inst, "family", name)
 
 
@@ -684,13 +679,11 @@ def _decl_witness(p: _Parser, inst: Instance) -> None:
         w = PerPoint(p.table(lambda: _parse_perpoint_key(p), p.term))
     elif head in ("fwback", "extfwback"):
         p.assign("k")
-        if head == "fwback":
-            form, k = ForwardBackward, _name(p, "unknown morphism", inst.morphisms)
-        else:
-            form, k = ExtForwardBackward, _name(p, "unknown ext morphism", inst.extmorphisms)
+        kind, table = ("morphism", inst.morphisms) if head == "fwback" else ("ext morphism", inst.extmorphisms)
+        k = _name(p, f"unknown {kind}", table)
         p.expect(",")
         p.assign("h")
-        w = form(k, p.term())
+        w = ForwardBackward(k, p.term())
     elif head == "dial":
         choice = _choice_table(p)
         p.assign("h")
@@ -974,9 +967,8 @@ def format_witness(inst: Instance, name: str, w) -> str:
     if isinstance(w, PerPoint):
         return f"witness {name} = perpoint {{ {format_table(w.mapping)} }}"
     if isinstance(w, ForwardBackward):
-        return f"witness {name} = fwback k = {_morphism_name(inst, w.forward)}, h = {to_text(w.backward)}"
-    if isinstance(w, ExtForwardBackward):
-        return f"witness {name} = extfwback k = {_morphism_name(inst, w.forward)}, h = {to_text(w.backward)}"
+        head = "extfwback" if isinstance(w.forward, ExtMorphism) else "fwback"
+        return f"witness {name} = {head} k = {_morphism_name(inst, w.forward)}, h = {to_text(w.backward)}"
     if isinstance(w, DialecticaWitness):
         return f"witness {name} = dial {{ {_format_choice(w.choice)} }} h = {to_text(w.backward)}"
     if isinstance(w, ExtStrong):

@@ -31,12 +31,10 @@ from .completions import (
 from .doctrines import (
     ALLOW_EMPTY,
     NONEMPTY,
-    AssemblyFamily,
     Bounded,
     CheckError,
     DialecticaPredicate,
     DialecticaWitness,
-    ExtForwardBackward,
     ExtendedPredicate,
     ForwardBackward,
     MassFamily,
@@ -203,8 +201,7 @@ def weihrauch_to_completion(pca: Pca, pred: Predicate, doc: str) -> CompletionOb
     projection as the leg, in the completion over doc."""
     prod = product(pca, pred.base, pred.index)
     values = {key: pred.table[split_key(key)] for key in keys(prod.object)}
-    family = AssemblyFamily if isinstance(prod.object, Assembly) else MassFamily
-    return CompletionObject(EXISTS, PURE, doc, prod.fst, family(prod.object, values, pred.policy))
+    return CompletionObject(EXISTS, PURE, doc, prod.fst, MassFamily(prod.object, values, pred.policy))
 
 
 def weihrauch_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
@@ -220,7 +217,7 @@ def weihrauch_transport_forward(pca: Pca, lhs: CompletionObject, rhs: Completion
     k = map_like(h, h.source, Z, graph, compose(SND, h.realizer))
     if not isinstance(w.base, Uniform):
         raise CheckError("transport needs a uniform base witness")
-    return (ForwardBackward if isinstance(k, FinMap) else ExtForwardBackward)(k, w.base.term)
+    return ForwardBackward(k, w.base.term)
 
 
 def weihrauch_transport_backward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
@@ -283,7 +280,7 @@ def modest_predicate_to_carrier(pca: Pca, pred: Predicate) -> Predicate:
     return Predicate(Xc, Yc, table, pred.policy)
 
 
-def ext_fb_to_fb(pca: Pca, w: ExtForwardBackward, fuel: int | None = None) -> ForwardBackward:
+def ext_fb_to_fb(pca: Pca, w: ForwardBackward, fuel: int | None = None) -> ForwardBackward:
     """On partitioned modest assemblies the realizer determines the map."""
     km = w.forward
     X, Y = product_components(km.source)
@@ -298,7 +295,7 @@ def ext_fb_to_fb(pca: Pca, w: ExtForwardBackward, fuel: int | None = None) -> Fo
 
 
 def fb_to_ext_fb(pca: Pca, w: ForwardBackward, X: Assembly, Y: Assembly, Z: Assembly,
-                 fuel: int | None = None) -> ExtForwardBackward:
+                 fuel: int | None = None) -> ForwardBackward:
     prod = ext_product(pca, X, Y)
     k = w.forward
     point_of = {n: z for n, z in Z.naming}
@@ -306,14 +303,14 @@ def fb_to_ext_fb(pca: Pca, w: ForwardBackward, X: Assembly, Y: Assembly, Z: Asse
     for name, pt in prod.object.naming:
         pointmap[(name, pt)] = point_of[k.mapping[name]]
     km = ExtMorphism(prod.object, Z, k.realizer, pointmap)
-    return ExtForwardBackward(km, w.backward)
+    return ForwardBackward(km, w.backward)
 
 
 # ---------------------------------------------------------------------------
 # Extended predicates: assemblies and relation predicates
 
 
-def ext_pred_to_assembly(pca: Pca, f: ExtendedPredicate) -> tuple[Assembly, AssemblyFamily]:
+def ext_pred_to_assembly(pca: Pca, f: ExtendedPredicate) -> tuple[Assembly, MassFamily]:
     """Candidate solution sets become points named by the inputs offering
     them; the family returns each point itself."""
     points = sorted({a for p in f.dom for a in f.table[p]}, key=point_key)
@@ -321,11 +318,7 @@ def ext_pred_to_assembly(pca: Pca, f: ExtendedPredicate) -> tuple[Assembly, Asse
     if not points:
         raise CheckError("empty extended predicate has no assembly")
     asm = Assembly(tuple(points), naming)
-    fam = AssemblyFamily(
-        asm,
-        {(p, a): a for (p, a) in naming},
-        NONEMPTY if f.is_notnot_dense else ALLOW_EMPTY,
-    )
+    fam = MassFamily(asm, {(p, a): a for (p, a) in naming}, NONEMPTY if f.is_notnot_dense else ALLOW_EMPTY)
     return asm, fam
 
 

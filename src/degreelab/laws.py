@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import islice
 from itertools import product as iproduct
 
-from . import doctrines as dt
 from . import isomorphisms as iso
 from .completions import (
     EXISTS,
@@ -32,6 +31,7 @@ from .doctrines import (
     DialecticaWitness,
     ExtStrong,
     ExtendedPredicate,
+    ForwardBackward,
     MassFamily,
     Predicate,
     TrackedFamily,
@@ -495,7 +495,7 @@ def _pure_forall_cases(pca, fuel, t):
         for key in aprod.object.naming:
             vals[key] = frozenset([K]) if toggle or policy == NONEMPTY else frozenset()
             toggle = not toggle
-        fam = dt.AssemblyFamily(aprod.object, vals, policy)
+        fam = MassFamily(aprod.object, vals, policy)
         fa = forall_along(pca, doc, aprod.snd, fam, fuel)
         cands = [Uniform(SND), Uniform(FST), Uniform(ID)]
         up = _first_holding(pca, doc, fa, fa, cands, fuel)
@@ -644,7 +644,7 @@ def _iso_realizer(pca, fuel, t, name):
         obj = row.to_completion(pca, F, row.completion)
         t.add(f"{doc}-roundtrip", row.from_completion(pca, obj) == F)
     # a reflexive reduction and its transport both ways
-    w = dt.ExtForwardBackward(ext_product(pca, X, Y).snd, SND)
+    w = ForwardBackward(ext_product(pca, X, Y).snd, SND)
     for F in preds:
         t.add(f"{doc}-reflexive", check_le(pca, doc, F, F, w, fuel))
         _reflect_preserve(pca, fuel, t, row, F, F, w)

@@ -40,13 +40,13 @@ from .doctrines import (
     CheckError,
     DialecticaPredicate,
     DialecticaWitness,
-    ExtForwardBackward,
     ExtStrong,
     ExtendedPredicate,
     ForwardBackward,
     PerPoint,
     Uniform,
     check_le,
+    compile_claim,
     find_inner_witness,
     positions,
 )
@@ -115,7 +115,9 @@ def search_witness(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> Search
 
 
 def _search(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome:
-    """search_witness without the memo: one check_le call per candidate."""
+    """search_witness without the memo: the claim's family and base gates,
+    which refuse an ill-formed claim, then one check_le call per candidate."""
+    compile_claim(pca, doc, lhs, rhs)
     return first_holding(_candidates(pca, doc, lhs, rhs, budget),
                          lambda cand: check_le(pca, doc, lhs, rhs, cand, budget.fuel), budget)
 
@@ -238,7 +240,7 @@ def _ext_candidates(pca, lhs, rhs, budget):
         for pointmap in assignments(slots, [offered[n] for n in images]):
             km = ExtMorphism(prod.object, target, t, pointmap)
             for h in iter_computable(budget.witness_size):
-                yield ExtForwardBackward(km, h)
+                yield ForwardBackward(km, h)
 
 
 def _ext_strong_candidates(pca, lhs: ExtendedPredicate, rhs: ExtendedPredicate, budget):

@@ -17,8 +17,8 @@ The key view reads both categories alike.  A key is a point of a carrier or
 a naming pair (name, point) of an assembly; a graph (a map's mapping, a
 morphism's pointmap) sends the keys of its source to points of its target,
 and `key_image` sends keys to keys.  With `keys`, `pair_key`, `split_key`,
-`pair_point`, `split_point`, `product` and `map_like`, one body builds a
-table or a map out of a product of carriers or of assemblies.
+`pair_point`, `split_point`, `product` (one `Product` for both kinds) and
+`map_like`, one body builds a table or a map out of a product of either.
 """
 
 from __future__ import annotations
@@ -205,17 +205,17 @@ def constant_map(source: FinSet, target: FinSet, value: Point) -> FinMap:
 
 
 @dataclass(frozen=True)
-class CarrierProduct:
-    """Binary product of carriers, with its projections."""
+class Product:
+    """Binary product of two carriers or of two assemblies, with its projections."""
 
-    left: FinSet
-    right: FinSet
-    object: FinSet
-    fst: FinMap
-    snd: FinMap
+    left: object  # FinSet | Assembly
+    right: object
+    object: object
+    fst: object  # FinMap | ExtMorphism
+    snd: object
 
 
-def carrier_product(pca: Pca, X: FinSet, Y: FinSet) -> CarrierProduct:
+def carrier_product(pca: Pca, X: FinSet, Y: FinSet) -> Product:
     """The product carrier of pair terms, with projections tracked by the
     derived projection combinators."""
     if not (X.is_carrier and Y.is_carrier):
@@ -230,7 +230,7 @@ def carrier_product(pca: Pca, X: FinSet, Y: FinSet) -> CarrierProduct:
     obj = FinSet(tuple(elems))
     fst = FinMap(obj, X, {t: xy[0] for t, xy in elems.items()}, FST)
     snd = FinMap(obj, Y, {t: xy[1] for t, xy in elems.items()}, SND)
-    return CarrierProduct(X, Y, obj, fst, snd)
+    return Product(X, Y, obj, fst, snd)
 
 
 def pairing_map(pca: Pca, f, g, prod):
@@ -398,16 +398,7 @@ def ext_equal(pca: Pca, m1: ExtMorphism, m2: ExtMorphism, fuel: int | None = Non
     return agreed
 
 
-@dataclass(frozen=True)
-class AssemblyProduct:
-    left: Assembly
-    right: Assembly
-    object: Assembly
-    fst: ExtMorphism
-    snd: ExtMorphism
-
-
-def ext_product(pca: Pca, X: Assembly, Y: Assembly) -> AssemblyProduct:
+def ext_product(pca: Pca, X: Assembly, Y: Assembly) -> Product:
     """Product assembly: points are pairs, and a pair term names a pair of
     points exactly when its components name the components."""
     points = tuple((x, y) for x in X.points for y in Y.points)
@@ -421,7 +412,7 @@ def ext_product(pca: Pca, X: Assembly, Y: Assembly) -> AssemblyProduct:
     obj = Assembly(points, tuple(naming))
     fst = ExtMorphism(obj, X, FST, {(n, xy): xy[0] for n, xy in obj.naming})
     snd = ExtMorphism(obj, Y, SND, {(n, xy): xy[1] for n, xy in obj.naming})
-    return AssemblyProduct(X, Y, obj, fst, snd)
+    return Product(X, Y, obj, fst, snd)
 
 
 def assembly_to_carrier(asm: Assembly) -> FinSet:

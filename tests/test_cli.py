@@ -219,6 +219,37 @@ class TestSearch:
         assert (code, out.splitlines()[-1]) == (0, f"result {claim} found")
 
 
+# families f and g over an assembly, h over a carrier
+CROSS_KIND = """carrier X = [K, S]
+assembly A { point x names [K, S] }
+family f over A { (K, x) -> [K], (S, x) -> [S] }
+family g over A { (K, x) -> [S], (S, x) -> [K] }
+family h over X { K -> [K], S -> [S] }
+witness w = uniform K
+"""
+
+
+class TestIllFormedSearch:
+    CLAIMS = [
+        ("f <=_M g", "mass doctrine needs mass families"),
+        ("f <=_T g", "tracked doctrine needs tracked families"),
+        ("f <=_dW g", "elementary reducibility needs mass families over a carrier"),
+        ("h <=_drW h", "elementary assembly reducibility needs assembly families"),
+        ("f <=_Mw g", "mass doctrine needs mass families"),
+        ("f <=_classicalW g", "classical reducibility needs mass families"),
+        ("h <=_W h", "generalized reducibility needs predicates"),
+    ]
+
+    @pytest.mark.parametrize("claim, message", CLAIMS,
+                             ids=[c.replace(" <=_", "-").replace(" ", "") for c, _ in CLAIMS])
+    def test_refused_before_the_first_candidate(self, tmp_path, capsys, claim, message):
+        path = tmp_path / "cross.inst"
+        path.write_text(CROSS_KIND + f"claim c : {claim} by w\n")
+        assert main(["--witness-size", "3", "search", str(path), "c"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 class TestForwardBackwardSearch:
     """Full machine reports of generalized Weihrauch searches, pinned
     byte for byte: the least witness, or the exhausted bound and count."""
@@ -255,6 +286,12 @@ class TestForwardBackwardSearch:
 
 
 class TestLattice:
+    def test_assembly_families_are_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "cross.inst"
+        path.write_text(CROSS_KIND)
+        assert main(["lattice", str(path), "--op", "meet", "--doc", "M", "--args", "f", "g"]) == 3
+        assert capsys.readouterr().err == "error: lattice operations need mass families over a carrier\n"
+
     def test_join_prints_family(self, capsys):
         code, out = run(["lattice", FIXTURES / "coheyting_demo.inst",
                          "--op", "join", "--args", "psi", "rho"], capsys)

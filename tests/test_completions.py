@@ -18,7 +18,6 @@ from degreelab.completions import (
     pure_pullback_of_projection,
 )
 from degreelab.doctrines import (
-    AssemblyFamily,
     CheckError,
     MassFamily,
     NONEMPTY,
@@ -182,7 +181,7 @@ class TestCompReindex:
     @pytest.mark.parametrize("into", ["identity", "constant"])
     def test_pure_assembly_identity_leg_reindexes_to_m(self, pure, into):
         A = assembly(pure, ["x", "y"], [(K, "x"), (S, "y")])
-        fam = AssemblyFamily(A, {(K, "x"): frozenset([K]), (S, "y"): frozenset([S])})
+        fam = MassFamily(A, {(K, "x"): frozenset([K]), (S, "y"): frozenset([S])}, NONEMPTY)
         obj = eta(pure, "drW", EXISTS, PURE, fam)
         C = assembly(pure, ["c"], [(S, "c")])
         m = ext_identity(A) if into == "identity" else ExtMorphism(C, A, App(K, K), {(S, "c"): "x"})
@@ -201,7 +200,7 @@ class TestCompReindex:
         leg = prod.fst if side == "fst" else prod.snd
         values = {key: frozenset([K if key[1] in (("x", "z"), ("z", "x")) else S])
                   for key in prod.object.naming}
-        obj = CompletionObject(EXISTS, PURE, "drW", leg, AssemblyFamily(prod.object, values))
+        obj = CompletionObject(EXISTS, PURE, "drW", leg, MassFamily(prod.object, values, NONEMPTY))
         out = comp_reindex(pure, m, obj)
         if side == "fst":
             expected = ext_product(pure, C, B).fst

@@ -6,12 +6,10 @@ from degreelab.doctrines import (
     ALLOW_EMPTY,
     DOCTRINES,
     NONEMPTY,
-    AssemblyFamily,
     Bounded,
     CheckError,
     DialecticaPredicate,
     DialecticaWitness,
-    ExtForwardBackward,
     ExtStrong,
     ExtendedPredicate,
     ForwardBackward,
@@ -150,15 +148,15 @@ class TestElementaryWeihrauch:
 
     def test_assembly_variants(self, pure):
         A = assembly(pure, ["x"], [(K, "x"), (S, "x")])
-        f = AssemblyFamily(A, {(K, "x"): frozenset([K]), (S, "x"): frozenset([K])}, NONEMPTY)
+        f = MassFamily(A, {(K, "x"): frozenset([K]), (S, "x"): frozenset([K])}, NONEMPTY)
         assert check_le(pure, "drW", f, f, Uniform(SND)).holds
-        g = AssemblyFamily(A, {(K, "x"): frozenset(), (S, "x"): frozenset([K])}, ALLOW_EMPTY)
+        g = MassFamily(A, {(K, "x"): frozenset(), (S, "x"): frozenset([K])}, ALLOW_EMPTY)
         assert check_le(pure, "dextW", g, g, Uniform(SND)).holds
 
     def test_empty_solution_sets_are_vacuous(self, pure):
         A = assembly(pure, ["x"], [(K, "x")])
-        f = AssemblyFamily(A, {(K, "x"): frozenset([K])}, ALLOW_EMPTY)
-        top = AssemblyFamily(A, {(K, "x"): frozenset()}, ALLOW_EMPTY)
+        f = MassFamily(A, {(K, "x"): frozenset([K])}, ALLOW_EMPTY)
+        top = MassFamily(A, {(K, "x"): frozenset()}, ALLOW_EMPTY)
         assert check_le(pure, "dextW", f, top, Uniform(K)).holds
 
 
@@ -210,7 +208,7 @@ class TestRealizerBased:
         keys = [((p, x), (q, y)) for p, x in X.naming for q, y in Y.naming]
         F = Predicate(X, Y, {k: frozenset([K]) for k in keys})
         prod = ext_product(pure, X, Y)
-        w = ExtForwardBackward(prod.snd, SND)
+        w = ForwardBackward(prod.snd, SND)
         assert check_le(pure, "rW", F, F, w).holds
 
     def test_extended_allows_empty(self, pure):
@@ -218,7 +216,7 @@ class TestRealizerBased:
         Y = assembly(pure, ["a"], [(K, "a")])
         F = Predicate(X, Y, {((K, "u"), (K, "a")): frozenset()}, ALLOW_EMPTY)
         prod = ext_product(pure, X, Y)
-        assert check_le(pure, "tW", F, F, ExtForwardBackward(prod.snd, SND)).holds
+        assert check_le(pure, "tW", F, F, ForwardBackward(prod.snd, SND)).holds
 
 
 class TestExtendedStrong:
@@ -318,7 +316,7 @@ class TestReindex:
         solutions = {("u", "a"): K, ("u", "b"): S, ("v", "a"): S, ("v", "b"): K}
         F = Predicate(X, Y, {(kx, ky): frozenset([solutions[(kx[1], ky[1])]])
                              for kx in X.naming for ky in Y.naming})
-        w = ExtForwardBackward(ext_product(pure, X, Y).snd, SND)
+        w = ForwardBackward(ext_product(pure, X, Y).snd, SND)
         assert check_le(pure, doc, F, F, w).holds
         inc = ExtMorphism(W, X, App(K, K), {(S, "w"): "u"})
         F2 = reindex(pure, doc, inc, F)
@@ -371,15 +369,28 @@ class TestQuantifiers:
         assert out.values[S] == frozenset([pair_term(K, S)])
 
     def test_pure_forall_out_of_empty_product(self, pure):
-        # every fiber of a projection out of X x {} is empty, and so is its union
+        # every fiber of a projection out of X x {} is empty, and so is its
+        # union, whatever the policy of the family quantified
         X = carrier(pure, [K, S])
         prod = carrier_product(pure, X, carrier(pure, []))
-        out = forall_along(pure, "dW", prod.fst, MassFamily(prod.object, {}))
-        assert out.values == {K: frozenset(), S: frozenset()}
         A = assembly(pure, ["x"], [(K, "x")])
         aprod = ext_product(pure, assembly(pure, [], []), A)
-        out = forall_along(pure, "drW", aprod.snd, AssemblyFamily(aprod.object, {}))
-        assert out.values == {(K, "x"): frozenset()}
+        for policy in (ALLOW_EMPTY, NONEMPTY):
+            out = forall_along(pure, "dW", prod.fst, MassFamily(prod.object, {}, policy))
+            assert (out.values, out.policy) == ({K: frozenset(), S: frozenset()}, ALLOW_EMPTY)
+            out = forall_along(pure, "drW", aprod.snd, MassFamily(aprod.object, {}, policy))
+            assert (out.values, out.policy) == ({(K, "x"): frozenset()}, ALLOW_EMPTY)
+
+    def test_pure_forall_needs_a_projection_of_its_kind(self, pure):
+        X = carrier(pure, [K])
+        prod = carrier_product(pure, X, X)
+        A = assembly(pure, ["x"], [(K, "x")])
+        aprod = ext_product(pure, A, A)
+        over_a = MassFamily(aprod.object, {key: ONE_K for key in aprod.object.naming})
+        with pytest.raises(CheckError, match="pure quantifier over carriers needs a carrier projection"):
+            forall_along(pure, "dW", aprod.fst, over_a)
+        with pytest.raises(CheckError, match="pure quantifier over assemblies needs an ext projection"):
+            forall_along(pure, "drW", prod.fst, MassFamily(prod.object, {t: ONE_K for t in prod.object}))
 
     def test_medvedev_adjunction_same_witness(self, pure):
         Y = carrier(pure, [K, S])
@@ -571,7 +582,7 @@ def _mass_row(pca, policy=ALLOW_EMPTY):
 def _assembly_row(pca, policy):
     A = assembly(pca, ["x"], [(K, "x"), (S, "x")])
     second = ONE_S if policy == NONEMPTY else frozenset()
-    return AssemblyFamily(A, {(K, "x"): ONE_K, (S, "x"): second}, policy)
+    return MassFamily(A, {(K, "x"): ONE_K, (S, "x"): second}, policy)
 
 
 def _predicate_row(pca):
@@ -623,11 +634,11 @@ def _doctrine_row(pca, doc):
         F, prod = _assembly_predicate_row(pca, NONEMPTY if doc == "rW" else ALLOW_EMPTY)
         ks, kk = pair_term(K, S), pair_term(K, K)
         if doc == "rW":
-            return (F, F, ExtForwardBackward(prod.snd, SND), ExtForwardBackward(prod.snd, App(K, K)),
-                    (to_text(ks), "(u, b)", "S"), ExtForwardBackward(prod.snd, DIVERGES),
+            return (F, F, ForwardBackward(prod.snd, SND), ForwardBackward(prod.snd, App(K, K)),
+                    (to_text(ks), "(u, b)", "S"), ForwardBackward(prod.snd, DIVERGES),
                     ((to_text(kk), "(u, a)", "K", "timeout"), (to_text(ks), "(u, b)", "S", "timeout")))
-        return (F, F, ExtForwardBackward(prod.snd, SND), ExtForwardBackward(prod.snd, App(K, S)),
-                (to_text(kk), "(u, a)", "K"), ExtForwardBackward(prod.snd, DIVERGES),
+        return (F, F, ForwardBackward(prod.snd, SND), ForwardBackward(prod.snd, App(K, S)),
+                (to_text(kk), "(u, a)", "K"), ForwardBackward(prod.snd, DIVERGES),
                 ((to_text(kk), "(u, a)", "K", "timeout"),))
     if doc in ("classicalW", "classicalSW"):
         f = _mass_row(pca, NONEMPTY)
@@ -664,6 +675,47 @@ def test_doctrine_table(pure, doc, monkeypatch):
         starvation = check_le(pure, doc, lhs, rhs, starved, fuel=STARVED_FUEL)
     assert refutation.refuted and refutation.counterexample == counterexample
     assert starvation.unknown and starvation.unknowns == unknowns
+
+
+def _cross_kind_claims(pca):
+    """Per case: a claim given families, or a forward map, over the other
+    kind of base object, as (doc, lhs, rhs, witness, gate message)."""
+    mass, asm = _mass_row(pca, NONEMPTY), _assembly_row(pca, NONEMPTY)
+    F, prod = _predicate_row(pca)
+    G, aprod = _assembly_predicate_row(pca, NONEMPTY)
+    return {
+        "M-over-assembly": ("M", asm, asm, Uniform(ID), "mass doctrine needs mass families"),
+        "Mw-over-assembly": ("Mw", asm, asm, PerPoint({}), "mass doctrine needs mass families"),
+        "T-over-assembly": ("T", asm, asm, Uniform(ID), "tracked doctrine needs tracked families"),
+        "dW-over-assembly": ("dW", asm, asm, Uniform(SND),
+                             "elementary reducibility needs mass families over a carrier"),
+        "dsW-over-assembly": ("dsW", asm, asm, Uniform(ID),
+                              "elementary reducibility needs mass families over a carrier"),
+        "drW-over-carrier": ("drW", mass, mass, Uniform(SND),
+                             "elementary assembly reducibility needs assembly families"),
+        "dextW-over-carrier": ("dextW", mass, mass, Uniform(SND),
+                               "elementary assembly reducibility needs assembly families"),
+        "classicalW-over-assembly": ("classicalW", asm, asm, ForwardBackward(identity_map(mass.base), SND),
+                                     "classical reducibility needs mass families"),
+        "classicalW-assembly-forward": ("classicalW", mass, mass, ForwardBackward(ext_identity(asm.base), SND),
+                                        "forward map endpoints do not match the claim"),
+        "W-over-assembly": ("W", G, G, ForwardBackward(prod.snd, SND),
+                            "generalized reducibility lives over a carrier base"),
+        "W-assembly-forward": ("W", F, F, ForwardBackward(aprod.snd, SND),
+                               "forward map must start at the product of base and index"),
+        "rW-over-carrier": ("rW", F, F, ForwardBackward(aprod.snd, SND),
+                            "assembly reducibility lives over an assembly base"),
+        "rW-carrier-forward": ("rW", G, G, ForwardBackward(prod.snd, SND),
+                               "forward morphism endpoints do not match the claim"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_cross_kind_claims(Pca())))
+def test_cross_kind_claims_fail_their_gate(pure, case):
+    doc, lhs, rhs, w, message = _cross_kind_claims(pure)[case]
+    with pytest.raises(CheckError) as raised:
+        check_le(pure, doc, lhs, rhs, w)
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +830,7 @@ class TestClaimCache:
         """A forward map on the holding map's source and target with the
         given realizer; ``images`` picks each value from the old one."""
         a = holding.forward
-        if isinstance(holding, ForwardBackward):
+        if isinstance(a, FinMap):
             return FinMap(a.source, a.target, {t: images(v) for t, v in a.mapping.items()}, realizer)
         return ExtMorphism(a.source, a.target, realizer, {key: images(v) for key, v in a.pointmap.items()})
 

@@ -11,11 +11,9 @@ from degreelab.completions import (
 )
 from degreelab.doctrines import (
     ALLOW_EMPTY,
-    AssemblyFamily,
     CheckError,
     DialecticaPredicate,
     DialecticaWitness,
-    ExtForwardBackward,
     ExtStrong,
     ExtendedPredicate,
     ForwardBackward,
@@ -185,8 +183,7 @@ class TestTransposition:
     def _witness(doc, k):
         """k with the backward term that answers each instance by its own
         solution."""
-        fb = ForwardBackward if doc in ("dW", "dsW") else ExtForwardBackward
-        return fb(k, ID if doc == "dsW" else SND)
+        return ForwardBackward(k, ID if doc == "dsW" else SND)
 
     @pytest.mark.parametrize("doc", DOCS)
     def test_roundtrip(self, pure, doc):
@@ -236,9 +233,8 @@ class TestTransposition:
         object over the second projection is refused, not misread."""
         F = self._predicate(pure, doc)
         prod = product(pure, F.base, F.index)
-        family = MassFamily if doc in ("dW", "dsW") else AssemblyFamily
         values = {key: frozenset([K]) for key in keys(prod.object)}
-        obj = CompletionObject(EXISTS, PURE, doc, prod.snd, family(prod.object, values))
+        obj = CompletionObject(EXISTS, PURE, doc, prod.snd, MassFamily(prod.object, values))
         with pytest.raises(CheckError, match="first projection"):
             weihrauch_from_completion(pure, obj)
 
@@ -279,7 +275,7 @@ class TestRealizerMaps:
         F = Predicate(X, Y, {k: frozenset([K]) for k in keys})
         Fc = modest_predicate_to_carrier(pure, F)
         prod = ext_product(pure, X, Y)
-        w = ExtForwardBackward(prod.snd, SND)
+        w = ForwardBackward(prod.snd, SND)
         assert check_le(pure, "rW", F, F, w).holds
         wc = ext_fb_to_fb(pure, w)
         assert check_le(pure, "W", Fc, Fc, wc).holds

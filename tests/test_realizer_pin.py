@@ -20,7 +20,6 @@ import pytest
 
 from degreelab.doctrines import (
     DialecticaWitness,
-    ExtForwardBackward,
     ExtStrong,
     ForwardBackward,
     MassFamily,
@@ -102,8 +101,8 @@ def _compositions(pure) -> dict:
     B = assembly(pure, ["a", "b"], [(K, "a"), (S, "b")])
     esnd = ext_product(pure, A, B).snd
     for doc in ("rW", "tW"):
-        w = compose_witnesses(pure, doc, ExtForwardBackward(esnd, SND),
-                              ExtForwardBackward(esnd, App(K, K)))
+        w = compose_witnesses(pure, doc, ForwardBackward(esnd, SND),
+                              ForwardBackward(esnd, App(K, K)))
         out.update(_fb(f"compose {doc}", w))
     C = carrier(pure, [K, S])
     for doc in ("classicalW", "classicalSW"):
@@ -130,7 +129,7 @@ def _reindexings(pure) -> dict:
     B = assembly(pure, ["a", "b"], [(K, "a"), (S, "b")])
     V = assembly(pure, ["w"], [(S, "w")])
     ext_inc = ExtMorphism(V, A, App(K, K), {(S, "w"): "u"})
-    w = ExtForwardBackward(ext_product(pure, A, B).snd, SND)
+    w = ForwardBackward(ext_product(pure, A, B).snd, SND)
     for doc in ("rW", "tW"):
         out.update(_fb(f"reindex {doc}", reindex_witness(pure, doc, ext_inc, w)))
     w = ForwardBackward(constant_map(X, X, S), SND)
@@ -156,7 +155,7 @@ def _transports(pure) -> dict:
     keys = [((p, x), (q, y)) for p, x in A.naming for q, y in B.naming]
     G = Predicate(A, B, {k: frozenset([K]) for k in keys})
     obj = weihrauch_to_completion(pure, G, "drW")
-    cw = weihrauch_transport_backward(pure, obj, obj, ExtForwardBackward(ext_product(pure, A, B).snd, SND))
+    cw = weihrauch_transport_backward(pure, obj, obj, ForwardBackward(ext_product(pure, A, B).snd, SND))
     out["realizer backward"] = cw.mediator.realizer
     out["realizer forward"] = weihrauch_transport_forward(pure, obj, obj, cw).forward.realizer
     one = terminal_carrier(pure)

@@ -6,7 +6,6 @@ import pytest
 from degreelab import search as search_module
 from degreelab import terms as terms_module
 from degreelab.doctrines import (
-    AssemblyFamily,
     CheckError,
     DialecticaPredicate,
     ExtendedPredicate,
@@ -18,7 +17,7 @@ from degreelab.doctrines import (
     check_le,
 )
 from degreelab.instance import parse_instance
-from degreelab.pca import ID, Pca
+from degreelab.pca import Pca
 from degreelab.search import (
     SearchBudget,
     forward_map_candidates,
@@ -27,7 +26,7 @@ from degreelab.search import (
 )
 from degreelab.completions import CompletionObject, FORALL, FULL
 from degreelab.doctrines import TrackedFamily
-from degreelab.spaces import ExtMorphism, FinMap, assembly, carrier, identity_map
+from degreelab.spaces import FinMap, assembly, carrier, identity_map
 from degreelab.terms import App, K, Oracle, S, term_key, to_text
 
 O1 = Oracle("o1")
@@ -209,14 +208,11 @@ def _hand_claims(pca):
     X = carrier(pca, [K, S])
     A = assembly(pca, ["x", "y"], [(K, "x"), (S, "y")])
     tracked = TrackedFamily(X, {K: K, S: S})
-    over_a = AssemblyFamily(A, {(K, "x"): frozenset([K]), (S, "y"): frozenset([S])})
+    over_a = MassFamily(A, {(K, "x"): frozenset([K]), (S, "y"): frozenset([S])}, NONEMPTY)
     pred = Predicate(A, A, {(a, b): frozenset([K]) for a in A.naming for b in A.naming})
     dial = DialecticaPredicate(X, {(K, frozenset([K])): frozenset([K])})
-    # a completion object over an extended morphism: every candidate is a
-    # shape error for M, and the claim is still a memo key
-    comp = CompletionObject(FORALL, FULL, "dextW", ExtMorphism(A, A, ID, {(K, "x"): "x", (S, "y"): "y"}), over_a)
     return [("T", tracked, tracked), ("Tw", tracked, tracked), ("dextW", over_a, over_a),
-            ("rW", pred, pred), ("D", dial, dial), ("M", comp, comp)]
+            ("rW", pred, pred), ("D", dial, dial)]
 
 
 class TestSearchMemo:
