@@ -45,16 +45,23 @@ product of base and index; the positions depend on the forward map (a
 carrier map or an assembly morphism), so they are built the same way for
 the last forward map read and reused for every backward realizer paired
 with it.  For classicalW, classicalSW, extsW and D it holds the gated
-families.  The compiled claim is kept in a one-entry cache on the
-structure, keyed by the doctrine id and the identity of both families,
+families.  The compiled claim is kept in a cache on the structure with
+one entry per doctrine id, found again by the identity of both families,
 which is correct only because families are immutable.  Compiling
 evaluates nothing, so a ``Bounded`` witness still runs its inner searches
 lazily.  Verdicts keep their locations raw and render them only when read.
+
+A uniform witness (T, Tw, M, Mw and the elementary orders) is checked by
+one flat loop over the compiled cells, each holding its position and the
+refutation a miss there gives, built at the first miss and shared by the
+later ones; per-point and bounded witnesses, and the other orders, go
+through the obligation stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import verdicts
@@ -252,8 +259,7 @@ class DialecticaPredicate:
 # Witnesses
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(NamedTuple):  # a tuple: a search builds one per candidate
     term: Term
 
 
@@ -321,16 +327,20 @@ def _family_notes(*elems) -> tuple[str, ...]:
 # An obligation (fn, arg, allowed, where) asks that fn.arg be defined and in
 # allowed; `where` holds the raw points, terms and reason strings that locate
 # it.  A position settled without evaluation carries a sentinel fn.  A
-# refuting obligation ends its stream: `_discharge` never resumes it.
+# refuting obligation ends its stream: `_discharge` never resumes it.  A
+# uniform witness needs no stream: `_uniform` reads the compiled cells of
+# its claim directly.
 #
-# `Pca._claim` holds the last `_Claim` compiled (see the module docstring),
-# so the consecutive candidates of a search pay only for their shape, their
-# computability, their forward map and their evaluations.  A gate that
+# `Pca._claims` holds the last `_Claim` compiled for each doctrine id (see
+# the module docstring), so the consecutive candidates of a search, and
+# suites that alternate claims of two orders, pay only for their shape,
+# their computability, their forward map and their evaluations.  A gate that
 # fails compiles nothing, so it raises on every call; a check interrupted
-# by an exception (a forward map out of fuel included) drops the claim.
+# by an exception (a forward map out of fuel included) drops its claim.
 
 _REFUTES = object()
 _UNDECIDED = object()
+EMPTY_LEFT = "empty solution set on the left"  # why Mw refutes an empty solution set
 
 
 def _refute(*where) -> tuple:
@@ -343,21 +353,27 @@ def _undecided(*where) -> tuple:
 
 class _Stream:
     """Positions in canonical order, each built once, when a check first
-    reads that far: a check refuted early leaves the rest unbuilt."""
+    reads that far: a check refuted early leaves the rest unbuilt.  Once
+    every position is built a reader walks the list itself."""
 
-    __slots__ = ("pending", "known")
+    __slots__ = ("pending", "cells")
 
     def __init__(self, pending: Iterator):
-        self.pending = pending  # the positions no check has read yet
-        self.known: list = []  # the positions read so far
+        self.pending = pending  # the positions no check has read yet; None once all are built
+        self.cells: list = []  # the positions read so far
 
     def __iter__(self):
-        known = self.known
-        yield from known
+        if self.pending is None:
+            return iter(self.cells)
+        return chain(self.cells, self._rest())
+
+    def _rest(self):
+        cells = self.cells
         # `for`, not `yield from`: closing this reader must not close pending
         for position in self.pending:
-            known.append(position)
+            cells.append(position)
             yield position
+        self.pending = None
 
 
 class _Forward:
@@ -389,8 +405,7 @@ class _Forward:
         return self.stream
 
 
-class _Claim(NamedTuple):  # cheap to build: suites that alternate two claims build one per check
-    doc: str
+class _Claim(NamedTuple):
     lhs: object
     rhs: object
     notes: tuple[str, ...]
@@ -408,9 +423,11 @@ def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) 
         raise CheckError(f"doctrine {doc} needs a {names} witness, got {type(w).__name__}")
     claim = compile_claim(pca, doc, lhs, rhs)
     try:
+        if isinstance(w, Uniform):
+            return _uniform(pca, doc, claim, w, fuel)
         return _discharge(pca, obligations(pca, doc, claim.compiled, w, fuel), w, fuel, claim.notes)
     except BaseException as e:
-        pca._claim = None  # else a position that failed to build is skipped next time
+        pca._claims.pop(doc, None)  # else a position that failed to build is skipped next time
         if isinstance(e, SpaceTimeout):
             return verdicts.unknown((str(e),))
         raise
@@ -420,13 +437,49 @@ def compile_claim(pca: Pca, doc: str, lhs, rhs) -> _Claim:
     """The claim ``lhs <=_doc rhs`` compiled: the structure's cached one when
     it is this claim, else compiled now.  Compiling runs the order's family
     and base gates, which raise CheckError on an ill-formed claim."""
-    claim = pca._claim
-    if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.doc != doc:
+    claim = pca._claims.get(doc)
+    if claim is None or claim.lhs is not lhs or claim.rhs is not rhs:
         if doc not in _ORDERS:
             raise CheckError(f"unknown doctrine id {doc!r}")
-        claim = _Claim(doc, lhs, rhs, _family_notes(lhs, rhs), _ORDERS[doc][1](pca, doc, lhs, rhs))
-        pca._claim = claim
+        claim = _Claim(lhs, rhs, _family_notes(lhs, rhs), _ORDERS[doc][1](pca, doc, lhs, rhs))
+        pca._claims[doc] = claim
     return claim
+
+
+# Orders whose uniform witness term is checked for computability before the
+# first position; T, Tw and Mw check it at the first position, so over an
+# empty base any term holds.
+_CHECKED_UP_FRONT = {"M", "dW", "dsW", "drW", "dextW"}
+
+
+def _uniform(pca: Pca, doc: str, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
+    """A uniform witness checked at every position of a T, Tw, M, Mw or
+    elementary claim, one evaluation per cell: the first definite miss
+    returns that cell's refutation, a timeout leaves its position unknown."""
+    term = w.term
+    unchecked = doc not in _CHECKED_UP_FRONT
+    if not unchecked:
+        _require_computable(term, "witness term")
+    timeouts = []
+    for cell in claim.compiled:
+        _, arg, allowed, where, refuted = cell
+        if allowed is None:
+            return verdicts.refuted((*where, EMPTY_LEFT), notes=claim.notes)
+        if unchecked:
+            _require_computable(term, "witness term")
+            unchecked = False
+        out = apply(pca, term, arg, fuel)
+        if out.term in allowed:  # an undefined or timed-out outcome has no term
+            continue
+        if out.status == "timeout":
+            timeouts.append(where + ("timeout",))
+            continue
+        if refuted is None:
+            refuted = cell[4] = verdicts.refuted(where, notes=claim.notes)
+        return refuted
+    if timeouts:
+        return verdicts.unknown(tuple(timeouts), notes=claim.notes)
+    return verdicts.holds(w, notes=claim.notes)
 
 
 def _discharge(pca: Pca, obligations, w: Witness, fuel: int | None, notes: tuple[str, ...]) -> Verdict:
@@ -476,6 +529,17 @@ def _over(family: type, base: type, lhs, rhs) -> bool:
     return all(isinstance(e, family) and isinstance(e.base, base) for e in (lhs, rhs))
 
 
+def _cells(doc, pending) -> _Stream:
+    """The positions of a T, Tw, M, Mw or elementary claim as cells ``[key,
+    arg, allowed, where, refuted]``.  ``refuted`` is the verdict a miss there
+    gives: None until the first miss builds it, then shared by every later
+    one, as verdicts are immutable, so a check that holds builds none.
+    Under Mw an empty solution set refutes with no evaluation: its cell
+    allows None."""
+    return _Stream([key, arg, None if doc == "Mw" and not allowed else allowed, where, None]
+                   for key, arg, allowed, where in pending)
+
+
 def _pointwise_positions(pca, doc, lhs, rhs) -> _Stream:
     tracked = doc in ("T", "Tw")
     if not _over(TrackedFamily if tracked else MassFamily, FinSet, lhs, rhs):
@@ -483,7 +547,7 @@ def _pointwise_positions(pca, doc, lhs, rhs) -> _Stream:
                          else "mass doctrine needs mass families")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
-    return _Stream(positions(lhs, rhs))
+    return _cells(doc, positions(lhs, rhs))
 
 
 def _elementary_positions(pca, doc, lhs, rhs) -> _Stream:
@@ -496,24 +560,17 @@ def _elementary_positions(pca, doc, lhs, rhs) -> _Stream:
     if not (over_assembly or lhs.base.is_carrier):
         raise CheckError("elementary reducibility needs a carrier base")
     # where[0] is the base point, or the name of the naming pair
-    return _Stream((key, arg if doc == "dsW" else pair_term(where[0], arg), allowed, where)
-                   for key, arg, allowed, where in positions(lhs, rhs))
+    return _cells(doc, ((key, arg if doc == "dsW" else pair_term(where[0], arg), allowed, where)
+                        for key, arg, allowed, where in positions(lhs, rhs)))
 
 
-# Orders whose uniform witness term is checked for computability before the
-# first position; the others check each realizer where it is first used.
-_CHECKED_UP_FRONT = {"M", "dW", "dsW", "drW", "dextW"}
-
-
-def _positional(pca, doc, positions, w, fuel):
+def _positional(pca, doc, cells, w, fuel):
+    """The obligations of a per-point or bounded Tw or Mw witness."""
     checked = None  # the last witness term found computable
-    if doc in _CHECKED_UP_FRONT:
-        _require_computable(w.term, "witness term")
-        checked = w.term
-    label = "point " if doc in ("T", "Tw") else ""
-    for key, arg, allowed, where in positions:
-        if doc == "Mw" and not allowed:
-            yield _refute(*where, "empty solution set on the left")
+    label = "point " if doc == "Tw" else ""
+    for key, arg, allowed, where, _ in cells:
+        if allowed is None:
+            yield _refute(*where, EMPTY_LEFT)
         if isinstance(w, Bounded):
             a = find_inner_witness(pca, arg, allowed, w.bound, fuel)[0]
             if a is None:
@@ -528,11 +585,9 @@ def _positional(pca, doc, positions, w, fuel):
 
 
 def _realizer_at(w: Witness, key, label: str = "") -> Term:
-    """The realizer a uniform or per-point witness gives at a position."""
-    if isinstance(w, Uniform):
-        return w.term
+    """The realizer a per-point witness gives at a position."""
     if not isinstance(w, PerPoint):
-        raise CheckError("need a uniform or per-point witness")
+        raise CheckError("need a per-point witness")
     a = w.mapping.get(key)
     if a is None:
         raise CheckError(f"per-point witness missing {label}{point_text(key)}")
@@ -765,18 +820,18 @@ def _dialectica(pca, doc, claim: tuple, w, fuel):
 
 # Per doctrine id: the witness shapes it takes, the compiler of its
 # witness-independent gates and of its positions, its product or its gated
-# families, and the generator of its obligations, which checks the
-# remaining gates (computability, forward maps, choices) before its first
-# obligation.
+# families, and the generator of the obligations of a witness that is not
+# uniform (`_uniform` checks those), which checks the remaining gates
+# (computability, forward maps, choices) before its first obligation.
 _ORDERS = {
-    "T": ((Uniform,), _pointwise_positions, _positional),
+    "T": ((Uniform,), _pointwise_positions, None),
     "Tw": ((PerPoint, Bounded, Uniform), _pointwise_positions, _positional),
-    "M": ((Uniform,), _pointwise_positions, _positional),
+    "M": ((Uniform,), _pointwise_positions, None),
     "Mw": ((PerPoint, Bounded, Uniform), _pointwise_positions, _positional),
-    "dW": ((Uniform,), _elementary_positions, _positional),
-    "dsW": ((Uniform,), _elementary_positions, _positional),
-    "drW": ((Uniform,), _elementary_positions, _positional),
-    "dextW": ((Uniform,), _elementary_positions, _positional),
+    "dW": ((Uniform,), _elementary_positions, None),
+    "dsW": ((Uniform,), _elementary_positions, None),
+    "drW": ((Uniform,), _elementary_positions, None),
+    "dextW": ((Uniform,), _elementary_positions, None),
     "W": ((ForwardBackward,), _generalized_claim, _generalized),
     "SW": ((ForwardBackward,), _generalized_claim, _generalized),
     "rW": ((ForwardBackward,), _realizer_based_claim, _realizer_based),
@@ -803,7 +858,7 @@ def reindex(pca: Pca, doc: str, m, elem, fuel: int | None = None):
     if doc in SET_BASED:
         if not isinstance(m, FinMap):
             raise CheckError("set-based reindexing needs a finite map")
-        _expect_base(m.target, elem.base)
+        _expect_base(m, elem.base, "target")
         if doc in ("T", "Tw"):
             return TrackedFamily(m.source, {w: elem.values[m.mapping[w]] for w in m.source})
         if doc == "D":
@@ -816,7 +871,7 @@ def reindex(pca: Pca, doc: str, m, elem, fuel: int | None = None):
     elif doc in COMPUTABLE_BASED:
         if not isinstance(m, FinMap) or m.realizer is None:
             raise CheckError("computable-base reindexing needs a realized map")
-        _expect_base(m.target, elem.base)
+        _expect_base(m, elem.base, "target")
     elif doc in ASSEMBLY_BASED:
         if not isinstance(m, ExtMorphism):
             raise CheckError("assembly-base reindexing needs an ext morphism")
@@ -832,9 +887,10 @@ def reindex(pca: Pca, doc: str, m, elem, fuel: int | None = None):
     return MassFamily(m.source, {a: elem.values[images[a]] for a in images}, elem.policy, elem.notes)
 
 
-def _expect_base(target, base) -> None:
-    if target != base:
-        raise CheckError("base mismatch: morphism target differs from element base")
+def _expect_base(m, base, end: str) -> None:
+    """Raise unless the given end ("target" or "source") of map m is base."""
+    if getattr(m, end) != base:
+        raise CheckError(f"base mismatch: morphism {end} differs from element base")
 
 
 def reindex_witness(pca: Pca, doc: str, m, w: Witness, fuel: int | None = None) -> Witness:
@@ -912,7 +968,7 @@ def forall_along(pca: Pca, doc: str, m, elem, fuel: int | None = None):
     if doc in ("M", "Mw"):
         if not isinstance(m, FinMap):
             raise CheckError("mass quantifier needs a finite map")
-        _expect_base(m.source, elem.base)
+        _expect_base(m, elem.base, "source")
         values = {
             y: frozenset().union(*(elem.values[x] for x in m.fiber(y))) if m.fiber(y) else frozenset()
             for y in m.target
@@ -926,7 +982,7 @@ def forall_along(pca: Pca, doc: str, m, elem, fuel: int | None = None):
         side = _projection_index(m)
         if m.source != elem.base:
             raise CheckError("base mismatch" if over_assembly
-                             else "base mismatch: morphism target differs from element base")
+                             else "base mismatch: morphism source differs from element base")
         # the key kept by the projection collects <name of the other key, q>
         values = {key: set() for key in keys(m.target)}
         for key in keys(m.source):
@@ -958,7 +1014,7 @@ def exists_along_medvedev(pca: Pca, m: FinMap, elem: MassFamily) -> MassFamily:
         raise CheckError("mass quantifier needs a finite map")
     if not m.is_surjective():
         raise CheckError("existential transport needs a surjective map")
-    _expect_base(m.source, elem.base)
+    _expect_base(m, elem.base, "source")
     values = {}
     for y in m.target:
         fiber = m.fiber(y)

@@ -122,10 +122,11 @@ class Pca:
     - ``_searches``, the search memo of ``search.search_witness``: the
       `SearchOutcome` of each claim searched to the end, keyed by
       ``(doc, lhs, rhs, witness size, fuel)``;
-    - ``_claim``, the last claim ``doctrines.check_le`` compiled, a pure
-      function of its families; for a forward-backward order it also holds
-      the positions of the last forward map read and the fuel that map was
-      verified at.
+    - ``_claims``, the last claim ``doctrines.check_le`` compiled for each
+      doctrine id, a pure function of its families, so that checks which
+      alternate claims of two orders compile each once; for a
+      forward-backward order it also holds the positions of the last
+      forward map read and the fuel that map was verified at.
     """
 
     oracles: Mapping[str, Mapping[Term, Term]] = field(default_factory=dict)
@@ -134,7 +135,7 @@ class Pca:
     _old_memo: dict = field(default_factory=dict, repr=False)
     _actions: dict = field(default_factory=dict, repr=False)
     _searches: dict = field(default_factory=dict, repr=False)
-    _claim: object = field(default=None, repr=False)
+    _claims: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.default_fuel <= 0:

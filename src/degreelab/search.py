@@ -15,9 +15,9 @@ is made of three pieces, each implemented once:
 Candidates are drawn from the oracle-free term enumeration in its fixed
 size-lexicographic order; composite witnesses iterate forward candidates in
 that order, then any auxiliary assignments lexicographically by point, then
-backward candidates.  The first Holding witness in that order is returned and
-re-verified before it is reported, so Found outcomes are sound by
-construction.  A search never claims absolute non-reducibility: exhausting
+backward candidates.  The first Holding witness in that order is returned
+as it was checked: its own ``check_le`` verdict is the proof, and nothing
+checks it again, so Found outcomes are sound by construction.  A search never claims absolute non-reducibility: exhausting
 the bound only reports the bound.
 
 A repeated claim is answered from the structure's search memo: the same
@@ -169,7 +169,7 @@ def images_of(pca: Pca, t, args, allowed, fuel: int | None) -> tuple | None:
 def _candidates(pca, doc, lhs, rhs, budget):
     size = budget.witness_size
     if doc in ("T", "M", "dW", "dsW", "drW", "dextW"):
-        return (Uniform(t) for t in iter_computable(size))
+        return map(Uniform, iter_computable(size))
     if doc in ("Tw", "Mw"):
         return _per_point_candidates(pca, lhs, rhs, budget)
     if doc in ("classicalW", "classicalSW", "W", "SW"):

@@ -392,6 +392,26 @@ class TestQuantifiers:
         with pytest.raises(CheckError, match="pure quantifier over assemblies needs an ext projection"):
             forall_along(pure, "drW", prod.fst, MassFamily(prod.object, {t: ONE_K for t in prod.object}))
 
+    def test_base_gate_names_the_end_of_the_map(self, pure):
+        # reindexing reads the map's target; the quantifiers read its source
+        Y = carrier(pure, [K, S])
+        X = carrier(pure, [K])
+        f = constant_map(Y, X, K)
+        over_y = MassFamily(Y, {K: ONE_K, S: ONE_S})
+        over_x = MassFamily(X, {K: ONE_K})
+        prod = carrier_product(pure, X, X)
+        target = "base mismatch: morphism target differs from element base"
+        source = "base mismatch: morphism source differs from element base"
+        for call, message in ((lambda: reindex(pure, "M", f, over_y), target),
+                              (lambda: reindex(pure, "dW", f, over_y), target),
+                              (lambda: forall_along(pure, "M", f, over_x), source),
+                              (lambda: forall_along(pure, "Mw", f, over_x), source),
+                              (lambda: forall_along(pure, "dW", prod.fst, over_x), source),
+                              (lambda: exists_along_medvedev(pure, f, over_x), source)):
+            with pytest.raises(CheckError) as raised:
+                call()
+            assert str(raised.value) == message
+
     def test_medvedev_adjunction_same_witness(self, pure):
         Y = carrier(pure, [K, S])
         X = carrier(pure, [K])
@@ -719,6 +739,75 @@ def test_cross_kind_claims_fail_their_gate(pure, case):
 
 
 # ---------------------------------------------------------------------------
+# Uniform witnesses: what their check must keep deciding as it did.
+
+
+class TestUniformWitness:
+    def test_tracked_over_an_empty_carrier_holds_for_any_term(self, pca):
+        # T checks its term at the first position, and there is none
+        empty = TrackedFamily(carrier(pca, []), {})
+        assert check_le(pca, "T", empty, empty, Uniform(O1)).holds
+
+    def test_mass_checks_its_term_up_front(self, pca):
+        empty = MassFamily(carrier(pca, []), {})
+        with pytest.raises(CheckError, match=r"^witness term #o1 is not computable$"):
+            check_le(pca, "M", empty, empty, Uniform(O1))
+
+    def test_empty_left_solution_set(self, pca):
+        X = carrier(pca, [K])
+        phi = MassFamily(X, {K: frozenset()})
+        psi = MassFamily(X, {K: ONE_K})
+        # Mw refutes an empty set before evaluating, or checking, the term
+        for term in (ID, DIVERGES, O1):
+            v = check_le(pca, "Mw", phi, psi, Uniform(term), fuel=STARVED_FUEL)
+            assert _outcome(v) == ("refuted", ("K", "K", "empty solution set on the left"), ())
+        assert _outcome(check_le(pca, "M", phi, psi, Uniform(ID))) == ("refuted", ("K", "K"), ())
+        assert check_le(pca, "M", phi, psi, Uniform(DIVERGES), fuel=STARVED_FUEL).unknown
+
+    def test_a_miss_after_a_timeout_refutes(self, pure):
+        # SII runs out of fuel on SII and sends K to K K, which S's set lacks
+        X = carrier(pure, [K, S])
+        self_apply = ap(S, ID, ID)
+        phi = MassFamily(X, {K: ONE_K, S: ONE_S})
+        psi = MassFamily(X, {K: frozenset([self_apply]), S: ONE_K})
+        for doc in ("M", "Mw"):
+            v = check_le(pure, doc, phi, psi, Uniform(self_apply), fuel=STARVED_FUEL)
+            assert _outcome(v) == ("refuted", ("S", "K"), ())
+
+    def test_a_check_that_raises_mid_way_drops_its_claim(self, pure, monkeypatch):
+        X = carrier(pure, [K, S])
+        phi = MassFamily(X, {K: ONE_K, S: ONE_S})
+        compiled = _count_compiles(monkeypatch, "M")
+        assert check_le(pure, "M", phi, phi, Uniform(ID)).holds
+
+        class Interrupted(Exception):
+            pass
+
+        calls = []
+        def apply_once(*args, real=doctrines.apply):
+            calls.append(args)
+            if len(calls) == 2:
+                raise Interrupted
+            return real(*args)
+        with monkeypatch.context() as patched:
+            patched.setattr(doctrines, "apply", apply_once)
+            with pytest.raises(Interrupted):
+                check_le(pure, "M", phi, phi, Uniform(ID))
+        assert check_le(pure, "M", phi, phi, Uniform(ID)).holds
+        assert compiled == ["M", "M"]
+
+
+def _count_compiles(monkeypatch, *docs) -> list:
+    """The doctrine ids the orders' compilers are called with, from now on."""
+    compiled = []
+    for doc in docs:
+        shapes, compile, obligations = doctrines._ORDERS[doc]
+        counted = lambda pca, doc, lhs, rhs, compile=compile: compiled.append(doc) or compile(pca, doc, lhs, rhs)
+        monkeypatch.setitem(doctrines._ORDERS, doc, (shapes, counted, obligations))
+    return compiled
+
+
+# ---------------------------------------------------------------------------
 # The compiled-claim cache: check_le keeps the last claim it compiled on the
 # structure; a check must give the verdict a fresh structure gives.
 
@@ -774,6 +863,16 @@ class TestClaimCache:
             assert _outcome(check_le(shared, doc, left, right, refuted)) == ("refuted", counterexample, ())
             v = check_le(shared, doc, left, right, starved, fuel=STARVED_FUEL)
             assert _outcome(v) == ("unknown", None, unknowns)
+
+    def test_alternating_claims_of_two_orders_compile_once_each(self, monkeypatch):
+        shared = Pca()
+        compiled = _count_compiles(monkeypatch, "extsW", "D")
+        rows = [(doc, *_doctrine_row(shared, doc)[:4]) for doc in ("extsW", "D")]
+        for _ in range(3):
+            for doc, lhs, rhs, holding, refuted in rows:
+                assert check_le(shared, doc, lhs, rhs, holding).holds
+                assert check_le(shared, doc, lhs, rhs, refuted).refuted
+        assert compiled == ["extsW", "D"]
 
     def test_failing_gate_raises_on_every_call(self):
         shared = Pca()
