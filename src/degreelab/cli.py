@@ -236,6 +236,8 @@ def _render_search(args, inst, claim, outcome: SearchOutcome, elapsed) -> str:
             lines.append(f"// stopped by the time cap of {args.time_cap}s after {outcome.checked} candidates checked")
         else:
             lines.append(f"// {outcome.timeouts} candidates timed out within the budget")
+    if outcome.malformed:
+        lines.append(f"// {outcome.malformed} candidates were malformed")
     if args.format == "human":
         lines.append(f"// budget size {outcome.bound}, fuel {inst.fuel}, {elapsed:.3f}s")
     return "\n".join(lines)

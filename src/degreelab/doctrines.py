@@ -414,18 +414,24 @@ class _Claim(NamedTuple):
 
 def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) -> Verdict:
     """Verify the witnessed claim ``lhs <=_doc rhs`` exhaustively; unknown
-    when a realizer the check needs runs out of fuel."""
-    if doc not in _ORDERS:
-        raise CheckError(f"unknown doctrine id {doc!r}")
-    shapes, _, obligations = _ORDERS[doc]
-    if not isinstance(w, shapes):
-        names = "/".join(c.__name__ for c in shapes)
-        raise CheckError(f"doctrine {doc} needs a {names} witness, got {type(w).__name__}")
-    claim = compile_claim(pca, doc, lhs, rhs)
+    when a realizer the check needs runs out of fuel.
+
+    A uniform witness of a claim compiled last for ``doc`` goes straight to
+    `_uniform`: its order takes uniform witnesses, as its compiled claim
+    holds positions."""
+    claim = pca._claims.get(doc) if w.__class__ is Uniform else None
+    if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.compiled.__class__ is not _Stream:
+        if doc not in _ORDERS:
+            raise CheckError(f"unknown doctrine id {doc!r}")
+        shapes = _ORDERS[doc][0]
+        if not isinstance(w, shapes):
+            names = "/".join(c.__name__ for c in shapes)
+            raise CheckError(f"doctrine {doc} needs a {names} witness, got {type(w).__name__}")
+        claim = compile_claim(pca, doc, lhs, rhs)
     try:
         if isinstance(w, Uniform):
             return _uniform(pca, doc, claim, w, fuel)
-        return _discharge(pca, obligations(pca, doc, claim.compiled, w, fuel), w, fuel, claim.notes)
+        return _discharge(pca, _ORDERS[doc][2](pca, doc, claim.compiled, w, fuel), w, fuel, claim.notes)
     except BaseException as e:
         pca._claims.pop(doc, None)  # else a position that failed to build is skipped next time
         if isinstance(e, SpaceTimeout):
@@ -457,8 +463,8 @@ def _uniform(pca: Pca, doc: str, claim: _Claim, w: Uniform, fuel: int | None) ->
     elementary claim, one evaluation per cell: the first definite miss
     returns that cell's refutation, a timeout leaves its position unknown."""
     term = w.term
-    unchecked = doc not in _CHECKED_UP_FRONT
-    if not unchecked:
+    unchecked = term._hash & 1  # terms.has_oracle: the term is not computable
+    if unchecked and doc in _CHECKED_UP_FRONT:
         _require_computable(term, "witness term")
     timeouts = []
     for cell in claim.compiled:
@@ -467,11 +473,10 @@ def _uniform(pca: Pca, doc: str, claim: _Claim, w: Uniform, fuel: int | None) ->
             return verdicts.refuted((*where, EMPTY_LEFT), notes=claim.notes)
         if unchecked:
             _require_computable(term, "witness term")
-            unchecked = False
-        out = apply(pca, term, arg, fuel)
-        if out.term in allowed:  # an undefined or timed-out outcome has no term
+        status, value, _, _ = apply(pca, term, arg, fuel)
+        if value in allowed:  # an undefined or timed-out outcome has no term
             continue
-        if out.status == "timeout":
+        if status == "timeout":
             timeouts.append(where + ("timeout",))
             continue
         if refuted is None:

@@ -451,9 +451,10 @@ def _uniform_candidates(pca, g):
 
 def _first_holding(pca, doc, lhs, rhs, cands, fuel):
     """The first candidate that holds; else False, or None (undecided) when
-    a candidate's check ran out of fuel."""
+    the search is unknown: a candidate's check ran out of fuel, or no
+    candidate was well formed."""
     out = first_holding(cands, lambda w: check_le(pca, doc, lhs, rhs, w, fuel), SearchBudget(0, fuel))
-    return out.witness if out.found else (None if out.timeouts else False)
+    return out.witness if out.found else (None if out.status == UNKNOWN else False)
 
 
 def _any_of(*outcomes):

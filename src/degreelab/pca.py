@@ -12,6 +12,15 @@ atom was applied to an argument outside its table -- a definite outcome), or
 ``Timeout`` (the step budget ran out -- a conservative outcome).  Nothing in
 this module raises to signal partiality.
 
+One machine evaluates (`_eval`).  It runs tasks, one per term whose normal
+form it needs: the term asked for, and each argument of an inert head or of
+an oracle that the memo does not settle.  A task that waits for such an
+argument is suspended as one tuple on an explicit stack, so reduction depth
+never touches the interpreter stack.  Each task ends as its memo entry, with
+its exact step count; a task whose term comes back unchanged (it made no
+contraction, or its K or oracle contractum was the whole remaining term, and
+its arguments came back as the same objects) returns the existing term.
+
 Closed S/K terms form the computable fragment: S/K reduction never introduces
 oracle atoms, so the fragment is closed under application.
 
@@ -57,9 +66,9 @@ MAX_WORK_SIZE = 200_000
 # An entry is the finished `EvalOutcome` with its exact step count, so
 # eviction changes no outcome, only the time to recompute it, and `normalize`
 # answers a hit without starting the machine.  The bound is sized by what the
-# entries save: the ten laws suites, each on a fresh structure, run 164,552
-# evaluator tasks at a bound of 10,000 entries, 176,227 (+7.1 %) at this
-# bound, 186,763 at 2,000 and 287,031 at 300, while the entries between 3,000
+# entries save: the ten laws suites, each on a fresh structure, run 164,549
+# evaluator tasks at a bound of 10,000 entries, 176,224 (+7.1 %) at this
+# bound, 186,760 at 2,000 and 242,140 at 300, while the entries between 3,000
 # and 10,000 held about 7 MB of the laws run's 30 MB peak.  No `check` and no
 # found search reaches this bound.  Entries are counted, not term nodes: no S/K
 # term of size 7 or less applied to K, S or the pair of K and K has a normal
@@ -113,9 +122,10 @@ class Pca:
     are pure functions of the tables:
 
     - ``_memo`` and ``_old_memo``, the evaluator memo: the `EvalOutcome` of
-      each evaluated subterm, detail and exact step count included, in two
-      generations (current and old) of at most about ``MEMO_LIMIT`` entries
-      each, a bound sized to what the laws suites re-ask;
+      each task the machine ran, keyed by its term, detail and exact step
+      count included, in two generations (current and old) of at most about
+      ``MEMO_LIMIT`` entries each, a bound sized to what the laws suites
+      re-ask; a normal term's entry holds the term itself;
     - ``_actions``, one action index per ``(argument, bound, fuel)`` of
       ``doctrines.find_inner_witness``: the least term reaching each normal
       form, the first timeout, and how far the walk over the terms got;
@@ -148,9 +158,6 @@ class Pca:
                     if not is_normal(self, t):
                         raise PcaError(f"oracle #{name} {role} {to_text(t)} is not in normal form")
 
-    def table(self, name: str) -> Mapping[Term, Term] | None:
-        return self.oracles.get(name)
-
 
 EMPTY_PCA = Pca()
 
@@ -177,201 +184,176 @@ def is_normal(pca: Pca, t: Term) -> bool:
     return True
 
 
-def _push_spine(t: Term, stack: list) -> Term:
-    """Push the arguments of t onto the stack (first argument on top) and
-    return the head."""
-    while isinstance(t, App):
-        stack.append(t.arg)
-        t = t.fn
-    return t
-
-
-_TIMED_OUT = (TIMEOUT, None, "")  # how a task the machine runs ends, before it is stored
-
-
-def _rebuild(head: Term, done: list) -> tuple:
-    """head applied to the normal forms in done, as (status, term, detail)."""
-    out = head
-    for a in done:
-        out = App(out, a)
-        if out.size > MAX_WORK_SIZE:
-            return _TIMED_OUT
-    return DEFINED, out, ""
-
-
-def _recall(pca: Pca, t: Term, fuel: int) -> EvalOutcome | None:
-    """The outcome of t within fuel when the memo settles it, else None.
-
-    A hit in the old generation is copied back.  An entry that took more
-    steps than fuel is a timeout; a timeout entry is recomputed when fuel is
-    larger than the steps it ran out at."""
-    hit = pca._memo.get(t)
-    if hit is None:
-        hit = pca._old_memo.get(t)
-        if hit is None:
-            return None
-        pca._memo[t] = hit  # promote: it is still in use
-    if hit.status == TIMEOUT:
-        return None if fuel > hit.steps else _TIMEOUT
-    return hit if hit.steps <= fuel else _TIMEOUT
-
-
 def _eval(pca: Pca, t: Term, fuel: int) -> EvalOutcome:
-    """Leftmost-outermost weak reduction, iterative, with memoization.
+    """Leftmost-outermost weak reduction of t within fuel, for a t the memo
+    does not settle: one machine over an explicit stack of suspended tasks.
 
-    The machine works on a head plus an explicit argument stack (top of the
-    stack is the next argument), so a contraction costs amortized constant
-    work even when terms grow, and reduction depth never touches the
-    interpreter stack.  Sub-evaluations (arguments of inert heads, oracle
-    arguments) are frames.  Every task the machine runs ends as one
-    `EvalOutcome` with its exact step count, which is its memo entry; a task
-    the memo settles (`_recall`) reuses the stored object and runs nothing.
-    So replaying a cached result is indistinguishable from recomputing it,
-    and outcomes stay a pure function of (structure, term, fuel).
+    A task evaluates one term.  The running task lives in locals: its memo
+    key, the fuel left when it started, its head and argument stack (the
+    next argument on top), the normal forms of the arguments done so far,
+    and ``node``, the existing term it still equals, if any.  An argument
+    of an inert head, or of an oracle, is first looked up in the memo; only
+    when the memo does not settle it is the running task suspended, as one
+    tuple on the frame list, and the argument run as a task of its own.  So
+    a contraction costs amortized constant work even when terms grow, and
+    reduction depth never touches the interpreter stack.
+
+    Every task ends as one `EvalOutcome` with its exact step count, which is
+    its memo entry.  A task that made no contraction, or whose K or oracle
+    contractum was the whole remaining term, and whose arguments came back
+    as the same objects, ends with that existing term instead of a rebuilt
+    copy; ``MAX_WORK_SIZE`` bounds the result either way.  Replaying a memo
+    entry is indistinguishable from recomputing it, so outcomes stay a pure
+    function of (structure, term, fuel).
     """
-    frames: list = []  # the running tasks that wait for a subtask
-    result = None  # (status, term, detail) of a task run, or a recalled outcome
+    # tuple.__new__ builds an outcome without EvalOutcome's Python-level __new__
+    memo, old, tables, new = pca._memo, pca._old_memo, pca.oracles, tuple.__new__
+    frames: list = []  # suspended tasks: (key, started, node, head, stack, done)
+    key = node = head = t
+    started = left = fuel  # steps of the running task: started - left
     stack: list = []
-    head = _push_spine(t, stack)  # the caller found t not settled by the memo
-    left, spent = fuel, 0
-    key, started, fresh = t, spent, True
-    pending: Term | None = None  # subterm whose evaluation starts the next task
-    memo = pca._memo
-    k_atom, s_atom = K, S
-
+    done: list = []
+    status = term = value = arg = None  # value: an argument's normal form, for the running task
+    detail = ""  # empty unless status is UNDEFINED
     while True:
-        if result is None and pending is not None:
-            result = _recall(pca, pending, left)
-            if result is None:
-                stack = []
-                head = _push_spine(pending, stack)
+        # contract the head redexes of the running task
+        while True:
+            while head.__class__ is App:
+                stack.append(head.arg)
+                head = head.fn
+            if head is K:
+                if len(stack) < 2:
+                    break
+                if left <= 0:
+                    status = TIMEOUT
+                    break
+                left -= 1
+                head = stack.pop()
+                stack.pop()
+                node = None if stack else head
+            elif head is S:
+                if len(stack) < 3:
+                    break
+                if left <= 0:
+                    status = TIMEOUT
+                    break
+                left -= 1
+                a = stack.pop()
+                b = stack.pop()
+                c = stack[-1]
+                if a.size + b.size + 2 * c.size + 3 > MAX_WORK_SIZE:
+                    status = TIMEOUT
+                    break
+                stack[-1] = App(b, c)
+                stack.append(c)
+                head = a
+                node = None
             else:
-                used = left if result is _TIMEOUT else result.steps
-                left -= used
-                spent += used
-                fresh = False  # the memo already holds it
-            pending = None
-        if result is None:
-            # head-reduce (head, stack) until an outcome or a descent
-            while True:
-                if head is k_atom and len(stack) >= 2:
-                    if left <= 0:
-                        result = _TIMED_OUT
-                        break
-                    left -= 1
-                    spent += 1
-                    head = stack[-1]
-                    del stack[-2:]
-                    while head.__class__ is App:
-                        stack.append(head.arg)
-                        head = head.fn
-                    continue
-                if head is s_atom and len(stack) >= 3:
-                    if left <= 0:
-                        result = _TIMED_OUT
-                        break
-                    left -= 1
-                    spent += 1
-                    a, b, c = stack[-1], stack[-2], stack[-3]
-                    del stack[-3:]
-                    if a.size + b.size + 2 * c.size + 3 > MAX_WORK_SIZE:
-                        result = _TIMED_OUT
-                        break
-                    stack.append(App(b, c))
-                    stack.append(c)
-                    head = a
-                    while head.__class__ is App:
-                        stack.append(head.arg)
-                        head = head.fn
-                    continue
-                if isinstance(head, Oracle) and stack:
-                    arg = stack.pop()
-                    frames.append(("oracle", head, stack, key, started))
-                    key, started, fresh = arg, spent, True
-                    pending = arg
-                    break
-                if isinstance(head, Var):
-                    raise PcaError(f"cannot evaluate open term: free variable {head.name}")
-                if stack:
-                    # inert head: normalize the arguments left to right;
-                    # non-application arguments are already normal
-                    done: list = []
-                    while stack:
-                        arg = stack.pop()
-                        if arg.__class__ is not App:
-                            if isinstance(arg, Var):
-                                raise PcaError(
-                                    f"cannot evaluate open term: free variable {arg.name}"
-                                )
-                            done.append(arg)
-                            continue
-                        frames.append(("args", head, stack, done, key, started))
-                        key, started, fresh = arg, spent, True
-                        pending = arg
-                        break
-                    if pending is None:
-                        result = _rebuild(head, done)
-                    break
-                result = DEFINED, head, ""
                 break
-            if pending is not None:
-                continue
-        # The task keyed by `key` finished with `result`.
-        if fresh:
-            result = memo[key] = EvalOutcome(*result, spent - started)
-        if not frames:
-            return result
-        frame = frames.pop()
-        fresh = True  # a task that waits in a frame is one the machine runs
-        if frame[0] == "oracle":
-            _, o_head, stack, key, started = frame
-            if result.status != DEFINED:
-                result = result.status, None, result.detail  # propagate
-                continue
-            table = pca.table(o_head.name)
-            hit = None if table is None else table.get(result.term)
-            if hit is None:
-                result = UNDEFINED, None, f"#{o_head.name} applied to {to_text(result.term)}"
-                continue
-            if left <= 0:
-                result = _TIMED_OUT
-                continue
-            left -= 1
-            spent += 1
-            head = _push_spine(hit, stack)
-            result = None
-            continue
-        _, head, stack, done, key, started = frame
-        if result.status != DEFINED:
-            result = result.status, None, result.detail  # propagate
-            continue
-        done.append(result.term)
-        while stack:
-            arg = stack.pop()
-            if arg.__class__ is not App:
-                if isinstance(arg, Var):
-                    raise PcaError(f"cannot evaluate open term: free variable {arg.name}")
-                done.append(arg)
-                continue
-            frames.append(("args", head, stack, done, key, started))
-            key, started, fresh = arg, spent, True
-            pending = arg
-            result = None
-            break
-        if pending is not None:
-            continue
-        result = _rebuild(head, done)
+        if status is None:
+            # an inert head or an oracle: normalize the arguments, left to right
+            if head.__class__ is Var:
+                raise PcaError(f"cannot evaluate open term: free variable {head.name}")
+            while True:
+                if value is not None:
+                    if head.__class__ is Oracle:
+                        table = tables.get(head.name)
+                        hit = None if table is None else table.get(value)
+                        if hit is None:
+                            status, detail = UNDEFINED, f"#{head.name} applied to {to_text(value)}"
+                        elif left <= 0:
+                            status = TIMEOUT
+                        else:
+                            left -= 1
+                            head = hit
+                            node = None if stack else hit
+                        value = None
+                        break
+                    done.append(value)
+                    if value is not arg:
+                        node = None
+                    value = None
+                if not stack:
+                    term = node
+                    if term is None:
+                        term = head
+                        for a in done:
+                            term = App(term, a)
+                    if term.size > MAX_WORK_SIZE:
+                        status, term = TIMEOUT, None
+                    else:
+                        status = DEFINED
+                    break
+                arg = stack.pop()
+                if arg.__class__ is not App:
+                    if arg.__class__ is Var:
+                        raise PcaError(f"cannot evaluate open term: free variable {arg.name}")
+                    value = arg
+                    continue
+                hit = memo.get(arg)
+                if hit is None:
+                    hit = old.get(arg)
+                    if hit is not None:
+                        memo[arg] = hit  # promote: it is still in use
+                if hit is not None:
+                    # an entry that took more steps than are left is a timeout;
+                    # a timeout entry is rerun when more are left than it ran
+                    steps = hit[3]
+                    if hit[0] == TIMEOUT:
+                        if steps >= left:
+                            left, status = 0, TIMEOUT
+                            break
+                    elif steps > left:
+                        left, status = 0, TIMEOUT
+                        break
+                    else:
+                        left -= steps
+                        if hit[0] == DEFINED:
+                            value = hit[1]
+                            continue
+                        status, detail = UNDEFINED, hit[2]
+                        break
+                frames.append((key, started, node, head, stack, done))
+                key = node = head = arg
+                started = left
+                stack = []
+                done = []
+                break
+            if status is None:
+                continue  # a task started, or an oracle contracted
+        # the running task ends: store it, then hand its outcome to the task it suspended
+        while True:
+            out = memo[key] = new(EvalOutcome, (status, term, detail, started - left))
+            if not frames:
+                return out
+            arg = key
+            key, started, node, head, stack, done = frames.pop()
+            if status is DEFINED:
+                value, status, term = term, None, None
+                break
 
 
 def normalize(pca: Pca, t: Term, fuel: int | None = None) -> EvalOutcome:
-    """Weak normal form of a closed term within fuel."""
+    """Weak normal form of a closed term within fuel.
+
+    A memo entry settles t when it is a definite outcome within fuel (more
+    steps than fuel are a timeout) or a timeout at no less fuel; a hit in
+    the old generation is copied back."""
     if fuel is None:
         fuel = pca.default_fuel
     if fuel <= 0:
         raise PcaError("fuel must be positive")
     if len(pca._memo) > MEMO_LIMIT:
         pca._old_memo, pca._memo = pca._memo, {}
-    return _recall(pca, t, fuel) or _eval(pca, t, fuel)
+    hit = pca._memo.get(t)
+    if hit is None:
+        hit = pca._old_memo.get(t)
+        if hit is None:
+            return _eval(pca, t, fuel)
+        pca._memo[t] = hit  # promote: it is still in use
+    if hit.status == TIMEOUT:
+        return _eval(pca, t, fuel) if fuel > hit.steps else _TIMEOUT
+    return hit if hit.steps <= fuel else _TIMEOUT
 
 
 def apply(pca: Pca, a: Term, b: Term, fuel: int | None = None) -> EvalOutcome:

@@ -4,8 +4,8 @@ Every search here, for a reducibility claim or for a completion-order claim,
 is made of three pieces, each implemented once:
 
 * `first_holding` is the one candidate loop.  It checks candidates in order,
-  counts failures and timeouts, reads the time cap before each candidate and
-  returns the first one that holds.
+  counts failures, timeouts and malformed candidates, reads the time cap (if
+  one is set) before each candidate and returns the first one that holds.
 * `assignments` is the one enumerator of every assignment of options to
   keys: graphs, choice functions, point maps and palettes of families.  The
   options of the last key vary fastest.
@@ -52,6 +52,7 @@ from .doctrines import (
 )
 from .pca import Pca, apply, iter_computable
 from .spaces import ExtMorphism, FinMap, FinSet, carrier_product, ext_product, point_key
+from .verdicts import HOLDS, REFUTED
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
@@ -74,9 +75,10 @@ class SearchOutcome:
     status: str
     witness: object | None = None
     bound: int = 0
-    failures: int = 0
-    timeouts: int = 0
+    failures: int = 0  # candidates refuted
+    timeouts: int = 0  # candidates left unknown
     clock_stopped: bool = False  # the time cap ended the search
+    malformed: int = 0  # candidates whose check raised CheckError
 
     @property
     def found(self) -> bool:
@@ -84,16 +86,16 @@ class SearchOutcome:
 
     @property
     def checked(self) -> int:
-        return self.failures + self.timeouts
+        return self.failures + self.timeouts + self.malformed
 
 
 class _Clock:
-    def __init__(self, cap: float | None):
+    def __init__(self, cap: float):
         self.cap = cap
         self.start = time.monotonic()
 
     def expired(self) -> bool:
-        return self.cap is not None and time.monotonic() - self.start > self.cap
+        return time.monotonic() - self.start > self.cap
 
 
 def search_witness(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome:
@@ -125,27 +127,31 @@ def _search(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome
 def first_holding(candidates, check, budget: SearchBudget) -> SearchOutcome:
     """The first candidate whose verdict ``check(candidate)`` holds.
 
-    A candidate whose check raises CheckError counts as a failure, one whose
-    verdict is unknown as a timeout.  The clock starts here and is read after
-    each candidate is drawn, so the time cap covers building candidates."""
-    failures = timeouts = 0
-    clock = _Clock(budget.time_cap)
+    A candidate whose check raises CheckError counts as malformed, one whose
+    verdict is refuted as a failure and one whose verdict is unknown as a
+    timeout.  A search that refuted no candidate and left some unknown or
+    malformed has ruled nothing out, so it is unknown, not exhausted.  The
+    clock starts here, when a time cap is set, and is read after each
+    candidate is drawn, so the time cap covers building candidates."""
+    failures = timeouts = malformed = 0
+    bound = budget.witness_size
+    clock = None if budget.time_cap is None else _Clock(budget.time_cap)
     for cand in candidates:
-        if clock.expired():
-            return SearchOutcome(UNKNOWN, None, budget.witness_size, failures, timeouts, True)
+        if clock is not None and clock.expired():
+            return SearchOutcome(UNKNOWN, None, bound, failures, timeouts, True, malformed)
         try:
-            verdict = check(cand)
+            status = check(cand).status
         except CheckError:
-            failures += 1
+            malformed += 1
             continue
-        if verdict.holds:
-            return SearchOutcome(FOUND, cand, budget.witness_size, failures, timeouts)
-        if verdict.unknown:
-            timeouts += 1
-        else:
+        if status == HOLDS:
+            return SearchOutcome(FOUND, cand, bound, failures, timeouts, False, malformed)
+        if status == REFUTED:
             failures += 1
-    status = UNKNOWN if timeouts else EXHAUSTED
-    return SearchOutcome(status, None, budget.witness_size, failures, timeouts)
+        else:
+            timeouts += 1
+    status = UNKNOWN if timeouts or (malformed and not failures) else EXHAUSTED
+    return SearchOutcome(status, None, bound, failures, timeouts, False, malformed)
 
 
 def assignments(keys, options) -> Iterator[dict]:

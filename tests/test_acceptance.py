@@ -20,7 +20,7 @@ from degreelab.laws import SUITES
 from degreelab.pca import Pca
 
 BOUNDS = {
-    "pca-laws": 10.0,
+    "pca-laws": 5.0,
     "bracket-abstraction": 5.0,
     "pairing": 5.0,
     "medvedev-coheyting": 5.0,

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from degreelab import search
 from degreelab.cli import main
-from degreelab.doctrines import ALLOW_EMPTY, NONEMPTY
+from degreelab.doctrines import ALLOW_EMPTY, NONEMPTY, CheckError
 from degreelab.instance import parse_instance
 from degreelab.laws import run_suites
 from degreelab.terms import K, S
@@ -248,6 +249,16 @@ class TestIllFormedSearch:
         assert main(["--witness-size", "3", "search", str(path), "c"]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_all_malformed_candidates_are_reported_unknown(self, capsys, monkeypatch):
+        def malformed(*args):
+            raise CheckError("malformed")
+
+        monkeypatch.setattr(search, "check_le", malformed)
+        code, out = run(["--witness-size", "1", "--format", "machine", "search", FIXTURES / "holds.inst", "refl"],
+                        capsys)
+        assert (code, out) == (2, "result refl unknown\n// 0 candidates timed out within the budget\n"
+                                  "// 6 candidates were malformed\n")
 
 
 class TestForwardBackwardSearch:

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,7 @@ from degreelab import pca as pca_module
 from degreelab.laws import machine_format, run_suites
 from degreelab.pca import (
     DEFINED,
+    EMPTY_PCA,
     FST,
     ID,
     PAIR,
@@ -212,6 +214,34 @@ class TestMemoOutcomes:
         assert out.steps == 2 and normalize(pure, App(ID, S), 2).steps == 2
         assert normalize(pure, App(ID, S), 1) == pca_module.EvalOutcome("timeout")
         assert out == pca_module.EvalOutcome("defined", S) and not out != pca_module.EvalOutcome("defined", S)
+
+
+class TestExistingTerms:
+    """The machine runs on an explicit stack of suspended tasks, and a task
+    that made no contraction, or whose K contractum is the whole remaining
+    term, ends with that existing term."""
+
+    def test_deep_arguments_need_no_interpreter_stack(self):
+        deep = S
+        for _ in range(10_000):
+            deep = App(K, deep)  # normal: K takes two arguments
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)  # CPython's default
+        try:
+            for term, steps in ((deep, 0), (ap(K, deep, S), 1)):
+                out = normalize(Pca(), term)
+                # by identity: App.__eq__ recurses
+                assert out.status == DEFINED and out.steps == steps and out.term is deep
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_a_normal_term_is_its_own_memo_entry(self):
+        for t in enumerate_computable(5):
+            if is_normal(EMPTY_PCA, t):
+                machine = Pca()
+                out = normalize(machine, t)
+                assert out.term is t and out.steps == 0
+                assert all(entry.term is key for key, entry in machine._memo.items())
 
 
 class TestElementEqual:

@@ -17,6 +17,7 @@ from degreelab.doctrines import (
     check_le,
 )
 from degreelab.instance import parse_instance
+from degreelab.laws import _first_holding
 from degreelab.pca import Pca
 from degreelab.search import (
     SearchBudget,
@@ -178,7 +179,6 @@ class TestSoundness:
                 if out.found:
                     assert check_le(pure, "M", lhs, rhs, out.witness).holds
 
-    @pytest.mark.xfail(strict=True, reason="a search whose every candidate is malformed reports exhausted")
     def test_malformed_candidates_exhaust_nothing(self):
         # no candidate was well formed, so no bound was searched
         def malformed(cand):
@@ -186,6 +186,27 @@ class TestSoundness:
 
         out = search_module.first_holding([Uniform(K), Uniform(S)], malformed, SearchBudget(1))
         assert out.status != "exhausted"
+        assert (out.status, out.failures, out.timeouts, out.malformed, out.checked) == ("unknown", 0, 0, 2, 2)
+
+    def test_malformed_candidates_are_counted_apart_from_refuted_ones(self, pure):
+        X = carrier(pure, [K])
+        phi = MassFamily(X, {K: frozenset([S])})
+
+        def check(cand):  # K is malformed, S is refuted
+            if cand.term is K:
+                raise CheckError("malformed")
+            return check_le(pure, "M", phi, phi, cand)
+
+        out = search_module.first_holding([Uniform(K), Uniform(S)], check, SearchBudget(1))
+        assert (out.status, out.failures, out.timeouts, out.malformed, out.checked) == ("exhausted", 1, 0, 1, 2)
+        assert search_module.first_holding([], check, SearchBudget(1)).status == "exhausted"
+
+    def test_laws_read_an_all_malformed_search_as_undecided(self, pure):
+        X = carrier(pure, [K])
+        phi = MassFamily(X, {K: frozenset([K])})
+        shapes = [PerPoint({}), PerPoint({})]  # M takes uniform witnesses only
+        assert _first_holding(pure, "M", phi, phi, shapes, None) is None
+        assert _first_holding(pure, "M", phi, phi, [Uniform(S)], None) is False
 
 
 def _counted(pca, doc, lhs, rhs, budget):
