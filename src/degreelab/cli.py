@@ -25,12 +25,15 @@ from . import isomorphisms as iso
 from .completions import CompletionObject, CompletionWitness, comp_le
 from .doctrines import (
     ALLOW_EMPTY,
+    ASSEMBLY,
     NONEMPTY,
+    ORDERS,
     CheckError,
     DialecticaWitness,
     ForwardBackward,
     MassFamily,
     TrackedFamily,
+    Uniform,
     check_le,
 )
 from .instance import (
@@ -332,8 +335,12 @@ def cmd_complete(args) -> int:
     uni = inst.universes.get(args.universe) if args.universe else A
     if uni is None:
         raise InstanceError(f"unknown universe {args.universe!r}")
-    if args.doc not in ("T", "M", "dW"):
-        raise InstanceError("complete supports payload doctrines T, M and dW")
+    # the orders of families over a carrier that take uniform witnesses
+    docs = [doc for doc, o in ORDERS.items() if Uniform in o.shapes and o.base != ASSEMBLY]
+    if args.doc not in docs:
+        raise InstanceError(f"complete supports payload doctrines {', '.join(docs)}")
+    order = ORDERS[args.doc]
+    tracked = order.family is TrackedFamily
     # legs and tracked payloads list their values in text order, mass payloads in point order
     if args.klass == "full":
         targets = sorted(A.points, key=point_text)
@@ -342,17 +349,16 @@ def cmd_complete(args) -> int:
     else:
         legs = [carrier_product(inst.pca, A, Y).fst for Y in inst.carriers.values()
                 if 0 < len(Y) <= args.index_bound]
-    if args.doc == "T":
+    if tracked:
         opts = sorted(uni.points, key=point_text)
-    else:  # a dW payload is nonempty everywhere
+    else:  # a nonempty payload takes no empty value
         opts = [frozenset([u]) for u in uni.points]
-        if args.doc == "M":
+        if order.policy == ALLOW_EMPTY:
             opts.insert(0, frozenset())
     objects = []
     for leg in legs:
         for values in assignments(leg.source.points, [opts] * len(leg.source)):
-            payload = (TrackedFamily(leg.source, values) if args.doc == "T"
-                       else MassFamily(leg.source, values, NONEMPTY if args.doc == "dW" else ALLOW_EMPTY))
+            payload = TrackedFamily(leg.source, values) if tracked else MassFamily(leg.source, values, order.policy)
             objects.append(CompletionObject(args.kind, args.klass, args.doc, leg, payload))
         if len(objects) > 400:
             raise InstanceError("completion fiber too large; lower --index-bound or shrink the universe")

@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 from . import verdicts
 from .doctrines import (
-    DOCTRINES,
     CheckError,
     Uniform,
     Witness,
     check_le,
     forall_along,
+    order_of,
     reindex,
 )
-from .pca import FST, ID, PAIR, Pca, SND, abstract_all
+from .pca import FST, PAIR, Pca, SND, abstract_all
 from .spaces import (
     Assembly,
     ExtMorphism,
@@ -75,8 +75,7 @@ class CompletionObject:
             raise CheckError(f"bad completion kind {self.kind!r}")
         if self.klass not in (FULL, PURE):
             raise CheckError(f"bad completion class {self.klass!r}")
-        if self.doc not in DOCTRINES:
-            raise CheckError(f"unknown doctrine id {self.doc!r}")
+        order_of(self.doc)  # raises on an unknown doctrine id
         src = self.leg.source
         base = getattr(self.payload, "base", None)
         if base is None:
@@ -156,10 +155,12 @@ def _triangle_failure(pca, outer, h, expected, fuel):
 
 
 def identity_base_witness(doc: str) -> Uniform:
-    """The identity-shaped witness for elem <= elem in each base order."""
-    if doc in ("dW", "drW", "dextW"):
-        return Uniform(SND)
-    return Uniform(ID)
+    """The witness of elem <= elem in a base order whose identity witness
+    does not depend on elem (its record's ``identity``)."""
+    w = order_of(doc).identity
+    if w is None:
+        raise CheckError(f"doctrine {doc} has no identity witness independent of the claim")
+    return w
 
 
 def identity_completion_witness(pca: Pca, obj: CompletionObject) -> CompletionWitness:

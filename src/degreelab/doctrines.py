@@ -33,29 +33,28 @@ syntactic.  Verdicts are three-way: a definite counterexample refutes, a
 timeout is only ever Unknown, and streams follow the canonical point order
 so the first counterexample is reproducible.
 
-Every order compiles a claim once (`compile_claim`): the first check of a
-claim, or a search before its first candidate, runs its family and base
-gates and compiles its notes.  A mass family holds a solution set for each
-key of its base (a carrier point, or a naming pair of an assembly), so dW
-to dextW are read over keys by one body.  For T, Tw, M, Mw and the
-elementary orders the positions do not depend on the witness, and they are
-built (each solution set sorted once) as checks first read them.  For the
-forward-backward orders W, SW, rW and tW the compiled claim holds the
-product of base and index; the positions depend on the forward map (a
-carrier map or an assembly morphism), so they are built the same way for
-the last forward map read and reused for every backward realizer paired
-with it.  For classicalW, classicalSW, extsW and D it holds the gated
-families.  The compiled claim is kept in a cache on the structure with
-one entry per doctrine id, found again by the identity of both families,
-which is correct only because families are immutable.  Compiling
+Each doctrine id has one record, an `Order` in `ORDERS` (`DOCTRINES` is
+its key tuple), and every function here reads an order through it, not
+through its id: witness classes, compile step and obligations, family
+class, base kind (the maps it reindexes along), solution-set policy,
+whether its realizer reads the bare argument (``strong``), and the bodies
+of its witness composition, witness reindexing and universal quantifier.
+
+A claim is compiled once (`compile_claim`), by its first check or before a
+search's first candidate: its family and base gates, its notes and what
+its checks read.  For T, Tw, M, Mw and the elementary orders (dW to dextW,
+read over the keys of a carrier or an assembly by one body) these are its
+positions, built as checks first read them, each solution set sorted once;
+a uniform witness is checked by one flat loop over them (`_uniform`), each
+cell holding the refutation a miss there gives, built at the first miss.
+For W, SW, rW, tW and the classical orders it is where forward maps start
+and land, and the positions of the last forward map read, reused for every
+backward realizer paired with it.  For extsW and D it is the left
+positions and the right solution sets, sorted once.  The structure keeps
+one compiled claim per doctrine id, found again by the identity of both
+families (correct only because families are immutable).  Compiling
 evaluates nothing, so a ``Bounded`` witness still runs its inner searches
 lazily.  Verdicts keep their locations raw and render them only when read.
-
-A uniform witness (T, Tw, M, Mw and the elementary orders) is checked by
-one flat loop over the compiled cells, each holding its position and the
-refutation a miss there gives, built at the first miss and shared by the
-later ones; per-point and bounded witnesses, and the other orders, go
-through the obligation stream.
 """
 
 from __future__ import annotations
@@ -106,6 +105,7 @@ from .verdicts import Verdict
 
 ALLOW_EMPTY = "allow-empty"
 NONEMPTY = "nonempty"
+SET, COMPUTABLE, ASSEMBLY = "set", "computable", "assembly"  # base kinds: what an order reindexes along
 
 class CheckError(ValueError):
     """Witness/doctrine mismatch, non-computable witness, or base mismatch."""
@@ -251,9 +251,6 @@ class DialecticaPredicate:
     def relation(self) -> tuple:
         return tuple(sorted(self.table, key=lambda xa: (point_key(xa[0]), point_key(xa[1]))))
 
-    def related(self, x, a: frozenset) -> bool:
-        return (x, frozenset(a)) in self.table
-
 
 # ---------------------------------------------------------------------------
 # Witnesses
@@ -315,10 +312,7 @@ def _require_computable(t: Term, role: str) -> None:
 
 
 def _family_notes(*elems) -> tuple[str, ...]:
-    notes: tuple[str, ...] = ()
-    for e in elems:
-        notes += getattr(e, "notes", ())
-    return notes
+    return tuple(chain.from_iterable(getattr(e, "notes", ()) for e in elems))
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +372,19 @@ class _Stream:
 
 class _Forward:
     """A compiled forward-backward claim: the object a forward map must
-    start at and the one it must land in; and the last forward map read,
-    with its positions, kept for every backward realizer paired with it,
-    and the fuel it was last verified at (its endpoints and its gate are
+    start at and the one it must land in, with the gate messages of a map
+    that does not (``ends``, for carrier maps); and the last forward map
+    read, with its positions, kept for every backward realizer paired with
+    it, and the fuel it was last verified at (its endpoints and its gate are
     checked once per map and fuel)."""
 
-    __slots__ = ("source", "target", "build", "forward", "stream", "verified")
+    __slots__ = ("source", "target", "build", "ends", "forward", "stream", "verified")
 
-    def __init__(self, source, target, build):
+    def __init__(self, source, target, build, ends=None):
         self.source = source
         self.target = target
         self.build = build  # (forward map, fuel) -> its positions (arg, allowed, where)
+        self.ends = ends  # the messages for a wrong source and a wrong target
         self.forward = self.stream = self.verified = None
 
     def passed(self, k, fuel) -> bool:
@@ -410,6 +406,15 @@ class _Claim(NamedTuple):
     rhs: object
     notes: tuple[str, ...]
     compiled: object  # what the order's compile step built
+    order: Order
+
+
+def order_of(doc: str) -> Order:
+    """The record of doctrine id doc."""
+    order = ORDERS.get(doc)
+    if order is None:
+        raise CheckError(f"unknown doctrine id {doc!r}")
+    return order
 
 
 def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) -> Verdict:
@@ -421,17 +426,16 @@ def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) 
     holds positions."""
     claim = pca._claims.get(doc) if w.__class__ is Uniform else None
     if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.compiled.__class__ is not _Stream:
-        if doc not in _ORDERS:
-            raise CheckError(f"unknown doctrine id {doc!r}")
-        shapes = _ORDERS[doc][0]
+        shapes = order_of(doc).shapes
         if not isinstance(w, shapes):
             names = "/".join(c.__name__ for c in shapes)
             raise CheckError(f"doctrine {doc} needs a {names} witness, got {type(w).__name__}")
         claim = compile_claim(pca, doc, lhs, rhs)
     try:
         if isinstance(w, Uniform):
-            return _uniform(pca, doc, claim, w, fuel)
-        return _discharge(pca, _ORDERS[doc][2](pca, doc, claim.compiled, w, fuel), w, fuel, claim.notes)
+            return _uniform(pca, claim, w, fuel)
+        order = claim.order
+        return _discharge(pca, order.obligations(pca, order, claim.compiled, w, fuel), w, fuel, claim.notes)
     except BaseException as e:
         pca._claims.pop(doc, None)  # else a position that failed to build is skipped next time
         if isinstance(e, SpaceTimeout):
@@ -445,26 +449,20 @@ def compile_claim(pca: Pca, doc: str, lhs, rhs) -> _Claim:
     and base gates, which raise CheckError on an ill-formed claim."""
     claim = pca._claims.get(doc)
     if claim is None or claim.lhs is not lhs or claim.rhs is not rhs:
-        if doc not in _ORDERS:
-            raise CheckError(f"unknown doctrine id {doc!r}")
-        claim = _Claim(lhs, rhs, _family_notes(lhs, rhs), _ORDERS[doc][1](pca, doc, lhs, rhs))
+        order = order_of(doc)
+        claim = _Claim(lhs, rhs, _family_notes(lhs, rhs), order.compile(pca, order, lhs, rhs), order)
         pca._claims[doc] = claim
     return claim
 
 
-# Orders whose uniform witness term is checked for computability before the
-# first position; T, Tw and Mw check it at the first position, so over an
-# empty base any term holds.
-_CHECKED_UP_FRONT = {"M", "dW", "dsW", "drW", "dextW"}
-
-
-def _uniform(pca: Pca, doc: str, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
+def _uniform(pca: Pca, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
     """A uniform witness checked at every position of a T, Tw, M, Mw or
     elementary claim, one evaluation per cell: the first definite miss
-    returns that cell's refutation, a timeout leaves its position unknown."""
+    returns that cell's refutation, a timeout leaves its position unknown.
+    Over an empty base any term holds, unless its order checks it up front."""
     term = w.term
     unchecked = term._hash & 1  # terms.has_oracle: the term is not computable
-    if unchecked and doc in _CHECKED_UP_FRONT:
+    if unchecked and claim.order.up_front:
         _require_computable(term, "witness term")
     timeouts = []
     for cell in claim.compiled:
@@ -534,45 +532,36 @@ def _over(family: type, base: type, lhs, rhs) -> bool:
     return all(isinstance(e, family) and isinstance(e.base, base) for e in (lhs, rhs))
 
 
-def _cells(doc, pending) -> _Stream:
-    """The positions of a T, Tw, M, Mw or elementary claim as cells ``[key,
-    arg, allowed, where, refuted]``.  ``refuted`` is the verdict a miss there
-    gives: None until the first miss builds it, then shared by every later
-    one, as verdicts are immutable, so a check that holds builds none.
-    Under Mw an empty solution set refutes with no evaluation: its cell
-    allows None."""
-    return _Stream([key, arg, None if doc == "Mw" and not allowed else allowed, where, None]
-                   for key, arg, allowed, where in pending)
-
-
-def _pointwise_positions(pca, doc, lhs, rhs) -> _Stream:
-    tracked = doc in ("T", "Tw")
-    if not _over(TrackedFamily if tracked else MassFamily, FinSet, lhs, rhs):
-        raise CheckError("tracked doctrine needs tracked families" if tracked
-                         else "mass doctrine needs mass families")
-    if lhs.base != rhs.base:
-        raise CheckError("base mismatch")
-    return _cells(doc, positions(lhs, rhs))
-
-
-def _elementary_positions(pca, doc, lhs, rhs) -> _Stream:
-    over_assembly = doc in ASSEMBLY_BASED
-    if not _over(MassFamily, Assembly if over_assembly else FinSet, lhs, rhs):
+def _positions_claim(pca, order, lhs, rhs) -> _Stream:
+    """The family and base gates of a T, Tw, M, Mw or elementary claim, and
+    its positions as cells ``[key, arg, allowed, where, refuted]``.  A
+    realizer that is not ``strong`` reads the argument paired with where[0],
+    the base point or the name of the naming pair.  ``refuted`` is the
+    verdict a miss there gives: None until the first miss builds it, then
+    shared by every later one, as verdicts are immutable, so a check that
+    holds builds none.  Under Mw an empty solution set refutes with no
+    evaluation: its cell allows None."""
+    over_assembly = order.base == ASSEMBLY
+    if order.base == SET:
+        if not _over(order.family, FinSet, lhs, rhs):
+            raise CheckError("tracked doctrine needs tracked families" if order.family is TrackedFamily
+                             else "mass doctrine needs mass families")
+    elif not _over(MassFamily, Assembly if over_assembly else FinSet, lhs, rhs):
         raise CheckError("elementary assembly reducibility needs assembly families" if over_assembly
                          else "elementary reducibility needs mass families over a carrier")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
-    if not (over_assembly or lhs.base.is_carrier):
+    if order.base == COMPUTABLE and not lhs.base.is_carrier:
         raise CheckError("elementary reducibility needs a carrier base")
-    # where[0] is the base point, or the name of the naming pair
-    return _cells(doc, ((key, arg if doc == "dsW" else pair_term(where[0], arg), allowed, where)
-                        for key, arg, allowed, where in positions(lhs, rhs)))
+    return _Stream([key, arg if order.strong else pair_term(where[0], arg),
+                    None if order.empty_refutes and not allowed else allowed, where, None]
+                   for key, arg, allowed, where in positions(lhs, rhs))
 
 
-def _positional(pca, doc, cells, w, fuel):
+def _positional(pca, order, cells, w, fuel):
     """The obligations of a per-point or bounded Tw or Mw witness."""
     checked = None  # the last witness term found computable
-    label = "point " if doc == "Tw" else ""
+    label = "point " if order.family is TrackedFamily else ""
     for key, arg, allowed, where, _ in cells:
         if allowed is None:
             yield _refute(*where, EMPTY_LEFT)
@@ -675,13 +664,7 @@ def find_inner_witness(pca: Pca, b: Term, target: frozenset, bound: int,
     return hit[1], at is not None and at < hit[0]
 
 
-def _verify_forward_map(pca, k: FinMap, fuel) -> None:
-    if k.realizer is None:
-        raise CheckError("forward map must be computable (no realizer given)")
-    k.check_realizer(pca, fuel)
-
-
-def _generalized_claim(pca, doc, lhs, rhs) -> _Forward:
+def _generalized_claim(pca, order, lhs, rhs) -> _Forward:
     if not isinstance(lhs, Predicate) or not isinstance(rhs, Predicate):
         raise CheckError("generalized reducibility needs predicates")
     if lhs.base != rhs.base:
@@ -694,45 +677,55 @@ def _generalized_claim(pca, doc, lhs, rhs) -> _Forward:
     def positions(k, fuel):
         for x, y, t, allowed in cells:
             for q in sorted_terms(rhs.table[(x, k.mapping[t])]):
-                yield q if doc == "SW" else pair_term(t, q), allowed, (x, y, q)
+                yield q if order.strong else pair_term(t, q), allowed, (x, y, q)
 
-    return _Forward(prod.object, set(rhs.index.points), positions)
-
-
-def _generalized(pca, doc, claim: _Forward, w, fuel):
-    k, h = w.forward, w.backward
-    _require_computable(h, "backward witness")
-    if not claim.passed(k, fuel):
-        if k.source != claim.source:
-            raise CheckError("forward map must start at the product of base and index")
-        if set(k.target.points) != claim.target:
-            raise CheckError("forward map must land in the right-hand index")
-        _verify_forward_map(pca, k, fuel)
-    for arg, allowed, where in claim.positions(k, fuel):
-        yield h, arg, allowed, where
+    return _Forward(prod.object, rhs.index, positions, ("forward map must start at the product of base and index",
+                                                        "forward map must land in the right-hand index"))
 
 
-def _classical_claim(pca, doc, lhs, rhs) -> tuple:
+def _classical_claim(pca, order, lhs, rhs) -> _Forward:
     if not _over(MassFamily, FinSet, lhs, rhs):
         raise CheckError("classical reducibility needs mass families")
     if not (lhs.base.is_carrier and rhs.base.is_carrier):
         raise CheckError("classical reducibility lives over carriers")
-    return lhs, rhs
+
+    def positions(k, fuel):
+        for p in lhs.base:
+            for q in sorted_terms(rhs.values[k.mapping[p]]):
+                yield q if order.strong else pair_term(p, q), lhs.values[p], (p, q)
+
+    return _Forward(lhs.base, rhs.base, positions, ("forward map endpoints do not match the claim",) * 2)
 
 
-def _classical(pca, doc, claim: tuple, w, fuel):
-    lhs, rhs = claim
+def _forward_backward(pca, order, claim: _Forward, w, fuel):
+    """The obligations of a forward-backward witness: its forward map's
+    endpoints and gate, once per map and fuel, then those of its backward term."""
     k, h = w.forward, w.backward
     _require_computable(h, "backward witness")
-    if k.source != lhs.base or set(k.target.points) != set(rhs.base.points):
-        raise CheckError("forward map endpoints do not match the claim")
-    _verify_forward_map(pca, k, fuel)
-    for p in lhs.base:
-        for q in sorted_terms(rhs.values[k.mapping[p]]):
-            yield h, q if doc == "classicalSW" else pair_term(p, q), lhs.values[p], (p, q)
+    if not claim.passed(k, fuel):
+        if order.base == ASSEMBLY:
+            if k.source != claim.source or k.target != claim.target:
+                raise CheckError("forward morphism endpoints do not match the claim")
+            gate = ext_check(pca, k, fuel)
+            if gate.refuted:
+                raise CheckError(f"forward morphism is not a morphism: {gate.counterexample}")
+            if gate.unknown:  # not remembered: every check reports its locations
+                yield from (_undecided(*where) for where in gate.unknowns)
+                return
+        else:
+            starts, lands = claim.ends
+            if k.source != claim.source:
+                raise CheckError(starts)
+            if set(k.target.points) != set(claim.target.points):
+                raise CheckError(lands)
+            if k.realizer is None:
+                raise CheckError("forward map must be computable (no realizer given)")
+            k.check_realizer(pca, fuel)
+    for arg, allowed, where in claim.positions(k, fuel):
+        yield h, arg, allowed, where
 
 
-def _realizer_based_claim(pca, doc, lhs, rhs) -> _Forward:
+def _realizer_based_claim(pca, order, lhs, rhs) -> _Forward:
     if not isinstance(lhs, Predicate) or not isinstance(rhs, Predicate):
         raise CheckError("assembly reducibility needs predicates")
     if lhs.base != rhs.base:
@@ -754,34 +747,23 @@ def _realizer_based_claim(pca, doc, lhs, rhs) -> _Forward:
     return _Forward(prod.object, rhs.index, positions)
 
 
-def _realizer_based(pca, doc, claim: _Forward, w, fuel):
-    km, h = w.forward, w.backward
-    _require_computable(h, "backward witness")
-    if not claim.passed(km, fuel):
-        if km.source != claim.source or km.target != claim.target:
-            raise CheckError("forward morphism endpoints do not match the claim")
-        gate = ext_check(pca, km, fuel)
-        if gate.refuted:
-            raise CheckError(f"forward morphism is not a morphism: {gate.counterexample}")
-        if gate.unknown:  # not remembered: every check reports its locations
-            yield from (_undecided(*where) for where in gate.unknowns)
-            return
-    for arg, allowed, where in claim.positions(km, fuel):
-        yield h, arg, allowed, where
-
-
-def _extended_strong_claim(pca, doc, lhs, rhs) -> tuple:
+def _extended_strong_claim(pca, order, lhs, rhs) -> tuple:
+    """Per point of the effective domain its solution sets, and per image
+    each offered solution set with its terms sorted, both in point order."""
     if not isinstance(lhs, ExtendedPredicate) or not isinstance(rhs, ExtendedPredicate):
         raise CheckError("extended strong reducibility needs extended predicates")
-    return lhs, rhs
+    rows = tuple((p, tuple(sorted(lhs.table[p], key=point_key))) for p in lhs.effective_dom)
+    offered = {y: {b: sorted_terms(b) for b in sorted(sets, key=point_key)}
+               for y, sets in rhs.table.items() if sets}
+    return rows, offered
 
 
-def _extended_strong(pca, doc, claim: tuple, w, fuel):
-    lhs, rhs = claim
+def _extended_strong(pca, order, claim: tuple, w, fuel):
+    rows, offered = claim
     k, h = w.forward, w.backward
     _require_computable(k, "forward witness")
     _require_computable(h, "backward witness")
-    for p in lhs.effective_dom:
+    for p, sets in rows:
         out = apply(pca, k, p, fuel)
         if out.status == "timeout":
             yield _undecided(p, "timeout")
@@ -789,107 +771,80 @@ def _extended_strong(pca, doc, claim: tuple, w, fuel):
         if not out.is_defined:
             yield _refute(p, "forward witness undefined")
         kp = out.term
-        if kp not in rhs.dom or not rhs.table[kp]:
+        offers = offered.get(kp)
+        if offers is None:
             yield _refute(p, kp, "image has no candidate solution sets")
-        for a in sorted(lhs.table[p], key=point_key):
+        for a in sets:
             b = w.choice.get((p, a))
             if b is None:
                 raise CheckError(f"choice map missing ({to_text(p)}, {point_text(a)})")
-            if b not in rhs.table[kp]:
+            terms = offers.get(b)
+            if terms is None:
                 yield _refute(p, a, "chosen set not offered at the image")
-            for q in sorted_terms(b):
+            for q in terms:
                 yield h, q, a, (p, a, q)
 
 
-def _dialectica_claim(pca, doc, lhs, rhs) -> tuple:
+def _dialectica_claim(pca, order, lhs, rhs) -> tuple:
+    """The left relation with each pair's solution set, and each right
+    pair's terms sorted, both in point order."""
     if not isinstance(lhs, DialecticaPredicate) or not isinstance(rhs, DialecticaPredicate):
         raise CheckError("pointwise choice reducibility needs relation predicates")
     if lhs.base != rhs.base:
         raise CheckError("base mismatch")
-    return lhs, rhs
+    return (tuple((x, a, lhs.table[(x, a)]) for x, a in lhs.relation),
+            {xb: sorted_terms(rhs.table[xb]) for xb in rhs.relation})
 
 
-def _dialectica(pca, doc, claim: tuple, w, fuel):
-    lhs, rhs = claim
+def _dialectica(pca, order, claim: tuple, w, fuel):
+    relation, answers = claim
     h = w.backward
     _require_computable(h, "backward witness")
-    for (x, a) in lhs.relation:
+    for x, a, allowed in relation:
         b = w.choice.get((x, a))
         if b is None:
             raise CheckError(f"choice map missing ({point_text(x)}, {point_text(a)})")
-        if not rhs.related(x, b):
+        terms = answers.get((x, b))
+        if terms is None:
             yield _refute(x, a, "choice leaves the relation")
-        for q in sorted_terms(rhs.table[(x, b)]):
-            yield h, q, lhs.table[(x, a)], (x, a, q)
-
-
-# Per doctrine id: the witness shapes it takes, the compiler of its
-# witness-independent gates and of its positions, its product or its gated
-# families, and the generator of the obligations of a witness that is not
-# uniform (`_uniform` checks those), which checks the remaining gates
-# (computability, forward maps, choices) before its first obligation.
-_ORDERS = {
-    "T": ((Uniform,), _pointwise_positions, None),
-    "Tw": ((PerPoint, Bounded, Uniform), _pointwise_positions, _positional),
-    "M": ((Uniform,), _pointwise_positions, None),
-    "Mw": ((PerPoint, Bounded, Uniform), _pointwise_positions, _positional),
-    "dW": ((Uniform,), _elementary_positions, None),
-    "dsW": ((Uniform,), _elementary_positions, None),
-    "drW": ((Uniform,), _elementary_positions, None),
-    "dextW": ((Uniform,), _elementary_positions, None),
-    "W": ((ForwardBackward,), _generalized_claim, _generalized),
-    "SW": ((ForwardBackward,), _generalized_claim, _generalized),
-    "rW": ((ForwardBackward,), _realizer_based_claim, _realizer_based),
-    "tW": ((ForwardBackward,), _realizer_based_claim, _realizer_based),
-    "classicalW": ((ForwardBackward,), _classical_claim, _classical),
-    "classicalSW": ((ForwardBackward,), _classical_claim, _classical),
-    "extsW": ((ExtStrong,), _extended_strong_claim, _extended_strong),
-    "D": ((DialecticaWitness,), _dialectica_claim, _dialectica),
-}
-
-DOCTRINES = tuple(_ORDERS)
+        for q in terms:
+            yield h, q, allowed, (x, a, q)
 
 
 # ---------------------------------------------------------------------------
 # Reindexing
 
-SET_BASED = {"T", "Tw", "M", "Mw", "D"}
-COMPUTABLE_BASED = {"dW", "dsW", "W", "SW", "classicalW", "classicalSW"}
-ASSEMBLY_BASED = {"drW", "dextW", "rW", "tW"}
-
-
 def reindex(pca: Pca, doc: str, m, elem, fuel: int | None = None):
-    """Precompose a fiber element along a base morphism."""
-    if doc in SET_BASED:
-        if not isinstance(m, FinMap):
-            raise CheckError("set-based reindexing needs a finite map")
-        _expect_base(m, elem.base, "target")
-        if doc in ("T", "Tw"):
-            return TrackedFamily(m.source, {w: elem.values[m.mapping[w]] for w in m.source})
-        if doc == "D":
-            table = {}
-            for w in m.source:
-                for (x, a), v in elem.table.items():
-                    if x == m.mapping[w]:
-                        table[(w, a)] = v
-            return DialecticaPredicate(m.source, table)
-    elif doc in COMPUTABLE_BASED:
-        if not isinstance(m, FinMap) or m.realizer is None:
-            raise CheckError("computable-base reindexing needs a realized map")
-        _expect_base(m, elem.base, "target")
-    elif doc in ASSEMBLY_BASED:
+    """Precompose a fiber element along a base morphism of the order's base
+    kind: a finite map, a realized one, or an ext morphism."""
+    order = order_of(doc)
+    base = order.base
+    if base is None:
+        raise CheckError(f"doctrine {doc} has no reindexing")
+    if base == ASSEMBLY:
         if not isinstance(m, ExtMorphism):
             raise CheckError("assembly-base reindexing needs an ext morphism")
         if m.target != elem.base:
             raise CheckError("base mismatch")
     else:
-        raise CheckError(f"unknown doctrine id {doc!r}")
-    # the value (or the row, for W, SW, rW and tW) at each key is the one at its image
+        if base == SET and not isinstance(m, FinMap):
+            raise CheckError("set-based reindexing needs a finite map")
+        if base == COMPUTABLE and (not isinstance(m, FinMap) or m.realizer is None):
+            raise CheckError("computable-base reindexing needs a realized map")
+        _expect_base(m, elem.base, "target")
+    # the value (or the row, or the relation) at each key is the one at its image
     images = {a: key_image(pca, m, a, fuel) for a in keys(m.source)}
-    if doc in ("W", "SW", "rW", "tW"):
+    family = order.family
+    if family is DialecticaPredicate:
+        return DialecticaPredicate(m.source, {(p, a): v for p in images
+                                              for (x, a), v in elem.table.items() if x == images[p]})
+    if family is Predicate:
         table = {(a, b): elem.table[(images[a], b)] for a in images for b in keys(elem.index)}
         return Predicate(m.source, elem.index, table, elem.policy)
-    return MassFamily(m.source, {a: elem.values[images[a]] for a in images}, elem.policy, elem.notes)
+    values = {a: elem.values[images[a]] for a in images}
+    if family is TrackedFamily:
+        return TrackedFamily(m.source, values)
+    return MassFamily(m.source, values, elem.policy, elem.notes)
 
 
 def _expect_base(m, base, end: str) -> None:
@@ -900,22 +855,29 @@ def _expect_base(m, base, end: str) -> None:
 
 def reindex_witness(pca: Pca, doc: str, m, w: Witness, fuel: int | None = None) -> Witness:
     """Transport a witness of lhs <= rhs to one of the reindexed claim."""
-    if doc in ("T", "M", "dW", "dsW", "drW", "dextW"):
+    order = order_of(doc)
+    if order.reindex_witness is None:
+        raise CheckError(f"doctrine {doc} has no reindexing")
+    return order.reindex_witness(pca, order, m, w, fuel)
+
+
+def _same_witness(pca, order, m, w, fuel):
+    """A uniform witness of a claim is one of every reindexing of it."""
+    return w
+
+
+def _reindex_pointwise(pca, order, m, w, fuel):
+    """A per-point Tw or Mw table pulled back along m; a uniform or bounded
+    witness is its own reindexing."""
+    if not isinstance(w, PerPoint):
         return w
-    if doc in ("Tw",):
-        return PerPoint({p: w.mapping[m.mapping[p]] for p in m.source}) if isinstance(w, PerPoint) else w
-    if doc in ("Mw",):
-        return PerPoint(_pull_back(m, w.mapping)) if isinstance(w, PerPoint) else w
-    if doc == "D":
-        return DialecticaWitness(_pull_back(m, w.choice), w.backward)
-    if doc in ("W", "SW", "rW", "tW"):
-        return _reindex_fb(pca, doc, m, w, fuel)
-    if doc in ("classicalW", "classicalSW"):
-        new_k = compose_maps(w.forward, m)
-        if doc == "classicalSW":
-            return ForwardBackward(new_k, w.backward)
-        return ForwardBackward(new_k, compose_first(w.backward, m.realizer))
-    raise CheckError(f"unknown doctrine id {doc!r}")
+    if order.family is TrackedFamily:
+        return PerPoint({p: w.mapping[m.mapping[p]] for p in m.source})
+    return PerPoint(_pull_back(m, w.mapping))
+
+
+def _reindex_dialectica(pca, order, m, w, fuel):
+    return DialecticaWitness(_pull_back(m, w.choice), w.backward)
 
 
 def _pull_back(m: FinMap, table: Mapping) -> dict:
@@ -924,13 +886,17 @@ def _pull_back(m: FinMap, table: Mapping) -> dict:
     return {(p, b): t for (x, b), t in table.items() for p in m.source if m.mapping[p] == x}
 
 
-def _reindex_fb(pca, doc, m, w, fuel):
-    """A W, SW, rW or tW witness reindexed along m, one body for carrier maps
-    and assembly morphisms: the forward map k . (m x id) and the backward
-    term."""
+def _reindex_fb(pca, order, m, w, fuel):
+    """A forward-backward witness reindexed along m, one body for carrier
+    maps and assembly morphisms: the forward map k . (m x id), or k . m for
+    the classical orders, whose forward maps join the bases; and the
+    backward term."""
+    k = w.forward
+    if order.family is MassFamily:
+        h = w.backward if order.strong else compose_first(w.backward, m.realizer)
+        return ForwardBackward(compose_maps(k, m), h)
     if m.realizer is None:
         raise CheckError("witness transport along a non-computable map")
-    k = w.forward
     _, index = product_components(k.source)
     prod = product(pca, m.source, index)
     graph = {}
@@ -938,7 +904,7 @@ def _reindex_fb(pca, doc, m, w, fuel):
         a, b = split_key(key)
         graph[key] = k(pair_key(key_image(pca, m, a, fuel), b))
     new_k = map_like(k, prod.object, k.target, graph, compose_first(k.realizer, m.realizer))
-    return type(w)(new_k, w.backward if doc == "SW" else _backward_along(m, w.backward))
+    return type(w)(new_k, w.backward if order.strong else _backward_along(m, w.backward))
 
 
 def _after_fanout_fst(f: Term, g: Term) -> Term:
@@ -951,17 +917,9 @@ def _backward_along(m, backward: Term) -> Term:
     """The backward term of a witness reindexed along m: it answers the
     instance <<m.x, y>, b> of the original claim."""
     u = Var("u")
-    return abstract_all(
-        ("u",),
-        App(
-            backward,
-            ap(
-                PAIR,
-                ap(PAIR, App(m.realizer, App(FST, App(FST, u))), App(SND, App(FST, u))),
-                App(SND, u),
-            ),
-        ),
-    )
+    instance = App(FST, u)
+    answered = ap(PAIR, ap(PAIR, App(m.realizer, App(FST, instance)), App(SND, instance)), App(SND, u))
+    return abstract_all(("u",), App(backward, answered))
 
 
 # ---------------------------------------------------------------------------
@@ -970,34 +928,40 @@ def _backward_along(m, backward: Term) -> Term:
 
 def forall_along(pca: Pca, doc: str, m, elem, fuel: int | None = None):
     """Right adjoint to reindexing: the direct-image union formula."""
-    if doc in ("M", "Mw"):
-        if not isinstance(m, FinMap):
-            raise CheckError("mass quantifier needs a finite map")
-        _expect_base(m, elem.base, "source")
-        values = {
-            y: frozenset().union(*(elem.values[x] for x in m.fiber(y))) if m.fiber(y) else frozenset()
-            for y in m.target
-        }
-        return MassFamily(m.target, values, elem.policy if all(values.values()) else ALLOW_EMPTY, elem.notes)
-    if doc in ("dW", "drW", "dextW"):
-        over_assembly = doc != "dW"
-        if isinstance(m, ExtMorphism) != over_assembly:
-            raise CheckError("pure quantifier over assemblies needs an ext projection" if over_assembly
-                             else "pure quantifier over carriers needs a carrier projection")
-        side = _projection_index(m)
-        if m.source != elem.base:
-            raise CheckError("base mismatch" if over_assembly
-                             else "base mismatch: morphism source differs from element base")
-        # the key kept by the projection collects <name of the other key, q>
-        values = {key: set() for key in keys(m.target)}
-        for key in keys(m.source):
-            parts = split_key(key)
-            other = parts[1 - side][0] if over_assembly else parts[1 - side]
-            for q in elem.values[key]:
-                values[parts[side]].add(pair_term(other, q))
-        return MassFamily(m.target, {k: frozenset(v) for k, v in values.items()},
-                          elem.policy if all(values.values()) else ALLOW_EMPTY)
-    raise CheckError(f"no universal quantifier implemented for doctrine {doc!r}")
+    order = ORDERS.get(doc)
+    if order is None or order.forall is None:
+        raise CheckError(f"no universal quantifier implemented for doctrine {doc!r}")
+    return order.forall(pca, order, m, elem, fuel)
+
+
+def _forall_mass(pca, order, m, elem, fuel) -> MassFamily:
+    """The M and Mw quantifier: the union of the solution sets over each fiber."""
+    if not isinstance(m, FinMap):
+        raise CheckError("mass quantifier needs a finite map")
+    _expect_base(m, elem.base, "source")
+    values = {y: frozenset().union(*(elem.values[x] for x in m.fiber(y))) for y in m.target}
+    return MassFamily(m.target, values, elem.policy if all(values.values()) else ALLOW_EMPTY, elem.notes)
+
+
+def _forall_pure(pca, order, m, elem, fuel) -> MassFamily:
+    """The dW, drW and dextW quantifier along a product projection."""
+    over_assembly = order.base == ASSEMBLY
+    if isinstance(m, ExtMorphism) != over_assembly:
+        raise CheckError("pure quantifier over assemblies needs an ext projection" if over_assembly
+                         else "pure quantifier over carriers needs a carrier projection")
+    side = _projection_index(m)
+    if m.source != elem.base:
+        raise CheckError("base mismatch" if over_assembly
+                         else "base mismatch: morphism source differs from element base")
+    # the key kept by the projection collects <name of the other key, q>
+    values = {key: set() for key in keys(m.target)}
+    for key in keys(m.source):
+        parts = split_key(key)
+        other = parts[1 - side][0] if over_assembly else parts[1 - side]
+        for q in elem.values[key]:
+            values[parts[side]].add(pair_term(other, q))
+    return MassFamily(m.target, {k: frozenset(v) for k, v in values.items()},
+                      elem.policy if all(values.values()) else ALLOW_EMPTY)
 
 
 def _projection_index(m) -> int:
@@ -1047,7 +1011,8 @@ def lattice_element(pca: Pca, op: str, doc: str, *args, universe: FinSet | None 
     universe; `implies` discharges its inner quantifier by bounded
     enumeration.  Results record that relativity in their notes.
     """
-    if doc not in ("M", "Mw"):
+    order = ORDERS.get(doc)
+    if order is None or order.family is not MassFamily or order.base != SET:
         raise CheckError("lattice operations live on the mass fibers")
     if op == "bottom":
         if universe is None:
@@ -1061,59 +1026,33 @@ def lattice_element(pca: Pca, op: str, doc: str, *args, universe: FinSet | None 
         if base is None:
             raise CheckError("top needs a base")
         return MassFamily(base, {x: frozenset() for x in base}, ALLOW_EMPTY)
-    if op == "meet":
+    if op == "implies" and PerPoint not in order.shapes:
+        raise CheckError("no implication on the uniform mass fibers: they form a co-Heyting algebra only")
+    if op in ("meet", "join", "subtract", "implies"):
         phi, psi = args
         _common_base(phi, psi)
-        values = {
-            x: frozenset(pair_term(LATTICE_TAG_LEFT, a) for a in phi.values[x])
-            | frozenset(pair_term(LATTICE_TAG_RIGHT, b) for b in psi.values[x])
-            for x in phi.base
-        }
+    if op == "meet":
+        values = {x: frozenset(pair_term(LATTICE_TAG_LEFT, a) for a in phi.values[x])
+                  | frozenset(pair_term(LATTICE_TAG_RIGHT, b) for b in psi.values[x]) for x in phi.base}
         return MassFamily(phi.base, values, ALLOW_EMPTY, phi.notes + psi.notes)
     if op == "join":
-        phi, psi = args
-        _common_base(phi, psi)
-        values = {
-            x: frozenset(pair_term(a, b) for a in phi.values[x] for b in psi.values[x])
-            for x in phi.base
-        }
+        values = {x: frozenset(pair_term(a, b) for a in phi.values[x] for b in psi.values[x]) for x in phi.base}
         return MassFamily(phi.base, values, ALLOW_EMPTY, phi.notes + psi.notes)
     if op == "subtract":
-        phi, psi = args
-        _common_base(phi, psi)
         if universe is None:
             raise CheckError("subtract needs a declared universe")
         values = {}
-        for x in phi.base:
-            kept = []
-            for c in universe:
-                ok = True
-                for b in sorted_terms(psi.values[x]):
-                    out = apply(pca, c, b, fuel)
-                    if not out.is_defined or out.term not in phi.values[x]:
-                        ok = False
-                        break
-                if ok:
-                    kept.append(c)
-            values[x] = frozenset(kept)
+        for x in phi.base:  # the terms sending every solution of psi(x), in order, into phi(x)
+            args, allowed = sorted_terms(psi.values[x]), phi.values[x]
+            values[x] = frozenset(c for c in universe if all(apply(pca, c, b, fuel).term in allowed for b in args))
         return MassFamily(phi.base, values, ALLOW_EMPTY,
                           (f"subtract relative to universe of {len(universe)} terms",))
     if op == "implies":
-        if doc != "Mw":
-            raise CheckError(
-                "no implication on the uniform mass fibers: they form a co-Heyting algebra only"
-            )
-        phi, psi = args
-        _common_base(phi, psi)
         if bound is None:
             raise CheckError("implies needs a search bound for its inner quantifier")
-        values = {}
-        for x in phi.base:
-            kept = []
-            for b in sorted_terms(psi.values[x]):
-                if find_inner_witness(pca, b, phi.values[x], bound, fuel)[0] is None:
-                    kept.append(b)
-            values[x] = frozenset(kept)
+        values = {x: frozenset(b for b in sorted_terms(psi.values[x])
+                               if find_inner_witness(pca, b, phi.values[x], bound, fuel)[0] is None)
+                  for x in phi.base}
         return MassFamily(phi.base, values, ALLOW_EMPTY,
                           (f"implies relative to computable bound {bound}",))
     raise CheckError(f"unknown lattice operation {op!r}")
@@ -1232,60 +1171,34 @@ def implication_adjunction_witness(pca: Pca, direction: str, phi: MassFamily, ps
 
 def compose_witnesses(pca: Pca, doc: str, w1: Witness, w2: Witness, fuel: int | None = None) -> Witness:
     """From witnesses of lhs <= mid and mid <= rhs, build one for lhs <= rhs."""
-    if doc in ("T", "M", "dsW"):
+    order = order_of(doc)
+    return order.compose(pca, order, w1, w2, fuel)
+
+
+def _compose_uniform(pca, order, w1, w2, fuel):
+    """The composite term; a realizer that reads the pair with the point
+    hands that point on: f after <fst, g>."""
+    if order.strong:
         return Uniform(compose(w1.term, w2.term))
-    if doc in ("dW", "drW", "dextW"):
-        return Uniform(_after_fanout_fst(w1.term, w2.term))
-    if doc in ("Tw",):
-        if isinstance(w1, Uniform) and isinstance(w2, Uniform):
-            return Uniform(compose(w1.term, w2.term))
-        raise CheckError("non-uniform tracked composition needs the claim tables; compose per point")
-    if doc == "Mw":
-        return _compose_mw(pca, w1, w2, fuel)
-    if doc in ("W", "SW", "rW", "tW"):
-        return _compose_fb(pca, doc, w1, w2, fuel)
-    if doc == "classicalW":
-        k, k1 = compose_maps(w2.forward, w1.forward), w1.forward.realizer
-        return ForwardBackward(k, _backward_composite(w1.backward, w2.backward, lambda p: App(k1, p)))
-    if doc == "classicalSW":
-        k = compose_maps(w2.forward, w1.forward)
-        return ForwardBackward(k, compose(w1.backward, w2.backward))
-    if doc == "D":
-        choice = {}
-        for (x, a), m in w1.choice.items():
-            choice[(x, a)] = w2.choice[(x, m)]
-        return DialecticaWitness(choice, compose(w1.backward, w2.backward))
-    if doc == "extsW":
-        k = compose(w2.forward, w1.forward)
-        choice = {}
-        for (p, a), m in w1.choice.items():
-            out = normalize(pca, App(w1.forward, p), fuel)
-            if not out.is_defined:
-                raise CheckError("forward witness undefined during composition")
-            choice[(p, a)] = w2.choice[(out.term, m)]
-        return ExtStrong(k, choice, compose(w1.backward, w2.backward))
-    raise CheckError(f"unknown doctrine id {doc!r}")
+    return Uniform(_after_fanout_fst(w1.term, w2.term))
 
 
-def compose_mw_with_tables(pca: Pca, w1: PerPoint, w2: PerPoint, fuel: int | None = None) -> PerPoint:
-    """Per-solution composition when both inputs are per-point tables."""
-    table = {}
-    for (x, b), a2 in w2.mapping.items():
-        out = apply(pca, a2, b, fuel)
-        if not out.is_defined:
-            raise CheckError("middle value undefined during composition")
-        a1 = w1.mapping.get((x, out.term))
-        if a1 is None:
-            raise CheckError("left witness missing the composed middle solution")
-        table[(x, b)] = compose(a1, a2)
-    return PerPoint(table)
-
-
-def _compose_mw(pca, w1, w2, fuel):
+def _compose_pointwise(pca, order, w1, w2, fuel):
     if isinstance(w1, Uniform) and isinstance(w2, Uniform):
         return Uniform(compose(w1.term, w2.term))
-    if isinstance(w1, PerPoint) and isinstance(w2, PerPoint):
-        return compose_mw_with_tables(pca, w1, w2, fuel)
+    if order.family is TrackedFamily:
+        raise CheckError("non-uniform tracked composition needs the claim tables; compose per point")
+    if isinstance(w1, PerPoint) and isinstance(w2, PerPoint):  # per solution, through the middle one
+        table = {}
+        for (x, b), a2 in w2.mapping.items():
+            out = apply(pca, a2, b, fuel)
+            if not out.is_defined:
+                raise CheckError("middle value undefined during composition")
+            a1 = w1.mapping.get((x, out.term))
+            if a1 is None:
+                raise CheckError("left witness missing the composed middle solution")
+            table[(x, b)] = compose(a1, a2)
+        return PerPoint(table)
     if isinstance(w1, Uniform) and isinstance(w2, PerPoint):
         return PerPoint({key: compose(w1.term, a2) for key, a2 in w2.mapping.items()})
     if isinstance(w1, PerPoint) and isinstance(w2, Uniform):
@@ -1293,17 +1206,36 @@ def _compose_mw(pca, w1, w2, fuel):
     raise CheckError("Mw composition needs uniform or per-point witnesses")
 
 
-def _compose_fb(pca, doc, w1, w2, fuel):
-    """The composite of two W, SW, rW or tW witnesses, one body for carrier
-    maps and assembly morphisms: the forward map k2 . <fst, k1> and the
-    backward term."""
+def _compose_fb(pca, order, w1, w2, fuel):
+    """The composite of two forward-backward witnesses, one body for carrier
+    maps and assembly morphisms: the forward map k2 . <fst, k1>, or k2 . k1
+    for the classical orders; and the backward term."""
     k1, k2 = w1.forward, w2.forward
-    graph = {key: k2(pair_key(split_key(key)[0], key_image(pca, k1, key, fuel))) for key in keys(k1.source)}
-    k3 = map_like(k1, k1.source, k2.target, graph, _after_fanout_fst(k2.realizer, k1.realizer))
-    if doc == "SW":
+    if order.family is MassFamily:
+        k3, image = compose_maps(k2, k1), lambda p: App(k1.realizer, p)
+    else:
+        graph = {key: k2(pair_key(split_key(key)[0], key_image(pca, k1, key, fuel))) for key in keys(k1.source)}
+        k3 = map_like(k1, k1.source, k2.target, graph, _after_fanout_fst(k2.realizer, k1.realizer))
+        image = lambda p: ap(PAIR, App(FST, p), App(k1.realizer, p))
+    if order.strong:
         return ForwardBackward(k3, compose(w1.backward, w2.backward))
-    h3 = _backward_composite(w1.backward, w2.backward, lambda p: ap(PAIR, App(FST, p), App(k1.realizer, p)))
-    return type(w1)(k3, h3)
+    return type(w1)(k3, _backward_composite(w1.backward, w2.backward, image))
+
+
+def _compose_dialectica(pca, order, w1, w2, fuel):
+    choice = {(x, a): w2.choice[(x, m)] for (x, a), m in w1.choice.items()}
+    return DialecticaWitness(choice, compose(w1.backward, w2.backward))
+
+
+def _compose_ext_strong(pca, order, w1, w2, fuel):
+    k = compose(w2.forward, w1.forward)
+    choice = {}
+    for (p, a), m in w1.choice.items():
+        out = normalize(pca, App(w1.forward, p), fuel)
+        if not out.is_defined:
+            raise CheckError("forward witness undefined during composition")
+        choice[(p, a)] = w2.choice[(out.term, m)]
+    return ExtStrong(k, choice, compose(w1.backward, w2.backward))
 
 
 def _backward_composite(h1: Term, h2: Term, image: Callable[[Term], Term]) -> Term:
@@ -1347,3 +1279,66 @@ def untranspose_pure_forall(pca: Pca, w: Uniform) -> Uniform:
         ),
     )
     return Uniform(abstract_all(("u",), body))
+
+
+# ---------------------------------------------------------------------------
+# The order registry
+
+
+@dataclass(frozen=True)
+class Order:
+    """Everything a doctrine id decides, read wherever its order is.  The
+    callables are bodies of the functions named after them (None: not
+    implemented), each taking the record after the structure."""
+
+    compile: Callable  # `compile_claim`: the family and base gates, and what checks read
+    family: type  # the class of the families it orders
+    base: str | None  # SET, COMPUTABLE or ASSEMBLY: the maps it reindexes along; None: no reindexing
+    shapes: tuple[type, ...] = (Uniform,)  # the witness classes it takes; the first picks a search's walk
+    obligations: Callable | None = None  # the stream of a witness `_uniform` does not check
+    compose: Callable = _compose_uniform
+    reindex_witness: Callable | None = _same_witness
+    policy: str = NONEMPTY  # the solution-set policy of the families it is meant for
+    strong: bool = False  # its realizer reads the bare argument, not the pair with the point
+    up_front: bool = False  # a uniform witness term is checked before the first position, not at it
+    empty_refutes: bool = False  # an empty left solution set refutes before any evaluation
+    forall: Callable | None = None
+
+    @property
+    def identity(self) -> Uniform | None:
+        """The witness of every ``e <= e``, where it does not depend on e."""
+        return Uniform(ID if self.strong else SND) if Uniform in self.shapes else None
+
+
+# The witness class of the per-point and of the forward-backward orders
+# decides their obligations, composition and witness reindexing
+_POINTWISE = dict(shapes=(PerPoint, Bounded, Uniform), obligations=_positional, compose=_compose_pointwise,
+                  reindex_witness=_reindex_pointwise)
+_FB = dict(shapes=(ForwardBackward,), obligations=_forward_backward, compose=_compose_fb,
+           reindex_witness=_reindex_fb)
+
+ORDERS: dict[str, Order] = {
+    "T": Order(_positions_claim, TrackedFamily, SET, strong=True),
+    "Tw": Order(_positions_claim, TrackedFamily, SET, strong=True, **_POINTWISE),
+    "M": Order(_positions_claim, MassFamily, SET, policy=ALLOW_EMPTY, strong=True, up_front=True,
+               forall=_forall_mass),
+    "Mw": Order(_positions_claim, MassFamily, SET, policy=ALLOW_EMPTY, strong=True, empty_refutes=True,
+                forall=_forall_mass, **_POINTWISE),
+    "dW": Order(_positions_claim, MassFamily, COMPUTABLE, up_front=True, forall=_forall_pure),
+    "dsW": Order(_positions_claim, MassFamily, COMPUTABLE, strong=True, up_front=True),
+    "drW": Order(_positions_claim, MassFamily, ASSEMBLY, up_front=True, forall=_forall_pure),
+    "dextW": Order(_positions_claim, MassFamily, ASSEMBLY, policy=ALLOW_EMPTY, up_front=True,
+                   forall=_forall_pure),
+    "W": Order(_generalized_claim, Predicate, COMPUTABLE, **_FB),
+    "SW": Order(_generalized_claim, Predicate, COMPUTABLE, strong=True, **_FB),
+    "rW": Order(_realizer_based_claim, Predicate, ASSEMBLY, **_FB),
+    "tW": Order(_realizer_based_claim, Predicate, ASSEMBLY, policy=ALLOW_EMPTY, **_FB),
+    "classicalW": Order(_classical_claim, MassFamily, COMPUTABLE, **_FB),
+    "classicalSW": Order(_classical_claim, MassFamily, COMPUTABLE, strong=True, **_FB),
+    "extsW": Order(_extended_strong_claim, ExtendedPredicate, None, (ExtStrong,), _extended_strong,
+                   _compose_ext_strong, None, strong=True),
+    "D": Order(_dialectica_claim, DialecticaPredicate, SET, (DialecticaWitness,), _dialectica,
+               _compose_dialectica, _reindex_dialectica, strong=True),
+}
+
+DOCTRINES = tuple(ORDERS)

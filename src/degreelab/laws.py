@@ -26,6 +26,7 @@ from .completions import (
 from .doctrines import (
     ALLOW_EMPTY,
     NONEMPTY,
+    ORDERS,
     Bounded,
     CheckError,
     DialecticaWitness,
@@ -490,8 +491,8 @@ def _pure_forall_cases(pca, fuel, t):
     A = assembly(pca, ["x", "y"], [(K, "x"), (S, "y"), (pair_term(K, K), "y")])
     B = assembly(pca, ["z"], [(K, "z")])
     aprod = ext_product(pca, A, B)
-    for policy, doc in ((NONEMPTY, "drW"), (ALLOW_EMPTY, "dextW")):
-        vals = {}
+    for doc in ("drW", "dextW"):
+        vals, policy = {}, ORDERS[doc].policy
         toggle = True
         for key in aprod.object.naming:
             vals[key] = frozenset([K]) if toggle or policy == NONEMPTY else frozenset()
@@ -640,7 +641,7 @@ def _iso_realizer(pca, fuel, t, name):
     doc = row.concrete
     X = assembly(pca, ["u"], [(K, "u")])
     Y = assembly(pca, ["a", "b"], [(K, "a"), (S, "b")])
-    preds = _pred_palette(X, Y, [frozenset([K]), frozenset([S])], ALLOW_EMPTY if doc == "tW" else NONEMPTY)[:: 3]
+    preds = _pred_palette(X, Y, [frozenset([K]), frozenset([S])], ORDERS[doc].policy)[:: 3]
     for F in preds:
         obj = row.to_completion(pca, F, row.completion)
         t.add(f"{doc}-roundtrip", row.from_completion(pca, obj) == F)

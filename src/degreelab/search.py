@@ -12,13 +12,18 @@ is made of three pieces, each implemented once:
 * `images_of` is the one image walk: a realizer applied to each argument in
   turn, stopping at the first image that is undefined or not allowed.
 
-Candidates are drawn from the oracle-free term enumeration in its fixed
-size-lexicographic order; composite witnesses iterate forward candidates in
-that order, then any auxiliary assignments lexicographically by point, then
-backward candidates.  The first Holding witness in that order is returned
-as it was checked: its own ``check_le`` verdict is the proof, and nothing
-checks it again, so Found outcomes are sound by construction.  A search never claims absolute non-reducibility: exhausting
-the bound only reports the bound.
+A search compiles its claim first (`doctrines.compile_claim`), then walks
+the candidates picked by the first witness class of its order's record
+(`_WALKS`): uniform terms, one per-point table, forward maps (carrier maps
+or assembly morphisms, between the compiled claim's endpoints) with
+backward terms, or choices with backward terms.  Candidates are drawn from
+the oracle-free term enumeration in its fixed size-lexicographic order;
+composite witnesses iterate forward candidates in that order, then any
+auxiliary assignments lexicographically by point, then backward
+candidates.  The first Holding witness in that order is returned as it was
+checked: its own ``check_le`` verdict is the proof, so Found outcomes are
+sound by construction.  A search never claims absolute non-reducibility:
+exhausting the bound only reports the bound.
 
 A repeated claim is answered from the structure's search memo: the same
 order, families equal in value, the same witness size and fuel give the
@@ -35,23 +40,23 @@ from typing import Iterator
 
 from .completions import CompletionObject, CompletionWitness, comp_le
 from .doctrines import (
-    COMPUTABLE_BASED,
+    COMPUTABLE,
+    ORDERS,
     Bounded,
     CheckError,
-    DialecticaPredicate,
     DialecticaWitness,
     ExtStrong,
-    ExtendedPredicate,
     ForwardBackward,
     PerPoint,
     Uniform,
     check_le,
     compile_claim,
     find_inner_witness,
+    order_of,
     positions,
 )
 from .pca import Pca, apply, iter_computable
-from .spaces import ExtMorphism, FinMap, FinSet, carrier_product, ext_product, point_key
+from .spaces import Assembly, ExtMorphism, FinMap, FinSet
 from .verdicts import HOLDS, REFUTED
 
 FOUND = "found"
@@ -119,8 +124,8 @@ def search_witness(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> Search
 def _search(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome:
     """search_witness without the memo: the claim's family and base gates,
     which refuse an ill-formed claim, then one check_le call per candidate."""
-    compile_claim(pca, doc, lhs, rhs)
-    return first_holding(_candidates(pca, doc, lhs, rhs, budget),
+    claim = compile_claim(pca, doc, lhs, rhs)
+    return first_holding(_WALKS[claim.order.shapes[0]](pca, claim, budget),
                          lambda cand: check_le(pca, doc, lhs, rhs, cand, budget.fuel), budget)
 
 
@@ -172,29 +177,12 @@ def images_of(pca: Pca, t, args, allowed, fuel: int | None) -> tuple | None:
     return tuple(images)
 
 
-def _candidates(pca, doc, lhs, rhs, budget):
-    size = budget.witness_size
-    if doc in ("T", "M", "dW", "dsW", "drW", "dextW"):
-        return map(Uniform, iter_computable(size))
-    if doc in ("Tw", "Mw"):
-        return _per_point_candidates(pca, lhs, rhs, budget)
-    if doc in ("classicalW", "classicalSW", "W", "SW"):
-        return _forward_backward_candidates(pca, doc, lhs, rhs, budget)
-    if doc in ("rW", "tW"):
-        return _ext_candidates(pca, lhs, rhs, budget)
-    if doc == "extsW":
-        return _ext_strong_candidates(pca, lhs, rhs, budget)
-    if doc == "D":
-        return _dialectica_candidates(pca, lhs, rhs, budget)
-    raise CheckError(f"unknown doctrine id {doc!r}")
-
-
-def _per_point_candidates(pca, lhs, rhs, budget):
+def _per_point_candidates(pca, claim, budget):
     """The least per-position table, the one candidate.  A position with no
     witness in the bound yields none, unless a candidate ran out of fuel
     there: then the Bounded witness, which check_le reports unknown."""
     table = {}
-    for key, arg, allowed, _ in positions(lhs, rhs):
+    for key, arg, allowed, _ in positions(claim.lhs, claim.rhs):
         found, timed_out = find_inner_witness(pca, arg, allowed, budget.witness_size, budget.fuel)
         if found is None:
             if timed_out:
@@ -218,41 +206,36 @@ def forward_map_candidates(pca, source: FinSet, target: FinSet, budget) -> Itera
             yield FinMap(source, target, dict(zip(source.points, images)), t)
 
 
-def _forward_backward_candidates(pca, doc, lhs, rhs, budget):
-    """Every forward map, each followed by every backward term.  The classical
-    orders map base to base; W and SW map the product of lhs's base and index
-    to rhs's index."""
-    if doc in ("W", "SW"):
-        source, target = carrier_product(pca, lhs.base, lhs.index).object, rhs.index
-    else:
-        source, target = lhs.base, rhs.base
-    for k in forward_map_candidates(pca, source, target, budget):
+def _forward_backward_candidates(pca, claim, budget):
+    """Every forward map from the compiled claim's source to its target,
+    each followed by every backward term: carrier maps for W, SW and the
+    classical orders, assembly morphisms for rW and tW."""
+    forward = claim.compiled
+    walk = _ext_morphism_candidates if isinstance(forward.source, Assembly) else forward_map_candidates
+    for k in walk(pca, forward.source, forward.target, budget):
         for h in iter_computable(budget.witness_size):
             yield ForwardBackward(k, h)
 
 
-def _ext_candidates(pca, lhs, rhs, budget):
-    prod = ext_product(pca, lhs.base, lhs.index)
-    slots = prod.object.naming
+def _ext_morphism_candidates(pca, source: Assembly, target: Assembly, budget) -> Iterator[ExtMorphism]:
+    """Ext morphisms source -> target: each realizer whose images of the
+    names of source are names of target, with every choice of points."""
+    slots = source.naming
     names = [name for name, _ in slots]
-    target = rhs.index
     offered = {}  # the naming is sorted, so each name's points come in point order
     for n, z in target.naming:
         offered.setdefault(n, []).append(z)
     for t in iter_computable(budget.witness_size):
         images = images_of(pca, t, names, offered, budget.fuel)
-        if images is None:
-            continue
-        for pointmap in assignments(slots, [offered[n] for n in images]):
-            km = ExtMorphism(prod.object, target, t, pointmap)
-            for h in iter_computable(budget.witness_size):
-                yield ForwardBackward(km, h)
+        if images is not None:
+            for pointmap in assignments(slots, [offered[n] for n in images]):
+                yield ExtMorphism(source, target, t, pointmap)
 
 
-def _ext_strong_candidates(pca, lhs: ExtendedPredicate, rhs: ExtendedPredicate, budget):
-    dom = lhs.effective_dom
-    keys = [(p, a) for p in dom for a in sorted(lhs.table[p], key=point_key)]
-    offered = {y: sorted(rhs.table[y], key=point_key) for y in rhs.dom if rhs.table[y]}
+def _ext_strong_candidates(pca, claim, budget):
+    rows, offered = claim.compiled
+    dom = [p for p, _ in rows]
+    keys = [(p, a) for p, sets in rows for a in sets]
     for k in iter_computable(budget.witness_size):
         images = images_of(pca, k, dom, offered, budget.fuel)
         if images is None:
@@ -263,12 +246,23 @@ def _ext_strong_candidates(pca, lhs: ExtendedPredicate, rhs: ExtendedPredicate, 
                 yield ExtStrong(k, choice, h)
 
 
-def _dialectica_candidates(pca, lhs: DialecticaPredicate, rhs: DialecticaPredicate, budget):
-    keys = list(lhs.relation)
-    options = [sorted((b for (x2, b) in rhs.relation if x2 == x), key=point_key) for x, _ in keys]
+def _dialectica_candidates(pca, claim, budget):
+    relation, answers = claim.compiled
+    keys = [(x, a) for x, a, _ in relation]
+    options = [[b for y, b in answers if y == x] for x, _ in keys]
     for choice in assignments(keys, options):
         for h in iter_computable(budget.witness_size):
             yield DialecticaWitness(choice, h)
+
+
+# The candidate walk of each order, chosen by the first witness class it takes
+_WALKS = {
+    Uniform: lambda pca, claim, budget: map(Uniform, iter_computable(budget.witness_size)),
+    PerPoint: _per_point_candidates,
+    ForwardBackward: _forward_backward_candidates,
+    ExtStrong: _ext_strong_candidates,
+    DialecticaWitness: _dialectica_candidates,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +293,7 @@ def _mediator_candidates(pca, lhs, rhs, budget):
         src, tgt = rhs.leg.source, lhs.leg.source
     if isinstance(lhs.leg, FinMap):
         # reindexing a payload over a computable base needs a realized map
-        if lhs.klass == "full" and lhs.doc not in COMPUTABLE_BASED:
+        if lhs.klass == "full" and ORDERS[lhs.doc].base != COMPUTABLE:
             return all_graphs(src, tgt)
         return forward_map_candidates(pca, src, tgt, budget)
     raise CheckError("mediator search over assemblies is not implemented")
@@ -312,9 +306,11 @@ def all_graphs(src: FinSet, tgt: FinSet) -> list[FinMap]:
 
 
 def _base_candidates(doc, budget):
-    """A function giving a fresh walk of the base witnesses for doc."""
-    if doc in ("T", "M", "dW", "dsW", "drW", "dextW"):
+    """A function giving a fresh walk of the base witnesses for doc: its
+    uniform terms, or its bounded witness where it takes per-point ones."""
+    shape = order_of(doc).shapes[0]
+    if shape is Uniform:
         return lambda: map(Uniform, iter_computable(budget.witness_size))
-    if doc in ("Tw", "Mw"):
+    if shape is PerPoint:
         return lambda: [Bounded(budget.witness_size)]
     raise CheckError(f"no base witness enumeration for doctrine {doc!r}")

@@ -596,6 +596,23 @@ class TestComplete:
         assert "[]" not in out
         assert out.count("\nhasse ") == self.DW_EDGES[kind, klass]
 
+    @pytest.mark.parametrize("kind", ["exists", "forall"])
+    @pytest.mark.parametrize("klass", ["full", "pure"])
+    def test_dsw_payloads_order_as_dw_ones(self, kind, klass, capsys):
+        """dsW payloads are nonempty too and reindex along realized maps,
+        so their fiber has the objects and the edge count of the dW one."""
+        code, out = run(["--witness-size", "2", "complete", FIXTURES / "holds.inst", "--object", "X",
+                         "--doc", "dsW", "--kind", kind, "--klass", klass, "--index-bound", "2"], capsys)
+        assert code == 0
+        assert out.startswith("// completion fiber over X: 16 objects\n")
+        assert out.count("\nhasse ") == self.DW_EDGES[kind, klass]
+
+    @pytest.mark.parametrize("doc", ["drW", "W", "extsW", "D"])
+    def test_payload_doctrines_come_from_the_registry(self, doc, capsys):
+        code = main(["complete", str(FIXTURES / "holds.inst"), "--object", "X", "--doc", doc])
+        assert code == 3
+        assert capsys.readouterr().err == "error: complete supports payload doctrines T, Tw, M, Mw, dW, dsW\n"
+
     def _mass_fiber(self, capsys, *flags):
         return run(["--witness-size", "2", *flags, "complete", FIXTURES / "holds.inst", "--object", "X",
                     "--index-bound", "2", "--doc", "M"], capsys)
@@ -694,6 +711,6 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "degreelab.cli", "check", str(FIXTURES / "holds.inst")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_env(),
         )
         assert proc.returncode == 0

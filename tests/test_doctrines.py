@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,7 @@ from degreelab.doctrines import (
     transpose_pure_forall,
     untranspose_pure_forall,
 )
+from degreelab.instance import InstanceError, parse_instance
 from degreelab.pca import FST, ID, PAIR, SND, Pca, PcaError, apply, enumerate_computable, normalize
 from degreelab.search import SearchBudget, search_witness
 from degreelab.spaces import (
@@ -739,6 +742,74 @@ def test_cross_kind_claims_fail_their_gate(pure, case):
 
 
 # ---------------------------------------------------------------------------
+# The order registry: one record per doctrine id.
+
+FAMILIES = (TrackedFamily, MassFamily, Predicate, ExtendedPredicate, DialecticaPredicate)
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("doc", DOCTRINES)
+    def test_every_id_has_a_complete_record(self, doc):
+        order = doctrines.ORDERS[doc]
+        assert order.shapes and all(isinstance(c, type) for c in order.shapes)
+        assert callable(order.compile) and callable(order.compose)
+        # only the uniform-only orders leave every witness to `_uniform`
+        assert (order.obligations is None) == (order.shapes == (Uniform,))
+        assert order.family in FAMILIES
+        assert order.base in (doctrines.SET, doctrines.COMPUTABLE, doctrines.ASSEMBLY, None)
+        assert (order.reindex_witness is None) == (order.base is None)
+        assert order.policy in (NONEMPTY, ALLOW_EMPTY)
+        assert order.forall is None or callable(order.forall)
+        assert (order.identity is None) == (Uniform not in order.shapes)
+
+    def test_doctrines_is_the_key_tuple(self):
+        assert DOCTRINES == tuple(doctrines.ORDERS)
+        assert len(set(DOCTRINES)) == len(DOCTRINES) == 16
+
+    @pytest.mark.parametrize("doc", [d for d in DOCTRINES if doctrines.ORDERS[d].identity is not None])
+    def test_identity_witness_holds(self, pure, doc):
+        lhs, *_ = _doctrine_row(pure, doc)
+        assert check_le(pure, doc, lhs, lhs, doctrines.ORDERS[doc].identity).holds
+
+    @pytest.mark.parametrize("doc", [*DOCTRINES, "comp"])
+    def test_instance_grammar_accepts_every_key(self, doc):
+        text = ("carrier X = [K]\nfamily phi over X { K -> [K] }\n"
+                f"witness w = uniform K\nclaim c : phi <=_{doc} phi by w\n")
+        assert parse_instance(text).claims[0].doc == doc
+
+    @pytest.mark.parametrize("doc", ["Q", "dw", "classical", "t"])
+    def test_instance_grammar_refuses_other_words(self, doc):
+        text = ("carrier X = [K]\nfamily phi over X { K -> [K] }\n"
+                f"witness w = uniform K\nclaim c : phi <=_{doc} phi by w\n")
+        with pytest.raises(InstanceError, match=f"unknown doctrine id '{doc}'"):
+            parse_instance(text)
+
+    def test_unknown_id_is_refused_at_every_entry_point(self, pure):
+        X = carrier(pure, [K])
+        phi = MassFamily(X, {K: frozenset([K])})
+        entries = [
+            lambda: check_le(pure, "Q", phi, phi, Uniform(ID)),
+            lambda: check_le(pure, "Q", None, None, None),
+            lambda: doctrines.compile_claim(pure, "Q", phi, phi),
+            lambda: search_witness(pure, "Q", phi, phi, SearchBudget(1)),
+            lambda: reindex(pure, "Q", identity_map(X), phi),
+            lambda: reindex_witness(pure, "Q", identity_map(X), Uniform(ID)),
+            lambda: compose_witnesses(pure, "Q", Uniform(ID), Uniform(ID)),
+        ]
+        for entry in entries:
+            with pytest.raises(CheckError, match=r"^unknown doctrine id 'Q'$"):
+                entry()
+
+    def test_extended_strong_has_no_reindexing(self, pure):
+        f = ExtendedPredicate(carrier(pure, [K]), {K: frozenset([frozenset([K])])})
+        m = identity_map(carrier(pure, [K]))
+        with pytest.raises(CheckError, match=r"^doctrine extsW has no reindexing$"):
+            reindex(pure, "extsW", m, f)
+        with pytest.raises(CheckError, match=r"^doctrine extsW has no reindexing$"):
+            reindex_witness(pure, "extsW", m, ExtStrong(ID, {}, ID))
+
+
+# ---------------------------------------------------------------------------
 # Uniform witnesses: what their check must keep deciding as it did.
 
 
@@ -801,9 +872,10 @@ def _count_compiles(monkeypatch, *docs) -> list:
     """The doctrine ids the orders' compilers are called with, from now on."""
     compiled = []
     for doc in docs:
-        shapes, compile, obligations = doctrines._ORDERS[doc]
-        counted = lambda pca, doc, lhs, rhs, compile=compile: compiled.append(doc) or compile(pca, doc, lhs, rhs)
-        monkeypatch.setitem(doctrines._ORDERS, doc, (shapes, counted, obligations))
+        order = doctrines.ORDERS[doc]
+        counted = (lambda pca, order, lhs, rhs, doc=doc, compile=order.compile:
+                   compiled.append(doc) or compile(pca, order, lhs, rhs))
+        monkeypatch.setitem(doctrines.ORDERS, doc, dataclasses.replace(order, compile=counted))
     return compiled
 
 

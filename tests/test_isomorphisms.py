@@ -227,6 +227,13 @@ class TestTransposition:
         assert comp_le(pure, lo, ro, cw).holds
         assert check_le(pure, row.concrete, F, G, weihrauch_transport_forward(pure, lo, ro, cw)).holds
 
+    @pytest.mark.xfail(strict=True, reason="known defect: over an empty base the index is read from the "
+                                           "factors of the empty product, so it comes back empty")
+    def test_empty_base_keeps_the_index(self, pure):
+        F = Predicate(carrier(pure, []), carrier(pure, [K, S]), {})
+        back = weihrauch_from_completion(pure, weihrauch_to_completion(pure, F, "dW"))
+        assert back.index.points == (K, S)
+
     @pytest.mark.parametrize("doc", DOCS)
     def test_second_projection_leg_is_refused(self, pure, doc):
         """The transposition reads the leg as the first projection; a pure
