@@ -6,8 +6,11 @@
 line prefixed ``stderr: ``.  The commands are machine-format ``check`` on
 every fixture, machine-format ``search`` at witness size 4 on every fixture
 claim (candidate and timeout counts included), and the two searches of the
-fixtures that exhaust or stay undecided, at size 6.  A change to how
-witnesses are checked or searched must leave every byte of this as it is.
+fixtures that exhaust or stay undecided, at size 6.  Then every ``lattice``
+operation and one synthesized law on the co-Heyting demo, and ``complete``
+over the ``holds`` carrier for T and M at witness size 2.  A change to how
+witnesses are checked, searched or printed must leave every byte of this as
+it is.
 """
 
 from pathlib import Path
@@ -27,6 +30,15 @@ def _commands():
             yield ["--witness-size", "4", "--format", "machine", "search", f, claim.name]
     for name, claim in (("refuted.inst", "impossible"), ("unknown.inst", "undecided")):
         yield ["--witness-size", "6", "--format", "machine", "search", HERE.parent / "fixtures" / name, claim]
+    demo = HERE.parent / "fixtures" / "coheyting_demo.inst"
+    for op in (["bottom", "--base", "X", "--universe", "U"], ["top", "--base", "X"],
+               ["meet", "--args", "phi", "psi"], ["join", "--args", "psi", "rho"],
+               ["subtract", "--args", "phi", "psi", "--universe", "U"]):
+        yield ["lattice", demo, "--op", *op]
+    yield ["lattice", demo, "--doc", "Mw", "--op", "implies", "--args", "phi", "psi"]
+    yield ["lattice", demo, "--op", "law", "--law", "subtract_intro", "--args", "wfst", "--claim", "to_sub"]
+    for doc in ("T", "M"):
+        yield ["--witness-size", "2", "complete", HERE.parent / "fixtures" / "holds.inst", "--object", "X", "--doc", doc]
 
 
 def _transcript(capsys) -> str:
