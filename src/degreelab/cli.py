@@ -3,7 +3,11 @@
 Subcommands: check, search, lattice, complete, iso, laws.  Exit status for
 claim-running commands: 0 when every claim Holds, 1 when any is Refuted, 2
 when any is Unknown, 3 on input errors.  The machine format is a subset of
-the instance grammar, so reports and found witnesses re-parse.
+the instance grammar, so reports and found witnesses re-parse, including
+forward maps out of undeclared product assemblies (rW and tW witnesses).
+Each declaration a command prints (a found or transported witness with the
+objects and map it needs, a claim, a family, an assembly) is first declared
+in the loaded instance and then printed by the instance's printer of its kind.
 ``--time-cap`` caps each search on its own: ``complete`` runs one search per
 ordered pair of objects, so the command as a whole has no cap.  ``complete``
 prints each pair whose search ended unknown as a ``// unknown i <= j`` line,
@@ -17,6 +21,7 @@ The argument parser is built once per process, on the first ``main`` call
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -26,7 +31,6 @@ from .completions import CompletionObject, CompletionWitness, comp_le
 from .doctrines import (
     ALLOW_EMPTY,
     ASSEMBLY,
-    NONEMPTY,
     ORDERS,
     CheckError,
     DialecticaWitness,
@@ -37,22 +41,19 @@ from .doctrines import (
     check_le,
 )
 from .instance import (
+    OBJECTS,
     Instance,
     InstanceError,
-    format_assembly,
-    format_extmorphism,
-    format_morphism,
+    declared_name,
+    format_decl,
     format_result,
     format_table,
     format_terms,
-    format_witness,
-    object_name,
     parse_instance,
 )
 from .pca import Pca, PcaError
 from .search import UNKNOWN, SearchBudget, SearchOutcome, assignments, search_completion_witness, search_witness
 from .spaces import Assembly, FinMap, FinSet, SpaceError, carrier_product, point_text
-from .terms import to_text
 from .verdicts import Verdict
 
 EXIT_OK = 0
@@ -226,15 +227,14 @@ def cmd_search(args) -> int:
 def _render_search(args, inst, claim, outcome: SearchOutcome, elapsed) -> str:
     lines = []
     if outcome.found:
-        lines.extend(_declare_witness(inst, f"{claim.name}_found", outcome.witness))
-        lines.append(f"claim {claim.name}_check : {claim.lhs} <=_{claim.doc} {claim.rhs} by {claim.name}_found")
-        lines.append(f"result {claim.name} found")
-    elif outcome.status == "exhausted":
-        lines.append(f"result {claim.name} exhausted")
+        found, check = f"{claim.name}_found", f"{claim.name}_check"
+        lines.extend(_declare_witness(inst, found, outcome.witness))
+        lines.append(_declare(inst, "claim", check, dataclasses.replace(claim, name=check, witness=found)))
+    lines.append(format_result(claim.name, outcome.status))
+    if outcome.status == "exhausted":
         lines.append(f"// no witness up to size {outcome.bound}; "
                      f"{outcome.failures} candidates failed")
-    else:
-        lines.append(f"result {claim.name} unknown")
+    elif outcome.status == "unknown":
         if outcome.clock_stopped:
             lines.append(f"// stopped by the time cap of {args.time_cap}s after {outcome.checked} candidates checked")
         else:
@@ -246,42 +246,27 @@ def _render_search(args, inst, claim, outcome: SearchOutcome, elapsed) -> str:
     return "\n".join(lines)
 
 
+def _declare(inst: Instance, kind: str, name: str, value) -> str:
+    """Declare ``value`` as ``kind name`` in ``inst`` and print the declaration."""
+    inst.declare(kind, name, value)
+    return format_decl(inst, kind, name, value)
+
+
 def _declare_witness(inst: Instance, name: str, w) -> list[str]:
-    """Witness as grammar declarations, including any needed morphisms."""
+    """Declare ``w`` as ``name`` in ``inst``, after the forward map ``name_k``
+    of a forward-backward witness and its source and target (``name_src``,
+    ``name_tgt``) unless ``inst`` declares them already; the printed lines."""
     lines = []
-    scratch = Instance(pca=inst.pca, fuel=inst.fuel)
-    scratch.carriers.update(inst.carriers)
-    scratch.universes.update(inst.universes)
-    scratch.assemblies.update(inst.assemblies)
-    scratch.morphisms.update(inst.morphisms)
-    scratch.extmorphisms.update(inst.extmorphisms)
-    scratch.witnesses.update(inst.witnesses)
     if isinstance(w, ForwardBackward):
-        k, kname = w.forward, f"{name}_k"
-        _name_object(scratch, lines, k.source, f"{name}_src")
-        _name_object(scratch, lines, k.target, f"{name}_tgt")
-        ext = not isinstance(k, FinMap)
-        lines.append((format_extmorphism if ext else format_morphism)(scratch, kname, k))
-        lines.append(f"witness {name} = {'extfwback' if ext else 'fwback'} k = {kname}, h = {to_text(w.backward)}")
-        return lines
-    scratch.witnesses[name] = w
-    lines.append(format_witness(scratch, name, w))
+        k = w.forward
+        for obj, suffix in ((k.source, "_src"), (k.target, "_tgt")):
+            try:
+                declared_name(inst, obj, OBJECTS)
+            except InstanceError:
+                lines.append(_declare(inst, "carrier" if isinstance(obj, FinSet) else "assembly", name + suffix, obj))
+        lines.append(_declare(inst, "morphism" if isinstance(k, FinMap) else "extmorphism", f"{name}_k", k))
+    lines.append(_declare(inst, "witness", name, w))
     return lines
-
-
-def _name_object(scratch: Instance, lines: list[str], obj, fallback: str) -> str:
-    """The declared name of obj, else fallback after declaring it."""
-    try:
-        return object_name(scratch, obj)
-    except InstanceError:
-        pass
-    if isinstance(obj, FinSet):
-        lines.append(f"carrier {fallback} = {format_terms(obj.points)}")
-        scratch.carriers[fallback] = obj
-    else:
-        lines.append(format_assembly(fallback, obj))
-        scratch.assemblies[fallback] = obj
-    return fallback
 
 
 def cmd_lattice(args) -> int:
@@ -309,7 +294,7 @@ def cmd_lattice(args) -> int:
             claim = _claim(inst, args.claim)
             verdict = check_le(inst.pca, claim.doc, inst.element(claim.lhs),
                                inst.element(claim.rhs), w, inst.fuel)
-            lines.append(f"result {args.claim} {verdict.status}")
+            lines.append(format_result(args.claim, verdict.status))
         print("\n".join(lines))
         return EXIT_OK if verdict is None else _exit_code(verdict)
     universe = inst.universes.get(args.universe) if args.universe else None
@@ -317,11 +302,7 @@ def cmd_lattice(args) -> int:
     fams = [inst.families[n] for n in args.operands]
     out = lattice_element(inst.pca, args.op, args.doc, *fams,
                           universe=universe, bound=args.bound, base=base, fuel=inst.fuel)
-    try:
-        base_name = args.base or object_name(inst, out.base)
-    except InstanceError:
-        base_name = "anonymous"
-    print(f"family {args.op}_result over {base_name} {{ {format_table(out.values, format_terms)} }}")
+    print(_declare(inst, "family", f"{args.op}_result", out))
     for note in out.notes:
         print(f"// {note}")
     return EXIT_OK
@@ -426,7 +407,7 @@ def cmd_iso(args) -> int:
         o1, o2 = row.to_completion(pca, lhs, row.completion), row.to_completion(pca, rhs, row.completion)
         v = comp_le(pca, o1, o2, row.backward(pca, o1, o2, w, fuel), fuel)
         lines = [f"// canonical completion objects built from {claim.lhs} and {claim.rhs}"]
-    lines.append(f"result {claim.name} {v.status}")
+    lines.append(format_result(claim.name, v.status))
     print("\n".join(lines))
     return _exit_code(v)
 
@@ -440,14 +421,10 @@ def _iso_extpred(args, inst) -> int:
     asm, fam = iso.ext_pred_to_assembly(inst.pca, f)
     # the points are solution sets; they are printed as ids p0, p1, ..., in point order
     ids = {x: f"p{i}" for i, x in enumerate(asm.points)}
-    print(format_assembly(f"{args.object}_assembly",
-                          Assembly(tuple(ids.values()), tuple((n, ids[x]) for n, x in asm.naming))))
-    body = ", ".join(
-        f"({to_text(n)}, {ids[x]}) -> {format_terms(v)}"
-        for (n, x), v in sorted(fam.values.items(), key=lambda kv: (to_text(kv[0][0]), point_text(kv[0][1])))
-    )
-    policy = " policy nonempty" if fam.policy == NONEMPTY else ""
-    print(f"family {args.object}_family over {args.object}_assembly{policy} {{ {body} }}")
+    named = Assembly(tuple(ids.values()), tuple((n, ids[x]) for n, x in asm.naming))
+    print(_declare(inst, "assembly", f"{args.object}_assembly", named))
+    values = {(n, ids[x]): v for (n, x), v in fam.values.items()}
+    print(_declare(inst, "family", f"{args.object}_family", MassFamily(named, values, fam.policy)))
     return EXIT_OK
 
 
@@ -464,9 +441,9 @@ def _iso_extsw_d(inst, claim) -> int:
     Gk = iso.dialectica_shift(inst.pca, G, w.forward, F.base, inst.fuel)
     v = check_le(inst.pca, "D", F, Gk, DialecticaWitness(dict(w.choice), w.backward), inst.fuel)
     agree = gate.status == v.status
-    print(f"result {claim.name}_extsw {gate.status}")
-    print(f"result {claim.name}_pointwise {v.status}")
-    print(f"result {claim.name}_agreement {'holds' if agree else 'refuted'}")
+    print(format_result(f"{claim.name}_extsw", gate.status))
+    print(format_result(f"{claim.name}_pointwise", v.status))
+    print(format_result(f"{claim.name}_agreement", "holds" if agree else "refuted"))
     return _exit_code(gate) if agree else EXIT_REFUTED
 
 

@@ -11,6 +11,8 @@ Line comments start with ``//``.
     carrier X = [K, S]
     carrier P = product X X
     assembly A { point x names [K] point y names [S, (K K)] }
+    assembly Q = product A A
+    assembly R { point (x, y) names [K] }
     morphism f : X -> X realizer ((S K) K) graph { K -> K, S -> S }
     extmorphism m : A -> A realizer ((S K) K) pointmap { (K, x) -> x, ... }
     tracked t over X { K -> K, S -> S }
@@ -31,8 +33,18 @@ Line comments start with ``//``.
     claim c : phi <=_M psi by w1
     result c holds
 
-Machine-format reports are a subset of the same grammar (``result`` lines),
-so reports re-parse and search output can be fed back to ``check``.
+A product ``P = product A B`` also declares its projections ``P_fst`` and
+``P_snd`` (morphisms for carriers, extmorphisms for assemblies).  An
+assembly point id is an identifier other than ``K`` and ``S``, or a pair
+``(x, y)`` of point ids, as the points of a product assembly are; a printed
+product assembly lists its pair points.
+
+Every declaration is recorded by ``Instance.declare`` and printed by the
+printer of its kind, kept beside the parser of its kind, so what
+``print_instance`` prints parses back to the same declarations.  The
+command-line tools print what they declare the same way.  Machine-format reports are a
+subset of the same grammar (``result`` lines), so reports re-parse and
+search output can be fed back to ``check``.
 
 Terms, instance files and ``parse_term`` (one term on its own) share one
 token grammar and one reader over words: the tokens from one ``findall``.
@@ -54,6 +66,7 @@ before an integer, so both can also name a carrier, family or witness.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -134,13 +147,39 @@ class Instance:
     witnesses: dict = field(default_factory=dict)
     claims: list = field(default_factory=list)
     results: list = field(default_factory=list)
-    decls: list = field(default_factory=list)  # (kind, name) in file order
+    decls: list = field(default_factory=list)  # (kind, name, value) in file order
     declared: set = field(default_factory=set)  # the names in decls
+
+    def declare(self, kind: str, name: str, value) -> None:
+        """Record ``value`` as the declaration ``kind name``."""
+        section = getattr(self, _SECTIONS[kind])
+        if isinstance(section, list):  # claims and results
+            section.append(value)
+        else:
+            section[name] = value
+        self.decls.append((kind, name, value))
+        self.declared.add(name)
+
+    def sections(self, kinds) -> list:
+        """The section of each of ``kinds``, in order."""
+        return [getattr(self, _SECTIONS[kind]) for kind in kinds]
 
     def element(self, name: str, error=InstanceError):
         """The family, predicate or completion object declared as ``name``."""
-        return _resolve(name, "no family/predicate/object named", (self.tracked, self.families, self.predicates,
-                        self.extpredicates, self.dialpredicates, self.compobjects), error)
+        return _resolve(name, "no family/predicate/object named", self.sections(ELEMENTS), error)
+
+
+# The Instance field each kind of declaration is recorded in.
+_SECTIONS = {
+    "universe": "universes", "carrier": "carriers", "assembly": "assemblies", "morphism": "morphisms",
+    "extmorphism": "extmorphisms", "tracked": "tracked", "family": "families", "predicate": "predicates",
+    "extpredicate": "extpredicates", "dialpredicate": "dialpredicates", "compobject": "compobjects",
+    "witness": "witnesses", "claim": "claims", "result": "results",
+}
+# The kinds a reference of each role names, in the order they are searched.
+OBJECTS = ("carrier", "universe", "assembly")
+MORPHISMS = ("morphism", "extmorphism")
+ELEMENTS = ("tracked", "family", "predicate", "extpredicate", "dialpredicate", "compobject")
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +433,11 @@ def _name(p: _Parser, unknown: str, *sections):
 
 
 def _object(p: _Parser, inst: Instance):
-    return _name(p, "unknown carrier/assembly", inst.carriers, inst.universes, inst.assemblies)
+    return _name(p, "unknown carrier/assembly", *inst.sections(OBJECTS))
 
 
 def _morphism(p: _Parser, inst: Instance):
-    return _name(p, "unknown morphism", inst.morphisms, inst.extmorphisms)
+    return _name(p, "unknown morphism", *inst.sections(MORPHISMS))
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +537,19 @@ def _new_name(p: _Parser, inst: Instance) -> tuple[str, int]:
     return name, at
 
 
-def _record(inst: Instance, kind: str, name: str) -> None:
-    inst.decls.append((kind, name))
-    inst.declared.add(name)
+def _product(p: _Parser, inst: Instance, kind: str, name: str, at: int, make) -> None:
+    """The operands of ``name = product A B``, two earlier declarations of
+    ``kind``: ``make`` builds their product, declared as ``name`` with its
+    projections ``name_fst`` and ``name_snd``."""
+    _fresh(p, inst, name + "_fst", at)
+    _fresh(p, inst, name + "_snd", at)
+    left = _name(p, f"unknown {kind}", *inst.sections((kind,)))
+    right = _name(p, f"unknown {kind}", *inst.sections((kind,)))
+    prod = make(inst.pca, left, right)
+    projection = "morphism" if kind == "carrier" else "extmorphism"
+    inst.declare(kind, name, prod.object)
+    inst.declare(projection, name + "_fst", prod.fst)
+    inst.declare(projection, name + "_snd", prod.snd)
 
 
 def _decl_oracle(p: _Parser, inst: Instance) -> None:
@@ -517,58 +566,33 @@ def _decl_fuel(p: _Parser, inst: Instance) -> None:
 def _decl_universe(p: _Parser, inst: Instance) -> None:
     name, _ = _new_name(p, inst)
     p.expect("=")
-    inst.universes[name] = carrier(inst.pca, p.term_list())
-    _record(inst, "universe", name)
+    inst.declare("universe", name, carrier(inst.pca, p.term_list()))
 
 
 def _decl_carrier(p: _Parser, inst: Instance) -> None:
     name, at = _new_name(p, inst)
     p.expect("=")
     if p.eat("product"):
-        _fresh(p, inst, name + "_fst", at)
-        _fresh(p, inst, name + "_snd", at)
-        left = _name(p, "unknown carrier", inst.carriers)
-        right = _name(p, "unknown carrier", inst.carriers)
-        prod = carrier_product(inst.pca, left, right)
-        inst.carriers[name] = prod.object
-        inst.morphisms[name + "_fst"] = prod.fst
-        inst.morphisms[name + "_snd"] = prod.snd
-        _record(inst, "carrier", name)
-        _record(inst, "morphism", name + "_fst")
-        _record(inst, "morphism", name + "_snd")
-        return
-    inst.carriers[name] = carrier(inst.pca, p.term_list())
-    _record(inst, "carrier", name)
+        return _product(p, inst, "carrier", name, at, carrier_product)
+    inst.declare("carrier", name, carrier(inst.pca, p.term_list()))
 
 
 def _decl_assembly(p: _Parser, inst: Instance) -> None:
     name, at = _new_name(p, inst)
     if p.eat("="):
         p.expect("product")
-        _fresh(p, inst, name + "_fst", at)
-        _fresh(p, inst, name + "_snd", at)
-        left = _name(p, "unknown assembly", inst.assemblies)
-        right = _name(p, "unknown assembly", inst.assemblies)
-        prod = ext_product(inst.pca, left, right)
-        inst.assemblies[name] = prod.object
-        inst.extmorphisms[name + "_fst"] = prod.fst
-        inst.extmorphisms[name + "_snd"] = prod.snd
-        _record(inst, "assembly", name)
-        _record(inst, "extmorphism", name + "_fst")
-        _record(inst, "extmorphism", name + "_snd")
-        return
+        return _product(p, inst, "assembly", name, at, ext_product)
     p.expect("{")
     points = []
     naming = []
     while p.eat("point"):
-        pid = _point_id(p)
+        pid = _parse_point(p, None)  # an id, or a pair of points, as in a product
         p.expect("names")
         for t in p.term_list():
             naming.append((t, pid))
         points.append(pid)
     p.expect("}")
-    inst.assemblies[name] = assembly(inst.pca, points, naming)
-    _record(inst, "assembly", name)
+    inst.declare("assembly", name, assembly(inst.pca, points, naming))
 
 
 def _decl_morphism(p: _Parser, inst: Instance) -> None:
@@ -585,8 +609,7 @@ def _decl_morphism(p: _Parser, inst: Instance) -> None:
     m = FinMap(src, tgt, mapping, realizer)
     if realizer is not None:
         m.check_realizer(inst.pca)
-    inst.morphisms[name] = m
-    _record(inst, "morphism", name)
+    inst.declare("morphism", name, m)
 
 
 def _decl_extmorphism(p: _Parser, inst: Instance) -> None:
@@ -599,8 +622,7 @@ def _decl_extmorphism(p: _Parser, inst: Instance) -> None:
     realizer = p.term()
     p.expect("pointmap")
     pointmap = p.table(lambda: p.pair(p.term, ",", lambda: _parse_point(p, src)), lambda: _parse_point(p, tgt))
-    inst.extmorphisms[name] = ExtMorphism(src, tgt, realizer, pointmap)
-    _record(inst, "extmorphism", name)
+    inst.declare("extmorphism", name, ExtMorphism(src, tgt, realizer, pointmap))
 
 
 def _decl_tracked(p: _Parser, inst: Instance) -> None:
@@ -609,8 +631,7 @@ def _decl_tracked(p: _Parser, inst: Instance) -> None:
     base = _object(p, inst)
     if not isinstance(base, FinSet):
         raise p.error("tracked families live over carriers", at)
-    inst.tracked[name] = TrackedFamily(base, p.table(p.term, p.term))
-    _record(inst, "tracked", name)
+    inst.declare("tracked", name, TrackedFamily(base, p.table(p.term, p.term)))
 
 
 def _parse_policy(p: _Parser) -> str | None:
@@ -630,8 +651,7 @@ def _decl_family(p: _Parser, inst: Instance) -> None:
     base = _object(p, inst)
     policy = _parse_policy(p)
     values = p.table(lambda: _parse_key(p, base), p.term_set)
-    inst.families[name] = MassFamily(base, values, policy or ALLOW_EMPTY)
-    _record(inst, "family", name)
+    inst.declare("family", name, MassFamily(base, values, policy or ALLOW_EMPTY))
 
 
 def _decl_predicate(p: _Parser, inst: Instance) -> None:
@@ -642,8 +662,7 @@ def _decl_predicate(p: _Parser, inst: Instance) -> None:
     index = _object(p, inst)
     policy = _parse_policy(p)
     table = p.table(lambda: p.pair(lambda: _parse_key(p, base), ";", lambda: _parse_key(p, index)), p.term_set)
-    inst.predicates[name] = Predicate(base, index, table, policy or NONEMPTY)
-    _record(inst, "predicate", name)
+    inst.declare("predicate", name, Predicate(base, index, table, policy or NONEMPTY))
 
 
 def _decl_extpredicate(p: _Parser, inst: Instance) -> None:
@@ -653,8 +672,7 @@ def _decl_extpredicate(p: _Parser, inst: Instance) -> None:
     if not isinstance(dom, FinSet):
         raise p.error("extended predicates live over carriers", at)
     table = p.table(p.term, lambda: frozenset(p.items("[", "]", p.term_set)))
-    inst.extpredicates[name] = ExtendedPredicate(dom, table)
-    _record(inst, "extpredicate", name)
+    inst.declare("extpredicate", name, ExtendedPredicate(dom, table))
 
 
 def _decl_dialpredicate(p: _Parser, inst: Instance) -> None:
@@ -663,8 +681,7 @@ def _decl_dialpredicate(p: _Parser, inst: Instance) -> None:
     base = _object(p, inst)
     if not isinstance(base, FinSet):
         raise p.error("relation predicates live over carriers", at)
-    inst.dialpredicates[name] = DialecticaPredicate(base, _choice_table(p))
-    _record(inst, "dialpredicate", name)
+    inst.declare("dialpredicate", name, DialecticaPredicate(base, _choice_table(p)))
 
 
 def _decl_witness(p: _Parser, inst: Instance) -> None:
@@ -705,8 +722,7 @@ def _decl_witness(p: _Parser, inst: Instance) -> None:
         w = CompletionWitness(med, _name(p, "unknown witness", inst.witnesses))
     else:
         raise p.error(f"unknown witness form {head!r}", at)
-    inst.witnesses[name] = w
-    _record(inst, "witness", name)
+    inst.declare("witness", name, w)
 
 
 def _parse_perpoint_key(p: _Parser):
@@ -740,8 +756,7 @@ def _decl_compobject(p: _Parser, inst: Instance) -> None:
     leg = _morphism(p, inst)
     p.expect("payload")
     payload = inst.element(p.ident(), functools.partial(p.error, at=p.i - 1))
-    inst.compobjects[name] = CompletionObject(kind, klass, doc, leg, payload)
-    _record(inst, "compobject", name)
+    inst.declare("compobject", name, CompletionObject(kind, klass, doc, leg, payload))
 
 
 def _decl_claim(p: _Parser, inst: Instance) -> None:
@@ -759,8 +774,7 @@ def _decl_claim(p: _Parser, inst: Instance) -> None:
     inst.element(lhs, functools.partial(p.error, at=at + 2))
     inst.element(rhs, functools.partial(p.error, at=at + 5))
     _resolve(witness, "unknown witness", (inst.witnesses,), functools.partial(p.error, at=at + 7))
-    inst.claims.append(Claim(name, lhs, doc, rhs, witness))
-    _record(inst, "claim", name)
+    inst.declare("claim", name, Claim(name, lhs, doc, rhs, witness))
 
 
 def _decl_result(p: _Parser, inst: Instance) -> None:
@@ -768,8 +782,7 @@ def _decl_result(p: _Parser, inst: Instance) -> None:
     status = p.ident()
     items = p.items("(", ")", lambda: _raw_item(p)) if p.eat("counterexample") else ()
     unknowns = p.integer() if p.eat("unknowns") else 0
-    inst.results.append(ResultLine(claim, status, tuple(items), unknowns))
-    _record(inst, "result", claim)
+    inst.declare("result", claim, ResultLine(claim, status, tuple(items), unknowns))
 
 
 def _raw_item(p: _Parser) -> str:
@@ -793,6 +806,130 @@ def _raw_item(p: _Parser) -> str:
     return p.source[p.toks[first].start : p.toks[p.i - 1].end]
 
 
+# ---------------------------------------------------------------------------
+# Printing: canonical form, which the parser of each kind reads back
+
+
+def format_terms(ts) -> str:
+    """A term list in canonical order: ``[K, S, (K K)]``."""
+    return "[" + ", ".join(to_text(t) for t in sorted(ts, key=term_key)) + "]"
+
+
+def format_table(mapping, show=point_text, key=point_text, order=None) -> str:
+    """``key -> value`` entries, sorted by ``order`` of their keys (default:
+    the key texts)."""
+    entries = sorted(mapping.items(), key=lambda kv: (order or key)(kv[0]))
+    return ", ".join(f"{key(k)} -> {show(v)}" for k, v in entries)
+
+
+def _by_parts(pair) -> tuple:
+    """The texts of a pair key's parts, to order a table by its keys' first parts."""
+    return tuple(map(point_text, pair))
+
+
+def _format_choice(table) -> str:
+    """``(x; [a]) -> [b]`` entries of a relation or choice table."""
+    return format_table(table, format_terms, lambda k: f"({point_text(k[0])}; {format_terms(k[1])})",
+                        lambda k: (point_text(k[0]), sorted(map(to_text, k[1]))))
+
+
+def format_result(claim: str, status: str, counterexample=(), unknowns: int = 0) -> str:
+    """A ``result`` line, the one declaration check reports are made of."""
+    line = f"result {claim} {status}"
+    if counterexample:
+        line += " counterexample (" + ", ".join(map(str, counterexample)) + ")"
+    if unknowns:
+        line += f" unknowns {unknowns}"
+    return line
+
+
+def declared_name(inst: Instance, value, kinds) -> str:
+    """The name ``value`` is declared as among the declarations of ``kinds``:
+    the declaration that is ``value`` itself, else the first one equal to it
+    (``kinds`` are searched in order)."""
+    sections = inst.sections(kinds)
+    for same in (operator.is_, operator.eq):
+        for section in sections:
+            for name, v in section.items():
+                if same(v, value):
+                    return name
+    raise InstanceError(f"this {type(value).__name__} is no declared {'/'.join(kinds)}")
+
+
+def format_witness(inst: Instance, name: str, w) -> str:
+    if isinstance(w, Uniform):
+        return f"witness {name} = uniform {to_text(w.term)}"
+    if isinstance(w, Bounded):
+        return f"witness {name} = bounded {w.bound}"
+    if isinstance(w, PerPoint):
+        return f"witness {name} = perpoint {{ {format_table(w.mapping)} }}"
+    if isinstance(w, ForwardBackward):
+        head = "extfwback" if isinstance(w.forward, ExtMorphism) else "fwback"
+        return f"witness {name} = {head} k = {declared_name(inst, w.forward, MORPHISMS)}, h = {to_text(w.backward)}"
+    if isinstance(w, DialecticaWitness):
+        return f"witness {name} = dial {{ {_format_choice(w.choice)} }} h = {to_text(w.backward)}"
+    if isinstance(w, ExtStrong):
+        return (f"witness {name} = extstrong k = {to_text(w.forward)}, "
+                f"choice {{ {_format_choice(w.choice)} }}, h = {to_text(w.backward)}")
+    if isinstance(w, CompletionWitness):
+        return (f"witness {name} = mediate h = {declared_name(inst, w.mediator, MORPHISMS)}, "
+                f"base = {declared_name(inst, w.base, ('witness',))}")
+    raise InstanceError(f"cannot format witness {type(w).__name__}")
+
+
+def _print_assembly(inst: Instance, name: str, asm: Assembly) -> str:
+    points = " ".join(f"point {point_text(x)} names {format_terms(asm.names_of(x))}" for x in asm.points)
+    return f"assembly {name} {{ {points} }}"
+
+
+def _print_morphism(inst: Instance, name: str, m: FinMap) -> str:
+    realizer = "" if m.realizer is None else f" realizer {to_text(m.realizer)}"
+    return (f"morphism {name} : {declared_name(inst, m.source, OBJECTS)} -> {declared_name(inst, m.target, OBJECTS)}"
+            f"{realizer} graph {{ {format_table(m.mapping)} }}")
+
+
+def _print_extmorphism(inst: Instance, name: str, m: ExtMorphism) -> str:
+    return (f"extmorphism {name} : {declared_name(inst, m.source, OBJECTS)} -> "
+            f"{declared_name(inst, m.target, OBJECTS)} realizer {to_text(m.realizer)} "
+            f"pointmap {{ {format_table(m.pointmap, order=_by_parts)} }}")
+
+
+def _print_family(inst: Instance, name: str, fam: MassFamily) -> str:
+    policy = " policy nonempty" if fam.policy == NONEMPTY else ""
+    return (f"family {name} over {declared_name(inst, fam.base, OBJECTS)}{policy} "
+            f"{{ {format_table(fam.values, format_terms)} }}")
+
+
+def _print_predicate(inst: Instance, name: str, pred: Predicate) -> str:
+    policy = "" if pred.policy == NONEMPTY else " policy allowempty"
+    body = format_table(pred.table, format_terms, lambda k: f"({point_text(k[0])}; {point_text(k[1])})", _by_parts)
+    return (f"predicate {name} over {declared_name(inst, pred.base, OBJECTS)} "
+            f"index {declared_name(inst, pred.index, OBJECTS)}{policy} {{ {body} }}")
+
+
+def _print_extpredicate(inst: Instance, name: str, ep: ExtendedPredicate) -> str:
+    def offers(sets) -> str:
+        return "[" + ", ".join(format_terms(a) for a in sorted(sets, key=lambda a: sorted(map(to_text, a)))) + "]"
+
+    return f"extpredicate {name} over {declared_name(inst, ep.dom, OBJECTS)} {{ {format_table(ep.table, offers)} }}"
+
+
+def format_decl(inst: Instance, kind: str, name: str, value) -> str:
+    """The line that declares ``value`` as ``kind name`` in ``inst``."""
+    return _DECL_PRINTERS[kind](inst, name, value)
+
+
+def print_instance(inst: Instance) -> str:
+    out = [f"oracle #{o} {{ {format_table(inst.pca.oracles[o], to_text)} }}" for o in sorted(inst.pca.oracles)]
+    out.append(f"fuel {inst.fuel}")
+    out.extend(format_decl(inst, *decl) for decl in inst.decls)
+    return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The grammar: each declaration kind's parser and printer
+
+
 _DECL_PARSERS = {
     "oracle": _decl_oracle,
     "fuel": _decl_fuel,
@@ -812,171 +949,26 @@ _DECL_PARSERS = {
     "result": _decl_result,
 }
 
-
-# ---------------------------------------------------------------------------
-# Printing (canonical form; print . parse is the identity up to layout)
-
-
-def format_terms(ts) -> str:
-    """A term list in canonical order: ``[K, S, (K K)]``."""
-    return "[" + ", ".join(to_text(t) for t in sorted(ts, key=term_key)) + "]"
-
-
-def format_table(mapping, show=point_text) -> str:
-    """``key -> value`` entries in the order of their key texts."""
-    return ", ".join(
-        f"{point_text(k)} -> {show(v)}" for k, v in sorted(mapping.items(), key=lambda kv: point_text(kv[0]))
-    )
-
-
-def format_assembly(name: str, asm: Assembly) -> str:
-    parts = []
-    for pt in asm.points:
-        names = [n for n, x in asm.naming if x == pt]
-        parts.append(f"point {point_text(pt)} names {format_terms(names)}")
-    return f"assembly {name} {{ " + " ".join(parts) + " }"
-
-
-def format_morphism(inst: Instance, name: str, m: FinMap) -> str:
-    realizer = f" realizer {to_text(m.realizer)}" if m.realizer is not None else ""
-    src_name = object_name(inst, m.source)
-    tgt_name = object_name(inst, m.target)
-    return f"morphism {name} : {src_name} -> {tgt_name}{realizer} graph {{ {format_table(m.mapping)} }}"
-
-
-def format_extmorphism(inst: Instance, name: str, m: ExtMorphism) -> str:
-    body = ", ".join(
-        f"({to_text(n)}, {point_text(x)}) -> {point_text(v)}"
-        for (n, x), v in sorted(m.pointmap.items(), key=lambda kv: (to_text(kv[0][0]), point_text(kv[0][1])))
-    )
-    return (
-        f"extmorphism {name} : {object_name(inst, m.source)} -> {object_name(inst, m.target)} "
-        f"realizer {to_text(m.realizer)} pointmap {{ {body} }}"
-    )
-
-
-def format_result(claim: str, status: str, counterexample=(), unknowns: int = 0) -> str:
-    """A ``result`` line, the one declaration check reports are made of."""
-    line = f"result {claim} {status}"
-    if counterexample:
-        line += " counterexample (" + ", ".join(map(str, counterexample)) + ")"
-    if unknowns:
-        line += f" unknowns {unknowns}"
-    return line
-
-
-def print_instance(inst: Instance) -> str:
-    out = []
-    for oname in sorted(inst.pca.oracles):
-        entries = inst.pca.oracles[oname]
-        body = ", ".join(f"{to_text(k)} -> {to_text(v)}" for k, v in sorted(entries.items(), key=lambda kv: to_text(kv[0])))
-        out.append(f"oracle #{oname} {{ {body} }}")
-    out.append(f"fuel {inst.fuel}")
-    for kind, name in inst.decls:
-        if kind == "universe":
-            out.append(f"universe {name} = {format_terms(inst.universes[name].points)}")
-        elif kind == "carrier":
-            out.append(f"carrier {name} = {format_terms(inst.carriers[name].points)}")
-        elif kind == "assembly":
-            out.append(format_assembly(name, inst.assemblies[name]))
-        elif kind == "morphism":
-            out.append(format_morphism(inst, name, inst.morphisms[name]))
-        elif kind == "extmorphism":
-            out.append(format_extmorphism(inst, name, inst.extmorphisms[name]))
-        elif kind == "tracked":
-            fam = inst.tracked[name]
-            out.append(f"tracked {name} over {object_name(inst, fam.base)} {{ {format_table(fam.values)} }}")
-        elif kind == "family":
-            fam = inst.families[name]
-            pol = " policy nonempty" if fam.policy == NONEMPTY else ""
-            body = format_table(fam.values, format_terms)
-            out.append(f"family {name} over {object_name(inst, fam.base)}{pol} {{ {body} }}")
-        elif kind == "predicate":
-            pred = inst.predicates[name]
-            pol = "" if pred.policy == NONEMPTY else " policy allowempty"
-            body = ", ".join(
-                f"({point_text(b)}; {point_text(i)}) -> {format_terms(v)}"
-                for (b, i), v in sorted(pred.table.items(), key=lambda kv: (point_text(kv[0][0]), point_text(kv[0][1])))
-            )
-            out.append(
-                f"predicate {name} over {object_name(inst, pred.base)} index {object_name(inst, pred.index)}{pol} {{ {body} }}"
-            )
-        elif kind == "extpredicate":
-            ep = inst.extpredicates[name]
-            body = ", ".join(
-                f"{to_text(k)} -> [" + ", ".join(format_terms(a) for a in sorted(v, key=lambda s: sorted(map(to_text, s)))) + "]"
-                for k, v in sorted(ep.table.items(), key=lambda kv: to_text(kv[0]))
-            )
-            out.append(f"extpredicate {name} over {object_name(inst, ep.dom)} {{ {body} }}")
-        elif kind == "dialpredicate":
-            dp = inst.dialpredicates[name]
-            out.append(f"dialpredicate {name} over {object_name(inst, dp.base)} {{ {_format_choice(dp.table)} }}")
-        elif kind == "witness":
-            out.append(format_witness(inst, name, inst.witnesses[name]))
-        elif kind == "compobject":
-            obj = inst.compobjects[name]
-            leg_name = _morphism_name(inst, obj.leg)
-            payload_name = _payload_name(inst, obj.payload)
-            out.append(f"compobject {name} = {obj.kind} {obj.klass} {obj.doc} leg {leg_name} payload {payload_name}")
-        elif kind == "claim":
-            c = next(c for c in inst.claims if c.name == name)
-            out.append(f"claim {c.name} : {c.lhs} <=_{c.doc} {c.rhs} by {c.witness}")
-        elif kind == "result":
-            r = next(r for r in inst.results if r.claim == name)
-            out.append(format_result(r.claim, r.status, r.counterexample, r.unknowns))
-    return "\n".join(out) + "\n"
-
-
-def _format_choice(table) -> str:
-    """``(x; [a]) -> [b]`` entries of a relation or choice table."""
-    return ", ".join(
-        f"({point_text(x)}; {format_terms(a)}) -> {format_terms(v)}"
-        for (x, a), v in sorted(table.items(), key=lambda kv: (point_text(kv[0][0]), sorted(map(to_text, kv[0][1]))))
-    )
-
-
-def object_name(inst: Instance, obj) -> str:
-    """The name a carrier, universe or assembly equal to ``obj`` is declared as."""
-    for section in (inst.carriers, inst.universes, inst.assemblies):
-        for name, val in section.items():
-            if val == obj:
-                return name
-    raise InstanceError("object has no declared name")
-
-
-def _morphism_name(inst: Instance, m) -> str:
-    for name, val in {**inst.morphisms, **inst.extmorphisms}.items():
-        if val is m or val == m:
-            return name
-    raise InstanceError("morphism has no declared name")
-
-
-def _payload_name(inst: Instance, payload) -> str:
-    for section in (inst.tracked, inst.families, inst.predicates, inst.extpredicates, inst.dialpredicates):
-        for name, val in section.items():
-            if val is payload or val == payload:
-                return name
-    raise InstanceError("payload has no declared name")
-
-
-def format_witness(inst: Instance, name: str, w) -> str:
-    if isinstance(w, Uniform):
-        return f"witness {name} = uniform {to_text(w.term)}"
-    if isinstance(w, Bounded):
-        return f"witness {name} = bounded {w.bound}"
-    if isinstance(w, PerPoint):
-        return f"witness {name} = perpoint {{ {format_table(w.mapping)} }}"
-    if isinstance(w, ForwardBackward):
-        head = "extfwback" if isinstance(w.forward, ExtMorphism) else "fwback"
-        return f"witness {name} = {head} k = {_morphism_name(inst, w.forward)}, h = {to_text(w.backward)}"
-    if isinstance(w, DialecticaWitness):
-        return f"witness {name} = dial {{ {_format_choice(w.choice)} }} h = {to_text(w.backward)}"
-    if isinstance(w, ExtStrong):
-        return (f"witness {name} = extstrong k = {to_text(w.forward)}, "
-                f"choice {{ {_format_choice(w.choice)} }}, h = {to_text(w.backward)}")
-    if isinstance(w, CompletionWitness):
-        base_name = next((n for n, v in inst.witnesses.items() if v is w.base), None)
-        if base_name is None:
-            raise InstanceError("completion base witness has no declared name")
-        return f"witness {name} = mediate h = {_morphism_name(inst, w.mediator)}, base = {base_name}"
-    raise InstanceError(f"cannot format witness {type(w).__name__}")
+# Printers take (inst, name, value); oracle tables and fuel head the file.
+# format_witness is looked up when a witness is printed, so a wrapper
+# installed on it (the benchmark's layer tracer) sees every witness printed.
+_DECL_PRINTERS = {
+    "universe": lambda inst, name, u: f"universe {name} = {format_terms(u.points)}",
+    "carrier": lambda inst, name, c: f"carrier {name} = {format_terms(c.points)}",
+    "assembly": _print_assembly,
+    "morphism": _print_morphism,
+    "extmorphism": _print_extmorphism,
+    "tracked": lambda inst, name, t: (f"tracked {name} over {declared_name(inst, t.base, OBJECTS)} "
+                                      f"{{ {format_table(t.values)} }}"),
+    "family": _print_family,
+    "predicate": _print_predicate,
+    "extpredicate": _print_extpredicate,
+    "dialpredicate": lambda inst, name, d: (f"dialpredicate {name} over {declared_name(inst, d.base, OBJECTS)} "
+                                            f"{{ {_format_choice(d.table)} }}"),
+    "witness": lambda inst, name, w: format_witness(inst, name, w),
+    "compobject": lambda inst, name, c: (f"compobject {name} = {c.kind} {c.klass} {c.doc} "
+                                         f"leg {declared_name(inst, c.leg, MORPHISMS)} "
+                                         f"payload {declared_name(inst, c.payload, ELEMENTS)}"),
+    "claim": lambda inst, name, c: f"claim {name} : {c.lhs} <=_{c.doc} {c.rhs} by {c.witness}",
+    "result": lambda inst, name, r: format_result(name, r.status, r.counterexample, r.unknowns),
+}

@@ -9,7 +9,7 @@ import pytest
 from degreelab import search
 from degreelab.cli import main
 from degreelab.doctrines import ALLOW_EMPTY, NONEMPTY, CheckError
-from degreelab.instance import parse_instance
+from degreelab.instance import parse_instance, print_instance
 from degreelab.laws import run_suites
 from degreelab.terms import K, S
 
@@ -295,6 +295,24 @@ class TestForwardBackwardSearch:
         assert self._search(capsys, tmp_path, 4, extra, "c") == (
             1, "result c exhausted\n// no witness up to size 4; 1100 candidates failed\n")
 
+    # an rW or tW claim over assemblies whose product is not declared: the
+    # found forward map's source is declared as a product assembly, with
+    # pair point ids, and the output re-checks after the file
+    UNDECLARED_PRODUCT = ("assembly X {{ point u names [K] }}\n"
+                          "assembly Y {{ point a names [K] point b names [S] }}\n"
+                          "predicate FP over X index Y {{ ((K, u); (K, a)) -> [K], ((K, u); (S, b)) -> [S] }}\n"
+                          "witness w0 = bounded 1\nclaim c : FP <=_{doc} FP by w0\n")
+
+    @pytest.mark.parametrize("doc", ["rW", "tW"])
+    def test_found_over_an_undeclared_product_assembly_re_checks(self, capsys, tmp_path, doc):
+        path = tmp_path / "undeclared_product.inst"
+        path.write_text(self.UNDECLARED_PRODUCT.format(doc=doc))
+        code, out = run(["--witness-size", "4", "--format", "machine", "search", path, "c"], capsys)
+        assert code == 0
+        assert out.startswith("assembly c_found_src { point (u, a) names [")
+        path.write_text(path.read_text() + out)
+        assert run(["--format", "machine", "check", path, "c_check"], capsys) == (0, "result c_check holds\n")
+
 
 class TestLattice:
     def test_assembly_families_are_an_input_error(self, tmp_path, capsys):
@@ -538,6 +556,19 @@ class TestIsoEquivalences:
         assert fam.policy == ALLOW_EMPTY  # the empty set is offered, so the predicate is not dense
         _, out, _ = _iso(tmp_path, capsys, "extsw", "--map", "extpred", "--object", "f")
         assert parse_instance(_expand(ISO_INSTANCES["extsw"]) + out).families["f_family"].policy == NONEMPTY
+
+    def test_extpred_family_prints_in_the_order_of_print_instance(self, tmp_path, capsys):
+        # entries sort by their whole key text, so "(#o', p0)" comes before
+        # "(#o, p0)" ("'" sorts before ","), as print_instance orders them
+        source = ("oracle #o { }\noracle #o' { }\ncarrier DOM = [#o, #o']\n"
+                  "extpredicate f over DOM { #o -> [[K]], #o' -> [[K]] }\n")
+        path = tmp_path / "primes.inst"
+        path.write_text(source)
+        assert main(["iso", str(path), "--map", "extpred", "--object", "f"]) == 0
+        out = capsys.readouterr().out
+        family = "family f_family over f_assembly policy nonempty { (#o', p0) -> [K], (#o, p0) -> [K] }"
+        assert out == "assembly f_assembly { point p0 names [#o, #o'] }\n" + family + "\n"
+        assert print_instance(parse_instance(source + out)).endswith(out)
 
     def test_extsw_d_pinned(self, tmp_path, capsys):
         assert _iso(tmp_path, capsys, "extsw", "--map", "extsw_d", "--claim", "ext_claim") == (

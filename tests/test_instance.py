@@ -224,6 +224,10 @@ class TestResultLines:
         assert printed.splitlines()[-1] == line
         assert print_instance(parse_instance(printed)) == printed
 
+    def test_each_repeated_result_prints_itself(self):
+        source = "result c holds\nresult c refuted counterexample (K)\nresult c unknown unknowns 2\n"
+        assert print_instance(parse_instance(source)) == "fuel 10000\n" + source
+
     def test_unterminated_counterexample_rejected(self):
         with pytest.raises(InstanceError):
             parse_instance("result c refuted counterexample (K, (K S)\n")
@@ -254,6 +258,7 @@ def _instances(draw):
     oracle = draw(st.dictionaries(st.sampled_from(_NF), st.sampled_from(_NF), max_size=3))
     names = {pid: draw(_some(_NF, max_size=2)) for pid in ("x", "y")}
     naming = [(n, pid) for pid, ns in names.items() for n in ns]
+    z_names = draw(_some(_NF, max_size=2))
     policy = lambda: draw(st.sampled_from(["", " policy nonempty", " policy allowempty"]))  # noqa: E731
     fam_policy = policy()
     sets = lambda: _terms(draw(_some(_ANY, 1 if "nonempty" in fam_policy else 0)))  # noqa: E731
@@ -273,6 +278,8 @@ def _instances(draw):
         f"carrier B = {_terms(atoms)}",
         "carrier P = product B B",
         "assembly A { " + " ".join(f"point {pid} names {_terms(ns)}" for pid, ns in names.items()) + " }",
+        f"assembly Z {{ point z names {_terms(z_names)} }}",
+        "assembly Q = product A Z",
         f"morphism f : {X} -> {X} realizer ((S K) K) graph {{ {', '.join(f'{x} -> {x}' for x in xs)} }}",
         f"morphism g : {X} -> Y graph {{ {', '.join(f'{x} -> {draw(st.sampled_from(ys))}' for x in xs)} }}",
         f"extmorphism m : A -> A realizer ((S K) K) pointmap {{ "
@@ -298,8 +305,8 @@ def _instances(draw):
         f"{draw(st.sampled_from(['T', 'M', 'dW']))} leg f payload t",
         f"claim c : phi <=_{draw(st.sampled_from(['M', 'Mw', 'T', 'dW', 'D']))} phi by w1",
         "claim cc : c1 <=_comp c1 by w8",
-        format_result("c", draw(st.sampled_from(["holds", "refuted", "unknown"])),
-                      tuple(draw(st.lists(_ITEMS, max_size=3))), draw(st.integers(0, 9))),
+        *(format_result("c", draw(st.sampled_from(["holds", "refuted", "unknown"])),
+                        tuple(draw(st.lists(_ITEMS, max_size=3))), draw(st.integers(0, 9))) for _ in range(2)),
     ]
     return "\n".join(lines) + "\n"
 
@@ -309,11 +316,22 @@ class TestDeclarations:
     @given(_instances())
     def test_print_parse_print_is_stable(self, source):
         inst = parse_instance(source)
-        assert {kind for kind, _ in inst.decls} == {
+        assert {decl[0] for decl in inst.decls} == {
             "universe", "carrier", "assembly", "morphism", "extmorphism", "tracked", "family", "predicate",
             "extpredicate", "dialpredicate", "witness", "compobject", "claim", "result"}
         printed = print_instance(inst)
         assert print_instance(parse_instance(printed)) == printed
+        results = [line for line in source.splitlines() if line.startswith("result ")]
+        assert [line for line in printed.splitlines() if line.startswith("result ")] == results
+
+    # A reference prints as the name it was declared with, not as an earlier
+    # declaration of an equal value (g equals f, beta alpha, kfwd PXY_snd).
+    @pytest.mark.parametrize("fixture, line", [
+        ("medvedev_roundtrip.inst", "compobject right = forall full T leg g payload beta"),
+        ("weihrauch_transposition.inst", "witness wfb = fwback k = kfwd, h = ((S ((S K) K)) (K (K ((S K) K))))"),
+    ])
+    def test_references_print_their_own_names(self, fixture, line):
+        assert line in print_instance(parse_instance((FIXTURES / fixture).read_text())).splitlines()
 
 
 # The lexical contract: each input gives exactly these (kind, text, line,
