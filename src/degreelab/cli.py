@@ -7,7 +7,9 @@ the instance grammar, so reports and found witnesses re-parse, including
 forward maps out of undeclared product assemblies (rW and tW witnesses).
 Each declaration a command prints (a found or transported witness with the
 objects and map it needs, a claim, a family, an assembly) is first declared
-in the loaded instance and then printed by the instance's printer of its kind.
+in the loaded instance and then printed by the instance's printer of its kind,
+under the first name the loaded file leaves free (``c_found``, else
+``c_found_2``, ...), so the output appended to the file re-parses.
 ``--time-cap`` caps each search on its own: ``complete`` runs one search per
 ordered pair of objects, so the command as a whole has no cap.  ``complete``
 prints each pair whose search ended unknown as a ``// unknown i <= j`` line,
@@ -227,8 +229,9 @@ def cmd_search(args) -> int:
 def _render_search(args, inst, claim, outcome: SearchOutcome, elapsed) -> str:
     lines = []
     if outcome.found:
-        found, check = f"{claim.name}_found", f"{claim.name}_check"
+        found = inst.free_name(f"{claim.name}_found")
         lines.extend(_declare_witness(inst, found, outcome.witness))
+        check = inst.free_name(f"{claim.name}_check")
         lines.append(_declare(inst, "claim", check, dataclasses.replace(claim, name=check, witness=found)))
     lines.append(format_result(claim.name, outcome.status))
     if outcome.status == "exhausted":
@@ -247,7 +250,10 @@ def _render_search(args, inst, claim, outcome: SearchOutcome, elapsed) -> str:
 
 
 def _declare(inst: Instance, kind: str, name: str, value) -> str:
-    """Declare ``value`` as ``kind name`` in ``inst`` and print the declaration."""
+    """Declare ``value`` in ``inst`` as ``kind name``, or under the first
+    free ``name_2``, ``name_3``, ... when ``name`` is taken, so the printed
+    declaration re-parses after the loaded file; print the declaration."""
+    name = inst.free_name(name)
     inst.declare(kind, name, value)
     return format_decl(inst, kind, name, value)
 
@@ -255,7 +261,9 @@ def _declare(inst: Instance, kind: str, name: str, value) -> str:
 def _declare_witness(inst: Instance, name: str, w) -> list[str]:
     """Declare ``w`` as ``name`` in ``inst``, after the forward map ``name_k``
     of a forward-backward witness and its source and target (``name_src``,
-    ``name_tgt``) unless ``inst`` declares them already; the printed lines."""
+    ``name_tgt``) unless ``inst`` declares them already; the printed lines.
+    Each name taken already is replaced as `_declare` does."""
+    name = inst.free_name(name)
     lines = []
     if isinstance(w, ForwardBackward):
         k = w.forward

@@ -46,7 +46,8 @@ its checks read.  For T, Tw, M, Mw and the elementary orders (dW to dextW,
 read over the keys of a carrier or an assembly by one body) these are its
 positions, built as checks first read them, each solution set sorted once;
 a uniform witness is checked by one flat loop over them (`_uniform`), each
-cell holding the refutation a miss there gives, built at the first miss.
+cell holding the refutation a miss there gives, built at the first miss,
+and the claim keeping one verdict per head normal form of its candidates.
 For W, SW, rW, tW and the classical orders it is where forward maps start
 and land, and the positions of the last forward map read, reused for every
 backward realizer paired with it.  For extsW and D it is the left
@@ -75,6 +76,7 @@ from .pca import (
     compose,
     compose_first,
     fanout,
+    head_normal,
     is_computable,
     iter_computable,
     normalize,
@@ -100,7 +102,7 @@ from .spaces import (
     projection_path,
     split_key,
 )
-from .terms import App, K, S, Term, Var, ap, has_oracle, pair_term, split_pair, term_key, to_text
+from .terms import CACHED_SIZE, App, K, S, Term, Var, ap, has_oracle, pair_term, split_pair, term_key, to_text
 from .verdicts import Verdict
 
 ALLOW_EMPTY = "allow-empty"
@@ -348,13 +350,15 @@ def _undecided(*where) -> tuple:
 class _Stream:
     """Positions in canonical order, each built once, when a check first
     reads that far: a check refuted early leaves the rest unbuilt.  Once
-    every position is built a reader walks the list itself."""
+    every position is built a reader walks the list itself.  ``shared``
+    belongs to `_uniform`: the verdicts of head normal forms."""
 
-    __slots__ = ("pending", "cells")
+    __slots__ = ("pending", "cells", "shared")
 
     def __init__(self, pending: Iterator):
         self.pending = pending  # the positions no check has read yet; None once all are built
         self.cells: list = []  # the positions read so far
+        self.shared: dict = {}  # t* -> (its refutation, or None when it holds; most steps past t*)
 
     def __iter__(self):
         if self.pending is None:
@@ -458,20 +462,43 @@ def compile_claim(pca: Pca, doc: str, lhs, rhs) -> _Claim:
 def _uniform(pca: Pca, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
     """A uniform witness checked at every position of a T, Tw, M, Mw or
     elementary claim, one evaluation per cell: the first definite miss
-    returns that cell's refutation, a timeout leaves its position unknown.
-    Over an empty base any term holds, unless its order checks it up front."""
+    returns that cell's refutation, a timeout leaves its position unknown,
+    and a definite miss after a timeout still refutes.  Over an empty base
+    any term holds, unless its order checks it up front.
+
+    A computable term t acts on every argument as its head normal form t*
+    (`pca.head_normal`) does, k steps later, so its cells are evaluated from
+    t* at fuel - k.  Many terms share a t*: the claim's positions keep, for
+    each t* of at most ``CACHED_SIZE`` applications whose cells all ended
+    definitely, its verdict and the most steps a cell took past t*.  That
+    verdict is t's own when those steps plus k fit in the fuel, as every
+    cell then has the same outcome; a holding one is rebuilt with t.  A
+    term with no head redex is its own t* and is always evaluated."""
     term = w.term
     unchecked = term._hash & 1  # terms.has_oracle: the term is not computable
     if unchecked and claim.order.up_front:
         _require_computable(term, "witness term")
-    timeouts = []
+    if fuel is None:
+        fuel = pca.default_fuel
+    fn, k = (term, 0) if unchecked else head_normal(term)
+    if k >= fuel:  # its head contractions alone use the fuel up
+        fn, k = term, 0
+    shared = None if unchecked or fn.size > CACHED_SIZE else claim.compiled.shared
+    if k and shared is not None:
+        known = shared.get(fn)
+        if known is not None and known[1] + k <= fuel:
+            return known[0] or verdicts.holds(w, notes=claim.notes)
+    left, most, timeouts = fuel - k, 0, []
     for cell in claim.compiled:
         _, arg, allowed, where, refuted = cell
         if allowed is None:
-            return verdicts.refuted((*where, EMPTY_LEFT), notes=claim.notes)
+            refuted = verdicts.refuted((*where, EMPTY_LEFT), notes=claim.notes)
+            break
         if unchecked:
             _require_computable(term, "witness term")
-        status, value, _, _ = apply(pca, term, arg, fuel)
+        status, value, _, steps = apply(pca, fn, arg, left)
+        if steps > most:
+            most = steps
         if value in allowed:  # an undefined or timed-out outcome has no term
             continue
         if status == "timeout":
@@ -479,10 +506,14 @@ def _uniform(pca: Pca, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
             continue
         if refuted is None:
             refuted = cell[4] = verdicts.refuted(where, notes=claim.notes)
-        return refuted
-    if timeouts:
-        return verdicts.unknown(tuple(timeouts), notes=claim.notes)
-    return verdicts.holds(w, notes=claim.notes)
+        break
+    else:
+        if timeouts:
+            return verdicts.unknown(tuple(timeouts), notes=claim.notes)
+        refuted = None
+    if shared is not None and not timeouts:
+        shared[fn] = refuted, most
+    return refuted or verdicts.holds(w, notes=claim.notes)
 
 
 def _discharge(pca: Pca, obligations, w: Witness, fuel: int | None, notes: tuple[str, ...]) -> Verdict:
@@ -593,7 +624,15 @@ class _ActionIndex:
     one fuel, as far as the walk over them has got: for each normal form
     the least enumeration index reaching it and that term, and the index
     of the first candidate that timed out.  ``walk`` is None once every
-    term of the bound has been evaluated."""
+    term of the bound has been walked.
+
+    A term t acts on b as its head normal form t* (`pca.head_normal`) does,
+    k steps later, so it is evaluated as ``(t* b)`` at fuel - k.  A term
+    whose t* an earlier term of the same call reached with a definite
+    outcome in s steps, where s + k fits in the fuel, has that outcome: it
+    reaches no new normal form and cannot time out, so it is not evaluated.
+    That table is local to the call and keeps t* of at most
+    ``CACHED_SIZE`` applications."""
 
     __slots__ = ("first", "timeout_at", "walk", "walked")
 
@@ -609,9 +648,20 @@ class _ActionIndex:
         the first timeout, up to the first term landing in target; its
         ``(index, term)``, or None when the bound ends first or, with
         ``until_timeout``, at the first timeout."""
+        if fuel is None:
+            fuel = pca.default_fuel
         first = self.first
+        ended = {}  # t* -> the steps past t* of its definite outcome on b
         for i, cand in enumerate(self.walk, self.walked):
-            out = apply(pca, cand, b, fuel)
+            fn, k = head_normal(cand)
+            if k >= fuel:
+                fn, k = cand, 0
+            steps = ended.get(fn)
+            if steps is not None and steps + k <= fuel:
+                continue
+            out = apply(pca, fn, b, fuel - k)
+            if out.status != "timeout" and fn.size <= CACHED_SIZE:
+                ended[fn] = out.steps
             if out.is_defined:
                 if out.term not in first:
                     hit = first[out.term] = (i, cand)

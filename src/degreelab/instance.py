@@ -148,17 +148,28 @@ class Instance:
     claims: list = field(default_factory=list)
     results: list = field(default_factory=list)
     decls: list = field(default_factory=list)  # (kind, name, value) in file order
-    declared: set = field(default_factory=set)  # the names in decls
+    declared: set = field(default_factory=set)  # the names in decls, but for result lines
 
     def declare(self, kind: str, name: str, value) -> None:
-        """Record ``value`` as the declaration ``kind name``."""
+        """Record ``value`` as the declaration ``kind name``.  A result line
+        reports on its claim's name and takes no name of its own."""
         section = getattr(self, _SECTIONS[kind])
         if isinstance(section, list):  # claims and results
             section.append(value)
         else:
             section[name] = value
         self.decls.append((kind, name, value))
-        self.declared.add(name)
+        if kind != "result":
+            self.declared.add(name)
+
+    def free_name(self, name: str) -> str:
+        """``name``, or the first of ``name_2``, ``name_3``, ... that no
+        declaration has taken."""
+        free, n = name, 1
+        while free in self.declared:
+            n += 1
+            free = f"{name}_{n}"
+        return free
 
     def sections(self, kinds) -> list:
         """The section of each of ``kinds``, in order."""

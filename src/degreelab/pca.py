@@ -22,7 +22,9 @@ contraction, or its K or oracle contractum was the whole remaining term, and
 its arguments came back as the same objects) returns the existing term.
 
 Closed S/K terms form the computable fragment: S/K reduction never introduces
-oracle atoms, so the fragment is closed under application.
+oracle atoms, so the fragment is closed under application.  A term's own head
+contractions are the first steps of every application of it (`head_normal`),
+so enumerated terms with one head normal form act alike on every argument.
 
 Realizers are built by bracket abstraction (`abstract_all`).  The shapes
 the orders and their comparison maps share are one kit here, each the
@@ -354,6 +356,49 @@ def normalize(pca: Pca, t: Term, fuel: int | None = None) -> EvalOutcome:
     if hit.status == TIMEOUT:
         return _eval(pca, t, fuel) if fuel > hit.steps else _TIMEOUT
     return hit if hit.steps <= fuel else _TIMEOUT
+
+
+# head_normal gives up past this many contractions
+HEAD_STEPS = 16
+
+
+def head_normal(t: Term) -> tuple[Term, int]:
+    """``(t*, k)``: t after its own head contractions (``K a b c… → a c…``,
+    ``S a b c d… → a c (b c) d…``) and their number.  They are exactly the
+    first k steps of ``(t x)`` for every x, so ``(t x)`` at fuel f has the
+    outcome of ``(t* x)`` at fuel f - k, k steps later, when k < f.
+
+    An S contraction the machine's ``MAX_WORK_SIZE`` valve would stop, more
+    than ``HEAD_STEPS`` contractions, or a t* of more than twice t's size
+    gives up with ``(t, 0)``."""
+    head, stack, size, k = t, [], t.size, 0
+    while True:
+        while head.__class__ is App:
+            stack.append(head.arg)
+            head = head.fn
+        if head is K and len(stack) >= 2:
+            head = stack.pop()
+            size -= stack.pop().size + 2
+        elif head is S and len(stack) >= 3:
+            a = stack.pop()
+            b = stack.pop()
+            c = stack[-1]
+            size += c.size
+            if a.size + b.size + 2 * c.size + 3 > MAX_WORK_SIZE or size > 2 * t.size:
+                return t, 0
+            stack[-1] = App(b, c)
+            stack.append(c)
+            head = a
+        else:
+            break
+        k += 1
+        if k > HEAD_STEPS:
+            return t, 0
+    if not k:
+        return t, 0
+    while stack:
+        head = App(head, stack.pop())
+    return head, k
 
 
 def apply(pca: Pca, a: Term, b: Term, fuel: int | None = None) -> EvalOutcome:

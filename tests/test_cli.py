@@ -745,3 +745,50 @@ class TestEntryPoint:
             capture_output=True, text=True, env=_env(),
         )
         assert proc.returncode == 0
+
+
+class TestPrintedNames:
+    """Every name search, lattice and iso print is the first one the loaded
+    file leaves free (``c_found``, else ``c_found_2``, ...), so their output
+    appended to the file re-checks."""
+
+    def test_search_skips_names_the_file_holds(self, capsys, tmp_path):
+        path = tmp_path / "taken.inst"
+        path.write_text((FIXTURES / "holds.inst").read_text()
+                        + "witness refl_found = uniform K\nclaim refl_check : phi <=_M topX by refl_found\n")
+        code, out = run(["--witness-size", "3", "--format", "machine", "search", path, "refl"], capsys)
+        assert (code, out) == (0, "witness refl_found_2 = uniform ((S K) K)\n"
+                                  "claim refl_check_2 : phi <=_M phi by refl_found_2\nresult refl found\n")
+        path.write_text(path.read_text() + out)
+        assert run(["--format", "machine", "check", path, "refl_check", "refl_check_2"], capsys) == (
+            0, "result refl_check holds\nresult refl_check_2 holds\n")
+
+    def test_forward_map_names_skip_names_the_file_holds(self, capsys, tmp_path):
+        path = tmp_path / "taken_fb.inst"
+        path.write_text(TestForwardBackwardSearch.UNDECLARED_PRODUCT.format(doc="rW")
+                        + "carrier c_found_src = [K]\nwitness c_found_k = bounded 2\n")
+        code, out = run(["--witness-size", "4", "--format", "machine", "search", path, "c"], capsys)
+        assert code == 0
+        assert out.startswith("assembly c_found_src_2 { point (u, a) names [")
+        assert "\nextmorphism c_found_k_2 : c_found_src_2 -> Y realizer " in out
+        assert "\nwitness c_found = extfwback k = c_found_k_2, h = " in out
+        path.write_text(path.read_text() + out)
+        assert run(["--format", "machine", "check", path, "c_check"], capsys) == (0, "result c_check holds\n")
+
+    def test_lattice_and_iso_skip_names_the_file_holds(self, capsys, tmp_path):
+        path = tmp_path / "taken_lattice.inst"
+        path.write_text((FIXTURES / "coheyting_demo.inst").read_text() + "carrier join_result = [S]\n")
+        code, out = run(["lattice", path, "--op", "join", "--args", "psi", "rho"], capsys)
+        assert code == 0 and out.startswith("family join_result_2 over X")
+        parse_instance(path.read_text() + out)
+        path.write_text("carrier DOM = [K]\nextpredicate f over DOM { K -> [[K]] }\ncarrier f_assembly = [K]\n")
+        code, out = run(["iso", path, "--map", "extpred", "--object", "f"], capsys)
+        assert (code, out) == (0, "assembly f_assembly_2 { point p0 names [K] }\n"
+                                  "family f_family over f_assembly_2 policy nonempty { (K, p0) -> [K] }\n")
+        parse_instance(path.read_text() + out)
+
+    def test_output_is_unchanged_when_no_name_is_taken(self, capsys):
+        code, out = run(["--witness-size", "3", "--format", "machine", "search", FIXTURES / "holds.inst", "refl"],
+                        capsys)
+        assert (code, out) == (0, "witness refl_found = uniform ((S K) K)\n"
+                                  "claim refl_check : phi <=_M phi by refl_found\nresult refl found\n")

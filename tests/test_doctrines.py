@@ -868,6 +868,31 @@ class TestUniformWitness:
         assert compiled == ["M", "M"]
 
 
+    # (S K K) K takes 2 steps; K I K and K (K I K) K contract to I in 1 and
+    # 2 steps, so at fuel 3 the first holds and the second runs out
+    SHARING_I = (ap(K, ID, K), ap(K, ap(K, ID, K), K))
+    # S I K sends (K K) to K in 4 steps and K to (K (K K)) in 3; at fuel 5,
+    # K (S I K) K misses at the first position, K (K (S I K) K) K runs out
+    # there and misses at the second
+    SHARING_SIK = (ap(K, ap(S, ID, K), K), ap(K, ap(K, ap(S, ID, K), K), K))
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["fewer-steps-first", "more-steps-first"])
+    @pytest.mark.parametrize("case", ["holds-then-unknown", "refuted-after-a-timeout"])
+    def test_terms_sharing_a_head_normal_form_keep_their_own_fuel(self, case, order):
+        shared = Pca()
+        if case == "holds-then-unknown":
+            phi = psi = MassFamily(carrier(shared, [K]), {K: ONE_K})
+            terms, fuel, statuses = self.SHARING_I, 3, ["holds", "unknown"]
+        else:
+            X = carrier(shared, [K, S])
+            phi, psi = MassFamily(X, {K: ONE_S, S: ONE_S}), MassFamily(X, {K: [App(K, K)], S: ONE_K})
+            terms, fuel, statuses = self.SHARING_SIK, 5, ["refuted"] * 2
+        alone = [_fresh_outcome("M", phi, psi, Uniform(t), fuel) for t in terms]
+        assert [v[0] for v in alone] == statuses and alone[0] != alone[1]
+        for i in order:
+            assert _outcome(check_le(shared, "M", phi, psi, Uniform(terms[i]), fuel)) == alone[i]
+
+
 def _count_compiles(monkeypatch, *docs) -> list:
     """The doctrine ids the orders' compilers are called with, from now on."""
     compiled = []
@@ -1183,20 +1208,35 @@ class TestActionIndex:
     def test_an_unreachable_target_stops_the_walk_at_its_first_timeout(self, monkeypatch):
         # S/K reduction adds no oracle, so no term sends S to #o1; the first
         # timeout, ((((S (S S)) S) S) S) at index 773 (the size valve),
-        # decides the query, and a second one walks nothing
+        # decides the query, and a second one walks nothing.  Terms sharing
+        # a head normal form with an earlier term are walked unevaluated, so
+        # fewer than 774 terms are applied
         oracles, walked = {"o1": {}}, []
         shared = Pca(oracles=oracles)
         monkeypatch.setattr(doctrines, "apply",
                             lambda pca, a, b, fuel=None: walked.append(a) or apply(pca, a, b, fuel))
         unreachable = (S, frozenset([O1]), 5, None)
         assert find_inner_witness(shared, *unreachable) == _brute_inner_witness(oracles, *unreachable) == (None, True)
-        assert len(walked) == 774 and to_text(walked[-1]) == "((((S (S S)) S) S) S)"
-        assert find_inner_witness(shared, *unreachable) == (None, True) and len(walked) == 774
+        index = shared._actions[(S, 5, None)]
+        assert (index.timeout_at, index.walked) == (773, 774)
+        applied = len(walked)
+        assert 0 < applied < 774
+        assert find_inner_witness(shared, *unreachable) == (None, True) and len(walked) == applied
         # a reachable target continues the kept walk past the timeout
         last = max(_first_outcomes(oracles, S, 5, None).items(), key=lambda kv: kv[1])[0]
         reachable = (S, frozenset([last]), 5, None)
         assert find_inner_witness(shared, *reachable) == _brute_inner_witness(oracles, *reachable)
-        assert len(walked) > 774
+        assert len(walked) > applied and index.walked > 774
+
+    def test_a_term_sharing_an_earlier_head_normal_form_can_still_time_out(self):
+        # on K at fuel 3, (S K K) is defined in 2 steps, K I K contracts to it
+        # in 1 and is skipped, and K (K I K) K, in 2, leaves it 1 step: a timeout
+        walk = [ID, *TestUniformWitness.SHARING_I]
+        assert [apply(Pca(), t, K, 3).status for t in walk] == ["defined", "defined", "timeout"]
+        index = doctrines._ActionIndex(0)
+        index.walk = iter(walk)
+        assert index.extend(Pca(), K, frozenset([O1]), 3, until_timeout=True) is None
+        assert (index.timeout_at, index.walked, index.first) == (2, 3, {K: (0, ID)})
 
     @pytest.mark.parametrize("error", [PcaError, KeyboardInterrupt])
     def test_a_scan_interrupted_mid_walk_leaves_no_trace(self, monkeypatch, error):

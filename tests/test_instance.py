@@ -228,6 +228,15 @@ class TestResultLines:
         source = "result c holds\nresult c refuted counterexample (K)\nresult c unknown unknowns 2\n"
         assert print_instance(parse_instance(source)) == "fuel 10000\n" + source
 
+    def test_a_result_line_takes_no_name(self):
+        # a report appended to a file names its claims; a later declaration may still use the name
+        source = "carrier X = [K]\nresult c holds\nfamily c over X { K -> [] }\nresult c refuted counterexample (K)\n"
+        inst = parse_instance(source)
+        assert list(inst.families) == ["c"] and [r.status for r in inst.results] == ["holds", "refuted"]
+        assert print_instance(inst) == "fuel 10000\n" + source
+        with pytest.raises(InstanceError, match="name 'c' already declared"):
+            parse_instance(source + "carrier c = [S]\n")
+
     def test_unterminated_counterexample_rejected(self):
         with pytest.raises(InstanceError):
             parse_instance("result c refuted counterexample (K, (K S)\n")

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -27,6 +28,7 @@ from degreelab.pca import (
     derive_pairing,
     element_equal,
     enumerate_computable,
+    head_normal,
     is_computable,
     is_normal,
     normalize,
@@ -453,3 +455,59 @@ class TestAgainstReference:
                     capped[text] = steps
         assert (agreed, out_of_fuel) == (8_796, 2)
         assert capped == self.SIZE_CAPPED
+
+
+class TestHeadNormal:
+    """``head_normal`` pinned by the reference reducer alone: t* is t after
+    k of the reference's own steps, and for every S/K term t of size at most
+    5 with k >= 1, applied to two of the reference test's arguments at fuel
+    f >= k, ``(t a b)`` at f and ``(t* a b)`` at f - k reach the same normal
+    form, or run out on both sides, in the same number of steps counting
+    those k."""
+
+    FUELS = (1, 2, 3, 300)
+
+    def test_contracting_the_head_first_keeps_outcomes_and_exact_steps(self):
+        ref = TestAgainstReference._reference()
+        args = [ref.parse(a) for a in TestAgainstReference.ARGS]
+        contracted, cases, k_is_fuel = 0, Counter(), Counter()
+        for t in enumerate_computable(5):
+            star, k = head_normal(t)
+            if not k:
+                assert star is t
+                continue
+            contracted += 1
+            whole = start = ref.parse(to_text(t))
+            for _ in range(k):
+                start = ref.step(start)
+            assert ref.show(start) == to_text(star), to_text(t)
+            for fuel in self.FUELS:
+                if k > fuel:
+                    continue
+                for a, b in itertools.product(args, repeat=2):
+                    nf, steps = ref.normalize(ref.app(whole, a, b), fuel, max_size=TestAgainstReference.MAX_SIZE)
+                    nf_star, steps_star = ref.normalize(ref.app(start, a, b), fuel - k,
+                                                        max_size=TestAgainstReference.MAX_SIZE)
+                    assert (nf, steps) == (nf_star, steps_star + k), (to_text(t), fuel)
+                    cases[fuel] += 1
+                    k_is_fuel[fuel] += k == fuel
+        assert contracted == 1_588
+        assert all(k_is_fuel[f] for f in (1, 2, 3)), k_is_fuel
+        assert cases[300] == 16 * contracted
+
+    def test_it_gives_up_past_its_bounds(self):
+        # an atom, K S and S K K have no head redex
+        for t in (K, App(K, S), ID):
+            assert head_normal(t) == (t, 0)
+        assert head_normal(ap(K, S, K)) == (S, 1)
+        # I I ... I with n copies takes 2 (n - 1) contractions to I
+        assert head_normal(ap(ID, *[ID] * 8)) == (ID, 16)
+        chain = ap(ID, *[ID] * 9)
+        assert head_normal(chain) == (chain, 0)
+        # its nine contractions grow this size-6 term to size 24
+        grows = parse_term("(((((S (S S)) S) S) S) S)")
+        assert head_normal(grows) == (grows, 0)
+        # (S I I) (S I I) contracts to itself forever
+        self_apply = ap(S, ID, ID)
+        omega = App(self_apply, self_apply)
+        assert head_normal(omega) == (omega, 0)

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 from unittest import mock
 
@@ -11,16 +12,22 @@ from degreelab.doctrines import (
     ExtendedPredicate,
     MassFamily,
     NONEMPTY,
+    Bounded,
     PerPoint,
     Predicate,
     Uniform,
     check_le,
+    positions,
 )
 from degreelab.instance import parse_instance
 from degreelab.laws import _first_holding
-from degreelab.pca import Pca
+from degreelab.pca import Pca, apply, enumerate_computable
 from degreelab.search import (
+    EXHAUSTED,
+    UNKNOWN,
     SearchBudget,
+    SearchOutcome,
+    first_holding,
     forward_map_candidates,
     search_completion_witness,
     search_witness,
@@ -319,3 +326,90 @@ class TestSearchMemo:
         a, _ = _counted(pca, "M", one, one, SearchBudget(2))
         b, calls = _counted(pca, "M", two, two, SearchBudget(2))
         assert (b, calls) == (a, 0) and len(pca._searches) == 1
+
+
+# ---------------------------------------------------------------------------
+# Shared head normal forms change no outcome
+
+SEEDED_ORACLES = {"o1": {K: S}}
+SEEDED_ARGS = (K, S, App(K, K), App(K, S), App(S, K), App(S, S), O1, App(App(S, K), K))
+# normal forms that terms of size <= 4 reach late, or only through the oracle
+SEEDED_VALUES = SEEDED_ARGS + tuple(App(f, a) for f, a in (
+    (S, App(K, K)), (App(S, S), K), (S, App(S, K)), (K, App(S, K)), (App(S, K), S),
+    (K, App(K, App(K, K))), (App(S, S), S)))
+
+
+def _seeded_claim(seed: int):
+    """Two mass families over a carrier of one or two points, drawn by seed:
+    on the left {#o1}, which no S/K term reaches from an oracle-free
+    argument, or one or two normal forms; on the right up to two arguments."""
+    rng = random.Random(seed)
+    X = carrier(Pca(oracles=SEEDED_ORACLES), rng.sample(SEEDED_ARGS[:6], rng.randint(1, 2)))
+    lhs = MassFamily(X, {x: frozenset([O1]) if rng.random() < 0.3
+                         else frozenset(rng.sample(SEEDED_VALUES, rng.randint(1, 2))) for x in X.points})
+    rhs = MassFamily(X, {x: frozenset(rng.sample(SEEDED_ARGS, rng.randint(0, 2))) for x in X.points})
+    return lhs, rhs
+
+
+def _plain_least(pca, arg, allowed, size, fuel):
+    """The least term of size <= size sending arg into allowed, and whether
+    one before it timed out: every term applied in turn."""
+    timed_out = False
+    if allowed:
+        for t in enumerate_computable(size):
+            out = apply(pca, t, arg, fuel)
+            if out.is_defined and out.term in allowed:
+                return t, timed_out
+            timed_out = timed_out or out.status == "timeout"
+    return None, timed_out
+
+
+def _plain_outcome(doc, lhs, rhs, size, fuel):
+    """search_witness's outcome on a fresh structure, with no verdict or
+    evaluation shared between candidates: under M each candidate is checked
+    against a freshly compiled claim; under Mw each position's least term
+    comes from a plain walk, and a Bounded candidate, which the walk yields
+    when a position's walk timed out, is refuted by an empty solution set
+    on the left and else unknown."""
+    pca = Pca(oracles=SEEDED_ORACLES)
+    budget = SearchBudget(size, fuel)
+
+    def fresh_check(cand):
+        pca._claims.clear()
+        return check_le(pca, doc, lhs, rhs, cand, fuel)
+
+    if doc == "M":
+        return first_holding(map(Uniform, enumerate_computable(size)), fresh_check, budget)
+    cells = list(positions(lhs, rhs))
+    table = {}
+    for key, arg, allowed, _ in cells:
+        found, timed_out = _plain_least(pca, arg, allowed, size, fuel)
+        if found is None:
+            if not timed_out:
+                return SearchOutcome(EXHAUSTED, None, size)
+            if any(not allowed for _, _, allowed, _ in cells):
+                return SearchOutcome(EXHAUSTED, None, size, failures=1)
+            return SearchOutcome(UNKNOWN, None, size, timeouts=1)
+        table[key] = found
+    return first_holding([PerPoint(table)], fresh_check, budget)
+
+
+class TestSharedHeadNormalForms:
+    """A uniform candidate is decided from the verdict of an earlier one with
+    the same head normal form, and a per-point walk skips such terms; seeded
+    M and Mw searches still give the outcome of checking every candidate on
+    its own."""
+
+    @pytest.mark.parametrize("fuel", [3, 10, 200])
+    @pytest.mark.parametrize("doc", ["M", "Mw"])
+    def test_seeded_searches_match_candidates_checked_alone(self, doc, fuel):
+        statuses = set()
+        for seed in range(16):
+            lhs, rhs = _seeded_claim(seed)
+            out = search_witness(Pca(oracles=SEEDED_ORACLES), doc, lhs, rhs, SearchBudget(4, fuel))
+            expected = _plain_outcome(doc, lhs, rhs, 4, fuel)
+            assert ((out.status, out.witness, out.failures, out.timeouts, out.malformed)
+                    == (expected.status, expected.witness, expected.failures, expected.timeouts,
+                        expected.malformed)), seed
+            statuses.add(out.status)
+        assert "found" in statuses and statuses - {"found"}, statuses

@@ -56,7 +56,9 @@ def test_traced_check_times_every_doctrine_the_fixtures_use(capsys):
 def test_traced_search_checks_every_candidate_once(capsys):
     """The benchmark's traced search-exhaust run needs every candidate to be
     one ``check_le`` call: a search that decided candidates some other way
-    would leave ``doctrines.check_le_calls`` at 0 and fail that run."""
+    would leave ``doctrines.check_le_calls`` at 0 and fail that run.  A
+    candidate sharing its head normal form with an earlier one is decided
+    from that one's verdict, so fewer evaluations than candidates start."""
     argv = ["--witness-size", "3", "--format", "machine", "search",
             str(ROOT / "fixtures" / "refuted.inst"), "impossible"]
     (code,), metrics = _traced(argv)
@@ -64,6 +66,7 @@ def test_traced_search_checks_every_candidate_once(capsys):
     assert capsys.readouterr().out.startswith("result impossible exhausted\n")
     assert metrics["search.candidates"] == metrics["search.candidates.refuted"] == 102
     assert metrics["doctrines.check_le_calls"] == 102
+    assert metrics["pca.normalize_calls"] < 102
 
 
 def test_traced_repeated_search_counts_the_candidates_checked(capsys):
