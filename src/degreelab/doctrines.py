@@ -468,7 +468,13 @@ def _uniform(pca: Pca, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
 
     A computable term t acts on every argument as its head normal form t*
     (`pca.head_normal`) does, k steps later, so its cells are evaluated from
-    t* at fuel - k.  Many terms share a t*: the claim's positions keep, for
+    t* at fuel - k.  A term equal to one of the kept enumeration levels
+    that a walk has reached reads its ``(t*, k)`` from the process-wide
+    table ``pca._HEADS`` (at most 3,238 entries, shared by every structure,
+    as head contraction reads no oracle table and no fuel); any other term
+    is contracted anew, and a parsed one never enters the table.
+
+    Many terms share a t*: the claim's positions keep, for
     each t* of at most ``CACHED_SIZE`` applications whose cells all ended
     definitely, its verdict and the most steps a cell took past t*.  That
     verdict is t's own when those steps plus k fit in the fuel, as every
@@ -627,7 +633,11 @@ class _ActionIndex:
     term of the bound has been walked.
 
     A term t acts on b as its head normal form t* (`pca.head_normal`) does,
-    k steps later, so it is evaluated as ``(t* b)`` at fuel - k.  A term
+    k steps later, so it is evaluated as ``(t* b)`` at fuel - k.  The walk
+    is ``pca.iter_computable``'s, so a term of the kept levels reads its
+    ``(t*, k)`` from the process-wide ``pca._HEADS`` once any walk has
+    reached it: each of those 3,238 terms is contracted once per process,
+    whatever structure, argument or fuel the walk is for.  A term
     whose t* an earlier term of the same call reached with a definite
     outcome in s steps, where s + k fits in the fuel, has that outcome: it
     reaches no new normal form and cannot time out, so it is not evaluated.

@@ -452,8 +452,8 @@ def _uniform_candidates(pca, g):
 
 def _first_holding(pca, doc, lhs, rhs, cands, fuel):
     """The first candidate that holds; else False, or None (undecided) when
-    the search is unknown: a candidate's check ran out of fuel, or no
-    candidate was well formed."""
+    the search is unknown: a candidate's check ran out of fuel, or a
+    candidate was malformed."""
     out = first_holding(cands, lambda w: check_le(pca, doc, lhs, rhs, w, fuel), SearchBudget(0, fuel))
     return out.witness if out.found else (None if out.status == UNKNOWN else False)
 

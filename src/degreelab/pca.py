@@ -25,6 +25,11 @@ Closed S/K terms form the computable fragment: S/K reduction never introduces
 oracle atoms, so the fragment is closed under application.  A term's own head
 contractions are the first steps of every application of it (`head_normal`),
 so enumerated terms with one head normal form act alike on every argument.
+The head normal forms of the kept enumeration levels (``terms.CACHED_SIZE``
+= 5 applications, 3,238 terms) are computed once per process, as walks
+(`iter_computable`) first reach each term, and kept in one table that every
+structure shares: head contraction reads no oracle table and no fuel.  Only
+the enumeration's own term objects enter it; nothing is built at import.
 
 Realizers are built by bracket abstraction (`abstract_all`).  The shapes
 the orders and their comparison maps share are one kit here, each the
@@ -35,9 +40,12 @@ abstraction of exactly its body: `compose` (``λx. f (g x)``), `fanout`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from math import comb
 from typing import Iterator, Mapping, NamedTuple
 
 from .terms import (
+    CACHED_SIZE,
     App,
     ID,
     K,
@@ -361,6 +369,19 @@ def normalize(pca: Pca, t: Term, fuel: int | None = None) -> EvalOutcome:
 # head_normal gives up past this many contractions
 HEAD_STEPS = 16
 
+# The head normal forms of the kept enumeration levels, one process-wide
+# table shared by every structure: head contraction reads no oracle table
+# and no fuel.  It maps each of the first len(_HEADS) terms of the S/K
+# enumeration, the kept level's own object, to its ``(t*, k)``; walks fill
+# it in enumeration order (`iter_computable`), so it never holds more than
+# the 3,238 terms of at most ``CACHED_SIZE`` applications, and a term met
+# any other way (parsed, built, or past the kept levels) never enters it.
+_HEADS: dict[Term, tuple[Term, int]] = {}
+
+# How many S/K terms have at most n applications, n <= CACHED_SIZE:
+# Catalan(m) shapes of m applications with 2^(m+1) atom choices each.
+_KEPT_COUNTS = tuple(accumulate(comb(2 * m, m) // (m + 1) * 2 ** (m + 1) for m in range(CACHED_SIZE + 1)))
+
 
 def head_normal(t: Term) -> tuple[Term, int]:
     """``(t*, k)``: t after its own head contractions (``K a b c… → a c…``,
@@ -368,10 +389,18 @@ def head_normal(t: Term) -> tuple[Term, int]:
     first k steps of ``(t x)`` for every x, so ``(t x)`` at fuel f has the
     outcome of ``(t* x)`` at fuel f - k, k steps later, when k < f.
 
-    An S contraction the machine's ``MAX_WORK_SIZE`` valve would stop, more
-    than ``HEAD_STEPS`` contractions, or a t* of more than twice t's size
-    gives up with ``(t, 0)``."""
-    head, stack, size, k = t, [], t.size, 0
+    A term equal to one of the kept levels that a walk has reached is
+    answered from ``_HEADS``, with that kept term's entry (so a term with
+    no head redex gets ``(t, 0)`` up to equality); any other is contracted
+    here and not stored.  An S contraction the machine's ``MAX_WORK_SIZE``
+    valve would stop, more than ``HEAD_STEPS`` contractions, or a t* of
+    more than twice t's size gives up with ``(t, 0)``."""
+    size = t.size
+    if size <= CACHED_SIZE:
+        hit = _HEADS.get(t)
+        if hit is not None:
+            return hit
+    head, stack, k = t, [], 0
     while True:
         while head.__class__ is App:
             stack.append(head.arg)
@@ -440,8 +469,30 @@ def enumerate_computable(size_bound: int) -> list[Term]:
 
 def iter_computable(size_bound: int) -> Iterator[Term]:
     """The terms of enumerate_computable(size_bound), in the same order,
-    generated level by level as the walk reaches them."""
-    return iter_over((K, S), size_bound)
+    generated level by level as the walk reaches them.  Each kept term the
+    walk reaches before any other walk of the process has gets its head
+    normal form entered into ``_HEADS``; once the table holds every kept
+    term of the bound, the walk is the enumeration's own."""
+    walk = iter_over((K, S), size_bound)
+    if len(_HEADS) >= _KEPT_COUNTS[min(size_bound, CACHED_SIZE)]:
+        return walk
+    return chain(_filling(walk), walk)
+
+
+def _filling(walk: Iterator[Term]) -> Iterator[Term]:
+    """The kept terms of walk, each entered into ``_HEADS`` as it is drawn,
+    then the first larger term, after which the caller reads walk itself.
+    Every walk starts at the first term and fills in order, so the table
+    holds a prefix of the enumeration: term i is new to it exactly when it
+    holds i terms."""
+    heads = _HEADS
+    for i, t in enumerate(walk):
+        if i == len(heads):
+            if t.size > CACHED_SIZE:
+                yield t
+                return
+            heads[t] = head_normal(t)
+        yield t
 
 
 class AbstractionError(ValueError):

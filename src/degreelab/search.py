@@ -68,11 +68,13 @@ UNKNOWN = "unknown"
 class SearchBudget:
     witness_size: int = 7
     fuel: int | None = None
-    time_cap: float | None = None  # seconds, wall clock
+    time_cap: float | None = None  # seconds, wall clock; 0 stops before the first candidate
 
     def __post_init__(self):
         if self.witness_size < 0:
             raise CheckError("witness size bound must be non-negative")
+        if self.time_cap is not None and not self.time_cap >= 0:  # NaN compares false
+            raise CheckError(f"time cap must be a non-negative number of seconds, not {self.time_cap}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,8 @@ def first_holding(candidates, check, budget: SearchBudget) -> SearchOutcome:
 
     A candidate whose check raises CheckError counts as malformed, one whose
     verdict is refuted as a failure and one whose verdict is unknown as a
-    timeout.  A search that refuted no candidate and left some unknown or
-    malformed has ruled nothing out, so it is unknown, not exhausted.  The
+    timeout.  A search that left some candidate unknown or malformed has
+    not ruled that one out, so it is unknown, not exhausted.  The
     clock starts here, when a time cap is set, and is read after each
     candidate is drawn, so the time cap covers building candidates."""
     failures = timeouts = malformed = 0
@@ -155,7 +157,7 @@ def first_holding(candidates, check, budget: SearchBudget) -> SearchOutcome:
             failures += 1
         else:
             timeouts += 1
-    status = UNKNOWN if timeouts or (malformed and not failures) else EXHAUSTED
+    status = UNKNOWN if timeouts or malformed else EXHAUSTED
     return SearchOutcome(status, None, bound, failures, timeouts, False, malformed)
 
 

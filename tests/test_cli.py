@@ -188,6 +188,25 @@ class TestSearch:
         assert comment.startswith("// stopped by the time cap of 0.05s after ")
         assert comment.endswith(" candidates checked")
 
+    @pytest.mark.parametrize("cap", ["nan", "-1"])
+    def test_a_nan_or_negative_time_cap_is_an_input_error(self, capsys, cap):
+        code = main(["--time-cap", cap, "--witness-size", "3", "search", str(FIXTURES / "refuted.inst"), "impossible"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"error: time cap must be a non-negative number of seconds, not {float(cap)}\n"
+
+    def test_a_zero_time_cap_stops_before_the_first_candidate(self, capsys):
+        code, out = run(["--time-cap", "0", "--witness-size", "3", "--format", "machine",
+                         "search", FIXTURES / "refuted.inst", "impossible"], capsys)
+        assert (code, out) == (2, "result impossible unknown\n"
+                                  "// stopped by the time cap of 0.0s after 0 candidates checked\n")
+
+    def test_an_infinite_time_cap_stops_nothing(self, capsys):
+        argv = ["--witness-size", "3", "--format", "machine", "search", FIXTURES / "refuted.inst", "impossible"]
+        uncapped = run(argv, capsys)
+        assert run(["--time-cap", "inf", *argv], capsys) == uncapped
+        assert uncapped == (1, "result impossible exhausted\n// no witness up to size 3; 102 candidates failed\n")
+
     def test_time_cap_binds_while_terms_are_generated(self, capsys):
         # building every term up to size 8 takes seconds; the cap is checked
         # between candidates as the enumeration reaches them

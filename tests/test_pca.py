@@ -8,7 +8,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degreelab import doctrines
 from degreelab import pca as pca_module
+from degreelab.cli import main
 from degreelab.laws import machine_format, run_suites
 from degreelab.pca import (
     DEFINED,
@@ -30,12 +32,14 @@ from degreelab.pca import (
     enumerate_computable,
     head_normal,
     is_computable,
+    iter_computable,
     is_normal,
     normalize,
 )
 from degreelab.instance import parse_term
 from degreelab.spaces import FinMap, SpaceError, carrier
 from degreelab.terms import (
+    CACHED_SIZE,
     App,
     K,
     Oracle,
@@ -52,6 +56,7 @@ from degreelab.terms import (
 
 OMEGA = App(ap(S, ID, ID), ap(S, ID, ID))
 ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 class TestApply:
@@ -511,3 +516,85 @@ class TestHeadNormal:
         self_apply = ap(S, ID, ID)
         omega = App(self_apply, self_apply)
         assert head_normal(omega) == (omega, 0)
+
+
+# Uniform witnesses read from a file: terms equal to kept ones, with and
+# without a head redex, and one past the kept levels.
+PARSED_UNIFORM = """carrier X = [K, S]
+family phi over X policy nonempty { K -> [K], S -> [S] }
+witness id = uniform ((S K) K)
+witness kis = uniform ((K ((S K) K)) S)
+witness big = uniform (((K ((S K) K)) S) ((S K) K))
+claim plain : phi <=_M phi by id
+claim contracted : phi <=_M phi by kis
+claim large : phi <=_M phi by big
+"""
+
+
+class TestHeadTable:
+    """``pca._HEADS``, the head normal forms of the kept enumeration levels:
+    filled by walks alone, with the levels' own objects, once per process,
+    and read by `head_normal` with the outcome of a direct contraction."""
+
+    def test_the_table_answers_as_a_direct_contraction(self, monkeypatch):
+        walked = list(iter_computable(6))
+        assert len(walked) == 20_134 and len(pca_module._HEADS) == 3_238
+        backed = [head_normal(t) for t in walked]
+        monkeypatch.setattr(pca_module, "_HEADS", {})
+        direct = [head_normal(t) for t in walked]
+        assert pca_module._HEADS == {}  # head_normal stores nothing itself
+        assert backed == direct
+        for t, (star, k) in zip(walked, backed):
+            if not k:
+                assert star is t
+        assert sum(k > 0 for _, k in backed[:3_238]) == 1_588
+
+    def test_checks_leave_the_table_unchanged(self, capsys, monkeypatch, tmp_path):
+        parsed = tmp_path / "parsed.inst"
+        parsed.write_text(PARSED_UNIFORM)
+        for _ in iter_computable(CACHED_SIZE):
+            pass
+        before = list(pca_module._HEADS.items())
+        for path in [*sorted(FIXTURES.glob("*.inst")), parsed]:
+            for fmt in ("human", "machine"):
+                main(["--format", fmt, "check", str(path)])
+        after = list(pca_module._HEADS.items())
+        assert len(after) == len(before) == 3_238
+        assert all(t is u and v is w for (t, v), (u, w) in zip(before, after))
+        # nor does a parsed witness enter an empty table
+        capsys.readouterr()
+        monkeypatch.setattr(pca_module, "_HEADS", {})
+        assert main(["--format", "machine", "check", str(parsed)]) == 0
+        assert capsys.readouterr().out == "result plain holds\nresult contracted holds\nresult large holds\n"
+        assert pca_module._HEADS == {}
+
+    def test_a_size_seven_walk_keeps_the_kept_levels_own_terms_only(self, monkeypatch):
+        monkeypatch.setattr(pca_module, "_HEADS", {})
+        walked = 0
+        for t in iter_computable(7):
+            head_normal(t)
+            walked += 1
+        assert walked == 129_958
+        heads = pca_module._HEADS
+        assert len(heads) == 3_238
+        kept = {id(t) for t in enumerate_over((K, S), CACHED_SIZE)}
+        assert all(id(t) in kept for t in heads)
+
+    def test_a_second_search_contracts_no_kept_term(self, capsys, monkeypatch):
+        monkeypatch.setattr(pca_module, "_HEADS", {})
+        contracted = []
+        original = pca_module.head_normal
+
+        def counting(t):  # the calls the table does not answer
+            if t.size <= CACHED_SIZE and t not in pca_module._HEADS:
+                contracted.append(t)
+            return original(t)
+
+        monkeypatch.setattr(pca_module, "head_normal", counting)
+        monkeypatch.setattr(doctrines, "head_normal", counting)
+        argv = ["--witness-size", "5", "--format", "machine", "search", str(FIXTURES / "refuted.inst"), "impossible"]
+        assert main(argv) == 1
+        assert len(contracted) == len(set(map(id, contracted))) == 3_238
+        assert main(argv) == 1
+        assert len(contracted) == 3_238
+        assert capsys.readouterr().out.count("// no witness up to size 5; 3238 candidates failed") == 2

@@ -205,8 +205,25 @@ class TestSoundness:
             return check_le(pure, "M", phi, phi, cand)
 
         out = search_module.first_holding([Uniform(K), Uniform(S)], check, SearchBudget(1))
-        assert (out.status, out.failures, out.timeouts, out.malformed, out.checked) == ("exhausted", 1, 0, 1, 2)
+        assert (out.status, out.failures, out.timeouts, out.malformed, out.checked) == ("unknown", 1, 0, 1, 2)
         assert search_module.first_holding([], check, SearchBudget(1)).status == "exhausted"
+
+    def test_malformed_candidates_among_refuted_ones_leave_the_search_unknown(self, pca, o1):
+        # a malformed candidate was never ruled out, however many others were
+        X = carrier(pca, [K, S])
+        oraclish = MassFamily(X, {K: frozenset([o1]), S: frozenset([o1])})
+        phi = MassFamily(X, {K: frozenset([K]), S: frozenset([S])})
+        cands = [Uniform(t) for t in enumerate_computable(2)]
+
+        def check(cand):  # every third candidate is malformed, the rest refuted
+            if cands.index(cand) % 3 == 0:
+                raise CheckError("malformed")
+            return check_le(pca, "M", oraclish, phi, cand)
+
+        out = first_holding(cands, check, SearchBudget(2))
+        assert (out.status, out.failures, out.timeouts, out.malformed) == ("unknown", 14, 0, 8)
+        refuted = first_holding(cands, lambda cand: check_le(pca, "M", oraclish, phi, cand), SearchBudget(2))
+        assert (refuted.status, refuted.failures, refuted.malformed) == ("exhausted", 22, 0)
 
     def test_laws_read_an_all_malformed_search_as_undecided(self, pure):
         X = carrier(pure, [K])
@@ -241,6 +258,13 @@ def _hand_claims(pca):
     dial = DialecticaPredicate(X, {(K, frozenset([K])): frozenset([K])})
     return [("T", tracked, tracked), ("Tw", tracked, tracked), ("dextW", over_a, over_a),
             ("rW", pred, pred), ("D", dial, dial)]
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("cap", [float("nan"), -1.0, -1e-9])
+    def test_a_nan_or_negative_time_cap_is_refused(self, cap):
+        with pytest.raises(CheckError, match="time cap must be a non-negative number of seconds"):
+            SearchBudget(3, time_cap=cap)
 
 
 class TestSearchMemo:
