@@ -29,7 +29,7 @@ import sys
 import time
 
 from . import isomorphisms as iso
-from .completions import CompletionObject, CompletionWitness, comp_le
+from .completions import CompletionObject, comp_le
 from .doctrines import (
     ALLOW_EMPTY,
     ASSEMBLY,
@@ -152,8 +152,6 @@ def _run_claim(inst: Instance, claim, fuel: int) -> Verdict:
     if claim.doc == "comp":
         if not isinstance(lhs, CompletionObject) or not isinstance(rhs, CompletionObject):
             raise CheckError(f"claim {claim.name}: <=_comp relates completion objects")
-        if not isinstance(w, CompletionWitness):
-            raise CheckError(f"claim {claim.name}: completion claims need a mediated witness")
         return comp_le(inst.pca, lhs, rhs, w, fuel)
     return check_le(inst.pca, claim.doc, lhs, rhs, w, fuel)
 
@@ -289,12 +287,11 @@ def cmd_lattice(args) -> int:
         if args.law in ("meet_intro", "join_intro"):
             if len(names) != 2:
                 raise InstanceError(f"law {args.law} takes two prerequisite witness names")
-            kwargs["w_left"] = inst.witnesses[names[0]]
-            kwargs["w_right"] = inst.witnesses[names[1]]
+            kwargs["w_left"], kwargs["w_right"] = (inst.lookup("witness", n) for n in names)
         elif args.law in ("subtract_elim", "subtract_intro"):
             if len(names) != 1:
                 raise InstanceError(f"law {args.law} takes one prerequisite witness name")
-            kwargs["w"] = inst.witnesses[names[0]]
+            kwargs["w"] = inst.lookup("witness", names[0])
         w = lattice_law_witness(inst.pca, args.law, **kwargs)
         lines = _declare_witness(inst, f"{args.law}_witness", w)
         verdict = None
@@ -305,9 +302,9 @@ def cmd_lattice(args) -> int:
             lines.append(format_result(args.claim, verdict.status))
         print("\n".join(lines))
         return EXIT_OK if verdict is None else _exit_code(verdict)
-    universe = inst.universes.get(args.universe) if args.universe else None
-    base = inst.carriers.get(args.base) if args.base else None
-    fams = [inst.families[n] for n in args.operands]
+    universe = inst.lookup("universe", args.universe) if args.universe else None
+    base = inst.lookup("carrier", args.base) if args.base else None
+    fams = [inst.lookup("family", n) for n in args.operands]
     out = lattice_element(inst.pca, args.op, args.doc, *fams,
                           universe=universe, bound=args.bound, base=base, fuel=inst.fuel)
     print(_declare(inst, "family", f"{args.op}_result", out))
@@ -318,12 +315,10 @@ def cmd_lattice(args) -> int:
 
 def cmd_complete(args) -> int:
     inst = _load(args)
-    if args.object not in inst.carriers:
-        raise InstanceError(f"unknown carrier {args.object!r}")
-    A = inst.carriers[args.object]
-    uni = inst.universes.get(args.universe) if args.universe else A
-    if uni is None:
-        raise InstanceError(f"unknown universe {args.universe!r}")
+    if args.index_bound < 0:
+        raise InstanceError(f"index bound must be non-negative, not {args.index_bound}")
+    A = inst.lookup("carrier", args.object)
+    uni = inst.lookup("universe", args.universe) if args.universe else A
     # the orders of families over a carrier that take uniform witnesses
     docs = [doc for doc, o in ORDERS.items() if Uniform in o.shapes and o.base != ASSEMBLY]
     if args.doc not in docs:

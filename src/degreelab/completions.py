@@ -8,11 +8,20 @@ projections and identities count, since the class must be closed under
 composition and pullbacks; membership accepts composites up to depth 3).
 Reindexing a pure object handles identity legs and single projections.
 
+A payload may itself be a completion object over B, ordered by the same
+doctrine: an existential object whose payloads are universal objects is an
+object of the dialectica doctrine of the base order.  Such payloads are
+reindexed with `comp_reindex` and compared with `comp_le`, and a witness
+nests a `CompletionWitness` per level.
+
 Order between objects is mediated: for existential completions a mediator
 h with rhs_leg . h = lhs_leg and payload(lhs) <= reindex_h(payload(rhs));
 for universal completions a mediator h with lhs_leg . h = rhs_leg and
-reindex_h(payload(lhs)) <= payload(rhs).  Both halves are certified: the
-triangle on graphs and the base inequality through `doctrines.check_le`.
+reindex_h(payload(lhs)) <= payload(rhs).  One body serves both kinds: the
+mediator runs from one object's leg source to the other's
+(`mediator_ends`), and the payload of the object it runs into is reindexed.
+Both halves are certified: the triangle on graphs and the payload
+inequality through `doctrines.check_le` (or `comp_le` for nested payloads).
 """
 
 from __future__ import annotations
@@ -68,7 +77,7 @@ class CompletionObject:
     klass: str  # full | pure
     doc: str  # base doctrine id ordering the payloads
     leg: object  # FinMap | ExtMorphism
-    payload: object
+    payload: object  # a base element, or a completion object over doc
 
     def __post_init__(self):
         if self.kind not in (EXISTS, FORALL):
@@ -76,6 +85,8 @@ class CompletionObject:
         if self.klass not in (FULL, PURE):
             raise CheckError(f"bad completion class {self.klass!r}")
         order_of(self.doc)  # raises on an unknown doctrine id
+        if isinstance(self.payload, CompletionObject) and self.payload.doc != self.doc:
+            raise CheckError("a completion payload must be ordered by the object's doctrine")
         src = self.leg.source
         base = getattr(self.payload, "base", None)
         if base is None:
@@ -86,7 +97,8 @@ class CompletionObject:
             raise CheckError("pure completions only admit product projections as legs")
 
     @property
-    def target(self):
+    def base(self):
+        """The object the completion element lives over: its leg's target."""
         return self.leg.target
 
 
@@ -102,37 +114,51 @@ def comp_le(pca: Pca, lhs: CompletionObject, rhs: CompletionObject, w: Completio
     unknown when a realizer the check needs runs out of fuel."""
     if lhs.kind != rhs.kind or lhs.klass != rhs.klass or lhs.doc != rhs.doc:
         raise CheckError("completion kind/class/doctrine mismatch")
-    if lhs.target != rhs.target:
+    if lhs.base != rhs.base:
         raise CheckError("completion objects live over different targets")
+    if isinstance(lhs.payload, CompletionObject) != isinstance(rhs.payload, CompletionObject):
+        raise CheckError("completion objects nest to different depths")
+    if not isinstance(w, CompletionWitness):
+        raise CheckError("completion claims need a mediated witness at every level")
     try:
         return _comp_le(pca, lhs, rhs, w, fuel)
     except SpaceTimeout as e:
         return verdicts.unknown((str(e),))
 
 
+def mediator_ends(kind: str, lhs, rhs) -> tuple:
+    """The pair the mediator of lhs <= rhs runs from and into: (lhs, rhs)
+    in an existential completion, (rhs, lhs) in a universal one.  Applied to
+    (payload of the first, reindexed payload of the second) it gives the
+    payload claim back in lhs-to-rhs order."""
+    return (lhs, rhs) if kind == EXISTS else (rhs, lhs)
+
+
 def _comp_le(pca, lhs, rhs, w, fuel):
     h = w.mediator
-    if lhs.kind == EXISTS:
-        _expect_endpoints(h, lhs.leg.source, rhs.leg.source)
-        if lhs.klass == PURE:
-            _require_base_morphism(h)
-        bad = _triangle_failure(pca, rhs.leg, h, lhs.leg, fuel)
-        if bad is not None:
-            return verdicts.refuted(bad, notes=("mediator triangle does not commute",))
-        reindexed = reindex(pca, lhs.doc, h, rhs.payload, fuel)
-        inner = check_le(pca, lhs.doc, lhs.payload, reindexed, w.base, fuel)
+    src, tgt = mediator_ends(lhs.kind, lhs, rhs)
+    _expect_endpoints(h, src.leg.source, tgt.leg.source)
+    if lhs.klass == PURE:
+        _require_base_morphism(h)
+    bad = _triangle_failure(pca, tgt.leg, h, src.leg, fuel)
+    if bad is not None:
+        return verdicts.refuted(bad, notes=("mediator triangle does not commute",))
+    small, big = mediator_ends(lhs.kind, src.payload, _reindex_payload(pca, h, tgt, fuel))
+    if isinstance(small, CompletionObject):
+        inner = comp_le(pca, small, big, w.base, fuel)
     else:
-        _expect_endpoints(h, rhs.leg.source, lhs.leg.source)
-        if lhs.klass == PURE:
-            _require_base_morphism(h)
-        bad = _triangle_failure(pca, lhs.leg, h, rhs.leg, fuel)
-        if bad is not None:
-            return verdicts.refuted(bad, notes=("mediator triangle does not commute",))
-        reindexed = reindex(pca, lhs.doc, h, lhs.payload, fuel)
-        inner = check_le(pca, lhs.doc, reindexed, rhs.payload, w.base, fuel)
+        inner = check_le(pca, lhs.doc, small, big, w.base, fuel)
     if inner.holds:
         return verdicts.holds(w, notes=inner.notes)
     return inner
+
+
+def _reindex_payload(pca, m, obj: CompletionObject, fuel):
+    """obj's payload pulled back along m: `comp_reindex` for a completion
+    payload, `doctrines.reindex` for a base element."""
+    if isinstance(obj.payload, CompletionObject):
+        return comp_reindex(pca, m, obj.payload, fuel)
+    return reindex(pca, obj.doc, m, obj.payload, fuel)
 
 
 def _expect_endpoints(h, source, target) -> None:
@@ -202,10 +228,10 @@ def comp_reindex(pca: Pca, m, obj: CompletionObject, fuel: int | None = None) ->
         if m.target != obj.leg.target:
             raise CheckError("reindexing map must land in the object's target")
         if projection_path(obj.leg) == ():
-            payload = reindex(pca, obj.doc, m, obj.payload, fuel)
+            payload = _reindex_payload(pca, m, obj, fuel)
             return CompletionObject(obj.kind, obj.klass, obj.doc, _identity_on(m.source), payload)
         square = pure_pullback_of_projection(pca, obj.leg, m)
-    payload = reindex(pca, obj.doc, square.h_prime, obj.payload, fuel)
+    payload = _reindex_payload(pca, square.h_prime, obj, fuel)
     return CompletionObject(obj.kind, obj.klass, obj.doc, square.f_prime, payload)
 
 

@@ -1108,8 +1108,8 @@ def lattice_element(pca: Pca, op: str, doc: str, *args, universe: FinSet | None 
         return MassFamily(phi.base, values, ALLOW_EMPTY,
                           (f"subtract relative to universe of {len(universe)} terms",))
     if op == "implies":
-        if bound is None:
-            raise CheckError("implies needs a search bound for its inner quantifier")
+        if bound is None or bound < 0:
+            raise CheckError(f"implies needs a non-negative search bound for its inner quantifier, not {bound}")
         values = {x: frozenset(b for b in sorted_terms(psi.values[x])
                                if find_inner_witness(pca, b, phi.values[x], bound, fuel)[0] is None)
                   for x in phi.base}

@@ -175,6 +175,10 @@ class Instance:
         """The section of each of ``kinds``, in order."""
         return [getattr(self, _SECTIONS[kind]) for kind in kinds]
 
+    def lookup(self, kind: str, name: str):
+        """The value declared as ``kind name``."""
+        return _resolve(name, f"unknown {kind}", self.sections((kind,)))
+
     def element(self, name: str, error=InstanceError):
         """The family, predicate or completion object declared as ``name``."""
         return _resolve(name, "no family/predicate/object named", self.sections(ELEMENTS), error)

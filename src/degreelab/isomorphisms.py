@@ -14,10 +14,8 @@ rhs completion objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import verdicts
 from .completions import (
     EXISTS,
     FORALL,
@@ -25,8 +23,6 @@ from .completions import (
     PURE,
     CompletionObject,
     CompletionWitness,
-    comp_reindex,
-    comp_le,
 )
 from .doctrines import (
     ALLOW_EMPTY,
@@ -67,7 +63,6 @@ from .spaces import (
     split_point,
 )
 from .terms import App, Term, pair_term, split_pair, to_text
-from .verdicts import Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +92,8 @@ def medvedev_to_completion(pca: Pca, phi: MassFamily, doc: str = "T") -> Complet
 
 
 def _expect(obj: CompletionObject, kind: str, klass: str, docs) -> None:
+    if not isinstance(obj, CompletionObject) or isinstance(obj.payload, CompletionObject):
+        raise CheckError(f"expected a {kind}/{klass} completion object over {docs} with a base-element payload")
     if obj.kind != kind or obj.klass != klass or obj.doc not in docs:
         raise CheckError(
             f"expected a {kind}/{klass} completion object over {docs}, got {obj.kind}/{obj.klass}/{obj.doc}"
@@ -106,7 +103,7 @@ def _expect(obj: CompletionObject, kind: str, klass: str, docs) -> None:
 def medvedev_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
                                w: CompletionWitness, fuel: int | None = None) -> Uniform:
     """A mediated witness for the completion order is already a mass witness."""
-    if not isinstance(w.base, Uniform):
+    if not isinstance(w, CompletionWitness) or not isinstance(w.base, Uniform):
         raise CheckError("uniform transport needs a uniform base witness")
     return w.base
 
@@ -438,61 +435,30 @@ EQUIVALENCES = {
 
 
 # ---------------------------------------------------------------------------
-# The two-step (universal then existential) construction over tracked fibers
+# The dialectica doctrine of T: full existential completion objects whose
+# payloads are full universal completion objects over T, ordered by
+# `comp_le` with a mediated witness nested per level.  Collapsing the
+# universal payload to a mass fiber gives an existential object over M,
+# read as a relation predicate.
 
 
-@dataclass(frozen=True)
-class TwoStepObject:
-    """An object of the existential completion whose payloads are universal
-    completion objects: (leg: Y -> X, payload over Y)."""
-
-    leg: FinMap
-    payload: CompletionObject
-
-    def __post_init__(self):
-        if self.payload.kind != FORALL or self.payload.klass != FULL:
-            raise CheckError("two-step payloads are full universal objects")
-        if self.payload.target != self.leg.source:
-            raise CheckError("payload must live over the source of the outer leg")
+def _collapse_payload(pca: Pca, obj: CompletionObject) -> CompletionObject:
+    """(f, (g, alpha)) -> (f, alpha . g^{-1}) in the existential completion of M."""
+    if obj.kind != EXISTS or obj.klass != FULL:
+        raise CheckError("the dialectica collapse reads a full existential object")
+    return CompletionObject(EXISTS, FULL, "M", obj.leg, medvedev_from_completion(pca, obj.payload))
 
 
-@dataclass(frozen=True)
-class TwoStepWitness:
-    mediator: FinMap
-    inner: CompletionWitness
+def two_step_to_dialectica(pca: Pca, obj: CompletionObject) -> DialecticaPredicate:
+    """Collapse the universal payload to a mass fiber, then read the whole
+    thing as a relation predicate."""
+    return dialectica_from_completion(pca, _collapse_payload(pca, obj))
 
 
-def two_step_le(pca: Pca, lhs: TwoStepObject, rhs: TwoStepObject, w: TwoStepWitness,
-                fuel: int | None = None) -> Verdict:
-    """The existential order between two-step objects: an outer mediator plus
-    an inner universal-completion witness."""
-    h = w.mediator
-    if h.source != lhs.leg.source or h.target != rhs.leg.source:
-        raise CheckError("outer mediator endpoints do not match")
-    for y in h.source:
-        if rhs.leg.mapping[h.mapping[y]] != lhs.leg.mapping[y]:
-            return verdicts.refuted((to_text(y) if isinstance(y, Term) else str(y),),
-                                    notes=("outer triangle does not commute",))
-    reindexed = comp_reindex(pca, h, rhs.payload, fuel)
-    return comp_le(pca, lhs.payload, reindexed, w.inner, fuel)
-
-
-def two_step_to_dialectica(pca: Pca, obj: TwoStepObject) -> DialecticaPredicate:
-    """Collapse the inner universal object to a mass fiber, then read the
-    whole thing as a relation predicate."""
-    phi = medvedev_from_completion(pca, obj.payload)
-    inner_as_exists = CompletionObject(EXISTS, FULL, "M", obj.leg, phi)
-    return dialectica_from_completion(pca, inner_as_exists)
-
-
-def two_step_transport_forward(pca: Pca, lhs: TwoStepObject, rhs: TwoStepObject,
-                               w: TwoStepWitness, fuel: int | None = None) -> DialecticaWitness:
-    """Transport through both collapses: universal first, existential second."""
-    phi_l = medvedev_from_completion(pca, lhs.payload)
-    phi_r = medvedev_from_completion(pca, rhs.payload)
-    base_uniform = medvedev_transport_forward(pca, lhs.payload, rhs.payload, w.inner, fuel)
-    outer_l = CompletionObject(EXISTS, FULL, "M", lhs.leg, phi_l)
-    outer_r = CompletionObject(EXISTS, FULL, "M", rhs.leg, phi_r)
-    return dialectica_transport_forward(
-        pca, outer_l, outer_r, CompletionWitness(w.mediator, base_uniform), fuel
-    )
+def two_step_transport_forward(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
+                               w: CompletionWitness, fuel: int | None = None) -> DialecticaWitness:
+    """Transport through both collapses: universal first (the inner witness
+    is `w.base`), existential second."""
+    outer_l, outer_r = _collapse_payload(pca, lhs), _collapse_payload(pca, rhs)
+    base_uniform = medvedev_transport_forward(pca, lhs.payload, rhs.payload, w.base, fuel)
+    return dialectica_transport_forward(pca, outer_l, outer_r, CompletionWitness(w.mediator, base_uniform), fuel)

@@ -8,7 +8,7 @@ in a fixed order into one tally, so rerunning one yields the same records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 from itertools import product as iproduct
 
 from . import isomorphisms as iso
@@ -182,25 +182,6 @@ def _outcome(v: Verdict) -> bool | None:
     return None if v.unknown else v.holds
 
 
-def _subsets(universe, max_size: int):
-    """All subsets up to max_size, in a fixed order."""
-    items = sorted(universe, key=term_key)
-    out = [frozenset()]
-    for size in range(1, max_size + 1):
-        out.extend(_combos(items, size))
-    return out
-
-
-def _combos(items, size, start=0):
-    if size == 0:
-        return [frozenset()]
-    out = []
-    for i in range(start, len(items)):
-        for rest in _combos(items, size - 1, i + 1):
-            out.append(frozenset([items[i]]) | rest)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Suite 1: the defining combinator laws
 
@@ -301,9 +282,8 @@ def suite_pairing(pca: Pca, fuel: int | None = None) -> SuiteReport:
 def _singleton_instances(pca: Pca):
     base = carrier(pca, [K])
     universe = carrier(pca, [K, S, O1])
-    fams = [
-        MassFamily(base, {K: vals}) for vals in _subsets(universe.points, 2)
-    ]
+    items = sorted(universe.points, key=term_key)
+    fams = [MassFamily(base, {K: frozenset(vals)}) for size in range(3) for vals in combinations(items, size)]
     return base, universe, fams
 
 
@@ -676,18 +656,20 @@ def _mass_objects(pca):
 
 
 def _two_step_case(pca, fuel, t):
-    """The two-step construction agrees through the composed maps."""
+    """The existential completion of the universal completion of T agrees
+    with the dialectica order through the composed maps."""
     X = carrier(pca, [K])
     Y = carrier(pca, [K, S])
     inner_leg = all_graphs(Y, X)[0]
     alpha = TrackedFamily(Y, {K: K, S: S})
-    obj = iso.TwoStepObject(all_graphs(X, X)[0], CompletionObject(FORALL, FULL, "T", inner_leg, alpha))
+    inner = CompletionObject(FORALL, FULL, "T", inner_leg, alpha)
+    obj = CompletionObject(EXISTS, FULL, "T", all_graphs(X, X)[0], inner)
     D1 = iso.two_step_to_dialectica(pca, obj)
     outer_h = all_graphs(X, X)[0]
     reindexed = comp_reindex(pca, outer_h, obj.payload, fuel)
     med = FinMap(reindexed.leg.source, Y, {pt: pt[1] for pt in reindexed.leg.source})
-    w = iso.TwoStepWitness(outer_h, CompletionWitness(med, Uniform(ID)))
-    v = iso.two_step_le(pca, obj, obj, w, fuel)
+    w = CompletionWitness(outer_h, CompletionWitness(med, Uniform(ID)))
+    v = comp_le(pca, obj, obj, w, fuel)
     t.add("two-step-reflexive", v)
     if v.holds:
         dwit = iso.two_step_transport_forward(pca, obj, obj, w, fuel)

@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .completions import CompletionObject, CompletionWitness, comp_le
+from .completions import CompletionObject, CompletionWitness, comp_le, mediator_ends
 from .doctrines import (
     COMPUTABLE,
     ORDERS,
@@ -273,7 +273,10 @@ _WALKS = {
 
 def search_completion_witness(pca: Pca, lhs: CompletionObject, rhs: CompletionObject,
                               budget: SearchBudget) -> SearchOutcome:
-    """Least mediated witness for lhs <= rhs in a completion fiber."""
+    """Least mediated witness for lhs <= rhs in a completion fiber whose
+    payloads are base elements."""
+    if isinstance(lhs.payload, CompletionObject) or isinstance(rhs.payload, CompletionObject):
+        raise CheckError("completion search takes objects whose payloads are base elements")
     return first_holding(_completion_candidates(pca, lhs, rhs, budget),
                          lambda cand: comp_le(pca, lhs, rhs, cand, budget.fuel), budget)
 
@@ -289,10 +292,7 @@ def _completion_candidates(pca, lhs, rhs, budget):
 
 
 def _mediator_candidates(pca, lhs, rhs, budget):
-    if lhs.kind == "exists":
-        src, tgt = lhs.leg.source, rhs.leg.source
-    else:
-        src, tgt = rhs.leg.source, lhs.leg.source
+    src, tgt = (obj.leg.source for obj in mediator_ends(lhs.kind, lhs, rhs))
     if isinstance(lhs.leg, FinMap):
         # reindexing a payload over a computable base needs a realized map
         if lhs.klass == "full" and ORDERS[lhs.doc].base != COMPUTABLE:

@@ -365,6 +365,28 @@ class TestLattice:
         assert code == 0
         assert "relative to universe" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--op", "meet", "--args", "nosuch", "phi"], "unknown family 'nosuch'"),
+        (["--op", "law", "--law", "subtract_elim", "--args", "nosuch"], "unknown witness 'nosuch'"),
+        (["--op", "law", "--law", "meet_intro", "--args", "wfst", "nosuch"], "unknown witness 'nosuch'"),
+        (["--op", "top", "--base", "nosuch"], "unknown carrier 'nosuch'"),
+        (["--op", "bottom", "--base", "X", "--universe", "nosuch"], "unknown universe 'nosuch'"),
+        (["--op", "subtract", "--args", "phi", "psi", "--universe", "nosuch"], "unknown universe 'nosuch'"),
+    ], ids=["family", "law-witness", "second-law-witness", "base", "bottom-universe", "subtract-universe"])
+    def test_unknown_names_are_input_errors(self, capsys, flags, message):
+        assert main(["lattice", str(FIXTURES / "coheyting_demo.inst"), *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_a_negative_implication_bound_is_an_input_error(self, capsys):
+        assert main(["lattice", str(FIXTURES / "coheyting_demo.inst"), "--doc", "Mw", "--op", "implies",
+                     "--args", "phi", "psi", "--bound", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: implies needs a non-negative search bound for its inner "
+                                "quantifier, not -1\n")
+
 
 class TestIso:
     def test_medvedev_roundtrip_fixture(self, capsys):
@@ -656,6 +678,12 @@ class TestComplete:
         assert code == 0
         assert out.startswith("// completion fiber over X: 16 objects\n")
         assert out.count("\nhasse ") == self.DW_EDGES[kind, klass]
+
+    def test_a_negative_index_bound_is_an_input_error(self, capsys):
+        assert main(["complete", str(FIXTURES / "holds.inst"), "--object", "X", "--index-bound", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: index bound must be non-negative, not -1\n"
 
     @pytest.mark.parametrize("doc", ["drW", "W", "extsW", "D"])
     def test_payload_doctrines_come_from_the_registry(self, doc, capsys):

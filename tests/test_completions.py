@@ -40,7 +40,9 @@ from degreelab.spaces import (
     identity_map,
     pullback,
 )
-from degreelab.terms import App, K, S, pair_term
+from degreelab.cli import main
+from degreelab.instance import parse_instance, print_instance
+from degreelab.terms import App, K, S, pair_term, to_text
 
 
 def forall_T_object(pure, leg, values):
@@ -278,3 +280,53 @@ class TestBeckChevalley:
         phi = MassFamily(X, {K: frozenset([K]), S: frozenset([S])})
         with pytest.raises(CheckError):
             beck_chevalley_check(pure, "M", FORALL, broken, phi)
+
+
+_KK, _KS = to_text(pair_term(K, K)), to_text(pair_term(K, S))
+# An existential object whose payload is a universal one, both pure over T,
+# with its nested identity witness and a witness whose inner level is not
+# mediated; written as print_instance prints it.
+NESTED = f"""fuel 10000
+carrier X = [K]
+carrier P = [{_KK}, {_KS}]
+morphism P_fst : P -> X realizer ((S ((S K) K)) (K K)) graph {{ {_KK} -> K, {_KS} -> K }}
+morphism idX : X -> X realizer ((S K) K) graph {{ K -> K }}
+morphism idP : P -> P realizer ((S K) K) graph {{ {_KK} -> {_KK}, {_KS} -> {_KS} }}
+tracked alpha over P {{ {_KK} -> K, {_KS} -> S }}
+compobject inner = forall pure T leg P_fst payload alpha
+compobject outer = exists pure T leg idX payload inner
+witness base_id = uniform ((S K) K)
+witness inner_w = mediate h = idP, base = base_id
+witness outer_w = mediate h = idX, base = inner_w
+claim nested : outer <=_comp outer by outer_w
+witness flat_w = mediate h = idX, base = base_id
+claim flat_inner : outer <=_comp outer by flat_w
+"""
+
+
+class TestNestedObjects:
+    def test_a_nested_file_prints_back_byte_for_byte(self):
+        inst = parse_instance(NESTED)
+        assert inst.compobjects["outer"].payload is inst.compobjects["inner"]
+        assert inst.witnesses["outer_w"].base is inst.witnesses["inner_w"]
+        assert print_instance(inst) == NESTED
+
+    def test_a_nested_claim_holds(self, tmp_path, capsys):
+        path = tmp_path / "nested.inst"
+        path.write_text(NESTED)
+        assert main(["--format", "machine", "check", str(path), "nested"]) == 0
+        assert capsys.readouterr().out == "result nested holds\n"
+
+    def test_a_uniform_inner_witness_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.inst"
+        path.write_text(NESTED)
+        assert main(["check", str(path), "flat_inner"]) == 3
+        assert capsys.readouterr().err == "error: completion claims need a mediated witness at every level\n"
+
+    def test_reindexing_pulls_the_inner_object_back(self, pure):
+        inst = parse_instance(NESTED)
+        outer, idX = inst.compobjects["outer"], inst.morphisms["idX"]
+        moved = comp_reindex(pure, idX, outer)
+        assert isinstance(moved.payload, CompletionObject)
+        assert moved.payload.base == moved.leg.source
+        assert moved.payload.payload.values == outer.payload.payload.values

@@ -8,6 +8,7 @@ from degreelab.completions import (
     CompletionObject,
     CompletionWitness,
     comp_le,
+    comp_reindex,
 )
 from degreelab.doctrines import (
     ALLOW_EMPTY,
@@ -27,8 +28,6 @@ from degreelab.doctrines import (
 )
 from degreelab.isomorphisms import (
     EQUIVALENCES,
-    TwoStepObject,
-    TwoStepWitness,
     classical_to_generalized,
     classical_witness_to_generalized,
     dialectica_from_completion,
@@ -48,7 +47,6 @@ from degreelab.isomorphisms import (
     modest_predicate_to_carrier,
     muchnik_transport_backward,
     muchnik_transport_forward,
-    two_step_le,
     two_step_to_dialectica,
     two_step_transport_forward,
     weihrauch_from_completion,
@@ -57,6 +55,7 @@ from degreelab.isomorphisms import (
     weihrauch_transport_forward,
 )
 from degreelab.pca import ID, SND, FST
+from degreelab.search import SearchBudget, search_completion_witness
 from degreelab.spaces import (
     ExtMorphism,
     FinMap,
@@ -376,19 +375,81 @@ class TestDialecticaMaps:
 
 
 class TestTwoStep:
+    """The existential completion of the universal completion of T: an
+    exists/full object whose payload is a forall/full object, ordered by
+    `comp_le` with a mediated witness nested per level."""
+
+    def _nested(self, pure, outer_leg, inner_leg, values):
+        inner = CompletionObject(FORALL, FULL, "T", inner_leg, TrackedFamily(inner_leg.source, values))
+        return CompletionObject(EXISTS, FULL, "T", outer_leg, inner)
+
+    def _witness(self, pure, outer_h, obj):
+        """outer_h with the identity-like inner mediator onto obj's inner source."""
+        reind = comp_reindex(pure, outer_h, obj.payload)
+        Y = obj.payload.leg.source
+        med = FinMap(reind.leg.source, Y, {pt: pt[1] for pt in reind.leg.source})
+        return CompletionWitness(outer_h, CompletionWitness(med, Uniform(ID)))
+
     def test_collapse_and_transport(self, pure):
         X = carrier(pure, [K])
         Y = carrier(pure, [K, S])
-        inner_leg = FinMap(Y, X, {K: K, S: K})
-        alpha = TrackedFamily(Y, {K: K, S: S})
-        obj = TwoStepObject(identity_map(X), CompletionObject(FORALL, FULL, "T", inner_leg, alpha))
+        obj = self._nested(pure, identity_map(X), FinMap(Y, X, {K: K, S: K}), {K: K, S: S})
         D = two_step_to_dialectica(pure, obj)
         assert D.relation == ((K, frozenset([K, S])),)
-        from degreelab.completions import comp_reindex
-
-        reind = comp_reindex(pure, identity_map(X), obj.payload)
-        med = FinMap(reind.leg.source, Y, {pt: pt[1] for pt in reind.leg.source})
-        w = TwoStepWitness(identity_map(X), CompletionWitness(med, Uniform(ID)))
-        assert two_step_le(pure, obj, obj, w).holds
+        w = self._witness(pure, identity_map(X), obj)
+        assert comp_le(pure, obj, obj, w).holds
         dwit = two_step_transport_forward(pure, obj, obj, w)
         assert check_le(pure, "D", D, D, dwit).holds
+
+    def test_broken_outer_triangle_is_refuted(self, pure):
+        X = carrier(pure, [K, S])
+        obj = self._nested(pure, identity_map(X), identity_map(X), {K: K, S: S})
+        swap = FinMap(X, X, {K: S, S: K})
+        v = comp_le(pure, obj, obj, self._witness(pure, swap, obj))
+        assert v.refuted
+        assert v.notes == ("mediator triangle does not commute",)
+
+    def test_mismatched_outer_mediator_endpoints_raise(self, pure):
+        X = carrier(pure, [K])
+        Y = carrier(pure, [K, S])
+        obj = self._nested(pure, identity_map(X), FinMap(Y, X, {K: K, S: K}), {K: K, S: S})
+        w = self._witness(pure, identity_map(X), obj)
+        with pytest.raises(CheckError, match="mediator endpoints"):
+            comp_le(pure, obj, obj, CompletionWitness(FinMap(Y, X, {K: K, S: K}), w.base))
+
+    def test_a_payload_over_another_object_is_refused(self, pure):
+        X = carrier(pure, [K])
+        Y = carrier(pure, [K, S])
+        inner = CompletionObject(FORALL, FULL, "T", identity_map(X), TrackedFamily(X, {K: K}))
+        with pytest.raises(CheckError, match="payload base"):
+            CompletionObject(EXISTS, FULL, "T", identity_map(Y), inner)
+
+    def test_a_payload_of_another_doctrine_is_refused(self, pure):
+        X = carrier(pure, [K])
+        inner = CompletionObject(FORALL, FULL, "T", identity_map(X), TrackedFamily(X, {K: K}))
+        with pytest.raises(CheckError, match="doctrine"):
+            CompletionObject(EXISTS, FULL, "Tw", identity_map(X), inner)
+
+    def test_a_witness_that_is_not_mediated_is_refused_at_each_level(self, pure):
+        X = carrier(pure, [K])
+        obj = self._nested(pure, identity_map(X), identity_map(X), {K: K})
+        for w in (Uniform(ID), CompletionWitness(identity_map(X), Uniform(ID))):
+            with pytest.raises(CheckError, match="mediated witness"):
+                comp_le(pure, obj, obj, w)
+
+    def test_objects_nested_to_different_depths_are_refused(self, pure):
+        X = carrier(pure, [K])
+        obj = self._nested(pure, identity_map(X), identity_map(X), {K: K})
+        flat = CompletionObject(EXISTS, FULL, "T", identity_map(X), TrackedFamily(X, {K: K}))
+        w = CompletionWitness(identity_map(X), Uniform(ID))
+        with pytest.raises(CheckError, match="different depths"):
+            comp_le(pure, obj, flat, w)
+
+    def test_maps_that_read_base_payloads_refuse_a_nested_one(self, pure):
+        X = carrier(pure, [K])
+        obj = self._nested(pure, identity_map(X), identity_map(X), {K: K})
+        for read in (dialectica_from_completion, medvedev_from_completion):
+            with pytest.raises(CheckError, match="base-element payload"):
+                read(pure, obj)
+        with pytest.raises(CheckError, match="payloads are base elements"):
+            search_completion_witness(pure, obj, obj, SearchBudget(witness_size=1))
