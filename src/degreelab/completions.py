@@ -190,7 +190,10 @@ def identity_base_witness(doc: str) -> Uniform:
 
 
 def identity_completion_witness(pca: Pca, obj: CompletionObject) -> CompletionWitness:
-    return CompletionWitness(_identity_on(obj.leg.source), identity_base_witness(obj.doc))
+    """The witness of obj <= obj: the identity mediator at every level."""
+    inner = obj.payload
+    base = identity_completion_witness(pca, inner) if isinstance(inner, CompletionObject) else None
+    return CompletionWitness(_identity_on(obj.leg.source), base or identity_base_witness(obj.doc))
 
 
 def eta(pca: Pca, doc: str, kind: str, klass: str, elem) -> CompletionObject:

@@ -47,7 +47,7 @@ read over the keys of a carrier or an assembly by one body) these are its
 positions, built as checks first read them, each solution set sorted once;
 a uniform witness is checked by one flat loop over them (`_uniform`), each
 cell holding the refutation a miss there gives, built at the first miss,
-and the claim keeping one verdict per head normal form of its candidates.
+and the claim keeping one verdict per action key of its candidates.
 For W, SW, rW, tW and the classical orders it is where forward maps start
 and land, and the positions of the last forward map read, reused for every
 backward realizer paired with it.  For extsW and D it is the left
@@ -72,13 +72,15 @@ from .pca import (
     Pca,
     SND,
     abstract_all,
+    act,
+    action_key,
     apply,
     compose,
     compose_first,
     fanout,
-    head_normal,
     is_computable,
     iter_computable,
+    keeps,
     normalize,
 )
 from .spaces import (
@@ -102,7 +104,7 @@ from .spaces import (
     projection_path,
     split_key,
 )
-from .terms import CACHED_SIZE, App, K, S, Term, Var, ap, has_oracle, pair_term, split_pair, term_key, to_text
+from .terms import App, K, S, Term, Var, ap, has_oracle, pair_term, split_pair, term_key, to_text
 from .verdicts import Verdict
 
 ALLOW_EMPTY = "allow-empty"
@@ -351,14 +353,14 @@ class _Stream:
     """Positions in canonical order, each built once, when a check first
     reads that far: a check refuted early leaves the rest unbuilt.  Once
     every position is built a reader walks the list itself.  ``shared``
-    belongs to `_uniform`: the verdicts of head normal forms."""
+    belongs to `_uniform`: the verdicts of action keys."""
 
     __slots__ = ("pending", "cells", "shared")
 
     def __init__(self, pending: Iterator):
         self.pending = pending  # the positions no check has read yet; None once all are built
         self.cells: list = []  # the positions read so far
-        self.shared: dict = {}  # t* -> (its refutation, or None when it holds; most steps past t*)
+        self.shared: dict = {}  # key -> (its refutation, or None when it holds; most steps past it)
 
     def __iter__(self):
         if self.pending is None:
@@ -466,35 +468,32 @@ def _uniform(pca: Pca, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
     and a definite miss after a timeout still refutes.  Over an empty base
     any term holds, unless its order checks it up front.
 
-    A computable term t acts on every argument as its head normal form t*
-    (`pca.head_normal`) does, k steps later, so its cells are evaluated from
-    t* at fuel - k.  A term equal to one of the kept enumeration levels
-    that a walk has reached reads its ``(t*, k)`` from the process-wide
-    table ``pca._HEADS`` (at most 3,238 entries, shared by every structure,
-    as head contraction reads no oracle table and no fuel); any other term
-    is contracted anew, and a parsed one never enters the table.
+    A computable term t acts on every argument as its action key
+    (`pca.action_key`) does, p steps later, so `pca.act` answers its cells
+    from the key at fuel - p, in closed form for most keys.  A term equal
+    to one of the kept enumeration levels that a walk has reached reads its
+    key from the process-wide table ``pca._HEADS`` (at most 3,238 entries,
+    shared by every structure); any other term is contracted anew, and a
+    parsed one never enters the table.
 
-    Many terms share a t*: the claim's positions keep, for
-    each t* of at most ``CACHED_SIZE`` applications whose cells all ended
-    definitely, its verdict and the most steps a cell took past t*.  That
-    verdict is t's own when those steps plus k fit in the fuel, as every
-    cell then has the same outcome; a holding one is rebuilt with t.  A
-    term with no head redex is its own t* and is always evaluated."""
+    Many terms share a key: the claim's positions keep, for each key
+    `pca.keeps` whose cells all ended definitely, its verdict and the most
+    steps a cell took past the key.  That verdict is t's own when those
+    steps plus p fit in the fuel, as every cell then has the same outcome;
+    a holding one is rebuilt with t.  A term with p = 0 is always checked."""
     term = w.term
     unchecked = term._hash & 1  # terms.has_oracle: the term is not computable
     if unchecked and claim.order.up_front:
         _require_computable(term, "witness term")
     if fuel is None:
         fuel = pca.default_fuel
-    fn, k = (term, 0) if unchecked else head_normal(term)
-    if k >= fuel:  # its head contractions alone use the fuel up
-        fn, k = term, 0
-    shared = None if unchecked or fn.size > CACHED_SIZE else claim.compiled.shared
-    if k and shared is not None:
-        known = shared.get(fn)
-        if known is not None and known[1] + k <= fuel:
+    key, p = (term, 0) if unchecked else action_key(term, fuel)
+    shared = None if unchecked or not keeps(key) else claim.compiled.shared
+    if p and shared is not None:
+        known = shared.get(key)
+        if known is not None and known[1] + p <= fuel:
             return known[0] or verdicts.holds(w, notes=claim.notes)
-    left, most, timeouts = fuel - k, 0, []
+    left, most, timeouts = fuel - p, 0, []
     for cell in claim.compiled:
         _, arg, allowed, where, refuted = cell
         if allowed is None:
@@ -502,7 +501,7 @@ def _uniform(pca: Pca, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
             break
         if unchecked:
             _require_computable(term, "witness term")
-        status, value, _, steps = apply(pca, fn, arg, left)
+        status, value, _, steps = act(pca, key, arg, left)
         if steps > most:
             most = steps
         if value in allowed:  # an undefined or timed-out outcome has no term
@@ -518,7 +517,7 @@ def _uniform(pca: Pca, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
             return verdicts.unknown(tuple(timeouts), notes=claim.notes)
         refuted = None
     if shared is not None and not timeouts:
-        shared[fn] = refuted, most
+        shared[key] = refuted, most
     return refuted or verdicts.holds(w, notes=claim.notes)
 
 
@@ -632,17 +631,16 @@ class _ActionIndex:
     of the first candidate that timed out.  ``walk`` is None once every
     term of the bound has been walked.
 
-    A term t acts on b as its head normal form t* (`pca.head_normal`) does,
-    k steps later, so it is evaluated as ``(t* b)`` at fuel - k.  The walk
-    is ``pca.iter_computable``'s, so a term of the kept levels reads its
-    ``(t*, k)`` from the process-wide ``pca._HEADS`` once any walk has
-    reached it: each of those 3,238 terms is contracted once per process,
-    whatever structure, argument or fuel the walk is for.  A term
-    whose t* an earlier term of the same call reached with a definite
-    outcome in s steps, where s + k fits in the fuel, has that outcome: it
-    reaches no new normal form and cannot time out, so it is not evaluated.
-    That table is local to the call and keeps t* of at most
-    ``CACHED_SIZE`` applications."""
+    A term t acts on b as its action key (`pca.action_key`) does, p steps
+    later, so it is answered by `pca.act` from the key at fuel - p.  The
+    walk is ``pca.iter_computable``'s, so a term of the kept levels reads
+    its key from the process-wide ``pca._HEADS`` once any walk has reached
+    it: each of those 3,238 terms is keyed once per process, whatever
+    structure, argument or fuel the walk is for.  A term whose key an
+    earlier term of the same call reached with a definite outcome in s
+    steps past the key, where s + p fits in the fuel, has that outcome: it
+    reaches no new normal form and cannot time out, so it is not answered
+    again.  That table is local to the call and keeps what `pca.keeps`."""
 
     __slots__ = ("first", "timeout_at", "walk", "walked")
 
@@ -661,17 +659,15 @@ class _ActionIndex:
         if fuel is None:
             fuel = pca.default_fuel
         first = self.first
-        ended = {}  # t* -> the steps past t* of its definite outcome on b
+        ended = {}  # action key -> the steps past it of its definite outcome on b
         for i, cand in enumerate(self.walk, self.walked):
-            fn, k = head_normal(cand)
-            if k >= fuel:
-                fn, k = cand, 0
-            steps = ended.get(fn)
-            if steps is not None and steps + k <= fuel:
+            key, p = action_key(cand, fuel)
+            steps = ended.get(key)
+            if steps is not None and steps + p <= fuel:
                 continue
-            out = apply(pca, fn, b, fuel - k)
-            if out.status != "timeout" and fn.size <= CACHED_SIZE:
-                ended[fn] = out.steps
+            out = act(pca, key, b, fuel - p)
+            if out.status != "timeout" and keeps(key):
+                ended[key] = out.steps
             if out.is_defined:
                 if out.term not in first:
                     hit = first[out.term] = (i, cand)

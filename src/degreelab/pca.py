@@ -24,12 +24,14 @@ its arguments came back as the same objects) returns the existing term.
 Closed S/K terms form the computable fragment: S/K reduction never introduces
 oracle atoms, so the fragment is closed under application.  A term's own head
 contractions are the first steps of every application of it (`head_normal`),
-so enumerated terms with one head normal form act alike on every argument.
-The head normal forms of the kept enumeration levels (``terms.CACHED_SIZE``
-= 5 applications, 3,238 terms) are computed once per process, as walks
-(`iter_computable`) first reach each term, and kept in one table that every
-structure shares: head contraction reads no oracle table and no fuel.  Only
-the enumeration's own term objects enter it; nothing is built at import.
+and the shape of its head normal form then fixes its action key
+(`action_key`): terms with one key act alike on every argument, and `act`
+answers the keys of ``K u``, ``S u`` and the atoms in closed form.  The keys
+of the kept enumeration levels (``terms.CACHED_SIZE`` = 5 applications, 3,238
+terms) are computed once per process, as walks (`iter_computable`) first
+reach each term, and kept in one table that every structure shares: S/K
+reduction reads no oracle table.  Only the enumeration's own term objects
+enter it; nothing is built at import.
 
 Realizers are built by bracket abstraction (`abstract_all`).  The shapes
 the orders and their comparison maps share are one kit here, each the
@@ -369,14 +371,13 @@ def normalize(pca: Pca, t: Term, fuel: int | None = None) -> EvalOutcome:
 # head_normal gives up past this many contractions
 HEAD_STEPS = 16
 
-# The head normal forms of the kept enumeration levels, one process-wide
-# table shared by every structure: head contraction reads no oracle table
-# and no fuel.  It maps each of the first len(_HEADS) terms of the S/K
-# enumeration, the kept level's own object, to its ``(t*, k)``; walks fill
-# it in enumeration order (`iter_computable`), so it never holds more than
-# the 3,238 terms of at most ``CACHED_SIZE`` applications, and a term met
-# any other way (parsed, built, or past the kept levels) never enters it.
-_HEADS: dict[Term, tuple[Term, int]] = {}
+# The action keys of the kept enumeration levels, one process-wide table
+# shared by every structure.  It maps each of the first len(_HEADS) terms of
+# the S/K enumeration, the kept level's own object, to its ``(key, p)``; walks
+# fill it in enumeration order (`iter_computable`), so it never holds more than
+# the 3,238 terms of at most ``CACHED_SIZE`` applications, and a term met any
+# other way (parsed, built, or past the kept levels) never enters it.
+_HEADS: dict[Term, tuple[object, int]] = {}
 
 # How many S/K terms have at most n applications, n <= CACHED_SIZE:
 # Catalan(m) shapes of m applications with 2^(m+1) atom choices each.
@@ -389,18 +390,10 @@ def head_normal(t: Term) -> tuple[Term, int]:
     first k steps of ``(t x)`` for every x, so ``(t x)`` at fuel f has the
     outcome of ``(t* x)`` at fuel f - k, k steps later, when k < f.
 
-    A term equal to one of the kept levels that a walk has reached is
-    answered from ``_HEADS``, with that kept term's entry (so a term with
-    no head redex gets ``(t, 0)`` up to equality); any other is contracted
-    here and not stored.  An S contraction the machine's ``MAX_WORK_SIZE``
-    valve would stop, more than ``HEAD_STEPS`` contractions, or a t* of
-    more than twice t's size gives up with ``(t, 0)``."""
-    size = t.size
-    if size <= CACHED_SIZE:
-        hit = _HEADS.get(t)
-        if hit is not None:
-            return hit
-    head, stack, k = t, [], 0
+    An S contraction the machine's ``MAX_WORK_SIZE`` valve would stop, more
+    than ``HEAD_STEPS`` contractions, or a t* of more than twice t's size
+    gives up with ``(t, 0)``; so does a term with no head redex."""
+    head, stack, k, size = t, [], 0, t.size
     while True:
         while head.__class__ is App:
             stack.append(head.arg)
@@ -423,11 +416,44 @@ def head_normal(t: Term) -> tuple[Term, int]:
         k += 1
         if k > HEAD_STEPS:
             return t, 0
-    if not k:
-        return t, 0
-    while stack:
+    while k and stack:
         head = App(head, stack.pop())
-    return head, k
+    return (head, k) if k else (t, 0)
+
+
+def action_key(t: Term, fuel: int) -> tuple[object, int]:
+    """``(key, p)``: the computable t acts on every argument as ``key`` does
+    under `act`, p steps later; ``(t, 0)`` when p would use the whole fuel.
+    A kept term's key (`_filling`) is ``(K, nf(u))`` when t* is ``K u``, p =
+    k + steps(u) + 1, and ``(S, S nf(u))`` when it is ``S u``, p = k +
+    steps(u); any other key is t*, p = k."""
+    entry = (_HEADS.get(t) if t.size <= CACHED_SIZE else None) or head_normal(t)
+    return entry if entry[1] < fuel else (t, 0)
+
+
+def keeps(key) -> bool:
+    """Whether verdict tables keep key: a closed form, or a t* of at most CACHED_SIZE applications."""
+    return key.__class__ is tuple or key.size <= CACHED_SIZE
+
+
+def act(pca: Pca, key, a: Term, fuel: int) -> EvalOutcome:
+    """The outcome of a term with action key ``key`` on a, at the fuel left
+    when the key acts.  ``(K, v)`` gives v; ``(S, f)`` or an atom f gives
+    ``(f a)`` on a K, S or oracle atom or a term the memo holds as its own
+    normal form; each in 0 steps.  Any other case is evaluated as ``(f a)``
+    or ``(key a)``."""
+    if key.__class__ is tuple:
+        head, key = key
+        if head is K:
+            return tuple.__new__(EvalOutcome, (DEFINED, key, "", 0))
+    elif key is not K and key is not S:
+        return normalize(pca, App(key, a), fuel)
+    if a.__class__ is App:
+        hit = pca._memo.get(a) or pca._old_memo.get(a)
+        known = hit is not None and hit[0] == DEFINED and not hit[3] and a.size + key.size < MAX_WORK_SIZE
+    else:
+        known = a.__class__ is not Var
+    return tuple.__new__(EvalOutcome, (DEFINED, App(key, a), "", 0)) if known else normalize(pca, App(key, a), fuel)
 
 
 def apply(pca: Pca, a: Term, b: Term, fuel: int | None = None) -> EvalOutcome:
@@ -470,9 +496,9 @@ def enumerate_computable(size_bound: int) -> list[Term]:
 def iter_computable(size_bound: int) -> Iterator[Term]:
     """The terms of enumerate_computable(size_bound), in the same order,
     generated level by level as the walk reaches them.  Each kept term the
-    walk reaches before any other walk of the process has gets its head
-    normal form entered into ``_HEADS``; once the table holds every kept
-    term of the bound, the walk is the enumeration's own."""
+    walk reaches before any other walk of the process has gets its action
+    key entered into ``_HEADS``; once the table holds every kept term of
+    the bound, the walk is the enumeration's own."""
     walk = iter_over((K, S), size_bound)
     if len(_HEADS) >= _KEPT_COUNTS[min(size_bound, CACHED_SIZE)]:
         return walk
@@ -485,13 +511,19 @@ def _filling(walk: Iterator[Term]) -> Iterator[Term]:
     Every walk starts at the first term and fills in order, so the table
     holds a prefix of the enumeration: term i is new to it exactly when it
     holds i terms."""
-    heads = _HEADS
+    heads, scratch = _HEADS, Pca()
     for i, t in enumerate(walk):
         if i == len(heads):
             if t.size > CACHED_SIZE:
                 yield t
                 return
-            heads[t] = head_normal(t)
+            star, k = heads[t] = head_normal(t)
+            if star.__class__ is App and star.fn.__class__ is not App:  # K u or S u: nf(u), on a structure of its own
+                out = scratch._memo.get(star.arg) or _eval(scratch, star.arg, HEAD_STEPS)
+                if out.status == DEFINED and star.fn is K:
+                    heads[t] = (K, out.term), k + out.steps + 1
+                elif out.status == DEFINED:
+                    heads[t] = (S, star if out.term is star.arg else App(S, out.term)), k + out.steps
         yield t
 
 

@@ -10,7 +10,7 @@ is made of three pieces, each implemented once:
   keys: graphs, choice functions, point maps and palettes of families.  The
   options of the last key vary fastest.
 * `images_of` is the one image walk: a realizer applied to each argument in
-  turn, stopping at the first image that is undefined or not allowed.
+  turn by its action key, up to the first image undefined or not allowed.
 
 A search compiles its claim first (`doctrines.compile_claim`), then walks
 the candidates picked by the first witness class of its order's record
@@ -55,7 +55,7 @@ from .doctrines import (
     order_of,
     positions,
 )
-from .pca import Pca, apply, iter_computable
+from .pca import TIMEOUT, Pca, act, action_key, iter_computable, keeps
 from .spaces import Assembly, ExtMorphism, FinMap, FinSet
 from .verdicts import HOLDS, REFUTED
 
@@ -167,16 +167,24 @@ def assignments(keys, options) -> Iterator[dict]:
     return (dict(zip(keys, values)) for values in itertools.product(*options))
 
 
-def images_of(pca: Pca, t, args, allowed, fuel: int | None) -> tuple | None:
-    """The images of ``t`` applied to each argument in turn, or None at the
-    first image that is undefined or not in ``allowed``."""
-    images = []
+def images_of(pca: Pca, t, args, allowed, fuel: int | None, ended: set | None = None) -> tuple | None:
+    """The images of the computable ``t`` on each argument in turn, by its
+    action key, or None at the first image undefined or not in ``allowed``.
+    ``ended`` collects the keys of a walk's terms that had no image time
+    out: a later term with one gets the same images or a timeout, so None."""
+    fuel = pca.default_fuel if fuel is None else fuel
+    key, p = action_key(t, fuel)
+    if ended is not None and key in ended:
+        return None
+    images, out = [], None
     for a in args:
-        out = apply(pca, t, a, fuel)
+        out = act(pca, key, a, fuel - p)
         if not out.is_defined or out.term not in allowed:
-            return None
+            break
         images.append(out.term)
-    return tuple(images)
+    if ended is not None and (out is None or out.status != TIMEOUT) and keeps(key):
+        ended.add(key)
+    return tuple(images) if len(images) == len(args) else None
 
 
 def _per_point_candidates(pca, claim, budget):
@@ -198,11 +206,11 @@ def forward_map_candidates(pca, source: FinSet, target: FinSet, budget) -> Itera
     """Realized maps source -> target found by enumerating realizer terms.
 
     Yields one candidate per distinct graph, tagged by the least realizer
-    producing it, in realizer enumeration order.
+    producing it, in realizer enumeration order (`images_of` skips ended keys).
     """
-    seen = set()
+    seen, ended = set(), set()
     for t in iter_computable(budget.witness_size):
-        images = images_of(pca, t, source.points, target, budget.fuel)
+        images = images_of(pca, t, source.points, target, budget.fuel, ended)
         if images is not None and images not in seen:
             seen.add(images)
             yield FinMap(source, target, dict(zip(source.points, images)), t)

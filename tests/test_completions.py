@@ -317,6 +317,16 @@ class TestNestedObjects:
         assert main(["--format", "machine", "check", str(path), "nested"]) == 0
         assert capsys.readouterr().out == "result nested holds\n"
 
+    def test_the_identity_witness_nests_one_level_per_object(self, pure):
+        inst = parse_instance(NESTED)
+        outer = inst.compobjects["outer"]
+        w = identity_completion_witness(pure, outer)
+        assert isinstance(w.base, CompletionWitness) and isinstance(w.base.base, Uniform)
+        assert w.mediator.mapping == inst.morphisms["idX"].mapping
+        assert w.base.mediator.mapping == inst.morphisms["idP"].mapping
+        assert comp_le(pure, outer, outer, w).holds
+        assert comp_le(pure, outer, outer, inst.witnesses["outer_w"]).holds
+
     def test_a_uniform_inner_witness_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "nested.inst"
         path.write_text(NESTED)

@@ -33,7 +33,7 @@ from degreelab.doctrines import (
     untranspose_pure_forall,
 )
 from degreelab.instance import InstanceError, parse_instance
-from degreelab.pca import FST, ID, PAIR, SND, Pca, PcaError, apply, enumerate_computable, normalize
+from degreelab.pca import FST, ID, PAIR, SND, Pca, PcaError, act, apply, enumerate_computable, normalize
 from degreelab.search import SearchBudget, search_witness
 from degreelab.spaces import (
     ExtMorphism,
@@ -855,13 +855,13 @@ class TestUniformWitness:
             pass
 
         calls = []
-        def apply_once(*args, real=doctrines.apply):
+        def act_once(*args, real=doctrines.act):
             calls.append(args)
             if len(calls) == 2:
                 raise Interrupted
             return real(*args)
         with monkeypatch.context() as patched:
-            patched.setattr(doctrines, "apply", apply_once)
+            patched.setattr(doctrines, "act", act_once)
             with pytest.raises(Interrupted):
                 check_le(pure, "M", phi, phi, Uniform(ID))
         assert check_le(pure, "M", phi, phi, Uniform(ID)).holds
@@ -1209,12 +1209,12 @@ class TestActionIndex:
         # S/K reduction adds no oracle, so no term sends S to #o1; the first
         # timeout, ((((S (S S)) S) S) S) at index 773 (the size valve),
         # decides the query, and a second one walks nothing.  Terms sharing
-        # a head normal form with an earlier term are walked unevaluated, so
-        # fewer than 774 terms are applied
+        # an action key with an earlier term are walked unanswered, so
+        # fewer than 774 keys are applied
         oracles, walked = {"o1": {}}, []
         shared = Pca(oracles=oracles)
-        monkeypatch.setattr(doctrines, "apply",
-                            lambda pca, a, b, fuel=None: walked.append(a) or apply(pca, a, b, fuel))
+        monkeypatch.setattr(doctrines, "act",
+                            lambda pca, key, b, fuel: walked.append(key) or act(pca, key, b, fuel))
         unreachable = (S, frozenset([O1]), 5, None)
         assert find_inner_witness(shared, *unreachable) == _brute_inner_witness(oracles, *unreachable) == (None, True)
         index = shared._actions[(S, 5, None)]
@@ -1247,13 +1247,13 @@ class TestActionIndex:
         assert find_inner_witness(shared, *early[1:]) == BRUTE_ANSWERS[i_early]
         calls = []
 
-        def failing_apply(pca, a, b, fuel=None):
-            calls.append(a)
-            if len(calls) == 300:
+        def failing_act(pca, key, b, fuel):
+            calls.append(key)
+            if len(calls) == 150:  # of the 227 keys the late query applies
                 raise error("interrupted")
-            return apply(pca, a, b, fuel)
+            return act(pca, key, b, fuel)
 
-        monkeypatch.setattr(doctrines, "apply", failing_apply)
+        monkeypatch.setattr(doctrines, "act", failing_act)
         with pytest.raises(error):
             find_inner_witness(shared, *late[1:])
         for i, q in queries + queries[::-1]:

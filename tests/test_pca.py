@@ -1,5 +1,8 @@
 import importlib.util
 import itertools
+import os
+import random
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -590,11 +593,116 @@ class TestHeadTable:
                 contracted.append(t)
             return original(t)
 
-        monkeypatch.setattr(pca_module, "head_normal", counting)
-        monkeypatch.setattr(doctrines, "head_normal", counting)
+        monkeypatch.setattr(pca_module, "head_normal", counting)  # action_key contracts through it
         argv = ["--witness-size", "5", "--format", "machine", "search", str(FIXTURES / "refuted.inst"), "impossible"]
         assert main(argv) == 1
         assert len(contracted) == len(set(map(id, contracted))) == 3_238
         assert main(argv) == 1
         assert len(contracted) == 3_238
         assert capsys.readouterr().out.count("// no witness up to size 5; 3238 candidates failed") == 2
+
+
+class TestActionKey:
+    """``pca.act`` on ``pca.action_key`` pinned by the reference reducer
+    alone.  For every S/K term t of at most 5 applications (keys from the
+    kept table) and a fixed-seed sample of the size-6 level (keys contracted
+    anew), on normal arguments, the oracle atom ``#o1`` and a non-normal
+    argument, at fuels p, p + 1, p + 2 and 200 (p the steps before t's key
+    acts), the key's outcome p steps later is the reference's ``(t a)``:
+    its normal form in exactly as many steps, a timeout when the reference
+    runs out, or undefined where the reference applies ``#o1``."""
+
+    ARGS = ("K", "S", "(K K)", "(S K)", "((S K) K)", "#o1", "((K K) S)")
+    FUEL = 200
+
+    @staticmethod
+    def _expected(ref, t, a, fuel):
+        """(status, normal form text) of the reference's (t a) at fuel, and
+        its steps; the status is None where only a timeout or an undefined
+        outcome is certain (the reference is stuck on no oracle)."""
+        nf, steps = ref.normalize(ref.app(ref.parse(to_text(t)), ref.parse(a)), fuel,
+                                  max_size=TestAgainstReference.MAX_SIZE)
+        if nf is None:
+            return (TIMEOUT if steps == fuel and "#o1" not in a else None), None, steps
+        text = ref.show(nf)
+        return ("undefined" if "(#o1 " in text else DEFINED), text, steps
+
+    def _check(self, terms, monkeypatch):
+        ref = TestAgainstReference._reference()
+        calls = []
+        normalize_ = pca_module.normalize
+        monkeypatch.setattr(pca_module, "normalize", lambda *args: calls.append(args) or normalize_(*args))
+        shared, shapes, closed, seen = Pca(), Counter(), 0, Counter()
+        for t in terms:
+            key, p = pca_module.action_key(t, 10**6)
+            shapes[key[0].name if key.__class__ is tuple else "atom" if key.size == 0 else "other"] += 1
+            for a in self.ARGS:
+                want_status, want_text, want_steps = self._expected(ref, t, a, self.FUEL)
+                arg = parse_term(a)
+                for fuel in (p, p + 1, p + 2, self.FUEL):
+                    if fuel < 1:
+                        continue
+                    key_f, p_f = pca_module.action_key(t, fuel)
+                    assert (key_f, p_f) == ((key, p) if p < fuel else (t, 0))
+                    before = len(calls)
+                    out = pca_module.act(shared, key_f, arg, fuel - p_f)
+                    closed += len(calls) == before
+                    if key_f.__class__ is tuple and key_f[0] is K:
+                        assert len(calls) == before  # no evaluation
+                    status = want_status
+                    if want_status in (DEFINED, "undefined") and want_steps > fuel:
+                        status = TIMEOUT if want_status == DEFINED else None
+                    seen[status] += 1
+                    if status is None:
+                        assert out.status in (TIMEOUT, "undefined"), (to_text(t), a, fuel)
+                    elif status == DEFINED:
+                        assert (out.status, to_text(out.term), out.steps + p_f) == (DEFINED, want_text, want_steps), \
+                            (to_text(t), a, fuel)
+                    else:
+                        assert out.status == status, (to_text(t), a, fuel)
+        return shapes, closed, seen
+
+    def test_every_kept_term_and_a_size_six_sample(self, monkeypatch):
+        kept = list(iter_computable(CACHED_SIZE))
+        assert len(pca_module._HEADS) == len(kept) == 3_238
+        shapes, closed, seen = self._check(kept, monkeypatch)
+        assert shapes == {"K": 902, "S": 906, "atom": 466, "other": 964}
+        # 43,635 of the 85,400 cases are answered in closed form, with no evaluation
+        assert closed == 43_635 and seen == {DEFINED: 71_232, TIMEOUT: 13_547, "undefined": 209, None: 412}
+        level6 = [t for t in iter_computable(6) if t.size == 6]
+        shapes, _, seen = self._check(random.Random(6).sample(level6, 400), monkeypatch)
+        assert shapes == {"atom": 56, "other": 344}  # keys contracted anew are t*
+        assert seen == {DEFINED: 6_895, TIMEOUT: 2_944, "undefined": 30, None: 57}
+        assert len(pca_module._HEADS) == 3_238
+
+    def test_a_result_past_the_size_valve_times_out(self, monkeypatch):
+        # a normal argument of 27 applications: (f a) is normal, but past
+        # MAX_WORK_SIZE = 30 the machine's valve makes it a timeout, and so
+        # does the closed form; (K, v) keys drop the argument unread
+        kept = list(iter_computable(CACHED_SIZE))
+        ref = TestAgainstReference._reference()
+        deep = S
+        for _ in range(27):
+            deep = App(K, deep)
+        monkeypatch.setattr(pca_module, "MAX_WORK_SIZE", 30)
+        shared, seen = Pca(), Counter()
+        normalize(shared, deep)  # now known normal
+        for t in kept:
+            key, p = pca_module.action_key(t, 10**6)
+            if key.__class__ is not tuple and key.size:
+                continue
+            want_status, want_text, want_steps = self._expected(ref, t, to_text(deep), self.FUEL)
+            out = pca_module.act(shared, key, deep, self.FUEL - p)
+            if want_status == DEFINED and len(want_text.split("(")) - 1 > 30:
+                assert out.status == TIMEOUT, to_text(t)
+                seen["valve"] += 1
+            else:
+                assert (out.status, to_text(out.term), out.steps + p) == (want_status, want_text, want_steps)
+                seen["defined"] += 1
+        assert seen["valve"] and seen["defined"]
+
+    def test_nothing_is_built_at_import(self):
+        code = "import degreelab.pca as p; print(len(p._HEADS))"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "0\n"
