@@ -49,9 +49,9 @@ a uniform witness is checked by one flat loop over them (`_uniform`), each
 cell holding the refutation a miss there gives, built at the first miss,
 and the claim keeping one verdict per action key of its candidates.
 For W, SW, rW, tW and the classical orders it is where forward maps start
-and land, and the positions of the last forward map read, reused for every
-backward realizer paired with it.  For extsW and D it is the left
-positions and the right solution sets, sorted once.  The structure keeps
+and land, and the cells of the last forward map read, where `_uniform`
+checks every backward realizer paired with it.  For extsW and D it is the
+left positions and the right solution sets, sorted once.  The structure keeps
 one compiled claim per doctrine id, found again by the identity of both
 families (correct only because families are immutable).  Compiling
 evaluates nothing, so a ``Bounded`` witness still runs its inner searches
@@ -327,7 +327,8 @@ def _family_notes(*elems) -> tuple[str, ...]:
 # it.  A position settled without evaluation carries a sentinel fn.  A
 # refuting obligation ends its stream: `_discharge` never resumes it.  A
 # uniform witness needs no stream: `_uniform` reads the compiled cells of
-# its claim directly.
+# its claim directly, and the backward term of a W, SW, rW, tW or classical
+# witness the cells of its forward map, once the map passes its gates.
 #
 # `Pca._claims` holds the last `_Claim` compiled for each doctrine id (see
 # the module docstring), so the consecutive candidates of a search, and
@@ -399,10 +400,10 @@ class _Forward:
         return k is self.forward and fuel == self.verified
 
     def positions(self, k, fuel) -> _Stream:
-        """The positions of forward map k, whose endpoints the caller has
-        checked and which it has verified at fuel."""
+        """The cells of forward map k (`_positions_claim`'s, with no key),
+        whose endpoints the caller has checked and which it has verified at fuel."""
         if k is not self.forward:
-            self.forward, self.stream = k, _Stream(self.build(k, fuel))
+            self.forward, self.stream = k, _Stream([None, *pos, None] for pos in self.build(k, fuel))
         self.verified = fuel
         return self.stream
 
@@ -439,9 +440,12 @@ def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) 
         claim = compile_claim(pca, doc, lhs, rhs)
     try:
         if isinstance(w, Uniform):
-            return _uniform(pca, claim, w, fuel)
+            return _uniform(pca, claim.compiled, w.term, w, fuel, claim.notes, claim.order.up_front)
         order = claim.order
-        return _discharge(pca, order.obligations(pca, order, claim.compiled, w, fuel), w, fuel, claim.notes)
+        checked = order.obligations(pca, order, claim.compiled, w, fuel)
+        if checked.__class__ is _Stream:  # a forward map's cells, for its backward term
+            return _uniform(pca, checked, w.backward, w, fuel, claim.notes)
+        return _discharge(pca, checked, w, fuel, claim.notes)
     except BaseException as e:
         pca._claims.pop(doc, None)  # else a position that failed to build is skipped next time
         if isinstance(e, SpaceTimeout):
@@ -461,69 +465,75 @@ def compile_claim(pca: Pca, doc: str, lhs, rhs) -> _Claim:
     return claim
 
 
-def _uniform(pca: Pca, claim: _Claim, w: Uniform, fuel: int | None) -> Verdict:
-    """A uniform witness checked at every position of a T, Tw, M, Mw or
-    elementary claim, one evaluation per cell: the first definite miss
-    returns that cell's refutation, a timeout leaves its position unknown,
-    and a definite miss after a timeout still refutes.  Over an empty base
-    any term holds, unless its order checks it up front.
+def _uniform(pca: Pca, cells: _Stream, term: Term, w: Witness, fuel: int | None,
+             notes: tuple[str, ...], up_front: bool = False) -> Verdict:
+    """A term checked at every cell, one evaluation per cell: a uniform
+    witness's at the positions of a T, Tw, M, Mw or elementary claim, or a
+    forward-backward witness's backward term at those of its forward map.
+    The first definite miss returns that cell's refutation, a timeout leaves
+    its position unknown, and a definite miss after a timeout still refutes.
+    Over an empty base any term holds, unless checked ``up_front``.
 
     A computable term t acts on every argument as its action key
     (`pca.action_key`) does, p steps later, so `pca.act` answers its cells
-    from the key at fuel - p, in closed form for most keys.  A term equal
-    to one of the kept enumeration levels that a walk has reached reads its
-    key from the process-wide table ``pca._HEADS`` (at most 3,238 entries,
-    shared by every structure); any other term is contracted anew, and a
-    parsed one never enters the table.
+    from the key at the whole fuel, in closed form for most keys, and p is
+    charged after: s steps past the key are t's own when s + p fits in the
+    fuel, else a timeout.  A term equal to one of the kept enumeration
+    levels that a walk has reached reads its key from the process-wide
+    table ``pca._HEADS`` (at most 3,238 entries, shared by every structure);
+    any other term is contracted anew, and a parsed one never enters it.
 
-    Many terms share a key: the claim's positions keep, for each key
-    `pca.keeps` whose cells all ended definitely, its verdict and the most
-    steps a cell took past the key.  That verdict is t's own when those
-    steps plus p fit in the fuel, as every cell then has the same outcome;
-    a holding one is rebuilt with t.  A term with p = 0 is always checked."""
-    term = w.term
+    Many terms share a key: the cells keep, for each key `pca.keeps` whose
+    cells all ended definitely, its verdict and the most steps a cell took
+    past the key.  That verdict is t's own when those steps plus p fit in
+    the fuel, as every cell then has the same outcome; a holding one is
+    rebuilt with w.  A term with p = 0 is always checked."""
     unchecked = term._hash & 1  # terms.has_oracle: the term is not computable
-    if unchecked and claim.order.up_front:
+    if unchecked and up_front:
         _require_computable(term, "witness term")
     if fuel is None:
         fuel = pca.default_fuel
     key, p = (term, 0) if unchecked else action_key(term, fuel)
-    shared = None if unchecked or not keeps(key) else claim.compiled.shared
+    shared = None if unchecked or not keeps(key) else cells.shared
     if p and shared is not None:
         known = shared.get(key)
         if known is not None and known[1] + p <= fuel:
-            return known[0] or verdicts.holds(w, notes=claim.notes)
+            return known[0] or verdicts.holds(w, notes=notes)
     left, most, timeouts = fuel - p, 0, []
-    for cell in claim.compiled:
+    for cell in cells:
         _, arg, allowed, where, refuted = cell
         if allowed is None:
-            refuted = verdicts.refuted((*where, EMPTY_LEFT), notes=claim.notes)
+            refuted = verdicts.refuted((*where, EMPTY_LEFT), notes=notes)
             break
         if unchecked:
             _require_computable(term, "witness term")
-        status, value, _, steps = act(pca, key, arg, left)
+        status, value, _, steps = act(pca, key, arg, fuel)
         if steps > most:
             most = steps
-        if value in allowed:  # an undefined or timed-out outcome has no term
+        if steps > left:
+            status = "timeout"
+        elif value in allowed:  # an undefined or timed-out outcome has no term
             continue
         if status == "timeout":
             timeouts.append(where + ("timeout",))
             continue
         if refuted is None:
-            refuted = cell[4] = verdicts.refuted(where, notes=claim.notes)
+            refuted = cell[4] = verdicts.refuted(where, notes=notes)
         break
     else:
         if timeouts:
-            return verdicts.unknown(tuple(timeouts), notes=claim.notes)
+            return verdicts.unknown(tuple(timeouts), notes=notes)
         refuted = None
     if shared is not None and not timeouts:
         shared[key] = refuted, most
-    return refuted or verdicts.holds(w, notes=claim.notes)
+    return refuted or verdicts.holds(w, notes=notes)
 
 
 def _discharge(pca: Pca, obligations, w: Witness, fuel: int | None, notes: tuple[str, ...]) -> Verdict:
-    """The first definite miss refutes; a timeout leaves its position
-    unknown.  Locations stay raw: the verdict renders them when read."""
+    """The obligations of a per-point, bounded, extsW or D witness, or of a
+    forward morphism gate out of fuel, each applied as written at the whole
+    fuel (no action key, so no p to charge): the first definite miss
+    refutes; a timeout leaves its position unknown.  Locations stay raw."""
     timeouts = []
     for fn, arg, allowed, where in obligations:
         if fn is _UNDECIDED:
@@ -632,7 +642,8 @@ class _ActionIndex:
     term of the bound has been walked.
 
     A term t acts on b as its action key (`pca.action_key`) does, p steps
-    later, so it is answered by `pca.act` from the key at fuel - p.  The
+    later, so it is answered by `pca.act` from the key at the whole fuel,
+    with p charged after (s steps past the key stand when s + p fits).  The
     walk is ``pca.iter_computable``'s, so a term of the kept levels reads
     its key from the process-wide ``pca._HEADS`` once any walk has reached
     it: each of those 3,238 terms is keyed once per process, whatever
@@ -640,7 +651,8 @@ class _ActionIndex:
     earlier term of the same call reached with a definite outcome in s
     steps past the key, where s + p fits in the fuel, has that outcome: it
     reaches no new normal form and cannot time out, so it is not answered
-    again.  That table is local to the call and keeps what `pca.keeps`."""
+    again.  That table is local to the call, keeps what `pca.keeps`, and
+    holds only outcomes that were the earlier term's own."""
 
     __slots__ = ("first", "timeout_at", "walk", "walked")
 
@@ -659,26 +671,27 @@ class _ActionIndex:
         if fuel is None:
             fuel = pca.default_fuel
         first = self.first
-        ended = {}  # action key -> the steps past it of its definite outcome on b
+        ended = {}  # action key -> the steps past it of a term's definite outcome on b
         for i, cand in enumerate(self.walk, self.walked):
             key, p = action_key(cand, fuel)
             steps = ended.get(key)
             if steps is not None and steps + p <= fuel:
                 continue
-            out = act(pca, key, b, fuel - p)
-            if out.status != "timeout" and keeps(key):
-                ended[key] = out.steps
-            if out.is_defined:
-                if out.term not in first:
-                    hit = first[out.term] = (i, cand)
-                    if out.term in target:
+            status, value, _, steps = act(pca, key, b, fuel)
+            if status == "timeout" or steps + p > fuel:
+                if self.timeout_at is None:
+                    self.timeout_at = i
+                    if until_timeout:
                         self.walked = i + 1
-                        return hit
-            elif self.timeout_at is None and out.status == "timeout":
-                self.timeout_at = i
-                if until_timeout:
+                        return None
+                continue
+            if keeps(key):
+                ended[key] = steps
+            if value is not None and value not in first:  # defined, and a new normal form
+                hit = first[value] = (i, cand)
+                if value in target:
                     self.walked = i + 1
-                    return None
+                    return hit
         self.walk = None
         return None
 
@@ -754,10 +767,11 @@ def _classical_claim(pca, order, lhs, rhs) -> _Forward:
 
 
 def _forward_backward(pca, order, claim: _Forward, w, fuel):
-    """The obligations of a forward-backward witness: its forward map's
-    endpoints and gate, once per map and fuel, then those of its backward term."""
-    k, h = w.forward, w.backward
-    _require_computable(h, "backward witness")
+    """A forward-backward witness's gates (its forward map's once per map
+    and fuel), then that map's cells, where `check_le` checks the backward
+    term; an undecided obligation per location where the gate ran out."""
+    k = w.forward
+    _require_computable(w.backward, "backward witness")
     if not claim.passed(k, fuel):
         if order.base == ASSEMBLY:
             if k.source != claim.source or k.target != claim.target:
@@ -766,8 +780,7 @@ def _forward_backward(pca, order, claim: _Forward, w, fuel):
             if gate.refuted:
                 raise CheckError(f"forward morphism is not a morphism: {gate.counterexample}")
             if gate.unknown:  # not remembered: every check reports its locations
-                yield from (_undecided(*where) for where in gate.unknowns)
-                return
+                return [_undecided(*where) for where in gate.unknowns]
         else:
             starts, lands = claim.ends
             if k.source != claim.source:
@@ -777,8 +790,7 @@ def _forward_backward(pca, order, claim: _Forward, w, fuel):
             if k.realizer is None:
                 raise CheckError("forward map must be computable (no realizer given)")
             k.check_realizer(pca, fuel)
-    for arg, allowed, where in claim.positions(k, fuel):
-        yield h, arg, allowed, where
+    return claim.positions(k, fuel)
 
 
 def _realizer_based_claim(pca, order, lhs, rhs) -> _Forward:
@@ -1351,7 +1363,7 @@ class Order:
     family: type  # the class of the families it orders
     base: str | None  # SET, COMPUTABLE or ASSEMBLY: the maps it reindexes along; None: no reindexing
     shapes: tuple[type, ...] = (Uniform,)  # the witness classes it takes; the first picks a search's walk
-    obligations: Callable | None = None  # the stream of a witness `_uniform` does not check
+    obligations: Callable | None = None  # the gates and stream of a witness that is not `Uniform`
     compose: Callable = _compose_uniform
     reindex_witness: Callable | None = _same_witness
     policy: str = NONEMPTY  # the solution-set policy of the families it is meant for

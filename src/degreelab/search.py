@@ -55,7 +55,7 @@ from .doctrines import (
     order_of,
     positions,
 )
-from .pca import TIMEOUT, Pca, act, action_key, iter_computable, keeps
+from .pca import DEFINED, TIMEOUT, Pca, act, action_key, iter_computable, keeps
 from .spaces import Assembly, ExtMorphism, FinMap, FinSet
 from .verdicts import HOLDS, REFUTED
 
@@ -170,19 +170,23 @@ def assignments(keys, options) -> Iterator[dict]:
 def images_of(pca: Pca, t, args, allowed, fuel: int | None, ended: set | None = None) -> tuple | None:
     """The images of the computable ``t`` on each argument in turn, by its
     action key, or None at the first image undefined or not in ``allowed``.
-    ``ended`` collects the keys of a walk's terms that had no image time
-    out: a later term with one gets the same images or a timeout, so None."""
+    Each is the key's at the whole fuel, the p steps before the key acts
+    charged after (`pca.act`).  ``ended`` collects the keys of a walk's
+    terms that had no image time out: a later term with one gets the same
+    images or a timeout, so None."""
     fuel = pca.default_fuel if fuel is None else fuel
     key, p = action_key(t, fuel)
     if ended is not None and key in ended:
         return None
-    images, out = [], None
+    images, status = [], None
     for a in args:
-        out = act(pca, key, a, fuel - p)
-        if not out.is_defined or out.term not in allowed:
+        status, image, _, steps = act(pca, key, a, fuel)
+        if steps + p > fuel:
+            status = TIMEOUT
+        if status != DEFINED or image not in allowed:
             break
-        images.append(out.term)
-    if ended is not None and (out is None or out.status != TIMEOUT) and keeps(key):
+        images.append(image)
+    if ended is not None and status != TIMEOUT and keeps(key):
         ended.add(key)
     return tuple(images) if len(images) == len(args) else None
 

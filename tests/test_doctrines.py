@@ -1,9 +1,11 @@
 import dataclasses
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degreelab import doctrines, spaces
+from degreelab import doctrines, search, spaces
 from degreelab.doctrines import (
     ALLOW_EMPTY,
     DOCTRINES,
@@ -33,6 +35,7 @@ from degreelab.doctrines import (
     untranspose_pure_forall,
 )
 from degreelab.instance import InstanceError, parse_instance
+from degreelab.laws import _pred_palette
 from degreelab.pca import FST, ID, PAIR, SND, Pca, PcaError, act, apply, enumerate_computable, normalize
 from degreelab.search import SearchBudget, search_witness
 from degreelab.spaces import (
@@ -1258,3 +1261,70 @@ class TestActionIndex:
             find_inner_witness(shared, *late[1:])
         for i, q in queries + queries[::-1]:
             assert find_inner_witness(shared, *q[1:]) == BRUTE_ANSWERS[i], q
+
+
+# ---------------------------------------------------------------------------
+# Backward terms of forward-backward witnesses: `check_le` reads each one at
+# its forward map's cells from its action key, sharing one verdict per key
+# and forward map; it must decide as reading every position with `apply`.
+
+WEIHRAUCH_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "weihrauch_transposition.inst"
+
+
+def _forward_backward_claims(pca):
+    """``(structure, doc, lhs, rhs)``: the fixture's wclaim, every W and SW
+    claim between the predicates of the weihrauch-isomorphism laws, and
+    every rW and tW claim between those of the realizer-isomorphism laws."""
+    inst = parse_instance(WEIHRAUCH_FIXTURE.read_text())
+    wclaim = next(c for c in inst.claims if c.name == "wclaim")
+    claims = [(inst.pca, "W", inst.element(wclaim.lhs), inst.element(wclaim.rhs))]
+    X = carrier(pca, [K])
+    opts = [frozenset([K]), frozenset([S]), frozenset([K, S])]
+    preds = [F for Y in (carrier(pca, [K]), carrier(pca, [K, S]))
+             for F in _pred_palette(X, Y, opts, NONEMPTY)[:: max(1, 3 ** len(Y) - 2)]]
+    claims += [(pca, doc, F, G) for doc in ("W", "SW") for F in preds for G in preds]
+    X, Y = assembly(pca, ["u"], [(K, "u")]), assembly(pca, ["a", "b"], [(K, "a"), (S, "b")])
+    for doc in ("rW", "tW"):
+        preds = _pred_palette(X, Y, opts[:2], doctrines.ORDERS[doc].policy)[::3]
+        claims += [(pca, doc, F, G) for F in preds for G in preds]
+    return claims
+
+
+def _apply_reading(pca, positions, h, fuel):
+    """(status, refuting location, unknown locations) of h read position by
+    position with `apply`, and whether a timeout came before the miss."""
+    timeouts = []
+    for arg, allowed, where in positions:
+        out = apply(pca, h, arg, fuel)
+        if out.status == "timeout":
+            timeouts.append(where + ("timeout",))
+        elif not (out.is_defined and out.term in allowed):
+            return ("refuted", where, ()), bool(timeouts)
+    return ("unknown", None, tuple(timeouts)) if timeouts else ("holds", None, ()), False
+
+
+class TestBackwardTermsByKey:
+    @pytest.mark.parametrize("size, fuel, docs", [(3, None, FORWARD_BACKWARD), (3, 2, FORWARD_BACKWARD),
+                                                  (4, 2, ["W", "SW"]), (4, 3, ["W", "SW"])])
+    def test_every_forward_map_and_backward_term_reads_as_apply(self, size, fuel, docs):
+        # each claim's candidates in search order on one structure, each
+        # reading on a structure of its own.  At fuel 2, K (S K K) K shares
+        # the key of S K K, which an earlier candidate decided in 2 steps, and
+        # times out; at fuel 3, size-4 backward terms of SW time out on one
+        # position and miss on a later one.  rW and tW are left out at size
+        # 4, where some forward morphisms run out of fuel on a name.
+        shared, statuses, timeout_then_miss = Pca(), Counter(), 0
+        for pca, doc, lhs, rhs in _forward_backward_claims(shared):
+            if doc not in docs:
+                continue
+            claim = doctrines.compile_claim(pca, doc, lhs, rhs)
+            reader = Pca(oracles=pca.oracles)
+            for w in search._WALKS[ForwardBackward](pca, claim, SearchBudget(size)):
+                v = check_le(pca, doc, lhs, rhs, w, fuel)
+                positions = list(claim.compiled.build(w.forward, fuel))
+                want, late_miss = _apply_reading(reader, positions, w.backward, fuel)
+                assert (v.status, v.where, v.timeouts) == want, (doc, to_text(w.backward), fuel)
+                statuses[v.status] += 1
+                timeout_then_miss += late_miss
+        assert set(statuses) == ({"holds", "refuted"} if fuel is None else {"holds", "refuted", "unknown"})
+        assert (timeout_then_miss > 0) == (fuel == 3)

@@ -701,6 +701,57 @@ class TestActionKey:
                 seen["defined"] += 1
         assert seen["valve"] and seen["defined"]
 
+    def test_a_timed_out_key_cell_is_not_run_again(self, monkeypatch, capsys):
+        # terms sharing a key with different p share its cell at the whole
+        # fuel, so a search starts no evaluation on a term whose memo entry
+        # is already a timeout (a cell run at fuel - p was run again)
+        reruns, real = [], pca_module._eval
+
+        def evaluate(pca, t, fuel):
+            hit = pca._memo.get(t) or pca._old_memo.get(t)
+            if hit is not None and hit.status == TIMEOUT:
+                reruns.append((to_text(t), hit.steps, fuel))
+            return real(pca, t, fuel)
+
+        monkeypatch.setattr(pca_module, "_eval", evaluate)
+        argv = ["--witness-size", "7", "--format", "machine", "search", str(FIXTURES / "holds.inst"), "elementary_self"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("witness elementary_self_found = uniform ((S ((S K) K)) (K K))\n")
+        assert reruns == []
+
+    def test_one_cell_serves_a_key_charged_p_p1_and_p2(self, monkeypatch):
+        # K t K and K (K t K) K act as t's key, 1 and 2 steps later.  At the
+        # fuel p + 4, which leaves the key 2, 3 and 4 steps after them, their
+        # T claims, checked in that order on one structure, evaluate the key's
+        # cell once, at the whole fuel, and each verdict is the reference's
+        ref = TestAgainstReference._reference()
+        kept = list(iter_computable(CACHED_SIZE))
+        evaluations, real = [], pca_module._eval
+        monkeypatch.setattr(pca_module, "_eval", lambda pca, t, fuel: evaluations.append(t) or real(pca, t, fuel))
+        shared, seen = Pca(oracles={"o1": {}}), Counter()
+        X = carrier(shared, [K])
+        verdict = {DEFINED: "holds", TIMEOUT: "unknown", "undefined": "refuted"}
+        for t in kept:
+            key, p = pca_module.action_key(t, 10**6)
+            if key.__class__ is tuple or not key.size:  # closed forms: no cell to share
+                continue
+            terms, fuel = [ap(K, ap(K, t, K), K), ap(K, t, K), t], p + 4
+            if [pca_module.action_key(u, fuel) for u in terms] != [(key, p + 2), (key, p + 1), (key, p)]:
+                seen["not shared"] += 1
+                continue
+            for a in self.ARGS:
+                arg, before = parse_term(a), len(evaluations)
+                for u in terms:
+                    status, text, _ = self._expected(ref, u, a, fuel)
+                    lhs = doctrines.TrackedFamily(X, {K: parse_term(text) if status == DEFINED else K})
+                    rhs = doctrines.TrackedFamily(X, {K: arg})
+                    v = doctrines.check_le(shared, "T", lhs, rhs, doctrines.Uniform(u), fuel)
+                    assert v.status in ((verdict[status],) if status else ("unknown", "refuted")), (to_text(u), a)
+                    seen[status] += 1
+                assert len(evaluations) - before <= 1, (to_text(t), a)
+                seen["evaluated"] += len(evaluations) - before
+        assert seen == {DEFINED: 13_752, TIMEOUT: 5_557, "undefined": 245, None: 690, "evaluated": 4_260}
+
     def test_nothing_is_built_at_import(self):
         code = "import degreelab.pca as p; print(len(p._HEADS))"
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -21,7 +21,7 @@ from degreelab.doctrines import (
 )
 from degreelab.instance import parse_instance
 from degreelab.laws import _first_holding
-from degreelab.pca import Pca, apply, enumerate_computable
+from degreelab.pca import Pca, apply, enumerate_computable, normalize
 from degreelab.search import (
     EXHAUSTED,
     UNKNOWN,
@@ -109,6 +109,22 @@ class TestForwardMapCandidates:
         assert any(m.mapping == {K: K, S: S} for m in cands)
         assert any(m.mapping == {K: K, S: K} for m in cands)
         assert any(m.mapping == {K: S, S: S} for m in cands)
+
+    @pytest.mark.parametrize("fuel", [2, 3, None])
+    def test_each_graph_comes_with_its_least_realizer_as_apply_reads_it(self, pure, fuel):
+        # images are read from the realizer's action key at the whole fuel,
+        # and a key that acts p steps late is defined only if those p fit
+        # too; the target holds the 18 normal terms of at most 2 applications
+        reader, want = Pca(), {}
+        X = carrier(pure, [K, S])
+        Y = carrier(pure, [t for t in enumerate_computable(2) if normalize(reader, t).term == t])
+        for t in enumerate_computable(4):
+            outs = [apply(reader, t, x, fuel) for x in X.points]
+            if all(o.is_defined and o.term in Y.points for o in outs):
+                want.setdefault(tuple(o.term for o in outs), t)
+        got = {tuple(m.mapping[x] for x in X.points): m.realizer
+               for m in forward_map_candidates(pure, X, Y, SearchBudget(4, fuel))}
+        assert list(got.items()) == list(want.items())
 
     def test_classical_search(self, pure):
         X = carrier(pure, [K, S])

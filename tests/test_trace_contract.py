@@ -100,3 +100,18 @@ def test_traced_complete_counts_one_candidate_per_comp_le_call(capsys):
     assert capsys.readouterr().out.startswith("// completion fiber over X: 16 objects\n")
     assert metrics["search.searches"] == 240
     assert metrics["search.candidates"] == metrics["completions.comp_le_calls"] == 14266
+
+
+def test_traced_forward_backward_search_checks_every_candidate_once(capsys):
+    """Each forward-backward candidate of a search is one ``check_le`` call
+    too.  Its backward term is read from its action key at the forward
+    map's cells, and terms that share a key share one verdict per forward
+    map, so fewer evaluations than candidates start."""
+    argv = ["--witness-size", "6", "--format", "machine", "search",
+            str(ROOT / "fixtures" / "weihrauch_transposition.inst"), "wclaim"]
+    (code,), metrics = _traced(argv)
+    assert code == 0
+    assert capsys.readouterr().out.endswith("result wclaim found\n")
+    assert metrics["search.candidates"] == metrics["search.candidates.refuted"] + 1 == 2019
+    assert metrics["doctrines.check_le_calls"] == 2019
+    assert metrics["pca.normalize_calls"] < 2019
