@@ -8,11 +8,15 @@ every fixture, machine-format ``search`` at witness size 4 on every fixture
 claim (candidate and timeout counts included), and the two searches of the
 fixtures that exhaust or stay undecided, at size 6.  Then every ``lattice``
 operation and one synthesized law on the co-Heyting demo, and ``complete``
-over the ``holds`` carrier for T and M at witness size 2.  A change to how
-witnesses are checked, searched or printed must leave every byte of this as
-it is.
+over the ``holds`` carrier for T and M at witness size 2.  Last, human-format
+``check`` on every fixture at the instance's fuel and at ``--fuel 3``, which
+prints the location of every unknown and refuted position that machine
+format reduces to a count; its closing elapsed-time line is dropped.  A
+change to how witnesses are checked, searched or printed must leave every
+byte of this as it is.
 """
 
+import re
 from pathlib import Path
 
 from degreelab.cli import main
@@ -39,6 +43,12 @@ def _commands():
     yield ["lattice", demo, "--op", "law", "--law", "subtract_intro", "--args", "wfst", "--claim", "to_sub"]
     for doc in ("T", "M"):
         yield ["--witness-size", "2", "complete", HERE.parent / "fixtures" / "holds.inst", "--object", "X", "--doc", doc]
+    for fuel in ([], ["--fuel", "3"]):
+        for f in FIXTURES:
+            yield [*fuel, "check", f]
+
+
+ELAPSED = re.compile(r"^checked \d+ claim\(s\) in \d+\.\d+s\n", re.MULTILINE)  # human check's timing
 
 
 def _transcript(capsys) -> str:
@@ -47,7 +57,7 @@ def _transcript(capsys) -> str:
         code = main([str(a) for a in argv])
         out, err = capsys.readouterr()
         shown = " ".join(a.name if isinstance(a, Path) else a for a in argv)
-        blocks.append(f"$ {shown}\nexit {code}\n{out}" + "".join(f"stderr: {line}\n" for line in err.splitlines()))
+        blocks.append(f"$ {shown}\nexit {code}\n{ELAPSED.sub('', out)}" + "".join(f"stderr: {line}\n" for line in err.splitlines()))
     return "".join(blocks)
 
 
