@@ -25,9 +25,9 @@ D               per (x, A): a chosen (x, B) with h.G(x,B) inside F(x, A)
 ==============  ============================================================
 
 Each order compiles to structural gates (family shapes, bases,
-computability, forward maps, choices) plus an ordered stream of
-obligations, one per quantified position: a realizer ``fn`` must send
-``arg`` into a solution set.  One kernel discharges every stream.  Solution
+computability, forward maps, choices) plus an ordered stream of cells, one
+per quantified position: a realizer must send ``arg`` into a solution set.
+One loop (`_check`) checks every stream, whatever the witness.  Solution
 sets contain normal-form terms, so membership after evaluation is
 syntactic.  Verdicts are three-way: a definite counterexample refutes, a
 timeout is only ever Unknown, and streams follow the canonical point order
@@ -44,14 +44,15 @@ A claim is compiled once (`compile_claim`), by its first check or before a
 search's first candidate: its family and base gates, its notes and what
 its checks read.  For T, Tw, M, Mw and the elementary orders (dW to dextW,
 read over the keys of a carrier or an assembly by one body) these are its
-positions, built as checks first read them, each solution set sorted once;
-a uniform witness is checked by one flat loop over them (`_uniform`), each
-cell holding the refutation a miss there gives, built at the first miss,
-and the claim keeping one verdict per action key of its candidates.
-For W, SW, rW, tW and the classical orders it is where forward maps start
-and land, and the cells of the last forward map read, where `_uniform`
-checks every backward realizer paired with it.  For extsW and D it is the
-left positions and the right solution sets, sorted once.  The structure keeps
+positions, built as checks first read them, each solution set sorted once,
+each cell holding the refutation a miss there gives, built at the first
+miss; the claim keeps one verdict per action key of its uniform witnesses,
+and a per-point or bounded one gives each cell its own realizer.  For W,
+SW, rW, tW and the classical orders it is where forward maps start and
+land, and the cells of the last forward map read, where `_check` checks
+every backward realizer paired with it.  For extsW and D it is the left
+positions and the right solution sets, sorted once, whose cells a
+witness's choices pick for its backward term.  The structure keeps
 one compiled claim per doctrine id, found again by the identity of both
 families (correct only because families are immutable).  Compiling
 evaluates nothing, so a ``Bounded`` witness still runs its inner searches
@@ -320,15 +321,18 @@ def _family_notes(*elems) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# check_le: structural gates, then one ordered stream of obligations
+# check_le: structural gates, then one ordered stream of cells
 #
-# An obligation (fn, arg, allowed, where) asks that fn.arg be defined and in
-# allowed; `where` holds the raw points, terms and reason strings that locate
-# it.  A position settled without evaluation carries a sentinel fn.  A
-# refuting obligation ends its stream: `_discharge` never resumes it.  A
-# uniform witness needs no stream: `_uniform` reads the compiled cells of
-# its claim directly, and the backward term of a W, SW, rW, tW or classical
-# witness the cells of its forward map, once the map passes its gates.
+# A cell [realizer, arg, allowed, where, refuted] asks that realizer.arg be
+# defined and in allowed; `where` holds the raw points, terms and reason
+# strings that locate it, and `refuted` the verdict a miss there gives, once
+# built.  A uniform witness's term, or a forward-backward witness's backward
+# term, is checked at every cell and slot 0 is not read: `_check` reads the
+# compiled cells of the claim directly, or those of the forward map once it
+# passes its gates.  Any other witness's obligations give each cell its
+# realizer in slot 0.  A position settled without evaluation is a cell with
+# no ``allowed`` (`_refute`) or no ``arg`` (`_undecided`).  A refuting cell
+# ends its stream: `_check` never resumes it.
 #
 # `Pca._claims` holds the last `_Claim` compiled for each doctrine id (see
 # the module docstring), so the consecutive candidates of a search, and
@@ -337,24 +341,24 @@ def _family_notes(*elems) -> tuple[str, ...]:
 # fails compiles nothing, so it raises on every call; a check interrupted
 # by an exception (a forward map out of fuel included) drops its claim.
 
-_REFUTES = object()
-_UNDECIDED = object()
 EMPTY_LEFT = "empty solution set on the left"  # why Mw refutes an empty solution set
 
 
-def _refute(*where) -> tuple:
-    return _REFUTES, None, None, where
+def _refute(*where) -> list:
+    """A cell that refutes at where with no evaluation."""
+    return [None, None, None, where, None]
 
 
-def _undecided(*where) -> tuple:
-    return _UNDECIDED, None, None, where
+def _undecided(*where) -> list:
+    """A cell that leaves where unknown with no evaluation."""
+    return [None, None, (), where, None]
 
 
 class _Stream:
     """Positions in canonical order, each built once, when a check first
     reads that far: a check refuted early leaves the rest unbuilt.  Once
     every position is built a reader walks the list itself.  ``shared``
-    belongs to `_uniform`: the verdicts of action keys."""
+    belongs to `_check`: the verdicts of action keys."""
 
     __slots__ = ("pending", "cells", "shared")
 
@@ -428,9 +432,11 @@ def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) 
     """Verify the witnessed claim ``lhs <=_doc rhs`` exhaustively; unknown
     when a realizer the check needs runs out of fuel.
 
-    A uniform witness of a claim compiled last for ``doc`` goes straight to
-    `_uniform`: its order takes uniform witnesses, as its compiled claim
-    holds positions."""
+    Every witness ends in `_check`: a uniform one at the compiled cells, a
+    forward-backward one's backward term at its forward map's, any other at
+    the cells its order's obligations give with their realizers.  A uniform
+    witness of a claim compiled last for ``doc`` goes straight there: its
+    order takes uniform witnesses, as its compiled claim holds positions."""
     claim = pca._claims.get(doc) if w.__class__ is Uniform else None
     if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.compiled.__class__ is not _Stream:
         shapes = order_of(doc).shapes
@@ -440,12 +446,11 @@ def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) 
         claim = compile_claim(pca, doc, lhs, rhs)
     try:
         if isinstance(w, Uniform):
-            return _uniform(pca, claim.compiled, w.term, w, fuel, claim.notes, claim.order.up_front)
+            return _check(pca, claim.compiled, w.term, w, fuel, claim.notes, claim.order.up_front)
         order = claim.order
-        checked = order.obligations(pca, order, claim.compiled, w, fuel)
-        if checked.__class__ is _Stream:  # a forward map's cells, for its backward term
-            return _uniform(pca, checked, w.backward, w, fuel, claim.notes)
-        return _discharge(pca, checked, w, fuel, claim.notes)
+        cells = order.obligations(pca, order, claim.compiled, w, fuel)
+        term = w.backward if cells.__class__ is _Stream else None  # a forward map's cells, for its backward term
+        return _check(pca, cells, term, w, fuel, claim.notes)
     except BaseException as e:
         pca._claims.pop(doc, None)  # else a position that failed to build is skipped next time
         if isinstance(e, SpaceTimeout):
@@ -465,58 +470,69 @@ def compile_claim(pca: Pca, doc: str, lhs, rhs) -> _Claim:
     return claim
 
 
-def _uniform(pca: Pca, cells: _Stream, term: Term, w: Witness, fuel: int | None,
-             notes: tuple[str, ...], up_front: bool = False) -> Verdict:
-    """A term checked at every cell, one evaluation per cell: a uniform
-    witness's at the positions of a T, Tw, M, Mw or elementary claim, or a
-    forward-backward witness's backward term at those of its forward map.
-    The first definite miss returns that cell's refutation, a timeout leaves
-    its position unknown, and a definite miss after a timeout still refutes.
-    Over an empty base any term holds, unless checked ``up_front``.
+def _check(pca: Pca, cells, term: Term | None, w: Witness, fuel: int | None,
+           notes: tuple[str, ...], up_front: bool = False) -> Verdict:
+    """The one checking loop, one evaluation per cell.  Given a term (a
+    uniform witness's, or a forward-backward witness's backward term at its
+    forward map's cells), it is checked at every cell; given none, each
+    cell's realizer is read from slot 0 (a per-point, bounded, extsW or D
+    witness's).  The first definite miss returns that cell's refutation, a
+    timeout leaves its position unknown, and a definite miss after a timeout
+    still refutes; a cell with no ``allowed`` refutes, and one with no
+    ``arg`` is unknown, unevaluated.  Over an empty base any term holds,
+    unless checked ``up_front``.
 
-    A computable term t acts on every argument as its action key
+    A computable realizer t acts on every argument as its action key
     (`pca.action_key`) does, p steps later, so `pca.act` answers its cells
     from the key at the whole fuel, in closed form for most keys, and p is
     charged after: s steps past the key are t's own when s + p fits in the
-    fuel, else a timeout.  A term equal to one of the kept enumeration
-    levels that a walk has reached reads its key from the process-wide
-    table ``pca._HEADS`` (at most 3,238 entries, shared by every structure);
-    any other term is contracted anew, and a parsed one never enters it.
+    fuel, else a timeout.  A run of cells with one realizer keys it once.  A
+    kept enumeration term that a walk has reached reads its key from the
+    process-wide ``pca._HEADS`` (at most 3,238 entries); any other term is
+    contracted anew.
 
-    Many terms share a key: the cells keep, for each key `pca.keeps` whose
-    cells all ended definitely, its verdict and the most steps a cell took
-    past the key.  That verdict is t's own when those steps plus p fit in
-    the fuel, as every cell then has the same outcome; a holding one is
-    rebuilt with w.  A term with p = 0 is always checked."""
-    unchecked = term._hash & 1  # terms.has_oracle: the term is not computable
-    if unchecked and up_front:
-        _require_computable(term, "witness term")
+    Many terms share a key: a stream checked with a term keeps, for each key
+    `pca.keeps` whose cells all ended definitely, its verdict and the most
+    steps a cell took past the key.  That verdict is the term's own when
+    those steps plus p fit in the fuel, as every cell then has the same
+    outcome; a holding one is rebuilt with w.  A term with p = 0 is always
+    checked.  Cells with their own realizers share no such table."""
     if fuel is None:
         fuel = pca.default_fuel
-    key, p = (term, 0) if unchecked else action_key(term, fuel)
-    shared = None if unchecked or not keeps(key) else cells.shared
-    if p and shared is not None:
-        known = shared.get(key)
-        if known is not None and known[1] + p <= fuel:
-            return known[0] or verdicts.holds(w, notes=notes)
-    left, most, timeouts = fuel - p, 0, []
-    for cell in cells:
-        _, arg, allowed, where, refuted = cell
-        if allowed is None:
-            refuted = verdicts.refuted((*where, EMPTY_LEFT), notes=notes)
-            break
-        if unchecked:
+    key, p, unchecked, shared = None, 0, False, None
+    if term is not None:
+        unchecked = term._hash & 1  # terms.has_oracle: the term is not computable
+        if unchecked and up_front:
             _require_computable(term, "witness term")
-        status, value, _, steps = act(pca, key, arg, fuel)
-        if steps > most:
-            most = steps
-        if steps > left:
-            status = "timeout"
-        elif value in allowed:  # an undefined or timed-out outcome has no term
-            continue
-        if status == "timeout":
-            timeouts.append(where + ("timeout",))
-            continue
+        key, p = (term, 0) if unchecked else action_key(term, fuel)
+        shared = None if unchecked or not keeps(key) else cells.shared
+        if p and shared is not None:
+            known = shared.get(key)
+            if known is not None and known[1] + p <= fuel:
+                return known[0] or verdicts.holds(w, notes=notes)
+    realizer, left, most, timeouts = term, fuel - p, 0, []
+    for cell in cells:
+        fn, arg, allowed, where, refuted = cell
+        if allowed is not None:
+            if arg is None:
+                timeouts.append(where)
+                continue
+            if unchecked:
+                _require_computable(term, "witness term")
+            if term is None and fn is not realizer:
+                realizer = fn
+                key, p = action_key(fn, fuel)
+                left = fuel - p
+            status, value, _, steps = act(pca, key, arg, fuel)
+            if steps > most:
+                most = steps
+            if steps > left:
+                status = "timeout"
+            elif value in allowed:  # an undefined or timed-out outcome has no term
+                continue
+            if status == "timeout":
+                timeouts.append(where + ("timeout",))
+                continue
         if refuted is None:
             refuted = cell[4] = verdicts.refuted(where, notes=notes)
         break
@@ -527,29 +543,6 @@ def _uniform(pca: Pca, cells: _Stream, term: Term, w: Witness, fuel: int | None,
     if shared is not None and not timeouts:
         shared[key] = refuted, most
     return refuted or verdicts.holds(w, notes=notes)
-
-
-def _discharge(pca: Pca, obligations, w: Witness, fuel: int | None, notes: tuple[str, ...]) -> Verdict:
-    """The obligations of a per-point, bounded, extsW or D witness, or of a
-    forward morphism gate out of fuel, each applied as written at the whole
-    fuel (no action key, so no p to charge): the first definite miss
-    refutes; a timeout leaves its position unknown.  Locations stay raw."""
-    timeouts = []
-    for fn, arg, allowed, where in obligations:
-        if fn is _UNDECIDED:
-            timeouts.append(where)
-            continue
-        if fn is not _REFUTES:
-            out = apply(pca, fn, arg, fuel)
-            if out.status == "timeout":
-                timeouts.append(where + ("timeout",))
-                continue
-            if out.is_defined and out.term in allowed:
-                continue
-        return verdicts.refuted(where, notes=notes)
-    if timeouts:
-        return verdicts.unknown(tuple(timeouts), notes=notes)
-    return verdicts.holds(w, notes=notes)
 
 
 def positions(lhs, rhs):
@@ -586,7 +579,7 @@ def _positions_claim(pca, order, lhs, rhs) -> _Stream:
     verdict a miss there gives: None until the first miss builds it, then
     shared by every later one, as verdicts are immutable, so a check that
     holds builds none.  Under Mw an empty solution set refutes with no
-    evaluation: its cell allows None."""
+    evaluation: its cell is `_refute`'s, located at where and `EMPTY_LEFT`."""
     over_assembly = order.base == ASSEMBLY
     if order.base == SET:
         if not _over(order.family, FinSet, lhs, rhs):
@@ -599,18 +592,21 @@ def _positions_claim(pca, order, lhs, rhs) -> _Stream:
         raise CheckError("base mismatch")
     if order.base == COMPUTABLE and not lhs.base.is_carrier:
         raise CheckError("elementary reducibility needs a carrier base")
-    return _Stream([key, arg if order.strong else pair_term(where[0], arg),
-                    None if order.empty_refutes and not allowed else allowed, where, None]
+    return _Stream(_refute(*where, EMPTY_LEFT) if order.empty_refutes and not allowed
+                   else [key, arg if order.strong else pair_term(where[0], arg), allowed, where, None]
                    for key, arg, allowed, where in positions(lhs, rhs))
 
 
 def _positional(pca, order, cells, w, fuel):
-    """The obligations of a per-point or bounded Tw or Mw witness."""
+    """The cells of a per-point or bounded Tw or Mw witness: each compiled
+    cell with the realizer the witness gives or finds there, or a cell that
+    refutes as compiled."""
     checked = None  # the last witness term found computable
     label = "point " if order.family is TrackedFamily else ""
-    for key, arg, allowed, where, _ in cells:
+    for cell in cells:
+        key, arg, allowed, where, refuted = cell
         if allowed is None:
-            yield _refute(*where, EMPTY_LEFT)
+            yield cell
         if isinstance(w, Bounded):
             a = find_inner_witness(pca, arg, allowed, w.bound, fuel)[0]
             if a is None:
@@ -621,7 +617,7 @@ def _positional(pca, order, cells, w, fuel):
             if a is not checked:
                 _require_computable(a, "witness term")
                 checked = a
-        yield a, arg, allowed, where
+        yield [a, arg, allowed, where, refuted]
 
 
 def _realizer_at(w: Witness, key, label: str = "") -> Term:
@@ -769,7 +765,7 @@ def _classical_claim(pca, order, lhs, rhs) -> _Forward:
 def _forward_backward(pca, order, claim: _Forward, w, fuel):
     """A forward-backward witness's gates (its forward map's once per map
     and fuel), then that map's cells, where `check_le` checks the backward
-    term; an undecided obligation per location where the gate ran out."""
+    term; an undecided cell per location where the gate ran out."""
     k = w.forward
     _require_computable(w.backward, "backward witness")
     if not claim.passed(k, fuel):
@@ -850,7 +846,7 @@ def _extended_strong(pca, order, claim: tuple, w, fuel):
             if terms is None:
                 yield _refute(p, a, "chosen set not offered at the image")
             for q in terms:
-                yield h, q, a, (p, a, q)
+                yield [h, q, a, (p, a, q), None]
 
 
 def _dialectica_claim(pca, order, lhs, rhs) -> tuple:
@@ -876,7 +872,7 @@ def _dialectica(pca, order, claim: tuple, w, fuel):
         if terms is None:
             yield _refute(x, a, "choice leaves the relation")
         for q in terms:
-            yield h, q, allowed, (x, a, q)
+            yield [h, q, allowed, (x, a, q), None]
 
 
 # ---------------------------------------------------------------------------
@@ -1363,7 +1359,7 @@ class Order:
     family: type  # the class of the families it orders
     base: str | None  # SET, COMPUTABLE or ASSEMBLY: the maps it reindexes along; None: no reindexing
     shapes: tuple[type, ...] = (Uniform,)  # the witness classes it takes; the first picks a search's walk
-    obligations: Callable | None = None  # the gates and stream of a witness that is not `Uniform`
+    obligations: Callable | None = None  # the gates and cells of a witness that is not `Uniform`
     compose: Callable = _compose_uniform
     reindex_witness: Callable | None = _same_witness
     policy: str = NONEMPTY  # the solution-set policy of the families it is meant for

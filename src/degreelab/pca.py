@@ -441,10 +441,12 @@ def act(pca: Pca, key, a: Term, fuel: int) -> EvalOutcome:
     acts.  ``(K, v)`` gives v; ``(S, f)`` or an atom f gives ``(f a)`` on a
     K, S or oracle atom or a term the memo holds as its own normal form;
     each in 0 steps.  Any other case is evaluated as ``(f a)`` or ``(key
-    a)``.  Callers pass a term's whole fuel and charge its p after, as the
-    memo reads an entry: s steps stand when s + p fits in the fuel, else it
-    is a timeout.  So a key's cell runs once per fuel, whatever the p of
-    the terms sharing the key (run at fuel - p, a timed-out cell would run
+    a)``.  Every realizer a check applies, of any witness, goes through
+    here (`doctrines._check`), as do the inner-witness and image walks.
+    Callers pass a term's whole fuel and charge its p after, as the memo
+    reads an entry: s steps stand when s + p fits in the fuel, else it is a
+    timeout.  So a key's cell runs once per fuel, whatever the p of the
+    terms sharing the key (run at fuel - p, a timed-out cell would run
     again from scratch for each smaller p)."""
     if key.__class__ is tuple:
         head, key = key

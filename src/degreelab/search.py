@@ -55,7 +55,7 @@ from .doctrines import (
     order_of,
     positions,
 )
-from .pca import DEFINED, TIMEOUT, Pca, act, action_key, iter_computable, keeps
+from .pca import DEFINED, Pca, act, action_key, iter_computable
 from .spaces import Assembly, ExtMorphism, FinMap, FinSet
 from .verdicts import HOLDS, REFUTED
 
@@ -167,28 +167,20 @@ def assignments(keys, options) -> Iterator[dict]:
     return (dict(zip(keys, values)) for values in itertools.product(*options))
 
 
-def images_of(pca: Pca, t, args, allowed, fuel: int | None, ended: set | None = None) -> tuple | None:
+def images_of(pca: Pca, t, args, allowed, fuel: int | None) -> tuple | None:
     """The images of the computable ``t`` on each argument in turn, by its
     action key, or None at the first image undefined or not in ``allowed``.
     Each is the key's at the whole fuel, the p steps before the key acts
-    charged after (`pca.act`).  ``ended`` collects the keys of a walk's
-    terms that had no image time out: a later term with one gets the same
-    images or a timeout, so None."""
+    charged after (`pca.act`)."""
     fuel = pca.default_fuel if fuel is None else fuel
     key, p = action_key(t, fuel)
-    if ended is not None and key in ended:
-        return None
-    images, status = [], None
+    images = []
     for a in args:
         status, image, _, steps = act(pca, key, a, fuel)
-        if steps + p > fuel:
-            status = TIMEOUT
-        if status != DEFINED or image not in allowed:
-            break
+        if status != DEFINED or steps + p > fuel or image not in allowed:
+            return None
         images.append(image)
-    if ended is not None and status != TIMEOUT and keeps(key):
-        ended.add(key)
-    return tuple(images) if len(images) == len(args) else None
+    return tuple(images)
 
 
 def _per_point_candidates(pca, claim, budget):
@@ -210,11 +202,11 @@ def forward_map_candidates(pca, source: FinSet, target: FinSet, budget) -> Itera
     """Realized maps source -> target found by enumerating realizer terms.
 
     Yields one candidate per distinct graph, tagged by the least realizer
-    producing it, in realizer enumeration order (`images_of` skips ended keys).
+    producing it, in realizer enumeration order.
     """
-    seen, ended = set(), set()
+    seen = set()
     for t in iter_computable(budget.witness_size):
-        images = images_of(pca, t, source.points, target, budget.fuel, ended)
+        images = images_of(pca, t, source.points, target, budget.fuel)
         if images is not None and images not in seen:
             seen.add(images)
             yield FinMap(source, target, dict(zip(source.points, images)), t)

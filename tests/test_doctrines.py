@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -1328,3 +1329,138 @@ class TestBackwardTermsByKey:
                 timeout_then_miss += late_miss
         assert set(statuses) == ({"holds", "refuted"} if fuel is None else {"holds", "refuted", "unknown"})
         assert (timeout_then_miss > 0) == (fuel == 3)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses with a realizer per cell: per-point and bounded Tw and Mw, extsW
+# and D, each checked against their obligations read one by one with `apply`
+# on a structure of its own.
+
+REFUTE, UNDECIDED = "refute", "undecided"  # obligations settled with no evaluation
+# K I K acts as I one step later, so a check must charge that step; DIVERGES
+# runs out of fuel on anything, and K S sends anything to S in one step
+PER_CELL_TERMS = (ID, App(K, K), App(K, S), ap(K, ID, K), DIVERGES)
+
+
+def _read_by_apply(pca, obligations, fuel):
+    """(status, refuting location, unknown locations) of the obligations
+    ``(fn, arg, allowed, where)`` read in order with `apply`, and whether a
+    timeout came before the refutation."""
+    timeouts = []
+    for fn, arg, allowed, where in obligations:
+        if fn is UNDECIDED:
+            timeouts.append(where)
+            continue
+        if fn is not REFUTE:
+            out = apply(pca, fn, arg, fuel)
+            if out.status == "timeout":
+                timeouts.append(where + ("timeout",))
+                continue
+            if out.is_defined and out.term in allowed:
+                continue
+        return ("refuted", where, ()), bool(timeouts)
+    return ("unknown", None, tuple(timeouts)) if timeouts else ("holds", None, ()), False
+
+
+def _positional_obligations(pca, doc, lhs, rhs, w, fuel):
+    for key, arg, allowed, where in doctrines.positions(lhs, rhs):
+        if doc == "Mw" and not allowed:
+            yield REFUTE, None, None, (*where, doctrines.EMPTY_LEFT)
+        elif isinstance(w, Bounded):
+            a = find_inner_witness(pca, arg, allowed, w.bound, fuel)[0]
+            if a is None:
+                yield UNDECIDED, None, None, (*where, f"no witness up to size {w.bound}")
+            else:
+                yield a, arg, allowed, where
+        else:
+            yield w.mapping[key], arg, allowed, where
+
+
+def _extended_strong_obligations(pca, doc, lhs, rhs, w, fuel):
+    for p in lhs.effective_dom:
+        out = apply(pca, w.forward, p, fuel)
+        if out.status == "timeout":
+            yield UNDECIDED, None, None, (p, "timeout")
+            continue
+        if not out.is_defined:
+            yield REFUTE, None, None, (p, "forward witness undefined")
+        offered = rhs.table.get(out.term)
+        if not offered:
+            yield REFUTE, None, None, (p, out.term, "image has no candidate solution sets")
+        for a in sorted(lhs.table[p], key=spaces.point_key):
+            b = w.choice[(p, a)]
+            if b not in offered:
+                yield REFUTE, None, None, (p, a, "chosen set not offered at the image")
+            for q in doctrines.sorted_terms(b):
+                yield w.backward, q, a, (p, a, q)
+
+
+def _dialectica_obligations(pca, doc, lhs, rhs, w, fuel):
+    for x, a in lhs.relation:
+        b = w.choice[(x, a)]
+        if (x, b) not in rhs.table:
+            yield REFUTE, None, None, (x, a, "choice leaves the relation")
+        for q in doctrines.sorted_terms(rhs.table[(x, b)]):
+            yield w.backward, q, lhs.table[(x, a)], (x, a, q)
+
+
+def _choices(keys, options):
+    return [dict(zip(keys, picked)) for picked in itertools.product(options, repeat=len(keys))]
+
+
+def _per_cell_checks(pca):
+    """``(doc, lhs, rhs, witness, obligations)``: per-point Tw and Mw tables
+    over PER_CELL_TERMS, bounded witnesses of every size up to 2 (at size 0
+    nothing sends K to S), an Mw claim with an empty left solution set, an
+    oracle target no S/K term reaches, and extsW and D witnesses whose
+    forward maps and choices go wrong in every way their orders name."""
+    X = carrier(pca, [K, S])
+    alpha = TrackedFamily(X, {K: K, S: S})
+    beta = TrackedFamily(X, {K: K, S: App(K, K)})
+    phi = MassFamily(X, {K: ONE_K, S: ONE_S})
+    psi = MassFamily(X, {K: [K, S], S: ONE_K})
+    hollow = MassFamily(X, {K: ONE_K, S: []})  # empty on the left at S
+    oraclish = MassFamily(X, {K: [O1], S: ONE_S})
+    claims = [("Tw", alpha, beta), ("Mw", phi, psi), ("Mw", hollow, phi), ("Mw", oraclish, phi)]
+    for doc, lhs, rhs in claims:
+        keys = [key for key, *_ in doctrines.positions(lhs, rhs)]
+        for table in _choices(keys, PER_CELL_TERMS):
+            yield doc, lhs, rhs, PerPoint(table), _positional_obligations
+        for bound in range(3):
+            yield doc, lhs, rhs, Bounded(bound), _positional_obligations
+    dom = carrier(pca, [K, S, O1])
+    sets = [frozenset([K]), frozenset([K, S]), frozenset([S])]
+    f = ExtendedPredicate(dom, {K: sets[:2], S: [sets[1]], O1: [sets[0]]})
+    g = ExtendedPredicate(dom, {K: sets[:2], S: [], O1: [sets[2]]})
+    # S I (K K) sends the oracle atom to #o1 K, undefined; K S lands where
+    # nothing is offered, and S I (K K) sends K to K K, outside the domain
+    forwards = (ID, App(K, K), App(K, S), ap(S, ID, App(K, K)), DIVERGES)
+    for k, choice, h in itertools.product(forwards, _choices([(p, a) for p in dom for a in f.table[p]], sets),
+                                          PER_CELL_TERMS):
+        yield "extsW", f, g, ExtStrong(k, choice, h), _extended_strong_obligations
+    F = DialecticaPredicate(X, {(K, sets[0]): ONE_K, (K, sets[2]): [K, S, App(K, K)], (S, sets[0]): [K, S]})
+    G = DialecticaPredicate(X, {(K, sets[0]): ONE_K, (K, sets[1]): [K, S], (S, sets[2]): ONE_S})
+    for choice, h in itertools.product(_choices(F.relation, sets), PER_CELL_TERMS):
+        yield "D", F, G, DialecticaWitness(choice, h), _dialectica_obligations
+
+
+class TestRealizersPerCell:
+    @pytest.mark.parametrize("fuel", [1, 2, 3, None])
+    def test_every_witness_reads_as_its_obligations_applied(self, fuel):
+        # every check on one structure, every reading on another
+        pca = Pca(oracles={"o1": {}})
+        reader = Pca(oracles=pca.oracles)
+        statuses, reasons, timeout_then_miss = Counter(), set(), Counter()
+        for doc, lhs, rhs, w, obligations in _per_cell_checks(pca):
+            v = check_le(pca, doc, lhs, rhs, w, fuel)
+            want, late_miss = _read_by_apply(reader, obligations(reader, doc, lhs, rhs, w, fuel), fuel)
+            assert (v.status, v.where, v.timeouts) == want, (doc, w, fuel)
+            statuses[doc, v.status] += 1
+            reasons.update(where[-1] for where in (*v.timeouts, v.where or ("",)))
+            timeout_then_miss[doc] += late_miss
+        assert set(statuses) == {(doc, s) for doc in ("Tw", "Mw", "extsW", "D") for s in ("holds", "refuted", "unknown")}
+        assert min(timeout_then_miss[doc] for doc in ("Tw", "Mw", "extsW", "D")) > 0
+        named = {doctrines.EMPTY_LEFT, "no witness up to size 0", "timeout", "chosen set not offered at the image",
+                 "image has no candidate solution sets", "choice leaves the relation"}
+        assert named <= reasons
+        assert ("forward witness undefined" in reasons) == (fuel is None)

@@ -115,3 +115,39 @@ def test_traced_forward_backward_search_checks_every_candidate_once(capsys):
     assert metrics["search.candidates"] == metrics["search.candidates.refuted"] + 1 == 2019
     assert metrics["doctrines.check_le_calls"] == 2019
     assert metrics["pca.normalize_calls"] < 2019
+
+
+def test_traced_choice_search_checks_every_candidate_once(capsys):
+    """Each extsW candidate of a search is one ``check_le`` call, its
+    backward term read by its action key at the cells its choice picks.
+    Applying every forward and backward term as written starts 7
+    evaluations here; reading by key may start fewer, never more."""
+    argv = ["--witness-size", "6", "--format", "machine", "search",
+            str(ROOT / "fixtures" / "extsw_dialectica.inst"), "ext_claim"]
+    (code,), metrics = _traced(argv)
+    assert code == 0
+    assert capsys.readouterr().out.endswith("result ext_claim found\n")
+    assert metrics["search.candidates"] == metrics["search.candidates.refuted"] + 1 == 3
+    assert metrics["doctrines.check_le_calls"] == 3
+    assert metrics["pca.normalize_calls"] <= 7
+
+
+MW_PER_POINT = """carrier X = [K, S]
+family phi over X { K -> [K], S -> [S] }
+family psi over X { K -> [K, S], S -> [K] }
+witness w = perpoint { (K, K) -> ((S K) K), (K, S) -> (K K), (S, K) -> (K S) }
+claim per_point : phi <=_Mw psi by w
+"""
+
+
+def test_traced_per_point_check_is_one_call(capsys, tmp_path):
+    """A per-point Mw witness is one ``check_le`` call, each realizer read
+    by its action key at its own cell: no more than the 3 evaluations that
+    applying each realizer as written starts."""
+    path = tmp_path / "per_point.inst"
+    path.write_text(MW_PER_POINT)
+    (code,), metrics = _traced(["--format", "machine", "check", str(path)])
+    assert code == 0
+    assert capsys.readouterr().out == "result per_point holds\n"
+    assert metrics["doctrines.check_le_calls"] == 1
+    assert metrics["pca.normalize_calls"] <= 3
