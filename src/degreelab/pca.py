@@ -441,8 +441,8 @@ def act(pca: Pca, key, a: Term, fuel: int) -> EvalOutcome:
     acts.  ``(K, v)`` gives v; ``(S, f)`` or an atom f gives ``(f a)`` on a
     K, S or oracle atom or a term the memo holds as its own normal form;
     each in 0 steps.  Any other case is evaluated as ``(f a)`` or ``(key
-    a)``.  Every realizer a check applies, of any witness, goes through
-    here (`doctrines._check`), as do the inner-witness and image walks.
+    a)``.  Every cell a check evaluates, of any witness, goes through here
+    (`doctrines._check`), as do the inner-witness and image walks.
     Callers pass a term's whole fuel and charge its p after, as the memo
     reads an entry: s steps stand when s + p fits in the fuel, else it is a
     timeout.  So a key's cell runs once per fuel, whatever the p of the
