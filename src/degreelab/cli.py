@@ -341,11 +341,11 @@ def cmd_complete(args) -> int:
             opts.insert(0, frozenset())
     objects = []
     for leg in legs:
+        if len(objects) + len(opts) ** len(leg.source) > 400:  # refused before the leg's objects are built
+            raise InstanceError("completion fiber too large; lower --index-bound or shrink the universe")
         for values in assignments(leg.source.points, [opts] * len(leg.source)):
             payload = TrackedFamily(leg.source, values) if tracked else MassFamily(leg.source, values, order.policy)
             objects.append(CompletionObject(args.kind, args.klass, args.doc, leg, payload))
-        if len(objects) > 400:
-            raise InstanceError("completion fiber too large; lower --index-bound or shrink the universe")
     budget = SearchBudget(args.witness_size, inst.fuel, args.time_cap)
     n = len(objects)
     # order[i][j]: True when a witness was found, False when exhausted, None when unknown

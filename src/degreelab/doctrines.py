@@ -44,7 +44,7 @@ A claim is compiled once (`compile_claim`), by its first check or before a
 search's first candidate: its family and base gates, its notes and what
 its checks read.  For T, Tw, M, Mw and the elementary orders (dW to dextW,
 read over the keys of a carrier or an assembly by one body) these are its
-positions, built as checks first read them, each solution set sorted once,
+positions, built whole when compiled, each solution set sorted once,
 each cell holding the refutation a miss there gives, built at the first
 miss; the claim keeps one verdict per action key of its uniform witnesses,
 and a per-point or bounded one gives each cell its own realizer.  For W,
@@ -331,15 +331,18 @@ def _family_notes(*elems) -> tuple[str, ...]:
 # compiled cells of the claim directly, or those of the forward map once it
 # passes its gates.  Any other witness's obligations give each cell its
 # realizer in slot 0.  A position settled without evaluation is a cell with
-# no ``allowed`` (`_refute`) or no ``arg`` (`_undecided`).  A refuting cell
-# ends its stream: `_check` never resumes it.
+# no ``allowed`` (`_refute`) or no ``arg`` (`_undecided`).  Obligations end
+# at the first `_refute` cell they give, as what follows it need not be
+# buildable (an undefined image, a set that is not offered).
 #
 # `Pca._claims` holds the last `_Claim` compiled for each doctrine id (see
 # the module docstring), so the consecutive candidates of a search, and
 # suites that alternate claims of two orders, pay only for their shape,
 # their computability, their forward map and their evaluations.  A gate that
-# fails compiles nothing, so it raises on every call; a check interrupted
-# by an exception (a forward map out of fuel included) drops its claim.
+# fails compiles nothing, so it raises on every call.  Compiled state is only
+# ever written whole: a claim's cells when it is compiled, a forward map's
+# once they are built, and a key's verdict once its check has ended, so a
+# check interrupted by an exception leaves its claim as it found it.
 
 EMPTY_LEFT = "empty solution set on the left"  # why Mw refutes an empty solution set
 
@@ -354,62 +357,33 @@ def _undecided(*where) -> list:
     return [None, None, (), where, None]
 
 
-class _Stream:
-    """Positions in canonical order, each built once, when a check first
-    reads that far: a check refuted early leaves the rest unbuilt.  Once
-    every position is built a reader walks the list itself.  ``shared``
-    belongs to `_check`: the verdicts of action keys."""
+class _Cells(list):
+    """Cells in canonical order, built whole, and ``shared``, which belongs
+    to `_check`: the verdicts of action keys."""
 
-    __slots__ = ("pending", "cells", "shared")
+    __slots__ = ("shared",)
 
-    def __init__(self, pending: Iterator):
-        self.pending = pending  # the positions no check has read yet; None once all are built
-        self.cells: list = []  # the positions read so far
+    def __init__(self, cells):
+        super().__init__(cells)
         self.shared: dict = {}  # key -> (its refutation, or None when it holds; most steps past it)
-
-    def __iter__(self):
-        if self.pending is None:
-            return iter(self.cells)
-        return chain(self.cells, self._rest())
-
-    def _rest(self):
-        cells = self.cells
-        # `for`, not `yield from`: closing this reader must not close pending
-        for position in self.pending:
-            cells.append(position)
-            yield position
-        self.pending = None
 
 
 class _Forward:
     """A compiled forward-backward claim: the object a forward map must
     start at and the one it must land in, with the gate messages of a map
     that does not (``ends``, for carrier maps); and the last forward map
-    read, with its positions, kept for every backward realizer paired with
-    it, and the fuel it was last verified at (its endpoints and its gate are
+    read, with its cells, kept for every backward realizer paired with it,
+    and the fuel it was last verified at (its endpoints and its gate are
     checked once per map and fuel)."""
 
-    __slots__ = ("source", "target", "build", "ends", "forward", "stream", "verified")
+    __slots__ = ("source", "target", "build", "ends", "forward", "cells", "verified")
 
     def __init__(self, source, target, build, ends=None):
         self.source = source
         self.target = target
         self.build = build  # (forward map, fuel) -> its positions (arg, allowed, where)
         self.ends = ends  # the messages for a wrong source and a wrong target
-        self.forward = self.stream = self.verified = None
-
-    def passed(self, k, fuel) -> bool:
-        """Whether forward map k is the last one read, with its endpoints
-        checked and verified at fuel."""
-        return k is self.forward and fuel == self.verified
-
-    def positions(self, k, fuel) -> _Stream:
-        """The cells of forward map k (`_positions_claim`'s, with no key),
-        whose endpoints the caller has checked and which it has verified at fuel."""
-        if k is not self.forward:
-            self.forward, self.stream = k, _Stream([None, *pos, None] for pos in self.build(k, fuel))
-        self.verified = fuel
-        return self.stream
+        self.forward = self.cells = self.verified = None
 
 
 class _Claim(NamedTuple):
@@ -438,7 +412,7 @@ def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) 
     witness of a claim compiled last for ``doc`` goes straight there: its
     order takes uniform witnesses, as its compiled claim holds positions."""
     claim = pca._claims.get(doc) if w.__class__ is Uniform else None
-    if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.compiled.__class__ is not _Stream:
+    if claim is None or claim.lhs is not lhs or claim.rhs is not rhs or claim.compiled.__class__ is not _Cells:
         shapes = order_of(doc).shapes
         if not isinstance(w, shapes):
             names = "/".join(c.__name__ for c in shapes)
@@ -449,13 +423,10 @@ def check_le(pca: Pca, doc: str, lhs, rhs, w: Witness, fuel: int | None = None) 
             return _check(pca, claim.compiled, w.term, w, fuel, claim.notes, claim.order.up_front)
         order = claim.order
         cells = order.obligations(pca, order, claim.compiled, w, fuel)
-        term = w.backward if cells.__class__ is _Stream else None  # a forward map's cells, for its backward term
+        term = w.backward if cells.__class__ is _Cells else None  # a forward map's cells, for its backward term
         return _check(pca, cells, term, w, fuel, claim.notes)
-    except BaseException as e:
-        pca._claims.pop(doc, None)  # else a position that failed to build is skipped next time
-        if isinstance(e, SpaceTimeout):
-            return verdicts.unknown((str(e),))
-        raise
+    except SpaceTimeout as e:
+        return verdicts.unknown((str(e),))
 
 
 def compile_claim(pca: Pca, doc: str, lhs, rhs) -> _Claim:
@@ -479,8 +450,9 @@ def _check(pca: Pca, cells, term: Term | None, w: Witness, fuel: int | None,
     witness's).  The first definite miss returns that cell's refutation, a
     timeout leaves its position unknown, and a definite miss after a timeout
     still refutes; a cell with no ``allowed`` refutes, and one with no
-    ``arg`` is unknown, unevaluated.  Over an empty base any term holds,
-    unless checked ``up_front``.
+    ``arg`` is unknown, unevaluated.  Obligations end at such a refuting
+    cell of themselves: the loop stopping there is not what keeps them
+    sound.  Over an empty base any term holds, unless checked ``up_front``.
 
     A computable realizer t acts on every argument as its action key
     (`pca.action_key`) does, p steps later, so `pca.act` answers its cells
@@ -571,7 +543,7 @@ def _over(family: type, base: type, lhs, rhs) -> bool:
     return all(isinstance(e, family) and isinstance(e.base, base) for e in (lhs, rhs))
 
 
-def _positions_claim(pca, order, lhs, rhs) -> _Stream:
+def _positions_claim(pca, order, lhs, rhs) -> _Cells:
     """The family and base gates of a T, Tw, M, Mw or elementary claim, and
     its positions as cells ``[key, arg, allowed, where, refuted]``.  A
     realizer that is not ``strong`` reads the argument paired with where[0],
@@ -592,9 +564,9 @@ def _positions_claim(pca, order, lhs, rhs) -> _Stream:
         raise CheckError("base mismatch")
     if order.base == COMPUTABLE and not lhs.base.is_carrier:
         raise CheckError("elementary reducibility needs a carrier base")
-    return _Stream(_refute(*where, EMPTY_LEFT) if order.empty_refutes and not allowed
-                   else [key, arg if order.strong else pair_term(where[0], arg), allowed, where, None]
-                   for key, arg, allowed, where in positions(lhs, rhs))
+    return _Cells(_refute(*where, EMPTY_LEFT) if order.empty_refutes and not allowed
+                  else [key, arg if order.strong else pair_term(where[0], arg), allowed, where, None]
+                  for key, arg, allowed, where in positions(lhs, rhs))
 
 
 def _positional(pca, order, cells, w, fuel):
@@ -607,6 +579,7 @@ def _positional(pca, order, cells, w, fuel):
         key, arg, allowed, where, refuted = cell
         if allowed is None:
             yield cell
+            return
         if isinstance(w, Bounded):
             a = find_inner_witness(pca, arg, allowed, w.bound, fuel)[0]
             if a is None:
@@ -768,7 +741,7 @@ def _forward_backward(pca, order, claim: _Forward, w, fuel):
     term; an undecided cell per location where the gate ran out."""
     k = w.forward
     _require_computable(w.backward, "backward witness")
-    if not claim.passed(k, fuel):
+    if k is not claim.forward or fuel != claim.verified:
         if order.base == ASSEMBLY:
             if k.source != claim.source or k.target != claim.target:
                 raise CheckError("forward morphism endpoints do not match the claim")
@@ -786,7 +759,11 @@ def _forward_backward(pca, order, claim: _Forward, w, fuel):
             if k.realizer is None:
                 raise CheckError("forward map must be computable (no realizer given)")
             k.check_realizer(pca, fuel)
-    return claim.positions(k, fuel)
+        if k is not claim.forward:
+            claim.cells = _Cells([None, *pos, None] for pos in claim.build(k, fuel))
+            claim.forward = k
+        claim.verified = fuel
+    return claim.cells
 
 
 def _realizer_based_claim(pca, order, lhs, rhs) -> _Forward:
@@ -834,10 +811,12 @@ def _extended_strong(pca, order, claim: tuple, w, fuel):
             continue
         if not out.is_defined:
             yield _refute(p, "forward witness undefined")
+            return
         kp = out.term
         offers = offered.get(kp)
         if offers is None:
             yield _refute(p, kp, "image has no candidate solution sets")
+            return
         for a in sets:
             b = w.choice.get((p, a))
             if b is None:
@@ -845,6 +824,7 @@ def _extended_strong(pca, order, claim: tuple, w, fuel):
             terms = offers.get(b)
             if terms is None:
                 yield _refute(p, a, "chosen set not offered at the image")
+                return
             for q in terms:
                 yield [h, q, a, (p, a, q), None]
 
@@ -871,6 +851,7 @@ def _dialectica(pca, order, claim: tuple, w, fuel):
         terms = answers.get((x, b))
         if terms is None:
             yield _refute(x, a, "choice leaves the relation")
+            return
         for q in terms:
             yield [h, q, allowed, (x, a, q), None]
 

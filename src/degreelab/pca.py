@@ -147,8 +147,8 @@ class Pca:
     - ``_claims``, the last claim ``doctrines.check_le`` compiled for each
       doctrine id, a pure function of its families, so that checks which
       alternate claims of two orders compile each once; for a
-      forward-backward order it also holds the positions of the last
-      forward map read and the fuel that map was verified at.
+      forward-backward order it also holds the cells of the last forward
+      map read, built whole, and the fuel that map was verified at.
     """
 
     oracles: Mapping[str, Mapping[Term, Term]] = field(default_factory=dict)

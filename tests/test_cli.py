@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from degreelab import search
+from degreelab import cli, search
 from degreelab.cli import main
 from degreelab.doctrines import ALLOW_EMPTY, NONEMPTY, CheckError
 from degreelab.instance import parse_instance, print_instance
@@ -684,6 +684,21 @@ class TestComplete:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: index bound must be non-negative, not -1\n"
+
+    def test_a_fiber_over_the_cap_is_refused_before_its_leg_is_built(self, tmp_path, capsys, monkeypatch):
+        # the one-point leg gives 3 objects; the eight-point one would give
+        # 3 ** 8 more, so it is refused before any of them is built
+        inst = tmp_path / "wide.inst"
+        inst.write_text("carrier A = [K]\ncarrier Y = [K, S, (K K), (K S), (S K), (S S), (K (K K)), (K (K S))]\n"
+                        "universe U = [K, S, (K K)]\n")
+        built = []
+        counted = lambda *a, real=cli.CompletionObject: built.append(a) or real(*a)
+        monkeypatch.setattr(cli, "CompletionObject", counted)
+        assert main(["complete", str(inst), "--object", "A", "--universe", "U", "--index-bound", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: completion fiber too large; lower --index-bound or shrink the universe\n"
+        assert len(built) == 3
 
     @pytest.mark.parametrize("doc", ["drW", "W", "extsW", "D"])
     def test_payload_doctrines_come_from_the_registry(self, doc, capsys):

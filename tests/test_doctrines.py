@@ -757,7 +757,7 @@ class TestRegistry:
         order = doctrines.ORDERS[doc]
         assert order.shapes and all(isinstance(c, type) for c in order.shapes)
         assert callable(order.compile) and callable(order.compose)
-        # only the uniform-only orders leave every witness to `_uniform`
+        # only the uniform-only orders leave every witness to `_check`
         assert (order.obligations is None) == (order.shapes == (Uniform,))
         assert order.family in FAMILIES
         assert order.base in (doctrines.SET, doctrines.COMPUTABLE, doctrines.ASSEMBLY, None)
@@ -849,7 +849,7 @@ class TestUniformWitness:
             v = check_le(pure, doc, phi, psi, Uniform(self_apply), fuel=STARVED_FUEL)
             assert _outcome(v) == ("refuted", ("S", "K"), ())
 
-    def test_a_check_that_raises_mid_way_drops_its_claim(self, pure, monkeypatch):
+    def test_a_check_that_raises_mid_way_keeps_its_claim(self, pure, monkeypatch):
         X = carrier(pure, [K, S])
         phi = MassFamily(X, {K: ONE_K, S: ONE_S})
         compiled = _count_compiles(monkeypatch, "M")
@@ -869,7 +869,7 @@ class TestUniformWitness:
             with pytest.raises(Interrupted):
                 check_le(pure, "M", phi, phi, Uniform(ID))
         assert check_le(pure, "M", phi, phi, Uniform(ID)).holds
-        assert compiled == ["M", "M"]
+        assert compiled == ["M"]
 
 
     # (S K K) K takes 2 steps; K I K and K (K I K) K contract to I in 1 and
@@ -1013,6 +1013,13 @@ class TestClaimCache:
                 check_le(shared, "M", phi, malformed, Uniform(ID))
 
     @pytest.mark.parametrize("doc", ["T", "Tw", "M", "Mw", "dW", "dsW", "drW", "dextW"])
+    def test_a_claim_is_compiled_with_every_position(self, pca, doc):
+        lhs, rhs, *_ = _doctrine_row(pca, doc)
+        claim = doctrines.compile_claim(pca, doc, lhs, rhs)
+        n = len(list(doctrines.positions(lhs, rhs)))
+        assert n and len(claim.compiled) == n
+
+    @pytest.mark.parametrize("doc", ["T", "Tw", "M", "Mw", "dW", "dsW", "drW", "dextW"])
     def test_oracle_witness_on_a_cached_claim_is_rejected(self, pca, doc):
         lhs, rhs, holding, refuted, *_ = _doctrine_row(pca, doc)
         check_le(pca, doc, lhs, rhs, holding)
@@ -1050,6 +1057,33 @@ class TestClaimCache:
                 assert outcome == _fresh_outcome(doc, lhs, rhs, w)
                 outcomes.append(outcome[0])
         assert outcomes == ["refuted", "holds", "refuted"] + ["refuted"] * 3 + ["refuted", "holds", "refuted"]
+
+    @pytest.mark.parametrize("doc", ["W", "rW"])
+    def test_a_backward_check_that_raises_mid_way_keeps_its_claim(self, doc, monkeypatch):
+        shared = Pca()
+        lhs, rhs, holding, refuted, *_ = _doctrine_row(shared, doc)
+        other = self._forward(holding, App(K, K), lambda v: K if doc == "W" else "a")
+        later = [(holding, None), (refuted, None), (type(holding)(other, holding.backward), None),
+                 (holding, 1), (holding, None)]
+        fresh = [_fresh_outcome(doc, lhs, rhs, w, fuel) for w, fuel in later]
+        compiled = _count_compiles(monkeypatch, doc)
+
+        class Interrupted(Exception):
+            pass
+
+        calls = []
+        def act_once(*args, real=doctrines.act):
+            calls.append(args)
+            if len(calls) == 2:  # the backward term's second cell
+                raise Interrupted
+            return real(*args)
+        with monkeypatch.context() as patched:
+            patched.setattr(doctrines, "act", act_once)
+            with pytest.raises(Interrupted):
+                check_le(shared, doc, lhs, rhs, holding)
+        assert [_outcome(check_le(shared, doc, lhs, rhs, w, fuel)) for w, fuel in later] == fresh
+        assert [outcome[0] for outcome in fresh] == ["holds", "refuted", "refuted", "unknown", "holds"]
+        assert compiled == [doc]
 
     @pytest.mark.parametrize("doc", FORWARD_BACKWARD)
     def test_forward_map_off_the_product_raises_on_every_call(self, doc):
@@ -1464,3 +1498,37 @@ class TestRealizersPerCell:
                  "image has no candidate solution sets", "choice leaves the relation"}
         assert named <= reasons
         assert ("forward witness undefined" in reasons) == (fuel is None)
+
+    @staticmethod
+    def _refuted_early(pca):
+        """Per case: a claim whose witness refutes, with no evaluation,
+        before its last position, as (doc, lhs, rhs, witness, location)."""
+        X = carrier(pca, [K, S])
+        hollow = MassFamily(X, {K: [], S: ONE_S})  # empty on the left at K
+        phi = MassFamily(X, {K: ONE_K, S: ONE_S})
+        f = ExtendedPredicate(X, {K: [ONE_K], S: [ONE_S]})
+        g = ExtendedPredicate(X, {K: [], S: [ONE_S]})  # offers nothing at K
+        choice = {(K, ONE_K): ONE_K, (S, ONE_S): ONE_S}
+        F = DialecticaPredicate(X, {(K, ONE_K): ONE_K, (S, ONE_S): ONE_S})
+        return {
+            "Mw-per-point": ("Mw", hollow, phi, PerPoint({(K, K): ID, (S, S): ID}),
+                             (K, K, doctrines.EMPTY_LEFT)),
+            "Mw-bounded": ("Mw", hollow, phi, Bounded(2), (K, K, doctrines.EMPTY_LEFT)),
+            "extsW-image": ("extsW", f, g, ExtStrong(ID, choice, ID), (K, K, "image has no candidate solution sets")),
+            "extsW-chosen-set": ("extsW", f, f, ExtStrong(ID, {**choice, (K, ONE_K): ONE_S}, ID),
+                                 (K, ONE_K, "chosen set not offered at the image")),
+            "D-choice": ("D", F, F, DialecticaWitness({**choice, (K, ONE_K): ONE_S}, ID),
+                         (K, ONE_K, "choice leaves the relation")),
+        }
+
+    @pytest.mark.parametrize("case", ["Mw-per-point", "Mw-bounded", "extsW-image", "extsW-chosen-set", "D-choice"])
+    def test_an_obligation_stream_ends_at_its_refuting_cell(self, pca, case):
+        # drained to the end, not stopped where the check stops
+        doc, lhs, rhs, w, where = self._refuted_early(pca)[case]
+        order = doctrines.ORDERS[doc]
+        claim = doctrines.compile_claim(pca, doc, lhs, rhs)
+        cells = list(order.obligations(pca, order, claim.compiled, w, None))
+        assert cells[-1][2] is None and cells[-1][3] == where
+        assert all(cell[2] is not None for cell in cells[:-1])
+        v = check_le(pca, doc, lhs, rhs, w)
+        assert v.refuted and v.where == where
