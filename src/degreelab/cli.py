@@ -325,14 +325,15 @@ def cmd_complete(args) -> int:
         raise InstanceError(f"complete supports payload doctrines {', '.join(docs)}")
     order = ORDERS[args.doc]
     tracked = order.family is TrackedFamily
-    # legs and tracked payloads list their values in text order, mass payloads in point order
+    # legs and tracked payloads list their values in text order, mass payloads in point order;
+    # legs are walked, not listed, so the cap below refuses before later legs are built
     if args.klass == "full":
         targets = sorted(A.points, key=point_text)
-        legs = [FinMap(Y, A, graph) for Y in inst.carriers.values() if len(Y) <= args.index_bound
-                for graph in assignments(Y.points, [targets] * len(Y))]
+        legs = (FinMap(Y, A, graph) for Y in inst.carriers.values() if len(Y) <= args.index_bound
+                for graph in assignments(Y.points, [targets] * len(Y)))
     else:
-        legs = [carrier_product(inst.pca, A, Y).fst for Y in inst.carriers.values()
-                if 0 < len(Y) <= args.index_bound]
+        legs = (carrier_product(inst.pca, A, Y).fst for Y in inst.carriers.values()
+                if 0 < len(Y) <= args.index_bound)
     if tracked:
         opts = sorted(uni.points, key=point_text)
     else:  # a nonempty payload takes no empty value

@@ -358,8 +358,8 @@ def _undecided(*where) -> list:
 
 
 class _Cells(list):
-    """Cells in canonical order, built whole, and ``shared``, which belongs
-    to `_check`: the verdicts of action keys."""
+    """Cells in canonical order, built whole, and ``shared``, the verdicts
+    of action keys, which `_check` writes and `shared_verdict` reads."""
 
     __slots__ = ("shared",)
 
@@ -465,10 +465,9 @@ def _check(pca: Pca, cells, term: Term | None, w: Witness, fuel: int | None,
 
     Many terms share a key: a stream checked with a term keeps, for each key
     `pca.keeps` whose cells all ended definitely, its verdict and the most
-    steps a cell took past the key.  That verdict is the term's own when
-    those steps plus p fit in the fuel, as every cell then has the same
-    outcome; a holding one is rebuilt with w.  A term with p = 0 is always
-    checked.  Cells with their own realizers share no such table."""
+    steps a cell took past the key.  `shared_verdict` reads it back for a
+    later term of that key, which gets it unchecked (a holding one rebuilt
+    with w).  Cells with their own realizers share no such table."""
     if fuel is None:
         fuel = pca.default_fuel
     key, p, unchecked, shared = None, 0, False, None
@@ -477,11 +476,10 @@ def _check(pca: Pca, cells, term: Term | None, w: Witness, fuel: int | None,
         if unchecked and up_front:
             _require_computable(term, "witness term")
         key, p = (term, 0) if unchecked else action_key(term, fuel)
+        known = shared_verdict(cells, key, p, fuel)
+        if known is not None:
+            return known[0] or verdicts.holds(w, notes=notes)
         shared = None if unchecked or not keeps(key) else cells.shared
-        if p and shared is not None:
-            known = shared.get(key)
-            if known is not None and known[1] + p <= fuel:
-                return known[0] or verdicts.holds(w, notes=notes)
     realizer, left, most, timeouts = term, fuel - p, 0, []
     for cell in cells:
         fn, arg, allowed, where, refuted = cell
@@ -515,6 +513,20 @@ def _check(pca: Pca, cells, term: Term | None, w: Witness, fuel: int | None,
     if shared is not None and not timeouts:
         shared[key] = refuted, most
     return refuted or verdicts.holds(w, notes=notes)
+
+
+def shared_verdict(cells: _Cells, key, p: int, fuel: int) -> tuple | None:
+    """The entry ``(refutation or None, most steps past the key)`` of
+    ``cells.shared`` that decides a term of action key ``key`` acting p
+    steps later, or None.  A term with p = 0 is its own key and is checked;
+    an entry stands for the term only when its most steps plus p fit in the
+    fuel, as each cell then gives the term the key's outcome.  `_check` and
+    the uniform search walk read it."""
+    if p:  # `_check` keeps only keys `pca.keeps`, so no other key is found
+        known = cells.shared.get(key)
+        if known is not None and known[1] + p <= fuel:
+            return known
+    return None
 
 
 def positions(lhs, rhs):

@@ -3,9 +3,11 @@
 Every search here, for a reducibility claim or for a completion-order claim,
 is made of three pieces, each implemented once:
 
-* `first_holding` is the one candidate loop.  It checks candidates in order,
-  counts failures, timeouts and malformed candidates, reads the time cap (if
-  one is set) before each candidate and returns the first one that holds.
+* `first_holding` is the one candidate loop.  It decides candidates in
+  order, each by one ``check_le`` call or, for a uniform term whose action
+  key already has a shared refutation, by that verdict; it counts failures,
+  timeouts and malformed candidates, reads the time cap (if one is set)
+  before each candidate and returns the first one that holds.
 * `assignments` is the one enumerator of every assignment of options to
   keys: graphs, choice functions, point maps and palettes of families.  The
   options of the last key vary fastest.
@@ -20,10 +22,13 @@ backward terms, or choices with backward terms.  Candidates are drawn from
 the oracle-free term enumeration in its fixed size-lexicographic order;
 composite witnesses iterate forward candidates in that order, then any
 auxiliary assignments lexicographically by point, then backward
-candidates.  The first Holding witness in that order is returned as it was
-checked: its own ``check_le`` verdict is the proof, so Found outcomes are
-sound by construction.  A search never claims absolute non-reducibility:
-exhausting the bound only reports the bound.
+candidates.  Terms that share an action key (`pca.action_key`) act alike,
+so a uniform term whose key's verdict at the compiled claim is a shared
+refutation standing for it (`doctrines.shared_verdict`) is a failure with
+no ``check_le`` call.  The first Holding witness in that order is returned
+as it was checked: its own ``check_le`` verdict is the proof, so Found
+outcomes are sound by construction.  A search never claims absolute
+non-reducibility: exhausting the bound only reports the bound.
 
 A repeated claim is answered from the structure's search memo: the same
 order, families equal in value, the same witness size and fuel give the
@@ -53,11 +58,11 @@ from .doctrines import (
     compile_claim,
     find_inner_witness,
     order_of,
-    positions,
+    shared_verdict,
 )
 from .pca import DEFINED, Pca, act, action_key, iter_computable
 from .spaces import Assembly, ExtMorphism, FinMap, FinSet
-from .verdicts import HOLDS, REFUTED
+from .verdicts import HOLDS, REFUTED, Verdict
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
@@ -125,7 +130,8 @@ def search_witness(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> Search
 
 def _search(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome:
     """search_witness without the memo: the claim's family and base gates,
-    which refuse an ill-formed claim, then one check_le call per candidate."""
+    which refuse an ill-formed claim, then each candidate decided by a
+    check_le call or by its action key's shared refutation."""
     claim = compile_claim(pca, doc, lhs, rhs)
     return first_holding(_WALKS[claim.order.shapes[0]](pca, claim, budget),
                          lambda cand: check_le(pca, doc, lhs, rhs, cand, budget.fuel), budget)
@@ -134,7 +140,10 @@ def _search(pca: Pca, doc: str, lhs, rhs, budget: SearchBudget) -> SearchOutcome
 def first_holding(candidates, check, budget: SearchBudget) -> SearchOutcome:
     """The first candidate whose verdict ``check(candidate)`` holds.
 
-    A candidate whose check raises CheckError counts as malformed, one whose
+    A walk may yield, in place of a candidate, that candidate's verdict
+    already decided (a uniform term's by its action key's shared
+    refutation, `_uniform_candidates`): it is read, not checked.  A
+    candidate whose check raises CheckError counts as malformed, one whose
     verdict is refuted as a failure and one whose verdict is unknown as a
     timeout.  A search that left some candidate unknown or malformed has
     not ruled that one out, so it is unknown, not exhausted.  The
@@ -146,11 +155,14 @@ def first_holding(candidates, check, budget: SearchBudget) -> SearchOutcome:
     for cand in candidates:
         if clock is not None and clock.expired():
             return SearchOutcome(UNKNOWN, None, bound, failures, timeouts, True, malformed)
-        try:
-            status = check(cand).status
-        except CheckError:
-            malformed += 1
-            continue
+        if cand.__class__ is Verdict:
+            status = cand.status
+        else:
+            try:
+                status = check(cand).status
+            except CheckError:
+                malformed += 1
+                continue
         if status == HOLDS:
             return SearchOutcome(FOUND, cand, bound, failures, timeouts, False, malformed)
         if status == REFUTED:
@@ -183,12 +195,28 @@ def images_of(pca: Pca, t, args, allowed, fuel: int | None) -> tuple | None:
     return tuple(images)
 
 
+def _uniform_candidates(pca, claim, budget):
+    """Each term of the bound as a uniform witness, or in its place the
+    refutation its action key shares at the compiled cells
+    (`doctrines.shared_verdict`), the verdict check_le would return.  A
+    shared holding verdict is checked, so a found witness has its own."""
+    cells = claim.compiled
+    fuel = pca.default_fuel if budget.fuel is None else budget.fuel
+    for t in iter_computable(budget.witness_size):
+        key, p = action_key(t, fuel)
+        known = shared_verdict(cells, key, p, fuel)
+        yield Uniform(t) if known is None or known[0] is None else known[0]
+
+
 def _per_point_candidates(pca, claim, budget):
-    """The least per-position table, the one candidate.  A position with no
-    witness in the bound yields none, unless a candidate ran out of fuel
-    there: then the Bounded witness, which check_le reports unknown."""
+    """The least table over the compiled cells, the one candidate.  A
+    position with no witness in the bound yields none, unless a candidate
+    ran out of fuel there: then the Bounded witness, which check_le reports
+    unknown.  A cell that refutes unevaluated (Mw's empty set) yields none."""
     table = {}
-    for key, arg, allowed, _ in positions(claim.lhs, claim.rhs):
+    for key, arg, allowed, _, _ in claim.compiled:
+        if allowed is None:
+            return
         found, timed_out = find_inner_witness(pca, arg, allowed, budget.witness_size, budget.fuel)
         if found is None:
             if timed_out:
@@ -263,7 +291,7 @@ def _dialectica_candidates(pca, claim, budget):
 
 # The candidate walk of each order, chosen by the first witness class it takes
 _WALKS = {
-    Uniform: lambda pca, claim, budget: map(Uniform, iter_computable(budget.witness_size)),
+    Uniform: _uniform_candidates,
     PerPoint: _per_point_candidates,
     ForwardBackward: _forward_backward_candidates,
     ExtStrong: _ext_strong_candidates,

@@ -700,6 +700,23 @@ class TestComplete:
         assert captured.err == "error: completion fiber too large; lower --index-bound or shrink the universe\n"
         assert len(built) == 3
 
+    def test_a_fiber_over_the_cap_is_refused_before_later_legs_are_built(self, tmp_path, capsys, monkeypatch):
+        # the 27 legs over the three-point A give 8 objects each, 216 in all;
+        # the first leg over the eight-point Y would add 2 ** 8, so it is
+        # refused before the other 3 ** 8 - 1 legs over Y exist
+        inst = tmp_path / "wide.inst"
+        inst.write_text("carrier A = [K, S, (K K)]\n"
+                        "carrier Y = [K, S, (K K), (K S), (S K), (S S), (K (K K)), (K (K S))]\n"
+                        "universe U = [K, S]\n")
+        maps = []
+        counted = lambda *a, real=cli.FinMap: maps.append(a) or real(*a)
+        monkeypatch.setattr(cli, "FinMap", counted)
+        assert main(["complete", str(inst), "--object", "A", "--universe", "U", "--index-bound", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: completion fiber too large; lower --index-bound or shrink the universe\n"
+        assert len(maps) == 27 + 1
+
     @pytest.mark.parametrize("doc", ["drW", "W", "extsW", "D"])
     def test_payload_doctrines_come_from_the_registry(self, doc, capsys):
         code = main(["complete", str(FIXTURES / "holds.inst"), "--object", "X", "--doc", doc])

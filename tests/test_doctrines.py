@@ -989,9 +989,9 @@ class TestClaimCache:
             assert check_le(shared, "M", phi, phi, Uniform(ID)).holds
 
     @pytest.mark.parametrize("doc", ["M", "dsW"])
-    def test_positions_left_unread_are_built_later(self, doc):
-        # the first check stops at the first position; the next must still
-        # reach the last one
+    def test_checks_after_one_that_stopped_early_reach_every_position(self, doc):
+        # the first check stops at the first position; the claim's cells are
+        # built whole when it compiles, so the next still reach the last one
         shared = Pca()
         X = carrier(shared, [K, S, ID])
         phi = MassFamily(X, {K: ONE_K, S: ONE_S, ID: ONE_K}, NONEMPTY)
@@ -1001,9 +1001,9 @@ class TestClaimCache:
             outcome = _outcome(check_le(shared, doc, phi, psi, w))
             assert outcome == ("refuted", where, ()) == _fresh_outcome(doc, phi, psi, w)
 
-    def test_position_that_fails_to_build_raises_on_every_call(self):
-        # positions are built as checks read them; one that raised must not
-        # leave a cached claim without it
+    def test_claim_whose_cells_fail_to_build_raises_on_every_call(self):
+        # a claim's cells are built whole when it compiles; a compile that
+        # raised caches no claim, so every later check compiles and raises again
         shared = Pca()
         X = carrier(shared, [K, S])
         phi = MassFamily(X, {K: ONE_K, S: ONE_S})

@@ -17,6 +17,7 @@ from degreelab.doctrines import (
     Predicate,
     Uniform,
     check_le,
+    compile_claim,
     positions,
 )
 from degreelab.instance import parse_instance
@@ -36,6 +37,7 @@ from degreelab.completions import CompletionObject, FORALL, FULL
 from degreelab.doctrines import TrackedFamily
 from degreelab.spaces import FinMap, assembly, carrier, identity_map
 from degreelab.terms import App, K, Oracle, S, term_key, to_text
+from degreelab.verdicts import Verdict
 
 O1 = Oracle("o1")
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.inst"))
@@ -287,7 +289,8 @@ class TestSearchMemo:
     def test_repeated_claim_checks_no_candidate(self):
         pca = Pca()
         first, calls = _counted(pca, "M", *_mass_claim(pca), SearchBudget(3))
-        assert first.found and calls == first.checked + 1 > 1
+        # 10 candidates refuted, 4 of them by their action key's shared verdict
+        assert first.found and first.checked == 10 and calls == 6 + 1
         again, calls = _counted(pca, "M", *_mass_claim(pca), SearchBudget(3))  # equal, not identical
         assert again == first and calls == 0
         assert len(pca._searches) == 1
@@ -453,3 +456,56 @@ class TestSharedHeadNormalForms:
                         expected.malformed)), seed
             statuses.add(out.status)
         assert "found" in statuses and statuses - {"found"}, statuses
+
+
+def _key_decided(pca, doc, lhs, rhs, fresh, fresh_lhs, fresh_rhs, size, fuel):
+    """How many terms the uniform walk of ``lhs <=_doc rhs`` decided by
+    their action key's shared verdict.  The walk runs as a search runs it,
+    every other candidate checked by check_le on ``pca``; each decided
+    term's status and counterexample must be what check_le gives it on
+    ``fresh``, whose compiled claims (and so shared verdicts) are dropped
+    before each check."""
+    claim = compile_claim(pca, doc, lhs, rhs)
+    walk = search_module._WALKS[Uniform](pca, claim, SearchBudget(size, fuel))
+    decided = 0
+    for t, cand in zip(enumerate_computable(size), walk, strict=True):
+        if cand.__class__ is Verdict:
+            fresh._claims.clear()
+            expected = check_le(fresh, doc, fresh_lhs, fresh_rhs, Uniform(t), fuel)
+            assert (cand.status, cand.counterexample) == (expected.status, expected.counterexample), to_text(t)
+            assert cand.refuted
+            decided += 1
+        else:
+            assert cand == Uniform(t)
+            check_le(pca, doc, lhs, rhs, cand, fuel)
+    return decided
+
+
+class TestKeyDecidedCandidates:
+    """A uniform walk yields, for a term whose action key has a shared
+    refutation that stands for it (its most steps plus the term's p fit in
+    the fuel), that refutation in place of the term, and a search counts it
+    as a failure with no check_le call.  It is the term's own verdict."""
+
+    @pytest.mark.parametrize("fuel", [2, 3, 10, 200])
+    @pytest.mark.parametrize("doc", ["M", "dW"])
+    def test_seeded_claims_match_a_fresh_check(self, doc, fuel):
+        decided = 0
+        for seed in range(16):
+            lhs, rhs = _seeded_claim(seed)
+            decided += _key_decided(Pca(oracles=SEEDED_ORACLES), doc, lhs, rhs,
+                                    Pca(oracles=SEEDED_ORACLES), lhs, rhs, 4, fuel)
+        assert decided > 0
+
+    @pytest.mark.parametrize("fuel", [None, 2])
+    @pytest.mark.parametrize("fixture", ["refuted", "holds"])
+    def test_fixture_claims_match_a_fresh_check(self, fixture, fuel):
+        text = (FIXTURES[0].parent / f"{fixture}.inst").read_text()
+        inst, fresh = parse_instance(text), parse_instance(text)
+        decided = 0
+        for claim in inst.claims:
+            if claim.doc in ("T", "M", "dW", "dsW", "drW", "dextW"):
+                decided += _key_decided(inst.pca, claim.doc, inst.element(claim.lhs), inst.element(claim.rhs),
+                                        fresh.pca, fresh.element(claim.lhs), fresh.element(claim.rhs),
+                                        4, inst.fuel if fuel is None else fuel)
+        assert decided > 0

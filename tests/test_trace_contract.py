@@ -54,25 +54,31 @@ def test_traced_check_times_every_doctrine_the_fixtures_use(capsys):
 
 
 def test_traced_search_checks_every_candidate_once(capsys):
-    """The benchmark's traced search-exhaust run needs every candidate to be
-    one ``check_le`` call: a search that decided candidates some other way
-    would leave ``doctrines.check_le_calls`` at 0 and fail that run.  A
-    candidate sharing its head normal form with an earlier one is decided
-    from that one's verdict, so fewer evaluations than candidates start."""
+    """The benchmark's traced search-exhaust run counts the ``check_le``
+    calls a search makes as its candidates, and needs some: a search that
+    decided every candidate some other way would leave
+    ``doctrines.check_le_calls`` at 0 and fail that run.  A uniform
+    candidate whose action key already has a shared refutation that stands
+    for it is decided by that verdict with no ``check_le`` call, so of the
+    102 candidates refuted only the 62 whose key has none are checked, and
+    fewer evaluations than candidates start."""
     argv = ["--witness-size", "3", "--format", "machine", "search",
             str(ROOT / "fixtures" / "refuted.inst"), "impossible"]
     (code,), metrics = _traced(argv)
     assert code == 1
-    assert capsys.readouterr().out.startswith("result impossible exhausted\n")
-    assert metrics["search.candidates"] == metrics["search.candidates.refuted"] == 102
-    assert metrics["doctrines.check_le_calls"] == 102
+    assert capsys.readouterr().out == ("result impossible exhausted\n"
+                                       "// no witness up to size 3; 102 candidates failed\n")
+    assert metrics["search.candidates"] == metrics["search.candidates.refuted"] == 62
+    assert metrics["search.candidates"] == metrics["doctrines.check_le_calls"] > 0
     assert metrics["pca.normalize_calls"] < 102
 
 
 def test_traced_repeated_search_counts_the_candidates_checked(capsys):
     """``search.candidates`` counts candidates checked, not searches asked
     for: a claim searched twice on one structure is checked once, and the
-    second search is answered from the structure's search memo."""
+    second search is answered from the structure's search memo.  Of its 102
+    refuted candidates, the 62 whose action key has no shared verdict are
+    checked."""
     inst = parse_instance((ROOT / "fixtures" / "refuted.inst").read_text())
     claim = next(c for c in inst.claims if c.name == "impossible")
     lhs, rhs = inst.element(claim.lhs), inst.element(claim.rhs)
@@ -85,8 +91,9 @@ def test_traced_repeated_search_counts_the_candidates_checked(capsys):
         tracer.uninstall()
     metrics = tracer.metrics()
     assert outcomes[0] == outcomes[1] and outcomes[0].status == "exhausted"
+    assert outcomes[0].failures == 102
     assert metrics["search.searches"] == 2
-    assert metrics["search.candidates"] == metrics["doctrines.check_le_calls"] == 102
+    assert metrics["search.candidates"] == metrics["doctrines.check_le_calls"] == 62
 
 
 def test_traced_complete_counts_one_candidate_per_comp_le_call(capsys):
