@@ -528,10 +528,11 @@ def parse_instance(text: str) -> Instance:
         kind = p.next()
         if not _KIND["ident"](kind[0]):
             raise p.unexpected("a declaration", at)
+        parse = _DECL_PARSERS.get(kind)
+        if parse is None:
+            raise p.error(f"unknown declaration {kind!r}", at)
         try:
-            _DECL_PARSERS[kind](p, inst)
-        except KeyError:
-            raise p.error(f"unknown declaration {kind!r}", at) from None
+            parse(p, inst)
         except (SpaceError, ValueError) as e:
             if isinstance(e, InstanceError):
                 raise

@@ -76,6 +76,7 @@ from .spaces import (
     ExtMorphism,
     FinMap,
     FinSet,
+    SpaceError,
     SpaceTimeout,
     assembly,
     carrier,
@@ -357,8 +358,8 @@ def suite_muchnik_heyting(pca: Pca, fuel: int | None = None) -> SuiteReport:
             t.add("adjunction-agreement", lhs.holds == rhs.holds)
         if lhs.holds:
             try:
-                tw = implication_adjunction_witness(pca, "imp_to_meet", phi, psi, rho,
-                                                    Bounded(bound), bound, fuel)
+                table = search_witness(pca, "Mw", rho, imp, SearchBudget(bound, fuel)).witness
+                tw = implication_adjunction_witness(pca, "imp_to_meet", phi, psi, rho, table, bound, fuel)
                 t.add("transport-to-meet", check_le(pca, "Mw", meet, psi, tw, fuel))
             except (UndecidedError, CheckError):
                 t.add("transport-to-meet", None)
@@ -843,7 +844,7 @@ def suite_extasm_category(pca: Pca, fuel: int | None = None) -> SuiteReport:
                         continue
                     try:
                         alt_m = ExtMorphism(Z, prod.object, med.realizer, alt)
-                    except Exception:
+                    except SpaceError:
                         continue
                     well_formed = _ext_check(pca, alt_m, fuel)
                     if well_formed is False:

@@ -17,17 +17,18 @@ is made of three pieces, each implemented once:
 A search compiles its claim first (`doctrines.compile_claim`), then walks
 the candidates picked by the first witness class of its order's record
 (`_WALKS`): uniform terms, one per-point table, forward maps (carrier maps
-or assembly morphisms, between the compiled claim's endpoints) with
-backward terms, or choices with backward terms.  Candidates are drawn from
-the oracle-free term enumeration in its fixed size-lexicographic order;
-composite witnesses iterate forward candidates in that order, then any
-auxiliary assignments lexicographically by point, then backward
-candidates.  Terms that share an action key (`pca.action_key`) act alike,
-so a uniform term whose key's verdict at the compiled claim is a shared
-refutation standing for it (`doctrines.shared_verdict`) is a failure with
-no ``check_le`` call.  The first Holding witness in that order is returned
-as it was checked: its own ``check_le`` verdict is the proof, so Found
-outcomes are sound by construction.  A search never claims absolute
+or assembly morphisms, between the compiled claim's endpoints) with backward
+terms, or choices with backward terms; a completion search walks each
+mediator's payload claim by the same table, each witness paired with it.
+Candidates are drawn from the oracle-free term enumeration in its fixed
+size-lexicographic order; composite witnesses iterate forward candidates in
+that order, then any auxiliary assignments lexicographically by point, then
+backward candidates.  Terms that share an action key (`pca.action_key`) act
+alike, so a uniform term whose key's verdict at the compiled claim is a
+shared refutation standing for it (`doctrines.shared_verdict`) is a failure
+with no ``check_le`` call.  The first Holding witness in that order is
+returned as it was checked: its own ``check_le`` verdict is the proof, so
+Found outcomes are sound by construction.  A search never claims absolute
 non-reducibility: exhausting the bound only reports the bound.
 
 A repeated claim is answered from the structure's search memo: the same
@@ -58,6 +59,7 @@ from .doctrines import (
     compile_claim,
     find_inner_witness,
     order_of,
+    reindex,
     shared_verdict,
 )
 from .pca import DEFINED, Pca, act, action_key, iter_computable
@@ -314,37 +316,24 @@ def search_completion_witness(pca: Pca, lhs: CompletionObject, rhs: CompletionOb
 
 
 def _completion_candidates(pca, lhs, rhs, budget):
-    """Each mediator with each base witness, mediator-major.  The base
-    witnesses are walked afresh for each mediator, so no list of them is
-    built and the clock is read before each candidate."""
-    bases = _base_candidates(lhs.doc, budget)
-    for med in _mediator_candidates(pca, lhs, rhs, budget):
-        for base in bases():
-            yield CompletionWitness(med, base)
-
-
-def _mediator_candidates(pca, lhs, rhs, budget):
-    src, tgt = (obj.leg.source for obj in mediator_ends(lhs.kind, lhs, rhs))
-    if isinstance(lhs.leg, FinMap):
-        # reindexing a payload over a computable base needs a realized map
-        if lhs.klass == "full" and ORDERS[lhs.doc].base != COMPUTABLE:
-            return all_graphs(src, tgt)
-        return forward_map_candidates(pca, src, tgt, budget)
-    raise CheckError("mediator search over assemblies is not implemented")
+    """Each mediator with each base witness of its payload claim (the far
+    payload reindexed along it once), mediator-major, as the walk of the
+    payload order (`_WALKS`) yields them, a verdict in place of a witness
+    passing through.  Nothing is listed: the clock is read before each."""
+    if not isinstance(lhs.leg, FinMap):
+        raise CheckError("mediator search over assemblies is not implemented")
+    src, tgt = mediator_ends(lhs.kind, lhs, rhs)
+    ends = src.leg.source, tgt.leg.source
+    # reindexing a payload over a computable base needs a realized map
+    graphs = lhs.klass == "full" and ORDERS[lhs.doc].base != COMPUTABLE
+    walk = _WALKS[order_of(lhs.doc).shapes[0]]
+    for med in all_graphs(*ends) if graphs else forward_map_candidates(pca, *ends, budget):
+        small, big = mediator_ends(lhs.kind, src.payload, reindex(pca, lhs.doc, med, tgt.payload, budget.fuel))
+        for base in walk(pca, compile_claim(pca, lhs.doc, small, big), budget):
+            yield base if base.__class__ is Verdict else CompletionWitness(med, base)
 
 
 def all_graphs(src: FinSet, tgt: FinSet) -> list[FinMap]:
     """Every map src -> tgt as a bare graph, values varying fastest on the
     last source point, in point order."""
     return [FinMap(src, tgt, graph) for graph in assignments(src.points, [tgt.points] * len(src))]
-
-
-def _base_candidates(doc, budget):
-    """A function giving a fresh walk of the base witnesses for doc: its
-    uniform terms, or its bounded witness where it takes per-point ones."""
-    shape = order_of(doc).shapes[0]
-    if shape is Uniform:
-        return lambda: map(Uniform, iter_computable(budget.witness_size))
-    if shape is PerPoint:
-        return lambda: [Bounded(budget.witness_size)]
-    raise CheckError(f"no base witness enumeration for doctrine {doc!r}")

@@ -16,8 +16,21 @@ from unittest import mock
 import pytest
 
 from degreelab import isomorphisms as iso
-from degreelab.laws import SUITES
+from degreelab import laws
+from degreelab.doctrines import (
+    Bounded,
+    CheckError,
+    MassFamily,
+    PerPoint,
+    check_le,
+    implication_adjunction_witness,
+    lattice_element,
+)
+from degreelab.laws import SUITES, _tracked_objects
 from degreelab.pca import Pca
+from degreelab.search import EXHAUSTED, SearchBudget, search_completion_witness, search_witness
+from degreelab.spaces import carrier
+from degreelab.terms import K, Oracle
 
 BOUNDS = {
     "pca-laws": 5.0,
@@ -42,8 +55,6 @@ LAW_UNKNOWNS = {
     ("pca-laws", "s-law"): 661,
     ("bracket-abstraction", "substitution"): 54,
     ("muchnik-heyting", "adjunction-agreement"): 288,
-    ("muchnik-heyting", "transport-to-meet"): 56,
-    ("isomorphism-suites", "muchnik-search-agreement"): 2,
 }
 
 
@@ -139,14 +150,44 @@ def test_criterion_08_isomorphism_suites(structure):
     cases = {r.case for r in report.records}
     for stem in ("medvedev", "muchnik", "W", "SW", "rW", "tW", "dialectica"):
         assert any(c.startswith(stem) and c.endswith("roundtrip") for c in cases), stem
-    assert report.unknowns == 2  # the two muchnik completion searches that run out of fuel
+    assert report.unknowns == 0
 
 
-def test_muchnik_search_agreement_counts_unknown_searches(structure):
-    # 2 of the 16 completion searches run out of fuel, 4 candidates each
-    report = SUITES["isomorphism-suites"](structure, None)
-    agree = next(r for r in report.records if r.case == "muchnik-search-agreement")
-    assert (agree.checked, agree.unknowns) == (16, 2)
+def test_muchnik_search_agreement_claims_exhaust_on_both_sides():
+    # the completion search walks each payload claim as the Mw search walks
+    # its claim: where no per-point table lies within the bound, both exhaust
+    pca = Pca(oracles={"o1": {}})
+    row = iso.EQUIVALENCES["muchnik"]
+    objects = _tracked_objects(pca, "Tw")[::4]
+    budget = SearchBudget(witness_size=2)
+    lhs = objects[3]  # #o1 over both points
+    for rhs in objects[1:3]:  # K, then S, over both points
+        cw = search_completion_witness(pca, lhs, rhs, budget)
+        mw = search_witness(pca, "Mw", row.from_completion(pca, lhs), row.from_completion(pca, rhs), budget)
+        assert (cw.status, mw.status) == (EXHAUSTED, EXHAUSTED)
+
+
+def test_imp_to_meet_transport_reads_the_mw_search_table():
+    # rho <= (phi -> psi) holds, and no solution of psi reaches phi: the
+    # transport needs the table of the left claim, which a bounded witness
+    # does not give
+    pca = Pca(oracles={"o1": {}})
+    base = carrier(pca, [K])
+    phi, psi = MassFamily(base, {K: frozenset()}), MassFamily(base, {K: frozenset([Oracle("o1")])})
+    rho = psi
+    imp = lattice_element(pca, "implies", "Mw", phi, psi, bound=5)
+    meet = lattice_element(pca, "meet", "Mw", phi, rho)
+    with pytest.raises(CheckError, match="need a per-point witness"):
+        implication_adjunction_witness(pca, "imp_to_meet", phi, psi, rho, Bounded(5), 5)
+    table = search_witness(pca, "Mw", rho, imp, SearchBudget(5)).witness
+    tw = implication_adjunction_witness(pca, "imp_to_meet", phi, psi, rho, table, 5)
+    assert check_le(pca, "Mw", meet, psi, tw).holds
+    # the suite hands the transport that table
+    with mock.patch.object(laws, "implication_adjunction_witness",
+                           wraps=implication_adjunction_witness) as transport:
+        SUITES["muchnik-heyting"](Pca(oracles={"o1": {}}), None)
+    assert transport.call_args_list
+    assert all(isinstance(c.args[5], PerPoint) for c in transport.call_args_list)
 
 
 def test_adjoint_agreement_counts_unknown_searches():

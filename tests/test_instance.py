@@ -445,6 +445,13 @@ class TestErrorContract:
             got.append([tok.start, tok.text, outcome])
         assert got == json.loads(SAMPLE_DELETIONS.read_text(encoding="utf-8"))
 
+    def test_a_key_error_inside_a_declaration_is_not_an_unknown_declaration(self):
+        broken = mock.Mock(side_effect=KeyError("slot"))
+        with mock.patch.dict(instance._DECL_PARSERS, carrier=broken), pytest.raises(KeyError):
+            parse_instance("carrier X = [K]\n")
+        with pytest.raises(InstanceError, match="line 1: unknown declaration 'carier'"):
+            parse_instance("carier X = [K]\n")
+
     # A name that refers to no earlier declaration is reported on the line of
     # the name itself, not on the line of the token after it.
     HEAD = "carrier X = [K]\nassembly A { point a names [K] }\nmorphism f : X -> X graph { K -> K }\n" \

@@ -19,6 +19,7 @@ from degreelab.doctrines import (
     check_le,
     compile_claim,
     positions,
+    reindex,
 )
 from degreelab.instance import parse_instance
 from degreelab.laws import _first_holding
@@ -188,6 +189,21 @@ class TestCompletionSearch:
         rhs = CompletionObject(FORALL, FULL, "T", identity_map(X), TrackedFamily(X, {K: K}))
         out = search_completion_witness(pure, lhs, rhs, SearchBudget(8, None, 10.0))
         assert out.found and out.checked == 2
+
+    def test_per_point_base_is_the_payload_claims_table(self, pure):
+        """A Tw completion search walks the payload claim of each mediator
+        by the Tw walk: the base of the witness it finds is the per-point
+        table search_witness finds on that claim."""
+        X, Y = carrier(pure, [K]), carrier(pure, [K, S])
+        leg = FinMap(Y, X, {K: K, S: K})
+        lhs = CompletionObject(FORALL, FULL, "Tw", leg, TrackedFamily(Y, {K: K, S: K}))
+        rhs = CompletionObject(FORALL, FULL, "Tw", leg, TrackedFamily(Y, {K: S, S: S}))
+        budget = SearchBudget(2)
+        out = search_completion_witness(pure, lhs, rhs, budget)
+        assert out.found
+        payload = reindex(pure, "Tw", out.witness.mediator, lhs.payload)  # a universal mediator pulls lhs back
+        table = search_witness(pure, "Tw", payload, rhs.payload, budget).witness
+        assert isinstance(table, PerPoint) and out.witness.base == table
 
 
 class TestSoundness:
